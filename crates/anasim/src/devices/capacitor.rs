@@ -19,7 +19,6 @@ const DC_LEAK_CONDUCTANCE: f64 = 1.0e-12;
 /// `ablation_newton` quantifies the step-size cost.
 #[derive(Debug)]
 pub struct Capacitor {
-    name: String,
     p: NodeId,
     n: NodeId,
     farads: f64,
@@ -27,13 +26,8 @@ pub struct Capacitor {
 
 impl Capacitor {
     /// Creates a capacitor of `farads` between `p` and `n`.
-    pub fn new(name: &str, p: NodeId, n: NodeId, farads: f64) -> Self {
-        Capacitor {
-            name: name.to_string(),
-            p,
-            n,
-            farads,
-        }
+    pub fn new(p: NodeId, n: NodeId, farads: f64) -> Self {
+        Capacitor { p, n, farads }
     }
 
     /// The capacitance in farads.
@@ -43,10 +37,6 @@ impl Capacitor {
 }
 
 impl Device for Capacitor {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
     fn nodes(&self) -> Vec<NodeId> {
         vec![self.p, self.n]
     }

@@ -55,7 +55,6 @@ impl DiodeParams {
 /// `I = I_sat (e^(V/(n·Vt)) − 1)`.
 #[derive(Debug)]
 pub struct Diode {
-    name: String,
     p: NodeId,
     n: NodeId,
     params: DiodeParams,
@@ -63,13 +62,8 @@ pub struct Diode {
 
 impl Diode {
     /// Creates a diode with the given parameters.
-    pub fn new(name: &str, p: NodeId, n: NodeId, params: DiodeParams) -> Self {
-        Diode {
-            name: name.to_string(),
-            p,
-            n,
-            params,
-        }
+    pub fn new(p: NodeId, n: NodeId, params: DiodeParams) -> Self {
+        Diode { p, n, params }
     }
 
     /// Evaluates `(current, conductance)` at junction voltage `v`, with
@@ -87,10 +81,6 @@ impl Diode {
 }
 
 impl Device for Diode {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
     fn nodes(&self) -> Vec<NodeId> {
         vec![self.p, self.n]
     }
@@ -150,7 +140,7 @@ mod tests {
 
     #[test]
     fn conductance_is_derivative() {
-        let d = Diode::new("D", NodeId(1), NodeId(0), DiodeParams::default());
+        let d = Diode::new(NodeId(1), NodeId(0), DiodeParams::default());
         for &v in &[0.0, 0.3, 0.55, 0.65] {
             let h = 1e-7;
             let (ip, _) = d.evaluate(v + h);

@@ -9,7 +9,6 @@ use crate::netlist::{NodeId, SourceId};
 /// core-cell array leakage load hanging off the regulator output.
 #[derive(Debug)]
 pub struct CurrentSource {
-    name: String,
     from: NodeId,
     to: NodeId,
     source: SourceId,
@@ -17,21 +16,12 @@ pub struct CurrentSource {
 
 impl CurrentSource {
     /// Creates the source; `source` indexes the netlist source table.
-    pub fn new(name: &str, from: NodeId, to: NodeId, source: SourceId) -> Self {
-        CurrentSource {
-            name: name.to_string(),
-            from,
-            to,
-            source,
-        }
+    pub fn new(from: NodeId, to: NodeId, source: SourceId) -> Self {
+        CurrentSource { from, to, source }
     }
 }
 
 impl Device for CurrentSource {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
     fn nodes(&self) -> Vec<NodeId> {
         vec![self.from, self.to]
     }

@@ -97,9 +97,6 @@ pub enum ElementKind {
 
 /// A circuit element that can stamp itself into an MNA system.
 pub trait Device: fmt::Debug + Send + Sync {
-    /// The unique device name within its netlist.
-    fn name(&self) -> &str;
-
     /// Nodes this device connects to (used for diagnostics).
     fn nodes(&self) -> Vec<NodeId>;
 

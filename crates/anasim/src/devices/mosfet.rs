@@ -191,7 +191,6 @@ impl MosParams {
 /// A three-terminal MOSFET (bulk tied to source rail implicitly).
 #[derive(Debug)]
 pub struct Mosfet {
-    name: String,
     d: NodeId,
     g: NodeId,
     s: NodeId,
@@ -200,14 +199,8 @@ pub struct Mosfet {
 
 impl Mosfet {
     /// Creates a MOSFET with terminals drain, gate, source.
-    pub fn new(name: &str, d: NodeId, g: NodeId, s: NodeId, params: MosParams) -> Self {
-        Mosfet {
-            name: name.to_string(),
-            d,
-            g,
-            s,
-            params,
-        }
+    pub fn new(d: NodeId, g: NodeId, s: NodeId, params: MosParams) -> Self {
+        Mosfet { d, g, s, params }
     }
 
     /// The model card.
@@ -217,10 +210,6 @@ impl Mosfet {
 }
 
 impl Device for Mosfet {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
     fn nodes(&self) -> Vec<NodeId> {
         vec![self.d, self.g, self.s]
     }

@@ -10,7 +10,6 @@ use crate::netlist::{NodeId, ParamId};
 /// circuit.
 #[derive(Debug)]
 pub struct Resistor {
-    name: String,
     p: NodeId,
     n: NodeId,
     resistance: ParamId,
@@ -19,21 +18,12 @@ pub struct Resistor {
 impl Resistor {
     /// Creates a resistor between `p` and `n` reading its resistance
     /// from `resistance`.
-    pub fn new(name: &str, p: NodeId, n: NodeId, resistance: ParamId) -> Self {
-        Resistor {
-            name: name.to_string(),
-            p,
-            n,
-            resistance,
-        }
+    pub fn new(p: NodeId, n: NodeId, resistance: ParamId) -> Self {
+        Resistor { p, n, resistance }
     }
 }
 
 impl Device for Resistor {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
     fn nodes(&self) -> Vec<NodeId> {
         vec![self.p, self.n]
     }

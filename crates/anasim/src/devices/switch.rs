@@ -15,7 +15,6 @@ const TRANSITION_WIDTH: f64 = 0.01;
 /// switch network where full transistor fidelity is unnecessary.
 #[derive(Debug)]
 pub struct Switch {
-    name: String,
     p: NodeId,
     n: NodeId,
     ctrl_p: NodeId,
@@ -30,7 +29,6 @@ impl Switch {
     /// `V(ctrl_p) − V(ctrl_n) > threshold`.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
-        name: &str,
         p: NodeId,
         n: NodeId,
         ctrl_p: NodeId,
@@ -40,7 +38,6 @@ impl Switch {
         r_off: f64,
     ) -> Self {
         Switch {
-            name: name.to_string(),
             p,
             n,
             ctrl_p,
@@ -63,10 +60,6 @@ impl Switch {
 }
 
 impl Device for Switch {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
     fn nodes(&self) -> Vec<NodeId> {
         vec![self.p, self.n, self.ctrl_p, self.ctrl_n]
     }

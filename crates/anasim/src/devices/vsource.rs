@@ -83,7 +83,6 @@ impl Waveform {
 /// one branch-current unknown to the MNA system.
 #[derive(Debug)]
 pub struct VoltageSource {
-    name: String,
     p: NodeId,
     n: NodeId,
     source: SourceId,
@@ -93,9 +92,8 @@ pub struct VoltageSource {
 impl VoltageSource {
     /// Creates a voltage source; `source` indexes the netlist source
     /// table used for DC values.
-    pub fn new(name: &str, p: NodeId, n: NodeId, source: SourceId, waveform: Waveform) -> Self {
+    pub fn new(p: NodeId, n: NodeId, source: SourceId, waveform: Waveform) -> Self {
         VoltageSource {
-            name: name.to_string(),
             p,
             n,
             source,
@@ -105,10 +103,6 @@ impl VoltageSource {
 }
 
 impl Device for VoltageSource {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
     fn nodes(&self) -> Vec<NodeId> {
         vec![self.p, self.n]
     }

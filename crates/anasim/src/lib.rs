@@ -49,6 +49,7 @@ pub mod error;
 mod factor_cache;
 pub mod matrix;
 pub mod mna;
+mod names;
 pub mod netlist;
 pub mod newton;
 mod rank1;

@@ -265,19 +265,36 @@ fn kind_code(kind: &ElementKind) -> u64 {
     }
 }
 
-fn structural_fingerprint(netlist: &Netlist) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for (device, branch_offset) in netlist.devices_with_offsets() {
-        let kind = device.kind();
-        let (terminals, count) = kind_terminals(&kind);
-        h = fnv(h, kind_code(&kind));
-        for t in terminals.iter().take(count) {
-            h = fnv(h, t.index() as u64 + 1);
-        }
-        h = fnv(h, branch_offset as u64);
-        h = fnv(h, device.num_branches() as u64);
+/// Seed of [`structural_fingerprint`].
+pub(crate) const STRUCTURAL_FP_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds one device (kind, terminals, branch layout) into a running
+/// [`structural_fingerprint`].
+#[inline]
+pub(crate) fn fold_structure(
+    h: u64,
+    kind: &ElementKind,
+    branch_offset: usize,
+    branches: usize,
+) -> u64 {
+    let (terminals, count) = kind_terminals(kind);
+    let mut h = fnv(h, kind_code(kind));
+    for t in terminals.iter().take(count) {
+        h = fnv(h, t.index() as u64 + 1);
     }
-    h
+    h = fnv(h, branch_offset as u64);
+    fnv(h, branches as u64)
+}
+
+/// FNV fingerprint of a netlist's structure: device kinds, terminals
+/// and branch layout, in device order. Values are invisible to it.
+/// Allocation-free; one walk over the devices.
+pub(crate) fn structural_fingerprint(netlist: &Netlist) -> u64 {
+    netlist
+        .devices_with_offsets()
+        .fold(STRUCTURAL_FP_SEED, |h, (device, branch_offset)| {
+            fold_structure(h, &device.kind(), branch_offset, device.num_branches())
+        })
 }
 
 impl StampPlan {

@@ -10,7 +10,6 @@
 //!   characterization sweeps a single injected open resistance over nine
 //!   decades without reconstructing the amplifier.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::devices::capacitor::Capacitor;
@@ -22,6 +21,7 @@ use crate::devices::switch::Switch;
 use crate::devices::vsource::{VoltageSource, Waveform};
 use crate::devices::{Device, ElementKind};
 use crate::error::Error;
+use crate::names::NameTable;
 
 /// Identifies a circuit node. Node 0 is always ground.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -79,12 +79,17 @@ impl ParamId {
 }
 
 /// A complete circuit: nodes, devices, and their adjustable values.
+///
+/// Node and device names live in one interned table per namespace
+/// (indexed by [`NodeId::index`] and by device insertion order), not in
+/// the devices themselves, so building a million-device array netlist
+/// costs one allocation per device (its boxed model) and dropping it
+/// frees no per-name strings.
 #[derive(Debug, Default)]
 pub struct Netlist {
-    node_names: Vec<String>,
-    node_lookup: HashMap<String, NodeId>,
+    node_names: NameTable,
     devices: Vec<Box<dyn Device>>,
-    device_lookup: HashMap<String, usize>,
+    device_names: NameTable,
     /// First branch-unknown index (counted from 0 among branches) per
     /// device, parallel to `devices`.
     branch_starts: Vec<usize>,
@@ -99,35 +104,26 @@ impl Netlist {
 
     /// Creates an empty netlist containing only the ground node.
     pub fn new() -> Self {
-        let mut node_lookup = HashMap::new();
-        node_lookup.insert("0".to_string(), NodeId(0));
+        let mut node_names = NameTable::default();
+        let ground = node_names.insert("0");
+        debug_assert_eq!(ground, Ok(Self::GND.0));
         Netlist {
-            node_names: vec!["0".to_string()],
-            node_lookup,
-            devices: Vec::new(),
-            device_lookup: HashMap::new(),
-            branch_starts: Vec::new(),
-            num_branches: 0,
-            sources: Vec::new(),
-            params: Vec::new(),
+            node_names,
+            ..Netlist::default()
         }
     }
 
     /// Returns the node with the given name, creating it if necessary.
     /// The name `"0"` always refers to ground.
     pub fn node(&mut self, name: &str) -> NodeId {
-        if let Some(&id) = self.node_lookup.get(name) {
-            return id;
+        match self.node_names.insert(name) {
+            Ok(id) | Err(id) => NodeId(id),
         }
-        let id = NodeId(self.node_names.len());
-        self.node_names.push(name.to_string());
-        self.node_lookup.insert(name.to_string(), id);
-        id
     }
 
     /// Looks up an existing node by name.
     pub fn find_node(&self, name: &str) -> Option<NodeId> {
-        self.node_lookup.get(name).copied()
+        self.node_names.find(name).map(NodeId)
     }
 
     /// Name of a node (ground is `"0"`).
@@ -136,7 +132,7 @@ impl Netlist {
     ///
     /// Panics if the node does not belong to this netlist.
     pub fn node_name(&self, node: NodeId) -> &str {
-        &self.node_names[node.0]
+        self.node_names.get(node.0)
     }
 
     /// Number of nodes including ground.
@@ -164,12 +160,10 @@ impl Netlist {
         self.devices.iter().any(|d| d.is_nonlinear())
     }
 
-    fn register(&mut self, device: Box<dyn Device>) -> Result<(), Error> {
-        let name = device.name().to_string();
-        if self.device_lookup.contains_key(&name) {
-            return Err(Error::DuplicateDevice(name));
+    fn register(&mut self, name: &str, device: Box<dyn Device>) -> Result<(), Error> {
+        if self.device_names.insert(name).is_err() {
+            return Err(Error::DuplicateDevice(name.to_string()));
         }
-        self.device_lookup.insert(name, self.devices.len());
         self.branch_starts.push(self.num_branches);
         self.num_branches += device.num_branches();
         self.devices.push(device);
@@ -223,7 +217,7 @@ impl Netlist {
     /// Absolute unknown index of the branch current of the named device
     /// (e.g. a voltage source), if it has one.
     pub fn branch_unknown(&self, device_name: &str) -> Option<usize> {
-        let &idx = self.device_lookup.get(device_name)?;
+        let idx = self.device_names.find(device_name)?;
         if self.devices[idx].num_branches() == 0 {
             return None;
         }
@@ -234,15 +228,28 @@ impl Netlist {
     // Structural introspection (static analysis)
     // ------------------------------------------------------------------
 
-    /// Node names indexed by [`NodeId::index`]; entry 0 is ground
+    /// Node names in [`NodeId::index`] order; the first is ground
     /// (`"0"`).
-    pub fn node_names(&self) -> &[String] {
-        &self.node_names
+    pub fn node_names(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        self.node_names.iter()
+    }
+
+    /// Name of the device at insertion index `index` (the position of
+    /// its entry in [`Netlist::elements`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below [`Netlist::num_devices`].
+    pub fn device_name(&self, index: usize) -> &str {
+        self.device_names.get(index)
     }
 
     /// Iterates over `(name, kind)` of every device in insertion order.
     pub fn elements(&self) -> impl Iterator<Item = (&str, ElementKind)> + '_ {
-        self.devices.iter().map(|d| (d.name(), d.kind()))
+        self.device_names
+            .iter()
+            .zip(&self.devices)
+            .map(|(name, d)| (name, d.kind()))
     }
 
     /// Number of entries in the source-value table.
@@ -262,13 +269,13 @@ impl Netlist {
     pub fn unknown_label(&self, i: usize) -> String {
         let node_unknowns = self.num_nodes() - 1;
         if i < node_unknowns {
-            return format!("node `{}`", self.node_names[i + 1]);
+            return format!("node `{}`", self.node_names.get(i + 1));
         }
         let branch = i - node_unknowns;
-        for (dev, &start) in self.devices.iter().zip(&self.branch_starts) {
+        for (idx, (dev, &start)) in self.devices.iter().zip(&self.branch_starts).enumerate() {
             let n = dev.num_branches();
             if n > 0 && branch >= start && branch < start + n {
-                return format!("branch current of `{}`", dev.name());
+                return format!("branch current of `{}`", self.device_name(idx));
             }
         }
         format!("unknown #{i}")
@@ -351,7 +358,7 @@ impl Netlist {
             });
         }
         let param = self.alloc_param(ohms);
-        self.register(Box::new(Resistor::new(name, p, n, param)))?;
+        self.register(name, Box::new(Resistor::new(p, n, param)))?;
         Ok(param)
     }
 
@@ -359,8 +366,8 @@ impl Netlist {
     /// the handle used to change its value with [`Netlist::set_source`].
     pub fn vsource(&mut self, name: &str, p: NodeId, n: NodeId, volts: f64) -> SourceId {
         let source = self.alloc_source(volts);
-        let dev = VoltageSource::new(name, p, n, source, Waveform::Dc);
-        self.register(Box::new(dev))
+        let dev = VoltageSource::new(p, n, source, Waveform::Dc);
+        self.register(name, Box::new(dev))
             .expect("duplicate voltage source name");
         source
     }
@@ -379,8 +386,8 @@ impl Netlist {
         waveform: Waveform,
     ) -> Result<SourceId, Error> {
         let source = self.alloc_source(waveform.value_at(0.0, 0.0));
-        let dev = VoltageSource::new(name, p, n, source, waveform);
-        self.register(Box::new(dev))?;
+        let dev = VoltageSource::new(p, n, source, waveform);
+        self.register(name, Box::new(dev))?;
         Ok(source)
     }
 
@@ -388,7 +395,7 @@ impl Netlist {
     /// the source into `to`.
     pub fn isource(&mut self, name: &str, from: NodeId, to: NodeId, amps: f64) -> SourceId {
         let source = self.alloc_source(amps);
-        self.register(Box::new(CurrentSource::new(name, from, to, source)))
+        self.register(name, Box::new(CurrentSource::new(from, to, source)))
             .expect("duplicate current source name");
         source
     }
@@ -413,7 +420,7 @@ impl Netlist {
                 what: format!("capacitance must be finite and positive, got {farads}"),
             });
         }
-        self.register(Box::new(Capacitor::new(name, p, n, farads)))
+        self.register(name, Box::new(Capacitor::new(p, n, farads)))
     }
 
     /// Adds a junction diode (anode `p`, cathode `n`).
@@ -430,7 +437,7 @@ impl Netlist {
         params: DiodeParams,
     ) -> Result<(), Error> {
         params.validate(name)?;
-        self.register(Box::new(Diode::new(name, p, n, params)))
+        self.register(name, Box::new(Diode::new(p, n, params)))
     }
 
     /// Adds a MOSFET with terminals drain/gate/source.
@@ -448,7 +455,7 @@ impl Netlist {
         params: MosParams,
     ) -> Result<(), Error> {
         params.validate(name)?;
-        self.register(Box::new(Mosfet::new(name, drain, gate, source, params)))
+        self.register(name, Box::new(Mosfet::new(drain, gate, source, params)))
     }
 
     /// Adds a smooth voltage-controlled switch: conductance interpolates
@@ -477,9 +484,10 @@ impl Netlist {
                 what: format!("switch resistances must be positive, got {r_on}/{r_off}"),
             });
         }
-        self.register(Box::new(Switch::new(
-            name, p, n, ctrl_p, ctrl_n, threshold, r_on, r_off,
-        )))
+        self.register(
+            name,
+            Box::new(Switch::new(p, n, ctrl_p, ctrl_n, threshold, r_on, r_off)),
+        )
     }
 }
 
@@ -514,6 +522,56 @@ mod tests {
             nl.resistor("R1", a, Netlist::GND, 100.0),
             Err(Error::DuplicateDevice(_))
         ));
+    }
+
+    #[test]
+    fn name_tables_round_trip_through_many_index_growths() {
+        // 100k names per namespace force the interned indexes through a
+        // dozen doublings; every lookup must still return what was
+        // inserted, in both directions.
+        const N: usize = 100_000;
+        let mut nl = Netlist::new();
+        let nodes: Vec<NodeId> = (0..N).map(|i| nl.node(&format!("n{i}"))).collect();
+        for (i, &node) in nodes.iter().enumerate() {
+            nl.resistor(&format!("R{i}"), node, Netlist::GND, 1.0e3)
+                .expect("unique name");
+        }
+        nl.vsource("V", nodes[0], Netlist::GND, 1.0);
+        assert_eq!(nl.num_nodes(), N + 1);
+        assert_eq!(nl.num_devices(), N + 1);
+        for (i, &node) in nodes.iter().enumerate() {
+            let name = format!("n{i}");
+            assert_eq!(node.index(), i + 1);
+            assert_eq!(nl.find_node(&name), Some(node));
+            assert_eq!(nl.node(&name), node, "re-adding a node is idempotent");
+            assert_eq!(nl.node_name(node), name);
+            assert_eq!(nl.device_name(i), format!("R{i}"));
+        }
+        assert_eq!(nl.num_nodes(), N + 1);
+        assert_eq!(nl.find_node("n100000"), None);
+        assert!(nl
+            .node_names()
+            .eq(std::iter::once("0".to_string()).chain((0..N).map(|i| format!("n{i}")))));
+        assert!(nl
+            .elements()
+            .map(|(name, _)| name)
+            .eq((0..N).map(|i| format!("R{i}")).chain(["V".to_string()])));
+        // Ground keeps its name and id.
+        assert_eq!(nl.find_node("0"), Some(Netlist::GND));
+        assert_eq!(nl.node("0"), Netlist::GND);
+        assert_eq!(nl.node_name(Netlist::GND), "0");
+        // A reused device name is rejected and adds no device.
+        for name in ["R0", "R54321", "V"] {
+            match nl.resistor(name, nodes[1], Netlist::GND, 1.0) {
+                Err(Error::DuplicateDevice(dup)) => assert_eq!(dup, name),
+                other => panic!("expected DuplicateDevice for {name}, got {other:?}"),
+            }
+        }
+        assert_eq!(nl.num_devices(), N + 1);
+        assert_eq!(nl.branch_unknown("V"), Some(N));
+        assert_eq!(nl.branch_unknown("R7"), None);
+        assert_eq!(nl.unknown_label(N), "branch current of `V`");
+        assert_eq!(nl.unknown_label(41), "node `n41`");
     }
 
     #[test]

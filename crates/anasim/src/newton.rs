@@ -313,7 +313,12 @@ fn newton_stage(
         counters,
         ..
     } = scratch;
-    let plan = plan.as_ref().expect("scratch ensured before stage");
+    // Only the monolithic path reads the stamp plan; the partitioned
+    // path never builds one (its partition plan lives in `schur`).
+    let mono_plan = || {
+        plan.as_ref()
+            .expect("stamp plan ensured on the monolithic path")
+    };
     // The partitioned path never sizes the dense matrix (a 512×8 array
     // would need a ~10k-order monolith), so the system order must come
     // from the iterate, which both paths size.
@@ -336,7 +341,7 @@ fn newton_stage(
     let rank1_active = cache_active && matches!(mode, AnalysisMode::Dc);
     let mut chord = false;
     if rank1_active {
-        match rank1.prepare(netlist, plan) {
+        match rank1.prepare(netlist, mono_plan()) {
             Prepare::Chord => chord = true,
             Prepare::Full => {}
             Prepare::IllConditioned => counters.rank1_fallback += 1,
@@ -382,13 +387,22 @@ fn newton_stage(
                 };
             }
         } else {
-            assemble_planned(netlist, plan, x, gmin, source_scale, mode, matrix, rhs);
+            assemble_planned(
+                netlist,
+                mono_plan(),
+                x,
+                gmin,
+                source_scale,
+                mode,
+                matrix,
+                rhs,
+            );
         }
         if chord {
             // Residual-form chord step: x_new = x − M̃⁻¹ F(x). The
             // fixed point is the exact circuit solution for any M̃;
             // staleness only slows contraction, which is policed here.
-            plan.residual_into(matrix, x, rhs, &mut rank1.resid);
+            mono_plan().residual_into(matrix, x, rhs, &mut rank1.resid);
             let rnorm = rank1.resid.iter().fold(0.0f64, |m, v| m.max(v.abs()));
             if rnorm > CHORD_CONTRACTION * prev_rnorm {
                 // Growth (or too-slow contraction): refactor from the
@@ -402,6 +416,7 @@ fn newton_stage(
             }
         }
         if !chord && !partitioned {
+            let plan = mono_plan();
             let factored = if use_sparse {
                 sparse
                     .factor(matrix, plan.structural_fp(), plan.touched_offsets())
@@ -461,7 +476,7 @@ fn newton_stage(
             if rank1_active && did_factor {
                 // The freshest full factors become the chord base for
                 // the next (bisection-chained) solve.
-                rank1.snapshot_base(netlist, plan.structural_fp(), lu);
+                rank1.snapshot_base(netlist, mono_plan().structural_fp(), lu);
             }
             return StageOutcome::Converged(iter + 1);
         }
@@ -1105,6 +1120,58 @@ mod tests {
         // Node c has no DC path to ground.
         let r = solve(&nl2, &NewtonOptions::plain(), None, AnalysisMode::Dc);
         assert!(r.is_err());
+    }
+
+    /// A resistor chain from a 1 V source to ground with one device-free
+    /// node, `floating`, halfway along: `chain` chain nodes, the
+    /// floating node and the source branch make `chain + 2` unknowns.
+    fn chain_with_floating_node(chain: usize) -> Netlist {
+        let mut nl = Netlist::new();
+        let top = nl.node("c0");
+        nl.vsource("V", top, Netlist::GND, 1.0);
+        let mut prev = top;
+        for i in 1..chain {
+            if i == chain / 2 {
+                nl.node("floating");
+            }
+            let node = nl.node(&format!("c{i}"));
+            nl.resistor(&format!("R{i}"), prev, node, 1.0e3)
+                .expect("valid resistance, unique name");
+            prev = node;
+        }
+        nl.resistor("Rend", prev, Netlist::GND, 1.0e3)
+            .expect("valid resistance, unique name");
+        nl
+    }
+
+    #[test]
+    fn singular_solve_names_the_floating_node_on_both_backends() {
+        // 23 unknowns factor densely, 203 through the sparse backend,
+        // whose RCM order puts the floating column last; both must name
+        // the floating node, not whatever unknown shares its position.
+        for (chain, sparse) in [(21, false), (201, true)] {
+            let nl = chain_with_floating_node(chain);
+            assert_eq!(nl.num_unknowns(), chain + 2);
+            let floating = nl.find_node("floating").expect("declared").index() - 1;
+            let mut scratch = SolveScratch::new();
+            let err = solve_with_scratch(
+                &nl,
+                &NewtonOptions::plain(),
+                None,
+                AnalysisMode::Dc,
+                &mut scratch,
+            )
+            .expect_err("a device-free node is singular");
+            assert_eq!(scratch.sparse_lu_nnz().is_some(), sparse, "{err}");
+            match &err {
+                Error::SingularMatrix { pivot_row, unknown } => {
+                    assert_eq!(*pivot_row, floating, "{err}");
+                    assert_eq!(unknown.as_deref(), Some("node `floating`"), "{err}");
+                }
+                other => panic!("expected SingularMatrix, got {other}"),
+            }
+            assert!(err.to_string().contains("check node `floating`"), "{err}");
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@
 
 use crate::error::Error;
 use crate::matrix::{DenseMatrix, LuWorkspace};
-use crate::mna::{fnv, AnalysisMode, StampPlan};
+use crate::mna::{fnv, AnalysisMode};
 use crate::netlist::Netlist;
 use crate::newton::{NewtonOptions, Solution};
 use crate::scratch::{SolveCounters, SolveScratch};
@@ -201,45 +201,53 @@ struct BlockPlan {
     start: usize,
     /// Block order (number of eliminated unknowns).
     len: usize,
-    /// Sorted interface indices this block couples to.
-    boundary: Vec<u32>,
     /// Offset of this block's `[B|E|F]` run in the value store.
     val_off: usize,
+    /// The block's sorted interface boundary is
+    /// `boundaries[bnd_off..bnd_off + nb]` of its [`PartitionPlan`].
+    bnd_off: u32,
+    nb: u32,
 }
 
 impl BlockPlan {
     fn nb(&self) -> usize {
-        self.boundary.len()
+        self.nb as usize
     }
 
     fn val_len(&self) -> usize {
         self.len * self.len + 2 * self.len * self.nb()
     }
+}
 
-    /// Position of an interface index in the boundary list. The
-    /// boundary of one cell is a handful of entries, so a linear scan
-    /// beats a binary search here.
-    #[inline]
-    fn pos(&self, iface: u32) -> usize {
-        self.boundary
-            .iter()
-            .position(|&b| b == iface)
-            .expect("stamped interface column is on the block boundary")
-    }
+/// Position of an interface index in a block boundary. The boundary of
+/// one cell is a handful of entries, so a linear scan beats a binary
+/// search here.
+#[inline]
+fn boundary_pos(boundary: &[u32], iface: u32) -> usize {
+    boundary
+        .iter()
+        .position(|&b| b == iface)
+        .expect("stamped interface column is on the block boundary")
 }
 
 /// The structural side of a partitioned assembly: the global→slot
 /// remap, per-block boundary layout, and the interface sparsity
 /// pattern. Built once per (netlist structure, partition) pair and
-/// validated by fingerprint, mirroring [`StampPlan`].
+/// validated by fingerprint, mirroring [`StampPlan`](crate::mna::StampPlan)
+/// — which the partitioned path never builds.
 #[derive(Debug, Clone)]
 pub(crate) struct PartitionPlan {
     n: usize,
     ni: usize,
+    num_nodes: usize,
+    num_devices: usize,
     remap: Vec<Slot>,
     /// Global unknown index of each interface unknown, ascending.
     iface_globals: Vec<usize>,
     blocks: Vec<BlockPlan>,
+    /// Every block's sorted boundary, back to back (see
+    /// [`BlockPlan::bnd_off`]).
+    boundaries: Vec<u32>,
     /// Sorted flat (row-major) offsets of every interface entry device
     /// stamps, macromodel contributions, or gmin can write.
     iface_touched: Vec<usize>,
@@ -251,18 +259,39 @@ pub(crate) struct PartitionPlan {
     max_block_len: usize,
 }
 
+/// Stable counting sort of `(key, value)` pairs by key (`key < keys`):
+/// returns each key's start offset into the returned values, `keys + 1`
+/// offsets in all. Walks `pairs` twice, to count and to place, with
+/// internal iteration (`for_each`) so chained and nested pair sources
+/// compile to plain loops.
+fn bucket_by_key<I>(keys: usize, pairs: I) -> (Vec<usize>, Vec<u32>)
+where
+    I: Iterator<Item = (u32, u32)> + Clone,
+{
+    let mut starts = vec![0usize; keys + 1];
+    pairs.clone().for_each(|(k, _)| starts[k as usize + 1] += 1);
+    for k in 1..=keys {
+        starts[k] += starts[k - 1];
+    }
+    let mut values = vec![0u32; starts[keys]];
+    let mut cursor = starts.clone();
+    pairs.for_each(|(k, v)| {
+        values[cursor[k as usize]] = v;
+        cursor[k as usize] += 1;
+    });
+    (starts, values)
+}
+
 impl PartitionPlan {
-    fn combined_fp(plan: &StampPlan, partition: &Partition) -> u64 {
-        fnv(fnv(FNV_SEED, plan.structural_fp()), partition.fingerprint)
+    fn combined_fp(struct_fp: u64, partition: &Partition) -> u64 {
+        fnv(fnv(FNV_SEED, struct_fp), partition.fingerprint)
     }
 
     /// Builds the partition plan, validating that no device couples two
-    /// distinct blocks.
-    pub(crate) fn build(
-        netlist: &Netlist,
-        plan: &StampPlan,
-        partition: &Partition,
-    ) -> Result<Self, Error> {
+    /// distinct blocks. Runs in time linear in the device count plus
+    /// the interface entries written: boundaries and the interface
+    /// pattern are bucketed, never comparison-sorted as a whole.
+    pub(crate) fn build(netlist: &Netlist, partition: &Partition) -> Result<Self, Error> {
         let n = netlist.num_unknowns();
         let node_unknowns = netlist.num_nodes() - 1;
         if partition.n != n {
@@ -272,7 +301,6 @@ impl PartitionPlan {
             )));
         }
         let mut remap = vec![Slot::Iface(u32::MAX); n];
-        let mut blocks: Vec<BlockPlan> = Vec::with_capacity(partition.blocks.len());
         for (bi, &(start, len)) in partition.blocks.iter().enumerate() {
             for local in 0..len {
                 remap[start + local] = Slot::Block {
@@ -280,12 +308,6 @@ impl PartitionPlan {
                     local: local as u32,
                 };
             }
-            blocks.push(BlockPlan {
-                start,
-                len,
-                boundary: Vec::new(),
-                val_off: 0,
-            });
         }
         let mut iface_globals = Vec::with_capacity(n - partition.block_unknowns());
         for (g, slot) in remap.iter_mut().enumerate() {
@@ -298,102 +320,189 @@ impl PartitionPlan {
 
         // Device walk: every stamp lands at the cross product of the
         // device's own unknowns (the same slot enumeration as
-        // StampPlan::build), so boundary membership and the interface
-        // sparsity pattern are both known before the first assembly.
-        let mut iface_touched: Vec<usize> = Vec::new();
+        // StampPlan::build). A device touching a block puts its
+        // interface unknowns on that block's boundary; its interface
+        // entries are a subset of the boundary clique added below. Only
+        // interface-only devices contribute entries of their own. The
+        // same walk folds the structural fingerprint.
+        let mut struct_fp = crate::mna::STRUCTURAL_FP_SEED;
+        let mut bound_pairs: Vec<(u32, u32)> = Vec::new();
+        let mut device_entries: Vec<(u32, u32)> = Vec::new();
         let mut slots: Vec<usize> = Vec::with_capacity(8);
-        for (device, branch_offset) in netlist.devices_with_offsets() {
+        let mut iface: Vec<u32> = Vec::with_capacity(8);
+        for (index, (device, branch_offset)) in netlist.devices_with_offsets().enumerate() {
+            let kind = device.kind();
+            let branches = device.num_branches();
+            struct_fp = crate::mna::fold_structure(struct_fp, &kind, branch_offset, branches);
             slots.clear();
-            let (terminals, count) = crate::mna::kind_terminals(&device.kind());
+            let (terminals, count) = crate::mna::kind_terminals(&kind);
             for t in terminals.iter().take(count) {
                 if let Some(i) = t.unknown_index() {
                     slots.push(i);
                 }
             }
-            for k in 0..device.num_branches() {
-                slots.push(branch_offset + k);
-            }
+            slots.extend(branch_offset..branch_offset + branches);
             let mut touched_block: Option<u32> = None;
+            iface.clear();
             for &s in &slots {
-                if let Slot::Block { block, .. } = remap[s] {
-                    match touched_block {
+                match remap[s] {
+                    Slot::Iface(i) => iface.push(i),
+                    Slot::Block { block, .. } => match touched_block {
                         None => touched_block = Some(block),
                         Some(b) if b == block => {}
                         Some(b) => {
                             return Err(Error::InvalidPartition(format!(
                                 "device `{}` couples block {b} to block {block}; \
                                  blocks must only couple through the interface",
-                                device.name()
+                                netlist.device_name(index)
                             )))
                         }
-                    }
+                    },
                 }
             }
-            for &r in &slots {
-                for &c in &slots {
-                    if let (Slot::Iface(i), Slot::Iface(j)) = (remap[r], remap[c]) {
-                        iface_touched.push(i as usize * ni + j as usize);
-                    }
-                }
-            }
-            if let Some(b) = touched_block {
-                let bp = &mut blocks[b as usize];
-                for &s in &slots {
-                    if let Slot::Iface(i) = remap[s] {
-                        bp.boundary.push(i);
+            match touched_block {
+                Some(b) => bound_pairs.extend(iface.iter().map(|&i| (b, i))),
+                None => {
+                    for &r in &iface {
+                        device_entries.extend(iface.iter().map(|&c| (r, c)));
                     }
                 }
             }
         }
 
+        // Block boundaries: bucket the (block, interface) pairs by
+        // block, then sort and deduplicate each block's handful.
+        let (bnd_start, mut raw) =
+            bucket_by_key(partition.blocks.len(), bound_pairs.iter().copied());
+        drop(bound_pairs);
+        let mut boundaries: Vec<u32> = Vec::with_capacity(raw.len());
+        let mut blocks: Vec<BlockPlan> = Vec::with_capacity(partition.blocks.len());
         let mut values_len = 0usize;
         let mut max_block_len = 0usize;
-        for bp in &mut blocks {
-            bp.boundary.sort_unstable();
-            bp.boundary.dedup();
-            bp.val_off = values_len;
+        for (bi, &(start, len)) in partition.blocks.iter().enumerate() {
+            let seg = &mut raw[bnd_start[bi]..bnd_start[bi + 1]];
+            seg.sort_unstable();
+            let bnd_off = boundaries.len();
+            for &i in seg.iter() {
+                if boundaries.len() == bnd_off || boundaries.last() != Some(&i) {
+                    boundaries.push(i);
+                }
+            }
+            let bp = BlockPlan {
+                start,
+                len,
+                val_off: values_len,
+                bnd_off: bnd_off as u32,
+                nb: (boundaries.len() - bnd_off) as u32,
+            };
             values_len += bp.val_len();
-            max_block_len = max_block_len.max(bp.len);
-            // The macromodel contribution scatters a dense nb×nb clique
-            // over the block's boundary.
-            for &p in &bp.boundary {
-                for &q in &bp.boundary {
-                    iface_touched.push(p as usize * ni + q as usize);
+            max_block_len = max_block_len.max(len);
+            blocks.push(bp);
+        }
+        drop(raw);
+
+        // Interface pattern: interface-only device entries, each
+        // block's dense nb×nb macromodel clique over its boundary, and
+        // the gmin diagonal of every interface *node* (branch rows never
+        // receive gmin, matching the dense path), bucketed by row with
+        // duplicates included…
+        let cliques = blocks.iter().flat_map(|bp| {
+            let bnd = &boundaries[bp.bnd_off as usize..][..bp.nb()];
+            bnd.iter()
+                .flat_map(move |&p| bnd.iter().map(move |&q| (p, q)))
+        });
+        let diagonals = iface_globals
+            .iter()
+            .enumerate()
+            .filter(|&(_, &g)| g < node_unknowns)
+            .map(|(i, _)| (i as u32, i as u32));
+        let entries = device_entries
+            .iter()
+            .copied()
+            .chain(cliques)
+            .chain(diagonals);
+        let (mut row_start, mut cols) = bucket_by_key(ni, entries);
+        // …then deduplicated row by row in place with generation marks
+        // (`mark[c] == r` once row `r` has kept column `c`)…
+        let mut mark = vec![u32::MAX; ni];
+        let mut kept = 0usize;
+        for r in 0..ni {
+            let (lo, hi) = (row_start[r], row_start[r + 1]);
+            row_start[r] = kept;
+            for k in lo..hi {
+                let c = cols[k];
+                if mark[c as usize] != r as u32 {
+                    mark[c as usize] = r as u32;
+                    cols[kept] = c;
+                    kept += 1;
                 }
             }
         }
-        // gmin regularization writes every interface *node* diagonal
-        // (branch rows never receive gmin, matching the dense path).
-        for (i, &g) in iface_globals.iter().enumerate() {
-            if g < node_unknowns {
-                iface_touched.push(i * ni + i);
-            }
+        row_start[ni] = kept;
+        cols.truncate(kept);
+        // …and ordered row-major by a two-pass radix sort: bucket by
+        // column (rows arrive ascending), then stably back by row, so
+        // each row's columns come out ascending.
+        let (col_start, rows_by_col) = bucket_by_key(
+            ni,
+            (0..ni).flat_map(|r| {
+                cols[row_start[r]..row_start[r + 1]]
+                    .iter()
+                    .map(move |&c| (c, r as u32))
+            }),
+        );
+        let (row_start, sorted_cols) = bucket_by_key(
+            ni,
+            (0..ni).flat_map(|c| {
+                rows_by_col[col_start[c]..col_start[c + 1]]
+                    .iter()
+                    .map(move |&r| (r, c as u32))
+            }),
+        );
+        let mut iface_touched = Vec::with_capacity(kept);
+        for r in 0..ni {
+            let row = &sorted_cols[row_start[r]..row_start[r + 1]];
+            iface_touched.extend(row.iter().map(|&c| r * ni + c as usize));
         }
-        iface_touched.sort_unstable();
-        iface_touched.dedup();
 
         Ok(PartitionPlan {
             n,
             ni,
+            num_nodes: netlist.num_nodes(),
+            num_devices: netlist.num_devices(),
             remap,
             iface_globals,
             blocks,
+            boundaries,
             iface_touched,
-            fingerprint: Self::combined_fp(plan, partition),
+            fingerprint: Self::combined_fp(struct_fp, partition),
             values_len,
             max_block_len,
         })
     }
 
     /// Whether this plan still describes the (structure, partition)
-    /// pair. Allocation-free, used as the per-solve staleness guard.
-    pub(crate) fn matches(&self, plan: &StampPlan, partition: &Partition) -> bool {
-        self.n == partition.n && self.fingerprint == Self::combined_fp(plan, partition)
+    /// pair. Allocation-free, used as the per-solve staleness guard;
+    /// keyed on the netlist's structural fingerprint directly, so no
+    /// monolithic stamp plan is ever needed.
+    pub(crate) fn matches(&self, netlist: &Netlist, partition: &Partition) -> bool {
+        self.n == partition.n
+            && self.n == netlist.num_unknowns()
+            && self.num_nodes == netlist.num_nodes()
+            && self.num_devices == netlist.num_devices()
+            && self.fingerprint
+                == Self::combined_fp(crate::mna::structural_fingerprint(netlist), partition)
     }
 
     /// Order of the reduced interface system.
     pub(crate) fn interface_unknowns(&self) -> usize {
         self.ni
+    }
+
+    /// The sorted interface boundary of `bp`.
+    #[inline]
+    fn boundary(&self, bp: &BlockPlan) -> &[u32] {
+        &self.boundaries[bp.bnd_off as usize..][..bp.nb()]
     }
 }
 
@@ -446,12 +555,14 @@ impl PartitionedValues {
             (Slot::Block { block, local: li }, Slot::Iface(j)) => {
                 let bp = &plan.blocks[block as usize];
                 let e_off = bp.val_off + bp.len * bp.len;
-                self.block_vals[e_off + li as usize * bp.nb() + bp.pos(j)] += value;
+                let q = boundary_pos(plan.boundary(bp), j);
+                self.block_vals[e_off + li as usize * bp.nb() + q] += value;
             }
             (Slot::Iface(i), Slot::Block { block, local: lj }) => {
                 let bp = &plan.blocks[block as usize];
                 let f_off = bp.val_off + bp.len * (bp.len + bp.nb());
-                self.block_vals[f_off + bp.pos(i) * bp.len + lj as usize] += value;
+                let p = boundary_pos(plan.boundary(bp), i);
+                self.block_vals[f_off + p * bp.len + lj as usize] += value;
             }
         }
     }
@@ -638,18 +749,13 @@ impl SchurState {
     /// (Re)builds the partition plan and sizes every buffer; a no-op
     /// (and allocation-free) when the (structure, partition) pair is
     /// unchanged.
-    pub(crate) fn ensure(
-        &mut self,
-        netlist: &Netlist,
-        plan: &StampPlan,
-        partition: &Partition,
-    ) -> Result<(), Error> {
+    pub(crate) fn ensure(&mut self, netlist: &Netlist, partition: &Partition) -> Result<(), Error> {
         let stale = match &self.plan {
-            Some(p) => !p.matches(plan, partition),
+            Some(p) => !p.matches(netlist, partition),
             None => true,
         };
         if stale {
-            let p = PartitionPlan::build(netlist, plan, partition)?;
+            let p = PartitionPlan::build(netlist, partition)?;
             // A structural change orphans every cached macromodel.
             self.cache.invalidate();
             self.block_slot.clear();
@@ -718,6 +824,7 @@ impl SchurState {
         for (bi, bp) in plan.blocks.iter().enumerate() {
             let bl = bp.len;
             let nb = bp.nb();
+            let boundary = plan.boundary(bp);
             let vals = &block_vals[bp.val_off..bp.val_off + bp.val_len()];
             let si = cache.lookup_or_build(vals, bp, b_tmp, t1, t2, counters)?;
             block_slot[bi] = si;
@@ -725,8 +832,8 @@ impl SchurState {
             for p in 0..nb {
                 for q in 0..nb {
                     iface.add(
-                        bp.boundary[p] as usize,
-                        bp.boundary[q] as usize,
+                        boundary[p] as usize,
+                        boundary[q] as usize,
                         slot.contrib[p * nb + q],
                     );
                 }
@@ -740,7 +847,7 @@ impl SchurState {
                 for k in 0..bl {
                     acc += f[p * bl + k] * t2[k];
                 }
-                rhs_i[bp.boundary[p] as usize] -= acc;
+                rhs_i[boundary[p] as usize] -= acc;
             }
         }
         // Factor and solve the reduced interface system through the
@@ -777,7 +884,7 @@ impl SchurState {
             let e = &vals[bl * bl..bl * bl + bl * nb];
             for k in 0..bl {
                 let mut t = rhs[bp.start + k];
-                for (q, &b) in bp.boundary.iter().enumerate() {
+                for (q, &b) in plan.boundary(bp).iter().enumerate() {
                     t -= e[k * nb + q] * x_i[b as usize];
                 }
                 t1[k] = t;
@@ -902,8 +1009,7 @@ mod tests {
             vec![(nodes[0].0.index() - 1, 2), (nodes[1].0.index() - 1, 2)],
         )
         .expect("valid layout");
-        let plan = StampPlan::build(&nl);
-        let err = PartitionPlan::build(&nl, &plan, &partition).expect_err("must reject");
+        let err = PartitionPlan::build(&nl, &partition).expect_err("must reject");
         assert!(matches!(err, Error::InvalidPartition(_)), "{err}");
         assert!(err.to_string().contains("Rbridge"), "{err}");
     }
@@ -972,6 +1078,144 @@ mod tests {
             "{c:?}"
         );
         assert!(c.schur_blocks_shared > 0, "{c:?}");
+    }
+
+    /// The partition plan of the old sort-based construction: every
+    /// device's interface cross product, each block's boundary clique
+    /// and the interface node diagonals, sorted and deduplicated as a
+    /// whole.
+    fn reference_pattern(nl: &Netlist, plan: &PartitionPlan) -> (Vec<Vec<u32>>, Vec<usize>) {
+        let ni = plan.ni;
+        let mut boundaries = vec![Vec::new(); plan.blocks.len()];
+        let mut touched = Vec::new();
+        for (device, branch_offset) in nl.devices_with_offsets() {
+            let (terminals, count) = crate::mna::kind_terminals(&device.kind());
+            let slots: Vec<usize> = terminals[..count]
+                .iter()
+                .filter_map(|t| t.unknown_index())
+                .chain(branch_offset..branch_offset + device.num_branches())
+                .collect();
+            let iface: Vec<u32> = slots
+                .iter()
+                .filter_map(|&s| match plan.remap[s] {
+                    Slot::Iface(i) => Some(i),
+                    Slot::Block { .. } => None,
+                })
+                .collect();
+            for &r in &iface {
+                touched.extend(iface.iter().map(|&c| r as usize * ni + c as usize));
+            }
+            if let Some(Slot::Block { block, .. }) = slots
+                .iter()
+                .map(|&s| plan.remap[s])
+                .find(|s| matches!(s, Slot::Block { .. }))
+            {
+                boundaries[block as usize].extend_from_slice(&iface);
+            }
+        }
+        for b in &mut boundaries {
+            b.sort_unstable();
+            b.dedup();
+            for &p in b.iter() {
+                touched.extend(b.iter().map(|&q| p as usize * ni + q as usize));
+            }
+        }
+        for (i, &g) in plan.iface_globals.iter().enumerate() {
+            if g < nl.num_nodes() - 1 {
+                touched.push(i * ni + i);
+            }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        (boundaries, touched)
+    }
+
+    #[test]
+    fn bucketed_plan_matches_the_sorted_reference() {
+        // Active cells, an interface-only resistor and a source branch
+        // exercise every entry source the bucketed build merges.
+        let (mut nl, nodes, _) = latch_chain(12, 3);
+        nl.resistor("Rtie", nodes[0].0, nodes[2].1, 1.0e5)
+            .expect("valid");
+        let blocks = nodes[3..]
+            .iter()
+            .map(|&(a, _)| (a.index() - 1, 2))
+            .collect();
+        let partition = Partition::new(nl.num_unknowns(), blocks).expect("valid");
+        let plan = PartitionPlan::build(&nl, &partition).expect("valid plan");
+        let (boundaries, touched) = reference_pattern(&nl, &plan);
+        for (bp, want) in plan.blocks.iter().zip(&boundaries) {
+            assert_eq!(plan.boundary(bp), want.as_slice());
+        }
+        assert_eq!(plan.iface_touched, touched);
+    }
+
+    #[test]
+    fn schur_path_reuses_its_partition_plan_and_never_plans_the_monolith() {
+        let (nl, nodes, partition) = latch_chain(8, 1);
+        let guess = latch_guess(&nl, &nodes);
+        let opts = ArraySolveOptions::default();
+        let mut scratch = SolveScratch::new();
+        // A rebuilt plan is constructed while its predecessor is still
+        // held, so reuse shows as an unchanged pattern buffer.
+        let pattern_buffer = |scratch: &SolveScratch| {
+            let plan = scratch.schur.plan.as_ref().expect("partition plan built");
+            plan.iface_touched.as_ptr()
+        };
+        solve_array(&nl, &partition, &opts, Some(&guess), &mut scratch).expect("solves");
+        assert!(
+            scratch.plan().is_none(),
+            "the Schur path built a stamp plan"
+        );
+        let first = pattern_buffer(&scratch);
+        solve_array(&nl, &partition, &opts, Some(&guess), &mut scratch).expect("re-solves");
+        assert!(
+            scratch.plan().is_none(),
+            "the Schur path built a stamp plan"
+        );
+        assert_eq!(pattern_buffer(&scratch), first, "same pair, same plan");
+        // A different partition of the same netlist is a new plan.
+        let fewer = Partition::new(nl.num_unknowns(), partition.blocks[1..].to_vec())
+            .expect("valid partition");
+        solve_array(&nl, &fewer, &opts, Some(&guess), &mut scratch).expect("solves");
+        assert_ne!(pattern_buffer(&scratch), first, "stale plan reused");
+        assert_eq!(scratch.schur_interface_unknowns(), Some(7));
+    }
+
+    #[test]
+    fn singular_interface_names_the_floating_node_on_the_sparse_backend() {
+        // A device-free node in the interface makes the reduced system
+        // singular. RCM factors its empty column last, at the position
+        // of the source branch; the error must still name the node.
+        let (mut nl, nodes, _) = latch_chain(6, 1);
+        let floating = nl.node("floating");
+        let blocks = nodes[1..]
+            .iter()
+            .map(|&(a, _)| (a.index() - 1, 2))
+            .collect();
+        let partition = Partition::new(nl.num_unknowns(), blocks).expect("valid");
+        let opts = ArraySolveOptions {
+            newton: NewtonOptions {
+                sparse_threshold: 1,
+                ..NewtonOptions::plain()
+            },
+            ..ArraySolveOptions::default()
+        };
+        let mut scratch = SolveScratch::new();
+        let guess = latch_guess(&nl, &nodes);
+        let err = solve_array(&nl, &partition, &opts, Some(&guess), &mut scratch)
+            .expect_err("floating interface node is singular");
+        assert!(
+            scratch.schur.iface_sparse.lu_nnz() > 0,
+            "sparse backend ran"
+        );
+        match &err {
+            Error::SingularMatrix { pivot_row, unknown } => {
+                assert_eq!(*pivot_row, floating.index() - 1, "{err}");
+                assert_eq!(unknown.as_deref(), Some("node `floating`"), "{err}");
+            }
+            other => panic!("expected SingularMatrix, got {other}"),
+        }
     }
 
     #[test]

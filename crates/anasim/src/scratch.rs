@@ -128,12 +128,15 @@ impl SolveScratch {
         }
     }
 
-    /// Sizes every buffer for a *partitioned* solve of `netlist`. Same
-    /// staleness discipline as [`ensure`](SolveScratch::ensure), with
-    /// one deliberate difference: the dense MNA matrix is left alone —
+    /// Sizes every buffer for a *partitioned* solve of `netlist`. The
+    /// dense MNA matrix and the monolithic stamp plan are left alone:
     /// the partitioned path assembles into the Schur state's interface
-    /// matrix and block stores instead, so a 512×8 array never
-    /// allocates the ~10k-order dense monolith.
+    /// matrix and block stores, whose partition plan keys its own
+    /// staleness on the netlist's structural fingerprint. A 4096×64
+    /// array therefore never sorts the monolith's stamp offsets nor
+    /// allocates its dense matrix. The stamp plan, rank-1 base and
+    /// sparse pattern of earlier monolithic solves stay valid: each
+    /// re-checks the structure it was built for before use.
     ///
     /// # Errors
     ///
@@ -144,25 +147,22 @@ impl SolveScratch {
         netlist: &Netlist,
         partition: &Partition,
     ) -> Result<(), Error> {
+        self.schur.ensure(netlist, partition)?;
         let n = netlist.num_unknowns();
-        let plan_ok = self.plan.as_ref().is_some_and(|p| p.matches(netlist));
-        if !plan_ok || self.x.len() != n {
-            self.plan = Some(StampPlan::build(netlist));
-            self.rank1.invalidate();
-            for buf in [
-                &mut self.rhs,
-                &mut self.x,
-                &mut self.x_new,
-                &mut self.prev_update,
-                &mut self.start,
-                &mut self.best,
-            ] {
+        for buf in [
+            &mut self.rhs,
+            &mut self.x,
+            &mut self.x_new,
+            &mut self.prev_update,
+            &mut self.start,
+            &mut self.best,
+        ] {
+            if buf.len() != n {
                 buf.clear();
                 buf.resize(n, 0.0);
             }
         }
-        let plan = self.plan.as_ref().expect("stamp plan just ensured");
-        self.schur.ensure(netlist, plan, partition)
+        Ok(())
     }
 
     /// Fast-path counter totals since the last flush or `take`.
@@ -190,7 +190,7 @@ impl SolveScratch {
     }
 
     /// The stamp plan, for diagnostics. `None` until the first
-    /// [`ensure`](SolveScratch::ensure).
+    /// monolithic solve; block-Schur solves never build one.
     pub fn plan(&self) -> Option<&StampPlan> {
         self.plan.as_ref()
     }

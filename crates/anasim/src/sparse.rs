@@ -237,9 +237,11 @@ impl SparseLu {
     ///
     /// # Errors
     ///
-    /// [`Error::SingularMatrix`] with the failing pivotal position
-    /// when no acceptable pivot exists in some column (same
-    /// row-relative rejection rule as the dense core).
+    /// [`Error::SingularMatrix`] when no acceptable pivot exists in
+    /// some column (same row-relative rejection rule as the dense
+    /// core). Its `pivot_row` is that column's own index — the unknown
+    /// it solves for, as the dense core reports — not its position in
+    /// the RCM order.
     pub fn factor(
         &mut self,
         matrix: &DenseMatrix,
@@ -315,7 +317,7 @@ impl SparseLu {
             #[allow(clippy::neg_cmp_op_on_partial_ord)]
             if pivot_row == EMPTY || !(pivot_abs > REL_PIVOT_TOL * col_max) {
                 return Err(Error::SingularMatrix {
-                    pivot_row: j,
+                    pivot_row: col,
                     unknown: None,
                 });
             }
@@ -534,6 +536,35 @@ mod tests {
         let mut sp = SparseLu::new();
         match sp.factor(&dense, 1, &touched) {
             Err(Error::SingularMatrix { .. }) => {}
+            other => panic!("expected singular, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn singular_column_is_reported_by_its_own_index() {
+        // A path 0–1–2–3–5 plus an empty column 4 (structural diagonal
+        // only). RCM seeds the degree-0 column first, so it is factored
+        // last, at position 5 — the index of a healthy column. The
+        // report must name column 4 itself.
+        let n = 6;
+        let mut dense = DenseMatrix::zeros(n);
+        let mut touched: Vec<usize> = Vec::new();
+        for i in [0, 1, 2, 3, 5] {
+            dense.add(i, i, 2.0);
+        }
+        for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 5)] {
+            dense.add(a, b, -1.0);
+            dense.add(b, a, -1.0);
+            touched.extend([a * n + b, b * n + a]);
+        }
+        touched.extend((0..n).map(|i| i * n + i));
+        touched.sort_unstable();
+        let mut sp = SparseLu::new();
+        match sp.factor(&dense, 3, &touched) {
+            Err(Error::SingularMatrix { pivot_row, .. }) => {
+                assert_eq!(sp.q[5], 4, "the empty column is factored last");
+                assert_eq!(pivot_row, 4);
+            }
             other => panic!("expected singular, got {other:?}"),
         }
     }

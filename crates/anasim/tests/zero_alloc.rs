@@ -3,10 +3,14 @@
 //! [`Solution`] vector — nothing per iteration. Verified with a counting
 //! global allocator: a cold solve and a warm solve run very different
 //! iteration counts, so equal allocation counts mean the per-iteration
-//! slope is exactly zero.
+//! slope is exactly zero. The same allocator pins the netlist builder's
+//! cost: one allocation per device plus amortized buffer growth.
+//!
+//! The counter is per thread, so tests running concurrently in this
+//! binary never see each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use anasim::devices::mosfet::MosParams;
 use anasim::mna::AnalysisMode;
@@ -17,21 +21,29 @@ use anasim::{
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and drop-free: reading it never allocates and
+    // stays valid through thread teardown.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -43,8 +55,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// A CMOS inverter biased at its switching threshold: nonlinear enough
@@ -274,5 +287,37 @@ fn flight_recorder_adds_no_allocations_per_iteration() {
         "the flight recorder must not allocate per iteration \
          (cold: {} iters / {} allocs, warm: {} iters / {} allocs)",
         cold.iterations, cold_allocs, warm.iterations, warm_allocs
+    );
+}
+
+#[test]
+fn netlist_build_allocates_one_box_per_device() {
+    // Names live in the netlist's interned tables, not in the devices:
+    // with the names formatted beforehand, adding N nodes and N MOSFETs
+    // costs the N boxed device models plus amortized growth of a fixed
+    // set of buffers (device list, branch offsets, and each namespace's
+    // arena, end offsets and index) — O(log N), not a few per device.
+    const N: usize = 50_000;
+    let node_names: Vec<String> = (0..N).map(|i| format!("s{i}")).collect();
+    let device_names: Vec<String> = (0..N).map(|i| format!("MN{i}")).collect();
+    let card = MosParams::nmos(2.0e-4, 0.55);
+    let mut nl = Netlist::new();
+    let vdd = nl.node("vdd");
+
+    let before = allocations();
+    for (node, device) in node_names.iter().zip(&device_names) {
+        let s = nl.node(node);
+        nl.mosfet(device, s, vdd, Netlist::GND, card)
+            .expect("valid card");
+    }
+    let allocs = allocations() - before;
+
+    assert_eq!(nl.num_devices(), N);
+    let log_n = usize::BITS - N.leading_zeros();
+    let growth_budget = 16 * u64::from(log_n);
+    assert!(
+        allocs <= N as u64 + growth_budget,
+        "adding {N} nodes and {N} MOSFETs made {allocs} allocations; \
+         the budget is one per device plus {growth_budget} for buffer growth"
     );
 }

@@ -70,11 +70,11 @@ pub struct ArrayRetentionOptions {
 }
 
 impl ArrayRetentionOptions {
-    /// The paper-scale 512×8 column stripe.
+    /// The paper's 4096×64 array (4K words of 64 bits).
     pub fn paper() -> Self {
         ArrayRetentionOptions {
-            rows: 512,
-            cols: 8,
+            rows: 4096,
+            cols: 64,
             supplies: vec![1.1, 0.5],
             scenarios: vec![
                 ArrayScenario::clean(),
@@ -90,6 +90,7 @@ impl ArrayRetentionOptions {
     pub fn quick() -> Self {
         ArrayRetentionOptions {
             rows: 64,
+            cols: 8,
             ..Self::paper()
         }
     }
@@ -280,6 +281,20 @@ mod tests {
         let text = report.to_string();
         assert!(text.contains("16x8 array retention map"));
         assert!(text.contains("(1,2)"), "flipped cells listed:\n{text}");
+    }
+
+    #[test]
+    fn presets_pin_the_paper_and_smoke_geometries() {
+        let paper = ArrayRetentionOptions::paper();
+        assert_eq!((paper.rows, paper.cols), (4096, 64));
+        let quick = ArrayRetentionOptions::quick();
+        assert_eq!((quick.rows, quick.cols), (64, 8));
+        // Every preset's bridge sites lie inside its array.
+        for opts in [&paper, &quick] {
+            for cell in opts.scenarios.iter().flat_map(|s| &s.active) {
+                assert!(cell.row < opts.rows && cell.col < opts.cols);
+            }
+        }
     }
 
     #[test]

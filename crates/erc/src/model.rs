@@ -135,7 +135,7 @@ impl CircuitModel {
     /// the builder API, but expressible by a foreign ID) becomes a
     /// [`Element::bad_ref`] for ERC007 to report.
     pub fn from_netlist(nl: &Netlist) -> Self {
-        let nodes: Vec<String> = nl.node_names().to_vec();
+        let nodes: Vec<String> = nl.node_names().map(str::to_string).collect();
         let elements = nl
             .elements()
             .map(|(name, kind)| {

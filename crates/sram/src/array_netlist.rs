@@ -26,6 +26,8 @@
 //! resistively tied to ground (peripheral drivers off), the cell rail
 //! hangs off the supply through the power-switch strap resistance.
 
+use std::fmt::{self, Write as _};
+
 use crate::cell::{CellInstance, CellTransistor, MismatchPattern};
 use crate::drv::StoredBit;
 use anasim::newton::Solution;
@@ -150,6 +152,9 @@ impl ArraySpec {
     /// Panics when an active or forced cell lies outside the array.
     pub fn build(&self) -> Result<ArrayNetlist, anasim::Error> {
         let mut nl = Netlist::new();
+        // One buffer serves every formatted name: the netlist interns
+        // its own copy, so naming the cells allocates nothing per name.
+        let mut buf = String::new();
         // Interface nets first: their unknown indices stay below every
         // cell's, and the VDDC branch row lands in the interface too.
         let vdd_supply = nl.node("vdd_supply");
@@ -158,9 +163,9 @@ impl ArraySpec {
         nl.resistor("Rsup", vdd_supply, vdd_rail, self.parasitics.r_supply)?;
         let wl: Vec<NodeId> = (0..self.rows)
             .map(|r| {
-                let node = nl.node(&format!("wl{r}"));
+                let node = nl.node(name(&mut buf, format_args!("wl{r}")));
                 nl.resistor(
-                    &format!("Rwl{r}"),
+                    name(&mut buf, format_args!("Rwl{r}")),
                     node,
                     Netlist::GND,
                     self.parasitics.r_wordline,
@@ -171,16 +176,16 @@ impl ArraySpec {
         let mut bl = Vec::with_capacity(self.cols);
         let mut blb = Vec::with_capacity(self.cols);
         for c in 0..self.cols {
-            let b = nl.node(&format!("bl{c}"));
+            let b = nl.node(name(&mut buf, format_args!("bl{c}")));
             nl.resistor(
-                &format!("Rbl{c}"),
+                name(&mut buf, format_args!("Rbl{c}")),
                 b,
                 Netlist::GND,
                 self.parasitics.r_bitline,
             )?;
-            let bb = nl.node(&format!("blb{c}"));
+            let bb = nl.node(name(&mut buf, format_args!("blb{c}")));
             nl.resistor(
-                &format!("Rblb{c}"),
+                name(&mut buf, format_args!("Rblb{c}")),
                 bb,
                 Netlist::GND,
                 self.parasitics.r_bitline,
@@ -217,8 +222,8 @@ impl ArraySpec {
         for (r, &wl_r) in wl.iter().enumerate() {
             for c in 0..self.cols {
                 let site = r * self.cols + c;
-                let s = nl.node(&format!("s{r}_{c}"));
-                let sb = nl.node(&format!("sb{r}_{c}"));
+                let s = nl.node(name(&mut buf, format_args!("s{r}_{c}")));
+                let sb = nl.node(name(&mut buf, format_args!("sb{r}_{c}")));
                 let over = overrides[site];
                 let inactive = over.is_none() && !forced[site];
                 if inactive {
@@ -235,49 +240,49 @@ impl ArraySpec {
                 };
                 let stored = over.map_or(self.background, |a| a.stored);
                 nl.mosfet(
-                    &format!("MP1_{r}_{c}"),
+                    name(&mut buf, format_args!("MP1_{r}_{c}")),
                     s,
                     sb,
                     vdd_rail,
                     inst.card(CellTransistor::MPcc1),
                 )?;
                 nl.mosfet(
-                    &format!("MN1_{r}_{c}"),
+                    name(&mut buf, format_args!("MN1_{r}_{c}")),
                     s,
                     sb,
                     Netlist::GND,
                     inst.card(CellTransistor::MNcc1),
                 )?;
                 nl.mosfet(
-                    &format!("MP2_{r}_{c}"),
+                    name(&mut buf, format_args!("MP2_{r}_{c}")),
                     sb,
                     s,
                     vdd_rail,
                     inst.card(CellTransistor::MPcc2),
                 )?;
                 nl.mosfet(
-                    &format!("MN2_{r}_{c}"),
+                    name(&mut buf, format_args!("MN2_{r}_{c}")),
                     sb,
                     s,
                     Netlist::GND,
                     inst.card(CellTransistor::MNcc2),
                 )?;
                 nl.mosfet(
-                    &format!("MN3_{r}_{c}"),
+                    name(&mut buf, format_args!("MN3_{r}_{c}")),
                     bl[c],
                     wl_r,
                     s,
                     inst.card(CellTransistor::MNcc3),
                 )?;
                 nl.mosfet(
-                    &format!("MN4_{r}_{c}"),
+                    name(&mut buf, format_args!("MN4_{r}_{c}")),
                     blb[c],
                     wl_r,
                     sb,
                     inst.card(CellTransistor::MNcc4),
                 )?;
                 if let Some(ohms) = over.and_then(|a| a.bridge_ohms) {
-                    nl.resistor(&format!("Rbr{r}_{c}"), s, sb, ohms)?;
+                    nl.resistor(name(&mut buf, format_args!("Rbr{r}_{c}")), s, sb, ohms)?;
                 }
                 cells.push(CellSite { s, sb, stored });
             }
@@ -294,6 +299,14 @@ impl ArraySpec {
             cells,
         })
     }
+}
+
+/// Formats a netlist name into `buf`, reusing its capacity.
+fn name<'a>(buf: &'a mut String, args: fmt::Arguments<'_>) -> &'a str {
+    buf.clear();
+    buf.write_fmt(args)
+        .expect("formatting into a String cannot fail");
+    buf
 }
 
 /// One cell's solve-relevant handles.
