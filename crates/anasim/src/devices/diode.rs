@@ -89,6 +89,7 @@ impl Device for Diode {
         ElementKind::Diode {
             p: self.p,
             n: self.n,
+            params: self.params,
         }
     }
 

@@ -219,6 +219,7 @@ impl Device for Mosfet {
             d: self.d,
             g: self.g,
             s: self.s,
+            params: self.params,
         }
     }
 

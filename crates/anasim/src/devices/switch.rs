@@ -70,6 +70,9 @@ impl Device for Switch {
             n: self.n,
             ctrl_p: self.ctrl_p,
             ctrl_n: self.ctrl_n,
+            threshold: self.threshold,
+            g_on: self.g_on,
+            g_off: self.g_off,
         }
     }
 

@@ -30,6 +30,17 @@ pub enum Waveform {
 }
 
 impl Waveform {
+    /// The value the waveform fixes at `t = 0` regardless of the source
+    /// table, or `None` when [`Waveform::value_at`] reads the table
+    /// there.
+    pub fn dc_override(&self) -> Option<f64> {
+        match self {
+            Waveform::Dc => None,
+            Waveform::Pwl(points) if points.is_empty() => None,
+            _ => Some(self.value_at(0.0, 0.0)),
+        }
+    }
+
     /// Evaluates the waveform at time `t`; `dc_value` is the source-table
     /// entry used by [`Waveform::Dc`].
     pub fn value_at(&self, t: f64, dc_value: f64) -> f64 {
@@ -116,6 +127,7 @@ impl Device for VoltageSource {
             p: self.p,
             n: self.n,
             source: self.source,
+            dc_override: self.waveform.dc_override(),
         }
     }
 

@@ -324,6 +324,12 @@ impl LuWorkspace {
         perm.extend_from_slice(&self.perm);
     }
 
+    /// Copies another workspace's factors into this one, reusing this
+    /// workspace's buffers.
+    pub(crate) fn copy_from(&mut self, src: &LuWorkspace) {
+        self.import_factors(src.lu.n, &src.lu.data, &src.perm);
+    }
+
     /// Installs previously exported factors — the cache's hit path.
     /// Bit-identical to refactoring the same matrix, because the
     /// stored bytes *are* that factorization.

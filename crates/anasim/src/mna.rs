@@ -27,20 +27,37 @@ pub enum AnalysisMode<'a> {
     },
 }
 
-/// Where a stamp's matrix entries land: the monolithic dense MNA matrix,
-/// or the partitioned interface/block stores of the hierarchical
-/// Schur path. Devices never see the distinction — they stamp global
-/// (row, col) coordinates and the sink routes them.
+/// Where a stamp's matrix and right-hand-side entries land: the
+/// monolithic dense MNA system, the reduced interface system of the
+/// block-Schur path, or one block's local system. Devices never see the
+/// distinction — they stamp global (row, col) coordinates and the sink
+/// routes them.
 #[derive(Debug)]
 pub(crate) enum MatrixSink<'a> {
-    /// The classic dense matrix; [`MatrixSink::add`] forwards to
+    /// The classic dense system; [`MatrixSink::add`] forwards to
     /// [`DenseMatrix::add`] unchanged, keeping this path bit-identical
     /// to pre-partitioned assembly.
-    Dense(&'a mut DenseMatrix),
-    /// Partitioned stores of the block-Schur reduction.
-    Partitioned {
+    Dense {
+        matrix: &'a mut DenseMatrix,
+        rhs: &'a mut [f64],
+    },
+    /// The reduced interface system of the block-Schur path, in
+    /// interface numbering. Only interface-only devices stamp here.
+    Interface {
         plan: &'a crate::schur::PartitionPlan,
-        values: &'a mut crate::schur::PartitionedValues,
+        matrix: &'a mut DenseMatrix,
+        rhs: &'a mut [f64],
+    },
+    /// One block's devices: stamps touching a block unknown go to the
+    /// block's local system (block unknowns first, then its boundary),
+    /// stamps purely on the boundary are recorded on the tape, in
+    /// stamping order.
+    Block {
+        plan: &'a crate::schur::PartitionPlan,
+        block: usize,
+        matrix: &'a mut DenseMatrix,
+        rhs: &'a mut [f64],
+        tape: &'a mut Vec<crate::schur::TapeEntry>,
     },
 }
 
@@ -48,8 +65,32 @@ impl MatrixSink<'_> {
     #[inline]
     fn add(&mut self, row: usize, col: usize, value: f64) {
         match self {
-            MatrixSink::Dense(m) => m.add(row, col, value),
-            MatrixSink::Partitioned { plan, values } => values.add(plan, row, col, value),
+            MatrixSink::Dense { matrix, .. } => matrix.add(row, col, value),
+            MatrixSink::Interface { plan, matrix, .. } => {
+                matrix.add(plan.iface_index(row), plan.iface_index(col), value)
+            }
+            MatrixSink::Block {
+                plan,
+                block,
+                matrix,
+                tape,
+                ..
+            } => plan.stamp_block_entry(*block, row, col, value, matrix, tape),
+        }
+    }
+
+    #[inline]
+    fn add_rhs(&mut self, row: usize, value: f64) {
+        match self {
+            MatrixSink::Dense { rhs, .. } => rhs[row] += value,
+            MatrixSink::Interface { plan, rhs, .. } => rhs[plan.iface_index(row)] += value,
+            MatrixSink::Block {
+                plan,
+                block,
+                rhs,
+                tape,
+                ..
+            } => plan.stamp_block_rhs(*block, row, value, rhs, tape),
         }
     }
 }
@@ -59,7 +100,6 @@ impl MatrixSink<'_> {
 #[derive(Debug)]
 pub struct StampContext<'a> {
     sink: MatrixSink<'a>,
-    rhs: &'a mut [f64],
     x: &'a [f64],
     sources: &'a [f64],
     params: &'a [f64],
@@ -149,13 +189,13 @@ impl<'a> StampContext<'a> {
     /// Adds `value` to the right-hand side at the row of `node`.
     pub fn rhs_node(&mut self, node: NodeId, value: f64) {
         if let Some(i) = node.unknown_index() {
-            self.rhs[i] += value;
+            self.sink.add_rhs(i, value);
         }
     }
 
     /// Adds `value` to the right-hand side at the row of branch `k`.
     pub fn rhs_branch(&mut self, k: usize, value: f64) {
-        self.rhs[self.branch_offset + k] += value;
+        self.sink.add_rhs(self.branch_offset + k, value);
     }
 
     /// Branch current of this device's branch `k` in the current
@@ -240,20 +280,21 @@ pub(crate) fn kind_terminals(kind: &ElementKind) -> ([NodeId; 4], usize) {
         ElementKind::Resistor { p, n, .. }
         | ElementKind::VoltageSource { p, n, .. }
         | ElementKind::Capacitor { p, n, .. }
-        | ElementKind::Diode { p, n } => ([p, n, Netlist::GND, Netlist::GND], 2),
+        | ElementKind::Diode { p, n, .. } => ([p, n, Netlist::GND, Netlist::GND], 2),
         ElementKind::CurrentSource { from, to, .. } => ([from, to, Netlist::GND, Netlist::GND], 2),
-        ElementKind::Mosfet { d, g, s } => ([d, g, s, Netlist::GND], 3),
+        ElementKind::Mosfet { d, g, s, .. } => ([d, g, s, Netlist::GND], 3),
         ElementKind::Switch {
             p,
             n,
             ctrl_p,
             ctrl_n,
+            ..
         } => ([p, n, ctrl_p, ctrl_n], 4),
     }
 }
 
 /// A small discriminant code per element kind for the fingerprint.
-fn kind_code(kind: &ElementKind) -> u64 {
+pub(crate) fn kind_code(kind: &ElementKind) -> u64 {
     match kind {
         ElementKind::Resistor { .. } => 1,
         ElementKind::VoltageSource { .. } => 2,
@@ -441,8 +482,10 @@ pub fn assemble(
     rhs.iter_mut().for_each(|v| *v = 0.0);
     for (device, branch_offset) in netlist.devices_with_offsets() {
         let mut ctx = StampContext {
-            sink: MatrixSink::Dense(matrix),
-            rhs,
+            sink: MatrixSink::Dense {
+                matrix,
+                rhs: &mut *rhs,
+            },
             x,
             sources: netlist.sources_slice(),
             params: netlist.params_slice(),
@@ -487,8 +530,10 @@ pub fn assemble_planned(
     rhs.iter_mut().for_each(|v| *v = 0.0);
     for (device, branch_offset) in netlist.devices_with_offsets() {
         let mut ctx = StampContext {
-            sink: MatrixSink::Dense(matrix),
-            rhs,
+            sink: MatrixSink::Dense {
+                matrix,
+                rhs: &mut *rhs,
+            },
             x,
             sources: netlist.sources_slice(),
             params: netlist.params_slice(),
@@ -506,10 +551,12 @@ pub fn assemble_planned(
     }
 }
 
-/// As [`assemble`], but routes matrix entries into the block-Schur
-/// partitioned stores (`values`) instead of a dense monolith. The
-/// right-hand side stays global — block unknowns are contiguous there,
-/// so the reduction reads it by slice.
+/// Stamps interface-only `devices` of a block-Schur partition into the
+/// reduced interface system (`matrix` and `rhs` in interface numbering)
+/// at the DC estimate `x`, accumulating onto what is already there.
+/// Each block's devices stamp separately, into the block's own system
+/// ([`assemble_block`]), and only when the block's macromodel is not
+/// cached.
 ///
 /// Requires `pplan` to have been built against this netlist's current
 /// structure (it embeds the validated no-cross-block-device guarantee).
@@ -517,34 +564,82 @@ pub fn assemble_planned(
 pub(crate) fn assemble_partitioned(
     netlist: &Netlist,
     pplan: &crate::schur::PartitionPlan,
-    values: &mut crate::schur::PartitionedValues,
+    devices: &[u32],
     x: &[f64],
     gmin: f64,
     source_scale: f64,
-    mode: AnalysisMode<'_>,
+    matrix: &mut DenseMatrix,
     rhs: &mut [f64],
 ) {
-    values.clear(pplan);
-    rhs.iter_mut().for_each(|v| *v = 0.0);
-    for (device, branch_offset) in netlist.devices_with_offsets() {
+    for &index in devices {
+        let (device, branch_offset) = netlist.device_with_offset(index as usize);
         let mut ctx = StampContext {
-            sink: MatrixSink::Partitioned {
+            sink: MatrixSink::Interface {
                 plan: pplan,
-                values,
+                matrix: &mut *matrix,
+                rhs: &mut *rhs,
             },
-            rhs,
             x,
             sources: netlist.sources_slice(),
             params: netlist.params_slice(),
             source_scale,
             gmin,
             branch_offset,
-            mode,
+            mode: AnalysisMode::Dc,
         };
         device.stamp(&mut ctx);
     }
+}
+
+/// Stamps the devices of block `block` at the DC estimate `x`: entries
+/// touching a block unknown into the block's local system (`matrix` of
+/// order `len + nb`, zeroed here, and `rhs`, block unknowns first, then
+/// the boundary), entries purely on the boundary onto `tape`, with
+/// `tape_dev` receiving each device's tape offset (`ndev + 1` offsets).
+/// Then gmin on the block's own node diagonals.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn assemble_block(
+    netlist: &Netlist,
+    pplan: &crate::schur::PartitionPlan,
+    block: usize,
+    x: &[f64],
+    gmin: f64,
+    source_scale: f64,
+    matrix: &mut DenseMatrix,
+    rhs: &mut [f64],
+    tape: &mut Vec<crate::schur::TapeEntry>,
+    tape_dev: &mut Vec<u32>,
+) {
+    matrix.clear();
+    rhs.iter_mut().for_each(|v| *v = 0.0);
+    tape.clear();
+    tape_dev.clear();
+    tape_dev.push(0);
+    for &index in pplan.block_devices(block) {
+        let (device, branch_offset) = netlist.device_with_offset(index as usize);
+        let mut ctx = StampContext {
+            sink: MatrixSink::Block {
+                plan: pplan,
+                block,
+                matrix: &mut *matrix,
+                rhs: &mut *rhs,
+                tape: &mut *tape,
+            },
+            x,
+            sources: netlist.sources_slice(),
+            params: netlist.params_slice(),
+            source_scale,
+            gmin,
+            branch_offset,
+            mode: AnalysisMode::Dc,
+        };
+        device.stamp(&mut ctx);
+        tape_dev.push(tape.len() as u32);
+    }
     if gmin > 0.0 {
-        values.add_gmin(pplan, netlist.num_nodes() - 1, gmin);
+        for k in pplan.block_node_locals(block) {
+            matrix.add(k, k, gmin);
+        }
     }
 }
 

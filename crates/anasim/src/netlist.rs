@@ -181,6 +181,15 @@ impl Netlist {
             .map(move |(d, &s)| (d.as_ref(), node_unknowns + s))
     }
 
+    /// Device `index` (insertion order) with its absolute branch offset,
+    /// as one item of [`Netlist::devices_with_offsets`].
+    pub(crate) fn device_with_offset(&self, index: usize) -> (&dyn Device, usize) {
+        (
+            self.devices[index].as_ref(),
+            self.num_nodes() - 1 + self.branch_starts[index],
+        )
+    }
+
     /// Returns a zeroed warm-start vector of the right dimension for
     /// this netlist, to be filled in with [`Netlist::set_guess`].
     pub fn zero_state(&self) -> Vec<f64> {

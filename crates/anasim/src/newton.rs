@@ -375,9 +375,7 @@ fn newton_stage(
                 x,
                 gmin,
                 source_scale,
-                mode,
                 opts.sparse_threshold,
-                rhs,
                 x_new,
                 counters,
             ) {
@@ -574,6 +572,12 @@ pub(crate) fn solve_partitioned_with_scratch(
     scratch: &mut SolveScratch,
     partition: &crate::schur::Partition,
 ) -> Result<Solution, Error> {
+    // The macromodel cache keys on the iterate, gmin, the source scale
+    // and the netlist tables, never on transient history.
+    assert!(
+        matches!(mode, AnalysisMode::Dc),
+        "the block-Schur path solves DC operating points only"
+    );
     scratch.ensure_partitioned(netlist, partition)?;
     solve_impl(netlist, opts, x0, mode, scratch, true)
 }

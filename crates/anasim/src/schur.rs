@@ -11,23 +11,32 @@
 //!   as *blocks* (one per inactive cell); everything else — rails,
 //!   word/bit lines, source branches, and the active cells — is the
 //!   *interface*.
-//! * Assembly routes each device stamp into its block's tiny packed
-//!   `[B|E|F]` store or the dense interface matrix `C`
-//!   ([`crate::mna::assemble_partitioned`]); a device coupling two
-//!   distinct blocks is rejected when the partition plan is built, so
-//!   the block-arrow structure `A = [[B, E], [F, C]]` with
-//!   block-diagonal `B` is guaranteed.
-//! * Per iteration, each block is reduced to a Schur *macromodel*
-//!   (`B` factored, `B⁻¹E`, and the interface contribution `−F·B⁻¹E`).
-//!   Macromodels are content-addressed by an FNV-1a hash of the block's
-//!   exact value bytes and verified with a full memcmp before a hit is
-//!   trusted — the same discipline as the factorization cache — so the
-//!   4090 inactive cells of a 512×8 array typically factor as a couple
-//!   of distinct 2×2 blocks, not 4090.
+//! * The partition plan sorts every device into one block's device
+//!   list or the interface-only list (a device coupling two distinct
+//!   blocks is rejected), so the block-arrow structure
+//!   `A = [[B, E], [F, C]]` with block-diagonal `B` is guaranteed. It
+//!   also interns block *templates*: blocks whose devices match one by
+//!   one — same kind, same terminals relative to the block, bit-identical
+//!   model values — share a template id.
+//! * Per iteration, each block is served a Schur *macromodel*: `B`
+//!   factored, `B⁻¹E`, `−F·B⁻¹E`, `F·B⁻¹r_B`, and the block devices'
+//!   own stamps on boundary rows. Macromodels are keyed on what the
+//!   block's devices *read* — the template id and the exact bits of the
+//!   iterate at the block's unknowns and boundary, gmin and the source
+//!   scale — so a hit skips device evaluation entirely, and the 262,141
+//!   inactive cells of a 4096×64 array cost a key compare each. Only a
+//!   miss stamps the block's devices; its stamped `[B|E|F]` is then
+//!   looked up too, so a block whose inputs moved below the devices'
+//!   resolution reuses a cached factorization. Hashes filter, and a
+//!   full compare proves every hit — the factorization cache's
+//!   discipline.
 //! * Only the reduced interface system
 //!   `(C − Σ F·B⁻¹E) x_I = rhs_I − Σ F·B⁻¹rhs_B` is factored through
 //!   the existing dense or sparse LU; block unknowns come back by
-//!   per-block back-substitution `x_B = B⁻¹(rhs_B − E·x_I)`.
+//!   per-block back-substitution `x_B = B⁻¹(rhs_B − E·x_I)`. Interface
+//!   entries accumulate device stamps in device order and macromodel
+//!   terms in block order, as a device-by-device assembly would, so a
+//!   solution never depends on what the cache held.
 //!
 //! The reduction is exact block Gaussian elimination: the accepted
 //! answer satisfies the same per-component Newton convergence criterion
@@ -36,6 +45,11 @@
 //! steady-state re-solves with a warm macromodel cache run with zero
 //! per-iteration heap allocations.
 
+use std::collections::HashMap;
+
+use crate::devices::diode::DiodeParams;
+use crate::devices::mosfet::MosParams;
+use crate::devices::ElementKind;
 use crate::error::Error;
 use crate::matrix::{DenseMatrix, LuWorkspace};
 use crate::mna::{fnv, AnalysisMode};
@@ -44,9 +58,9 @@ use crate::newton::{NewtonOptions, Solution};
 use crate::scratch::{SolveCounters, SolveScratch};
 use crate::sparse::SparseLu;
 
-/// Macromodel cache capacity. An array has one value-class per distinct
-/// cell linearization — in practice a handful — so 64 slots give ample
-/// headroom before the LRU eviction ever runs.
+/// Macromodel cache capacity. An array presents one input per distinct
+/// cell state and boundary — in practice a handful per iteration — so
+/// 64 slots give ample headroom before the LRU eviction ever runs.
 const MACRO_CACHE_SLOTS: usize = 64;
 
 /// FNV-1a seed shared with the stamp-plan fingerprints.
@@ -192,31 +206,43 @@ pub(crate) enum Slot {
     Block { block: u32, local: u32 },
 }
 
-/// Per-block layout inside the packed value store: `[B|E|F]` with `B`
-/// row-major `len×len`, `E` row-major `len×nb`, `F` row-major `nb×len`,
-/// where `nb` is the block's interface-boundary size.
+/// One block of a [`PartitionPlan`]: its unknowns, its interface
+/// boundary, its devices and its template.
 #[derive(Debug, Clone)]
 struct BlockPlan {
     /// Global unknown index of the block's first unknown.
     start: usize,
     /// Block order (number of eliminated unknowns).
     len: usize,
-    /// Offset of this block's `[B|E|F]` run in the value store.
-    val_off: usize,
     /// The block's sorted interface boundary is
     /// `boundaries[bnd_off..bnd_off + nb]` of its [`PartitionPlan`].
     bnd_off: u32,
     nb: u32,
+    /// The block's devices, in device order, are
+    /// `block_devices[dev_off..dev_off + ndev]` of its plan.
+    dev_off: u32,
+    ndev: u32,
+    /// Blocks sharing a template stamp bit-identical local systems at
+    /// bit-identical inputs.
+    template: u32,
 }
 
 impl BlockPlan {
     fn nb(&self) -> usize {
         self.nb as usize
     }
+}
 
-    fn val_len(&self) -> usize {
-        self.len * self.len + 2 * self.len * self.nb()
-    }
+/// A stretch of consecutive devices in device order. The reduction
+/// walks the plan's runs to accumulate interface stamps in device order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Run {
+    /// Interface-only devices `iface_devices[from..to]`.
+    Iface { from: u32, to: u32 },
+    /// Devices `from..to` of block `block`'s device list. A block
+    /// without devices gets one empty run, so every block has a run
+    /// starting at 0.
+    Block { block: u32, from: u32, to: u32 },
 }
 
 /// Position of an interface index in a block boundary. The boundary of
@@ -231,10 +257,11 @@ fn boundary_pos(boundary: &[u32], iface: u32) -> usize {
 }
 
 /// The structural side of a partitioned assembly: the global→slot
-/// remap, per-block boundary layout, and the interface sparsity
-/// pattern. Built once per (netlist structure, partition) pair and
-/// validated by fingerprint, mirroring [`StampPlan`](crate::mna::StampPlan)
-/// — which the partitioned path never builds.
+/// remap, per-block boundaries, device lists and templates, and the
+/// interface sparsity pattern. Built once per (netlist structure,
+/// partition) pair and validated by fingerprint, mirroring
+/// [`StampPlan`](crate::mna::StampPlan) — which the partitioned path
+/// never builds.
 #[derive(Debug, Clone)]
 pub(crate) struct PartitionPlan {
     n: usize,
@@ -244,18 +271,28 @@ pub(crate) struct PartitionPlan {
     remap: Vec<Slot>,
     /// Global unknown index of each interface unknown, ascending.
     iface_globals: Vec<usize>,
+    /// Interface unknowns that are nodes (and so take gmin): node
+    /// unknowns precede branch unknowns globally, so these are the
+    /// first `iface_nodes` interface indices.
+    iface_nodes: usize,
     blocks: Vec<BlockPlan>,
     /// Every block's sorted boundary, back to back (see
     /// [`BlockPlan::bnd_off`]).
     boundaries: Vec<u32>,
+    /// Devices whose every unknown is an interface unknown, in device
+    /// order: the only devices stamped on every iteration.
+    iface_devices: Vec<u32>,
+    /// Every block's devices, back to back (see [`BlockPlan::dev_off`]).
+    block_devices: Vec<u32>,
+    /// Every device exactly once, as runs in device order.
+    schedule: Vec<Run>,
     /// Sorted flat (row-major) offsets of every interface entry device
     /// stamps, macromodel contributions, or gmin can write.
     iface_touched: Vec<usize>,
-    /// Combined fingerprint over the netlist structure and the block
-    /// layout; doubles as the interface sparse backend's structural
-    /// fingerprint.
+    /// Combined fingerprint over the netlist structure, its model
+    /// values and the block layout; doubles as the interface sparse
+    /// backend's structural fingerprint.
     fingerprint: u64,
-    values_len: usize,
     max_block_len: usize,
 }
 
@@ -282,15 +319,113 @@ where
     (starts, values)
 }
 
+/// Emits what `kind` carries beyond its terminals, bit for bit: the
+/// model values, or the handle of the table entry it reads. Destructures
+/// every parameter struct in full, so a new model field cannot be left
+/// out of the template signature or the plan fingerprint.
+fn model_words(kind: &ElementKind, mut emit: impl FnMut(u64)) {
+    match *kind {
+        ElementKind::Resistor { resistance, .. } => emit(resistance.index() as u64),
+        ElementKind::VoltageSource {
+            source,
+            dc_override,
+            ..
+        } => {
+            emit(source.index() as u64);
+            match dc_override {
+                None => emit(0),
+                Some(v) => {
+                    emit(1);
+                    emit(v.to_bits());
+                }
+            }
+        }
+        ElementKind::CurrentSource { source, .. } => emit(source.index() as u64),
+        ElementKind::Capacitor { farads, .. } => emit(farads.to_bits()),
+        ElementKind::Diode {
+            params:
+                DiodeParams {
+                    i_sat,
+                    ideality,
+                    temp_c,
+                },
+            ..
+        } => [i_sat, ideality, temp_c]
+            .into_iter()
+            .for_each(|v| emit(v.to_bits())),
+        ElementKind::Mosfet {
+            params:
+                MosParams {
+                    polarity,
+                    vth0,
+                    beta,
+                    n_slope,
+                    lambda,
+                    dibl,
+                    vth_tc,
+                    mobility_exp,
+                    temp_c,
+                },
+            ..
+        } => {
+            emit(polarity as u64);
+            [
+                vth0,
+                beta,
+                n_slope,
+                lambda,
+                dibl,
+                vth_tc,
+                mobility_exp,
+                temp_c,
+            ]
+            .into_iter()
+            .for_each(|v| emit(v.to_bits()));
+        }
+        ElementKind::Switch {
+            threshold,
+            g_on,
+            g_off,
+            ..
+        } => [threshold, g_on, g_off]
+            .into_iter()
+            .for_each(|v| emit(v.to_bits())),
+    }
+}
+
+/// Folds one device into a [`plan_fingerprint`]: its structure, as
+/// [`crate::mna::fold_structure`], then its model words, which the
+/// templates compare.
+#[inline]
+fn fold_device(h: u64, kind: &ElementKind, branch_offset: usize, branches: usize) -> u64 {
+    let mut h = crate::mna::fold_structure(h, kind, branch_offset, branches);
+    model_words(kind, |w| h = fnv(h, w));
+    h
+}
+
+/// FNV fingerprint of everything a partition plan reads from the
+/// netlist: structure and model values, in device order. A netlist
+/// with the same structure but other model cards gets other templates,
+/// so it must not reuse a plan (or the macromodels keyed on its
+/// template ids). Allocation-free; one walk over the devices.
+fn plan_fingerprint(netlist: &Netlist) -> u64 {
+    netlist
+        .devices_with_offsets()
+        .fold(crate::mna::STRUCTURAL_FP_SEED, |h, (device, offset)| {
+            fold_device(h, &device.kind(), offset, device.num_branches())
+        })
+}
+
 impl PartitionPlan {
-    fn combined_fp(struct_fp: u64, partition: &Partition) -> u64 {
-        fnv(fnv(FNV_SEED, struct_fp), partition.fingerprint)
+    fn combined_fp(netlist_fp: u64, partition: &Partition) -> u64 {
+        fnv(fnv(FNV_SEED, netlist_fp), partition.fingerprint)
     }
 
     /// Builds the partition plan, validating that no device couples two
     /// distinct blocks. Runs in time linear in the device count plus
-    /// the interface entries written: boundaries and the interface
-    /// pattern are bucketed, never comparison-sorted as a whole.
+    /// the interface entries written: boundaries, device lists and the
+    /// interface pattern are bucketed, never comparison-sorted as a
+    /// whole, and templates are interned through a hash map.
     pub(crate) fn build(netlist: &Netlist, partition: &Partition) -> Result<Self, Error> {
         let n = netlist.num_unknowns();
         let node_unknowns = netlist.num_nodes() - 1;
@@ -317,23 +452,29 @@ impl PartitionPlan {
             }
         }
         let ni = iface_globals.len();
+        let iface_nodes = iface_globals.partition_point(|&g| g < node_unknowns);
 
         // Device walk: every stamp lands at the cross product of the
         // device's own unknowns (the same slot enumeration as
-        // StampPlan::build). A device touching a block puts its
-        // interface unknowns on that block's boundary; its interface
-        // entries are a subset of the boundary clique added below. Only
-        // interface-only devices contribute entries of their own. The
-        // same walk folds the structural fingerprint.
-        let mut struct_fp = crate::mna::STRUCTURAL_FP_SEED;
+        // StampPlan::build). A device touching a block joins that
+        // block's device list and puts its interface unknowns on the
+        // block's boundary; its interface entries are a subset of the
+        // boundary clique added below. Every other device is
+        // interface-only and contributes entries of its own. The same
+        // walk folds the plan fingerprint (structure and model values).
+        let mut netlist_fp = crate::mna::STRUCTURAL_FP_SEED;
         let mut bound_pairs: Vec<(u32, u32)> = Vec::new();
+        let mut device_pairs: Vec<(u32, u32)> = Vec::new();
+        let mut iface_devices: Vec<u32> = Vec::new();
+        let mut block_dev_count = vec![0u32; partition.blocks.len()];
+        let mut schedule: Vec<Run> = Vec::new();
         let mut device_entries: Vec<(u32, u32)> = Vec::new();
         let mut slots: Vec<usize> = Vec::with_capacity(8);
         let mut iface: Vec<u32> = Vec::with_capacity(8);
         for (index, (device, branch_offset)) in netlist.devices_with_offsets().enumerate() {
             let kind = device.kind();
             let branches = device.num_branches();
-            struct_fp = crate::mna::fold_structure(struct_fp, &kind, branch_offset, branches);
+            netlist_fp = fold_device(netlist_fp, &kind, branch_offset, branches);
             slots.clear();
             let (terminals, count) = crate::mna::kind_terminals(&kind);
             for t in terminals.iter().take(count) {
@@ -361,23 +502,59 @@ impl PartitionPlan {
                 }
             }
             match touched_block {
-                Some(b) => bound_pairs.extend(iface.iter().map(|&i| (b, i))),
+                Some(b) => {
+                    bound_pairs.extend(iface.iter().map(|&i| (b, i)));
+                    device_pairs.push((b, index as u32));
+                    let pos = block_dev_count[b as usize];
+                    block_dev_count[b as usize] += 1;
+                    match schedule.last_mut() {
+                        Some(Run::Block { block, to, .. }) if *block == b && *to == pos => *to += 1,
+                        _ => schedule.push(Run::Block {
+                            block: b,
+                            from: pos,
+                            to: pos + 1,
+                        }),
+                    }
+                }
                 None => {
+                    let pos = iface_devices.len() as u32;
+                    iface_devices.push(index as u32);
+                    match schedule.last_mut() {
+                        Some(Run::Iface { to, .. }) if *to == pos => *to += 1,
+                        _ => schedule.push(Run::Iface {
+                            from: pos,
+                            to: pos + 1,
+                        }),
+                    }
                     for &r in &iface {
                         device_entries.extend(iface.iter().map(|&c| (r, c)));
                     }
                 }
             }
         }
+        schedule.extend(
+            (0..partition.blocks.len() as u32)
+                .filter(|&b| block_dev_count[b as usize] == 0)
+                .map(|block| Run::Block {
+                    block,
+                    from: 0,
+                    to: 0,
+                }),
+        );
+        drop(block_dev_count);
 
         // Block boundaries: bucket the (block, interface) pairs by
-        // block, then sort and deduplicate each block's handful.
+        // block, then sort and deduplicate each block's handful. Device
+        // lists bucket the same way; the stable bucketing keeps each
+        // block's devices in device order.
         let (bnd_start, mut raw) =
             bucket_by_key(partition.blocks.len(), bound_pairs.iter().copied());
         drop(bound_pairs);
+        let (dev_start, block_devices) =
+            bucket_by_key(partition.blocks.len(), device_pairs.iter().copied());
+        drop(device_pairs);
         let mut boundaries: Vec<u32> = Vec::with_capacity(raw.len());
         let mut blocks: Vec<BlockPlan> = Vec::with_capacity(partition.blocks.len());
-        let mut values_len = 0usize;
         let mut max_block_len = 0usize;
         for (bi, &(start, len)) in partition.blocks.iter().enumerate() {
             let seg = &mut raw[bnd_start[bi]..bnd_start[bi + 1]];
@@ -388,18 +565,28 @@ impl PartitionPlan {
                     boundaries.push(i);
                 }
             }
-            let bp = BlockPlan {
+            let nb = boundaries.len() - bnd_off;
+            blocks.push(BlockPlan {
                 start,
                 len,
-                val_off: values_len,
                 bnd_off: bnd_off as u32,
-                nb: (boundaries.len() - bnd_off) as u32,
-            };
-            values_len += bp.val_len();
+                nb: nb as u32,
+                dev_off: dev_start[bi] as u32,
+                ndev: (dev_start[bi + 1] - dev_start[bi]) as u32,
+                template: u32::MAX,
+            });
             max_block_len = max_block_len.max(len);
-            blocks.push(bp);
         }
         drop(raw);
+
+        intern_templates(
+            netlist,
+            &remap,
+            &boundaries,
+            &block_devices,
+            node_unknowns,
+            &mut blocks,
+        );
 
         // Interface pattern: interface-only device entries, each
         // block's dense nb×nb macromodel clique over its boundary, and
@@ -411,17 +598,14 @@ impl PartitionPlan {
             bnd.iter()
                 .flat_map(move |&p| bnd.iter().map(move |&q| (p, q)))
         });
-        let diagonals = iface_globals
-            .iter()
-            .enumerate()
-            .filter(|&(_, &g)| g < node_unknowns)
-            .map(|(i, _)| (i as u32, i as u32));
+        let diagonals = (0..iface_nodes as u32).map(|i| (i, i));
         let entries = device_entries
             .iter()
             .copied()
             .chain(cliques)
             .chain(diagonals);
         let (mut row_start, mut cols) = bucket_by_key(ni, entries);
+        drop(device_entries);
         // …then deduplicated row by row in place with generation marks
         // (`mark[c] == r` once row `r` has kept column `c`)…
         let mut mark = vec![u32::MAX; ni];
@@ -472,26 +656,28 @@ impl PartitionPlan {
             num_devices: netlist.num_devices(),
             remap,
             iface_globals,
+            iface_nodes,
             blocks,
             boundaries,
+            iface_devices,
+            block_devices,
+            schedule,
             iface_touched,
-            fingerprint: Self::combined_fp(struct_fp, partition),
-            values_len,
+            fingerprint: Self::combined_fp(netlist_fp, partition),
             max_block_len,
         })
     }
 
-    /// Whether this plan still describes the (structure, partition)
-    /// pair. Allocation-free, used as the per-solve staleness guard;
-    /// keyed on the netlist's structural fingerprint directly, so no
-    /// monolithic stamp plan is ever needed.
+    /// Whether this plan still describes the (netlist, partition) pair.
+    /// Allocation-free, used as the per-solve staleness guard; keyed on
+    /// [`plan_fingerprint`] (structure and model values) directly, so
+    /// no monolithic stamp plan is ever needed.
     pub(crate) fn matches(&self, netlist: &Netlist, partition: &Partition) -> bool {
         self.n == partition.n
             && self.n == netlist.num_unknowns()
             && self.num_nodes == netlist.num_nodes()
             && self.num_devices == netlist.num_devices()
-            && self.fingerprint
-                == Self::combined_fp(crate::mna::structural_fingerprint(netlist), partition)
+            && self.fingerprint == Self::combined_fp(plan_fingerprint(netlist), partition)
     }
 
     /// Order of the reduced interface system.
@@ -504,223 +690,609 @@ impl PartitionPlan {
     fn boundary(&self, bp: &BlockPlan) -> &[u32] {
         &self.boundaries[bp.bnd_off as usize..][..bp.nb()]
     }
-}
 
-/// The value side of a partitioned assembly: the dense interface matrix
-/// plus the packed per-block `[B|E|F]` stores. One global right-hand
-/// side continues to live in the scratch — block unknowns are
-/// contiguous there, so no rhs remapping is needed.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PartitionedValues {
-    pub(crate) iface: DenseMatrix,
-    pub(crate) block_vals: Vec<f64>,
-}
-
-impl PartitionedValues {
-    fn ensure(&mut self, plan: &PartitionPlan) {
-        if self.iface.order() != plan.ni {
-            self.iface.resize_clear(plan.ni);
-        }
-        if self.block_vals.len() != plan.values_len {
-            self.block_vals.clear();
-            self.block_vals.resize(plan.values_len, 0.0);
-        }
+    /// Indices of block `block`'s devices, in device order.
+    pub(crate) fn block_devices(&self, block: usize) -> &[u32] {
+        let bp = &self.blocks[block];
+        &self.block_devices[bp.dev_off as usize..][..bp.ndev as usize]
     }
 
-    /// Clears for reassembly: the interface through its touched-offset
-    /// list (preserving the zeros-outside invariant), block stores in
-    /// full (they are dense and tiny).
-    pub(crate) fn clear(&mut self, plan: &PartitionPlan) {
-        self.iface.clear_offsets(&plan.iface_touched);
-        self.block_vals.iter_mut().for_each(|v| *v = 0.0);
+    /// Local indices of block `block`'s node unknowns (the gmin
+    /// diagonals of its local system).
+    pub(crate) fn block_node_locals(&self, block: usize) -> std::ops::Range<usize> {
+        let bp = &self.blocks[block];
+        let node_unknowns = self.num_nodes - 1;
+        0..node_unknowns.saturating_sub(bp.start).min(bp.len)
     }
 
-    /// Routes one stamp to the interface matrix or a block store — the
-    /// partitioned counterpart of [`DenseMatrix::add`].
+    /// Interface index of global unknown `g`, which an interface-only
+    /// device stamped.
     #[inline]
-    pub(crate) fn add(&mut self, plan: &PartitionPlan, row: usize, col: usize, value: f64) {
-        match (plan.remap[row], plan.remap[col]) {
-            (Slot::Iface(i), Slot::Iface(j)) => self.iface.add(i as usize, j as usize, value),
-            (
-                Slot::Block { block, local: li },
-                Slot::Block {
-                    block: bc,
-                    local: lj,
-                },
-            ) => {
-                debug_assert_eq!(block, bc, "partition plan rejected cross-block devices");
-                let bp = &plan.blocks[block as usize];
-                self.block_vals[bp.val_off + li as usize * bp.len + lj as usize] += value;
-            }
-            (Slot::Block { block, local: li }, Slot::Iface(j)) => {
-                let bp = &plan.blocks[block as usize];
-                let e_off = bp.val_off + bp.len * bp.len;
-                let q = boundary_pos(plan.boundary(bp), j);
-                self.block_vals[e_off + li as usize * bp.nb() + q] += value;
-            }
-            (Slot::Iface(i), Slot::Block { block, local: lj }) => {
-                let bp = &plan.blocks[block as usize];
-                let f_off = bp.val_off + bp.len * (bp.len + bp.nb());
-                let p = boundary_pos(plan.boundary(bp), i);
-                self.block_vals[f_off + p * bp.len + lj as usize] += value;
-            }
+    pub(crate) fn iface_index(&self, g: usize) -> usize {
+        match self.remap[g] {
+            Slot::Iface(i) => i as usize,
+            Slot::Block { .. } => unreachable!("interface-only device stamped a block unknown"),
         }
     }
 
-    /// Stamps the gmin regularization onto every node diagonal, routed
-    /// through the remap.
-    pub(crate) fn add_gmin(&mut self, plan: &PartitionPlan, node_unknowns: usize, gmin: f64) {
-        for g in 0..node_unknowns {
-            match plan.remap[g] {
-                Slot::Iface(i) => self.iface.add(i as usize, i as usize, gmin),
-                Slot::Block { block, local } => {
-                    let bp = &plan.blocks[block as usize];
-                    self.block_vals[bp.val_off + local as usize * (bp.len + 1)] += gmin;
-                }
+    /// Routes one matrix stamp of a block device at global `(row, col)`:
+    /// into the block's local `matrix` when it touches a block unknown,
+    /// onto the boundary `tape` otherwise. Kept out of line: only cache
+    /// misses stamp blocks, and inlining this into the shared sink
+    /// would bloat every device's stamping code.
+    #[cold]
+    pub(crate) fn stamp_block_entry(
+        &self,
+        block: usize,
+        row: usize,
+        col: usize,
+        value: f64,
+        matrix: &mut DenseMatrix,
+        tape: &mut Vec<TapeEntry>,
+    ) {
+        let len = self.blocks[block].len;
+        let (r, c) = (self.local_index(block, row), self.local_index(block, col));
+        if r >= len && c >= len {
+            tape.push(TapeEntry {
+                p: (r - len) as u32,
+                q: (c - len) as u32,
+                value,
+            });
+        } else {
+            matrix.add(r, c, value);
+        }
+    }
+
+    /// As [`PartitionPlan::stamp_block_entry`], for a right-hand-side
+    /// stamp at global `row`.
+    #[cold]
+    pub(crate) fn stamp_block_rhs(
+        &self,
+        block: usize,
+        row: usize,
+        value: f64,
+        rhs: &mut [f64],
+        tape: &mut Vec<TapeEntry>,
+    ) {
+        let len = self.blocks[block].len;
+        let r = self.local_index(block, row);
+        if r >= len {
+            tape.push(TapeEntry {
+                p: (r - len) as u32,
+                q: TapeEntry::RHS,
+                value,
+            });
+        } else {
+            rhs[r] += value;
+        }
+    }
+
+    /// Position of global unknown `g` in block `block`'s local system:
+    /// its local index for a block unknown, `len` plus its boundary
+    /// position for an interface unknown.
+    #[inline]
+    fn local_index(&self, block: usize, g: usize) -> usize {
+        let bp = &self.blocks[block];
+        match self.remap[g] {
+            Slot::Block { block: b, local } => {
+                debug_assert_eq!(
+                    b as usize, block,
+                    "partition plan rejected cross-block devices"
+                );
+                local as usize
             }
+            Slot::Iface(i) => bp.len + boundary_pos(self.boundary(bp), i),
         }
     }
 }
 
-/// One cached Schur macromodel: the factored block, `B⁻¹E`
-/// (column-major), and the interface contribution `−F·B⁻¹E`
-/// (row-major `nb×nb`), keyed by the block's exact value bytes.
+/// Assigns every block its template id, numbering templates densely
+/// from 0 in order of first appearance.
+///
+/// A block's signature is its order, its boundary size, how many of its
+/// unknowns are nodes (they take gmin), and every device in device
+/// order: kind code, terminals and branch rows as block-relative
+/// positions (0 for ground, `1 << 32 | k` for local unknown `k`,
+/// `2 << 32 | q` for boundary position `q`), then the model words.
+/// Equal signatures stamp bit-identical local systems at bit-identical
+/// inputs (the [`Device::kind`](crate::devices::Device::kind)
+/// contract). Signatures are interned through an FNV-keyed map whose
+/// candidates are confirmed word by word, so the pass is linear.
+fn intern_templates(
+    netlist: &Netlist,
+    remap: &[Slot],
+    boundaries: &[u32],
+    block_devices: &[u32],
+    node_unknowns: usize,
+    blocks: &mut [BlockPlan],
+) {
+    const NO_TEMPLATE: u32 = u32::MAX;
+    let mut sig: Vec<u64> = Vec::new();
+    // Each template's signature, back to back, with `sig_start`
+    // offsets; `newest` maps a hash to its newest template, and
+    // `older` chains templates whose signatures share a hash.
+    let mut sigs: Vec<u64> = Vec::new();
+    let mut sig_start: Vec<usize> = vec![0];
+    let mut newest: HashMap<u64, u32> = HashMap::new();
+    let mut older: Vec<u32> = Vec::new();
+    let mut last = NO_TEMPLATE;
+    for bp in blocks.iter_mut() {
+        let boundary = &boundaries[bp.bnd_off as usize..][..bp.nb()];
+        let position = |g: usize| match remap[g] {
+            Slot::Block { local, .. } => 1 << 32 | u64::from(local),
+            Slot::Iface(i) => 2 << 32 | boundary_pos(boundary, i) as u64,
+        };
+        sig.clear();
+        sig.push(bp.len as u64);
+        sig.push(bp.nb as u64);
+        sig.push(node_unknowns.saturating_sub(bp.start).min(bp.len) as u64);
+        for &d in &block_devices[bp.dev_off as usize..][..bp.ndev as usize] {
+            let (device, branch_offset) = netlist.device_with_offset(d as usize);
+            let kind = device.kind();
+            sig.push(crate::mna::kind_code(&kind));
+            let (terminals, count) = crate::mna::kind_terminals(&kind);
+            sig.extend(
+                terminals[..count]
+                    .iter()
+                    .map(|t| t.unknown_index().map_or(0, position)),
+            );
+            let branches = device.num_branches();
+            sig.push(branches as u64);
+            sig.extend((branch_offset..branch_offset + branches).map(position));
+            model_words(&kind, |w| sig.push(w));
+        }
+        let signature = |t: u32| &sigs[sig_start[t as usize]..sig_start[t as usize + 1]];
+        // Neighbouring blocks usually share a template: try the last
+        // one before hashing.
+        if last != NO_TEMPLATE && signature(last) == &sig[..] {
+            bp.template = last;
+            continue;
+        }
+        let h = sig.iter().fold(FNV_SEED, |h, &w| fnv(h, w));
+        let head = newest.get(&h).copied().unwrap_or(NO_TEMPLATE);
+        let mut t = head;
+        while t != NO_TEMPLATE && signature(t) != &sig[..] {
+            t = older[t as usize];
+        }
+        if t == NO_TEMPLATE {
+            t = older.len() as u32;
+            older.push(head);
+            newest.insert(h, t);
+            sigs.extend_from_slice(&sig);
+            sig_start.push(sigs.len());
+        }
+        bp.template = t;
+        last = t;
+    }
+}
+
+/// One stamp a block device made on its boundary: a matrix entry at
+/// boundary positions `(p, q)`, or a right-hand-side entry at `p` when
+/// `q` is [`TapeEntry::RHS`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TapeEntry {
+    pub(crate) p: u32,
+    pub(crate) q: u32,
+    pub(crate) value: f64,
+}
+
+impl TapeEntry {
+    /// `q` of a right-hand-side entry.
+    pub(crate) const RHS: u32 = u32::MAX;
+}
+
+/// Buffers for stamping one block's devices on a cache miss.
+#[derive(Debug, Clone, Default)]
+struct BlockScratch {
+    /// The block's local matrix: `B`, `E` and `F` at block-unknowns-
+    /// first positions (boundary-to-boundary stamps go to the tape).
+    local: DenseMatrix,
+    /// `r_B`, then room for the boundary rows (which stay zero).
+    rhs: Vec<f64>,
+    /// Boundary stamps in stamping order, with per-device offsets.
+    tape: Vec<TapeEntry>,
+    tape_dev: Vec<u32>,
+    /// `[B|E|F]` packed row-major — the second-level cache key.
+    bef: Vec<f64>,
+    /// `B` alone, staged for factoring.
+    b: DenseMatrix,
+    /// Solve scratch of the block order.
+    work: Vec<f64>,
+}
+
+impl BlockScratch {
+    /// Packs `[B|E|F]` of the stamped local system of a block with `bl`
+    /// unknowns and `nb` boundary entries; returns its FNV-1a hash.
+    fn pack_bef(&mut self, bl: usize, nb: usize) -> u64 {
+        let BlockScratch { local, bef, .. } = self;
+        bef.clear();
+        for r in 0..bl {
+            bef.extend((0..bl).map(|c| local.get(r, c)));
+        }
+        for r in 0..bl {
+            bef.extend((0..nb).map(|q| local.get(r, bl + q)));
+        }
+        for p in 0..nb {
+            bef.extend((0..bl).map(|c| local.get(bl + p, c)));
+        }
+        bef.iter()
+            .fold(fnv(fnv(FNV_SEED, bl as u64), nb as u64), |h, v| {
+                fnv(h, v.to_bits())
+            })
+    }
+}
+
+/// One cached block macromodel. The first-level key is the block's
+/// template plus the exact bits of everything its devices read; the
+/// second-level key is the exact bits of the `[B|E|F]` they stamped.
 #[derive(Debug, Clone, Default)]
 struct MacroSlot {
-    /// FNV-1a over the block's `[B|E|F]` bytes; 0 while (re)building.
+    /// FNV-1a over `key`; 0 while (re)building.
     fp: u64,
+    /// Template id, the bits of `x` at the block's unknowns and
+    /// boundary, gmin and the source scale — the full compare that
+    /// makes an FNV collision harmless, same discipline as the factor
+    /// cache. Empty while (re)building.
+    key: Vec<u64>,
+    /// FNV-1a over `bef`.
+    bef_fp: u64,
+    /// The stamped `[B|E|F]`, row-major `B` (`len×len`), `E`
+    /// (`len×nb`), `F` (`nb×len`). Empty while (re)building.
+    bef: Vec<f64>,
     bl: usize,
     nb: usize,
-    /// Verbatim copy of the keyed values — the memcmp that makes an
-    /// FNV collision harmless, same discipline as the factor cache.
-    key: Vec<f64>,
+    /// `B`, factored.
     lu: LuWorkspace,
+    /// `B⁻¹E`, column-major.
     binv_e: Vec<f64>,
-    contrib: Vec<f64>,
+    /// The interface term `−F·B⁻¹E`, row-major `nb×nb`.
+    neg_fbe: Vec<f64>,
+    /// `r_B`, the block rows of the right-hand side.
+    r_b: Vec<f64>,
+    /// `F·B⁻¹r_B`, subtracted from the interface right-hand side.
+    fbr: Vec<f64>,
+    /// The block's boundary stamps, replayed into the interface in
+    /// device order; device `d` of the block wrote
+    /// `tape[tape_dev[d]..tape_dev[d + 1]]`.
+    tape: Vec<TapeEntry>,
+    tape_dev: Vec<u32>,
     /// LRU clock of the last hit or build.
     tick: u64,
+    /// The step that last served a block from this slot. The step
+    /// reads the slot again after the lookup, so it is not evicted or
+    /// rewritten during that step.
+    step: u64,
 }
 
-/// Content-addressed macromodel store with LRU eviction. Evicted slots
-/// hand their buffers to the replacement, so a warmed cache serves any
-/// steady-state mix of value-classes without allocating.
-#[derive(Debug, Clone)]
-pub(crate) struct MacroCache {
-    slots: Vec<MacroSlot>,
-    capacity: usize,
-    clock: u64,
-}
-
-impl Default for MacroCache {
-    fn default() -> Self {
-        MacroCache {
-            slots: Vec::new(),
-            capacity: MACRO_CACHE_SLOTS,
-            clock: 0,
-        }
-    }
-}
-
-/// Exact-bytes equality on value slices (NaN-safe, matches the hash).
-fn bytes_eq(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-impl MacroCache {
-    fn invalidate(&mut self) {
-        self.slots.clear();
-        self.clock = 0;
-    }
-
-    /// Returns the slot index holding the macromodel of `vals`,
-    /// building (or rebuilding over the LRU victim) on a miss.
+impl MacroSlot {
+    /// Reduces `[B|E|F]` of `scratch` into the matrix half: factors `B`,
+    /// then `B⁻¹E` and `−F·B⁻¹E`. `start` maps a singular pivot back to
+    /// the global unknown.
     ///
     /// # Errors
     ///
-    /// [`Error::SingularMatrix`] when the block itself has no usable
-    /// pivot, with `pivot_row` mapped back to the global unknown.
-    fn lookup_or_build(
+    /// [`Error::SingularMatrix`] when `B` has no usable pivot.
+    fn reduce_matrix(
         &mut self,
-        vals: &[f64],
-        bp: &BlockPlan,
-        b_tmp: &mut DenseMatrix,
-        t1: &mut [f64],
-        t2: &mut [f64],
-        counters: &mut SolveCounters,
-    ) -> Result<usize, Error> {
-        let bl = bp.len;
-        let nb = bp.nb();
-        let mut fp = fnv(FNV_SEED, bl as u64);
-        fp = fnv(fp, nb as u64);
-        for v in vals {
-            fp = fnv(fp, v.to_bits());
-        }
-        self.clock += 1;
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if slot.fp == fp && slot.bl == bl && slot.nb == nb && bytes_eq(&slot.key, vals) {
-                slot.tick = self.clock;
-                counters.schur_blocks_shared += 1;
-                return Ok(i);
-            }
-        }
-        counters.schur_blocks_rebuilt += 1;
-        let idx = if self.slots.len() < self.capacity {
-            self.slots.push(MacroSlot::default());
-            self.slots.len() - 1
-        } else {
-            self.slots
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| s.tick)
-                .map(|(i, _)| i)
-                .expect("cache capacity is nonzero")
-        };
-        let slot = &mut self.slots[idx];
-        // Poison the slot until the build succeeds: a failed factor
-        // must not leave a key pointing at stale factors.
-        slot.fp = 0;
-        slot.key.clear();
-        slot.bl = bl;
-        slot.nb = nb;
-        slot.tick = self.clock;
-        b_tmp.resize_clear(bl);
+        scratch: &mut BlockScratch,
+        (bl, nb, start): (usize, usize, usize),
+    ) -> Result<(), Error> {
+        let BlockScratch { bef, b, work, .. } = scratch;
+        b.resize_clear(bl);
         for r in 0..bl {
             for c in 0..bl {
-                b_tmp.set(r, c, vals[r * bl + c]);
+                b.set(r, c, bef[r * bl + c]);
             }
         }
-        slot.lu.factor_from(b_tmp).map_err(|e| match e {
+        self.lu.factor_from(b).map_err(|e| match e {
             Error::SingularMatrix { pivot_row, .. } => Error::SingularMatrix {
-                pivot_row: bp.start + pivot_row,
+                pivot_row: start + pivot_row,
                 unknown: None,
             },
             other => other,
         })?;
-        let e = &vals[bl * bl..bl * bl + bl * nb];
-        slot.binv_e.clear();
-        slot.binv_e.resize(bl * nb, 0.0);
+        let e = &bef[bl * bl..bl * bl + bl * nb];
+        self.binv_e.clear();
+        self.binv_e.resize(bl * nb, 0.0);
         for q in 0..nb {
             for k in 0..bl {
-                t1[k] = e[k * nb + q];
+                work[k] = e[k * nb + q];
             }
-            slot.lu.solve_into(&t1[..bl], &mut t2[..bl]);
-            slot.binv_e[q * bl..(q + 1) * bl].copy_from_slice(&t2[..bl]);
+            self.lu
+                .solve_into(&work[..bl], &mut self.binv_e[q * bl..(q + 1) * bl]);
         }
-        let f = &vals[bl * bl + bl * nb..];
-        slot.contrib.clear();
-        slot.contrib.resize(nb * nb, 0.0);
+        let f = &bef[bl * bl + bl * nb..];
+        self.neg_fbe.clear();
+        self.neg_fbe.resize(nb * nb, 0.0);
         for p in 0..nb {
             for q in 0..nb {
                 let mut acc = 0.0;
                 for k in 0..bl {
-                    acc += f[p * bl + k] * slot.binv_e[q * bl + k];
+                    acc += f[p * bl + k] * self.binv_e[q * bl + k];
                 }
-                slot.contrib[p * nb + q] = -acc;
+                self.neg_fbe[p * nb + q] = -acc;
             }
         }
-        slot.key.extend_from_slice(vals);
-        slot.fp = fp;
-        Ok(idx)
+        self.bef.clear();
+        self.bef.extend_from_slice(bef);
+        self.bl = bl;
+        self.nb = nb;
+        Ok(())
+    }
+
+    /// Takes over `src`'s matrix half, reusing this slot's buffers.
+    fn copy_matrix_half(&mut self, src: &MacroSlot) {
+        self.bef_fp = src.bef_fp;
+        self.bef.clear();
+        self.bef.extend_from_slice(&src.bef);
+        self.bl = src.bl;
+        self.nb = src.nb;
+        self.lu.copy_from(&src.lu);
+        self.binv_e.clear();
+        self.binv_e.extend_from_slice(&src.binv_e);
+        self.neg_fbe.clear();
+        self.neg_fbe.extend_from_slice(&src.neg_fbe);
+    }
+
+    /// Takes the input half from the block just stamped into `scratch`:
+    /// `r_B`, `F·B⁻¹r_B` through this slot's factors, and the tape.
+    fn take_input_half(&mut self, scratch: &mut BlockScratch) {
+        let (bl, nb) = (self.bl, self.nb);
+        self.r_b.clear();
+        self.r_b.extend_from_slice(&scratch.rhs[..bl]);
+        let y = &mut scratch.work[..bl];
+        self.lu.solve_into(&self.r_b, y);
+        let f = &self.bef[bl * bl + bl * nb..];
+        self.fbr.clear();
+        for p in 0..nb {
+            let mut acc = 0.0;
+            for k in 0..bl {
+                acc += f[p * bl + k] * y[k];
+            }
+            self.fbr.push(acc);
+        }
+        self.tape.clear();
+        self.tape.extend_from_slice(&scratch.tape);
+        self.tape_dev.clear();
+        self.tape_dev.extend_from_slice(&scratch.tape_dev);
+    }
+}
+
+/// The slot `served` names, for writing.
+fn pick<'a>(
+    slots: &'a mut [MacroSlot],
+    spill: &'a mut [MacroSlot],
+    served: Served,
+) -> &'a mut MacroSlot {
+    match served {
+        Served::Slot(i) => &mut slots[i as usize],
+        Served::Spill(i) => &mut spill[i as usize],
+    }
+}
+
+/// Mutable `slots[i]` alongside shared `slots[j]`, for `i != j`.
+fn pair_mut(slots: &mut [MacroSlot], i: usize, j: usize) -> (&mut MacroSlot, &MacroSlot) {
+    debug_assert_ne!(i, j);
+    if i < j {
+        let (lo, hi) = slots.split_at_mut(j);
+        (&mut lo[i], &hi[0])
+    } else {
+        let (lo, hi) = slots.split_at_mut(i);
+        (&mut hi[0], &lo[j])
+    }
+}
+
+/// Exact-bits equality on value slices (NaN-safe, signed-zero-aware).
+fn bits_eq(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Where a block's macromodel lives for the rest of a step.
+#[derive(Debug, Clone, Copy)]
+enum Served {
+    /// A cache slot (pinned for the step).
+    Slot(u32),
+    /// A spill slot, for a block built while every cache slot was
+    /// pinned.
+    Spill(u32),
+}
+
+/// Input-keyed macromodel store with LRU eviction over
+/// [`MACRO_CACHE_SLOTS`] slots. Evicted slots keep their buffers for the
+/// replacement, so a warmed cache serves any steady-state mix of inputs
+/// without allocating.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MacroCache {
+    slots: Vec<MacroSlot>,
+    clock: u64,
+    step: u64,
+    /// Slot of the most recent hit or build, probed first: neighbouring
+    /// blocks usually share an input.
+    mru: usize,
+    /// Overflow for steps serving more distinct blocks than the cache
+    /// holds; the first `spill_used` are live this step.
+    spill: Vec<MacroSlot>,
+    spill_used: usize,
+    /// The current block's first-level key.
+    key: Vec<u64>,
+    scratch: BlockScratch,
+}
+
+impl MacroCache {
+    /// Forgets every macromodel but keeps the slot buffers.
+    fn invalidate(&mut self) {
+        for slot in &mut self.slots {
+            slot.fp = 0;
+            slot.key.clear();
+            slot.bef_fp = 0;
+            slot.bef.clear();
+            slot.tick = 0;
+        }
+        self.clock = 0;
+    }
+
+    /// Opens a new reduction step: slots served from now on stay
+    /// pinned until the next call.
+    fn begin_step(&mut self) {
+        self.step += 1;
+        self.spill_used = 0;
+    }
+
+    /// The slot a block was served from this step.
+    fn slot(&self, served: Served) -> &MacroSlot {
+        match served {
+            Served::Slot(i) => &self.slots[i as usize],
+            Served::Spill(i) => &self.spill[i as usize],
+        }
+    }
+
+    /// A slot for a new key: a fresh one while under capacity, else the
+    /// least recently used slot not serving this step, poisoned until
+    /// its key is published. `None` when every slot serves this step.
+    fn claim(&mut self) -> Option<usize> {
+        let i = if self.slots.len() < MACRO_CACHE_SLOTS {
+            self.slots.push(MacroSlot::default());
+            self.slots.len() - 1
+        } else {
+            let step = self.step;
+            self.slots
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.step != step)
+                .min_by_key(|(_, s)| s.tick)
+                .map(|(i, _)| i)?
+        };
+        let slot = &mut self.slots[i];
+        slot.fp = 0;
+        slot.key.clear();
+        slot.bef_fp = 0;
+        slot.bef.clear();
+        Some(i)
+    }
+
+    /// A claimed cache slot, or the next spill slot of this step when
+    /// every cache slot serves this step.
+    fn claim_or_spill(&mut self) -> Served {
+        if let Some(i) = self.claim() {
+            return Served::Slot(i as u32);
+        }
+        if self.spill_used == self.spill.len() {
+            self.spill.push(MacroSlot::default());
+        }
+        self.spill_used += 1;
+        Served::Spill(self.spill_used as u32 - 1)
+    }
+
+    /// Serves block `bi` at the DC estimate `x`: a first-level hit
+    /// costs a key gather and compare. On a miss the block's devices
+    /// stamp its local system; a slot holding the same `[B|E|F]` then
+    /// lends its factors, so only the input half (`r_B`, `F·B⁻¹r_B`,
+    /// tape) is new, and otherwise `B` is factored fresh. The result
+    /// is keyed in a slot — the matching slot itself unless it already
+    /// serves this step — or spilled when every slot serves this step.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::SingularMatrix`] when a fresh `B` has no usable pivot.
+    #[allow(clippy::too_many_arguments)]
+    fn serve(
+        &mut self,
+        netlist: &Netlist,
+        plan: &PartitionPlan,
+        bi: usize,
+        x: &[f64],
+        gmin: f64,
+        source_scale: f64,
+        counters: &mut SolveCounters,
+    ) -> Result<Served, Error> {
+        let bp = &plan.blocks[bi];
+        let (bl, nb) = (bp.len, bp.nb());
+        let key = &mut self.key;
+        key.clear();
+        key.push(u64::from(bp.template));
+        key.extend(x[bp.start..bp.start + bl].iter().map(|v| v.to_bits()));
+        key.extend(
+            plan.boundary(bp)
+                .iter()
+                .map(|&i| x[plan.iface_globals[i as usize]].to_bits()),
+        );
+        key.push(gmin.to_bits());
+        key.push(source_scale.to_bits());
+        let fp = key.iter().fold(FNV_SEED, |h, &w| fnv(h, w));
+        self.clock += 1;
+        let hit = |s: &MacroSlot| s.fp == fp && s.key == *key;
+        let found = if self.slots.get(self.mru).is_some_and(hit) {
+            Some(self.mru)
+        } else {
+            self.slots.iter().position(hit)
+        };
+        if let Some(i) = found {
+            counters.schur_blocks_shared += 1;
+            let slot = &mut self.slots[i];
+            slot.tick = self.clock;
+            slot.step = self.step;
+            self.mru = i;
+            return Ok(Served::Slot(i as u32));
+        }
+
+        let scratch = &mut self.scratch;
+        if scratch.local.order() != bl + nb {
+            scratch.local.resize_clear(bl + nb);
+        }
+        scratch.rhs.resize(bl + nb, 0.0);
+        crate::mna::assemble_block(
+            netlist,
+            plan,
+            bi,
+            x,
+            gmin,
+            source_scale,
+            &mut scratch.local,
+            &mut scratch.rhs,
+            &mut scratch.tape,
+            &mut scratch.tape_dev,
+        );
+        let bef_fp = scratch.pack_bef(bl, nb);
+        let lender = self.slots.iter().position(|s| {
+            s.bef_fp == bef_fp && s.bl == bl && s.nb == nb && bits_eq(&s.bef, &scratch.bef)
+        });
+        let served = match lender {
+            Some(j) => {
+                counters.schur_blocks_shared += 1;
+                if self.slots[j].step == self.step {
+                    let served = self.claim_or_spill();
+                    let (dst, src) = match served {
+                        Served::Slot(i) => pair_mut(&mut self.slots, i as usize, j),
+                        Served::Spill(i) => (&mut self.spill[i as usize], &self.slots[j]),
+                    };
+                    dst.copy_matrix_half(src);
+                    served
+                } else {
+                    // Nothing read the lender this step yet: rekey it
+                    // in place.
+                    Served::Slot(j as u32)
+                }
+            }
+            None => {
+                counters.schur_blocks_rebuilt += 1;
+                let served = self.claim_or_spill();
+                let dst = pick(&mut self.slots, &mut self.spill, served);
+                dst.reduce_matrix(&mut self.scratch, (bl, nb, bp.start))?;
+                dst.bef_fp = bef_fp;
+                served
+            }
+        };
+        let dst = pick(&mut self.slots, &mut self.spill, served);
+        dst.take_input_half(&mut self.scratch);
+        dst.tick = self.clock;
+        dst.step = self.step;
+        if let Served::Slot(i) = served {
+            dst.key.clear();
+            dst.key.extend_from_slice(&self.key);
+            dst.fp = fp;
+            self.mru = i as usize;
+        }
+        Ok(served)
     }
 }
 
@@ -729,26 +1301,29 @@ impl MacroCache {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SchurState {
     pub(crate) plan: Option<PartitionPlan>,
-    values: PartitionedValues,
+    /// The reduced interface matrix; entries outside the plan's
+    /// interface pattern stay zero.
+    iface: DenseMatrix,
     cache: MacroCache,
-    /// Cache slot serving each block this iteration (reduce phase fills
-    /// it, back-substitution reads it).
-    block_slot: Vec<usize>,
+    /// Parameter and source tables the cached macromodels were built
+    /// under.
+    params_seen: Vec<f64>,
+    sources_seen: Vec<f64>,
+    /// Where each block's macromodel lives this step (the reduce phase
+    /// fills it, back-substitution reads it).
+    served: Vec<Served>,
     rhs_i: Vec<f64>,
     x_i: Vec<f64>,
-    /// Staging matrix for factoring one block.
-    b_tmp: DenseMatrix,
-    /// `max_block_len`-sized gather/solve scratch pair.
-    t1: Vec<f64>,
-    t2: Vec<f64>,
+    /// `r_B − E·x_I` of one block during back-substitution.
+    back: Vec<f64>,
     iface_lu: LuWorkspace,
     iface_sparse: SparseLu,
 }
 
 impl SchurState {
     /// (Re)builds the partition plan and sizes every buffer; a no-op
-    /// (and allocation-free) when the (structure, partition) pair is
-    /// unchanged.
+    /// (and allocation-free) when the (structure, partition) pair and
+    /// the netlist's parameter and source tables are unchanged.
     pub(crate) fn ensure(&mut self, netlist: &Netlist, partition: &Partition) -> Result<(), Error> {
         let stale = match &self.plan {
             Some(p) => !p.matches(netlist, partition),
@@ -758,20 +1333,34 @@ impl SchurState {
             let p = PartitionPlan::build(netlist, partition)?;
             // A structural change orphans every cached macromodel.
             self.cache.invalidate();
-            self.block_slot.clear();
-            self.block_slot.resize(p.blocks.len(), usize::MAX);
+            self.served.clear();
+            self.served.resize(p.blocks.len(), Served::Slot(0));
+            // Full zeroing establishes the zeros-outside-the-pattern
+            // invariant for the new pattern.
+            self.iface.resize_clear(p.ni);
             self.rhs_i.clear();
             self.rhs_i.resize(p.ni, 0.0);
             self.x_i.clear();
             self.x_i.resize(p.ni, 0.0);
-            self.t1.clear();
-            self.t1.resize(p.max_block_len, 0.0);
-            self.t2.clear();
-            self.t2.resize(p.max_block_len, 0.0);
+            let s = &mut self.cache.scratch;
+            for t in [&mut s.work, &mut self.back] {
+                t.clear();
+                t.resize(p.max_block_len, 0.0);
+            }
             self.plan = Some(p);
         }
-        let plan = self.plan.as_ref().expect("plan just ensured");
-        self.values.ensure(plan);
+        // Macromodels hold stamps of the parameter and source values
+        // they were built under: a solve starting from different tables
+        // must not hit them.
+        if !bits_eq(&self.params_seen, netlist.params_slice())
+            || !bits_eq(&self.sources_seen, netlist.sources_slice())
+        {
+            self.cache.invalidate();
+            self.params_seen.clear();
+            self.params_seen.extend_from_slice(netlist.params_slice());
+            self.sources_seen.clear();
+            self.sources_seen.extend_from_slice(netlist.sources_slice());
+        }
         Ok(())
     }
 
@@ -780,12 +1369,21 @@ impl SchurState {
         self.plan.as_ref().map(|p| p.interface_unknowns())
     }
 
-    /// One Newton iteration's linear solve through the reduction:
-    /// partitioned assembly at `x`, macromodel lookup per block, the
-    /// reduced interface factor/solve, and back-substitution into
-    /// `x_new`. Replaces the monolithic assemble/factor/solve triple in
-    /// [`crate::newton`]; the surrounding damping and convergence logic
-    /// is shared unchanged.
+    /// One Newton iteration's linear solve through the reduction at the
+    /// DC estimate `x`, replacing the monolithic assemble/factor/solve
+    /// triple in [`crate::newton`] (the surrounding damping and
+    /// convergence logic is shared unchanged):
+    ///
+    /// 1. In device order, interface-only devices stamp the reduced
+    ///    system and each block replays its boundary stamps from the
+    ///    macromodel serving it (a block's devices are evaluated only
+    ///    when its input misses the cache); then gmin.
+    /// 2. Each block folds `−F·B⁻¹E` and `−F·B⁻¹r_B` into the interface.
+    /// 3. The reduced interface system is factored and solved.
+    /// 4. Each block back-substitutes `x_B = B⁻¹(r_B − E·x_I)`.
+    ///
+    /// Every sum runs in the order the device-by-device assembly used,
+    /// so the result does not depend on what the cache held.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn step(
         &mut self,
@@ -793,61 +1391,76 @@ impl SchurState {
         x: &[f64],
         gmin: f64,
         source_scale: f64,
-        mode: AnalysisMode<'_>,
         sparse_threshold: usize,
-        rhs: &mut [f64],
         x_new: &mut [f64],
         counters: &mut SolveCounters,
     ) -> Result<(), Error> {
         let SchurState {
             plan,
-            values,
+            iface,
             cache,
-            block_slot,
+            served,
             rhs_i,
             x_i,
-            b_tmp,
-            t1,
-            t2,
+            back,
             iface_lu,
             iface_sparse,
+            ..
         } = self;
         let plan = plan.as_ref().expect("partition plan ensured before stage");
-        crate::mna::assemble_partitioned(netlist, plan, values, x, gmin, source_scale, mode, rhs);
         counters.schur_interface_unknowns = plan.ni as u64;
-        let PartitionedValues { iface, block_vals } = values;
-        // Gather the interface right-hand side, then fold each block's
-        // macromodel into matrix and rhs.
-        for (ri, &g) in rhs_i.iter_mut().zip(&plan.iface_globals) {
-            *ri = rhs[g];
-        }
-        for (bi, bp) in plan.blocks.iter().enumerate() {
-            let bl = bp.len;
-            let nb = bp.nb();
-            let boundary = plan.boundary(bp);
-            let vals = &block_vals[bp.val_off..bp.val_off + bp.val_len()];
-            let si = cache.lookup_or_build(vals, bp, b_tmp, t1, t2, counters)?;
-            block_slot[bi] = si;
-            let slot = &cache.slots[si];
-            for p in 0..nb {
-                for q in 0..nb {
-                    iface.add(
-                        boundary[p] as usize,
-                        boundary[q] as usize,
-                        slot.contrib[p * nb + q],
-                    );
+        iface.clear_offsets(&plan.iface_touched);
+        rhs_i.iter_mut().for_each(|v| *v = 0.0);
+        cache.begin_step();
+        for &run in &plan.schedule {
+            match run {
+                Run::Iface { from, to } => crate::mna::assemble_partitioned(
+                    netlist,
+                    plan,
+                    &plan.iface_devices[from as usize..to as usize],
+                    x,
+                    gmin,
+                    source_scale,
+                    iface,
+                    rhs_i,
+                ),
+                Run::Block { block, from, to } => {
+                    let bi = block as usize;
+                    if from == 0 {
+                        served[bi] =
+                            cache.serve(netlist, plan, bi, x, gmin, source_scale, counters)?;
+                    }
+                    let slot = cache.slot(served[bi]);
+                    let boundary = plan.boundary(&plan.blocks[bi]);
+                    let tape = &slot.tape[slot.tape_dev[from as usize] as usize
+                        ..slot.tape_dev[to as usize] as usize];
+                    for e in tape {
+                        let row = boundary[e.p as usize] as usize;
+                        if e.q == TapeEntry::RHS {
+                            rhs_i[row] += e.value;
+                        } else {
+                            iface.add(row, boundary[e.q as usize] as usize, e.value);
+                        }
+                    }
                 }
             }
-            // rhs_I -= F · B⁻¹ rhs_B.
-            slot.lu
-                .solve_into(&rhs[bp.start..bp.start + bl], &mut t2[..bl]);
-            let f = &vals[bl * bl + bl * nb..];
-            for p in 0..nb {
-                let mut acc = 0.0;
-                for k in 0..bl {
-                    acc += f[p * bl + k] * t2[k];
+        }
+        if gmin > 0.0 {
+            for i in 0..plan.iface_nodes {
+                iface.add(i, i, gmin);
+            }
+        }
+        for (bp, &how) in plan.blocks.iter().zip(served.iter()) {
+            let slot = cache.slot(how);
+            let boundary = plan.boundary(bp);
+            let nb = boundary.len();
+            for (p, &row) in boundary.iter().enumerate() {
+                for (q, &col) in boundary.iter().enumerate() {
+                    iface.add(row as usize, col as usize, slot.neg_fbe[p * nb + q]);
                 }
-                rhs_i[boundary[p] as usize] -= acc;
+            }
+            for (&row, &v) in boundary.iter().zip(&slot.fbr) {
+                rhs_i[row as usize] -= v;
             }
         }
         // Factor and solve the reduced interface system through the
@@ -873,25 +1486,23 @@ impl SchurState {
             iface_lu.solve_into(rhs_i, x_i);
         }
         // Scatter the interface solution, then back-substitute each
-        // block: x_B = B⁻¹ (rhs_B − E·x_I).
+        // block: x_B = B⁻¹ (r_B − E·x_I).
         for (&g, &xi) in plan.iface_globals.iter().zip(x_i.iter()) {
             x_new[g] = xi;
         }
-        for (bi, bp) in plan.blocks.iter().enumerate() {
-            let bl = bp.len;
-            let nb = bp.nb();
-            let vals = &block_vals[bp.val_off..bp.val_off + bp.val_len()];
-            let e = &vals[bl * bl..bl * bl + bl * nb];
+        for (bp, &how) in plan.blocks.iter().zip(served.iter()) {
+            let slot = cache.slot(how);
+            let (bl, nb) = (bp.len, bp.nb());
+            let e = &slot.bef[bl * bl..bl * bl + bl * nb];
             for k in 0..bl {
-                let mut t = rhs[bp.start + k];
+                let mut t = slot.r_b[k];
                 for (q, &b) in plan.boundary(bp).iter().enumerate() {
                     t -= e[k * nb + q] * x_i[b as usize];
                 }
-                t1[k] = t;
+                back[k] = t;
             }
-            let slot = &cache.slots[block_slot[bi]];
-            slot.lu.solve_into(&t1[..bl], &mut t2[..bl]);
-            x_new[bp.start..bp.start + bl].copy_from_slice(&t2[..bl]);
+            slot.lu
+                .solve_into(&back[..bl], &mut x_new[bp.start..bp.start + bl]);
         }
         Ok(())
     }
@@ -912,6 +1523,18 @@ mod tests {
         cells: usize,
         active: usize,
     ) -> (Netlist, Vec<(crate::NodeId, crate::NodeId)>, Partition) {
+        latch_chain_with(cells, active, |_| {
+            (MosParams::pmos(1.0e-4, 0.55), MosParams::nmos(2.0e-4, 0.55))
+        })
+    }
+
+    /// As [`latch_chain`], with cell `i`'s (PMOS, NMOS) cards from
+    /// `cards(i)`.
+    fn latch_chain_with(
+        cells: usize,
+        active: usize,
+        cards: impl Fn(usize) -> (MosParams, MosParams),
+    ) -> (Netlist, Vec<(crate::NodeId, crate::NodeId)>, Partition) {
         let mut nl = Netlist::new();
         let supply = nl.node("vdd_supply");
         let rail = nl.node("vdd_rail");
@@ -925,42 +1548,28 @@ mod tests {
             if i >= active {
                 blocks.push((a.index() - 1, 2));
             }
-            nl.mosfet(
-                &format!("MPa{i}"),
-                a,
-                b,
-                rail,
-                MosParams::pmos(1.0e-4, 0.55),
-            )
-            .expect("valid card");
-            nl.mosfet(
-                &format!("MNa{i}"),
-                a,
-                b,
-                Netlist::GND,
-                MosParams::nmos(2.0e-4, 0.55),
-            )
-            .expect("valid card");
-            nl.mosfet(
-                &format!("MPb{i}"),
-                b,
-                a,
-                rail,
-                MosParams::pmos(1.0e-4, 0.55),
-            )
-            .expect("valid card");
-            nl.mosfet(
-                &format!("MNb{i}"),
-                b,
-                a,
-                Netlist::GND,
-                MosParams::nmos(2.0e-4, 0.55),
-            )
-            .expect("valid card");
+            let (pmos, nmos) = cards(i);
+            nl.mosfet(&format!("MPa{i}"), a, b, rail, pmos)
+                .expect("valid card");
+            nl.mosfet(&format!("MNa{i}"), a, b, Netlist::GND, nmos)
+                .expect("valid card");
+            nl.mosfet(&format!("MPb{i}"), b, a, rail, pmos)
+                .expect("valid card");
+            nl.mosfet(&format!("MNb{i}"), b, a, Netlist::GND, nmos)
+                .expect("valid card");
             nodes.push((a, b));
         }
         let partition = Partition::new(nl.num_unknowns(), blocks).expect("valid partition");
         (nl, nodes, partition)
+    }
+
+    /// Asserts two solutions agree per unknown within the Newton
+    /// acceptance bound `vntol + reltol·|x|`.
+    fn assert_within_tolerance(opts: &NewtonOptions, want: &[f64], got: &[f64]) {
+        for (i, (&m, &s)) in want.iter().zip(got).enumerate() {
+            let tol = opts.vntol + opts.reltol * m.abs().max(s.abs());
+            assert!((m - s).abs() <= tol, "unknown {i}: {m} vs {s}");
+        }
     }
 
     fn latch_guess(nl: &Netlist, nodes: &[(crate::NodeId, crate::NodeId)]) -> Vec<f64> {
@@ -1031,13 +1640,7 @@ mod tests {
         let mut schur_scratch = SolveScratch::new();
         let red = solve_array(&nl, &partition, &opts, Some(&guess), &mut schur_scratch)
             .expect("schur solve converges");
-        for (i, (&m, &s)) in mono.raw().iter().zip(red.raw().iter()).enumerate() {
-            let tol = opts.newton.vntol + opts.newton.reltol * m.abs().max(s.abs());
-            assert!(
-                (m - s).abs() <= tol,
-                "unknown {i}: monolithic {m} vs schur {s}"
-            );
-        }
+        assert_within_tolerance(&opts.newton, mono.raw(), red.raw());
         // 10 inactive latches all share one linearization per iterate:
         // almost every block must come from the cache.
         let c = schur_scratch.counters;
@@ -1078,6 +1681,198 @@ mod tests {
             "{c:?}"
         );
         assert!(c.schur_blocks_shared > 0, "{c:?}");
+    }
+
+    #[test]
+    fn different_cards_get_different_templates() {
+        // Odd cells carry a weaker, leakier card: sharing the even
+        // cells' macromodels would solve them with the wrong devices.
+        let (nl, nodes, partition) = latch_chain_with(12, 2, |i| {
+            if i % 2 == 1 {
+                (MosParams::pmos(0.3e-4, 0.35), MosParams::nmos(0.5e-4, 0.30))
+            } else {
+                (MosParams::pmos(1.0e-4, 0.55), MosParams::nmos(2.0e-4, 0.55))
+            }
+        });
+        let plan = PartitionPlan::build(&nl, &partition).expect("valid plan");
+        let mut templates: Vec<u32> = plan.blocks.iter().map(|bp| bp.template).collect();
+        templates.sort_unstable();
+        templates.dedup();
+        assert_eq!(templates, [0, 1]);
+        let guess = latch_guess(&nl, &nodes);
+        let opts = ArraySolveOptions::default();
+        let mono = solve_with_scratch(
+            &nl,
+            &opts.newton,
+            Some(&guess),
+            AnalysisMode::Dc,
+            &mut SolveScratch::new(),
+        )
+        .expect("monolithic solve converges");
+        let red = solve_array(
+            &nl,
+            &partition,
+            &opts,
+            Some(&guess),
+            &mut SolveScratch::new(),
+        )
+        .expect("schur solve converges");
+        assert_within_tolerance(&opts.newton, mono.raw(), red.raw());
+    }
+
+    /// A latch chain with a resistor across every inactive cell, and
+    /// the resistors' parameter handles.
+    fn leaky_latch_chain(
+        cells: usize,
+        ohms: f64,
+    ) -> (
+        Netlist,
+        Vec<(crate::NodeId, crate::NodeId)>,
+        Partition,
+        Vec<crate::netlist::ParamId>,
+    ) {
+        let (mut nl, nodes, partition) = latch_chain(cells, 1);
+        let leaks = nodes[1..]
+            .iter()
+            .enumerate()
+            .map(|(i, &(a, b))| {
+                nl.resistor(&format!("Rleak{i}"), a, b, ohms)
+                    .expect("valid")
+            })
+            .collect();
+        (nl, nodes, partition, leaks)
+    }
+
+    #[test]
+    fn changed_parameters_never_hit_macromodels_of_the_old_values() {
+        let (mut nl, nodes, partition, leaks) = leaky_latch_chain(8, 1.0e6);
+        let guess = latch_guess(&nl, &nodes);
+        let opts = ArraySolveOptions::default();
+        let mut scratch = SolveScratch::new();
+        let before = solve_array(&nl, &partition, &opts, Some(&guess), &mut scratch)
+            .expect("solves")
+            .into_raw();
+        for &r in &leaks {
+            nl.set_param(r, 2.0e4);
+        }
+        // Same scratch, same start: the first iteration's inputs are
+        // exactly those the cache was filled with.
+        let reused = solve_array(&nl, &partition, &opts, Some(&guess), &mut scratch)
+            .expect("re-solves")
+            .into_raw();
+        let fresh = solve_array(
+            &nl,
+            &partition,
+            &opts,
+            Some(&guess),
+            &mut SolveScratch::new(),
+        )
+        .expect("solves fresh")
+        .into_raw();
+        assert_ne!(before, fresh, "the parameter change must move the solution");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&reused), bits(&fresh));
+    }
+
+    #[test]
+    fn a_netlist_with_other_model_cards_never_hits_the_old_macromodels() {
+        // Same structure, same tables, different MOSFET cards: a scratch
+        // reused across the two netlists must not serve the first one's
+        // macromodels to the second.
+        let chain = |vth: f64| {
+            latch_chain_with(8, 1, |_| {
+                (MosParams::pmos(1.0e-4, vth), MosParams::nmos(2.0e-4, vth))
+            })
+        };
+        let (first, nodes, partition) = chain(0.55);
+        let (second, _, _) = chain(0.35);
+        let guess = latch_guess(&first, &nodes);
+        let opts = ArraySolveOptions::default();
+        let mut scratch = SolveScratch::new();
+        solve_array(&first, &partition, &opts, Some(&guess), &mut scratch).expect("solves");
+        let reused = solve_array(&second, &partition, &opts, Some(&guess), &mut scratch)
+            .expect("solves")
+            .into_raw();
+        let fresh = solve_array(
+            &second,
+            &partition,
+            &opts,
+            Some(&guess),
+            &mut SolveScratch::new(),
+        )
+        .expect("solves fresh")
+        .into_raw();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&reused), bits(&fresh));
+    }
+
+    #[test]
+    fn more_distinct_blocks_than_cache_slots_still_solve_exactly() {
+        // Every block has its own resistor handle, hence its own
+        // template: each step serves more distinct keys than the cache
+        // holds, so the overflow blocks take the spill path.
+        let cells = MACRO_CACHE_SLOTS + 8;
+        let (nl, nodes, partition, _) = leaky_latch_chain(cells, 1.0e6);
+        let guess = latch_guess(&nl, &nodes);
+        let opts = ArraySolveOptions::default();
+        let mono = solve_with_scratch(
+            &nl,
+            &opts.newton,
+            Some(&guess),
+            AnalysisMode::Dc,
+            &mut SolveScratch::new(),
+        )
+        .expect("monolithic solve converges");
+        let mut scratch = SolveScratch::new();
+        let red = solve_array(&nl, &partition, &opts, Some(&guess), &mut scratch)
+            .expect("schur solve converges");
+        assert_within_tolerance(&opts.newton, mono.raw(), red.raw());
+        assert!(scratch.schur.cache.spill.len() >= cells - 1 - MACRO_CACHE_SLOTS);
+        let c = scratch.counters;
+        assert_eq!(
+            c.schur_blocks_shared + c.schur_blocks_rebuilt,
+            (red.iterations * partition.num_blocks()) as u64,
+            "{c:?}"
+        );
+    }
+
+    #[test]
+    fn blocks_split_across_device_order_replay_their_stamps_in_place() {
+        // Pull-ups from each inactive cell's `a` node to the rail are
+        // added after every cell, so each block's devices form two runs
+        // in device order, the second one stamping the boundary.
+        let (mut nl, nodes, partition) = latch_chain(8, 2);
+        let rail = nl.find_node("vdd_rail").expect("rail");
+        for (i, &(a, _)) in nodes.iter().enumerate().skip(2) {
+            nl.resistor(&format!("Rpu{i}"), rail, a, 1.0e7)
+                .expect("valid");
+        }
+        let plan = PartitionPlan::build(&nl, &partition).expect("valid plan");
+        let second_runs = plan
+            .schedule
+            .iter()
+            .filter(|run| matches!(run, Run::Block { from, .. } if *from > 0))
+            .count();
+        assert_eq!(second_runs, partition.num_blocks());
+        let guess = latch_guess(&nl, &nodes);
+        let opts = ArraySolveOptions::default();
+        let mono = solve_with_scratch(
+            &nl,
+            &opts.newton,
+            Some(&guess),
+            AnalysisMode::Dc,
+            &mut SolveScratch::new(),
+        )
+        .expect("monolithic solve converges");
+        let red = solve_array(
+            &nl,
+            &partition,
+            &opts,
+            Some(&guess),
+            &mut SolveScratch::new(),
+        )
+        .expect("schur solve converges");
+        assert_within_tolerance(&opts.newton, mono.raw(), red.raw());
     }
 
     /// The partition plan of the old sort-based construction: every

@@ -27,9 +27,11 @@ pub struct SolveCounters {
     /// Chord attempts abandoned for a full refactorization (residual
     /// growth or an ill-conditioned update).
     pub rank1_fallback: u64,
-    /// Schur block macromodels served from the content-addressed cache.
+    /// Schur block lookups served from the macromodel cache: the
+    /// block's inputs hit, or its freshly stamped `[B|E|F]` matched a
+    /// cached factorization.
     pub schur_blocks_shared: u64,
-    /// Schur block macromodels built (factored) fresh.
+    /// Schur block lookups whose `B` was factored fresh.
     pub schur_blocks_rebuilt: u64,
     /// Order of the reduced interface system of the most recent
     /// partitioned solve (assigned, not accumulated — deterministic
@@ -131,7 +133,7 @@ impl SolveScratch {
     /// Sizes every buffer for a *partitioned* solve of `netlist`. The
     /// dense MNA matrix and the monolithic stamp plan are left alone:
     /// the partitioned path assembles into the Schur state's interface
-    /// matrix and block stores, whose partition plan keys its own
+    /// matrix and per-block local systems, whose partition plan keys its own
     /// staleness on the netlist's structural fingerprint. A 4096×64
     /// array therefore never sorts the monolith's stamp offsets nor
     /// allocates its dense matrix. The stamp plan, rank-1 base and

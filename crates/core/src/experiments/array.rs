@@ -116,7 +116,7 @@ pub struct ArrayRetentionRow {
     pub flipped: Vec<(usize, usize)>,
     /// Lumped-rail droop below the supply, volts.
     pub rail_droop: f64,
-    /// Schur macromodels served from the content-addressed cache.
+    /// Schur block lookups served from the macromodel cache.
     pub blocks_shared: u64,
     /// Schur macromodels factored fresh.
     pub blocks_rebuilt: u64,

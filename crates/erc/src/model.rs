@@ -160,7 +160,7 @@ impl CircuitModel {
                             bad_ref,
                         )
                     }
-                    ElementKind::VoltageSource { p, n, source } => {
+                    ElementKind::VoltageSource { p, n, source, .. } => {
                         let (value, bad_ref) = resolve_source(nl, source);
                         (
                             ElementClass::VoltageSource,
@@ -184,10 +184,10 @@ impl CircuitModel {
                         Some(farads),
                         None,
                     ),
-                    ElementKind::Diode { p, n } => {
+                    ElementKind::Diode { p, n, .. } => {
                         (ElementClass::Diode, vec![p.index(), n.index()], None, None)
                     }
-                    ElementKind::Mosfet { d, g, s } => (
+                    ElementKind::Mosfet { d, g, s, .. } => (
                         ElementClass::Mosfet,
                         vec![d.index(), g.index(), s.index()],
                         None,
@@ -198,6 +198,7 @@ impl CircuitModel {
                         n,
                         ctrl_p,
                         ctrl_n,
+                        ..
                     } => (
                         ElementClass::Switch,
                         vec![p.index(), n.index(), ctrl_p.index(), ctrl_n.index()],

@@ -33,6 +33,46 @@ use crate::drv::StoredBit;
 use anasim::newton::Solution;
 use anasim::{Netlist, NodeId, Partition};
 
+/// Retention margin of [`ArrayNetlist::retained`], as a fraction of the
+/// supply: a cell holds its bit when its storage nodes stay separated
+/// in the stored direction by more than `RETENTION_MARGIN_FRACTION ×
+/// supply` (see [`holds_bit`]).
+///
+/// The margin must be far above solver noise and far below a healthy
+/// cell's separation, so that no verdict depends on which solver path
+/// produced the solution:
+///
+/// * **Above solver noise.** Newton accepts an iterate once no node
+///   voltage moves by more than `vntol + reltol·|V|` (1 nV + 2·10⁻⁴·V
+///   with the default options): about 0.22 mV at 1.1 V and 0.10 mV at
+///   0.5 V. Two solver paths can each stop that far from the exact
+///   solution on both storage nodes, so their separations differ by
+///   about four times that at most:
+///   0.9 mV at 1.1 V, 0.4 mV at 0.5 V. At 10 % the margin is 110 mV
+///   and 50 mV, over a hundred times larger. A cell whose bridge
+///   collapsed it to a separation of millivolts or less therefore fails
+///   on every path, even though the sign of that separation is decided
+///   by sub-tolerance noise.
+/// * **Below a healthy cell.** A healthy retention cell holds almost the
+///   full rail across its storage nodes: on the 4096×64 map the
+///   weakest healthy separation is 0.49999918 V at a 0.5 V supply and
+///   1.0999866 V at 1.1 V, ten times the margin. A 1 kΩ S–SB bridge
+///   collapses its cell to below 10⁻¹⁴ V.
+pub const RETENTION_MARGIN_FRACTION: f64 = 0.1;
+
+/// Whether a cell meant to hold `stored` still holds it, given its
+/// storage-node voltages `v_s` and `v_sb` at `supply` volts: the
+/// separation in the stored direction must exceed
+/// [`RETENTION_MARGIN_FRACTION`] of the supply. A separation exactly at
+/// the margin does not retain.
+pub fn holds_bit(stored: StoredBit, v_s: f64, v_sb: f64, supply: f64) -> bool {
+    let separation = match stored {
+        StoredBit::One => v_s - v_sb,
+        StoredBit::Zero => v_sb - v_s,
+    };
+    separation > RETENTION_MARGIN_FRACTION * supply
+}
+
 /// Lumped parasitics of the array's shared nets.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Parasitics {
@@ -371,22 +411,19 @@ impl ArrayNetlist {
     }
 
     /// Grades a solution: `true` per cell (row-major) when the cell
-    /// still holds its intended bit — S and SB separated in the right
-    /// direction by at least 10 % of the supply. The margin makes the
-    /// verdict independent of which solver path produced the solution:
-    /// a bridged cell collapses to |V(S) − V(SB)| of millivolts, where
-    /// the raw sign would be decided by sub-tolerance solver noise.
+    /// still holds its intended bit per [`holds_bit`]. The margin makes
+    /// the verdict independent of which solver path produced the
+    /// solution (see [`RETENTION_MARGIN_FRACTION`]).
     pub fn retained(&self, sol: &Solution) -> Vec<bool> {
-        let margin = 0.1 * self.supply;
         self.cells
             .iter()
             .map(|site| {
-                let vs = sol.voltage(site.s);
-                let vsb = sol.voltage(site.sb);
-                match site.stored {
-                    StoredBit::One => vs - vsb > margin,
-                    StoredBit::Zero => vsb - vs > margin,
-                }
+                holds_bit(
+                    site.stored,
+                    sol.voltage(site.s),
+                    sol.voltage(site.sb),
+                    self.supply,
+                )
             })
             .collect()
     }
@@ -400,6 +437,22 @@ mod tests {
 
     fn base() -> CellInstance {
         CellInstance::symmetric(PvtCondition::nominal())
+    }
+
+    #[test]
+    fn retention_margin_is_exclusive_for_both_bits() {
+        for supply in [0.5, 1.1] {
+            let margin = RETENTION_MARGIN_FRACTION * supply;
+            let above = f64::from_bits(margin.to_bits() + 1);
+            // Bit 1 is held by S above SB, bit 0 by SB above S.
+            assert!(holds_bit(StoredBit::One, above, 0.0, supply));
+            assert!(!holds_bit(StoredBit::One, margin, 0.0, supply));
+            assert!(holds_bit(StoredBit::Zero, 0.0, above, supply));
+            assert!(!holds_bit(StoredBit::Zero, 0.0, margin, supply));
+            // A separation in the wrong direction never retains.
+            assert!(!holds_bit(StoredBit::One, 0.0, supply, supply));
+            assert!(!holds_bit(StoredBit::Zero, supply, 0.0, supply));
+        }
     }
 
     #[test]

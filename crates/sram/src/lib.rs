@@ -41,7 +41,9 @@ pub mod static_power;
 pub mod vtc;
 
 pub use array::{ArrayGeometry, CellArray, CellLocation};
-pub use array_netlist::{ActiveCell, ArrayNetlist, ArraySpec, Parasitics};
+pub use array_netlist::{
+    holds_bit, ActiveCell, ArrayNetlist, ArraySpec, Parasitics, RETENTION_MARGIN_FRACTION,
+};
 pub use cell::{CellDesign, CellInstance, CellTransistor, MismatchPattern};
 pub use drv::{drv_ds, drv_ds_worst, DrvOptions, DrvResult, StoredBit};
 pub use leakage::{ArrayLoad, CellPopulation, KahanSum};

@@ -108,7 +108,8 @@ fn usage() -> ExitCode {
            table1        case-study retention voltages\n\
            table2        minimum defect resistances\n\
            table3        optimized test flow + coverage matrix\n\
-           array         full-array retention map (block-Schur reduction)\n\
+           array         full-array retention map, block-Schur reduction\n\
+         \x20             (64x8 by default, the paper's 4096x64 with --paper)\n\
            march         March algorithm comparison\n\
            power-defects category-1 (power) defect characterization\n\
            ds-time       deep-sleep dwell-time sweep\n\
