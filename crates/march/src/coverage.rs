@@ -1,7 +1,7 @@
 //! Fault-coverage grading of March tests.
 
 use crate::background::DataBackground;
-use crate::engine::{run, run_with_background};
+use crate::engine::detects;
 use crate::fault::{CellRef, Fault};
 use crate::target::SimpleMemory;
 use crate::test::MarchTest;
@@ -35,15 +35,27 @@ impl CoverageReport {
     }
 }
 
-/// Grades `test` against each fault injected alone into a fresh
-/// `words × word_bits` memory.
+/// Grades `test` against each fault injected alone into a
+/// `words × word_bits` memory at its power-on state.
 pub fn grade(test: &MarchTest, words: usize, word_bits: usize, faults: &[Fault]) -> CoverageReport {
+    grade_with_backgrounds(test, words, word_bits, faults, &[DataBackground::Solid])
+}
+
+/// Grades `test` repeated once per background in `backgrounds`; a
+/// fault counts as detected when *any* pass catches it (the
+/// word-oriented production flow).
+pub fn grade_with_backgrounds(
+    test: &MarchTest,
+    words: usize,
+    word_bits: usize,
+    faults: &[Fault],
+    backgrounds: &[DataBackground],
+) -> CoverageReport {
+    let mut memory = SimpleMemory::new(words, word_bits);
     let mut detected = 0;
     let mut escapes = Vec::new();
     for fault in faults {
-        let mut memory = SimpleMemory::new(words, word_bits);
-        memory.inject(fault.clone());
-        if run(test, &mut memory).detected() {
+        if detects_alone(test, &mut memory, fault, backgrounds) {
             detected += 1;
         } else {
             escapes.push(fault.clone());
@@ -57,36 +69,21 @@ pub fn grade(test: &MarchTest, words: usize, word_bits: usize, faults: &[Fault])
     }
 }
 
-/// Grades `test` repeated once per background in `backgrounds`; a
-/// fault counts as detected when *any* pass catches it (the
-/// word-oriented production flow).
-pub fn grade_with_backgrounds(
+/// Whether any pass of `test`, one per background in `backgrounds`,
+/// detects `fault` injected alone into `memory`. Each pass starts from
+/// the power-on state ([`SimpleMemory::reset`]), so one memory grades a
+/// whole fault list exactly as a fresh memory per pass would.
+pub fn detects_alone(
     test: &MarchTest,
-    words: usize,
-    word_bits: usize,
-    faults: &[Fault],
+    memory: &mut SimpleMemory,
+    fault: &Fault,
     backgrounds: &[DataBackground],
-) -> CoverageReport {
-    let mut detected = 0;
-    let mut escapes = Vec::new();
-    for fault in faults {
-        let caught = backgrounds.iter().any(|&bg| {
-            let mut memory = SimpleMemory::new(words, word_bits);
-            memory.inject(fault.clone());
-            run_with_background(test, &mut memory, bg).detected()
-        });
-        if caught {
-            detected += 1;
-        } else {
-            escapes.push(fault.clone());
-        }
-    }
-    CoverageReport {
-        test_name: test.name().to_string(),
-        detected,
-        total: faults.len(),
-        escapes,
-    }
+) -> bool {
+    backgrounds.iter().any(|&bg| {
+        memory.reset();
+        memory.inject(fault.clone());
+        detects(test, memory, bg)
+    })
 }
 
 /// A standard fault list over a small memory: every SAF/TF/DRF on a

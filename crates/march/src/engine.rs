@@ -1,6 +1,8 @@
 //! The March test engine: applies a test to a target and records
 //! miscompares.
 
+use std::ops::ControlFlow;
+
 use crate::background::DataBackground;
 use crate::element::MarchElement;
 use crate::op::Op;
@@ -63,7 +65,7 @@ impl TestOutcome {
 /// assert!(!outcome.detected()); // clean memory passes
 /// assert_eq!(outcome.operations(), 5 * 16 + 4);
 /// ```
-pub fn run(test: &MarchTest, target: &mut dyn TestTarget) -> TestOutcome {
+pub fn run<T: TestTarget + ?Sized>(test: &MarchTest, target: &mut T) -> TestOutcome {
     run_with_background(test, target, DataBackground::Solid)
 }
 
@@ -71,46 +73,103 @@ pub fn run(test: &MarchTest, target: &mut dyn TestTarget) -> TestOutcome {
 /// background pattern of the address, `w0` its complement, and reads
 /// expect accordingly. Word-oriented coverage of intra-word coupling
 /// depends on this choice.
-pub fn run_with_background(
+pub fn run_with_background<T: TestTarget + ?Sized>(
     test: &MarchTest,
-    target: &mut dyn TestTarget,
+    target: &mut T,
     background: DataBackground,
 ) -> TestOutcome {
+    let mut failures = Vec::new();
+    let tally = walk(test, target, background, |failure| {
+        failures.push(failure);
+        ControlFlow::Continue(())
+    });
+    TestOutcome {
+        failures,
+        reads: tally.reads,
+        writes: tally.writes,
+        ds_entries: tally.ds_entries,
+    }
+}
+
+/// Whether `test` under `background` flags `target` as faulty. Stops
+/// at the first miscompare, so it executes only the operations the
+/// verdict needs; the verdict always equals
+/// `run_with_background(..).detected()` on the same starting state.
+///
+/// ```
+/// use march::{engine, library, DataBackground, SimpleMemory};
+/// use march::fault::{CellRef, Fault};
+/// let mut memory = SimpleMemory::new(16, 8);
+/// memory.inject(Fault::retention_loss(CellRef { addr: 3, bit: 1 }, true));
+/// assert!(engine::detects(&library::march_mlz(1e-3), &mut memory, DataBackground::Solid));
+/// ```
+pub fn detects<T: TestTarget + ?Sized>(
+    test: &MarchTest,
+    target: &mut T,
+    background: DataBackground,
+) -> bool {
+    let mut detected = false;
+    walk(test, target, background, |_| {
+        detected = true;
+        ControlFlow::Break(())
+    });
+    detected
+}
+
+/// Operations one walk executed.
+struct Tally {
+    reads: usize,
+    writes: usize,
+    ds_entries: usize,
+}
+
+/// Applies `test` to `target`, handing every miscompare to
+/// `on_miscompare` and stopping as soon as it breaks. Counts the reads
+/// and writes actually executed into `march.ops`.
+fn walk<T: TestTarget + ?Sized>(
+    test: &MarchTest,
+    target: &mut T,
+    background: DataBackground,
+    mut on_miscompare: impl FnMut(FailureRecord) -> ControlFlow<()>,
+) -> Tally {
     let words = target.word_count();
     let bits = target.word_bits();
     let ones = target.ones();
-    let _ = ones;
-    let mut failures = Vec::new();
-    let mut reads = 0usize;
-    let mut writes = 0usize;
-    let mut ds_entries = 0usize;
-    for (idx, element) in test.elements().iter().enumerate() {
+    let mut tally = Tally {
+        reads: 0,
+        writes: 0,
+        ds_entries: 0,
+    };
+    'test: for (idx, element) in test.elements().iter().enumerate() {
         match element {
             MarchElement::Sweep { order, ops } => {
                 for addr in order.addresses(words) {
                     let pattern = background.pattern(addr, bits);
-                    let inverse = !pattern & target.ones();
+                    let inverse = !pattern & ones;
                     for &op in ops {
                         match op {
                             Op::W0 => {
                                 target.write(addr, inverse);
-                                writes += 1;
+                                tally.writes += 1;
                             }
                             Op::W1 => {
                                 target.write(addr, pattern);
-                                writes += 1;
+                                tally.writes += 1;
                             }
                             Op::R0 | Op::R1 => {
                                 let expected = if op == Op::R1 { pattern } else { inverse };
                                 let observed = target.read(addr);
-                                reads += 1;
+                                tally.reads += 1;
                                 if observed != expected {
-                                    failures.push(FailureRecord {
+                                    let failure = FailureRecord {
                                         element: idx,
                                         addr,
                                         expected,
                                         observed,
-                                    });
+                                    };
+                                    if on_miscompare(failure).is_break() {
+                                        break 'test;
+                                    }
                                 }
                             }
                         }
@@ -119,18 +178,13 @@ pub fn run_with_background(
             }
             MarchElement::DeepSleep { dwell } => {
                 target.deep_sleep(*dwell);
-                ds_entries += 1;
+                tally.ds_entries += 1;
             }
             MarchElement::WakeUp => target.wake_up(),
         }
     }
-    obs::counter_add("march.ops", (reads + writes) as u64);
-    TestOutcome {
-        failures,
-        reads,
-        writes,
-        ds_entries,
-    }
+    obs::counter_add("march.ops", (tally.reads + tally.writes) as u64);
+    tally
 }
 
 #[cfg(test)]

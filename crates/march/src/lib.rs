@@ -37,7 +37,7 @@ pub mod test;
 pub use background::DataBackground;
 pub use coverage::{grade, grade_with_backgrounds, CoverageReport};
 pub use element::MarchElement;
-pub use engine::{run, run_with_background, FailureRecord, TestOutcome};
+pub use engine::{detects, run, run_with_background, FailureRecord, TestOutcome};
 pub use fault::{CellRef, Fault, FaultKind, FaultPrimitive};
 pub use op::{AddressOrder, Op};
 pub use target::{SimpleMemory, TestTarget};

@@ -57,11 +57,9 @@ pub enum AddressOrder {
 
 impl AddressOrder {
     /// The addresses of a memory with `words` words, in this order.
-    pub fn addresses(self, words: usize) -> Box<dyn Iterator<Item = usize>> {
-        match self {
-            AddressOrder::Up | AddressOrder::Any => Box::new(0..words),
-            AddressOrder::Down => Box::new((0..words).rev()),
-        }
+    pub fn addresses(self, words: usize) -> impl Iterator<Item = usize> {
+        let down = self == AddressOrder::Down;
+        (0..words).map(move |i| if down { words - 1 - i } else { i })
     }
 }
 

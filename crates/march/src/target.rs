@@ -74,7 +74,8 @@ impl SimpleMemory {
     ///
     /// # Panics
     ///
-    /// Panics if the fault references cells outside the memory.
+    /// Panics if the fault references cells or words outside the
+    /// memory.
     pub fn inject(&mut self, fault: Fault) {
         let check = |c: &CellRef| {
             assert!(c.addr < self.words, "fault address out of range");
@@ -84,7 +85,19 @@ impl SimpleMemory {
         if let Some(aggr) = fault.kind.aggressor() {
             check(&aggr);
         }
+        if let FaultKind::AddressAlias { aliases_to } = fault.kind {
+            assert!(aliases_to < self.words, "fault address out of range");
+        }
         self.faults.push(fault);
+    }
+
+    /// Returns the memory to its power-on state — every word zero, no
+    /// fault injected, no wake-up latch armed — keeping its buffers, so
+    /// one memory can grade a whole fault list without reallocating.
+    pub fn reset(&mut self) {
+        self.data.fill(0);
+        self.faults.clear();
+        self.wakeup_armed.clear();
     }
 
     /// The injected faults.
@@ -104,17 +117,17 @@ impl SimpleMemory {
         }
         addr
     }
+}
 
-    fn bit(&self, c: CellRef) -> bool {
-        (self.data[c.addr] >> c.bit) & 1 == 1
-    }
+fn bit(data: &[u64], c: CellRef) -> bool {
+    (data[c.addr] >> c.bit) & 1 == 1
+}
 
-    fn set_bit(&mut self, c: CellRef, v: bool) {
-        if v {
-            self.data[c.addr] |= 1 << c.bit;
-        } else {
-            self.data[c.addr] &= !(1 << c.bit);
-        }
+fn set_bit(data: &mut [u64], c: CellRef, v: bool) {
+    if v {
+        data[c.addr] |= 1 << c.bit;
+    } else {
+        data[c.addr] &= !(1 << c.bit);
     }
 }
 
@@ -130,41 +143,36 @@ impl TestTarget for SimpleMemory {
     fn write(&mut self, addr: usize, value: u64) {
         assert!(addr < self.words, "address out of range");
         let addr = self.decode(addr);
-        let mask = self.ones();
-        let old = self.data[addr];
-        let new = value & mask;
+        let new = value & self.ones();
+        let SimpleMemory {
+            data,
+            faults,
+            wakeup_armed,
+            ..
+        } = self;
+        let old = data[addr];
+        data[addr] = new;
 
         // Coupling faults fire on aggressor transitions caused by this
         // write; effects land on the victim (possibly in another word)
         // *after* the write of the aggressor word, in injection order.
-        let coupled: Vec<(CellRef, FaultKind, bool, bool)> = self
-            .faults
-            .iter()
-            .filter_map(|f| {
-                let aggr = f.kind.aggressor()?;
-                if aggr.addr != addr {
-                    return None;
-                }
-                let was = (old >> aggr.bit) & 1 == 1;
-                let now = (new >> aggr.bit) & 1 == 1;
-                if was == now {
-                    return None;
-                }
-                Some((f.victim, f.kind.clone(), was, now))
-            })
-            .collect();
-
-        self.data[addr] = new;
-
-        for (victim, kind, _was, now) in coupled {
-            match kind {
+        for f in faults.iter() {
+            let Some(aggr) = f.kind.aggressor().filter(|a| a.addr == addr) else {
+                continue;
+            };
+            let was = (old >> aggr.bit) & 1 == 1;
+            let now = (new >> aggr.bit) & 1 == 1;
+            if was == now {
+                continue;
+            }
+            match f.kind {
                 FaultKind::CouplingInversion { .. } => {
-                    let v = self.bit(victim);
-                    self.set_bit(victim, !v);
+                    let v = bit(data, f.victim);
+                    set_bit(data, f.victim, !v);
                 }
                 FaultKind::CouplingIdempotent { rising, forces, .. } => {
                     if now == rising {
-                        self.set_bit(victim, forces);
+                        set_bit(data, f.victim, forces);
                     }
                 }
                 // CFst is level- not edge-triggered; handled after the
@@ -175,43 +183,41 @@ impl TestTarget for SimpleMemory {
         }
 
         // Per-victim write semantics in this word.
-        for i in 0..self.faults.len() {
-            let f = self.faults[i].clone();
+        for f in faults.iter() {
             if f.victim.addr != addr {
                 continue;
             }
             match f.kind {
-                FaultKind::StuckAt(v) => self.set_bit(f.victim, v),
+                FaultKind::StuckAt(v) => set_bit(data, f.victim, v),
                 FaultKind::TransitionFault { rising } => {
                     let was = (old >> f.victim.bit) & 1 == 1;
                     let want = (new >> f.victim.bit) & 1 == 1;
                     if was != want && want == rising {
                         // The failing transition does not happen.
-                        self.set_bit(f.victim, was);
+                        set_bit(data, f.victim, was);
                     }
                 }
                 _ => {}
             }
         }
         // Pending wake-up faults: the first write after WUP is lost.
-        if let Some(pos) = self.wakeup_armed.iter().position(|c| c.addr == addr) {
-            let victim = self.wakeup_armed.remove(pos);
+        if let Some(pos) = wakeup_armed.iter().position(|c| c.addr == addr) {
+            let victim = wakeup_armed.remove(pos);
             let was = (old >> victim.bit) & 1 == 1;
-            self.set_bit(victim, was);
+            set_bit(data, victim, was);
         }
         // State coupling: enforce every CFst whose aggressor currently
         // holds its activating state (on any write — the model of a
         // continuous disturbance).
-        for i in 0..self.faults.len() {
-            let f = self.faults[i].clone();
+        for f in faults.iter() {
             if let FaultKind::CouplingState {
                 aggressor,
                 when,
                 forces,
             } = f.kind
             {
-                if self.bit(aggressor) == when {
-                    self.set_bit(f.victim, forces);
+                if bit(data, aggressor) == when {
+                    set_bit(data, f.victim, forces);
                 }
             }
         }
@@ -236,23 +242,23 @@ impl TestTarget for SimpleMemory {
     }
 
     fn deep_sleep(&mut self, _dwell: f64) {
-        for i in 0..self.faults.len() {
-            let f = self.faults[i].clone();
+        for f in &self.faults {
             if let FaultKind::RetentionLoss { weak } = f.kind {
-                if self.bit(f.victim) == weak {
-                    self.set_bit(f.victim, !weak);
+                if bit(&self.data, f.victim) == weak {
+                    set_bit(&mut self.data, f.victim, !weak);
                 }
             }
         }
     }
 
     fn wake_up(&mut self) {
-        self.wakeup_armed = self
-            .faults
-            .iter()
-            .filter(|f| matches!(f.kind, FaultKind::WakeUpWriteFault))
-            .map(|f| f.victim)
-            .collect();
+        self.wakeup_armed.clear();
+        self.wakeup_armed.extend(
+            self.faults
+                .iter()
+                .filter(|f| matches!(f.kind, FaultKind::WakeUpWriteFault))
+                .map(|f| f.victim),
+        );
     }
 }
 
@@ -371,6 +377,53 @@ mod tests {
     fn fault_bounds_checked() {
         let mut m = SimpleMemory::new(4, 8);
         m.inject(Fault::stuck_at(CellRef { addr: 4, bit: 0 }, true));
+    }
+
+    #[test]
+    #[should_panic(expected = "fault address out of range")]
+    fn alias_target_bounds_checked() {
+        let mut m = SimpleMemory::new(8, 8);
+        m.inject(Fault::address_alias(3, 99));
+    }
+
+    #[test]
+    fn couplings_on_one_aggressor_apply_in_injection_order() {
+        // One rising aggressor write fires both faults on the same
+        // victim: CFid↑ forcing 1 then CFin ends at 0, the reverse
+        // order at 1.
+        let aggr = CellRef { addr: 0, bit: 0 };
+        let vict = CellRef { addr: 1, bit: 2 };
+        let cfid = Fault::coupling_idempotent(aggr, vict, true, true);
+        let cfin = Fault::coupling_inversion(aggr, vict);
+        for (faults, victim_after) in [([cfid.clone(), cfin.clone()], 0), ([cfin, cfid], 1)] {
+            let mut m = SimpleMemory::new(4, 8);
+            for f in faults {
+                m.inject(f);
+            }
+            m.write(1, 0x00);
+            m.write(0, 0x01);
+            assert_eq!(m.read(1), victim_after << 2);
+        }
+    }
+
+    #[test]
+    fn reset_restores_the_power_on_state() {
+        let mut m = SimpleMemory::new(4, 8);
+        m.inject(Fault::wake_up_write(CellRef { addr: 1, bit: 0 }));
+        m.inject(Fault::stuck_at(CellRef { addr: 2, bit: 3 }, true));
+        m.write(0, 0xFF);
+        m.deep_sleep(1e-3);
+        m.wake_up(); // arms the latch on word 1
+        m.reset();
+        assert!(m.faults().is_empty());
+        for addr in 0..4 {
+            assert_eq!(m.read(addr), 0, "word {addr} after reset");
+        }
+        // The latch is disarmed: with the fault back in but no wake-up
+        // since the reset, the first write lands.
+        m.inject(Fault::wake_up_write(CellRef { addr: 1, bit: 0 }));
+        m.write(1, 0x01);
+        assert_eq!(m.read(1), 0x01);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub fn separable(i: usize, j: usize) -> bool {
 
 /// A symbolic fault class: one verdict per (test, class) covers every
 /// concrete placement of the class's faults.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum FaultClass {
     /// Stuck-at fault.
     StuckAt {

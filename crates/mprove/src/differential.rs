@@ -16,14 +16,17 @@
 //!   verdict claims all N addresses and W bits at once, and this
 //!   harness calls the bluff address by address.
 
+use std::collections::HashMap;
+
 use march::background::DataBackground;
 use march::coverage;
 use march::fault::{CellRef, Fault, FaultKind};
+use march::target::SimpleMemory;
 use march::test::MarchTest;
 
 use crate::class::FaultClass;
 use crate::prove;
-use crate::verdict::{ClaimsMatrix, Verdict};
+use crate::verdict::{Claim, ClaimsMatrix, Verdict};
 
 /// Every concrete fault the fault model admits on a `words × bits`
 /// memory: all single-cell faults per cell, all coupling faults per
@@ -78,21 +81,8 @@ pub fn enumerate_faults(words: usize, bits: usize) -> Vec<Fault> {
     out
 }
 
-fn detects_solid(test: &MarchTest, words: usize, bits: usize, fault: &Fault) -> bool {
-    coverage::grade(test, words, bits, std::slice::from_ref(fault)).detected == 1
-}
-
-fn detects_family(test: &MarchTest, words: usize, bits: usize, fault: &Fault) -> bool {
-    coverage::grade_with_backgrounds(
-        test,
-        words,
-        bits,
-        std::slice::from_ref(fault),
-        &DataBackground::ALL,
-    )
-    .detected
-        == 1
-}
+/// The background passes a solid claim is graded under.
+const SOLID: &[DataBackground] = &[DataBackground::Solid];
 
 /// Replays every claim in the matrix through the simulator: canonical
 /// instances of Detected claims must fail in simulation with the
@@ -113,10 +103,13 @@ pub fn check_replays(matrix: &ClaimsMatrix, tests: &[MarchTest]) -> Vec<String> 
         for (scope, verdict) in scopes {
             match verdict {
                 Verdict::Detected { witness, .. } => {
-                    let detected = match scope {
-                        "solid" => detects_solid(test, inst.words, inst.bits, &inst.fault),
-                        _ => detects_family(test, inst.words, inst.bits, &inst.fault),
+                    let backgrounds = match scope {
+                        "solid" => SOLID,
+                        _ => &DataBackground::ALL,
                     };
+                    let mut memory = SimpleMemory::new(inst.words, inst.bits);
+                    let detected =
+                        coverage::detects_alone(test, &mut memory, &inst.fault, backgrounds);
                     if !detected {
                         problems.push(format!(
                             "{} / {} ({scope}): Proven-Detected but the simulator misses {}",
@@ -154,6 +147,10 @@ pub fn check_replays(matrix: &ClaimsMatrix, tests: &[MarchTest]) -> Vec<String> 
 /// the fault's class — solid claims against the solid background,
 /// family claims (intra-word coupling) against the full background
 /// family. Returns one problem string per mismatch.
+///
+/// Every fault runs through one reused memory (reset to power-on
+/// before each pass) and stops at its first miscompare; each class's
+/// claim is looked up once per call.
 pub fn exhaustive(
     test: &MarchTest,
     matrix: &ClaimsMatrix,
@@ -161,11 +158,16 @@ pub fn exhaustive(
     bits: usize,
 ) -> Vec<String> {
     let mut problems = Vec::new();
+    let mut memory = SimpleMemory::new(words, bits);
+    let mut claims: HashMap<FaultClass, Option<&Claim>> = HashMap::new();
     for fault in enumerate_faults(words, bits) {
         let Some(class) = FaultClass::classify(&fault) else {
             continue;
         };
-        let Some(claim) = matrix.claim(test.name(), &class.code()) else {
+        let claim = *claims
+            .entry(class.clone())
+            .or_insert_with(|| matrix.claim(test.name(), &class.code()));
+        let Some(claim) = claim else {
             problems.push(format!(
                 "{} / {}: {} has no claim in the matrix",
                 test.name(),
@@ -175,7 +177,7 @@ pub fn exhaustive(
             continue;
         };
         if !matches!(claim.solid, Verdict::Unknown { .. }) {
-            let simulated = detects_solid(test, words, bits, &fault);
+            let simulated = coverage::detects_alone(test, &mut memory, &fault, SOLID);
             if simulated != claim.solid.is_detected() {
                 problems.push(format!(
                     "{} / {}: solid simulation of {} says {} but the prover says {}",
@@ -206,7 +208,8 @@ pub fn exhaustive(
                 bits,
             );
             if let Some(predicted) = predicted {
-                let simulated = detects_family(test, words, bits, &fault);
+                let simulated =
+                    coverage::detects_alone(test, &mut memory, &fault, &DataBackground::ALL);
                 if simulated != predicted {
                     problems.push(format!(
                         "{} / {}: family simulation of {} says {} but the prover predicts {}",

@@ -2,6 +2,7 @@
 //! spots, agrees with the paper's claim table, and survives replay
 //! and a small exhaustive differential against the simulator.
 
+use march::{engine, CellRef, DataBackground, Fault, SimpleMemory};
 use mprove::{check_paper_claims, differential, prove_library, CleanVerdict};
 
 const DWELL: f64 = 1.0e-3;
@@ -66,6 +67,43 @@ fn exhaustive_differential_on_small_geometries() {
                 bits,
                 problems.join("\n")
             );
+        }
+    }
+}
+
+#[test]
+fn first_miscompare_on_a_reused_memory_matches_full_runs() {
+    // The exhaustive grader stops at the first miscompare and reuses
+    // one memory across the fault list. Both shortcuts must leave every
+    // verdict as a full run on a fresh memory gives it. Before each
+    // fault, the reused memory runs March m-LZ in full over a wake-up
+    // fault, which leaves the latch armed by the final WUP and the
+    // words holding the background: if a reset kept either, the next
+    // pass would start from the wrong state.
+    let (words, bits) = (4, 4);
+    let faults = differential::enumerate_faults(words, bits);
+    let wake_up = Fault::wake_up_write(CellRef { addr: 0, bit: 0 });
+    let mlz = march::library::march_mlz(DWELL);
+    let mut reused = SimpleMemory::new(words, bits);
+    for test in march::library::all(DWELL) {
+        for background in DataBackground::ALL {
+            for fault in &faults {
+                reused.reset();
+                reused.inject(wake_up.clone());
+                engine::run_with_background(&mlz, &mut reused, background);
+                reused.reset();
+                reused.inject(fault.clone());
+                let first_miscompare = engine::detects(&test, &mut reused, background);
+                let mut fresh = SimpleMemory::new(words, bits);
+                fresh.inject(fault.clone());
+                let full = engine::run_with_background(&test, &mut fresh, background).detected();
+                assert_eq!(
+                    first_miscompare,
+                    full,
+                    "{} / {background}: {fault}",
+                    test.name()
+                );
+            }
         }
     }
 }

@@ -299,10 +299,14 @@ fn with_local(f: impl FnOnce(&mut LocalBuf)) -> bool {
         .is_ok()
 }
 
-/// Adds `delta` to the named global counter (buffered).
+/// Adds `delta` to the named global counter (buffered). Allocates the
+/// key only on its first use since the last flush.
 pub fn counter_add(name: &str, delta: u64) {
-    let done = with_local(|buf| {
-        *buf.counters.entry(name.to_string()).or_insert(0) += delta;
+    let done = with_local(|buf| match buf.counters.get_mut(name) {
+        Some(count) => *count += delta,
+        None => {
+            buf.counters.insert(name.to_string(), delta);
+        }
     });
     if !done {
         global().counter_add(name, delta);
