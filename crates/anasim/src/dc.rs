@@ -52,14 +52,6 @@ impl DcAnalysis {
         self
     }
 
-    /// Enables or disables the rank-1/chord fast path (builder style).
-    /// See [`NewtonOptions::rank1`] for the accuracy contract.
-    #[must_use]
-    pub fn with_rank1(mut self, rank1: bool) -> Self {
-        self.options.rank1 = rank1;
-        self
-    }
-
     /// The solver options in use.
     pub fn options(&self) -> &NewtonOptions {
         &self.options

@@ -17,9 +17,7 @@
 //! five-transistor error amplifier) have at most a few tens of nodes, where
 //! a dense factorization is the right tool. For full-array simulations the
 //! solver switches automatically to a sparse LU backend ([`sparse`]) above
-//! [`sparse::SPARSE_THRESHOLD`] unknowns, and chained defect bisections
-//! reuse factorizations through a rank-1 update path and a memcmp-verified
-//! factorization cache (enabled via [`NewtonOptions`]).
+//! [`sparse::SPARSE_THRESHOLD`] unknowns.
 //!
 //! # Example
 //!
@@ -46,13 +44,11 @@ pub mod complex;
 pub mod dc;
 pub mod devices;
 pub mod error;
-mod factor_cache;
 pub mod matrix;
 pub mod mna;
 mod names;
 pub mod netlist;
 pub mod newton;
-mod rank1;
 pub mod schur;
 pub mod scratch;
 pub mod sparse;

@@ -125,13 +125,6 @@ impl DenseMatrix {
         self.data[offset]
     }
 
-    /// The raw row-major entries — the byte-level view the
-    /// factorization cache hashes and memcmp-verifies against.
-    #[inline]
-    pub(crate) fn raw_data(&self) -> &[f64] {
-        &self.data
-    }
-
     /// Computes `self * x`.
     ///
     /// # Panics
@@ -314,25 +307,15 @@ impl LuWorkspace {
         self.lu.n
     }
 
-    /// Copies the held factors out — the factorization cache's
-    /// store-on-miss path. The destination buffers are cleared and
-    /// refilled so a retained cache slot reuses its allocations.
-    pub(crate) fn export_factors(&self, lu: &mut Vec<f64>, perm: &mut Vec<usize>) {
-        lu.clear();
-        lu.extend_from_slice(&self.lu.data);
-        perm.clear();
-        perm.extend_from_slice(&self.perm);
-    }
-
     /// Copies another workspace's factors into this one, reusing this
     /// workspace's buffers.
     pub(crate) fn copy_from(&mut self, src: &LuWorkspace) {
         self.import_factors(src.lu.n, &src.lu.data, &src.perm);
     }
 
-    /// Installs previously exported factors — the cache's hit path.
-    /// Bit-identical to refactoring the same matrix, because the
-    /// stored bytes *are* that factorization.
+    /// Installs factors held elsewhere, reusing this workspace's
+    /// buffers. Bit-identical to refactoring the same matrix, because
+    /// the copied bytes *are* that factorization.
     pub(crate) fn import_factors(&mut self, n: usize, lu: &[f64], perm: &[usize]) {
         debug_assert_eq!(lu.len(), n * n);
         debug_assert_eq!(perm.len(), n);
@@ -481,11 +464,8 @@ mod tests {
         let a = DenseMatrix::from_rows(3, &[0.0, 1.0, 2.0, 1.0, 0.0, 1.0, 2.0, 1.0, 0.0]);
         let mut ws = LuWorkspace::new();
         ws.factor_from(&a).unwrap();
-        let mut lu = Vec::new();
-        let mut perm = Vec::new();
-        ws.export_factors(&mut lu, &mut perm);
         let mut ws2 = LuWorkspace::new();
-        ws2.import_factors(3, &lu, &perm);
+        ws2.copy_from(&ws);
         let b = [5.0, 2.0, 1.0];
         let mut x1 = vec![0.0; 3];
         let mut x2 = vec![0.0; 3];

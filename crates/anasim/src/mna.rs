@@ -259,12 +259,6 @@ pub struct StampPlan {
     touched: Vec<usize>,
     /// Flat offsets of the node diagonals receiving gmin.
     gmin_diags: Vec<usize>,
-    /// For every linear resistor: its parameter-table index and the
-    /// unknown indices of its two terminals (`None` for ground). This
-    /// is the structural side of the Sherman–Morrison fast path: a
-    /// changed resistor parameter maps to a symmetric rank-1
-    /// conductance perturbation `Δg·(e_p−e_n)(e_p−e_n)ᵀ`.
-    resistor_params: Vec<(usize, Option<usize>, Option<usize>)>,
 }
 
 /// FNV-1a fold step used by the structural fingerprint (and by the
@@ -368,12 +362,6 @@ impl StampPlan {
         touched.extend_from_slice(&gmin_diags);
         touched.sort_unstable();
         touched.dedup();
-        let mut resistor_params = Vec::new();
-        for (device, _) in netlist.devices_with_offsets() {
-            if let ElementKind::Resistor { p, n, resistance } = device.kind() {
-                resistor_params.push((resistance.index(), p.unknown_index(), n.unknown_index()));
-            }
-        }
         StampPlan {
             num_nodes: netlist.num_nodes(),
             num_devices: netlist.num_devices(),
@@ -381,7 +369,6 @@ impl StampPlan {
             fingerprint: structural_fingerprint(netlist),
             touched,
             gmin_diags,
-            resistor_params,
         }
     }
 
@@ -403,8 +390,7 @@ impl StampPlan {
 
     /// The structural FNV fingerprint (kinds, terminals, branch
     /// layout). Two netlists differing only in element *values* share
-    /// it — which is exactly why the factorization cache pairs it with
-    /// [`StampPlan::value_fingerprint`].
+    /// it.
     pub fn structural_fp(&self) -> u64 {
         self.fingerprint
     }
@@ -413,56 +399,6 @@ impl StampPlan {
     /// can write — the sparsity pattern of the assembled system.
     pub(crate) fn touched_offsets(&self) -> &[usize] {
         &self.touched
-    }
-
-    /// Per-resistor `(param index, p unknown, n unknown)` map; see the
-    /// field docs.
-    pub(crate) fn resistor_params(&self) -> &[(usize, Option<usize>, Option<usize>)] {
-        &self.resistor_params
-    }
-
-    /// A value-sensitive fingerprint of an assembled matrix: FNV-1a
-    /// over the exact bit patterns of every entry the plan can touch,
-    /// seeded with the order and the structural fingerprint. Two
-    /// assemblies that differ in any touched entry — e.g. the same
-    /// topology at two defect resistances — hash differently (up to
-    /// FNV collisions, which the factorization cache neutralizes with
-    /// a full memcmp on the stored matrix before trusting a hit).
-    pub fn value_fingerprint(&self, matrix: &DenseMatrix) -> u64 {
-        let mut h = fnv(0xcbf2_9ce4_8422_2325u64, matrix.order() as u64);
-        h = fnv(h, self.fingerprint);
-        for &k in &self.touched {
-            h = fnv(h, matrix.get_at_offset(k).to_bits());
-        }
-        h
-    }
-
-    /// Computes the Newton residual `F(x) = A·x − rhs` through the
-    /// plan's touched entries only — O(nnz) instead of the dense
-    /// O(n²) matvec. For the assembled MNA system `A x_new = A x −
-    /// F(x)`, this *is* the device-current KCL residual at `x`, which
-    /// is what makes the chord/rank-1 iteration terminate at the same
-    /// operating point as full Newton regardless of which Jacobian
-    /// approximation solved each step.
-    pub(crate) fn residual_into(
-        &self,
-        matrix: &DenseMatrix,
-        x: &[f64],
-        rhs: &[f64],
-        out: &mut [f64],
-    ) {
-        let n = x.len();
-        debug_assert_eq!(matrix.order(), n);
-        debug_assert_eq!(rhs.len(), n);
-        debug_assert_eq!(out.len(), n);
-        for (o, &r) in out.iter_mut().zip(rhs) {
-            *o = -r;
-        }
-        for &k in &self.touched {
-            let row = k / n;
-            let col = k % n;
-            out[row] += matrix.get_at_offset(k) * x[col];
-        }
     }
 }
 
@@ -777,73 +713,6 @@ mod tests {
         let b = nl.node("b");
         nl.resistor("R2", a, b, 1.0e3).unwrap();
         assert!(!plan.matches(&nl));
-    }
-
-    #[test]
-    fn value_fingerprint_separates_structurally_identical_netlists() {
-        // Regression for the factorization-cache key: two netlists
-        // differing only in a resistance collide on the structural
-        // fingerprint (values are invisible to it) but must separate
-        // on the value fingerprint of their assembled matrices.
-        let build = |ohms: f64| {
-            let mut nl = Netlist::new();
-            let a = nl.node("a");
-            let b = nl.node("b");
-            nl.vsource("V1", a, Netlist::GND, 1.0);
-            nl.resistor("R1", a, b, ohms).unwrap();
-            nl.resistor("R2", b, Netlist::GND, 1.0e3).unwrap();
-            nl
-        };
-        let nl1 = build(1.0e3);
-        let nl2 = build(2.0e3);
-        let plan1 = StampPlan::build(&nl1);
-        let plan2 = StampPlan::build(&nl2);
-        assert_eq!(
-            plan1.structural_fp(),
-            plan2.structural_fp(),
-            "values must be invisible to the structural fingerprint"
-        );
-        let n = nl1.num_unknowns();
-        let x = vec![0.0; n];
-        let mut m1 = DenseMatrix::zeros(n);
-        let mut m2 = DenseMatrix::zeros(n);
-        let mut rhs = vec![0.0; n];
-        assemble(&nl1, &x, 0.0, 1.0, AnalysisMode::Dc, &mut m1, &mut rhs);
-        assemble(&nl2, &x, 0.0, 1.0, AnalysisMode::Dc, &mut m2, &mut rhs);
-        assert_ne!(
-            plan1.value_fingerprint(&m1),
-            plan2.value_fingerprint(&m2),
-            "a resistance change must move the value fingerprint"
-        );
-        // Identical assemblies hash identically (the cache-hit side).
-        assert_eq!(plan1.value_fingerprint(&m1), plan1.value_fingerprint(&m1));
-    }
-
-    #[test]
-    fn planned_residual_matches_dense_matvec() {
-        let mut nl = Netlist::new();
-        let a = nl.node("a");
-        let b = nl.node("b");
-        nl.vsource("V1", a, Netlist::GND, 2.0);
-        nl.resistor("R1", a, b, 1.0).unwrap();
-        nl.resistor("R2", b, Netlist::GND, 1.0).unwrap();
-        let n = nl.num_unknowns();
-        let plan = StampPlan::build(&nl);
-        let x: Vec<f64> = (0..n).map(|i| 0.25 * (i as f64 + 1.0)).collect();
-        let mut m = DenseMatrix::zeros(n);
-        let mut rhs = vec![0.0; n];
-        assemble(&nl, &x, 1e-3, 1.0, AnalysisMode::Dc, &mut m, &mut rhs);
-        let mut r = vec![0.0; n];
-        plan.residual_into(&m, &x, &rhs, &mut r);
-        let dense = m.mul_vec(&x);
-        for i in 0..n {
-            assert!(
-                (r[i] - (dense[i] - rhs[i])).abs() < 1e-15,
-                "component {i}: {} vs {}",
-                r[i],
-                dense[i] - rhs[i]
-            );
-        }
     }
 
     #[test]

@@ -1,29 +1,11 @@
 //! Damped Newton–Raphson with gmin and source stepping continuation.
 
 use crate::error::Error;
-use crate::factor_cache::{factor_cached, CacheOutcome};
 use crate::mna::{assemble_planned, AnalysisMode};
 use crate::netlist::{Netlist, NodeId};
-use crate::rank1::Prepare;
 use crate::scratch::SolveScratch;
 use crate::sparse::SPARSE_THRESHOLD;
 use std::time::Instant;
-
-/// Chord fallback trigger: a residual-form step must shrink the KCL
-/// residual by at least this factor per iteration, or the base
-/// factorization is judged too stale and the solve refactors. 0.5 is
-/// far looser than the near-quadratic contraction a warm-started
-/// bisection step exhibits, yet tight enough that a diverging chord
-/// burns at most a few iterations before the fallback.
-const CHORD_CONTRACTION: f64 = 0.5;
-
-/// Chord steps accept at this fraction of the Newton `vntol`/`reltol`
-/// thresholds. Full Newton converges quadratically, so its accepted
-/// answer sits far inside the tolerance; the linearly converging chord
-/// would otherwise stop right at the boundary. Tightening its
-/// acceptance costs a couple of O(n²) back-substitutions and keeps the
-/// two paths' answers within ~1 % of the tolerance of each other.
-const CHORD_ACCEPT: f64 = 0.01;
 
 /// Tuning knobs for the nonlinear solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,16 +24,6 @@ pub struct NewtonOptions {
     pub gmin_stepping: bool,
     /// Enable the source-stepping fallback ladder.
     pub source_stepping: bool,
-    /// Enable the low-rank fast path: DC solves reuse a held base LU —
-    /// Woodbury-corrected for changed resistor parameters — as a chord
-    /// preconditioner in residual form, and full factorizations consult
-    /// the bit-exact thread-local cache. Falls back to fresh
-    /// factorization whenever the chord residual stops contracting or
-    /// the update is ill-conditioned, so accepted answers always meet
-    /// the same `vntol`/`reltol` convergence criterion. Off by default:
-    /// the fast path is within solver tolerance of plain Newton but not
-    /// bit-identical to it.
-    pub rank1: bool,
     /// Unknown count at or above which the linear solves switch from
     /// the dense LU to the sparse Gilbert–Peierls backend. Applies to
     /// the monolithic system and, on the partitioned path, to the
@@ -70,7 +42,6 @@ impl Default for NewtonOptions {
             max_step: 0.3,
             gmin_stepping: true,
             source_stepping: true,
-            rank1: false,
             sparse_threshold: SPARSE_THRESHOLD,
         }
     }
@@ -308,49 +279,18 @@ fn newton_stage(
         lu,
         plan,
         sparse,
-        rank1,
         schur,
         counters,
         ..
     } = scratch;
-    // Only the monolithic path reads the stamp plan; the partitioned
-    // path never builds one (its partition plan lives in `schur`).
-    let mono_plan = || {
-        plan.as_ref()
-            .expect("stamp plan ensured on the monolithic path")
-    };
     // The partitioned path never sizes the dense matrix (a 512×8 array
     // would need a ~10k-order monolith), so the system order must come
     // from the iterate, which both paths size.
     let n = x.len();
-    // Backend / fast-path selection. The sparse backend takes over on
-    // large systems; the rank-1 chord path applies only to unmodified
-    // DC solves (continuation stages perturb gmin or the sources, so a
-    // held base would not share their fixed point's Jacobian scale).
-    // The partitioned path does its own backend selection on the
-    // reduced interface system, and assembles into the Schur stores
-    // where neither the chord residual nor the value fingerprint is
-    // available — so both fast paths stay monolithic-only.
+    // The sparse backend takes over on large systems. The partitioned
+    // path does its own backend selection on the reduced interface
+    // system.
     let use_sparse = !partitioned && n >= opts.sparse_threshold;
-    // The memcmp-verified cache is safe in any mode (a hit is the
-    // factorization of those exact bytes); the chord path additionally
-    // needs the DC fixed-point structure, so transient steps keep the
-    // cache but never chord.
-    let cache_active =
-        opts.rank1 && !use_sparse && !partitioned && gmin == 0.0 && source_scale == 1.0;
-    let rank1_active = cache_active && matches!(mode, AnalysisMode::Dc);
-    let mut chord = false;
-    if rank1_active {
-        match rank1.prepare(netlist, mono_plan()) {
-            Prepare::Chord => chord = true,
-            Prepare::Full => {}
-            Prepare::IllConditioned => counters.rank1_fallback += 1,
-        }
-    }
-    // Whether this stage ran at least one full factorization (whose
-    // factors in `lu` can then seed the next solve's chord base).
-    let mut did_factor = false;
-    let mut prev_rnorm = f64::INFINITY;
     let mut last_delta = f64::INFINITY;
     // Damping exists to tame the exponential regions of nonlinear
     // devices; a linear system solves exactly in one step, so clamping
@@ -385,65 +325,24 @@ fn newton_stage(
                 };
             }
         } else {
-            assemble_planned(
-                netlist,
-                mono_plan(),
-                x,
-                gmin,
-                source_scale,
-                mode,
-                matrix,
-                rhs,
-            );
-        }
-        if chord {
-            // Residual-form chord step: x_new = x − M̃⁻¹ F(x). The
-            // fixed point is the exact circuit solution for any M̃;
-            // staleness only slows contraction, which is policed here.
-            mono_plan().residual_into(matrix, x, rhs, &mut rank1.resid);
-            let rnorm = rank1.resid.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            if rnorm > CHORD_CONTRACTION * prev_rnorm {
-                // Growth (or too-slow contraction): refactor from the
-                // current iterate and finish the solve directly.
-                counters.rank1_fallback += 1;
-                chord = false;
-            } else {
-                prev_rnorm = rnorm;
-                rank1.chord_step(x, x_new);
-                counters.rank1_applied += 1;
-            }
-        }
-        if !chord && !partitioned {
-            let plan = mono_plan();
+            // Only the monolithic path reads the stamp plan; the
+            // partitioned path never builds one (its partition plan
+            // lives in `schur`).
+            let plan = plan
+                .as_ref()
+                .expect("stamp plan ensured on the monolithic path");
+            assemble_planned(netlist, plan, x, gmin, source_scale, mode, matrix, rhs);
             let factored = if use_sparse {
-                sparse
-                    .factor(matrix, plan.structural_fp(), plan.touched_offsets())
-                    .map(|()| CacheOutcome::Miss)
-            } else if cache_active {
-                factor_cached(
-                    lu,
-                    matrix,
-                    plan.structural_fp(),
-                    plan.value_fingerprint(matrix),
-                )
+                sparse.factor(matrix, plan.structural_fp(), plan.touched_offsets())
             } else {
-                lu.factor_from(matrix).map(|()| CacheOutcome::Miss)
+                lu.factor_from(matrix)
             };
-            match factored {
-                Ok(outcome) => {
-                    if cache_active {
-                        match outcome {
-                            CacheOutcome::Hit => counters.cache_hit += 1,
-                            CacheOutcome::Miss => counters.cache_miss += 1,
-                        }
-                    }
-                }
-                Err(Error::SingularMatrix { pivot_row, .. }) => {
-                    return StageOutcome::Singular(pivot_row)
-                }
-                Err(_) => return StageOutcome::Singular(0),
+            if let Err(e) = factored {
+                return match e {
+                    Error::SingularMatrix { pivot_row, .. } => StageOutcome::Singular(pivot_row),
+                    _ => StageOutcome::Singular(0),
+                };
             }
-            did_factor = !use_sparse;
             if use_sparse {
                 sparse.solve_into(rhs, x_new);
             } else {
@@ -456,11 +355,10 @@ fn newton_stage(
         // microamp currents ride on volt-scale tolerances.)
         let mut max_delta = 0.0f64;
         let mut converged = true;
-        let accept_scale = if chord { CHORD_ACCEPT } else { 1.0 };
         for (xi, &xn) in x.iter().zip(x_new.iter()) {
             let delta = (xn - xi).abs();
             max_delta = max_delta.max(delta);
-            if delta > accept_scale * (opts.vntol + opts.reltol * xn.abs()) {
+            if delta > opts.vntol + opts.reltol * xn.abs() {
                 converged = false;
             }
         }
@@ -471,11 +369,6 @@ fn newton_stage(
             // The accepted answer is the undamped proposal; swap it
             // into the iterate slot for the caller.
             std::mem::swap(x, x_new);
-            if rank1_active && did_factor {
-                // The freshest full factors become the chord base for
-                // the next (bisection-chained) solve.
-                rank1.snapshot_base(netlist, mono_plan().structural_fp(), lu);
-            }
             return StageOutcome::Converged(iter + 1);
         }
         if damp {
@@ -992,30 +885,11 @@ pub fn solve_with_retry(
     solve_with_retry_in(netlist, opts, x0, mode, policy, &mut scratch)
 }
 
-/// As [`solve_with_retry`], but running every attempt in the
-/// caller-provided [`SolveScratch`]. Results are bit-identical to
-/// [`solve_with_retry`]; only the allocation profile differs.
-///
-/// # Errors
-///
-/// As [`solve_with_retry`].
 /// Publishes the scratch's accumulated fast-path counters to `obs`
 /// and resets them. One flush per retry-ladder solve keeps the
 /// per-iteration hot path free of atomic traffic.
 pub(crate) fn flush_fast_path_counters(scratch: &mut SolveScratch) {
     let c = scratch.counters.take();
-    if c.cache_hit > 0 {
-        obs::counter_add("refactor.cache.hit", c.cache_hit);
-    }
-    if c.cache_miss > 0 {
-        obs::counter_add("refactor.cache.miss", c.cache_miss);
-    }
-    if c.rank1_applied > 0 {
-        obs::counter_add("rank1.applied", c.rank1_applied);
-    }
-    if c.rank1_fallback > 0 {
-        obs::counter_add("rank1.fallback", c.rank1_fallback);
-    }
     if c.schur_blocks_shared > 0 {
         obs::counter_add("schur.blocks_shared", c.schur_blocks_shared);
     }
@@ -1025,14 +899,15 @@ pub(crate) fn flush_fast_path_counters(scratch: &mut SolveScratch) {
     if c.schur_interface_unknowns > 0 {
         obs::counter_add("schur.interface_unknowns", c.schur_interface_unknowns);
     }
-    // Thread-local mirror of the work counters: cache misses are the
-    // factorizations actually performed; a hit imports stored factors
-    // and a chord step replaces the factorization outright.
-    if c.cache_miss > 0 || c.rank1_applied > 0 {
-        obs::tally_fast_path(c.cache_miss, c.rank1_applied);
-    }
 }
 
+/// As [`solve_with_retry`], but running every attempt in the
+/// caller-provided [`SolveScratch`]. Results are bit-identical to
+/// [`solve_with_retry`]; only the allocation profile differs.
+///
+/// # Errors
+///
+/// As [`solve_with_retry`].
 pub fn solve_with_retry_in(
     netlist: &Netlist,
     opts: &NewtonOptions,
@@ -1586,118 +1461,6 @@ mod tests {
             let want: Vec<u64> = ref_x.iter().map(|v| v.to_bits()).collect();
             assert_eq!(got, want, "iterate sequence diverged from the seed solver");
         }
-    }
-
-    /// An inverter driving a variable load resistor: one changed
-    /// parameter between solves, the defect-bisection shape.
-    fn loaded_inverter() -> (Netlist, crate::netlist::ParamId, NodeId) {
-        let mut nl = Netlist::new();
-        let vdd = nl.node("vdd");
-        let input = nl.node("in");
-        let out = nl.node("out");
-        nl.vsource("VDD", vdd, Netlist::GND, 1.1);
-        nl.vsource("VIN", input, Netlist::GND, 0.4);
-        nl.mosfet("MP", out, input, vdd, MosParams::pmos(4.0e-4, 0.45))
-            .expect("library PMOS card validates");
-        nl.mosfet(
-            "MN",
-            out,
-            input,
-            Netlist::GND,
-            MosParams::nmos(4.0e-4, 0.45),
-        )
-        .expect("library NMOS card validates");
-        let load = nl
-            .resistor("RL", out, Netlist::GND, 100.0e3)
-            .expect("valid resistance, unique name");
-        (nl, load, out)
-    }
-
-    #[test]
-    fn rank1_chained_solves_agree_with_dense_and_avoid_refactoring() {
-        let (mut nl, load, out) = loaded_inverter();
-        let dense_opts = NewtonOptions::default();
-        let rank1_opts = NewtonOptions {
-            rank1: true,
-            ..dense_opts
-        };
-        let mut dense_scratch = SolveScratch::new();
-        let mut fast_scratch = SolveScratch::new();
-        let mut dense_warm: Option<Vec<f64>> = None;
-        let mut fast_warm: Option<Vec<f64>> = None;
-        let mut factorizations_after_first = 0u64;
-        // A bisection-like chain of load values, each solve warm-started
-        // from the previous answer.
-        for step in 0..8 {
-            let ohms = 100.0e3 / (1.0 + step as f64);
-            nl.set_param(load, ohms);
-            let d = solve_with_scratch(
-                &nl,
-                &dense_opts,
-                dense_warm.as_deref(),
-                AnalysisMode::Dc,
-                &mut dense_scratch,
-            )
-            .expect("dense chained solve converges");
-            let f = solve_with_scratch(
-                &nl,
-                &rank1_opts,
-                fast_warm.as_deref(),
-                AnalysisMode::Dc,
-                &mut fast_scratch,
-            )
-            .expect("rank-1 chained solve converges");
-            let dv = (d.voltage(out) - f.voltage(out)).abs();
-            assert!(dv < 1e-5, "step {step}: dense/rank1 diverged by {dv}");
-            dense_warm = Some(d.into_raw());
-            fast_warm = Some(f.into_raw());
-            if step == 0 {
-                // The cold first solve legitimately factors every
-                // iteration (it has no base yet); the chained rest of
-                // the run is what the fast path must keep factor-free.
-                let c = fast_scratch.counters;
-                factorizations_after_first = c.cache_hit + c.cache_miss;
-            }
-        }
-        let c = fast_scratch.counters;
-        assert!(
-            c.rank1_applied > 0,
-            "chord steps must replace refactorizations, counters {c:?}"
-        );
-        assert_eq!(
-            c.cache_hit + c.cache_miss,
-            factorizations_after_first,
-            "warm chained solves must run entirely on chord steps, counters {c:?}"
-        );
-        assert_eq!(
-            dense_scratch.counters,
-            crate::scratch::SolveCounters::default()
-        );
-    }
-
-    #[test]
-    fn stale_chord_base_triggers_growth_fallback_and_still_converges() {
-        let (nl, _, out) = loaded_inverter();
-        let opts = NewtonOptions {
-            rank1: true,
-            ..NewtonOptions::default()
-        };
-        let mut scratch = SolveScratch::new();
-        let warm = solve_with_scratch(&nl, &opts, None, AnalysisMode::Dc, &mut scratch)
-            .expect("first solve converges")
-            .into_raw();
-        assert!(scratch.rank1.has_base());
-        // Restart the same circuit from zeros: the held base describes
-        // the converged operating point, so the chord iteration from
-        // the far-away start cannot contract and must fall back.
-        let sol = solve_with_scratch(&nl, &opts, None, AnalysisMode::Dc, &mut scratch)
-            .expect("fallback path converges");
-        assert!(
-            scratch.counters.rank1_fallback > 0,
-            "cold restart must trip the growth fallback, counters {:?}",
-            scratch.counters
-        );
-        assert!((sol.voltage(out) - warm[out.unknown_index().unwrap()]).abs() < 1e-6);
     }
 
     #[test]

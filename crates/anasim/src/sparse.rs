@@ -12,7 +12,7 @@
 //!
 //! The backend is selected automatically by the Newton core once the
 //! system order reaches [`SPARSE_THRESHOLD`]; below that the dense
-//! path (with its bit-exactness and rank-1 machinery) runs unchanged.
+//! path runs unchanged.
 //! [`SparseLu`] owns every buffer it needs and reuses them across
 //! factorizations, honouring the same steady-state zero-allocation
 //! contract as [`LuWorkspace`](crate::matrix::LuWorkspace): pattern

@@ -122,16 +122,6 @@ impl TransientAnalysis {
         self
     }
 
-    /// Enables or disables the rank-1 fast path for the per-step
-    /// solves. Time stepping itself always re-stamps the companion
-    /// models, so only the factorization cache applies in transient
-    /// mode; the chord path is a DC-only optimization.
-    #[must_use]
-    pub fn with_rank1(mut self, rank1: bool) -> Self {
-        self.options.rank1 = rank1;
-        self
-    }
-
     fn validate(&self) -> Result<(), Error> {
         if !(self.dt.is_finite() && self.dt > 0.0) {
             return Err(Error::InvalidTimeAxis(format!(

@@ -9,37 +9,27 @@
 //! passed: a baseline stamped `-dirty` cannot be reproduced from any
 //! commit, so it must never be the committed reference.
 //!
-//! Five variants of the same campaign are timed back to back:
+//! Two variants of the same campaign are timed back to back:
 //!
 //! * `sequential_cold` — one worker, every Newton solve starts from the
-//!   cold DC guess (`jobs: 1`, `warm_start: false`, no chained seeds);
-//!   this is the pre-executor behaviour and the reference point;
+//!   cold DC guess (`jobs: 1`, `warm_start: false`); this is the
+//!   pre-executor behaviour and the reference point;
 //! * `sequential_warm` — one worker, each grid cell's solves seeded
 //!   from the healthy converged state of its (case-study, PVT)
-//!   condition (`jobs: 1`, `warm_start: true`);
-//! * `parallel_warm` — warm starts fanned across every available core
-//!   (`jobs: 0`);
-//! * `parallel_warm_chained` — warm starts plus bisection-chained
-//!   seeding: inside every resistance search each probe seeds Newton
-//!   from the *nearest previously converged probe* in log-resistance
-//!   (`chain_seeds: true`, the library default);
-//! * `rank1_chained` — chained seeding plus the rank-1/chord fast path
-//!   (`rank1: true`, the campaign default): chained probes advance on
-//!   chord steps against a held LU factorization instead of
-//!   refactoring, and full factorizations consult a bit-exact cache.
-//!   Its solver block adds the `cache_hits`/`cache_misses`/
-//!   `rank1_applied`/`rank1_fallbacks` counters the CI gate
-//!   thresholds. The first four variants pin `rank1: false` so their
-//!   numbers stay comparable to the v3 history.
+//!   condition (`jobs: 1`, `warm_start: true`).
 //!
-//! A sixth, fully deterministic `sparse_ladder` pseudo-variant solves a
+//! Both run on one worker: the solver counters are identical at any
+//! `--jobs` count, and wall-clock is measured by `perfbench/`, not
+//! here.
+//!
+//! A fully deterministic `sparse_ladder` pseudo-variant solves a
 //! 150-segment resistor ladder (above `anasim::sparse::SPARSE_THRESHOLD`
 //! unknowns, so the Newton path auto-selects the sparse backend) and
 //! records `unknowns`, `iterations` and `lu_nnz` — a host-independent
 //! fill-in fingerprint that catches ordering or pivoting regressions in
 //! the sparse factorization.
 //!
-//! A seventh `full_array` pseudo-variant solves a 512×8 retention array
+//! A `full_array` pseudo-variant solves a 512×8 retention array
 //! with three bridged cells through the hierarchical block-Schur path
 //! and the monolithic sparse path, asserts both land on the same node
 //! voltages, and records the factorized-unknowns `reduction_ratio`
@@ -51,9 +41,8 @@
 //! iterations, deeper rescue-ladder use, lower throughput) shows up as
 //! a diff against the committed numbers. Timing-derived fields vary by
 //! host — `host_cores` records how many cores the committed numbers
-//! had to work with (on a single-core runner `parallel_warm` cannot
-//! beat `sequential_warm`); the iteration/retry totals are
-//! deterministic for a given variant.
+//! had to work with; the iteration/retry totals are deterministic for
+//! a given variant.
 //!
 //! `allocs_per_iteration` is measured in-process with a counting
 //! global allocator: the heap-allocation count of a long cold Newton
@@ -152,10 +141,7 @@ fn measure_allocs_per_iteration() -> f64 {
 
 struct Variant {
     name: &'static str,
-    jobs: usize,
     warm_start: bool,
-    chain_seeds: bool,
-    rank1: bool,
 }
 
 /// The deterministic sparse-backend fingerprint: a uniform 150-segment
@@ -313,10 +299,8 @@ fn run_full_array(rows: usize) -> Json {
 fn run_variant(v: &Variant, allocs_per_iteration: f64) -> Json {
     obs::reset();
     let mut opts = Table2Options::quick();
-    opts.jobs = v.jobs;
+    opts.jobs = 1;
     opts.warm_start = v.warm_start;
-    opts.characterize.chain_seeds = v.chain_seeds;
-    opts.characterize.rank1 = v.rank1;
     let report = table2::run(&opts).expect("quick campaign solves");
     obs::flush();
     let snapshot = obs::snapshot();
@@ -338,10 +322,8 @@ fn run_variant(v: &Variant, allocs_per_iteration: f64) -> Json {
         hist_sum("anasim.solve.iterations"),
     );
     Json::obj([
-        ("jobs".to_string(), Json::Num(v.jobs as f64)),
+        ("jobs".to_string(), Json::Num(1.0)),
         ("warm_start".to_string(), Json::Bool(v.warm_start)),
-        ("chain_seeds".to_string(), Json::Bool(v.chain_seeds)),
-        ("rank1".to_string(), Json::Bool(v.rank1)),
         (
             "points_attempted".to_string(),
             Json::Num(coverage.attempted as f64),
@@ -387,14 +369,6 @@ fn run_variant(v: &Variant, allocs_per_iteration: f64) -> Json {
                     Json::Num(counter("characterize.warm_seed.rejected") as f64),
                 ),
                 (
-                    "chain_seeds_applied".to_string(),
-                    Json::Num(counter("characterize.chain_seed.applied") as f64),
-                ),
-                (
-                    "chain_seeds_cold".to_string(),
-                    Json::Num(counter("characterize.chain_seed.cold") as f64),
-                ),
-                (
                     "rescue_plain".to_string(),
                     Json::Num(counter("anasim.rescue.plain") as f64),
                 ),
@@ -409,22 +383,6 @@ fn run_variant(v: &Variant, allocs_per_iteration: f64) -> Json {
                 (
                     "transient_steps".to_string(),
                     Json::Num(counter("anasim.transient.steps") as f64),
-                ),
-                (
-                    "cache_hits".to_string(),
-                    Json::Num(counter("refactor.cache.hit") as f64),
-                ),
-                (
-                    "cache_misses".to_string(),
-                    Json::Num(counter("refactor.cache.miss") as f64),
-                ),
-                (
-                    "rank1_applied".to_string(),
-                    Json::Num(counter("rank1.applied") as f64),
-                ),
-                (
-                    "rank1_fallbacks".to_string(),
-                    Json::Num(counter("rank1.fallback") as f64),
                 ),
             ]),
         ),
@@ -463,38 +421,11 @@ fn main() {
     let variants = [
         Variant {
             name: "sequential_cold",
-            jobs: 1,
             warm_start: false,
-            chain_seeds: false,
-            rank1: false,
         },
         Variant {
             name: "sequential_warm",
-            jobs: 1,
             warm_start: true,
-            chain_seeds: false,
-            rank1: false,
-        },
-        Variant {
-            name: "parallel_warm",
-            jobs: 0,
-            warm_start: true,
-            chain_seeds: false,
-            rank1: false,
-        },
-        Variant {
-            name: "parallel_warm_chained",
-            jobs: 0,
-            warm_start: true,
-            chain_seeds: true,
-            rank1: false,
-        },
-        Variant {
-            name: "rank1_chained",
-            jobs: 1,
-            warm_start: true,
-            chain_seeds: true,
-            rank1: true,
         },
     ];
     let mut results: Vec<(String, Json)> = variants

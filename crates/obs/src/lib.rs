@@ -42,8 +42,8 @@ pub use manifest::{
 };
 pub use metrics::{
     counter_add, flush, gauge_set, hist_record, record_point, record_span, record_trace, reset,
-    snapshot, tally, tally_add, tally_fast_path, PointRecord, Registry, Snapshot, SolverTally,
-    SpanStat, TraceRecord,
+    snapshot, tally, tally_add, PointRecord, Registry, Snapshot, SolverTally, SpanStat,
+    TraceRecord,
 };
 pub use profile::{Profile, ProfileNode};
 pub use sink::{

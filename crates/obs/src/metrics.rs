@@ -357,14 +357,6 @@ pub struct SolverTally {
     pub iterations: u64,
     /// Whole-solve retries recorded on this thread so far.
     pub retries: u64,
-    /// Full LU factorizations the solver's reuse fast path actually
-    /// performed (its cache misses) on this thread so far. Zero when
-    /// the fast path is disabled — the plain solver factors once per
-    /// iteration without reporting here.
-    pub factorizations: u64,
-    /// Chord (held-factorization) steps that replaced a full
-    /// factorization on this thread so far.
-    pub chord_steps: u64,
 }
 
 impl SolverTally {
@@ -373,8 +365,6 @@ impl SolverTally {
         SolverTally {
             iterations: self.iterations.saturating_sub(earlier.iterations),
             retries: self.retries.saturating_sub(earlier.retries),
-            factorizations: self.factorizations.saturating_sub(earlier.factorizations),
-            chord_steps: self.chord_steps.saturating_sub(earlier.chord_steps),
         }
     }
 }
@@ -384,8 +374,6 @@ thread_local! {
         std::cell::Cell::new(SolverTally {
             iterations: 0,
             retries: 0,
-            factorizations: 0,
-            chord_steps: 0,
         })
     };
 }
@@ -397,20 +385,6 @@ pub fn tally_add(iterations: u64, retries: u64) {
         let mut v = t.get();
         v.iterations += iterations;
         v.retries += retries;
-        t.set(v);
-    });
-}
-
-/// Adds reuse-fast-path solver work to the calling thread's cumulative
-/// tally. Unlike the registry counters this is thread-local and so
-/// pollution-free: a single-threaded campaign can diff [`tally`] around
-/// a run to prove a factorization-work reduction even while unrelated
-/// threads solve concurrently.
-pub fn tally_fast_path(factorizations: u64, chord_steps: u64) {
-    let _ = TALLY.try_with(|t| {
-        let mut v = t.get();
-        v.factorizations += factorizations;
-        v.chord_steps += chord_steps;
         t.set(v);
     });
 }

@@ -37,24 +37,6 @@ pub struct CharacterizeOptions {
     /// structurally broken netlist is then rejected with a named-node
     /// diagnostic instead of burning the whole rescue ladder.
     pub preflight: bool,
-    /// Seed every DC probe of a search from the *nearest previously
-    /// converged probe* in log-resistance, instead of whatever point
-    /// the sweep happened to visit last. The operating point moves
-    /// continuously in the defect resistance, so the nearest converged
-    /// neighbour is the best available predictor — this is what makes
-    /// warm starts pay off inside the bisection ladder. On by default;
-    /// turn off to reproduce the plain last-visited continuation.
-    pub chain_seeds: bool,
-    /// Solve DC probes through the rank-1/chord fast path: chained
-    /// bisection steps reuse a held LU factorization
-    /// (Woodbury-corrected for the changed defect/load resistances)
-    /// instead of refactoring every Newton iteration, and full
-    /// factorizations consult a bit-exact cache. Answers stay within
-    /// solver tolerance of the dense path — far inside the mV-scale
-    /// margins of the retention criterion — so Table II output is
-    /// unchanged. On by default; turn off to reproduce the dense
-    /// solver exactly.
-    pub rank1: bool,
 }
 
 impl Default for CharacterizeOptions {
@@ -69,8 +51,6 @@ impl Default for CharacterizeOptions {
             transient_window: 1.0e-3,
             retry: anasim::RetryPolicy::ladder(),
             preflight: true,
-            chain_seeds: true,
-            rank1: true,
         }
     }
 }
@@ -152,7 +132,6 @@ pub fn drf_at(
     } else {
         let mut circuit = RegulatorCircuit::new(design, pvt, tap, FeedMode::Static)?;
         circuit.set_retry(opts.retry);
-        circuit.set_rank1(opts.rank1);
         if opts.preflight {
             circuit.preflight()?;
         }
@@ -246,7 +225,6 @@ pub fn healthy_seed(
     let _span = obs::span("healthy_seed");
     let mut c = RegulatorCircuit::new(design, pvt, tap, FeedMode::Static)?;
     c.set_retry(opts.retry);
-    c.set_rank1(opts.rank1);
     c.solve(load)?;
     Ok(c.warm_state()
         .expect("a successful solve always stores its converged state")
@@ -310,7 +288,6 @@ pub fn min_resistance_seeded(
     } else {
         let mut c = RegulatorCircuit::new(design, pvt, tap, FeedMode::Static)?;
         c.set_retry(opts.retry);
-        c.set_rank1(opts.rank1);
         if let Some(state) = seed {
             if c.seed_warm(state) {
                 obs::counter_add("characterize.warm_seed.applied", 1);
@@ -328,87 +305,13 @@ pub fn min_resistance_seeded(
             None => preflight_transient_build(design, pvt, tap, defect)?,
         }
     }
-    let mut chain = ChainSeeds::new(opts.chain_seeds && dc_circuit.is_some());
     let mut eval = |ohms: f64| -> Result<(bool, f64), anasim::Error> {
         match dc_circuit.as_mut() {
-            Some(circuit) => {
-                chain.seed(circuit, ohms);
-                let out = drf_at_dc(circuit, defect, ohms, load, criterion, opts)?;
-                chain.record(circuit, ohms);
-                Ok(out)
-            }
+            Some(circuit) => drf_at_dc(circuit, defect, ohms, load, criterion, opts),
             None => drf_at_transient(design, pvt, tap, defect, ohms, load, criterion, opts),
         }
     };
-    let result = search_min_resistance(opts, &mut eval);
-    chain.flush_counters();
-    result
-}
-
-/// Converged probe states of one minimum-resistance search, keyed by
-/// log-resistance, so each new probe can seed Newton from its *nearest*
-/// converged neighbour rather than the last-visited point. Counters are
-/// accumulated locally and flushed to obs once per search.
-struct ChainSeeds {
-    enabled: bool,
-    /// `(ln ohms, converged state)` per successful probe.
-    probes: Vec<(f64, Vec<f64>)>,
-    applied: u64,
-    cold: u64,
-}
-
-impl ChainSeeds {
-    fn new(enabled: bool) -> Self {
-        ChainSeeds {
-            enabled,
-            probes: Vec::new(),
-            applied: 0,
-            cold: 0,
-        }
-    }
-
-    /// Seeds `circuit` for a probe at `ohms` from the nearest converged
-    /// probe, when one exists.
-    fn seed(&mut self, circuit: &mut RegulatorCircuit, ohms: f64) {
-        if !self.enabled {
-            return;
-        }
-        let target = ohms.ln();
-        // `min_by` keeps the first of equally-near probes, so ties
-        // resolve deterministically by evaluation order.
-        let nearest = self.probes.iter().min_by(|a, b| {
-            let da = (a.0 - target).abs();
-            let db = (b.0 - target).abs();
-            da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        match nearest {
-            Some((_, state)) => {
-                // The state came from this very circuit; skip the
-                // length re-check the public seeding path pays.
-                circuit.seed_warm_trusted(state);
-                self.applied += 1;
-            }
-            None => self.cold += 1,
-        }
-    }
-
-    /// Records the converged state of the probe at `ohms`.
-    fn record(&mut self, circuit: &RegulatorCircuit, ohms: f64) {
-        if !self.enabled {
-            return;
-        }
-        if let Some(state) = circuit.warm_state() {
-            self.probes.push((ohms.ln(), state.to_vec()));
-        }
-    }
-
-    fn flush_counters(&self) {
-        if !self.enabled {
-            return;
-        }
-        obs::counter_add("characterize.chain_seed.applied", self.applied);
-        obs::counter_add("characterize.chain_seed.cold", self.cold);
-    }
+    search_min_resistance(opts, &mut eval)
 }
 
 /// The scan-then-bisect skeleton shared by every minimum-resistance
@@ -495,7 +398,6 @@ pub fn classify_at_tap(
     let healthy = {
         let mut c = RegulatorCircuit::new(design, pvt, tap, FeedMode::Static)?;
         c.set_retry(opts.retry);
-        c.set_rank1(opts.rank1);
         c.solve(load)?.vddcc
     };
     let probe = |ohms: f64| -> Result<f64, anasim::Error> {
@@ -515,7 +417,6 @@ pub fn classify_at_tap(
         } else {
             let mut c = RegulatorCircuit::new(design, pvt, tap, FeedMode::Static)?;
             c.set_retry(opts.retry);
-            c.set_rank1(opts.rank1);
             c.inject(defect, ohms);
             Ok(c.solve(load)?.vddcc)
         }
@@ -632,50 +533,6 @@ mod tests {
         .unwrap();
         assert!(!below, "no fault just below the minimum");
         assert!(at, "fault at the minimum");
-    }
-
-    #[test]
-    fn chained_bisection_runs_on_the_rank1_fast_path() {
-        // The whole point of CharacterizeOptions { rank1: true }: a
-        // minimum-resistance search perturbs one resistor per probe, so
-        // after the cold first factorization the chain should advance
-        // on chord steps, not fresh LU factorizations. The obs counters
-        // are process-global and other tests may add to them
-        // concurrently, so every assertion is a lower bound on the
-        // delta — inflation is harmless, absence is the bug.
-        let (pvt, load, stressed, drv) = setup();
-        let criterion = DrfCriterion {
-            stressed: &stressed,
-            stored: StoredBit::One,
-            drv,
-        };
-        let opts = CharacterizeOptions::coarse();
-        assert!(opts.rank1, "campaigns characterize with the fast path on");
-        let counter =
-            |snap: &obs::Snapshot, name: &str| snap.counters.get(name).copied().unwrap_or(0);
-        let before = obs::snapshot();
-        let r = min_resistance(
-            &RegulatorDesign::lp40nm(),
-            pvt,
-            VrefTap::V74,
-            Defect::new(16),
-            &load,
-            &criterion,
-            &opts,
-        )
-        .unwrap();
-        assert!(r.ohms.is_some(), "Df16 must cause DRFs");
-        let after = obs::snapshot();
-        let delta = |name: &str| counter(&after, name) - counter(&before, name);
-        assert!(
-            delta("rank1.applied") > 0,
-            "chained probes never took a chord step: {:?}",
-            after.counters
-        );
-        assert!(
-            delta("refactor.cache.miss") + delta("refactor.cache.hit") >= 1,
-            "the cold first solve must consult the factorization cache"
-        );
     }
 
     #[test]

@@ -509,15 +509,6 @@ impl RegulatorCircuit {
         self.dc = self.dc.clone().with_retry(retry);
     }
 
-    /// Enables or disables the DC solver's rank-1/chord fast path.
-    /// Bisection sweeps over this circuit change one or two resistor
-    /// parameters per solve — exactly the Woodbury-update shape — so
-    /// campaigns turn this on; see
-    /// [`anasim::NewtonOptions::rank1`] for the accuracy contract.
-    pub fn set_rank1(&mut self, rank1: bool) {
-        self.dc = self.dc.clone().with_rank1(rank1);
-    }
-
     /// The raw converged state vector of the last successful
     /// [`solve`](RegulatorCircuit::solve) — the warm-start format
     /// [`seed_warm`](RegulatorCircuit::seed_warm) accepts. Node build
@@ -541,31 +532,11 @@ impl RegulatorCircuit {
         if state.len() != self.nl.num_unknowns() {
             return false;
         }
-        self.seed_warm_trusted(state);
-        true
-    }
-
-    /// As [`seed_warm`](RegulatorCircuit::seed_warm), but for callers
-    /// that already know the seed came from this very circuit (e.g. a
-    /// bisection chain re-applying its own converged probes) — skips
-    /// the per-application length re-check and reuses the existing warm
-    /// buffer instead of allocating a fresh one.
-    pub fn seed_warm_trusted(&mut self, state: &[f64]) {
-        debug_assert_eq!(
-            state.len(),
-            self.nl.num_unknowns(),
-            "trusted seed from a different topology"
-        );
         match &mut self.warm {
             Some(w) if w.len() == state.len() => w.copy_from_slice(state),
             w => *w = Some(state.to_vec()),
         }
-    }
-
-    /// Length of this circuit's unknown vector — the dimension
-    /// [`seed_warm`](RegulatorCircuit::seed_warm) validates against.
-    pub fn state_len(&self) -> usize {
-        self.nl.num_unknowns()
+        true
     }
 
     /// Declares a node that no device touches. The MNA system then

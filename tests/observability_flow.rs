@@ -84,11 +84,11 @@ fn profile_reproduces_campaign_wall_clock_from_the_trace() {
     );
 }
 
-#[test]
-fn compare_passes_on_self_and_fails_on_injected_regression() {
-    let bench = |iterations_total: f64| {
-        format!(
-            r#"{{
+/// A one-variant bench-baseline document with the given iteration
+/// total.
+fn bench_doc(iterations_total: f64) -> String {
+    format!(
+        r#"{{
   "schema": "lp-sram-suite/bench-baseline/v3",
   "artifact": "table2",
   "variants": {{
@@ -103,14 +103,17 @@ fn compare_passes_on_self_and_fails_on_injected_regression() {
     }}
   }}
 }}"#
-        )
-    };
-    let old = obs::MetricSet::from_json_str(&bench(1000.0)).expect("baseline parses");
+    )
+}
+
+#[test]
+fn compare_passes_on_self_and_fails_on_injected_regression() {
+    let old = obs::MetricSet::from_json_str(&bench_doc(1000.0)).expect("baseline parses");
     let thresholds = [obs::Threshold::parse("iterations_total=10%").expect("spec parses")];
 
     // Identical inputs: empty delta, exit 0 — the CI self-smoke.
-    let same = obs::MetricSet::from_json_str(&bench(1000.0)).expect("parses");
-    let self_report = obs::Report::build(&old, &same, &thresholds);
+    let same = obs::MetricSet::from_json_str(&bench_doc(1000.0)).expect("parses");
+    let self_report = obs::Report::build(&old, &same, &thresholds).expect("gate matches");
     assert!(!self_report.failed());
     assert_eq!(self_report.exit_code(), 0);
     assert!(
@@ -121,8 +124,8 @@ fn compare_passes_on_self_and_fails_on_injected_regression() {
 
     // +15% iteration growth against a 10% gate: exit 1, and the
     // offending metric is named in the report.
-    let regressed = obs::MetricSet::from_json_str(&bench(1150.0)).expect("parses");
-    let fail_report = obs::Report::build(&old, &regressed, &thresholds);
+    let regressed = obs::MetricSet::from_json_str(&bench_doc(1150.0)).expect("parses");
+    let fail_report = obs::Report::build(&old, &regressed, &thresholds).expect("gate matches");
     assert!(fail_report.failed());
     assert_eq!(fail_report.exit_code(), 1);
     assert!(fail_report
@@ -132,11 +135,41 @@ fn compare_passes_on_self_and_fails_on_injected_regression() {
     assert!(fail_report.render_text(false).contains("FAIL"));
 
     // Shrinkage is an improvement, never a failure.
-    let improved = obs::MetricSet::from_json_str(&bench(850.0)).expect("parses");
+    let improved = obs::MetricSet::from_json_str(&bench_doc(850.0)).expect("parses");
     assert_eq!(
-        obs::Report::build(&old, &improved, &thresholds).exit_code(),
+        obs::Report::build(&old, &improved, &thresholds)
+            .expect("gate matches")
+            .exit_code(),
         0
     );
+}
+
+#[test]
+fn compare_cli_rejects_a_gate_that_matches_no_metric() {
+    let dir = std::env::temp_dir().join(format!("lp-sram-compare-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("bench.json");
+    std::fs::write(&path, bench_doc(1000.0)).expect("bench doc written");
+    let compare = |gate: &str| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_lp-sram-suite"))
+            .arg("compare")
+            .arg(&path)
+            .arg(&path)
+            .args(["--fail-over", gate])
+            .output()
+            .expect("CLI runs")
+    };
+
+    let ok = compare("iterations_total=10%");
+    assert_eq!(ok.status.code(), Some(0), "{ok:?}");
+
+    // A typo gates nothing, so it must fail as a usage error that
+    // names the threshold instead of passing silently.
+    let typo = compare("iteration_total=10%");
+    assert_eq!(typo.status.code(), Some(2), "{typo:?}");
+    let stderr = String::from_utf8_lossy(&typo.stderr);
+    assert!(stderr.contains("`iteration_total`"), "{stderr}");
+    std::fs::remove_dir_all(&dir).expect("temp dir removed");
 }
 
 #[test]

@@ -393,62 +393,6 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Rank-1/chord fast path: chained single-element perturbations must
-// agree with full refactorization at every step.
-// ---------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Random chains of load-resistor perturbations on a nonlinear
-    /// inverter — exactly the single-element-update shape the
-    /// defect-bisection loop produces. The rank-1 scratch carries its
-    /// held factorization and chord base across the chain; every link
-    /// must land within solver tolerance of a plain dense solve of the
-    /// same netlist, and the fast path must never fail where the dense
-    /// path converges.
-    #[test]
-    fn rank1_chain_agrees_with_full_refactorization(
-        vin_mv in 200.0f64..900.0,
-        log_loads in proptest::collection::vec(3.0f64..7.0, 1..8),
-    ) {
-        use lp_sram_suite::anasim::devices::mosfet::MosParams;
-        use lp_sram_suite::anasim::mna::AnalysisMode;
-        use lp_sram_suite::anasim::newton::solve_with_scratch;
-        use lp_sram_suite::anasim::{NewtonOptions, SolveScratch};
-        let mut nl = Netlist::new();
-        let vdd = nl.node("vdd");
-        let input = nl.node("in");
-        let out = nl.node("out");
-        nl.vsource("VDD", vdd, Netlist::GND, 1.1);
-        nl.vsource("VIN", input, Netlist::GND, vin_mv * 1.0e-3);
-        nl.mosfet("MP", out, input, vdd, MosParams::pmos(4.0e-4, 0.45))
-            .unwrap();
-        nl.mosfet("MN", out, input, Netlist::GND, MosParams::nmos(4.0e-4, 0.45))
-            .unwrap();
-        let load = nl.resistor("RL", out, Netlist::GND, 100.0e3).unwrap();
-
-        let dense_opts = NewtonOptions::default();
-        let rank1_opts = NewtonOptions {
-            rank1: true,
-            ..dense_opts
-        };
-        let mut dense = SolveScratch::new();
-        let mut fast = SolveScratch::new();
-        for (k, lg) in log_loads.iter().enumerate() {
-            nl.set_param(load, 10f64.powf(*lg));
-            let xd = solve_with_scratch(&nl, &dense_opts, None, AnalysisMode::Dc, &mut dense)
-                .expect("dense solve converges");
-            let xf = solve_with_scratch(&nl, &rank1_opts, None, AnalysisMode::Dc, &mut fast)
-                .expect("rank-1 solve converges");
-            for (a, b) in xd.raw().iter().zip(xf.raw().iter()) {
-                prop_assert!((a - b).abs() < 1e-5, "link {}: {} vs {}", k, a, b);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Hierarchical array reduction: promoting background cells out of the
 // Schur blocks is electrically inert.
 // ---------------------------------------------------------------------
