@@ -355,9 +355,11 @@ fn newton_stage(
         // microamp currents ride on volt-scale tolerances.)
         let mut max_delta = 0.0f64;
         let mut converged = true;
+        let mut finite = true;
         for (xi, &xn) in x.iter().zip(x_new.iter()) {
             let delta = (xn - xi).abs();
             max_delta = max_delta.max(delta);
+            finite &= xn.is_finite();
             if delta > opts.vntol + opts.reltol * xn.abs() {
                 converged = false;
             }
@@ -365,6 +367,15 @@ fn newton_stage(
         // Flight recorder: allocation-free when enabled, one relaxed
         // atomic load when not. Never touches the iterate.
         obs::flight_record(max_delta, alpha);
+        // A NaN delta passes the `>` test above, so a non-finite
+        // proposal (a NaN or infinite source, an overflowed Jacobian)
+        // would otherwise be accepted as converged. It fails the stage
+        // instead, and the rescue ladder takes over.
+        if !finite {
+            return StageOutcome::Failed {
+                residual: f64::INFINITY,
+            };
+        }
         if converged {
             // The accepted answer is the undamped proposal; swap it
             // into the iterate slot for the caller.
@@ -977,6 +988,28 @@ mod tests {
             .expect("linear divider always solves");
         assert!(sol.iterations <= 2, "iterations = {}", sol.iterations);
         assert!((sol.voltage(a) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn non_finite_source_fails_instead_of_converging() {
+        // A NaN proposal passes every per-component `delta > tol` test,
+        // so without the finiteness check this divider returned Ok with
+        // NaN voltages after one iteration.
+        for volts in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut nl = Netlist::new();
+            let a = nl.node("a");
+            let mid = nl.node("mid");
+            nl.vsource("V", a, Netlist::GND, volts);
+            nl.resistor("R1", a, mid, 1.0e3)
+                .expect("valid resistance, unique name");
+            nl.resistor("R2", mid, Netlist::GND, 1.0e3)
+                .expect("valid resistance, unique name");
+            let r = solve(&nl, &NewtonOptions::default(), None, AnalysisMode::Dc);
+            assert!(
+                matches!(r, Err(Error::NoConvergence { .. })),
+                "source {volts}: {r:?}"
+            );
+        }
     }
 
     #[test]

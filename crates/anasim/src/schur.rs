@@ -1649,6 +1649,29 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_supply_fails_on_the_partitioned_path() {
+        // The reduced solve shares Newton's acceptance test, so a NaN
+        // supply must end in NoConvergence here too, not in NaN rails.
+        for volts in [f64::NAN, f64::INFINITY] {
+            let (mut nl, nodes, partition) = latch_chain(6, 1);
+            nl.set_source(crate::SourceId(0), volts);
+            let guess = latch_guess(&nl, &nodes);
+            let mut scratch = SolveScratch::new();
+            let r = solve_array(
+                &nl,
+                &partition,
+                &ArraySolveOptions::default(),
+                Some(&guess),
+                &mut scratch,
+            );
+            assert!(
+                matches!(r, Err(Error::NoConvergence { .. })),
+                "supply {volts}: {r:?}"
+            );
+        }
+    }
+
+    #[test]
     fn warm_resolve_serves_every_block_from_the_cache() {
         let (nl, nodes, partition) = latch_chain(8, 1);
         let guess = latch_guess(&nl, &nodes);

@@ -443,107 +443,13 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// In-place LU workspace: bit-identical to the consuming factorization.
+// Netlist-level singular diagnostics through the scratch path. (The
+// kernel's bit-identity to dense elimination, and the workspace's to
+// the consuming path, are a drill property in `anasim::matrix`.)
 // ---------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// A reused `LuWorkspace` must reproduce the consuming `into_lu`
-    /// path bit-for-bit on random well-conditioned MNA-shaped systems
-    /// (diagonally dominant node block plus ±1 source-coupling rows,
-    /// like an assembled regulator matrix). Sharing one workspace
-    /// across systems of varying order also exercises the resize path.
-    #[test]
-    fn lu_workspace_bit_identical_to_consuming_lu(
-        orders in proptest::collection::vec(1usize..14, 1..6),
-        seed in any::<u64>(),
-    ) {
-        use lp_sram_suite::anasim::matrix::LuWorkspace;
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state as f64 / u64::MAX as f64) * 2.0 - 1.0
-        };
-        let mut ws = LuWorkspace::new();
-        for &n in &orders {
-            let mut a = DenseMatrix::zeros(n);
-            for i in 0..n {
-                for j in 0..n {
-                    a.set(i, j, next());
-                }
-                a.add(i, i, n as f64 + 1.0);
-            }
-            // A voltage-source-style coupling pair (±1 off-diagonals)
-            // when the system is big enough, mimicking MNA branch rows.
-            if n >= 3 {
-                a.set(0, n - 1, 1.0);
-                a.set(n - 1, 0, 1.0);
-            }
-            let b: Vec<f64> = (0..n).map(|_| next()).collect();
-
-            let lu = a.clone().into_lu().expect("diagonally dominant");
-            let x_consuming = lu.solve(&b);
-            ws.factor_from(&a).expect("same matrix, same verdict");
-            let mut x_ws = vec![0.0; n];
-            ws.solve_into(&b, &mut x_ws);
-
-            let consuming_bits: Vec<u64> = x_consuming.iter().map(|v| v.to_bits()).collect();
-            let ws_bits: Vec<u64> = x_ws.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(consuming_bits, ws_bits, "order {} diverged", n);
-        }
-    }
-
-    /// Singular systems must fail identically through both paths: same
-    /// error variant, same pivot row — so the netlist layer names the
-    /// same unknown no matter which path hit the zero pivot.
-    #[test]
-    fn lu_workspace_singular_error_parity(
-        n in 2usize..10,
-        zero_row in 0usize..10,
-        seed in any::<u64>(),
-    ) {
-        use lp_sram_suite::anasim::matrix::LuWorkspace;
-        use lp_sram_suite::anasim::Error;
-        let zero_row = zero_row % n;
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state as f64 / u64::MAX as f64) * 2.0 - 1.0
-        };
-        let mut a = DenseMatrix::zeros(n);
-        for i in 0..n {
-            for j in 0..n {
-                a.set(i, j, next());
-            }
-            a.add(i, i, n as f64 + 1.0);
-        }
-        // Duplicate a row onto its neighbour (or zero it when n == 1):
-        // rank deficiency that partial pivoting must detect.
-        let src = (zero_row + 1) % n;
-        for j in 0..n {
-            let v = a.get(src, j);
-            a.set(zero_row, j, v);
-        }
-
-        let consuming = a.clone().into_lu().err().expect("rank-deficient");
-        let mut ws = LuWorkspace::new();
-        let in_place = ws.factor_from(&a).err().expect("rank-deficient");
-        match (&consuming, &in_place) {
-            (
-                Error::SingularMatrix { pivot_row: pc, unknown: uc },
-                Error::SingularMatrix { pivot_row: pi, unknown: ui },
-            ) => {
-                prop_assert_eq!(pc, pi, "paths blamed different pivot rows");
-                prop_assert_eq!(uc, ui);
-            }
-            other => prop_assert!(false, "unexpected error pair: {:?}", other),
-        }
-    }
 
     /// Netlist-level singular diagnostics: a floating node solved
     /// through the scratch path names the same unknown as a fresh
