@@ -15,8 +15,7 @@ const DC_LEAK_CONDUCTANCE: f64 = 1.0e-12;
 /// Backward Euler was chosen over trapezoidal integration deliberately:
 /// the retention waveforms this crate simulates are monotone decays and
 /// slow ramps where BE's L-stability (no trapezoidal ringing) matters
-/// more than its first-order accuracy; the ablation benchmark
-/// `ablation_newton` quantifies the step-size cost.
+/// more than its first-order accuracy.
 #[derive(Debug)]
 pub struct Capacitor {
     p: NodeId,

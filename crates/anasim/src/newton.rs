@@ -48,8 +48,8 @@ impl Default for NewtonOptions {
 }
 
 impl NewtonOptions {
-    /// Options with both continuation fallbacks disabled — used by the
-    /// `ablation_newton` benchmark to quantify what continuation buys.
+    /// Options with both continuation fallbacks disabled, to quantify
+    /// what continuation buys (DESIGN §5).
     pub fn plain() -> Self {
         NewtonOptions {
             gmin_stepping: false,
@@ -829,8 +829,8 @@ impl RetryPolicy {
     }
 
     /// No retries: one attempt with the caller's options, failures
-    /// surface immediately. Used by benchmarks and ablations that must
-    /// measure the un-rescued solver.
+    /// surface immediately, for callers that must measure the
+    /// un-rescued solver.
     pub fn none() -> Self {
         RetryPolicy {
             max_attempts: 1,
@@ -1544,6 +1544,27 @@ mod tests {
         nl.resistor("Rend", prev, Netlist::GND, 1.0e3)
             .expect("valid resistance, unique name");
         nl
+    }
+
+    #[test]
+    fn sparse_ladder_fill_in_is_pinned() {
+        // The L+U nonzero count of the sparse backend is a pure function
+        // of its ordering and pivoting, so any change to either moves it.
+        let nl = ladder(150);
+        let mut scratch = SolveScratch::new();
+        let sol = solve_with_scratch(
+            &nl,
+            &NewtonOptions::default(),
+            None,
+            AnalysisMode::Dc,
+            &mut scratch,
+        )
+        .expect("sparse ladder solves");
+        assert_eq!(
+            (nl.num_unknowns(), sol.iterations, scratch.sparse_lu_nnz()),
+            (152, 2, Some(453)),
+            "(unknowns, Newton iterations, L+U nonzeros)"
+        );
     }
 
     #[test]

@@ -80,8 +80,8 @@ impl SolveScratch {
 
     /// Nonzero count (L + U including the diagonal) of the sparse LU
     /// factors held from the most recent solve, or `None` when every
-    /// solve so far ran on the dense backend. Benchmarks record this
-    /// as a deterministic fill-in fingerprint of the sparse path.
+    /// solve so far ran on the dense backend: a deterministic fill-in
+    /// fingerprint of the sparse path.
     pub fn sparse_lu_nnz(&self) -> Option<usize> {
         match self.sparse.lu_nnz() {
             0 => None,

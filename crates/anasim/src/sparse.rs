@@ -93,7 +93,7 @@ impl SparseLu {
     }
 
     /// Number of stored nonzeros in the L and U factors of the last
-    /// factorization (diagnostic / bench metric).
+    /// factorization (diagnostic / fill-in fingerprint).
     pub fn lu_nnz(&self) -> usize {
         self.l_rows.len() + self.u_rows.len() + self.u_diag.len()
     }

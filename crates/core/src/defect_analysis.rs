@@ -1168,12 +1168,26 @@ mod tests {
         // full quick grid every minimum resistance must equal the cold
         // run's exactly. (The diagnostic rail voltages converge from
         // different starts, so they agree only to solver tolerance.)
+        // One worker keeps every solve on this thread, so the
+        // thread-local tally counts exactly this campaign's Newton
+        // iterations, which are deterministic and pinned.
         let mut cold = Table2Options::quick();
+        cold.jobs = 1;
         cold.warm_start = false;
-        let mut warm = Table2Options::quick();
+        let mut warm = cold.clone();
         warm.warm_start = true;
-        let cold_t = table2(&cold).unwrap();
-        let warm_t = table2(&warm).unwrap();
+        let newton_iterations = |opts: &Table2Options| {
+            let before = obs::tally();
+            let table = table2(opts).unwrap();
+            (table, obs::tally().since(&before).iterations)
+        };
+        let (cold_t, cold_iterations) = newton_iterations(&cold);
+        let (warm_t, warm_iterations) = newton_iterations(&warm);
+        assert_eq!(
+            (cold_iterations, warm_iterations),
+            (29_480, 28_846),
+            "Newton iterations from cold and warm starts"
+        );
         assert!(cold_t.coverage.is_complete(), "{}", cold_t.coverage);
         assert!(warm_t.coverage.is_complete(), "{}", warm_t.coverage);
         for (row_c, row_w) in cold_t.rows.iter().zip(&warm_t.rows) {

@@ -1,8 +1,7 @@
 //! Adversarial fault-injection harnesses.
 //!
-//! Two randomized testers built on the std-only [`drill`] harness (so
-//! they run in the offline tier-1 gate, unlike the feature-gated
-//! proptest suites):
+//! Two randomized testers built on the std-only [`drill`] harness, so
+//! they run in the offline tier-1 gate:
 //!
 //! * [`functional`] — random write/read/power-mode sequences against
 //!   the behavioural [`march::SimpleMemory`] with injected fault maps,

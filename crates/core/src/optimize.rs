@@ -47,10 +47,6 @@ pub struct CoverageOptions {
     /// (`0` = available parallelism, `1` = sequential); the matrix is
     /// identical for every value.
     pub jobs: usize,
-    /// Seed each entry's resistance search from the healthy operating
-    /// point pre-solved at its combination (see
-    /// [`regulator::characterize::healthy_seed`]).
-    pub warm_start: bool,
 }
 
 impl CoverageOptions {
@@ -68,7 +64,6 @@ impl CoverageOptions {
             drv: DrvOptions::default(),
             load_points: 7,
             jobs: 0,
-            warm_start: true,
         }
     }
 
@@ -202,32 +197,27 @@ pub fn build_coverage(options: &CoverageOptions) -> Result<CoverageMatrix, anasi
 
     // Per-combination warm-start seeds: the healthy operating point at
     // each (vdd, tap), shared by every defect search at that column.
-    let seeds: Vec<Option<Vec<f64>>> = if options.warm_start {
-        let built = parallel_map_isolated(
-            options.jobs,
-            &combos,
-            |_, combo| {
-                let (_, built) = contexts
-                    .iter()
-                    .find(|(v, _)| (*v - combo.vdd).abs() < 1e-9)
-                    .expect("context exists for every supply");
-                let Ok((_, _, load)) = built else {
-                    return None;
-                };
-                let pvt = PvtCondition::new(options.corner, combo.vdd, options.temp_c);
-                healthy_seed(&options.design, pvt, combo.tap, load, &options.characterize).ok()
-            },
-            |_, _| {},
-        );
-        // A seed is purely an accelerator: a panicked seed solve
-        // degrades that column to a cold start.
-        built
-            .into_iter()
-            .map(|o| o.unwrap_or_else(|_| None))
-            .collect()
-    } else {
-        vec![None; combos.len()]
-    };
+    let seeds: Vec<Option<Vec<f64>>> = parallel_map_isolated(
+        options.jobs,
+        &combos,
+        |_, combo| {
+            let (_, built) = contexts
+                .iter()
+                .find(|(v, _)| (*v - combo.vdd).abs() < 1e-9)
+                .expect("context exists for every supply");
+            let Ok((_, _, load)) = built else {
+                return None;
+            };
+            let pvt = PvtCondition::new(options.corner, combo.vdd, options.temp_c);
+            healthy_seed(&options.design, pvt, combo.tap, load, &options.characterize).ok()
+        },
+        |_, _| {},
+    )
+    .into_iter()
+    // A seed is purely an accelerator: a panicked seed solve degrades
+    // that column to a cold start.
+    .map(|o| o.unwrap_or_else(|_| None))
+    .collect();
 
     // One work item per (defect × combination) entry, in matrix order.
     enum Entry {
@@ -489,8 +479,8 @@ pub fn escape_analysis(matrix: &CoverageMatrix, flow: &TestFlow) -> EscapeReport
     EscapeReport { per_defect }
 }
 
-/// Exhaustive minimal cover (2¹² subsets; used by the ablation bench to
-/// confirm greedy optimality on this instance).
+/// Exhaustive minimal cover (2¹² subsets; used to confirm greedy
+/// optimality on this instance).
 pub fn exhaustive_cover(matrix: &CoverageMatrix, ds_time: f64) -> TestFlow {
     let n = matrix.combos.len();
     let mut best: Option<Vec<usize>> = None;

@@ -1,11 +1,12 @@
 //! `drill` — a zero-dependency property-testing harness.
 //!
-//! The suite's proptest suites are feature-gated behind a crates.io
-//! dependency the offline build cannot fetch, so they never run in the
-//! tier-1 gate. `drill` closes that gap: seeded case generation on a
-//! [`Rng`] (SplitMix64), a [`check`] runner that catches property
-//! panics per case, bounded greedy shrinking, and a per-case seed in
-//! every failure so any counterexample replays from one `u64`.
+//! It is the workspace's one property harness, so every property runs
+//! in the offline tier-1 build: the root `tests/properties.rs`, the
+//! `drftest::fuzz` fuzzers and `anasim`'s LU bit-identity property.
+//! It provides seeded case generation on a [`Rng`] (SplitMix64), a
+//! [`check`] runner that catches property panics per case, bounded
+//! greedy shrinking, and a per-case seed in every failure so any
+//! counterexample replays from one `u64`.
 //!
 //! # Replay contract
 //!

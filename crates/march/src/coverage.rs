@@ -88,7 +88,7 @@ pub fn detects_alone(
 
 /// A standard fault list over a small memory: every SAF/TF/DRF on a
 /// sample of cells plus coupling faults between neighbours. Used by the
-/// comparison examples and benches.
+/// comparison examples.
 pub fn standard_fault_list(words: usize, word_bits: usize) -> Vec<Fault> {
     let mut faults = Vec::new();
     let sample: Vec<CellRef> = (0..words.min(8))

@@ -1,17 +1,17 @@
 //! Run comparison & regression engine.
 //!
-//! [`MetricSet::from_json_str`] flattens either a
-//! [`RunManifest`](crate::manifest::RunManifest) or a
-//! `lp-sram-suite/bench-baseline/v3` document into a flat
+//! [`MetricSet::from_json_str`] flattens a
+//! [`RunManifest`](crate::manifest::RunManifest) into a flat
 //! `name → value` map of deterministic-ish metrics;
 //! [`Report::build`] diffs two such sets and applies
-//! [`Threshold`]s (`--fail-over iterations_total=10%`) to decide the
-//! CI verdict. Exit-code contract:
+//! [`Threshold`]s (`--fail-over march.ops=0%`) to decide the CI
+//! verdict. Exit-code contract:
 //!
 //! - `0` — no thresholded metric grew past its allowance,
 //! - `1` — at least one did (or a thresholded metric disappeared),
-//! - `2` — usage or parse error, including a threshold that matches no
-//!   metric of either document (decided by the CLI caller).
+//! - `2` — usage or parse error, including a document that is not a
+//!   run manifest and a threshold that matches no metric of either
+//!   document (decided by the CLI caller).
 //!
 //! Only *growth* fails a threshold: an iteration count falling 15 %
 //! is an improvement, not a regression. Volatile provenance fields
@@ -25,52 +25,27 @@ use std::fmt::Write as _;
 use crate::json::{self, Json};
 use crate::manifest::MANIFEST_SCHEMA;
 
-/// Schema tag of legacy bench-baseline documents (four seeding
-/// variants, dense solver only). Still accepted for comparison so old
-/// committed baselines keep working.
-pub const BENCH_SCHEMA: &str = "lp-sram-suite/bench-baseline/v3";
-
-/// Schema tag of current bench-baseline documents (written by
-/// `bench --bin table2_baseline`): adds the `rank1_chained` variant,
-/// per-variant `rank1` flags with `cache_hits`/`cache_misses`/
-/// `rank1_applied`/`rank1_fallbacks` solver counters, and the
-/// `sparse_ladder` pseudo-variant (`unknowns`/`iterations`/`lu_nnz`).
-pub const BENCH_SCHEMA_V4: &str = "lp-sram-suite/bench-baseline/v4";
-
-/// Schema tag of current bench-baseline documents: adds the
-/// `full_array` pseudo-variant benchmarking the hierarchical
-/// block-Schur array solve against the monolithic sparse path
-/// (`interface_unknowns`, `schur_blocks_shared`/`schur_blocks_rebuilt`,
-/// `factorized_unknowns_schur`/`factorized_unknowns_monolithic`, and
-/// the headline `reduction_ratio`).
-pub const BENCH_SCHEMA_V5: &str = "lp-sram-suite/bench-baseline/v5";
-
 /// Schema tag of the JSON compare report.
 pub const COMPARE_SCHEMA: &str = "lp-sram-suite/compare/v1";
 
-/// A flat, comparable view of one run document.
+/// A flat, comparable view of one run manifest.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricSet {
-    /// Which schema the document carried.
-    pub schema: String,
     /// Flattened dot-separated metric names to values.
     pub metrics: BTreeMap<String, f64>,
 }
 
 impl MetricSet {
-    /// Flattens a manifest or bench-baseline JSON document.
+    /// Flattens a run-manifest JSON document.
     ///
     /// # Errors
     ///
-    /// A human-readable message on malformed JSON or an unsupported
-    /// schema.
+    /// A human-readable message on malformed JSON or a schema other
+    /// than [`MANIFEST_SCHEMA`].
     pub fn from_json_str(text: &str) -> Result<MetricSet, String> {
         let doc = json::parse(text).map_err(|e| e.to_string())?;
         match doc.get("schema").and_then(Json::as_str) {
             Some(MANIFEST_SCHEMA) => Ok(flatten_manifest(&doc)),
-            Some(schema @ (BENCH_SCHEMA | BENCH_SCHEMA_V4 | BENCH_SCHEMA_V5)) => {
-                Ok(flatten_bench(&doc, schema))
-            }
             Some(other) => Err(format!("unsupported schema `{other}`")),
             None => Err("document has no `schema` tag".to_string()),
         }
@@ -110,59 +85,14 @@ fn flatten_manifest(doc: &Json) -> MetricSet {
     if let Some(n) = doc.get("elapsed_s").and_then(Json::as_f64) {
         metrics.insert("elapsed_s".to_string(), n);
     }
-    MetricSet {
-        schema: MANIFEST_SCHEMA.to_string(),
-        metrics,
-    }
-}
-
-fn flatten_bench(doc: &Json, schema: &str) -> MetricSet {
-    let mut metrics = BTreeMap::new();
-    if let Some(variants) = doc.get("variants").and_then(Json::as_obj) {
-        for (variant, v) in variants {
-            for field in [
-                "points_attempted",
-                "points_completed",
-                "elapsed_s",
-                "points_per_sec",
-                "allocs_per_iteration",
-                // v4 `sparse_ladder` pseudo-variant fields.
-                "unknowns",
-                "iterations",
-                "lu_nnz",
-                // v5 `full_array` pseudo-variant fields.
-                "interface_unknowns",
-                "schur_blocks_shared",
-                "schur_blocks_rebuilt",
-                "factorized_unknowns_schur",
-                "factorized_unknowns_monolithic",
-                "reduction_ratio",
-            ] {
-                if let Some(n) = v.get(field).and_then(Json::as_f64) {
-                    metrics.insert(format!("{variant}.{field}"), n);
-                }
-            }
-            if let Some(solver) = v.get("solver").and_then(Json::as_obj) {
-                for (name, sv) in solver {
-                    if let Some(n) = sv.as_f64() {
-                        metrics.insert(format!("{variant}.solver.{name}"), n);
-                    }
-                }
-            }
-        }
-    }
-    MetricSet {
-        schema: schema.to_string(),
-        metrics,
-    }
+    MetricSet { metrics }
 }
 
 /// One `--fail-over name=pct%` allowance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Threshold {
-    /// Full flattened metric name, or a bare last segment
-    /// (`iterations_total` matches `<variant>.solver.iterations_total`
-    /// in every variant).
+    /// Full flattened metric name, or a bare last segment (`max`
+    /// matches `<histogram>.max` of every histogram).
     pub key: String,
     /// Allowed relative growth as a fraction (`10%` → `0.10`).
     pub max_growth: f64,
@@ -226,7 +156,7 @@ pub struct Report {
     /// Metrics present only in the new document.
     pub missing_in_old: Vec<String>,
     /// Thresholded metrics that vanished from the new document (a
-    /// missing bench variant fails its thresholds).
+    /// counter the new run never recorded fails its thresholds).
     pub failed_missing: Vec<String>,
     /// Metrics compared in total.
     pub compared: usize,
@@ -434,115 +364,38 @@ fn fmt_rel(rel: f64) -> String {
 mod tests {
     use super::*;
 
-    fn bench_doc(iterations: u64) -> String {
+    /// A run manifest whose `anasim.solve.iterations` histogram sums to
+    /// `iterations`.
+    fn manifest_doc(iterations: u64) -> String {
         format!(
             r#"{{
-  "schema": "lp-sram-suite/bench-baseline/v3",
-  "artifact": "table2",
-  "version": "v0.1.0-gdeadbeef",
-  "variants": {{
-    "sequential_cold": {{
-      "points_attempted": 85,
-      "points_completed": 85,
-      "elapsed_s": 0.37,
-      "allocs_per_iteration": 0,
-      "solver": {{"solves": 11887, "iterations_total": {iterations}}}
-    }}
-  }}
+  "schema": "lp-sram-suite/run-manifest/v1",
+  "version": "v0.1.0-gdeadbeef", "artifact": "table2",
+  "created_unix": 1700000000,
+  "counters": {{"anasim.solve.count": 11898, "anasim.solve.failed": 0}},
+  "histograms": {{"anasim.solve.iterations": {{"count": 11898, "sum": {iterations}, "min": 1, "max": 40, "zeros": 0, "buckets": []}}}}
 }}"#
         )
     }
 
-    #[test]
-    fn bench_documents_flatten_per_variant() {
-        let m = MetricSet::from_json_str(&bench_doc(29480)).unwrap();
-        assert_eq!(m.schema, BENCH_SCHEMA);
-        assert_eq!(
-            m.metrics["sequential_cold.solver.iterations_total"],
-            29480.0
-        );
-        assert_eq!(m.metrics["sequential_cold.allocs_per_iteration"], 0.0);
-        // Provenance fields are not metrics.
-        assert!(!m.metrics.keys().any(|k| k.contains("version")));
-    }
-
-    #[test]
-    fn v4_documents_flatten_fast_path_counters_and_sparse_ladder() {
-        let text = r#"{
-  "schema": "lp-sram-suite/bench-baseline/v4",
-  "artifact": "table2",
-  "variants": {
-    "rank1_chained": {
-      "jobs": 1, "rank1": true,
-      "points_completed": 85,
-      "solver": {"iterations_total": 9000, "cache_hits": 3, "cache_misses": 40,
-                 "rank1_applied": 700, "rank1_fallbacks": 2}
-    },
-    "sparse_ladder": {"unknowns": 151, "iterations": 2, "lu_nnz": 450}
-  }
-}"#;
-        let m = MetricSet::from_json_str(text).unwrap();
-        assert_eq!(m.schema, BENCH_SCHEMA_V4);
-        assert_eq!(m.metrics["rank1_chained.solver.cache_misses"], 40.0);
-        assert_eq!(m.metrics["rank1_chained.solver.rank1_fallbacks"], 2.0);
-        assert_eq!(m.metrics["sparse_ladder.lu_nnz"], 450.0);
-        // Last-segment thresholds govern the new counters like any
-        // other solver metric.
-        let t = Threshold::parse("cache_misses=10%").unwrap();
-        assert!(t.matches("rank1_chained.solver.cache_misses"));
-        // Both bench schemas compare against each other: shared metric
-        // names line up, new-only ones are informational.
-        let v3 = MetricSet::from_json_str(&bench_doc(29480)).unwrap();
-        let r = Report::build(&v3, &m, &[]).unwrap();
-        assert_eq!(r.exit_code(), 0);
-        assert!(r.missing_in_old.contains(&"sparse_ladder.lu_nnz".into()));
-    }
-
-    #[test]
-    fn v5_documents_flatten_the_full_array_reduction() {
-        let text = r#"{
-  "schema": "lp-sram-suite/bench-baseline/v5",
-  "artifact": "table2",
-  "variants": {
-    "full_array": {
-      "unknowns": 8723, "interface_unknowns": 531,
-      "schur_blocks_shared": 4700, "schur_blocks_rebuilt": 18,
-      "factorized_unknowns_schur": 5000,
-      "factorized_unknowns_monolithic": 78507,
-      "reduction_ratio": 15.7
-    }
-  }
-}"#;
-        let m = MetricSet::from_json_str(text).unwrap();
-        assert_eq!(m.schema, BENCH_SCHEMA_V5);
-        assert_eq!(m.metrics["full_array.interface_unknowns"], 531.0);
-        assert_eq!(m.metrics["full_array.schur_blocks_rebuilt"], 18.0);
-        assert_eq!(m.metrics["full_array.reduction_ratio"], 15.7);
-        // The CI gate thresholds resolve by last segment.
-        let t = Threshold::parse("schur_blocks_rebuilt=10%").unwrap();
-        assert!(t.matches("full_array.schur_blocks_rebuilt"));
-        let t = Threshold::parse("interface_unknowns=0%").unwrap();
-        assert!(t.matches("full_array.interface_unknowns"));
-        // v5 still compares against older baselines.
-        let v3 = MetricSet::from_json_str(&bench_doc(29480)).unwrap();
-        let r = Report::build(&v3, &m, &[]).unwrap();
-        assert_eq!(r.exit_code(), 0);
-        assert!(r
-            .missing_in_old
-            .contains(&"full_array.reduction_ratio".into()));
-    }
+    const ITERATIONS: &str = "anasim.solve.iterations.sum";
 
     #[test]
     fn unknown_schema_is_a_parse_error() {
         assert!(MetricSet::from_json_str(r#"{"schema": "nope/v9"}"#).is_err());
         assert!(MetricSet::from_json_str("not json").is_err());
         assert!(MetricSet::from_json_str("{}").is_err());
+        // Run manifests are the only input: the retired bench-baseline
+        // files are rejected like any other schema.
+        let bench = r#"{"schema": "lp-sram-suite/bench-baseline/v5", "variants": {}}"#;
+        let err = MetricSet::from_json_str(bench).unwrap_err();
+        assert!(err.contains("unsupported schema"), "{err}");
     }
 
     #[test]
     fn self_compare_is_an_empty_delta_with_exit_zero() {
-        let m = MetricSet::from_json_str(&bench_doc(29480)).unwrap();
-        let t = vec![Threshold::parse("iterations_total=10%").unwrap()];
+        let m = MetricSet::from_json_str(&manifest_doc(28846)).unwrap();
+        let t = vec![Threshold::parse(&format!("{ITERATIONS}=10%")).unwrap()];
         let r = Report::build(&m, &m, &t).unwrap();
         assert!(r.deltas.is_empty());
         assert_eq!(r.exit_code(), 0);
@@ -551,17 +404,14 @@ mod tests {
 
     #[test]
     fn growth_past_threshold_fails_with_exit_one() {
-        let old = MetricSet::from_json_str(&bench_doc(29480)).unwrap();
-        let new = MetricSet::from_json_str(&bench_doc(29480 * 115 / 100)).unwrap();
-        let t = vec![Threshold::parse("iterations_total=10%").unwrap()];
+        let old = MetricSet::from_json_str(&manifest_doc(28846)).unwrap();
+        let new = MetricSet::from_json_str(&manifest_doc(28846 * 115 / 100)).unwrap();
+        let t = vec![Threshold::parse(&format!("{ITERATIONS}=10%")).unwrap()];
         let r = Report::build(&old, &new, &t).unwrap();
         assert_eq!(r.exit_code(), 1);
         let text = r.render_text(false);
         assert!(text.contains("FAIL"), "{text}");
-        assert!(
-            text.contains("sequential_cold.solver.iterations_total"),
-            "{text}"
-        );
+        assert!(text.contains(ITERATIONS), "{text}");
         // Shrinking is an improvement, never a failure.
         let r = Report::build(&new, &old, &t).unwrap();
         assert_eq!(r.exit_code(), 0);
@@ -569,11 +419,11 @@ mod tests {
 
     #[test]
     fn zero_baseline_growth_is_infinite_and_fails_a_zero_threshold() {
-        let old = r#"{"schema": "lp-sram-suite/bench-baseline/v3", "variants": {"v": {"allocs_per_iteration": 0}}}"#;
-        let new = r#"{"schema": "lp-sram-suite/bench-baseline/v3", "variants": {"v": {"allocs_per_iteration": 3}}}"#;
+        let old = r#"{"schema": "lp-sram-suite/run-manifest/v1", "counters": {"anasim.solve.failed": 0}}"#;
+        let new = r#"{"schema": "lp-sram-suite/run-manifest/v1", "counters": {"anasim.solve.failed": 3}}"#;
         let old = MetricSet::from_json_str(old).unwrap();
         let new = MetricSet::from_json_str(new).unwrap();
-        let t = vec![Threshold::parse("allocs_per_iteration=0%").unwrap()];
+        let t = vec![Threshold::parse("anasim.solve.failed=0%").unwrap()];
         let r = Report::build(&old, &new, &t).unwrap();
         assert_eq!(r.exit_code(), 1);
         assert!(r.deltas[0].rel.is_infinite());
@@ -581,12 +431,9 @@ mod tests {
 
     #[test]
     fn missing_thresholded_metric_fails() {
-        let old = MetricSet::from_json_str(&bench_doc(29480)).unwrap();
-        let new = MetricSet {
-            schema: BENCH_SCHEMA.into(),
-            metrics: BTreeMap::new(),
-        };
-        let t = vec![Threshold::parse("iterations_total=10%").unwrap()];
+        let old = MetricSet::from_json_str(&manifest_doc(28846)).unwrap();
+        let new = MetricSet::default();
+        let t = vec![Threshold::parse(&format!("{ITERATIONS}=10%")).unwrap()];
         let r = Report::build(&old, &new, &t).unwrap();
         assert_eq!(r.exit_code(), 1);
         assert!(!r.failed_missing.is_empty());
@@ -597,32 +444,29 @@ mod tests {
 
     #[test]
     fn threshold_matching_no_metric_is_a_usage_error() {
-        let old = MetricSet::from_json_str(&bench_doc(29480)).unwrap();
-        let new = MetricSet::from_json_str(&bench_doc(29480)).unwrap();
+        let old = MetricSet::from_json_str(&manifest_doc(28846)).unwrap();
+        let new = MetricSet::from_json_str(&manifest_doc(28846)).unwrap();
         let t = vec![
-            Threshold::parse("iterations_total=10%").unwrap(),
-            Threshold::parse("iteration_total=10%").unwrap(),
+            Threshold::parse(&format!("{ITERATIONS}=10%")).unwrap(),
+            Threshold::parse("anasim.solve.iteration.sum=10%").unwrap(),
             Threshold::parse("rank1_fallbacks=10%").unwrap(),
         ];
         let err = Report::build(&old, &new, &t).expect_err("dead gates must not pass");
-        assert!(err.contains("`iteration_total`"), "{err}");
+        assert!(err.contains("`anasim.solve.iteration.sum`"), "{err}");
         assert!(err.contains("`rank1_fallbacks`"), "{err}");
-        assert!(!err.contains("`iterations_total`"), "{err}");
+        assert!(!err.contains(&format!("`{ITERATIONS}`")), "{err}");
         // A metric present in only one document still counts as matched.
-        let empty = MetricSet {
-            schema: BENCH_SCHEMA.into(),
-            metrics: BTreeMap::new(),
-        };
+        let empty = MetricSet::default();
         assert!(Report::build(&empty, &new, &t[..1]).is_ok());
     }
 
     #[test]
     fn threshold_parsing_accepts_percent_and_rejects_garbage() {
-        let t = Threshold::parse("iterations_total=10%").unwrap();
+        let t = Threshold::parse("sum=10%").unwrap();
         assert!((t.max_growth - 0.10).abs() < 1e-12);
-        assert!(t.matches("sequential_cold.solver.iterations_total"));
-        assert!(t.matches("iterations_total"));
-        assert!(!t.matches("iterations_total.count"));
+        assert!(t.matches(ITERATIONS));
+        assert!(t.matches("sum"));
+        assert!(!t.matches("sum.count"));
         assert!(Threshold::parse("oops").is_err());
         assert!(Threshold::parse("x=abc").is_err());
         assert!(Threshold::parse("x=-5%").is_err());
@@ -645,16 +489,18 @@ mod tests {
         assert_eq!(m.metrics["coverage.completed"], 9.0);
         assert_eq!(m.metrics["elapsed_s"], 2.5);
         assert!(!m.metrics.contains_key("created_unix"));
+        // Provenance fields are not metrics.
+        assert!(!m.metrics.keys().any(|k| k.contains("version")));
     }
 
     #[test]
     fn json_report_round_trips_through_the_parser() {
-        let old = MetricSet::from_json_str(&bench_doc(100)).unwrap();
-        let new = MetricSet::from_json_str(&bench_doc(120)).unwrap();
+        let old = MetricSet::from_json_str(&manifest_doc(100)).unwrap();
+        let new = MetricSet::from_json_str(&manifest_doc(120)).unwrap();
         let r = Report::build(
             &old,
             &new,
-            &[Threshold::parse("iterations_total=10").unwrap()],
+            &[Threshold::parse(&format!("{ITERATIONS}=10")).unwrap()],
         )
         .unwrap();
         let doc = json::parse(&r.to_json().to_pretty()).expect("valid JSON");

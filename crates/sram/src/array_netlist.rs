@@ -158,7 +158,7 @@ pub struct ArraySpec {
     /// Background cells to *promote* to the interface without changing
     /// their electrical content. Solving with different promotion sets
     /// must not change any node voltage beyond solver tolerance — the
-    /// equivalence property the proptest suite leans on.
+    /// equivalence property `tests/properties.rs` leans on.
     pub force_active: Vec<(usize, usize)>,
     /// Shared-net parasitics.
     pub parasitics: Parasitics,

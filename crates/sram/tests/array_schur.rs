@@ -28,9 +28,21 @@ fn build_spec(rows: usize, cols: usize, defects: usize) -> ArraySpec {
     spec
 }
 
+/// What the Schur path solved and factored, against the monolithic path.
+struct Reduction {
+    unknowns: usize,
+    interface: usize,
+    iterations: usize,
+    blocks_rebuilt: u64,
+    /// Unknowns the monolithic solve factored (`n` per iteration) over
+    /// those the Schur path factored (the interface per iteration plus
+    /// one 2-unknown cell block per rebuilt macromodel).
+    factorized_ratio: f64,
+}
+
 /// Solves the same array through both paths and cross-checks voltages,
 /// verdict grids, and the Schur counters.
-fn assert_paths_agree(rows: usize, cols: usize, defects: usize) {
+fn assert_paths_agree(rows: usize, cols: usize, defects: usize) -> Reduction {
     let built = build_spec(rows, cols, defects)
         .build()
         .expect("array builds");
@@ -94,6 +106,18 @@ fn assert_paths_agree(rows: usize, cols: usize, defects: usize) {
     let mono_counters = mono_scratch.counters();
     assert_eq!(mono_counters.schur_blocks_shared, 0);
     assert_eq!(mono_counters.schur_blocks_rebuilt, 0);
+
+    let unknowns = built.netlist.num_unknowns();
+    let interface = built.partition.interface_unknowns();
+    let factorized_schur =
+        interface * reduced.iterations + 2 * counters.schur_blocks_rebuilt as usize;
+    Reduction {
+        unknowns,
+        interface,
+        iterations: reduced.iterations,
+        blocks_rebuilt: counters.schur_blocks_rebuilt,
+        factorized_ratio: (unknowns * mono.iterations) as f64 / factorized_schur as f64,
+    }
 }
 
 #[test]
@@ -128,9 +152,24 @@ fn equivalence_64x8_three_defects() {
 
 /// Full paper-scale column stripe. The monolithic reference assembles
 /// an 8 723² dense matrix (~0.6 GB) before gathering into sparse, so
-/// this stays out of tier-1; run with `cargo test -- --ignored`.
+/// this stays out of tier-1; CI runs it in release with
+/// `cargo test --release -p sram --test array_schur -- --ignored`.
+///
+/// The Schur side is deterministic and pinned exactly: a changed
+/// partition moves the interface, and a macromodel cache that shares
+/// less rebuilds more blocks.
 #[test]
-#[ignore = "512x8 monolithic reference needs ~0.6 GB and minutes of debug-mode runtime"]
+#[ignore = "512x8 monolithic reference needs ~0.6 GB and minutes of runtime"]
 fn equivalence_512x8_three_defects() {
-    assert_paths_agree(512, 8, 3);
+    let r = assert_paths_agree(512, 8, 3);
+    assert_eq!(
+        (r.unknowns, r.interface, r.iterations, r.blocks_rebuilt),
+        (8_723, 537, 6, 11),
+        "(unknowns, interface, Schur iterations, macromodels rebuilt)"
+    );
+    assert!(
+        r.factorized_ratio >= 5.0,
+        "factorized-unknowns reduction {:.1}x below 5x",
+        r.factorized_ratio
+    );
 }

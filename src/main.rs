@@ -74,11 +74,10 @@
 //! iteration attribution) with a self-time hotlist; `--collapsed`
 //! additionally writes a collapsed-stack file for flamegraph tooling.
 //!
-//! `compare <old.json> <new.json>` diffs two run manifests or two
-//! bench-baseline files metric-by-metric. `--fail-over
-//! iterations_total=10%` turns growth beyond a threshold into exit
-//! code 1, making CI regression gates one command; exit 2 is reserved
-//! for usage/parse errors.
+//! `compare <old.json> <new.json>` diffs two run manifests
+//! metric-by-metric. `--fail-over march.ops=0%` turns growth beyond a
+//! threshold into exit code 1, making CI regression gates one command;
+//! exit 2 is reserved for usage/parse errors.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -125,7 +124,7 @@ fn usage() -> ExitCode {
          \x20    (--traces: convergence flight-recorder digest; --json: machine-readable)\n\
          profile <trace.jsonl>: fold a --trace stream into a call tree + hotlist\n\
          \x20    (--collapsed <out.txt>: flamegraph collapsed-stack export)\n\
-         compare <old.json> <new.json>: diff two manifests or bench baselines;\n\
+         compare <old.json> <new.json>: diff two --metrics manifests;\n\
          \x20    --fail-over <metric>=<pct>% exits 1 when growth exceeds the\n\
          \x20    threshold (repeatable; exit 2 = usage/parse error)\n\
          lint [--deny-warnings] [--json] [--rules]:\n\
@@ -354,7 +353,7 @@ fn profile(
     Ok(())
 }
 
-/// Diffs two metric files (`--metrics` manifests or bench baselines).
+/// Diffs two `--metrics` run manifests.
 /// Exit codes: 0 = within thresholds, 1 = regression, 2 = usage or
 /// parse error — the contract CI gates build on.
 fn compare(args: &[String]) -> ExitCode {

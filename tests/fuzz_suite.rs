@@ -1,7 +1,6 @@
 //! Tier-1 fuzz smoke: the std-only drill properties run in the default
-//! gate (unlike the feature-gated proptest suites, which need a
-//! networked build). Small case counts here — CI's fuzz-smoke job runs
-//! the full budget through the CLI.
+//! gate. Small case counts here — CI's fuzz-smoke job runs the full
+//! budget through the CLI.
 
 use drftest::fuzz::{self, DEFAULT_SEED};
 

@@ -82,37 +82,57 @@ fn profile_reproduces_campaign_wall_clock_from_the_trace() {
         collapsed.lines().any(|l| l.starts_with("table2 ")),
         "collapsed export:\n{collapsed}"
     );
+
+    // The quick campaign's solver work is deterministic, so it is
+    // pinned exactly: a weaker warm start, a lost continuation stage or
+    // deeper use of the rescue ladder moves one of these counts.
+    let snap = obs::snapshot();
+    let measured: Vec<(&str, u64)> = QUICK_TABLE2_SOLVER_WORK
+        .iter()
+        .map(|&(name, _)| (name, snap.counters.get(name).copied().unwrap_or(0)))
+        .collect();
+    assert_eq!(measured, QUICK_TABLE2_SOLVER_WORK);
+    let iterations = snap
+        .histograms
+        .get("anasim.solve.iterations")
+        .map_or(0.0, obs::Histogram::sum);
+    assert_eq!(iterations, 28_846.0, "Newton iterations");
 }
 
-/// A one-variant bench-baseline document with the given iteration
-/// total.
-fn bench_doc(iterations_total: f64) -> String {
+/// Solver counters of the quick Table II campaign at one worker with
+/// warm starts.
+const QUICK_TABLE2_SOLVER_WORK: [(&str, u64); 7] = [
+    ("anasim.solve.count", 11_898),
+    ("anasim.solve.failed", 0),
+    ("anasim.rescue.plain", 11_892),
+    ("anasim.rescue.gmin-regularized", 3),
+    ("anasim.rescue.gmin-stepping", 3),
+    ("anasim.transient.steps", 6_000),
+    ("characterize.warm_seed.applied", 75),
+];
+
+/// A run manifest whose `anasim.solve.iterations` histogram sums to
+/// `iterations`.
+fn manifest_doc(iterations: f64) -> String {
     format!(
         r#"{{
-  "schema": "lp-sram-suite/bench-baseline/v3",
-  "artifact": "table2",
-  "variants": {{
-    "sequential_warm": {{
-      "jobs": 1,
-      "points_attempted": 240,
-      "points_completed": 240,
-      "elapsed_s": 10.0,
-      "points_per_sec": 24.0,
-      "allocs_per_iteration": 0,
-      "solver": {{ "solves": 900, "iterations_total": {iterations_total} }}
-    }}
-  }}
-}}"#
+  "schema": "{schema}",
+  "version": "v0.1.0", "artifact": "table2",
+  "counters": {{ "anasim.solve.count": 900 }},
+  "histograms": {{ "anasim.solve.iterations": {{ "count": 900, "sum": {iterations}, "max": 9 }} }}
+}}"#,
+        schema = obs::MANIFEST_SCHEMA
     )
 }
 
 #[test]
 fn compare_passes_on_self_and_fails_on_injected_regression() {
-    let old = obs::MetricSet::from_json_str(&bench_doc(1000.0)).expect("baseline parses");
-    let thresholds = [obs::Threshold::parse("iterations_total=10%").expect("spec parses")];
+    let old = obs::MetricSet::from_json_str(&manifest_doc(1000.0)).expect("baseline parses");
+    let thresholds =
+        [obs::Threshold::parse("anasim.solve.iterations.sum=10%").expect("spec parses")];
 
     // Identical inputs: empty delta, exit 0 — the CI self-smoke.
-    let same = obs::MetricSet::from_json_str(&bench_doc(1000.0)).expect("parses");
+    let same = obs::MetricSet::from_json_str(&manifest_doc(1000.0)).expect("parses");
     let self_report = obs::Report::build(&old, &same, &thresholds).expect("gate matches");
     assert!(!self_report.failed());
     assert_eq!(self_report.exit_code(), 0);
@@ -124,18 +144,18 @@ fn compare_passes_on_self_and_fails_on_injected_regression() {
 
     // +15% iteration growth against a 10% gate: exit 1, and the
     // offending metric is named in the report.
-    let regressed = obs::MetricSet::from_json_str(&bench_doc(1150.0)).expect("parses");
+    let regressed = obs::MetricSet::from_json_str(&manifest_doc(1150.0)).expect("parses");
     let fail_report = obs::Report::build(&old, &regressed, &thresholds).expect("gate matches");
     assert!(fail_report.failed());
     assert_eq!(fail_report.exit_code(), 1);
     assert!(fail_report
         .deltas
         .iter()
-        .any(|d| d.failed && d.name.ends_with("iterations_total")));
+        .any(|d| d.failed && d.name == "anasim.solve.iterations.sum"));
     assert!(fail_report.render_text(false).contains("FAIL"));
 
     // Shrinkage is an improvement, never a failure.
-    let improved = obs::MetricSet::from_json_str(&bench_doc(850.0)).expect("parses");
+    let improved = obs::MetricSet::from_json_str(&manifest_doc(850.0)).expect("parses");
     assert_eq!(
         obs::Report::build(&old, &improved, &thresholds)
             .expect("gate matches")
@@ -148,8 +168,8 @@ fn compare_passes_on_self_and_fails_on_injected_regression() {
 fn compare_cli_rejects_a_gate_that_matches_no_metric() {
     let dir = std::env::temp_dir().join(format!("lp-sram-compare-cli-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("bench.json");
-    std::fs::write(&path, bench_doc(1000.0)).expect("bench doc written");
+    let path = dir.join("manifest.json");
+    std::fs::write(&path, manifest_doc(1000.0)).expect("manifest written");
     let compare = |gate: &str| {
         std::process::Command::new(env!("CARGO_BIN_EXE_lp-sram-suite"))
             .arg("compare")
@@ -160,15 +180,33 @@ fn compare_cli_rejects_a_gate_that_matches_no_metric() {
             .expect("CLI runs")
     };
 
-    let ok = compare("iterations_total=10%");
+    let ok = compare("anasim.solve.iterations.sum=10%");
     assert_eq!(ok.status.code(), Some(0), "{ok:?}");
 
     // A typo gates nothing, so it must fail as a usage error that
     // names the threshold instead of passing silently.
-    let typo = compare("iteration_total=10%");
+    let typo = compare("anasim.solve.iteration.sum=10%");
     assert_eq!(typo.status.code(), Some(2), "{typo:?}");
     let stderr = String::from_utf8_lossy(&typo.stderr);
-    assert!(stderr.contains("`iteration_total`"), "{stderr}");
+    assert!(stderr.contains("`anasim.solve.iteration.sum`"), "{stderr}");
+
+    // Only run manifests are compared: a retired bench-baseline file is
+    // an unsupported schema, so the same usage error.
+    let bench = dir.join("bench.json");
+    std::fs::write(
+        &bench,
+        r#"{"schema": "lp-sram-suite/bench-baseline/v5", "variants": {}}"#,
+    )
+    .expect("bench-baseline file written");
+    let retired = std::process::Command::new(env!("CARGO_BIN_EXE_lp-sram-suite"))
+        .arg("compare")
+        .arg(&bench)
+        .arg(&path)
+        .output()
+        .expect("CLI runs");
+    assert_eq!(retired.status.code(), Some(2), "{retired:?}");
+    let stderr = String::from_utf8_lossy(&retired.stderr);
+    assert!(stderr.contains("unsupported schema"), "{stderr}");
     std::fs::remove_dir_all(&dir).expect("temp dir removed");
 }
 
