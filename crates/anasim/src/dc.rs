@@ -3,10 +3,11 @@
 use crate::error::Error;
 use crate::mna::AnalysisMode;
 use crate::netlist::{Netlist, SourceId};
-use crate::newton::{solve_with_retry_in, NewtonOptions, RetryPolicy, Solution};
+use crate::newton::{solve_with_retry_in, NewtonOptions, Solution};
 use crate::scratch::SolveScratch;
 
-/// DC analysis driver.
+/// DC analysis driver: default [`NewtonOptions`] under the fixed
+/// [`solve_with_retry`](crate::newton::solve_with_retry) escalation.
 ///
 /// ```
 /// use anasim::{Netlist, dc::DcAnalysis};
@@ -20,46 +21,13 @@ use crate::scratch::SolveScratch;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct DcAnalysis {
-    options: NewtonOptions,
-    retry: RetryPolicy,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DcAnalysis;
 
 impl DcAnalysis {
-    /// Creates a driver with default solver options and the full
-    /// [`RetryPolicy::ladder`] escalation.
+    /// Creates a driver.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a driver with explicit solver options (retry policy
-    /// stays at the default ladder; see [`with_retry`]).
-    ///
-    /// [`with_retry`]: DcAnalysis::with_retry
-    pub fn with_options(options: NewtonOptions) -> Self {
-        DcAnalysis {
-            options,
-            retry: RetryPolicy::default(),
-        }
-    }
-
-    /// Replaces the retry policy (builder style). Pass
-    /// [`RetryPolicy::none`] to measure the un-rescued solver.
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// The solver options in use.
-    pub fn options(&self) -> &NewtonOptions {
-        &self.options
-    }
-
-    /// The retry policy in use.
-    pub fn retry(&self) -> &RetryPolicy {
-        &self.retry
+        DcAnalysis
     }
 
     /// Solves the DC operating point.
@@ -67,7 +35,7 @@ impl DcAnalysis {
     /// # Errors
     ///
     /// Propagates solver failures ([`Error::NoConvergence`],
-    /// [`Error::SingularMatrix`]) after the retry ladder is exhausted.
+    /// [`Error::SingularMatrix`]) after every retry attempt failed.
     pub fn operating_point(&self, netlist: &Netlist) -> Result<Solution, Error> {
         let mut scratch = SolveScratch::new();
         self.operating_point_in(netlist, None, &mut scratch)
@@ -104,10 +72,9 @@ impl DcAnalysis {
     ) -> Result<Solution, Error> {
         solve_with_retry_in(
             netlist,
-            &self.options,
+            &NewtonOptions::default(),
             x0,
             AnalysisMode::Dc,
-            &self.retry,
             scratch,
         )
     }
@@ -144,10 +111,9 @@ impl DcAnalysis {
             };
             let result = solve_with_retry_in(
                 netlist,
-                &self.options,
+                &NewtonOptions::default(),
                 x0,
                 AnalysisMode::Dc,
-                &self.retry,
                 &mut scratch,
             );
             match result {

@@ -59,23 +59,11 @@ pub enum Error {
         /// The panic message, when the payload was a string.
         what: String,
     },
-    /// The point's solve budget ([`crate::newton::SolveBudget`]) ran
-    /// out before the rescue ladder finished: either too many total
-    /// Newton iterations or too much wall-clock was spent across
-    /// attempts.
-    BudgetExceeded {
-        /// Newton iterations burned across all attempts so far.
-        iterations: usize,
-        /// Wall-clock seconds burned across all attempts so far.
-        seconds: f64,
-        /// Which limit tripped (`"iterations"` or `"wall-clock"`).
-        limit: String,
-    },
 }
 
 impl Error {
     /// Whether a retry with escalated solver options
-    /// ([`crate::newton::RetryPolicy`]) can plausibly rescue this
+    /// ([`crate::newton::solve_with_retry`]) can plausibly rescue this
     /// failure.
     ///
     /// Convergence failures and singular matrices are retryable: both
@@ -96,16 +84,13 @@ impl Error {
     /// campaign. Every retryable error qualifies, and so does a
     /// pre-flight ERC rejection: the netlist is broken at that one grid
     /// point (e.g. an injected disconnect), not the campaign itself.
-    /// A caught worker panic and an exhausted solve budget are likewise
-    /// per-point casualties: the one grid point is lost, the campaign
-    /// is not.
+    /// A caught worker panic is likewise a per-point casualty: the one
+    /// grid point is lost, the campaign is not.
     pub fn is_recordable(&self) -> bool {
         self.is_retryable()
             || matches!(
                 self,
-                Error::PreflightRejected { .. }
-                    | Error::Panicked { .. }
-                    | Error::BudgetExceeded { .. }
+                Error::PreflightRejected { .. } | Error::Panicked { .. }
             )
     }
 
@@ -149,15 +134,6 @@ impl fmt::Display for Error {
             Error::EmptySweep => write!(f, "sweep requires at least one point"),
             Error::InvalidPartition(what) => write!(f, "invalid block partition: {what}"),
             Error::Panicked { what } => write!(f, "worker panicked: {what}"),
-            Error::BudgetExceeded {
-                iterations,
-                seconds,
-                limit,
-            } => write!(
-                f,
-                "solve budget exceeded ({limit} limit) after {iterations} iterations \
-                 / {seconds:.3} s"
-            ),
         }
     }
 }
@@ -229,20 +205,12 @@ mod tests {
     }
 
     #[test]
-    fn panics_and_budgets_are_recordable_but_not_retryable() {
+    fn panics_are_recordable_but_not_retryable() {
         let p = Error::Panicked {
             what: "index out of bounds".into(),
         };
         assert!(p.is_recordable() && !p.is_retryable() && p.is_panic());
         assert!(p.to_string().contains("worker panicked"));
-        let b = Error::BudgetExceeded {
-            iterations: 1200,
-            seconds: 4.5,
-            limit: "wall-clock".into(),
-        };
-        assert!(b.is_recordable() && !b.is_retryable() && !b.is_panic());
-        let s = b.to_string();
-        assert!(s.contains("1200") && s.contains("wall-clock"), "{s}");
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod units;
 
 pub use error::Error;
 pub use netlist::{Netlist, NodeId, SourceId};
-pub use newton::{NewtonOptions, RescueStage, RetryPolicy, Solution, SolveBudget, SolverStats};
+pub use newton::{NewtonOptions, RescueStage, Solution, SolverStats};
 pub use schur::{solve_array, ArraySolveOptions, Partition};
 pub use scratch::SolveScratch;
 

@@ -5,7 +5,6 @@ use crate::mna::{assemble_planned, AnalysisMode};
 use crate::netlist::{Netlist, NodeId};
 use crate::scratch::SolveScratch;
 use crate::sparse::SPARSE_THRESHOLD;
-use std::time::Instant;
 
 /// Tuning knobs for the nonlinear solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,13 +23,6 @@ pub struct NewtonOptions {
     pub gmin_stepping: bool,
     /// Enable the source-stepping fallback ladder.
     pub source_stepping: bool,
-    /// Unknown count at or above which the linear solves switch from
-    /// the dense LU to the sparse Gilbert–Peierls backend. Applies to
-    /// the monolithic system and, on the partitioned path, to the
-    /// reduced interface system — whose order is far below the array's,
-    /// which is why this is tunable rather than the crate constant
-    /// ([`SPARSE_THRESHOLD`], the default).
-    pub sparse_threshold: usize,
 }
 
 impl Default for NewtonOptions {
@@ -42,7 +34,6 @@ impl Default for NewtonOptions {
             max_step: 0.3,
             gmin_stepping: true,
             source_stepping: true,
-            sparse_threshold: SPARSE_THRESHOLD,
         }
     }
 }
@@ -120,14 +111,14 @@ impl std::fmt::Display for RescueStage {
 /// to work — and which rescue tier, if any, saved each operating point.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SolverStats {
-    /// Newton iterations spent across all continuation stages and
-    /// retry attempts.
+    /// Newton iterations run across all continuation stages and retry
+    /// attempts, including those of stages and attempts that failed.
     pub iterations: usize,
     /// Continuation stages attempted before convergence (1 = plain
     /// Newton sufficed).
     pub stages: usize,
-    /// Whole-solve retries taken by [`RetryPolicy`] escalation
-    /// (0 = the first attempt converged).
+    /// Whole-solve retries taken by the [`solve_with_retry`]
+    /// escalation (0 = the first attempt converged).
     pub retries: usize,
     /// The continuation stage that produced the accepted solution.
     pub rescued_by: RescueStage,
@@ -162,7 +153,8 @@ impl SolverStats {
 pub struct Solution {
     x: Vec<f64>,
     node_unknowns: usize,
-    /// Newton iterations spent across all continuation stages.
+    /// Newton iterations run across all continuation stages, failed
+    /// ones included (equal to `stats.iterations`).
     pub iterations: usize,
     /// How the solver got here: iterations, stages, retries, and the
     /// rescue tier that produced the accepted answer.
@@ -244,12 +236,12 @@ impl Solution {
 }
 
 /// Outcome of a single Newton ladder stage. `Converged` leaves the
-/// accepted iterate in the scratch's `x` buffer and carries the
-/// iteration count. `Singular` carries the pivot row at which
-/// elimination failed so the final error can name the offending
-/// unknown.
+/// accepted iterate in the scratch's `x` buffer. `Singular` carries
+/// the pivot row at which elimination failed so the final error can
+/// name the offending unknown. Every variant has added the iterations
+/// the stage ran to the scratch's count.
 enum StageOutcome {
-    Converged(usize),
+    Converged,
     Failed { residual: f64 },
     Singular(usize),
 }
@@ -258,7 +250,9 @@ enum StageOutcome {
 /// in the scratch buffers: planned assembly into the reused matrix,
 /// in-place LU refactorization, and solve into the reused proposal
 /// vector — zero heap allocations per iteration. The starting iterate
-/// is read from (and the converged one left in) `scratch.x`.
+/// is read from (and the converged one left in) `scratch.x`; each
+/// iteration begun, whether it converges, fails or meets a singular
+/// matrix, adds one to `scratch.iterations`.
 fn newton_stage(
     netlist: &Netlist,
     opts: &NewtonOptions,
@@ -281,6 +275,7 @@ fn newton_stage(
         sparse,
         schur,
         counters,
+        iterations,
         ..
     } = scratch;
     // The partitioned path never sizes the dense matrix (a 512×8 array
@@ -290,7 +285,7 @@ fn newton_stage(
     // The sparse backend takes over on large systems. The partitioned
     // path does its own backend selection on the reduced interface
     // system.
-    let use_sparse = !partitioned && n >= opts.sparse_threshold;
+    let use_sparse = !partitioned && n >= SPARSE_THRESHOLD;
     let mut last_delta = f64::INFINITY;
     // Damping exists to tame the exponential regions of nonlinear
     // devices; a linear system solves exactly in one step, so clamping
@@ -304,21 +299,14 @@ fn newton_stage(
     // aligned.
     let mut alpha = 1.0f64;
     prev_update.iter_mut().for_each(|v| *v = 0.0);
-    for iter in 0..opts.max_iterations {
+    for _ in 0..opts.max_iterations {
+        *iterations += 1;
         if partitioned {
             // Block-Schur replacement for the assemble/factor/solve
             // triple below: partitioned assembly, per-block macromodel
             // lookup, reduced interface solve, back-substitution. The
             // surrounding damping/convergence logic is shared.
-            if let Err(e) = schur.step(
-                netlist,
-                x,
-                gmin,
-                source_scale,
-                opts.sparse_threshold,
-                x_new,
-                counters,
-            ) {
+            if let Err(e) = schur.step(netlist, x, gmin, source_scale, x_new, counters) {
                 return match e {
                     Error::SingularMatrix { pivot_row, .. } => StageOutcome::Singular(pivot_row),
                     _ => StageOutcome::Singular(0),
@@ -380,7 +368,7 @@ fn newton_stage(
             // The accepted answer is the undamped proposal; swap it
             // into the iterate slot for the caller.
             std::mem::swap(x, x_new);
-            return StageOutcome::Converged(iter + 1);
+            return StageOutcome::Converged;
         }
         if damp {
             // Oscillation detection: cosine of the angle between the
@@ -506,20 +494,19 @@ fn solve_impl(
         }
         None => scratch.start.iter_mut().for_each(|v| *v = 0.0),
     }
+    scratch.iterations = 0;
+    // The converged iterate, charged every iteration this solve ran.
+    let accept = |scratch: &SolveScratch, stage: RescueStage, stages: usize| {
+        Solution::new(scratch.x.clone(), node_unknowns, scratch.iterations).rescued(stage, stages)
+    };
 
-    let mut total_iters = 0usize;
     let mut stages_tried = 1usize;
 
     // Stage 1: plain Newton from the provided start.
     obs::flight_set_stage(RescueStage::Plain.label());
     scratch.load_start();
     match newton_stage(netlist, opts, scratch, 0.0, 1.0, mode, partitioned) {
-        StageOutcome::Converged(it) => {
-            return Ok(
-                Solution::new(scratch.x.clone(), node_unknowns, total_iters + it)
-                    .rescued(RescueStage::Plain, stages_tried),
-            )
-        }
+        StageOutcome::Converged => return Ok(accept(scratch, RescueStage::Plain, stages_tried)),
         StageOutcome::Failed { .. } => {}
         StageOutcome::Singular(_) => {
             // Give continuation a chance: gmin regularizes singular
@@ -536,23 +523,20 @@ fn solve_impl(
         let mut ok = true;
         let mut gmin = 1.0e-2;
         while gmin > 1.0e-13 {
-            match newton_stage(netlist, opts, scratch, gmin, 1.0, mode, partitioned) {
-                StageOutcome::Converged(it) => total_iters += it,
-                _ => {
-                    ok = false;
-                    break;
-                }
+            if !matches!(
+                newton_stage(netlist, opts, scratch, gmin, 1.0, mode, partitioned),
+                StageOutcome::Converged
+            ) {
+                ok = false;
+                break;
             }
             gmin /= 10.0;
         }
         if ok {
-            if let StageOutcome::Converged(it) =
+            if let StageOutcome::Converged =
                 newton_stage(netlist, opts, scratch, 0.0, 1.0, mode, partitioned)
             {
-                return Ok(
-                    Solution::new(scratch.x.clone(), node_unknowns, total_iters + it)
-                        .rescued(RescueStage::GminStepping, stages_tried),
-                );
+                return Ok(accept(scratch, RescueStage::GminStepping, stages_tried));
             }
         }
     }
@@ -565,17 +549,16 @@ fn solve_impl(
         let mut ok = true;
         for step in 1..=20 {
             let scale = step as f64 / 20.0;
-            match newton_stage(netlist, opts, scratch, 0.0, scale, mode, partitioned) {
-                StageOutcome::Converged(it) => total_iters += it,
-                _ => {
-                    ok = false;
-                    break;
-                }
+            if !matches!(
+                newton_stage(netlist, opts, scratch, 0.0, scale, mode, partitioned),
+                StageOutcome::Converged
+            ) {
+                ok = false;
+                break;
             }
         }
         if ok {
-            return Ok(Solution::new(scratch.x.clone(), node_unknowns, total_iters)
-                .rescued(RescueStage::SourceStepping, stages_tried));
+            return Ok(accept(scratch, RescueStage::SourceStepping, stages_tried));
         }
     }
 
@@ -591,13 +574,10 @@ fn solve_impl(
             ..*opts
         };
         scratch.load_start();
-        if let StageOutcome::Converged(it) =
+        if let StageOutcome::Converged =
             newton_stage(netlist, &damped, scratch, 0.0, 1.0, mode, partitioned)
         {
-            return Ok(
-                Solution::new(scratch.x.clone(), node_unknowns, total_iters + it)
-                    .rescued(RescueStage::DampedWarmStart, stages_tried),
-            );
+            return Ok(accept(scratch, RescueStage::DampedWarmStart, stages_tried));
         }
     }
 
@@ -616,23 +596,20 @@ fn solve_impl(
         let mut ok = true;
         let mut gmin = 1.0e-2;
         while gmin > 1.0e-13 {
-            match newton_stage(netlist, &damped, scratch, gmin, 1.0, mode, partitioned) {
-                StageOutcome::Converged(it) => total_iters += it,
-                _ => {
-                    ok = false;
-                    break;
-                }
+            if !matches!(
+                newton_stage(netlist, &damped, scratch, gmin, 1.0, mode, partitioned),
+                StageOutcome::Converged
+            ) {
+                ok = false;
+                break;
             }
             gmin /= 10.0;
         }
         if ok {
-            if let StageOutcome::Converged(it) =
+            if let StageOutcome::Converged =
                 newton_stage(netlist, &damped, scratch, 0.0, 1.0, mode, partitioned)
             {
-                return Ok(
-                    Solution::new(scratch.x.clone(), node_unknowns, total_iters + it)
-                        .rescued(RescueStage::DampedGmin, stages_tried),
-                );
+                return Ok(accept(scratch, RescueStage::DampedGmin, stages_tried));
             }
         }
     }
@@ -655,10 +632,9 @@ fn solve_impl(
             // A failed rung is not fatal: keep the best iterate so far
             // and let the next rung (or the final accept) retry.
             scratch.x.copy_from_slice(&scratch.best);
-            if let StageOutcome::Converged(it) =
+            if let StageOutcome::Converged =
                 newton_stage(netlist, &damped, scratch, gmin, 1.0, mode, partitioned)
             {
-                total_iters += it;
                 scratch.best.copy_from_slice(&scratch.x);
             }
             gmin /= 10.0;
@@ -669,7 +645,7 @@ fn solve_impl(
             ..*opts
         };
         scratch.x.copy_from_slice(&scratch.best);
-        if let StageOutcome::Converged(it) = newton_stage(
+        if let StageOutcome::Converged = newton_stage(
             netlist,
             &final_damped,
             scratch,
@@ -678,10 +654,7 @@ fn solve_impl(
             mode,
             partitioned,
         ) {
-            return Ok(
-                Solution::new(scratch.x.clone(), node_unknowns, total_iters + it)
-                    .rescued(RescueStage::GminRegularized, stages_tried),
-            );
+            return Ok(accept(scratch, RescueStage::GminRegularized, stages_tried));
         }
     }
 
@@ -697,203 +670,64 @@ fn solve_impl(
             iterations: opts.max_iterations,
             residual,
         }),
-        StageOutcome::Converged(it) => Ok(Solution::new(scratch.x.clone(), node_unknowns, it)
-            .rescued(RescueStage::Plain, stages_tried)),
+        StageOutcome::Converged => Ok(accept(scratch, RescueStage::Plain, stages_tried)),
     }
 }
 
-/// Hard cap on the total effort one operating point may consume across
-/// every rung of the [`RetryPolicy`] rescue ladder.
-///
-/// Campaigns over adversarial or fuzzed inputs need a guarantee that no
-/// single grid point can stall the whole run: a pathological circuit
-/// that fails every rung burns `ladder_sum(max_iterations)` Newton
-/// iterations before surfacing its error, and a campaign of thousands
-/// of such points multiplies that. The budget is checked *between*
-/// rescue attempts — a point that converges is never interrupted, so
-/// runs that succeed are bit-identical with and without a budget — and
-/// trips as [`Error::BudgetExceeded`], which campaigns record as a
-/// per-point casualty ([`Error::is_recordable`]).
-///
-/// The default is [`SolveBudget::UNLIMITED`]: both limits off, and the
-/// retry loop never reads the clock.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SolveBudget {
-    /// Maximum total Newton iterations summed across every rescue
-    /// attempt (`usize::MAX` = unlimited).
-    pub max_total_iterations: usize,
-    /// Maximum wall-clock seconds summed across every rescue attempt
-    /// (`f64::INFINITY` = unlimited).
-    pub max_seconds: f64,
+/// Whole-solve attempts [`solve_with_retry`] makes on a
+/// [retryable](Error::is_retryable) failure before surfacing it.
+pub const SOLVE_ATTEMPTS: usize = 5;
+
+/// The options of retry attempt `attempt` (0-based), derived from the
+/// caller's `base` options by the schedule [`solve_with_retry`]
+/// documents.
+fn options_for_attempt(base: &NewtonOptions, attempt: usize) -> NewtonOptions {
+    let mut opts = *base;
+    if attempt >= 1 {
+        opts.max_iterations = opts.max_iterations.saturating_mul(2);
+    }
+    if attempt >= 2 {
+        opts.max_step *= 0.5;
+    }
+    if attempt >= 3 {
+        opts.reltol *= 10.0;
+    }
+    if attempt >= 4 {
+        opts.gmin_stepping = true;
+        opts.source_stepping = true;
+    }
+    opts
 }
 
-impl SolveBudget {
-    /// Both limits off (the default).
-    pub const UNLIMITED: SolveBudget = SolveBudget {
-        max_total_iterations: usize::MAX,
-        max_seconds: f64::INFINITY,
-    };
-
-    /// Caps total Newton iterations only.
-    pub fn iterations(max_total_iterations: usize) -> Self {
-        SolveBudget {
-            max_total_iterations,
-            ..SolveBudget::UNLIMITED
-        }
-    }
-
-    /// Caps wall-clock seconds only.
-    pub fn seconds(max_seconds: f64) -> Self {
-        SolveBudget {
-            max_seconds,
-            ..SolveBudget::UNLIMITED
-        }
-    }
-
-    /// Whether both limits are off (the retry loop then skips clock
-    /// reads entirely).
-    pub fn is_unlimited(&self) -> bool {
-        self.max_total_iterations == usize::MAX && self.max_seconds.is_infinite()
-    }
-
-    /// The error to surface if `iterations` burned since `started`
-    /// exceed either limit; `None` while within budget.
-    fn exceeded(&self, iterations: usize, started: Option<Instant>) -> Option<Error> {
-        let seconds = started.map_or(0.0, |t| t.elapsed().as_secs_f64());
-        if iterations >= self.max_total_iterations {
-            Some(Error::BudgetExceeded {
-                iterations,
-                seconds,
-                limit: "iterations".to_string(),
-            })
-        } else if seconds >= self.max_seconds {
-            Some(Error::BudgetExceeded {
-                iterations,
-                seconds,
-                limit: "wall-clock".to_string(),
-            })
-        } else {
-            None
-        }
-    }
-}
-
-impl Default for SolveBudget {
-    fn default() -> Self {
-        SolveBudget::UNLIMITED
-    }
-}
-
-/// Escalation schedule for re-attempting a failed operating point.
-///
-/// When a solve fails with a [retryable](Error::is_retryable) error,
-/// the policy re-runs it with progressively more forgiving
-/// [`NewtonOptions`]:
+/// [`solve`] wrapped in a fixed escalation schedule of
+/// [`SOLVE_ATTEMPTS`] attempts. Escalations are cumulative:
 ///
 /// 1. the caller's options, unchanged;
-/// 2. `iteration_growth`× the iteration budget;
-/// 3. additionally `damping_shrink`× the `max_step` clamp (tighter
-///    damping tames oscillating iterates);
-/// 4. additionally `reltol_relax`× the relative tolerance;
+/// 2. twice the iteration cap;
+/// 3. additionally half the `max_step` clamp (tighter damping tames
+///    oscillating iterates);
+/// 4. additionally ten times the relative tolerance;
 /// 5. additionally both continuation ladders forced on.
-///
-/// Escalations are cumulative: attempt *k* carries every relaxation of
-/// attempts `1..k`. The ladder trades accuracy for completion *only*
-/// on points that would otherwise produce no answer at all — a point
-/// that converges on attempt 1 is bit-identical to a run without the
-/// policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Total attempts (1 = no retries).
-    pub max_attempts: usize,
-    /// Iteration-budget multiplier applied from the second attempt.
-    pub iteration_growth: f64,
-    /// `max_step` multiplier applied from the third attempt.
-    pub damping_shrink: f64,
-    /// `reltol` multiplier applied from the fourth attempt.
-    pub reltol_relax: f64,
-    /// Cross-attempt effort cap; [`SolveBudget::UNLIMITED`] by default.
-    pub budget: SolveBudget,
-}
-
-impl RetryPolicy {
-    /// The full five-rung escalation ladder (the default for analyses).
-    pub fn ladder() -> Self {
-        RetryPolicy {
-            max_attempts: 5,
-            iteration_growth: 2.0,
-            damping_shrink: 0.5,
-            reltol_relax: 10.0,
-            budget: SolveBudget::UNLIMITED,
-        }
-    }
-
-    /// No retries: one attempt with the caller's options, failures
-    /// surface immediately, for callers that must measure the
-    /// un-rescued solver.
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            iteration_growth: 1.0,
-            damping_shrink: 1.0,
-            reltol_relax: 1.0,
-            budget: SolveBudget::UNLIMITED,
-        }
-    }
-
-    /// Replaces the cross-attempt effort cap.
-    pub fn with_budget(mut self, budget: SolveBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// The options used for `attempt` (0-based), derived from `base`
-    /// by the cumulative escalation schedule.
-    pub fn options_for_attempt(&self, base: &NewtonOptions, attempt: usize) -> NewtonOptions {
-        let mut opts = *base;
-        if attempt >= 1 {
-            opts.max_iterations =
-                ((opts.max_iterations as f64) * self.iteration_growth).ceil() as usize;
-        }
-        if attempt >= 2 {
-            opts.max_step *= self.damping_shrink;
-        }
-        if attempt >= 3 {
-            opts.reltol *= self.reltol_relax;
-        }
-        if attempt >= 4 {
-            opts.gmin_stepping = true;
-            opts.source_stepping = true;
-        }
-        opts
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::ladder()
-    }
-}
-
-/// [`solve`] wrapped in the [`RetryPolicy`] escalation ladder.
 ///
 /// Retries only on [retryable](Error::is_retryable) errors; structural
 /// failures (floating nodes, invalid devices) surface immediately. The
-/// returned solution's [`SolverStats::retries`] records how many
-/// escalations were needed.
+/// schedule trades accuracy for completion *only* on points that would
+/// otherwise produce no answer at all: a point that converges on the
+/// first attempt is bit-identical to a plain [`solve`]. The returned
+/// solution's [`SolverStats::retries`] records how many escalations
+/// were needed, and its iterations include those of failed attempts.
 ///
 /// # Errors
 ///
-/// The last attempt's error when every rung of the ladder fails.
+/// The last attempt's error when every attempt fails.
 pub fn solve_with_retry(
     netlist: &Netlist,
     opts: &NewtonOptions,
     x0: Option<&[f64]>,
     mode: AnalysisMode<'_>,
-    policy: &RetryPolicy,
 ) -> Result<Solution, Error> {
     let mut scratch = SolveScratch::new();
-    solve_with_retry_in(netlist, opts, x0, mode, policy, &mut scratch)
+    solve_with_retry_in(netlist, opts, x0, mode, &mut scratch)
 }
 
 /// Publishes the scratch's accumulated fast-path counters to `obs`
@@ -924,18 +758,13 @@ pub fn solve_with_retry_in(
     opts: &NewtonOptions,
     x0: Option<&[f64]>,
     mode: AnalysisMode<'_>,
-    policy: &RetryPolicy,
     scratch: &mut SolveScratch,
 ) -> Result<Solution, Error> {
-    let attempts = policy.max_attempts.max(1);
     let mut iters_burned = 0usize;
     let mut stages_burned = 0usize;
-    // Clock reads only happen on budgeted runs, so unbudgeted solves
-    // keep an identical (syscall-free) hot path.
-    let started = (!policy.budget.is_unlimited()).then(Instant::now);
-    for attempt in 0..attempts {
+    for attempt in 0..SOLVE_ATTEMPTS {
         obs::flight_set_attempt(attempt as u16);
-        let attempt_opts = policy.options_for_attempt(opts, attempt);
+        let attempt_opts = options_for_attempt(opts, attempt);
         let outcome = solve_with_scratch(netlist, &attempt_opts, x0, mode, scratch);
         flush_fast_path_counters(scratch);
         match outcome {
@@ -952,15 +781,10 @@ pub fn solve_with_retry_in(
                 obs::tally_add(sol.stats.iterations as u64, sol.stats.retries as u64);
                 return Ok(sol);
             }
-            Err(e) if e.is_retryable() && attempt + 1 < attempts => {
+            Err(e) if e.is_retryable() && attempt + 1 < SOLVE_ATTEMPTS => {
                 // Failed attempts ran the whole continuation ladder.
-                iters_burned += attempt_opts.max_iterations;
+                iters_burned += scratch.iterations;
                 stages_burned += 1;
-                if let Some(exhausted) = policy.budget.exceeded(iters_burned, started) {
-                    obs::counter_add("anasim.solve.budget_exhausted", 1);
-                    obs::counter_add("anasim.solve.failed", 1);
-                    return Err(exhausted);
-                }
             }
             Err(e) => {
                 obs::counter_add("anasim.solve.failed", 1);
@@ -1164,7 +988,7 @@ mod tests {
         // The escalation ladder rescues the same point from the same
         // options: more iterations, then tighter damping, then forced
         // continuation.
-        let sol = solve_with_retry(&nl, &opts, None, AnalysisMode::Dc, &RetryPolicy::ladder())
+        let sol = solve_with_retry(&nl, &opts, None, AnalysisMode::Dc)
             .expect("escalation ladder must rescue the point");
         assert!(sol.stats.retries > 0, "stats: {:?}", sol.stats);
         let v = sol.voltage(out);
@@ -1172,89 +996,40 @@ mod tests {
     }
 
     #[test]
-    fn retry_none_surfaces_the_first_failure() {
+    fn iterations_count_failed_stages_and_attempts() {
+        // The flight recorder samples every iteration that reaches the
+        // convergence check, apart from the solver's own accounting.
+        // Neither solve below meets a singular matrix, so the two
+        // counts must agree, failed stages and attempts included.
         let (nl, _) = threshold_inverter();
-        let opts = NewtonOptions {
+        let sampled = |run: &dyn Fn() -> Result<Solution, Error>| {
+            obs::flight_enable(obs::DEFAULT_CAPACITY);
+            obs::flight_begin();
+            let sol = run().expect("the point is rescued");
+            let trajectory = obs::flight_take().expect("the recorder saw the solve");
+            obs::flight_disable();
+            (sol, trajectory.recorded)
+        };
+
+        // Plain Newton runs out of iterations; gmin stepping rescues.
+        let starved = NewtonOptions {
+            max_iterations: 6,
+            ..NewtonOptions::default()
+        };
+        let (sol, recorded) = sampled(&|| solve(&nl, &starved, None, AnalysisMode::Dc));
+        assert_eq!(sol.stats.rescued_by, RescueStage::GminStepping);
+        assert_eq!(sol.stats.iterations as u64, recorded, "{:?}", sol.stats);
+
+        // Without continuation, four attempts fail before the last
+        // one, which forces the ladders on, rescues the point.
+        let plain = NewtonOptions {
             max_iterations: 3,
             ..NewtonOptions::plain()
         };
-        let r = solve_with_retry(&nl, &opts, None, AnalysisMode::Dc, &RetryPolicy::none());
-        assert!(r.is_err(), "none() must not escalate");
-    }
-
-    #[test]
-    fn iteration_budget_interrupts_the_rescue_ladder() {
-        let (nl, _) = threshold_inverter();
-        let opts = NewtonOptions {
-            max_iterations: 3,
-            ..NewtonOptions::plain()
-        };
-        // The first failed attempt burns 3 iterations, tripping the cap
-        // before any further rung runs.
-        let policy = RetryPolicy::ladder().with_budget(SolveBudget::iterations(3));
-        let err = solve_with_retry(&nl, &opts, None, AnalysisMode::Dc, &policy)
-            .expect_err("budget must trip before the ladder rescues");
-        match err {
-            Error::BudgetExceeded {
-                iterations, limit, ..
-            } => {
-                assert_eq!(iterations, 3);
-                assert_eq!(limit, "iterations");
-            }
-            other => panic!("expected BudgetExceeded, got {other}"),
-        }
-    }
-
-    #[test]
-    fn wall_clock_budget_interrupts_the_rescue_ladder() {
-        let (nl, _) = threshold_inverter();
-        let opts = NewtonOptions {
-            max_iterations: 3,
-            ..NewtonOptions::plain()
-        };
-        // Zero seconds: any elapsed time at the first between-attempt
-        // check exceeds the cap.
-        let policy = RetryPolicy::ladder().with_budget(SolveBudget::seconds(0.0));
-        let err = solve_with_retry(&nl, &opts, None, AnalysisMode::Dc, &policy)
-            .expect_err("zero wall-clock budget must trip");
-        match err {
-            Error::BudgetExceeded { limit, .. } => assert_eq!(limit, "wall-clock"),
-            other => panic!("expected BudgetExceeded, got {other}"),
-        }
-    }
-
-    #[test]
-    fn budget_never_interrupts_a_converging_point() {
-        let mut nl = Netlist::new();
-        let a = nl.node("a");
-        nl.vsource("V", a, Netlist::GND, 1.0);
-        nl.resistor("R", a, Netlist::GND, 1.0e3)
-            .expect("valid resistance, unique name");
-        // Tightest possible budget: checked only between failed
-        // attempts, so a first-attempt success sails through.
-        let policy = RetryPolicy::ladder().with_budget(SolveBudget {
-            max_total_iterations: 1,
-            max_seconds: 0.0,
-        });
-        let sol = solve_with_retry(
-            &nl,
-            &NewtonOptions::default(),
-            None,
-            AnalysisMode::Dc,
-            &policy,
-        )
-        .expect("converging point must ignore the budget");
-        assert_eq!(sol.stats.retries, 0);
-    }
-
-    #[test]
-    fn unlimited_budget_is_the_default_and_detectable() {
-        assert!(SolveBudget::UNLIMITED.is_unlimited());
-        assert!(SolveBudget::default().is_unlimited());
-        assert!(!SolveBudget::iterations(10).is_unlimited());
-        assert!(!SolveBudget::seconds(1.0).is_unlimited());
-        assert_eq!(RetryPolicy::ladder().budget, SolveBudget::UNLIMITED);
-        assert_eq!(RetryPolicy::none().budget, SolveBudget::UNLIMITED);
+        let (sol, recorded) = sampled(&|| solve_with_retry(&nl, &plain, None, AnalysisMode::Dc));
+        assert_eq!(sol.stats.retries, 4);
+        assert_eq!(sol.stats.iterations as u64, recorded, "{:?}", sol.stats);
+        assert_eq!(sol.iterations, sol.stats.iterations);
     }
 
     #[test]
@@ -1267,14 +1042,8 @@ mod tests {
         let c = nl.node("c");
         nl.isource("I1", Netlist::GND, c, 1e-3);
         assert!(solve(&nl, &NewtonOptions::plain(), None, AnalysisMode::Dc).is_err());
-        let sol = solve_with_retry(
-            &nl,
-            &NewtonOptions::plain(),
-            None,
-            AnalysisMode::Dc,
-            &RetryPolicy::ladder(),
-        )
-        .expect("forced gmin rung must regularize");
+        let sol = solve_with_retry(&nl, &NewtonOptions::plain(), None, AnalysisMode::Dc)
+            .expect("forced gmin rung must regularize");
         assert_eq!(sol.stats.retries, 4, "stats: {:?}", sol.stats);
         assert_eq!(sol.stats.rescued_by, RescueStage::GminRegularized);
     }
@@ -1282,20 +1051,19 @@ mod tests {
     #[test]
     fn escalation_schedule_is_cumulative() {
         let base = NewtonOptions::plain();
-        let p = RetryPolicy::ladder();
-        let a0 = p.options_for_attempt(&base, 0);
+        let a0 = options_for_attempt(&base, 0);
         assert_eq!(a0, base);
-        let a1 = p.options_for_attempt(&base, 1);
+        let a1 = options_for_attempt(&base, 1);
         assert_eq!(a1.max_iterations, base.max_iterations * 2);
         assert_eq!(a1.max_step, base.max_step);
-        let a2 = p.options_for_attempt(&base, 2);
+        let a2 = options_for_attempt(&base, 2);
         assert_eq!(a2.max_iterations, base.max_iterations * 2);
         assert!((a2.max_step - base.max_step * 0.5).abs() < 1e-12);
         assert_eq!(a2.reltol, base.reltol);
-        let a3 = p.options_for_attempt(&base, 3);
+        let a3 = options_for_attempt(&base, 3);
         assert!((a3.reltol - base.reltol * 10.0).abs() < 1e-12);
         assert!(!a3.gmin_stepping);
-        let a4 = p.options_for_attempt(&base, 4);
+        let a4 = options_for_attempt(&base, 4);
         assert!(a4.gmin_stepping && a4.source_stepping);
         assert!((a4.max_step - base.max_step * 0.5).abs() < 1e-12);
     }
@@ -1307,14 +1075,8 @@ mod tests {
         nl.vsource("V", a, Netlist::GND, 1.0);
         nl.resistor("R", a, Netlist::GND, 1.0e3)
             .expect("valid resistance, unique name");
-        let sol = solve_with_retry(
-            &nl,
-            &NewtonOptions::default(),
-            None,
-            AnalysisMode::Dc,
-            &RetryPolicy::ladder(),
-        )
-        .expect("linear divider solves on the first attempt");
+        let sol = solve_with_retry(&nl, &NewtonOptions::default(), None, AnalysisMode::Dc)
+            .expect("linear divider solves on the first attempt");
         assert_eq!(sol.stats.retries, 0);
         assert_eq!(sol.stats.rescued_by, RescueStage::Plain);
         assert_eq!(sol.stats.stages, 1);
@@ -1565,48 +1327,6 @@ mod tests {
             (152, 2, Some(453)),
             "(unknowns, Newton iterations, L+U nonzeros)"
         );
-    }
-
-    #[test]
-    fn sparse_threshold_override_selects_the_backend() {
-        // Well above the default threshold, so the stock options pick
-        // the sparse backend; an effectively-infinite override forces
-        // the same system through the dense LU. Both must agree.
-        let nl = ladder(150);
-        assert!(nl.num_unknowns() >= crate::sparse::SPARSE_THRESHOLD);
-        let sparse_opts = NewtonOptions::default();
-        assert_eq!(
-            sparse_opts.sparse_threshold,
-            crate::sparse::SPARSE_THRESHOLD
-        );
-        let mut sparse_scratch = SolveScratch::new();
-        let via_sparse = solve_with_scratch(
-            &nl,
-            &sparse_opts,
-            None,
-            AnalysisMode::Dc,
-            &mut sparse_scratch,
-        )
-        .expect("sparse-backend solve converges");
-        assert!(
-            sparse_scratch.sparse_lu_nnz().is_some(),
-            "default threshold must engage the sparse backend here"
-        );
-        let dense_opts = NewtonOptions {
-            sparse_threshold: usize::MAX,
-            ..NewtonOptions::default()
-        };
-        let mut dense_scratch = SolveScratch::new();
-        let via_dense =
-            solve_with_scratch(&nl, &dense_opts, None, AnalysisMode::Dc, &mut dense_scratch)
-                .expect("dense-backend solve converges");
-        assert!(
-            dense_scratch.sparse_lu_nnz().is_none(),
-            "raised threshold must keep the solve on the dense backend"
-        );
-        for (i, (&s, &d)) in via_sparse.raw().iter().zip(via_dense.raw()).enumerate() {
-            assert!((s - d).abs() < 1e-9, "unknown {i}: sparse {s} vs dense {d}");
-        }
     }
 
     #[test]

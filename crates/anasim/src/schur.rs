@@ -1384,14 +1384,12 @@ impl SchurState {
     ///
     /// Every sum runs in the order the device-by-device assembly used,
     /// so the result does not depend on what the cache held.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn step(
         &mut self,
         netlist: &Netlist,
         x: &[f64],
         gmin: f64,
         source_scale: f64,
-        sparse_threshold: usize,
         x_new: &mut [f64],
         counters: &mut SolveCounters,
     ) -> Result<(), Error> {
@@ -1476,7 +1474,7 @@ impl SchurState {
             },
             other => other,
         };
-        if plan.ni >= sparse_threshold {
+        if plan.ni >= crate::sparse::SPARSE_THRESHOLD {
             iface_sparse
                 .factor(iface, plan.fingerprint, &plan.iface_touched)
                 .map_err(map_singular)?;
@@ -2005,18 +2003,19 @@ mod tests {
         // A device-free node in the interface makes the reduced system
         // singular. RCM factors its empty column last, at the position
         // of the source branch; the error must still name the node.
-        let (mut nl, nodes, _) = latch_chain(6, 1);
+        // 64 active latches put 128 cell nodes in the interface, so
+        // with the rails, the floating node and the source branch the
+        // reduced system is past SPARSE_THRESHOLD.
+        const ACTIVE: usize = 64;
+        let (mut nl, nodes, _) = latch_chain(ACTIVE + 2, ACTIVE);
         let floating = nl.node("floating");
-        let blocks = nodes[1..]
+        let blocks = nodes[ACTIVE..]
             .iter()
             .map(|&(a, _)| (a.index() - 1, 2))
             .collect();
         let partition = Partition::new(nl.num_unknowns(), blocks).expect("valid");
         let opts = ArraySolveOptions {
-            newton: NewtonOptions {
-                sparse_threshold: 1,
-                ..NewtonOptions::plain()
-            },
+            newton: NewtonOptions::plain(),
             ..ArraySolveOptions::default()
         };
         let mut scratch = SolveScratch::new();

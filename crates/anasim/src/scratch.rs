@@ -70,6 +70,9 @@ pub struct SolveScratch {
     pub(crate) schur: SchurState,
     /// Fast-path accounting since the last flush.
     pub(crate) counters: SolveCounters,
+    /// Newton iterations the current (or most recent) solve has run,
+    /// over every continuation stage, converged or not.
+    pub(crate) iterations: usize,
 }
 
 impl SolveScratch {

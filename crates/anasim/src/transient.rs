@@ -8,7 +8,7 @@
 use crate::error::Error;
 use crate::mna::AnalysisMode;
 use crate::netlist::{Netlist, NodeId};
-use crate::newton::{solve_with_retry_in, NewtonOptions, RetryPolicy, Solution, SolverStats};
+use crate::newton::{solve_with_retry_in, NewtonOptions, Solution, SolverStats};
 use crate::scratch::SolveScratch;
 
 /// Transient analysis driver with a fixed step.
@@ -17,7 +17,6 @@ pub struct TransientAnalysis {
     dt: f64,
     t_stop: f64,
     options: NewtonOptions,
-    retry: RetryPolicy,
 }
 
 /// Result of a transient run: the time axis and the unknown vector at
@@ -104,21 +103,12 @@ impl TransientAnalysis {
             dt,
             t_stop,
             options: NewtonOptions::default(),
-            retry: RetryPolicy::default(),
         }
     }
 
     /// Replaces the solver options.
     pub fn with_options(mut self, options: NewtonOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Replaces the retry policy. Pass [`RetryPolicy::none`] to
-    /// measure the un-rescued solver.
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -148,14 +138,7 @@ impl TransientAnalysis {
         self.validate()?;
         // One scratch covers the operating point and every time step.
         let mut scratch = SolveScratch::new();
-        let op = solve_with_retry_in(
-            netlist,
-            &self.options,
-            None,
-            AnalysisMode::Dc,
-            &self.retry,
-            &mut scratch,
-        )?;
+        let op = solve_with_retry_in(netlist, &self.options, None, AnalysisMode::Dc, &mut scratch)?;
         let op_stats = op.stats;
         let mut result = self.integrate(netlist, op.into_raw(), &mut scratch)?;
         result.stats.absorb(&op_stats);
@@ -207,14 +190,7 @@ impl TransientAnalysis {
                 // allocation left is the accepted state pushed below.
                 let prev = states.last().expect("non-empty").as_slice();
                 let mode = AnalysisMode::Transient { dt, time, prev };
-                solve_with_retry_in(
-                    netlist,
-                    &self.options,
-                    Some(prev),
-                    mode,
-                    &self.retry,
-                    scratch,
-                )?
+                solve_with_retry_in(netlist, &self.options, Some(prev), mode, scratch)?
             };
             stats.absorb(&sol.stats);
             times.push(time);

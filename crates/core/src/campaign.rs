@@ -7,8 +7,8 @@
 //! keep going:
 //!
 //! * [`PointFailure`] — a structured record of one grid point that
-//!   stayed unsolved after the full [`anasim::RetryPolicy`] escalation
-//!   ladder;
+//!   stayed unsolved after the full
+//!   [`anasim::newton::solve_with_retry`] escalation;
 //! * [`Coverage`] — attempted/completed accounting rendered as the
 //!   completeness percentage of a partial table;
 //! * [`Checkpoint`] — an append-only tab-separated log of completed
@@ -77,9 +77,10 @@ pub struct PointFailure {
     pub pvt: Option<PvtCondition>,
     /// The terminal solver error.
     pub error: anasim::Error,
-    /// Solve attempts spent before giving up (the retry ladder's
-    /// budget); 0 when the point was rejected by the ERC pre-flight
-    /// gate before any solve was tried.
+    /// Solve attempts spent before giving up:
+    /// [`anasim::newton::SOLVE_ATTEMPTS`] for a retryable solver
+    /// error, 0 for any other (a pre-flight ERC rejection or a
+    /// quarantine skip, which no solve was tried for, or a panic).
     pub attempts: usize,
     /// Whether this failure records a *panic* caught by the executor's
     /// per-point isolation ([`crate::executor::parallel_map_isolated`])
@@ -89,15 +90,20 @@ pub struct PointFailure {
 }
 
 impl PointFailure {
-    /// A failure record for one grid point; the `panicked` marker is
-    /// derived from the error ([`anasim::Error::is_panic`]).
+    /// A failure record for one grid point; the attempt count and the
+    /// `panicked` marker are derived from the error
+    /// ([`anasim::Error::is_retryable`], [`anasim::Error::is_panic`]).
     pub fn new(
         defect: Option<Defect>,
         case_study: Option<u8>,
         pvt: Option<PvtCondition>,
         error: anasim::Error,
-        attempts: usize,
     ) -> Self {
+        let attempts = if error.is_retryable() {
+            anasim::newton::SOLVE_ATTEMPTS
+        } else {
+            0
+        };
         let panicked = error.is_panic();
         PointFailure {
             defect,
@@ -271,8 +277,8 @@ impl PointTimer {
     }
 
     /// As [`finish`](PointTimer::finish), for a point that failed.
-    /// `outcome` labels the retained trajectory: `"failed"`,
-    /// `"budget-exhausted"` or `"panicked"`.
+    /// `outcome` labels the retained trajectory: `"failed"` or
+    /// `"panicked"`.
     pub fn finish_failed(self, outcome: &str) {
         self.finish_with(outcome);
     }
@@ -618,7 +624,7 @@ impl Checkpoint {
 /// executor's memory of those deaths: each one appends
 /// `key \t fingerprint` to an append-only sidecar TSV next to the
 /// checkpoint, and once a key accumulates
-/// [`threshold`](Quarantine::with_threshold) *consecutive identical*
+/// [`DEFAULT_THRESHOLD`](Quarantine::DEFAULT_THRESHOLD) *consecutive identical*
 /// fingerprints, later runs skip it with a recordable
 /// [`anasim::Error::PreflightRejected`] carrying the `QUARANTINED`
 /// code instead of re-dying.
@@ -633,7 +639,6 @@ pub struct Quarantine {
     /// Per key: the last fingerprint seen and how many consecutive
     /// times it repeated.
     counts: HashMap<String, (String, u64)>,
-    threshold: u64,
 }
 
 impl Quarantine {
@@ -668,17 +673,7 @@ impl Quarantine {
                 *entry = (row[1].clone(), 1);
             }
         }
-        Ok(Quarantine {
-            file,
-            counts,
-            threshold: Self::DEFAULT_THRESHOLD,
-        })
-    }
-
-    /// Replaces the consecutive-failure threshold (clamped to ≥ 1).
-    pub fn with_threshold(mut self, threshold: u64) -> Self {
-        self.threshold = threshold.max(1);
-        self
+        Ok(Quarantine { file, counts })
     }
 
     /// The backing sidecar file.
@@ -690,14 +685,14 @@ impl Quarantine {
     pub fn is_quarantined(&self, key: &str) -> bool {
         self.counts
             .get(key)
-            .is_some_and(|(_, n)| *n >= self.threshold)
+            .is_some_and(|(_, n)| *n >= Self::DEFAULT_THRESHOLD)
     }
 
     /// Every quarantined key, in no particular order.
     pub fn quarantined_keys(&self) -> Vec<&str> {
         self.counts
             .iter()
-            .filter(|(_, (_, n))| *n >= self.threshold)
+            .filter(|(_, (_, n))| *n >= Self::DEFAULT_THRESHOLD)
             .map(|(k, _)| k.as_str())
             .collect()
     }
@@ -706,7 +701,7 @@ impl Quarantine {
     /// quarantined `key`; `None` while the key keeps its retry rights.
     pub fn reject(&self, key: &str) -> Option<anasim::Error> {
         let (fingerprint, n) = self.counts.get(key)?;
-        if *n < self.threshold {
+        if *n < Self::DEFAULT_THRESHOLD {
             return None;
         }
         obs::counter_add("campaign.quarantine.skipped", 1);
@@ -747,7 +742,7 @@ impl Quarantine {
         } else {
             *entry = (fingerprint, 1);
         }
-        Ok(entry.1 >= self.threshold)
+        Ok(entry.1 >= Self::DEFAULT_THRESHOLD)
     }
 }
 
@@ -883,7 +878,6 @@ mod tests {
                 iterations: 400,
                 residual: 1.0e-2,
             },
-            5,
         );
         let s = f.to_string();
         assert!(s.contains("Df16"), "{s}");
@@ -903,12 +897,39 @@ mod tests {
             anasim::Error::Panicked {
                 what: "index out of bounds".into(),
             },
-            0,
         );
         assert!(f.panicked);
         let s = f.to_string();
         assert!(s.contains("worker panicked"), "{s}");
         assert!(s.ends_with("[panicked]"), "{s}");
+    }
+
+    #[test]
+    fn point_failure_derives_attempts_from_the_error() {
+        let attempts = |error| PointFailure::new(None, None, None, error).attempts;
+        // A retryable solver error ran the whole escalation schedule.
+        assert_eq!(
+            attempts(anasim::Error::NoConvergence {
+                iterations: 400,
+                residual: 1.0e-2,
+            }),
+            anasim::newton::SOLVE_ATTEMPTS
+        );
+        // The pre-flight gate turns a point away before any solve, and
+        // a panic is no solver verdict.
+        assert_eq!(
+            attempts(anasim::Error::PreflightRejected {
+                code: "ERC001".into(),
+                what: "floating node `x`".into(),
+            }),
+            0
+        );
+        assert_eq!(
+            attempts(anasim::Error::Panicked {
+                what: "index out of bounds".into(),
+            }),
+            0
+        );
     }
 
     #[test]
@@ -924,7 +945,6 @@ mod tests {
                 pivot_row: 3,
                 unknown: None,
             },
-            5,
         )];
         let footer = completeness_footer(&c, &failures);
         assert!(footer.starts_with("coverage: 1/2"), "{footer}");

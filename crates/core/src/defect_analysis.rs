@@ -378,14 +378,8 @@ pub fn table2(options: &Table2Options) -> Result<Table2, anasim::Error> {
                     // A failed healthy solve only costs the warm start:
                     // the searches at this condition run cold, exactly
                     // as before the cache existed.
-                    ctx.seed = healthy_seed(
-                        &options.design,
-                        pvt,
-                        tap_for_vdd(pvt.vdd),
-                        &ctx.load,
-                        &options.characterize,
-                    )
-                    .ok();
+                    ctx.seed =
+                        healthy_seed(&options.design, pvt, tap_for_vdd(pvt.vdd), &ctx.load).ok();
                 }
                 ctx
             })
@@ -405,18 +399,7 @@ pub fn table2(options: &Table2Options) -> Result<Table2, anasim::Error> {
                 contexts.insert(ctx_key(cs.number, pvt), Some(ctx));
             }
             Err(e) if e.is_recordable() => {
-                let attempts = if e.is_retryable() {
-                    options.drv.retry.max_attempts
-                } else {
-                    0
-                };
-                failures.push(PointFailure::new(
-                    None,
-                    Some(cs.number),
-                    Some(pvt),
-                    e,
-                    attempts,
-                ));
+                failures.push(PointFailure::new(None, Some(cs.number), Some(pvt), e));
                 contexts.insert(ctx_key(cs.number, pvt), None);
             }
             Err(e) => return Err(e),
@@ -535,13 +518,7 @@ pub fn table2(options: &Table2Options) -> Result<Table2, anasim::Error> {
                     completed: 0,
                     elapsed_s: 0.0,
                 });
-                failures.push(PointFailure::new(
-                    Some(defect),
-                    Some(cs.number),
-                    None,
-                    err,
-                    0,
-                ));
+                failures.push(PointFailure::new(Some(defect), Some(cs.number), None, err));
                 cells.push(Table2Cell {
                     failed_points: grid_size,
                     ..Table2Cell::empty()
@@ -565,7 +542,6 @@ pub fn table2(options: &Table2Options) -> Result<Table2, anasim::Error> {
                         Some(cs.number),
                         None,
                         anasim::Error::Panicked { what: message },
-                        0,
                     )],
                     coverage: Coverage {
                         attempted: grid_size,
@@ -652,7 +628,6 @@ fn evaluate_cell(
                             iterations: 0,
                             residual: f64::INFINITY,
                         },
-                        options.characterize.retry.max_attempts,
                     ));
                     continue;
                 }
@@ -681,7 +656,6 @@ fn evaluate_cell(
                         Some(cs.number),
                         Some(pvt),
                         error,
-                        0,
                     ));
                     continue;
                 }
@@ -725,26 +699,14 @@ fn evaluate_cell(
                         // unconditionally (failures always keep their
                         // ring; successes compete for the slowest-k
                         // slots).
-                        timer.finish_failed(match &e {
-                            anasim::Error::BudgetExceeded { .. } => "budget-exhausted",
-                            anasim::Error::Panicked { .. } => "panicked",
-                            _ => "failed",
-                        });
+                        timer.finish_failed(if e.is_panic() { "panicked" } else { "failed" });
                         best.failed_points += 1;
                         coverage.record_failure();
-                        // Pre-flight rejections never reach the
-                        // solver, so no attempts were spent.
-                        let attempts = if e.is_retryable() {
-                            options.characterize.retry.max_attempts
-                        } else {
-                            0
-                        };
                         failures.push(PointFailure::new(
                             Some(defect),
                             Some(cs.number),
                             Some(pvt),
                             e,
-                            attempts,
                         ));
                     }
                     Err(e) => return Err(e),
@@ -1185,7 +1147,7 @@ mod tests {
         let (warm_t, warm_iterations) = newton_iterations(&warm);
         assert_eq!(
             (cold_iterations, warm_iterations),
-            (29_480, 28_846),
+            (43_880, 43_246),
             "Newton iterations from cold and warm starts"
         );
         assert!(cold_t.coverage.is_complete(), "{}", cold_t.coverage);

@@ -241,12 +241,7 @@ pub fn fig4(options: &Fig4Options) -> Result<Fig4Data, anasim::Error> {
                     }
                     Err(e) if e.is_recordable() => {
                         coverage.record_failure();
-                        let attempts = if e.is_retryable() {
-                            options.drv.retry.max_attempts
-                        } else {
-                            0
-                        };
-                        failures.push(PointFailure::new(None, None, Some(pvt), e, attempts));
+                        failures.push(PointFailure::new(None, None, Some(pvt), e));
                     }
                     Err(e) => return Err(e),
                 }

@@ -209,18 +209,7 @@ pub fn run(options: &Table1Options) -> Result<Table1Report, anasim::Error> {
                 }
                 Err(e) if e.is_recordable() => {
                     coverage.record_failure();
-                    let attempts = if e.is_retryable() {
-                        options.drv.retry.max_attempts
-                    } else {
-                        0
-                    };
-                    failures.push(PointFailure::new(
-                        None,
-                        Some(cs.number),
-                        Some(pvt),
-                        e,
-                        attempts,
-                    ));
+                    failures.push(PointFailure::new(None, Some(cs.number), Some(pvt), e));
                 }
                 Err(e) => return Err(e),
             }

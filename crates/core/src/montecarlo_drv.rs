@@ -171,18 +171,7 @@ pub fn monte_carlo_drv(options: &MonteCarloOptions) -> Result<MonteCarloReport, 
             }
             Err(e) if e.is_recordable() => {
                 coverage.record_failure();
-                let attempts = if e.is_retryable() {
-                    options.drv.retry.max_attempts
-                } else {
-                    0
-                };
-                failures.push(PointFailure::new(
-                    None,
-                    None,
-                    Some(options.pvt),
-                    e,
-                    attempts,
-                ));
+                failures.push(PointFailure::new(None, None, Some(options.pvt), e));
             }
             Err(e) => return Err(e),
         }

@@ -179,17 +179,11 @@ pub fn build_coverage(options: &CoverageOptions) -> Result<CoverageMatrix, anasi
             if !e.is_recordable() {
                 return Err(e.clone());
             }
-            let attempts = if e.is_retryable() {
-                options.drv.retry.max_attempts
-            } else {
-                0
-            };
             failures.push(PointFailure::new(
                 None,
                 Some(cs.number),
                 Some(PvtCondition::new(options.corner, vdd, options.temp_c)),
                 e.clone(),
-                attempts,
             ));
         }
         contexts.push((vdd, built));
@@ -209,7 +203,7 @@ pub fn build_coverage(options: &CoverageOptions) -> Result<CoverageMatrix, anasi
                 return None;
             };
             let pvt = PvtCondition::new(options.corner, combo.vdd, options.temp_c);
-            healthy_seed(&options.design, pvt, combo.tap, load, &options.characterize).ok()
+            healthy_seed(&options.design, pvt, combo.tap, load).ok()
         },
         |_, _| {},
     )
@@ -268,20 +262,12 @@ pub fn build_coverage(options: &CoverageOptions) -> Result<CoverageMatrix, anasi
                 seeds[c].as_deref(),
             ) {
                 Ok(found) => Ok(Entry::Done(found.ohms)),
-                Err(e) if e.is_recordable() => {
-                    let attempts = if e.is_retryable() {
-                        options.characterize.retry.max_attempts
-                    } else {
-                        0
-                    };
-                    Ok(Entry::Failed(Box::new(PointFailure::new(
-                        Some(defect),
-                        Some(cs.number),
-                        Some(pvt),
-                        e,
-                        attempts,
-                    ))))
-                }
+                Err(e) if e.is_recordable() => Ok(Entry::Failed(Box::new(PointFailure::new(
+                    Some(defect),
+                    Some(cs.number),
+                    Some(pvt),
+                    e,
+                )))),
                 Err(e) => Err(e),
             }
         },
@@ -303,7 +289,6 @@ pub fn build_coverage(options: &CoverageOptions) -> Result<CoverageMatrix, anasi
                     options.temp_c,
                 )),
                 anasim::Error::Panicked { what: message },
-                0,
             ))),
         };
         match entry {

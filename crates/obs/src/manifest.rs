@@ -150,7 +150,7 @@ pub struct TraceSampleSummary {
 pub struct TraceSummary {
     /// Stable point key.
     pub key: String,
-    /// `"ok"`, `"failed"`, `"budget-exhausted"` or `"panicked"`.
+    /// `"ok"`, `"failed"` or `"panicked"`.
     pub outcome: String,
     /// Wall-clock spent on the point, seconds.
     pub seconds: f64,
@@ -985,7 +985,7 @@ mod tests {
             }],
             traces: vec![TraceSummary {
                 key: "df16/cs1 @ fs/1.0V/125C".into(),
-                outcome: "budget-exhausted".into(),
+                outcome: "failed".into(),
                 seconds: 4.5,
                 recorded: 1200,
                 samples: vec![
@@ -1056,7 +1056,7 @@ mod tests {
         let m = sample();
         let text = m.render_traces(10);
         assert!(text.contains("df16/cs1 @ fs/1.0V/125C"));
-        assert!(text.contains("budget-exhausted after 1200 iterations"));
+        assert!(text.contains("failed after 1200 iterations"));
         assert!(text.contains("gmin-stepping"));
         assert!(text.contains("… 1198 earlier iterations"));
         // A pre-traces manifest parses with an empty list.
@@ -1088,7 +1088,7 @@ mod tests {
         assert_eq!(traces.len(), 1);
         assert_eq!(
             traces[0].get("outcome").and_then(Json::as_str),
-            Some("budget-exhausted")
+            Some("failed")
         );
         let c = doc.get("coverage").expect("coverage");
         assert_eq!(c.get("completed").and_then(Json::as_u64), Some(3));

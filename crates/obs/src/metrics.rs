@@ -67,7 +67,7 @@ pub struct PointRecord {
 pub struct TraceRecord {
     /// Stable point key, e.g. `df16/cs1 @ fs/1.0V/125C`.
     pub key: String,
-    /// `"ok"`, `"failed"`, `"budget-exhausted"` or `"panicked"`.
+    /// `"ok"`, `"failed"` or `"panicked"`.
     pub outcome: String,
     /// Wall-clock spent on the point, seconds.
     pub seconds: f64,

@@ -8,7 +8,7 @@ use sram::retention::retention_outcome;
 use sram::{ArrayLoad, CellInstance};
 
 use crate::defect::{Defect, DefectCategory};
-use crate::solve::activation_transient_with_retry;
+use crate::solve::activation_transient;
 use crate::topology::{FeedMode, RegulatorCircuit, RegulatorDesign, VrefTap, OPEN_THRESHOLD_OHMS};
 
 /// Tuning of the characterization sweep.
@@ -29,14 +29,6 @@ pub struct CharacterizeOptions {
     pub transient_dt: f64,
     /// Window simulated for activation transients, seconds.
     pub transient_window: f64,
-    /// Solver escalation on non-converged points (the full ladder by
-    /// default; [`anasim::RetryPolicy::none`] for ablations).
-    pub retry: anasim::RetryPolicy,
-    /// Run the static ERC pre-flight gate before the first solve of a
-    /// search ([`RegulatorCircuit::preflight`]). On by default: a
-    /// structurally broken netlist is then rejected with a named-node
-    /// diagnostic instead of burning the whole rescue ladder.
-    pub preflight: bool,
 }
 
 impl Default for CharacterizeOptions {
@@ -49,8 +41,6 @@ impl Default for CharacterizeOptions {
             ds_time: 1.0e-3,
             transient_dt: 4.0e-6,
             transient_window: 1.0e-3,
-            retry: anasim::RetryPolicy::ladder(),
-            preflight: true,
         }
     }
 }
@@ -125,16 +115,11 @@ pub fn drf_at(
     opts: &CharacterizeOptions,
 ) -> Result<(bool, f64), anasim::Error> {
     if defect.is_transient_mechanism() {
-        if opts.preflight {
-            preflight_transient_build(design, pvt, tap, defect)?;
-        }
+        preflight_transient_build(design, pvt, tap, defect)?;
         drf_at_transient(design, pvt, tap, defect, ohms, load, criterion, opts)
     } else {
         let mut circuit = RegulatorCircuit::new(design, pvt, tap, FeedMode::Static)?;
-        circuit.set_retry(opts.retry);
-        if opts.preflight {
-            circuit.preflight()?;
-        }
+        circuit.preflight()?;
         drf_at_dc(&mut circuit, defect, ohms, load, criterion, opts)
     }
 }
@@ -168,7 +153,7 @@ fn drf_at_transient(
     criterion: &DrfCriterion<'_>,
     opts: &CharacterizeOptions,
 ) -> Result<(bool, f64), anasim::Error> {
-    let wave = activation_transient_with_retry(
+    let wave = activation_transient(
         design,
         pvt,
         tap,
@@ -177,7 +162,6 @@ fn drf_at_transient(
         load,
         opts.transient_window,
         opts.transient_dt,
-        opts.retry,
     )?;
     let v_min = wave.min_vddcc();
     if v_min >= criterion.drv {
@@ -220,11 +204,9 @@ pub fn healthy_seed(
     pvt: PvtCondition,
     tap: VrefTap,
     load: &ArrayLoad,
-    opts: &CharacterizeOptions,
 ) -> Result<Vec<f64>, anasim::Error> {
     let _span = obs::span("healthy_seed");
     let mut c = RegulatorCircuit::new(design, pvt, tap, FeedMode::Static)?;
-    c.set_retry(opts.retry);
     c.solve(load)?;
     Ok(c.warm_state()
         .expect("a successful solve always stores its converged state")
@@ -287,7 +269,6 @@ pub fn min_resistance_seeded(
         None
     } else {
         let mut c = RegulatorCircuit::new(design, pvt, tap, FeedMode::Static)?;
-        c.set_retry(opts.retry);
         if let Some(state) = seed {
             if c.seed_warm(state) {
                 obs::counter_add("characterize.warm_seed.applied", 1);
@@ -297,13 +278,14 @@ pub fn min_resistance_seeded(
         }
         Some(c)
     };
-    if opts.preflight {
-        match dc_circuit.as_ref() {
-            Some(c) => {
-                c.preflight()?;
-            }
-            None => preflight_transient_build(design, pvt, tap, defect)?,
+    // ERC pre-flight before the first solve: a structurally broken
+    // netlist is rejected with a named-node diagnostic instead of
+    // running the whole rescue ladder.
+    match dc_circuit.as_ref() {
+        Some(c) => {
+            c.preflight()?;
         }
+        None => preflight_transient_build(design, pvt, tap, defect)?,
     }
     let mut eval = |ohms: f64| -> Result<(bool, f64), anasim::Error> {
         match dc_circuit.as_mut() {
@@ -397,12 +379,11 @@ pub fn classify_at_tap(
     let _span = obs::span("classify_at_tap");
     let healthy = {
         let mut c = RegulatorCircuit::new(design, pvt, tap, FeedMode::Static)?;
-        c.set_retry(opts.retry);
         c.solve(load)?.vddcc
     };
     let probe = |ohms: f64| -> Result<f64, anasim::Error> {
         if defect.is_transient_mechanism() {
-            Ok(activation_transient_with_retry(
+            Ok(activation_transient(
                 design,
                 pvt,
                 tap,
@@ -411,12 +392,10 @@ pub fn classify_at_tap(
                 load,
                 opts.transient_window,
                 opts.transient_dt,
-                opts.retry,
             )?
             .min_vddcc())
         } else {
             let mut c = RegulatorCircuit::new(design, pvt, tap, FeedMode::Static)?;
-            c.set_retry(opts.retry);
             c.inject(defect, ohms);
             Ok(c.solve(load)?.vddcc)
         }

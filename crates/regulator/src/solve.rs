@@ -83,42 +83,6 @@ pub fn activation_transient(
     t_stop: f64,
     dt: f64,
 ) -> Result<ActivationResult, anasim::Error> {
-    activation_transient_with_retry(
-        design,
-        pvt,
-        tap,
-        defect,
-        ohms,
-        load,
-        t_stop,
-        dt,
-        anasim::RetryPolicy::default(),
-    )
-}
-
-/// [`activation_transient`] with an explicit solver retry policy —
-/// the variant campaign executors use so their escalation budget is
-/// consistent across DC and transient defect mechanisms.
-///
-/// # Errors
-///
-/// Propagates solver failures.
-///
-/// # Panics
-///
-/// Panics if `defect` is not a transient-mechanism defect.
-#[allow(clippy::too_many_arguments)]
-pub fn activation_transient_with_retry(
-    design: &RegulatorDesign,
-    pvt: PvtCondition,
-    tap: VrefTap,
-    defect: Defect,
-    ohms: f64,
-    load: &ArrayLoad,
-    t_stop: f64,
-    dt: f64,
-    retry: anasim::RetryPolicy,
-) -> Result<ActivationResult, anasim::Error> {
     assert!(
         defect.is_transient_mechanism(),
         "{defect} is a DC-mechanism defect"
@@ -173,7 +137,6 @@ pub fn activation_transient_with_retry(
     };
     let tr = TransientAnalysis::new(dt, t_stop)
         .with_options(options)
-        .with_retry(retry)
         .run_from(nl, x0)?;
     let times = tr.times().to_vec();
     let vddcc = tr.voltage_series(nodes.vddcc);

@@ -218,7 +218,6 @@ pub struct RegulatorCircuit {
     n_tail: NodeId,
     n_mn1_gate: NodeId,
     n_mn2_gate: NodeId,
-    dc: DcAnalysis,
     warm: Option<Vec<f64>>,
     scratch: SolveScratch,
 }
@@ -483,7 +482,6 @@ impl RegulatorCircuit {
             n_tail: tail,
             n_mn1_gate: mn1_gate,
             n_mn2_gate: mn2_gate,
-            dc: DcAnalysis::new(),
             warm: None,
             scratch: SolveScratch::new(),
         })
@@ -501,12 +499,6 @@ impl RegulatorCircuit {
     /// where neighbouring points have neighbouring operating points.
     pub fn inject_keep_warm(&mut self, defect: Defect, ohms: f64) {
         self.nl.set_param(self.defects[defect.index()], ohms);
-    }
-
-    /// Replaces the DC solver's retry policy (the escalation ladder by
-    /// default; [`anasim::RetryPolicy::none`] for ablation runs).
-    pub fn set_retry(&mut self, retry: anasim::RetryPolicy) {
-        self.dc = self.dc.clone().with_retry(retry);
     }
 
     /// The raw converged state vector of the last successful
@@ -601,6 +593,7 @@ impl RegulatorCircuit {
     pub fn solve(&mut self, load: &ArrayLoad) -> Result<RegulatorOp, anasim::Error> {
         // Initial load guess at the expected output.
         let mut v_guess = self.expected_vreg().max(0.05);
+        let dc = DcAnalysis::new();
         let mut op = None;
         for _ in 0..8 {
             let i_load = load.current(v_guess).max(1.0e-12);
@@ -608,24 +601,18 @@ impl RegulatorCircuit {
             self.nl.set_param(self.load_res, r);
             let sol = match &self.warm {
                 Some(x) => {
-                    match self
-                        .dc
-                        .operating_point_in(&self.nl, Some(x), &mut self.scratch)
-                    {
+                    match dc.operating_point_in(&self.nl, Some(x), &mut self.scratch) {
                         Ok(sol) => Ok(sol),
                         Err(_) => {
                             // A stale warm start can drag the iteration onto
                             // a spurious branch near fold points of the
                             // defect parameter; retry cold before giving up.
                             self.warm = None;
-                            self.dc
-                                .operating_point_in(&self.nl, None, &mut self.scratch)
+                            dc.operating_point_in(&self.nl, None, &mut self.scratch)
                         }
                     }
                 }
-                None => self
-                    .dc
-                    .operating_point_in(&self.nl, None, &mut self.scratch),
+                None => dc.operating_point_in(&self.nl, None, &mut self.scratch),
             }?;
             let vddcc = sol.voltage(self.n_vddcc);
             let converged = (vddcc - v_guess).abs() < 1.0e-4;

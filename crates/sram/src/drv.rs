@@ -43,9 +43,6 @@ pub struct DrvOptions {
     /// SNM below this threshold counts as collapsed; a small positive
     /// floor absorbs interpolation noise near the bifurcation.
     pub snm_floor: f64,
-    /// Solver escalation on non-converged VTC points (the full ladder
-    /// by default; [`anasim::RetryPolicy::none`] for ablations).
-    pub retry: anasim::RetryPolicy,
 }
 
 impl Default for DrvOptions {
@@ -55,7 +52,6 @@ impl Default for DrvOptions {
             vtc_points: 61,
             max_supply: None,
             snm_floor: 1.0e-4,
-            retry: anasim::RetryPolicy::ladder(),
         }
     }
 }
@@ -112,8 +108,6 @@ pub fn drv_ds(
     let hi_bound = opts.max_supply.unwrap_or(instance.pvt.vdd);
     let mut inv_s = InverterCircuit::new(instance, CellInverter::DrivesS)?;
     let mut inv_sb = InverterCircuit::new(instance, CellInverter::DrivesSb)?;
-    inv_s.set_retry(opts.retry);
-    inv_sb.set_retry(opts.retry);
     let mut evaluations = 0usize;
     let mut snm_at = |supply: f64, evals: &mut usize| -> Result<f64, anasim::Error> {
         *evals += 1;

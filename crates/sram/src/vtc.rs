@@ -123,7 +123,6 @@ pub struct InverterCircuit {
     vin: SourceId,
     supply: SourceId,
     out: NodeId,
-    dc: DcAnalysis,
 }
 
 impl InverterCircuit {
@@ -186,14 +185,7 @@ impl InverterCircuit {
             vin,
             supply,
             out,
-            dc: DcAnalysis::new(),
         })
-    }
-
-    /// Replaces the DC solver's retry policy (the escalation ladder by
-    /// default; [`anasim::RetryPolicy::none`] for ablation runs).
-    pub fn set_retry(&mut self, retry: anasim::RetryPolicy) {
-        self.dc = self.dc.clone().with_retry(retry);
     }
 
     /// Extracts the VTC at the given supply with `points` samples over
@@ -216,7 +208,7 @@ impl InverterCircuit {
         let grid: Vec<f64> = (0..points)
             .map(|i| supply * i as f64 / (points - 1) as f64)
             .collect();
-        let sols = self.dc.sweep_source(&mut self.netlist, self.vin, &grid)?;
+        let sols = DcAnalysis::new().sweep_source(&mut self.netlist, self.vin, &grid)?;
         let vout = sols.iter().map(|s| s.voltage(self.out)).collect();
         Ok(Vtc::new(grid, vout))
     }

@@ -1,7 +1,7 @@
 //! End-to-end exercise of the observability toolchain added on top of
 //! the span/metrics layer: a traced campaign run feeding the profiler,
 //! the run-comparison engine's exit-code contract, and the convergence
-//! flight recorder surfacing a budget-exhausted point's trajectory.
+//! flight recorder surfacing a failed point's trajectory.
 //!
 //! Everything here shares the process-global obs registry and sink, so
 //! every test takes the same lock and resets state up front.
@@ -13,9 +13,8 @@ use lp_sram_suite::anasim;
 use lp_sram_suite::drftest;
 use lp_sram_suite::obs;
 
-use anasim::devices::mosfet::MosParams;
 use anasim::mna::AnalysisMode;
-use anasim::newton::{solve_with_retry, RetryPolicy, SolveBudget};
+use anasim::newton::solve_with_retry;
 use anasim::{Netlist, NewtonOptions};
 use drftest::campaign::PointTimer;
 use drftest::experiments::table2;
@@ -96,7 +95,14 @@ fn profile_reproduces_campaign_wall_clock_from_the_trace() {
         .histograms
         .get("anasim.solve.iterations")
         .map_or(0.0, obs::Histogram::sum);
-    assert_eq!(iterations, 28_846.0, "Newton iterations");
+    assert_eq!(iterations, 43_246.0, "Newton iterations");
+    // Every solve converged on its first attempt: a change that starts
+    // relying on the retry escalation moves this sum off zero.
+    let retries = snap
+        .histograms
+        .get("anasim.solve.retries")
+        .map_or(f64::NAN, obs::Histogram::sum);
+    assert_eq!(retries, 0.0, "whole-solve retries");
 }
 
 /// Solver counters of the quick Table II campaign at one worker with
@@ -211,41 +217,28 @@ fn compare_cli_rejects_a_gate_that_matches_no_metric() {
 }
 
 #[test]
-fn budget_exhausted_point_trajectory_lands_in_the_summary() {
+fn failed_point_trajectory_lands_in_the_summary() {
     let _guard = obs_lock();
     obs::reset();
     obs::flight_enable(obs::DEFAULT_CAPACITY);
 
-    // A threshold-biased inverter under a starved iteration budget:
-    // plain Newton burns its 3 iterations, the budget trips before any
-    // rescue rung, and the flight recorder holds those iterations.
+    // A divider fed by a NaN source: every iteration proposes a
+    // non-finite iterate, so every stage of every retry attempt fails
+    // and the flight recorder holds the whole escalation.
     let mut nl = Netlist::new();
-    let vdd = nl.node("vdd");
-    let input = nl.node("in");
-    let out = nl.node("out");
-    nl.vsource("VDD", vdd, Netlist::GND, 1.1);
-    nl.vsource("VIN", input, Netlist::GND, 0.55);
-    nl.mosfet("MP", out, input, vdd, MosParams::pmos(4.0e-4, 0.45))
-        .expect("library PMOS card validates");
-    nl.mosfet(
-        "MN",
-        out,
-        input,
-        Netlist::GND,
-        MosParams::nmos(4.0e-4, 0.45),
-    )
-    .expect("library NMOS card validates");
-    let opts = NewtonOptions {
-        max_iterations: 3,
-        ..NewtonOptions::plain()
-    };
-    let policy = RetryPolicy::ladder().with_budget(SolveBudget::iterations(3));
+    let a = nl.node("a");
+    let mid = nl.node("mid");
+    nl.vsource("V", a, Netlist::GND, f64::NAN);
+    nl.resistor("R1", a, mid, 1.0e3)
+        .expect("valid resistance, unique name");
+    nl.resistor("R2", mid, Netlist::GND, 1.0e3)
+        .expect("valid resistance, unique name");
 
     let timer = PointTimer::start("df16/cs1 @ tt, 0.30V, 25°C");
-    let err = solve_with_retry(&nl, &opts, None, AnalysisMode::Dc, &policy)
-        .expect_err("starved budget must trip");
-    assert!(matches!(err, anasim::Error::BudgetExceeded { .. }));
-    timer.finish_failed("budget-exhausted");
+    let err = solve_with_retry(&nl, &NewtonOptions::default(), None, AnalysisMode::Dc)
+        .expect_err("a NaN source fails every attempt");
+    assert!(matches!(err, anasim::Error::NoConvergence { .. }), "{err}");
+    timer.finish_failed("failed");
     obs::flight_disable();
     obs::flush();
 
@@ -255,20 +248,39 @@ fn budget_exhausted_point_trajectory_lands_in_the_summary() {
         .iter()
         .find(|t| t.key.starts_with("df16/cs1"))
         .expect("failed point retained its trajectory");
-    assert_eq!(trace.outcome, "budget-exhausted");
-    assert!(trace.recorded >= 3, "every Newton iteration sampled");
+    assert_eq!(trace.outcome, "failed");
+    let attempts: std::collections::BTreeSet<u16> =
+        trace.samples.iter().map(|s| s.attempt).collect();
+    assert_eq!(
+        attempts.len(),
+        anasim::newton::SOLVE_ATTEMPTS,
+        "every retry attempt sampled"
+    );
 
     // The manifest renders it, round-trips it, and the summary digest
     // names it.
     let manifest =
         obs::RunManifest::from_snapshot("table2", std::collections::BTreeMap::new(), &snap, 0.1);
     let rendered = manifest.render_traces(8);
-    assert!(rendered.contains("df16/cs1"), "rendered:\n{rendered}");
-    assert!(rendered.contains("budget-exhausted"));
+    assert!(
+        rendered.contains("df16/cs1 @ tt, 0.30V, 25°C — failed after"),
+        "rendered:\n{rendered}"
+    );
     assert!(rendered.contains("residual"));
 
     let reparsed = obs::RunManifest::parse(&manifest.to_json_string()).expect("round-trips");
     assert_eq!(reparsed, manifest);
-    let digest = reparsed.summary_json(5).to_compact();
-    assert!(digest.contains("budget-exhausted"));
+    let digest = reparsed.summary_json(5);
+    let traces = digest
+        .get("traces")
+        .and_then(obs::Json::as_arr)
+        .expect("digest lists traces");
+    assert!(
+        traces.iter().any(|t| {
+            t.get("key").and_then(obs::Json::as_str) == Some(trace.key.as_str())
+                && t.get("outcome").and_then(obs::Json::as_str) == Some("failed")
+        }),
+        "digest: {}",
+        digest.to_compact()
+    );
 }
