@@ -38,7 +38,8 @@ pub enum Error {
     /// The Newton iteration failed to converge even after gmin and source
     /// stepping.
     NoConvergence {
-        /// Number of iterations spent in the last attempt.
+        /// Newton iterations the failed solve ran, over every stage
+        /// and (under [`crate::newton::solve_with_retry`]) every attempt.
         iterations: usize,
         /// Residual infinity-norm at the point of giving up.
         residual: f64,

@@ -184,23 +184,6 @@ impl DenseMatrix {
         }
         y
     }
-
-    /// Factorizes the matrix in place (Doolittle LU with partial
-    /// pivoting), consuming `self`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::SingularMatrix`] when some column's best pivot
-    /// is negligible relative to its own row (see [`REL_PIVOT_TOL`]),
-    /// which for MNA systems almost always means a floating node.
-    pub fn into_lu(self) -> Result<LuFactors, Error> {
-        let mut factors = LuWorkspace {
-            lu: self,
-            ..LuWorkspace::default()
-        };
-        factors.factor()?;
-        Ok(LuFactors(factors))
-    }
 }
 
 /// Where the nonzeros of packed LU factors sit: recorded by
@@ -257,13 +240,10 @@ impl Pattern {
 
 /// A reusable in-place LU factorization buffer.
 ///
-/// [`DenseMatrix::into_lu`] consumes its matrix and allocates a fresh
-/// permutation and pattern per call — fine for one-shot solves, ruinous
-/// inside a Newton loop that factors the same-order Jacobian thousands
-/// of times. `LuWorkspace` keeps one factor buffer, one permutation and
-/// one nonzero pattern alive and refactors into them with zero heap
-/// traffic once warmed to an order. Both paths run the same kernel, so
-/// their results are bit-identical.
+/// A Newton loop factors the same-order Jacobian thousands of times, so
+/// `LuWorkspace` keeps one factor buffer, one permutation and one
+/// nonzero pattern alive and refactors into them with zero heap traffic
+/// once warmed to an order.
 #[derive(Debug, Clone, Default)]
 pub struct LuWorkspace {
     lu: DenseMatrix,
@@ -283,8 +263,9 @@ impl LuWorkspace {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::SingularMatrix`] exactly when
-    /// [`DenseMatrix::into_lu`] would, with the same `pivot_row`.
+    /// Returns [`Error::SingularMatrix`] when some column's best pivot
+    /// is negligible relative to its own row (see [`REL_PIVOT_TOL`]),
+    /// which for MNA systems almost always means a floating node.
     pub fn factor_from(&mut self, a: &DenseMatrix) -> Result<(), Error> {
         self.lu.n = a.n;
         self.lu.data.clear();
@@ -487,33 +468,6 @@ impl LuWorkspace {
     }
 }
 
-/// The result of [`DenseMatrix::into_lu`]: packed L and U factors, the
-/// row permutation and the factors' nonzero pattern.
-#[derive(Debug, Clone)]
-pub struct LuFactors(LuWorkspace);
-
-impl LuFactors {
-    /// Solves `A x = b` for `x` using the stored factors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` differs from the factored matrix order.
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let mut x = vec![0.0; self.0.order()];
-        self.0.solve_into(b, &mut x);
-        x
-    }
-}
-
-/// Convenience one-shot solve of `A x = b`.
-///
-/// # Errors
-///
-/// Returns [`Error::SingularMatrix`] if the factorization fails.
-pub fn solve_dense(a: DenseMatrix, b: &[f64]) -> Result<Vec<f64>, Error> {
-    Ok(a.into_lu()?.solve(b))
-}
-
 /// Dense partial-pivoting LU as it stood before zero skipping: every
 /// multiplier of every lower row updates every column right of the
 /// pivot, and every solve row sums over its whole triangle. The
@@ -615,6 +569,15 @@ mod dense_reference {
 mod tests {
     use super::*;
 
+    /// Factors `a` in a fresh workspace and solves it for `b`.
+    fn solve(a: &DenseMatrix, b: &[f64]) -> Result<Vec<f64>, Error> {
+        let mut ws = LuWorkspace::new();
+        ws.factor_from(a)?;
+        let mut x = vec![0.0; a.order()];
+        ws.solve_into(b, &mut x);
+        Ok(x)
+    }
+
     fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         a.iter()
             .zip(b)
@@ -626,14 +589,14 @@ mod tests {
     fn solves_identity() {
         let a = DenseMatrix::identity(4);
         let b = [1.0, 2.0, 3.0, 4.0];
-        let x = solve_dense(a, &b).unwrap();
+        let x = solve(&a, &b).unwrap();
         assert_eq!(x, b.to_vec());
     }
 
     #[test]
     fn solves_2x2() {
         let a = DenseMatrix::from_rows(2, &[2.0, 1.0, 1.0, 3.0]);
-        let x = solve_dense(a, &[5.0, 10.0]).unwrap();
+        let x = solve(&a, &[5.0, 10.0]).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
     }
@@ -643,7 +606,7 @@ mod tests {
         // Leading zero forces a row swap.
         let a = DenseMatrix::from_rows(3, &[0.0, 1.0, 2.0, 1.0, 0.0, 1.0, 2.0, 1.0, 0.0]);
         let b = [5.0, 2.0, 1.0];
-        let x = solve_dense(a.clone(), &b).unwrap();
+        let x = solve(&a, &b).unwrap();
         let back = a.mul_vec(&x);
         assert!(max_abs_diff(&back, &b) < 1e-10);
     }
@@ -651,7 +614,7 @@ mod tests {
     #[test]
     fn detects_singular() {
         let a = DenseMatrix::from_rows(2, &[1.0, 2.0, 2.0, 4.0]);
-        match solve_dense(a, &[1.0, 1.0]) {
+        match solve(&a, &[1.0, 1.0]) {
             Err(Error::SingularMatrix { .. }) => {}
             other => panic!("expected singular error, got {other:?}"),
         }
@@ -661,7 +624,7 @@ mod tests {
     fn detects_all_zero() {
         let a = DenseMatrix::zeros(3);
         assert!(matches!(
-            solve_dense(a, &[0.0; 3]),
+            solve(&a, &[0.0; 3]),
             Err(Error::SingularMatrix { pivot_row: 0, .. })
         ));
     }
@@ -674,7 +637,7 @@ mod tests {
         // accept it.
         let s = 1.0e-20;
         let a = DenseMatrix::from_rows(2, &[2.0 * s, 1.0 * s, 1.0 * s, 3.0 * s]);
-        let x = solve_dense(a, &[5.0 * s, 10.0 * s]).unwrap();
+        let x = solve(&a, &[5.0 * s, 10.0 * s]).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-9);
         assert!((x[1] - 3.0).abs() < 1e-9);
     }
@@ -687,7 +650,7 @@ mod tests {
         // participates in. The scaled test reports it singular instead
         // of producing garbage.
         let a = DenseMatrix::from_rows(2, &[1.0e-17, 1.0e5, 0.0, 1.0]);
-        match solve_dense(a, &[1.0, 1.0]) {
+        match solve(&a, &[1.0, 1.0]) {
             Err(Error::SingularMatrix { pivot_row: 0, .. }) => {}
             other => panic!("expected singular at pivot row 0, got {other:?}"),
         }
@@ -702,7 +665,7 @@ mod tests {
         let g_wire = 1.0e3;
         let g_leak = 1.0e-10;
         let a = DenseMatrix::from_rows(2, &[g_wire + g_leak, -g_wire, -g_wire, g_wire + g_leak]);
-        let x = solve_dense(a.clone(), &[1.0e-3, 0.0]).unwrap();
+        let x = solve(&a, &[1.0e-3, 0.0]).unwrap();
         // The system is ill-conditioned by construction (κ ≈ g/g_leak
         // = 1e13), so the achievable residual is eps·‖A‖·‖x‖, not an
         // absolute 1e-12: assert backward stability, not exactness.
@@ -748,54 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn workspace_matches_consuming_path_bitwise() {
-        // One workspace reused across orders must reproduce the
-        // consuming into_lu path bit for bit — the contract the
-        // Newton scratch relies on.
-        let mut seed = 0x2545f4914f6cdd1du64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            (seed as f64 / u64::MAX as f64) * 2.0 - 1.0
-        };
-        let mut ws = LuWorkspace::new();
-        for n in [3usize, 8, 25, 5, 40, 1] {
-            let mut a = DenseMatrix::zeros(n);
-            for i in 0..n {
-                for j in 0..n {
-                    a.set(i, j, next());
-                }
-                a.add(i, i, n as f64);
-            }
-            let b: Vec<f64> = (0..n).map(|_| next()).collect();
-            let reference = a.clone().into_lu().unwrap().solve(&b);
-            ws.factor_from(&a).unwrap();
-            assert_eq!(ws.order(), n);
-            let mut x = vec![0.0; n];
-            ws.solve_into(&b, &mut x);
-            assert_eq!(x, reference, "order {n} diverged from into_lu");
-        }
-    }
-
-    #[test]
-    fn workspace_singular_error_matches_consuming_path() {
-        // Row 2 is a duplicate of row 0: elimination dies at the same
-        // pivot row on both paths.
-        let a = DenseMatrix::from_rows(3, &[1.0, 2.0, 3.0, 0.0, 1.0, 1.0, 1.0, 2.0, 3.0]);
-        let consuming = a.clone().into_lu().expect_err("singular");
-        let mut ws = LuWorkspace::new();
-        let in_place = ws.factor_from(&a).expect_err("singular");
-        match (consuming, in_place) {
-            (
-                Error::SingularMatrix { pivot_row: p1, .. },
-                Error::SingularMatrix { pivot_row: p2, .. },
-            ) => assert_eq!(p1, p2),
-            other => panic!("expected matching singular errors, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn resize_clear_reuses_allocation() {
         let mut m = DenseMatrix::zeros(4);
         m.set(2, 2, 7.0);
@@ -828,7 +743,7 @@ mod tests {
                 a.add(i, i, n as f64);
             }
             let b: Vec<f64> = (0..n).map(|_| next()).collect();
-            let x = solve_dense(a.clone(), &b).unwrap();
+            let x = solve(&a, &b).unwrap();
             assert!(
                 max_abs_diff(&a.mul_vec(&x), &b) < 1e-9,
                 "order {n} failed round trip"
@@ -927,10 +842,9 @@ mod tests {
             .collect()
     }
 
-    /// Factors `a` and solves it for `b` through `ws` and through
-    /// `into_lu`, and holds both to the dense reference: the same
-    /// `SingularMatrix` pivot row, or the same bits in factors,
-    /// permutation and solution.
+    /// Factors `a` and solves it for `b` through `ws`, and holds it to
+    /// the dense reference: the same `SingularMatrix` pivot row, or the
+    /// same bits in factors, permutation and solution.
     fn matches_dense_reference(
         ws: &mut LuWorkspace,
         a: &DenseMatrix,
@@ -941,36 +855,26 @@ mod tests {
         let mut ref_perm: Vec<usize> = (0..n).collect();
         let reference = dense_reference::factor(&mut ref_lu, &mut ref_perm);
         let in_place = ws.factor_from(a);
-        let consumed = a.clone().into_lu();
         if let Err(expected) = reference {
-            let expected = format!("{expected:?}");
-            for (path, got) in [("workspace", in_place.err()), ("into_lu", consumed.err())] {
-                let got = format!("{got:?}");
-                if got != format!("Some({expected})") {
-                    return Err(format!(
-                        "{path}: reference failed with {expected}, got {got}"
-                    ));
-                }
+            let (expected, got) = (format!("{expected:?}"), format!("{:?}", in_place.err()));
+            if got != format!("Some({expected})") {
+                return Err(format!("reference failed with {expected}, got {got}"));
             }
             return Ok(());
         }
         in_place.map_err(|e| format!("workspace failed where the reference factors: {e:?}"))?;
-        let consumed =
-            consumed.map_err(|e| format!("into_lu failed where the reference factors: {e:?}"))?;
         let mut x_ref = vec![0.0; n];
         dense_reference::solve(&ref_lu, &ref_perm, b, &mut x_ref);
-        for (path, f) in [("workspace", &*ws), ("into_lu", &consumed.0)] {
-            if bits(&f.lu.data) != bits(&ref_lu.data) {
-                return Err(format!("{path}: factors differ from the reference"));
-            }
-            if f.perm != ref_perm {
-                return Err(format!("{path}: permutation differs from the reference"));
-            }
-            let mut x = vec![0.0; n];
-            f.solve_into(b, &mut x);
-            if bits(&x) != bits(&x_ref) {
-                return Err(format!("{path}: solution differs from the reference"));
-            }
+        if bits(&ws.lu.data) != bits(&ref_lu.data) {
+            return Err("factors differ from the reference".to_string());
+        }
+        if ws.perm != ref_perm {
+            return Err("permutation differs from the reference".to_string());
+        }
+        let mut x = vec![0.0; n];
+        ws.solve_into(b, &mut x);
+        if bits(&x) != bits(&x_ref) {
+            return Err("solution differs from the reference".to_string());
         }
         Ok(())
     }

@@ -667,7 +667,7 @@ fn solve_impl(
             unknown: Some(netlist.unknown_label(row)),
         }),
         StageOutcome::Failed { residual, .. } => Err(Error::NoConvergence {
-            iterations: opts.max_iterations,
+            iterations: scratch.iterations,
             residual,
         }),
         StageOutcome::Converged => Ok(accept(scratch, RescueStage::Plain, stages_tried)),
@@ -786,8 +786,19 @@ pub fn solve_with_retry_in(
                 iters_burned += scratch.iterations;
                 stages_burned += 1;
             }
-            Err(e) => {
+            Err(mut e) => {
+                // A failed solve still charges every iteration its
+                // attempts ran, and reports that count.
+                let iterations = iters_burned + scratch.iterations;
+                if let Error::NoConvergence {
+                    iterations: ran, ..
+                } = &mut e
+                {
+                    *ran = iterations;
+                }
                 obs::counter_add("anasim.solve.failed", 1);
+                obs::hist_record("anasim.solve.iterations", iterations as f64);
+                obs::tally_add(iterations as u64, attempt as u64);
                 return Err(e);
             }
         }
@@ -1175,12 +1186,12 @@ mod tests {
         assert_eq!(sol.voltage(Netlist::GND), 0.0);
     }
 
-    /// The seed solver's plain-Newton loop, re-implemented with the
-    /// original per-iteration allocations (full assembly + clone +
-    /// consuming LU). The production path must reproduce its iterate
-    /// sequence bit-for-bit.
+    /// The seed solver's plain-Newton loop, re-implemented with
+    /// per-iteration allocations (full assembly + a fresh LU workspace).
+    /// The production path must reproduce its iterate sequence
+    /// bit-for-bit.
     fn reference_plain_newton(nl: &Netlist, opts: &NewtonOptions) -> Option<(Vec<f64>, usize)> {
-        use crate::matrix::DenseMatrix;
+        use crate::matrix::{DenseMatrix, LuWorkspace};
         use crate::mna::assemble;
         let n = nl.num_unknowns();
         let mut matrix = DenseMatrix::zeros(n);
@@ -1191,8 +1202,10 @@ mod tests {
         let mut prev_update = vec![0.0; n];
         for iter in 0..opts.max_iterations {
             assemble(nl, &x, 0.0, 1.0, AnalysisMode::Dc, &mut matrix, &mut rhs);
-            let lu = matrix.clone().into_lu().ok()?;
-            let x_new = lu.solve(&rhs);
+            let mut lu = LuWorkspace::new();
+            lu.factor_from(&matrix).ok()?;
+            let mut x_new = vec![0.0; n];
+            lu.solve_into(&rhs, &mut x_new);
             let converged = x
                 .iter()
                 .zip(x_new.iter())

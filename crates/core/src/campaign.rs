@@ -6,6 +6,10 @@
 //! provides the pieces that let an executor *record* such a point and
 //! keep going:
 //!
+//! * [`run_grid`] — the one runner every campaign's grid points go
+//!   through: it times each point, keeps its solver trajectory under
+//!   the outcome's label, turns a panic into a recordable error and
+//!   folds results, failures and coverage in grid order ([`Settled`]);
 //! * [`PointFailure`] — a structured record of one grid point that
 //!   stayed unsolved after the full
 //!   [`anasim::newton::solve_with_retry`] escalation;
@@ -32,6 +36,8 @@ use std::path::{Path, PathBuf};
 
 use process::PvtCondition;
 use regulator::Defect;
+
+use crate::executor::parallel_map_isolated;
 
 /// Static ERC pre-flight over a netlist a campaign is about to solve.
 ///
@@ -229,30 +235,162 @@ pub fn completeness_footer(coverage: &Coverage, failures: &[PointFailure]) -> St
     out
 }
 
-/// Publishes a campaign's final coverage into the obs gauges the
-/// manifest builder reads ([`obs::RunManifest::from_snapshot`]).
+/// Publishes a campaign's final coverage by adding it to the obs
+/// gauges the manifest builder reads ([`obs::RunManifest::from_snapshot`]).
+/// Each campaign publishes once, so a run of several campaigns (the
+/// CLI's `all`) reports their summed points and wall-clock.
 pub fn publish_coverage(coverage: &Coverage) {
-    obs::gauge_set(obs::GAUGE_COVERAGE_ATTEMPTED, coverage.attempted as f64);
-    obs::gauge_set(obs::GAUGE_COVERAGE_COMPLETED, coverage.completed as f64);
-    obs::gauge_set(obs::GAUGE_COVERAGE_ELAPSED_S, coverage.elapsed_s);
+    obs::gauge_add(obs::GAUGE_COVERAGE_ATTEMPTED, coverage.attempted as f64);
+    obs::gauge_add(obs::GAUGE_COVERAGE_COMPLETED, coverage.completed as f64);
+    obs::gauge_add(obs::GAUGE_COVERAGE_ELAPSED_S, coverage.elapsed_s);
 }
 
-/// Records one grid point's cost into the obs registry (slowest-point
-/// and retry-hot-spot lists plus the `campaign.point_seconds`
-/// histogram), translating [`anasim::SolverStats`] into the flat
-/// fields the registry stores.
-pub fn record_point(key: &str, seconds: f64, stats: &anasim::SolverStats) {
-    obs::record_point(key, seconds, stats.retries as u64, stats.iterations as u64);
+/// Where one grid point sits: the key its cost and trajectory are
+/// recorded under, and the coordinates its [`PointFailure`] names.
+#[derive(Debug, Clone)]
+pub struct GridPoint {
+    /// Trace key, e.g. `df16/cs1 @ fs, 1.00V, 125°C`.
+    pub key: String,
+    /// The defect under characterization, if any.
+    pub defect: Option<Defect>,
+    /// The case-study column, if any.
+    pub case_study: Option<u8>,
+    /// The grid condition, if any.
+    pub pvt: Option<PvtCondition>,
+}
+
+impl GridPoint {
+    /// A grid point with its key and coordinates.
+    pub fn new(
+        key: String,
+        defect: Option<Defect>,
+        case_study: Option<u8>,
+        pvt: Option<PvtCondition>,
+    ) -> Self {
+        GridPoint {
+            key,
+            defect,
+            case_study,
+            pvt,
+        }
+    }
+}
+
+/// A campaign's grid points, settled in grid order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Settled<R> {
+    /// One entry per grid point: its result, or `None` where it failed.
+    pub results: Vec<Option<R>>,
+    /// The points that failed recordably, in grid order.
+    pub failures: Vec<PointFailure>,
+    /// Attempted/completed accounting (no wall-clock: the campaign
+    /// stamps that once around all of its work).
+    pub coverage: Coverage,
+}
+
+impl<R> Default for Settled<R> {
+    fn default() -> Self {
+        Settled {
+            results: Vec::new(),
+            failures: Vec::new(),
+            coverage: Coverage::default(),
+        }
+    }
+}
+
+impl<R> Settled<R> {
+    /// Folds the next point's outcome: a result completes the point, a
+    /// recordable error ([`anasim::Error::is_recordable`]) becomes a
+    /// [`PointFailure`] at `at`, and any other error is returned, for
+    /// the campaign to abort on.
+    ///
+    /// # Errors
+    ///
+    /// The outcome's error when it is not recordable.
+    pub fn push(
+        &mut self,
+        at: &GridPoint,
+        outcome: Result<R, anasim::Error>,
+    ) -> Result<(), anasim::Error> {
+        match outcome {
+            Ok(r) => {
+                self.coverage.record_ok();
+                self.results.push(Some(r));
+            }
+            Err(e) if e.is_recordable() => {
+                self.coverage.record_failure();
+                self.results.push(None);
+                self.failures
+                    .push(PointFailure::new(at.defect, at.case_study, at.pvt, e));
+            }
+            Err(e) => return Err(e),
+        }
+        Ok(())
+    }
+}
+
+/// Runs every grid point of a campaign through
+/// [`parallel_map_isolated`], settling each the same way: `work(item)`
+/// runs under a point timer keyed by `point(index, item)`, which
+/// records the point's cost and keeps its solver trajectory labelled
+/// `ok`, `failed` or `panicked`; a panic becomes
+/// [`anasim::Error::Panicked`]; and the outcomes fold in grid order
+/// ([`Settled::push`]), so the result is identical for every `jobs`
+/// value.
+///
+/// # Errors
+///
+/// The lowest-index error that is not recordable. Every point still
+/// runs before it is returned.
+pub fn run_grid<T, R>(
+    jobs: usize,
+    items: &[T],
+    point: impl Fn(usize, &T) -> GridPoint + Sync,
+    work: impl Fn(&T) -> Result<R, anasim::Error> + Sync,
+) -> Result<Settled<R>, anasim::Error>
+where
+    T: Sync,
+    R: Send,
+{
+    let outcomes = parallel_map_isolated(
+        jobs,
+        items,
+        |i, item| settle_point(&point(i, item).key, || work(item)),
+        |_, _| {},
+    );
+    let mut settled = Settled::default();
+    for (i, outcome) in outcomes.into_iter().enumerate() {
+        let outcome = outcome.unwrap_or_else(|what| Err(anasim::Error::Panicked { what }));
+        settled.push(&point(i, &items[i]), outcome)?;
+    }
+    Ok(settled)
+}
+
+/// Runs one grid point's `work` on the calling thread under a
+/// [`PointTimer`], labelling its trajectory `ok` or `failed` from the
+/// outcome (`panicked` when `work` unwinds). Timed points must not
+/// nest: each timer opens the thread's flight-recorder bracket afresh.
+pub(crate) fn settle_point<R>(
+    key: &str,
+    work: impl FnOnce() -> Result<R, anasim::Error>,
+) -> Result<R, anasim::Error> {
+    let mut timer = PointTimer::start(key);
+    let outcome = work();
+    timer.outcome = if outcome.is_ok() { "ok" } else { "failed" };
+    outcome
 }
 
 /// Scope timer for one campaign grid point: snapshots the wall clock
 /// and the thread's solver tally at construction, and attributes the
-/// deltas to the point's key on [`finish`](PointTimer::finish).
+/// deltas to the point's key when dropped.
 #[derive(Debug)]
-pub struct PointTimer {
+struct PointTimer {
     key: String,
     start: std::time::Instant,
     tally0: obs::SolverTally,
+    /// The label the point's trajectory is kept under; a timer dropped
+    /// by a panic unwinding through its point keeps `panicked`.
+    outcome: &'static str,
 }
 
 impl PointTimer {
@@ -260,30 +398,22 @@ impl PointTimer {
     /// flight-recorder bracket so the solver's per-iteration residual
     /// trajectory can be retained if this point turns out interesting
     /// (a no-op unless the recorder is enabled).
-    pub fn start(key: impl Into<String>) -> Self {
+    fn start(key: &str) -> Self {
         obs::flight_begin();
         PointTimer {
-            key: key.into(),
+            key: key.to_string(),
             start: std::time::Instant::now(),
             tally0: obs::tally(),
+            outcome: "panicked",
         }
     }
+}
 
+impl Drop for PointTimer {
     /// Records the point's wall-clock, iterations and retries into the
-    /// obs registry and emits a `point` trace event when a sink is
-    /// installed.
-    pub fn finish(self) {
-        self.finish_with("ok");
-    }
-
-    /// As [`finish`](PointTimer::finish), for a point that failed.
-    /// `outcome` labels the retained trajectory: `"failed"` or
-    /// `"panicked"`.
-    pub fn finish_failed(self, outcome: &str) {
-        self.finish_with(outcome);
-    }
-
-    fn finish_with(self, outcome: &str) {
+    /// obs registry, emits a `point` trace event when a sink is
+    /// installed, and closes the flight-recorder bracket.
+    fn drop(&mut self) {
         let seconds = self.start.elapsed().as_secs_f64();
         let work = obs::tally().since(&self.tally0);
         obs::record_point(&self.key, seconds, work.retries, work.iterations);
@@ -292,7 +422,10 @@ impl PointTimer {
                 "point",
                 vec![
                     ("key".to_string(), obs::Json::Str(self.key.clone())),
-                    ("outcome".to_string(), obs::Json::Str(outcome.to_string())),
+                    (
+                        "outcome".to_string(),
+                        obs::Json::Str(self.outcome.to_string()),
+                    ),
                     ("seconds".to_string(), obs::Json::Num(seconds)),
                     (
                         "iterations".to_string(),
@@ -302,10 +435,10 @@ impl PointTimer {
                 ],
             );
         }
-        // Close the flight-recorder bracket; the registry keeps the
-        // trajectory only for failures and the slowest-k successes.
+        // The registry keeps the trajectory only for failures and the
+        // slowest-k successes.
         if let Some(traj) = obs::flight_take() {
-            obs::record_trace(&self.key, outcome, seconds, traj);
+            obs::record_trace(&self.key, self.outcome, seconds, traj);
         }
     }
 }
@@ -747,8 +880,91 @@ impl Quarantine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Serializes the tests that arm the process-global flight recorder
+    /// or count deliberate panics in the global `executor.panic` counter.
+    pub(crate) fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    #[test]
+    fn runner_settles_every_kind_of_point_alike_at_any_job_count() {
+        let _obs = obs_lock();
+        // Items are (kind, tag): 0 succeeds, 1 fails recordably, 2
+        // panics, 3 fails fatally. Each records one solver sample.
+        let run = |jobs: usize, items: &[(u8, usize)]| {
+            run_grid(
+                jobs,
+                items,
+                |i, _| {
+                    GridPoint::new(
+                        format!("runner-test j{jobs} #{i}"),
+                        None,
+                        Some(i as u8),
+                        None,
+                    )
+                },
+                |&(kind, tag)| {
+                    obs::flight_record(1.0, 1.0);
+                    match kind {
+                        0 => Ok(tag),
+                        1 => Err(anasim::Error::NoConvergence {
+                            iterations: 1,
+                            residual: 1.0,
+                        }),
+                        2 => panic!("poisoned point {tag}"),
+                        _ => Err(anasim::Error::InvalidValue {
+                            device: format!("point {tag}"),
+                            what: "fatal".into(),
+                        }),
+                    }
+                },
+            )
+        };
+        obs::flight_enable(obs::DEFAULT_CAPACITY);
+        let items = [(0, 10), (1, 11), (2, 12), (0, 13)];
+        let sequential = run(1, &items).expect("no point fails fatally");
+        let parallel = run(4, &items).expect("no point fails fatally");
+        let fatal: Vec<_> = [1, 4]
+            .into_iter()
+            .map(|jobs| run(jobs, &[(2, 0), (0, 1), (3, 2), (1, 3), (3, 4)]).expect_err("fatal"))
+            .collect();
+        obs::flight_disable();
+
+        assert_eq!(sequential, parallel);
+        assert_eq!(sequential.results, vec![Some(10), None, None, Some(13)]);
+        assert_eq!(
+            (sequential.coverage.attempted, sequential.coverage.completed),
+            (4, 2)
+        );
+        let [failed, panicked] = &sequential.failures[..] else {
+            panic!("two failures: {:?}", sequential.failures);
+        };
+        assert_eq!(failed.case_study, Some(1));
+        assert!(failed.error.is_retryable() && !failed.panicked);
+        assert_eq!(panicked.case_study, Some(2));
+        assert!(panicked.panicked && panicked.error.to_string().contains("poisoned point 12"));
+
+        let traces = obs::snapshot().traces;
+        for jobs in [1, 4] {
+            for (i, outcome) in [(1, "failed"), (2, "panicked")] {
+                let key = format!("runner-test j{jobs} #{i}");
+                assert!(
+                    traces.iter().any(|t| t.key == key && t.outcome == outcome),
+                    "{key} kept as {outcome}"
+                );
+            }
+        }
+        for err in fatal {
+            assert!(
+                err.to_string().contains("point 2"),
+                "lowest-index fatal error: {err}"
+            );
+        }
+    }
 
     #[test]
     fn coverage_accounting_and_percent() {

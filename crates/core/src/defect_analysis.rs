@@ -13,7 +13,8 @@ use sram::drv::{drv_ds, DrvOptions};
 use sram::{ArrayLoad, CellInstance, CellPopulation, StoredBit};
 
 use crate::campaign::{
-    publish_coverage, Checkpoint, Coverage, Heartbeat, PointFailure, PointTimer, Quarantine,
+    publish_coverage, run_grid, settle_point, Checkpoint, Coverage, GridPoint, Heartbeat,
+    PointFailure, Quarantine, Settled,
 };
 use crate::case_study::CaseStudy;
 use crate::executor::{parallel_map_isolated, WorkOutcome};
@@ -202,17 +203,19 @@ impl Table2 {
     }
 }
 
-/// Per-(case-study, corner, temperature, vdd) context, shared across
-/// defects: the stressed cell, its retention voltage, the array load,
-/// and — when warm starts are on — the healthy circuit's converged
-/// state, the seed every resistance search at this condition starts
-/// Newton from.
-struct GridContext {
-    stressed: CellInstance,
-    drv: f64,
-    load: ArrayLoad,
-    seed: Option<Vec<f64>>,
+/// Per-(case-study, PVT) context, shared across defects by Tables II
+/// and III: the stressed cell, its retention voltage and the array
+/// load.
+pub(crate) struct GridContext {
+    pub(crate) stressed: CellInstance,
+    pub(crate) drv: f64,
+    pub(crate) load: ArrayLoad,
 }
+
+/// A Table II context plus — when warm starts are on — the healthy
+/// circuit's converged state, the seed every resistance search at this
+/// condition starts Newton from.
+type SeededContext = (GridContext, Option<Vec<f64>>);
 
 /// The context-cache key: (cs number, corner, temp, vdd). The tap is
 /// derived from vdd ([`tap_for_vdd`]), so it needs no key component.
@@ -364,47 +367,42 @@ pub fn table2(options: &Table2Options) -> Result<Table2, anasim::Error> {
             }
         }
     }
-    let built = parallel_map_isolated(
+    let built = run_grid(
         options.jobs,
         &ctx_items,
         |_, &(ci, pvt)| {
-            let cs = &options.case_studies[ci];
-            let result = {
-                let _span = obs::span("context");
-                build_context(cs, pvt, options)
-            };
-            result.map(|mut ctx| {
-                if options.warm_start {
-                    // A failed healthy solve only costs the warm start:
-                    // the searches at this condition run cold, exactly
-                    // as before the cache existed.
-                    ctx.seed =
-                        healthy_seed(&options.design, pvt, tap_for_vdd(pvt.vdd), &ctx.load).ok();
-                }
-                ctx
-            })
+            let cs = options.case_studies[ci].number;
+            GridPoint::new(format!("context cs{cs} @ {pvt}"), None, Some(cs), Some(pvt))
         },
-        |_, _| {},
-    );
+        |&(ci, pvt)| {
+            let ctx = {
+                let _span = obs::span("context");
+                build_context(
+                    &options.case_studies[ci],
+                    pvt,
+                    &options.drv,
+                    options.load_points,
+                )?
+            };
+            // A failed healthy solve only costs the warm start: the
+            // searches at this condition run cold.
+            let seed = if options.warm_start {
+                healthy_seed(&options.design, pvt, tap_for_vdd(pvt.vdd), &ctx.load).ok()
+            } else {
+                None
+            };
+            Ok((ctx, seed))
+        },
+    )?;
     // A context whose construction failed is cached poisoned (`None`)
     // so the failure is charged once here and every grid point that
     // needs it is tallied as failed without re-solving.
-    let mut contexts: HashMap<CtxKey, Option<GridContext>> = HashMap::new();
-    let mut failures: Vec<PointFailure> = Vec::new();
-    for (&(ci, pvt), outcome) in ctx_items.iter().zip(built) {
-        let cs = &options.case_studies[ci];
-        let result = outcome.unwrap_or_else(|what| Err(anasim::Error::Panicked { what }));
-        match result {
-            Ok(ctx) => {
-                contexts.insert(ctx_key(cs.number, pvt), Some(ctx));
-            }
-            Err(e) if e.is_recordable() => {
-                failures.push(PointFailure::new(None, Some(cs.number), Some(pvt), e));
-                contexts.insert(ctx_key(cs.number, pvt), None);
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    let mut failures = built.failures;
+    let contexts: HashMap<CtxKey, Option<SeededContext>> = ctx_items
+        .iter()
+        .zip(built.results)
+        .map(|(&(ci, pvt), ctx)| (ctx_key(options.case_studies[ci].number, pvt), ctx))
+        .collect();
 
     // ---- Phase B: the (defect × case-study) cells, fanned across
     // workers. Each worker owns its cell completely (grid loop, solver
@@ -585,18 +583,16 @@ struct CellDone {
     coverage: Coverage,
 }
 
-/// Evaluates one cell's full PVT grid. Runs on a worker thread: all
-/// state is local, contexts are read-only shared.
+/// Evaluates one cell's full PVT grid, settling each point through
+/// [`settle_point`]. Runs on a worker thread: all state is local,
+/// contexts are read-only shared.
 fn evaluate_cell(
     defect: Defect,
     cs: &CaseStudy,
     options: &Table2Options,
-    contexts: &HashMap<CtxKey, Option<GridContext>>,
+    contexts: &HashMap<CtxKey, Option<SeededContext>>,
 ) -> Result<CellDone, anasim::Error> {
     let key = cell_key(defect, cs.number);
-    let mut best = Table2Cell::empty();
-    let mut failures: Vec<PointFailure> = Vec::new();
-    let mut coverage = Coverage::default();
     let injected = options
         .inject_failures
         .contains(&(defect.number(), cs.number));
@@ -612,123 +608,101 @@ fn evaluate_cell(
             .contains(&(defect.number(), cs.number)),
         "injected panic evaluating cell {key}"
     );
+    let mut settled = Settled::<()>::default();
+    let mut best = Table2Cell::empty();
     for &corner in &options.corners {
         for &temp in &options.temperatures {
             for &vdd in &options.supplies {
                 let pvt = PvtCondition::new(corner, vdd, temp);
                 let tap = tap_for_vdd(vdd);
-                if injected {
-                    best.failed_points += 1;
-                    coverage.record_failure();
-                    failures.push(PointFailure::new(
-                        Some(defect),
-                        Some(cs.number),
-                        Some(pvt),
-                        anasim::Error::NoConvergence {
-                            iterations: 0,
-                            residual: f64::INFINITY,
-                        },
-                    ));
+                let ctx = contexts
+                    .get(&ctx_key(cs.number, pvt))
+                    .and_then(Option::as_ref);
+                if !injected && !disconnected && ctx.is_none() {
+                    // Poisoned (or, impossibly, missing) context: the
+                    // build failure was charged once in phase A.
+                    settled.coverage.record_failure();
                     continue;
                 }
-                if disconnected {
-                    // Build the circuit this point would solve,
-                    // sever a node, and let the pre-flight gate
-                    // reject it — no solve is ever attempted.
-                    let mut circuit = regulator::RegulatorCircuit::new(
+                let at = GridPoint::new(
+                    format!("{key} @ {pvt}"),
+                    Some(defect),
+                    Some(cs.number),
+                    Some(pvt),
+                );
+                let solved = settle_point(&at.key, || {
+                    if injected {
+                        return Err(anasim::Error::NoConvergence {
+                            iterations: 0,
+                            residual: f64::INFINITY,
+                        });
+                    }
+                    if disconnected {
+                        // Build the circuit this point would solve,
+                        // sever a node, and let the pre-flight gate
+                        // reject it — no solve is ever attempted.
+                        let mut circuit = regulator::RegulatorCircuit::new(
+                            &options.design,
+                            pvt,
+                            tap,
+                            regulator::FeedMode::Static,
+                        )?;
+                        circuit.add_orphan_node("injected_disconnect");
+                        return Err(circuit.preflight().err().unwrap_or(
+                            anasim::Error::InvalidValue {
+                                device: "inject_disconnects".into(),
+                                what: "pre-flight accepted a severed netlist".into(),
+                            },
+                        ));
+                    }
+                    let (ctx, seed) = ctx.expect("only points with a built context are solved");
+                    let criterion = DrfCriterion {
+                        stressed: &ctx.stressed,
+                        stored: StoredBit::One,
+                        drv: ctx.drv,
+                    };
+                    min_resistance_seeded(
                         &options.design,
                         pvt,
                         tap,
-                        regulator::FeedMode::Static,
-                    )?;
-                    circuit.add_orphan_node("injected_disconnect");
-                    let error = circuit
-                        .preflight()
-                        .err()
-                        .unwrap_or(anasim::Error::InvalidValue {
-                            device: "inject_disconnects".into(),
-                            what: "pre-flight accepted a severed netlist".into(),
-                        });
-                    best.failed_points += 1;
-                    coverage.record_failure();
-                    failures.push(PointFailure::new(
-                        Some(defect),
-                        Some(cs.number),
-                        Some(pvt),
-                        error,
-                    ));
-                    continue;
-                }
-                let Some(Some(ctx)) = contexts.get(&ctx_key(cs.number, pvt)) else {
-                    // Poisoned (or, impossibly, missing) context: the
-                    // build failure was charged once in phase A.
-                    best.failed_points += 1;
-                    coverage.record_failure();
-                    continue;
-                };
-                let criterion = DrfCriterion {
-                    stressed: &ctx.stressed,
-                    stored: StoredBit::One,
-                    drv: ctx.drv,
-                };
-                let timer = PointTimer::start(format!("{key} @ {pvt}"));
-                match min_resistance_seeded(
-                    &options.design,
-                    pvt,
-                    tap,
-                    defect,
-                    &ctx.load,
-                    &criterion,
-                    &options.characterize,
-                    ctx.seed.as_deref(),
-                ) {
-                    Ok(found) => {
-                        timer.finish();
-                        coverage.record_ok();
-                        if let Some(ohms) = found.ohms {
-                            if best.min_ohms.is_none_or(|b| ohms < b) {
-                                best.min_ohms = Some(ohms);
-                                best.pvt = Some(pvt);
-                                best.vddcc = found.vddcc_at_fault;
-                            }
+                        defect,
+                        &ctx.load,
+                        &criterion,
+                        &options.characterize,
+                        seed.as_deref(),
+                    )
+                });
+                let found = solved.map(|found| {
+                    if let Some(ohms) = found.ohms {
+                        if best.min_ohms.is_none_or(|b| ohms < b) {
+                            best.min_ohms = Some(ohms);
+                            best.pvt = Some(pvt);
+                            best.vddcc = found.vddcc_at_fault;
                         }
                     }
-                    Err(e) if e.is_recordable() => {
-                        // Label the outcome so the flight recorder
-                        // retains this point's convergence trajectory
-                        // unconditionally (failures always keep their
-                        // ring; successes compete for the slowest-k
-                        // slots).
-                        timer.finish_failed(if e.is_panic() { "panicked" } else { "failed" });
-                        best.failed_points += 1;
-                        coverage.record_failure();
-                        failures.push(PointFailure::new(
-                            Some(defect),
-                            Some(cs.number),
-                            Some(pvt),
-                            e,
-                        ));
-                    }
-                    Err(e) => return Err(e),
-                }
+                });
+                settled.push(&at, found)?;
             }
         }
     }
+    best.failed_points = settled.coverage.attempted - settled.coverage.completed;
     Ok(CellDone {
         cell: best,
-        failures,
-        coverage,
+        failures: settled.failures,
+        coverage: settled.coverage,
     })
 }
 
-/// Builds the per-(case study, PVT) shared context.
-fn build_context(
+/// Builds the per-(case study, PVT) shared context, sampling the
+/// array-load I(V) curve at `load_points` supplies.
+pub(crate) fn build_context(
     cs: &CaseStudy,
     pvt: PvtCondition,
-    options: &Table2Options,
+    drv: &DrvOptions,
+    load_points: usize,
 ) -> Result<GridContext, anasim::Error> {
     let stressed = CellInstance::with_pattern(cs.pattern(), pvt);
-    let drv = drv_ds(&stressed, StoredBit::One, &options.drv)?.drv;
+    let drv = drv_ds(&stressed, StoredBit::One, drv)?.drv;
     let base = CellInstance::symmetric(pvt);
     let load = ArrayLoad::build(
         &base,
@@ -739,13 +713,12 @@ fn build_context(
         }],
         256 * 1024,
         1.3,
-        options.load_points,
+        load_points,
     )?;
     Ok(GridContext {
         stressed,
         drv,
         load,
-        seed: None,
     })
 }
 
@@ -844,6 +817,7 @@ mod tests {
 
     #[test]
     fn injected_panic_is_isolated_not_fatal() {
+        let _obs = crate::campaign::tests::obs_lock();
         let mut opts = Table2Options::quick();
         opts.defects = vec![Defect::new(16), Defect::new(19)];
         opts.case_studies = vec![
@@ -895,6 +869,7 @@ mod tests {
 
     #[test]
     fn panicked_cell_is_left_out_of_the_checkpoint() {
+        let _obs = crate::campaign::tests::obs_lock();
         let dir = std::env::temp_dir().join("drftest-table2-panic-ckpt");
         let path = dir.join("table2.tsv");
         let _ = std::fs::remove_dir_all(&dir);
@@ -933,6 +908,7 @@ mod tests {
 
     #[test]
     fn repeat_identical_panics_quarantine_the_cell() {
+        let _obs = crate::campaign::tests::obs_lock();
         let dir = std::env::temp_dir().join("drftest-table2-quarantine");
         let path = dir.join("table2.tsv");
         let _ = std::fs::remove_dir_all(&dir);

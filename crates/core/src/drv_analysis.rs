@@ -12,8 +12,9 @@ use sram::cell::build_retention_netlist;
 use sram::drv::{drv_ds, DrvOptions, StoredBit};
 use sram::{CellInstance, CellTransistor, MismatchPattern};
 
-use crate::campaign::{preflight_netlist, publish_coverage, Coverage, PointFailure, PointTimer};
-use crate::executor::parallel_map_isolated;
+use crate::campaign::{
+    preflight_netlist, publish_coverage, run_grid, Coverage, GridPoint, PointFailure,
+};
 
 /// Options for the Fig. 4 sweep.
 #[derive(Debug, Clone)]
@@ -189,61 +190,44 @@ pub fn fig4(options: &Fig4Options) -> Result<Fig4Data, anasim::Error> {
             }
         }
     }
-    let solved = parallel_map_isolated(
+    let settled = run_grid(
         options.jobs,
         &grid,
         |_, &(transistor, sigma, pvt)| {
+            GridPoint::new(
+                format!("{transistor}/{sigma:+.0}σ @ {pvt}"),
+                None,
+                None,
+                Some(pvt),
+            )
+        },
+        |&(transistor, sigma, pvt)| {
             let pattern = MismatchPattern::symmetric().with(transistor, Sigma(sigma));
             let inst = CellInstance::with_pattern(pattern, pvt);
-            let timer = PointTimer::start(format!("{transistor}/{sigma:+.0}σ @ {pvt}"));
             // ERC pre-flight on the cell netlist this point would
             // solve, then the two DRV searches.
-            let point = build_retention_netlist(&inst, options.vdd)
-                .and_then(|(nl, _)| preflight_netlist(&nl))
-                .and_then(|_| drv_ds(&inst, StoredBit::One, &options.drv))
-                .and_then(|d1| Ok((d1.drv, drv_ds(&inst, StoredBit::Zero, &options.drv)?.drv)));
-            if !matches!(&point, Err(e) if !e.is_recordable()) {
-                timer.finish();
-            }
-            point
+            preflight_netlist(&build_retention_netlist(&inst, options.vdd)?.0)?;
+            let d1 = drv_ds(&inst, StoredBit::One, &options.drv)?.drv;
+            Ok((d1, drv_ds(&inst, StoredBit::Zero, &options.drv)?.drv))
         },
-        |_, _| {},
-    );
-    // Panicked points surface as recordable per-point errors.
-    let solved: Vec<_> = solved
-        .into_iter()
-        .map(|o| o.unwrap_or_else(|what| Err(anasim::Error::Panicked { what })))
-        .collect();
+    )?;
 
     let per_point = options.corners.len() * options.temperatures.len();
     let mut series = Vec::with_capacity(6);
-    let mut failures = Vec::new();
-    let mut coverage = Coverage::default();
-    let mut results = grid.iter().zip(solved);
+    let mut results = grid.iter().zip(&settled.results);
     for transistor in CellTransistor::ALL {
         let mut points = Vec::with_capacity(options.sigmas.len());
         for &sigma in &options.sigmas {
             let mut best1 = (0.0f64, PvtCondition::nominal());
             let mut best0 = (0.0f64, PvtCondition::nominal());
-            for _ in 0..per_point {
-                let (&(_, _, pvt), point) = results
-                    .next()
-                    .expect("the executor returns one result per grid point");
-                match point {
-                    Ok((d1, d0)) => {
-                        coverage.record_ok();
-                        if d1 > best1.0 {
-                            best1 = (d1, pvt);
-                        }
-                        if d0 > best0.0 {
-                            best0 = (d0, pvt);
-                        }
+            for (&(_, _, pvt), point) in results.by_ref().take(per_point) {
+                if let Some((d1, d0)) = *point {
+                    if d1 > best1.0 {
+                        best1 = (d1, pvt);
                     }
-                    Err(e) if e.is_recordable() => {
-                        coverage.record_failure();
-                        failures.push(PointFailure::new(None, None, Some(pvt), e));
+                    if d0 > best0.0 {
+                        best0 = (d0, pvt);
                     }
-                    Err(e) => return Err(e),
                 }
             }
             points.push(Fig4Point {
@@ -254,14 +238,15 @@ pub fn fig4(options: &Fig4Options) -> Result<Fig4Data, anasim::Error> {
                 worst_pvt_ds0: best0.1,
             });
         }
-        obs::progress(&format!("fig4 series {transistor} done ({coverage})"));
+        obs::progress(&format!("fig4 series {transistor} done"));
         series.push(Fig4Series { transistor, points });
     }
+    let mut coverage = settled.coverage;
     coverage.elapsed_s = sweep_start.elapsed().as_secs_f64();
     publish_coverage(&coverage);
     Ok(Fig4Data {
         series,
-        failures,
+        failures: settled.failures,
         coverage,
     })
 }

@@ -3,7 +3,8 @@
 //! Every paper table is an embarrassingly-parallel grid — Table II
 //! alone is defects × case-studies, each hiding a resistance bisection
 //! of full Newton solves — so the campaign drivers fan their grid
-//! points across cores through [`parallel_map_ordered`]. The design
+//! points across cores through [`parallel_map_isolated`], most of them
+//! via the campaign runner [`crate::campaign::run_grid`]. The design
 //! constraints, in order of importance:
 //!
 //! 1. **Determinism.** The table a campaign prints, the rows it
@@ -22,16 +23,15 @@
 //!    thread-local obs buffers ([`obs::flush`]) before exiting the
 //!    scope, so counters and histograms recorded on workers are
 //!    visible in the registry snapshot the moment
-//!    [`parallel_map_ordered`] returns — run manifests and JSONL
+//!    [`parallel_map_isolated`] returns — run manifests and JSONL
 //!    sinks don't silently drop tail events.
 //!
 //! Wall-clock accounting: the executor is why [`crate::Coverage`]
 //! merges `elapsed_s` by `max` rather than `+` — sub-results computed
 //! concurrently must not inflate the campaign's throughput figure.
 //! Campaign drivers stamp wall-clock once, at the top level, around
-//! the whole `parallel_map_ordered` call.
+//! all of their fan-outs.
 
-use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -107,7 +107,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Maps `work` over `items` on up to `jobs` worker threads, delivering
-/// results in grid order.
+/// results in grid order, with per-point panic isolation.
 ///
 /// * `jobs == 0` resolves to the machine's available parallelism;
 ///   `jobs == 1` (or fewer items than 2) runs inline on the calling
@@ -117,62 +117,20 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///   claimed from a shared atomic index (idle workers steal the next
 ///   unclaimed item, so an expensive point never serializes the rest
 ///   behind it).
-/// * `on_ready(index, &result)` runs on the *calling* thread, in
+/// * A panic inside `work` is caught on the worker, counted in the
+///   `executor.panic` obs counter, and delivered as
+///   [`WorkOutcome::Panicked`] at that item's index — every other item
+///   still runs, and the call never unwinds because of `work`.
+/// * `on_ready(index, &outcome)` runs on the *calling* thread, in
 ///   strict index order, as soon as the contiguous prefix up to
 ///   `index` has completed — this is the single-writer hook for
 ///   checkpoint appends and progress lines. Out-of-order completions
 ///   are parked until their turn.
-/// * The returned `Vec` holds every result in item order.
+/// * The returned `Vec` holds every outcome in item order.
 ///
 /// Worker threads flush their thread-local obs buffers before the
 /// scope joins, so metrics recorded inside `work` are globally visible
 /// when this function returns.
-///
-/// A panic inside `work` still panics the caller — but only after
-/// every other item has run to completion (panics are caught per point
-/// by [`parallel_map_isolated`] underneath, so one poisoned point
-/// never takes down in-flight workers). Campaign drivers that must
-/// *survive* a panicking point call [`parallel_map_isolated`] directly
-/// and record the [`WorkOutcome::Panicked`] as a point failure.
-///
-/// # Panics
-///
-/// Re-raises the first (lowest-index) panic observed in `work`.
-pub fn parallel_map_ordered<T, R>(
-    jobs: usize,
-    items: &[T],
-    work: impl Fn(usize, &T) -> R + Sync,
-    mut on_ready: impl FnMut(usize, &R),
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-{
-    let mut first_panic: Option<(usize, String)> = None;
-    let outcomes = parallel_map_isolated(jobs, items, work, |i, outcome| match outcome {
-        WorkOutcome::Done(r) if first_panic.is_none() => on_ready(i, r),
-        WorkOutcome::Done(_) => {}
-        WorkOutcome::Panicked { message } => {
-            if first_panic.is_none() {
-                first_panic = Some((i, message.clone()));
-            }
-        }
-    });
-    if let Some((i, message)) = first_panic {
-        panic!("worker panicked at grid point {i}: {message}");
-    }
-    outcomes
-        .into_iter()
-        .map(|o| o.unwrap_or_else(|_| unreachable!("panics re-raised above")))
-        .collect()
-}
-
-/// As [`parallel_map_ordered`], but with per-point panic isolation: a
-/// panic inside `work` is caught on the worker, counted in the
-/// `executor.panic` obs counter, and delivered as
-/// [`WorkOutcome::Panicked`] at that item's index — every other item
-/// still runs, `on_ready` still fires in strict index order, and the
-/// call never unwinds because of `work`.
 ///
 /// This is the executor contract campaign drivers build on: one
 /// poisoned grid point becomes one recorded casualty, not the loss of
@@ -269,26 +227,6 @@ where
         .collect()
 }
 
-/// A deterministic single-writer queue used by tests to observe
-/// `on_ready` ordering; kept here so campaign drivers can share it if
-/// they need to stage ordered side effects.
-#[derive(Debug, Default)]
-pub struct OrderedLog<R> {
-    entries: VecDeque<(usize, R)>,
-}
-
-impl<R> OrderedLog<R> {
-    /// Appends one `(index, value)` pair.
-    pub fn push(&mut self, index: usize, value: R) {
-        self.entries.push_back((index, value));
-    }
-
-    /// The recorded indices, in arrival order.
-    pub fn indices(&self) -> Vec<usize> {
-        self.entries.iter().map(|(i, _)| *i).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,27 +239,35 @@ mod tests {
         assert!(effective_jobs(0) >= 1);
     }
 
+    /// The results of a run in which no item panicked.
+    fn done<R>(outcomes: Vec<WorkOutcome<R>>) -> Vec<R> {
+        outcomes
+            .into_iter()
+            .map(|o| o.unwrap_or_else(|m| panic!("unexpected panic: {m}")))
+            .collect()
+    }
+
     #[test]
     fn sequential_path_preserves_order_and_results() {
         let items: Vec<u64> = (0..10).collect();
-        let mut log = OrderedLog::default();
-        let out = parallel_map_ordered(1, &items, |i, x| x * x + i as u64, |i, r| log.push(i, *r));
+        let mut log = Vec::new();
+        let out = parallel_map_isolated(1, &items, |i, x| x * x + i as u64, |i, _| log.push(i));
         assert_eq!(
-            out,
+            done(out),
             items
                 .iter()
                 .enumerate()
                 .map(|(i, x)| x * x + i as u64)
                 .collect::<Vec<_>>()
         );
-        assert_eq!(log.indices(), (0..10).collect::<Vec<_>>());
+        assert_eq!(log, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn parallel_results_are_in_item_order() {
         let items: Vec<u64> = (0..200).collect();
-        let out = parallel_map_ordered(4, &items, |_, x| x * 3, |_, _| {});
-        assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>());
+        let out = parallel_map_isolated(4, &items, |_, x| x * 3, |_, _| {});
+        assert_eq!(done(out), items.iter().map(|x| x * 3).collect::<Vec<_>>());
     }
 
     #[test]
@@ -329,8 +275,8 @@ mod tests {
         // Stagger the work so later indices routinely finish first;
         // the callback order must stay 0,1,2,... regardless.
         let items: Vec<u64> = (0..64).collect();
-        let mut log = OrderedLog::default();
-        let out = parallel_map_ordered(
+        let mut log = Vec::new();
+        let out = parallel_map_isolated(
             8,
             &items,
             |i, x| {
@@ -339,25 +285,25 @@ mod tests {
                 }
                 x + 1
             },
-            |i, r| log.push(i, *r),
+            |i, _| log.push(i),
         );
-        assert_eq!(log.indices(), (0..64).collect::<Vec<_>>());
+        assert_eq!(log, (0..64).collect::<Vec<_>>());
         assert_eq!(out.len(), 64);
     }
 
     #[test]
     fn empty_and_singleton_grids() {
-        let out = parallel_map_ordered(8, &Vec::<u32>::new(), |_, x| *x, |_, _| {});
+        let out = parallel_map_isolated(8, &Vec::<u32>::new(), |_, x| *x, |_, _| {});
         assert!(out.is_empty());
-        let out = parallel_map_ordered(8, &[41u32], |_, x| x + 1, |_, _| {});
-        assert_eq!(out, vec![42]);
+        let out = parallel_map_isolated(8, &[41u32], |_, x| x + 1, |_, _| {});
+        assert_eq!(done(out), vec![42]);
     }
 
     #[test]
     fn every_item_is_claimed_exactly_once() {
         let hits = AtomicU64::new(0);
         let items: Vec<usize> = (0..100).collect();
-        parallel_map_ordered(
+        parallel_map_isolated(
             6,
             &items,
             |_, _| {
@@ -370,9 +316,10 @@ mod tests {
 
     #[test]
     fn isolated_panic_is_delivered_at_its_index_only() {
+        let _obs = crate::campaign::tests::obs_lock();
         let items: Vec<u64> = (0..32).collect();
         for jobs in [1, 4] {
-            let mut log = OrderedLog::default();
+            let mut log = Vec::new();
             let before = obs::snapshot()
                 .counters
                 .get("executor.panic")
@@ -385,10 +332,10 @@ mod tests {
                     assert!(i != 13, "poisoned point 13");
                     x * 2
                 },
-                |i, r| log.push(i, r.as_done().copied()),
+                |i, _| log.push(i),
             );
             // Strict index order survives the panic, with a hole at 13.
-            assert_eq!(log.indices(), (0..32).collect::<Vec<_>>());
+            assert_eq!(log, (0..32).collect::<Vec<_>>());
             assert_eq!(out.len(), 32);
             for (i, o) in out.iter().enumerate() {
                 if i == 13 {
@@ -412,6 +359,7 @@ mod tests {
 
     #[test]
     fn isolated_outcomes_are_identical_across_job_counts() {
+        let _obs = crate::campaign::tests::obs_lock();
         let items: Vec<u64> = (0..50).collect();
         let run = |jobs| {
             parallel_map_isolated(
@@ -426,21 +374,6 @@ mod tests {
         };
         assert_eq!(run(1), run(4));
         assert_eq!(run(1), run(8));
-    }
-
-    #[test]
-    #[should_panic(expected = "worker panicked at grid point 7")]
-    fn ordered_map_still_propagates_panics() {
-        let items: Vec<u64> = (0..16).collect();
-        let _ = parallel_map_ordered(
-            4,
-            &items,
-            |i, x| {
-                assert!(i != 7, "bad item");
-                *x
-            },
-            |_, _| {},
-        );
     }
 
     #[test]
@@ -466,6 +399,7 @@ mod tests {
         // on the inline jobs=1 path there is no later flush at all.
         let key = "executor.test.pre_panic_events";
         let items: Vec<u64> = (0..8).collect();
+        let _obs = crate::campaign::tests::obs_lock();
         for jobs in [1usize, 4] {
             obs::flight_enable(obs::DEFAULT_CAPACITY);
             let before = obs::snapshot().counters.get(key).copied().unwrap_or(0);
@@ -513,7 +447,7 @@ mod tests {
         let key = "executor.test.worker_events";
         let before = obs::snapshot().counters.get(key).copied().unwrap_or(0);
         let items: Vec<u64> = (0..32).collect();
-        parallel_map_ordered(4, &items, |_, _| obs::counter_add(key, 1), |_, _| {});
+        parallel_map_isolated(4, &items, |_, _| obs::counter_add(key, 1), |_, _| {});
         let after = obs::snapshot().counters.get(key).copied().unwrap_or(0);
         assert_eq!(
             after - before,

@@ -3,10 +3,10 @@
 //! grades every cell's verdict.
 //!
 //! Each grid point — a (scenario, supply) pair — is one full-array
-//! Newton solve, fanned across workers through
-//! [`parallel_map_ordered`]. Per the executor's determinism contract
-//! the rendered report is byte-identical for every `--jobs` value:
-//! every number in a row comes from that point's own solve and its own
+//! Newton solve, fanned across workers through the campaign runner
+//! ([`run_grid`]). Per the executor's determinism contract the
+//! rendered report is byte-identical for every `--jobs` value: every
+//! number in a row comes from that point's own solve and its own
 //! [`SolveScratch`] counters, folded in grid order.
 
 use std::fmt;
@@ -15,7 +15,7 @@ use anasim::{solve_array, ArraySolveOptions, SolveScratch};
 use process::PvtCondition;
 use sram::{ActiveCell, ArraySpec, CellInstance, StoredBit};
 
-use crate::executor::parallel_map_ordered;
+use crate::campaign::{publish_coverage, run_grid, GridPoint};
 use crate::report::TextTable;
 
 /// One injected-defect scenario: a label plus the cells that differ
@@ -181,10 +181,13 @@ impl fmt::Display for ArrayRetentionReport {
 ///
 /// # Errors
 ///
-/// Propagates netlist-construction and solver failures; the first
-/// failing grid point (in grid order) aborts the run.
+/// Propagates netlist-construction and solver failures, and a panic
+/// as [`anasim::Error::Panicked`]. Every point runs first; then the
+/// lowest-index fatal error, or else the first failed point's error,
+/// aborts the run.
 pub fn run(options: &ArrayRetentionOptions) -> Result<ArrayRetentionReport, anasim::Error> {
     let _span = obs::span("array");
+    let run_start = std::time::Instant::now();
     let base = CellInstance::symmetric(PvtCondition::nominal());
     let mut points = Vec::new();
     for scenario in &options.scenarios {
@@ -192,10 +195,18 @@ pub fn run(options: &ArrayRetentionOptions) -> Result<ArrayRetentionReport, anas
             points.push((scenario.clone(), supply));
         }
     }
-    let solved = parallel_map_ordered(
+    let settled = run_grid(
         options.jobs,
         &points,
-        |_, (scenario, supply)| -> Result<ArrayRetentionRow, anasim::Error> {
+        |_, (scenario, supply)| {
+            GridPoint::new(
+                format!("{} @ {supply:.3} V", scenario.name),
+                None,
+                None,
+                None,
+            )
+        },
+        |(scenario, supply)| {
             let mut spec = ArraySpec::retention(options.rows, options.cols, *supply, base);
             spec.active = scenario.active.clone();
             let built = spec.build()?;
@@ -234,16 +245,17 @@ pub fn run(options: &ArrayRetentionOptions) -> Result<ArrayRetentionReport, anas
             scratch.flush_obs_counters();
             Ok(row)
         },
-        |_, _| {},
-    );
-    let mut report_points = Vec::with_capacity(solved.len());
-    for point in solved {
-        report_points.push(point?);
+    )?;
+    let mut coverage = settled.coverage;
+    coverage.elapsed_s = run_start.elapsed().as_secs_f64();
+    publish_coverage(&coverage);
+    if let Some(failure) = settled.failures.into_iter().next() {
+        return Err(failure.error);
     }
     Ok(ArrayRetentionReport {
         rows: options.rows,
         cols: options.cols,
-        points: report_points,
+        points: settled.results.into_iter().flatten().collect(),
     })
 }
 

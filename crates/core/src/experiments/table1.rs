@@ -7,9 +7,10 @@ use process::{ProcessCorner, PvtCondition};
 use sram::drv::{drv_ds, DrvOptions};
 use sram::{CellInstance, StoredBit};
 
-use crate::campaign::{completeness_footer, publish_coverage, Coverage, PointFailure, PointTimer};
+use crate::campaign::{
+    completeness_footer, publish_coverage, run_grid, Coverage, GridPoint, PointFailure,
+};
 use crate::case_study::CaseStudy;
-use crate::executor::parallel_map_isolated;
 use crate::report::{format_mv, TextTable};
 
 /// Options for the Table I experiment.
@@ -165,56 +166,39 @@ pub fn run(options: &Table1Options) -> Result<Table1Report, anasim::Error> {
             }
         }
     }
-    let solved = parallel_map_isolated(
+    let settled = run_grid(
         options.jobs,
         &points,
         |_, &(cs, pvt)| {
-            let inst = CellInstance::with_pattern(cs.pattern(), pvt);
-            let timer = PointTimer::start(format!("cs{} @ {pvt}", cs.number));
-            let point = drv_ds(&inst, StoredBit::One, &options.drv)
-                .and_then(|d1| Ok((d1.drv, drv_ds(&inst, StoredBit::Zero, &options.drv)?.drv)));
-            if !matches!(&point, Err(e) if !e.is_retryable()) {
-                timer.finish();
-            }
-            point
+            GridPoint::new(
+                format!("cs{} @ {pvt}", cs.number),
+                None,
+                Some(cs.number),
+                Some(pvt),
+            )
         },
-        |_, _| {},
-    );
-    // A worker that panicked on a point surfaces as a recordable
-    // per-point error, exactly like a solver failure.
-    let solved: Vec<_> = solved
-        .into_iter()
-        .map(|o| o.unwrap_or_else(|what| Err(anasim::Error::Panicked { what })))
-        .collect();
+        |&(cs, pvt)| {
+            let inst = CellInstance::with_pattern(cs.pattern(), pvt);
+            let d1 = drv_ds(&inst, StoredBit::One, &options.drv)?.drv;
+            Ok((d1, drv_ds(&inst, StoredBit::Zero, &options.drv)?.drv))
+        },
+    )?;
 
     let per_row = options.corners.len() * options.temperatures.len();
     let mut rows = Vec::new();
-    let mut failures = Vec::new();
-    let mut coverage = Coverage::default();
-    let mut results = points.iter().zip(solved);
+    let mut results = points.iter().zip(&settled.results);
     for &cs in &cases {
         let mut best1 = (0.0f64, PvtCondition::nominal());
         let mut best0 = 0.0f64;
-        for _ in 0..per_row {
-            let (&(_, pvt), point) = results
-                .next()
-                .expect("the executor returns one result per grid point");
-            match point {
-                Ok((d1, d0)) => {
-                    coverage.record_ok();
-                    if d1 > best1.0 {
-                        best1 = (d1, pvt);
-                    }
-                    best0 = best0.max(d0);
+        for (&(_, pvt), point) in results.by_ref().take(per_row) {
+            if let Some((d1, d0)) = *point {
+                if d1 > best1.0 {
+                    best1 = (d1, pvt);
                 }
-                Err(e) if e.is_recordable() => {
-                    coverage.record_failure();
-                    failures.push(PointFailure::new(None, Some(cs.number), Some(pvt), e));
-                }
-                Err(e) => return Err(e),
+                best0 = best0.max(d0);
             }
         }
-        obs::progress(&format!("table1 row CS{} done ({coverage})", cs.number));
+        obs::progress(&format!("table1 row CS{} done", cs.number));
         rows.push(Table1Row {
             case_study: cs,
             drv_ds1: best1.0,
@@ -223,11 +207,12 @@ pub fn run(options: &Table1Options) -> Result<Table1Report, anasim::Error> {
             paper_drv: cs.paper_drv_mv() / 1.0e3,
         });
     }
+    let mut coverage = settled.coverage;
     coverage.elapsed_s = run_start.elapsed().as_secs_f64();
     publish_coverage(&coverage);
     Ok(Table1Report {
         rows,
-        failures,
+        failures: settled.failures,
         coverage,
     })
 }

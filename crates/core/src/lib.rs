@@ -64,17 +64,15 @@ pub mod taxonomy;
 pub mod test_flow;
 
 pub use campaign::{
-    completeness_footer, preflight_netlist, publish_coverage, record_point, Checkpoint, Coverage,
-    PointFailure, PointTimer, Quarantine,
+    completeness_footer, preflight_netlist, publish_coverage, run_grid, Checkpoint, Coverage,
+    GridPoint, PointFailure, Quarantine, Settled,
 };
 pub use case_study::{CaseStudy, WORST_CASE_DRV};
 pub use defect_analysis::{table2, tap_for_vdd, Table2, Table2Options};
 pub use diagnosis::{diagnose_mlz, diagnose_mlz_with_prepass, FailureSignature, LostValue};
 pub use drv_analysis::{fig4, Fig4Data, Fig4Options};
 pub use ds_time::{ds_time_sweep, DsTimeOptions, DsTimeReport};
-pub use executor::{
-    available_jobs, effective_jobs, parallel_map_isolated, parallel_map_ordered, WorkOutcome,
-};
+pub use executor::{available_jobs, effective_jobs, parallel_map_isolated, WorkOutcome};
 pub use experiments::array::{ArrayRetentionOptions, ArrayRetentionReport, ArrayScenario};
 pub use fault_model::DrfDs;
 pub use fuzz::{fuzz_functional, fuzz_netlists, random_netlist, FuzzSummary};

@@ -12,9 +12,9 @@ use sram::drv::{drv_ds_worst, DrvOptions};
 use sram::{CellInstance, CellTransistor, MismatchPattern};
 
 use crate::campaign::{
-    completeness_footer, preflight_netlist, publish_coverage, Coverage, PointFailure, PointTimer,
+    completeness_footer, preflight_netlist, publish_coverage, run_grid, Coverage, GridPoint,
+    PointFailure,
 };
-use crate::executor::parallel_map_isolated;
 
 /// Options for the Monte Carlo study.
 #[derive(Debug, Clone)]
@@ -143,51 +143,37 @@ pub fn monte_carlo_drv(options: &MonteCarloOptions) -> Result<MonteCarloReport, 
             pattern
         })
         .collect();
-    let outcomes = parallel_map_isolated(
+    let settled = run_grid(
         options.jobs,
         &patterns,
-        |sample, &pattern| {
-            let inst = CellInstance::with_pattern(pattern, options.pvt);
-            let timer = PointTimer::start(format!("mc{sample} @ {}", options.pvt));
-            let outcome = build_retention_netlist(&inst, options.pvt.vdd)
-                .and_then(|(nl, _)| preflight_netlist(&nl))
-                .and_then(|_| drv_ds_worst(&inst, &options.drv));
-            if !matches!(&outcome, Err(e) if !e.is_recordable()) {
-                timer.finish();
-            }
-            outcome
+        |sample, _| {
+            GridPoint::new(
+                format!("mc{sample} @ {}", options.pvt),
+                None,
+                None,
+                Some(options.pvt),
+            )
         },
-        |_, _| {},
-    );
-
-    let mut drvs = Vec::with_capacity(options.samples);
-    let mut failures = Vec::new();
-    let mut coverage = Coverage::default();
-    for outcome in outcomes {
-        match outcome.unwrap_or_else(|what| Err(anasim::Error::Panicked { what })) {
-            Ok(drv) => {
-                coverage.record_ok();
-                drvs.push(drv);
-            }
-            Err(e) if e.is_recordable() => {
-                coverage.record_failure();
-                failures.push(PointFailure::new(None, None, Some(options.pvt), e));
-            }
-            Err(e) => return Err(e),
-        }
-    }
+        |&pattern| {
+            let inst = CellInstance::with_pattern(pattern, options.pvt);
+            preflight_netlist(&build_retention_netlist(&inst, options.pvt.vdd)?.0)?;
+            drv_ds_worst(&inst, &options.drv)
+        },
+    )?;
+    let mut drvs: Vec<f64> = settled.results.into_iter().flatten().collect();
     drvs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let symmetric_drv = drv_ds_worst(
         &CellInstance::with_pattern(MismatchPattern::symmetric(), options.pvt).clone(),
         &options.drv,
     )?;
+    let mut coverage = settled.coverage;
     coverage.elapsed_s = run_start.elapsed().as_secs_f64();
     publish_coverage(&coverage);
     obs::progress(&format!("monte-carlo done ({coverage})"));
     Ok(MonteCarloReport {
         drvs,
         symmetric_drv,
-        failures,
+        failures: settled.failures,
         coverage,
     })
 }

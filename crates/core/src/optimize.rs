@@ -7,12 +7,12 @@ use regulator::characterize::{
     healthy_seed, min_resistance_seeded, CharacterizeOptions, DrfCriterion,
 };
 use regulator::{Defect, RegulatorDesign, VrefTap};
-use sram::drv::{drv_ds, DrvOptions};
-use sram::{ArrayLoad, CellInstance, CellPopulation, StoredBit};
+use sram::drv::DrvOptions;
+use sram::StoredBit;
 
-use crate::campaign::{Coverage, PointFailure};
+use crate::campaign::{publish_coverage, run_grid, Coverage, GridPoint, PointFailure};
 use crate::case_study::{CaseStudy, WORST_CASE_DRV};
-use crate::executor::{parallel_map_isolated, WorkOutcome};
+use crate::defect_analysis::build_context;
 use crate::test_flow::{FlowIteration, TestFlow};
 
 /// Options for building the coverage matrix.
@@ -130,179 +130,108 @@ impl CoverageMatrix {
 ///
 /// Propagates non-retryable failures (invalid setups).
 pub fn build_coverage(options: &CoverageOptions) -> Result<CoverageMatrix, anasim::Error> {
-    let mut combos = Vec::with_capacity(12);
-    for &vdd in &[1.0, 1.1, 1.2] {
+    let run_start = std::time::Instant::now();
+    let supplies =
+        [1.0, 1.1, 1.2].map(|vdd| PvtCondition::new(options.corner, vdd, options.temp_c));
+    let taps = VrefTap::ALL.len();
+    let mut combos = Vec::with_capacity(supplies.len() * taps);
+    for pvt in &supplies {
         for tap in VrefTap::ALL {
             combos.push(FlowIteration {
-                vdd,
+                vdd: pvt.vdd,
                 tap,
                 ds_time: options.ds_time,
             });
         }
     }
     let cs = &options.case_study;
-    let mut failures = Vec::new();
-    let mut coverage = Coverage::default();
-    // Per-supply context (corner/temp fixed, vdd varies); a failed
-    // build poisons that supply's column instead of the whole matrix.
-    // The three supplies build concurrently; failures fold in supply
-    // order afterwards, so the record is deterministic.
-    type SupplyContext = (CellInstance, f64, ArrayLoad);
-    let supplies = [1.0, 1.1, 1.2];
-    let built_contexts = parallel_map_isolated(
+    // Per-supply context (corner/temp fixed, vdd varies) with the
+    // healthy operating point at each of its taps, the warm-start seed
+    // of every defect search in that column; a failed build poisons
+    // that supply's columns instead of the whole matrix.
+    let contexts = run_grid(
         options.jobs,
         &supplies,
-        |_, &vdd| -> Result<SupplyContext, anasim::Error> {
-            let pvt = PvtCondition::new(options.corner, vdd, options.temp_c);
-            let stressed = CellInstance::with_pattern(cs.pattern(), pvt);
-            let drv = drv_ds(&stressed, StoredBit::One, &options.drv)?.drv;
-            let base = CellInstance::symmetric(pvt);
-            let load = ArrayLoad::build(
-                &base,
-                &[CellPopulation {
-                    pattern: cs.pattern(),
-                    count: cs.cell_count(),
-                    stored: StoredBit::One,
-                }],
-                256 * 1024,
-                1.3,
-                options.load_points,
-            )?;
-            Ok((stressed, drv, load))
-        },
-        |_, _| {},
-    );
-    let mut contexts: Vec<(f64, Result<SupplyContext, anasim::Error>)> = Vec::new();
-    for (&vdd, outcome) in supplies.iter().zip(built_contexts) {
-        let built = outcome.unwrap_or_else(|what| Err(anasim::Error::Panicked { what }));
-        if let Err(e) = &built {
-            if !e.is_recordable() {
-                return Err(e.clone());
-            }
-            failures.push(PointFailure::new(
+        |_, &pvt| {
+            GridPoint::new(
+                format!("context cs{} @ {pvt}", cs.number),
                 None,
                 Some(cs.number),
-                Some(PvtCondition::new(options.corner, vdd, options.temp_c)),
-                e.clone(),
-            ));
-        }
-        contexts.push((vdd, built));
-    }
-
-    // Per-combination warm-start seeds: the healthy operating point at
-    // each (vdd, tap), shared by every defect search at that column.
-    let seeds: Vec<Option<Vec<f64>>> = parallel_map_isolated(
-        options.jobs,
-        &combos,
-        |_, combo| {
-            let (_, built) = contexts
-                .iter()
-                .find(|(v, _)| (*v - combo.vdd).abs() < 1e-9)
-                .expect("context exists for every supply");
-            let Ok((_, _, load)) = built else {
-                return None;
-            };
-            let pvt = PvtCondition::new(options.corner, combo.vdd, options.temp_c);
-            healthy_seed(&options.design, pvt, combo.tap, load).ok()
+                Some(pvt),
+            )
         },
-        |_, _| {},
-    )
-    .into_iter()
-    // A seed is purely an accelerator: a panicked seed solve degrades
-    // that column to a cold start.
-    .map(|o| o.unwrap_or_else(|_| None))
-    .collect();
+        |&pvt| {
+            let ctx = build_context(cs, pvt, &options.drv, options.load_points)?;
+            // A seed is purely an accelerator: a failed healthy solve
+            // degrades its column to a cold start.
+            let seeds: Vec<Option<Vec<f64>>> = VrefTap::ALL
+                .iter()
+                .map(|&tap| healthy_seed(&options.design, pvt, tap, &ctx.load).ok())
+                .collect();
+            Ok((ctx, seeds))
+        },
+    )?;
 
-    // One work item per (defect × combination) entry, in matrix order.
-    enum Entry {
-        /// The supply context is poisoned; charged in the fold.
-        Poisoned,
-        /// Completed: the minimum failing resistance (`None` both for
-        /// "not detectable" and for unusable combinations).
-        Done(Option<f64>),
-        /// The search stayed unsolved after the rescue ladder.
-        Failed(Box<PointFailure>),
-    }
-    let entries: Vec<(usize, usize)> = (0..options.defects.len())
+    // One work item per (defect × combination) entry, in matrix order;
+    // the entries of a poisoned supply are charged as failed without a
+    // run, the context's failure being their record.
+    let entries: Vec<_> = (0..options.defects.len())
         .flat_map(|d| (0..combos.len()).map(move |c| (d, c)))
+        .filter_map(|(d, c)| Some((d, c, contexts.results[c / taps].as_ref()?)))
         .collect();
-    let solved = parallel_map_isolated(
+    let solved = run_grid(
         options.jobs,
         &entries,
-        |_, &(d, c)| -> Result<Entry, anasim::Error> {
-            let defect = options.defects[d];
+        |_, &(d, c, _)| {
+            let pvt = supplies[c / taps];
+            GridPoint::new(
+                format!(
+                    "df{}/{} @ {pvt}",
+                    options.defects[d].number(),
+                    combos[c].tap
+                ),
+                Some(options.defects[d]),
+                Some(cs.number),
+                Some(pvt),
+            )
+        },
+        |&(d, c, (ctx, seeds))| {
             let combo = &combos[c];
-            let (_, built) = contexts
-                .iter()
-                .find(|(v, _)| (*v - combo.vdd).abs() < 1e-9)
-                .expect("context exists for every supply");
-            let Ok((stressed, drv, load)) = built else {
-                return Ok(Entry::Poisoned);
-            };
             // A combination whose healthy Vreg already sits below the
             // stressed cell's DRV would fail fault-free parts: it is
             // not usable for this criterion.
-            if combo.expected_vreg() < *drv {
-                return Ok(Entry::Done(None));
+            if combo.expected_vreg() < ctx.drv {
+                return Ok(None);
             }
-            let pvt = PvtCondition::new(options.corner, combo.vdd, options.temp_c);
             let criterion = DrfCriterion {
-                stressed,
+                stressed: &ctx.stressed,
                 stored: StoredBit::One,
-                drv: *drv,
+                drv: ctx.drv,
             };
-            match min_resistance_seeded(
+            let found = min_resistance_seeded(
                 &options.design,
-                pvt,
+                supplies[c / taps],
                 combo.tap,
-                defect,
-                load,
+                options.defects[d],
+                &ctx.load,
                 &criterion,
                 &options.characterize,
-                seeds[c].as_deref(),
-            ) {
-                Ok(found) => Ok(Entry::Done(found.ohms)),
-                Err(e) if e.is_recordable() => Ok(Entry::Failed(Box::new(PointFailure::new(
-                    Some(defect),
-                    Some(cs.number),
-                    Some(pvt),
-                    e,
-                )))),
-                Err(e) => Err(e),
-            }
+                seeds[c % taps].as_deref(),
+            )?;
+            Ok(found.ohms)
         },
-        |_, _| {},
-    );
+    )?;
 
     let mut min_r = vec![vec![None; combos.len()]; options.defects.len()];
-    for (&(d, c), outcome) in entries.iter().zip(solved) {
-        let entry = match outcome {
-            WorkOutcome::Done(result) => result?,
-            // The worker evaluating this matrix entry panicked: record
-            // the entry as failed and keep building the matrix.
-            WorkOutcome::Panicked { message } => Entry::Failed(Box::new(PointFailure::new(
-                Some(options.defects[d]),
-                Some(cs.number),
-                Some(PvtCondition::new(
-                    options.corner,
-                    combos[c].vdd,
-                    options.temp_c,
-                )),
-                anasim::Error::Panicked { what: message },
-            ))),
-        };
-        match entry {
-            Entry::Poisoned => coverage.record_failure(),
-            Entry::Done(r) => {
-                coverage.record_ok();
-                min_r[d][c] = r;
-            }
-            Entry::Failed(f) => {
-                coverage.record_failure();
-                failures.push(*f);
-            }
-        }
+    for (&(d, c, _), r) in entries.iter().zip(solved.results) {
+        min_r[d][c] = r.flatten();
     }
+    let mut failures = contexts.failures;
+    failures.extend(solved.failures);
+    let mut coverage = solved.coverage;
+    coverage.attempted += options.defects.len() * combos.len() - entries.len();
+    coverage.elapsed_s = run_start.elapsed().as_secs_f64();
+    publish_coverage(&coverage);
 
     // Maximized = within slack of the per-defect best.
     let mut maximized = vec![vec![false; combos.len()]; options.defects.len()];

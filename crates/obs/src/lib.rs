@@ -5,8 +5,8 @@
 //!
 //! - **Spans** ([`span`]) — hierarchical wall-clock scopes keyed by a
 //!   `/`-joined path, aggregated per path in the global registry.
-//! - **Metrics** ([`counter_add`], [`gauge_set`], [`hist_record`],
-//!   [`record_point`]) — named counters, gauges, log-scale
+//! - **Metrics** ([`counter_add`], [`gauge_set`], [`gauge_add`],
+//!   [`hist_record`], [`record_point`]) — named counters, gauges, log-scale
 //!   [`Histogram`]s, and bounded slowest-point / retry-hot-spot lists.
 //! - **Events** ([`install_jsonl`], [`emit`], [`progress`]) — an
 //!   optional JSONL sink for `--trace`, plus a stderr progress channel
@@ -41,8 +41,8 @@ pub use manifest::{
     GAUGE_COVERAGE_ELAPSED_S, MANIFEST_SCHEMA,
 };
 pub use metrics::{
-    counter_add, flush, gauge_set, hist_record, record_point, record_span, record_trace, reset,
-    snapshot, tally, tally_add, PointRecord, Registry, Snapshot, SolverTally, SpanStat,
+    counter_add, flush, gauge_add, gauge_set, hist_record, record_point, record_span, record_trace,
+    reset, snapshot, tally, tally_add, PointRecord, Registry, Snapshot, SolverTally, SpanStat,
     TraceRecord,
 };
 pub use profile::{Profile, ProfileNode};

@@ -19,8 +19,9 @@ use crate::metrics::{PointRecord, Snapshot};
 /// Schema tag written into every manifest.
 pub const MANIFEST_SCHEMA: &str = "lp-sram-suite/run-manifest/v1";
 
-/// Gauge names the experiment executors publish coverage through (see
-/// `drftest::campaign::publish_coverage`).
+/// Gauge names the experiment executors add each campaign's coverage
+/// to (see `drftest::campaign::publish_coverage`), so a run of several
+/// campaigns reports their total.
 pub const GAUGE_COVERAGE_ATTEMPTED: &str = "campaign.coverage.attempted";
 /// Completed-points gauge.
 pub const GAUGE_COVERAGE_COMPLETED: &str = "campaign.coverage.completed";

@@ -83,7 +83,7 @@ pub struct TraceRecord {
 pub struct Snapshot {
     /// Monotonic counters.
     pub counters: BTreeMap<String, u64>,
-    /// Last-write-wins gauges.
+    /// Gauges: last-write-wins, or run totals built up by `gauge_add`.
     pub gauges: BTreeMap<String, f64>,
     /// Log-scale histograms.
     pub histograms: BTreeMap<String, Histogram>,
@@ -153,6 +153,11 @@ impl Registry {
     /// Sets the named gauge.
     pub fn gauge_set(&self, name: &str, value: f64) {
         self.lock().gauges.insert(name.to_string(), value);
+    }
+
+    /// Adds `delta` to the named gauge (an absent gauge reads as 0).
+    pub fn gauge_add(&self, name: &str, delta: f64) {
+        *self.lock().gauges.entry(name.to_string()).or_insert(0.0) += delta;
     }
 
     /// Records one observation into the named histogram.
@@ -331,6 +336,12 @@ pub fn gauge_set(name: &str, value: f64) {
     global().gauge_set(name, value);
 }
 
+/// Adds to a global gauge (unbuffered), for totals that several
+/// publishers of one run accumulate.
+pub fn gauge_add(name: &str, delta: f64) {
+    global().gauge_add(name, delta);
+}
+
 /// Records one completed span under `path` (unbuffered).
 pub fn record_span(path: &str, seconds: f64) {
     global().record_span(path, seconds);
@@ -425,12 +436,15 @@ mod tests {
         r.counter_add("a", 3);
         r.gauge_set("g", 1.5);
         r.gauge_set("g", 2.5);
+        r.gauge_add("total", 1.5);
+        r.gauge_add("total", 2.0);
         r.hist_record("h", 4.0);
         r.record_span("x/y", 0.5);
         r.record_span("x/y", 1.5);
         let s = r.snapshot();
         assert_eq!(s.counters["a"], 5);
         assert_eq!(s.gauges["g"], 2.5);
+        assert_eq!(s.gauges["total"], 3.5);
         assert_eq!(s.histograms["h"].count(), 1);
         assert_eq!(s.spans["x/y"].count, 2);
         assert!((s.spans["x/y"].total_s - 2.0).abs() < 1e-12);

@@ -16,7 +16,7 @@ use lp_sram_suite::obs;
 use anasim::mna::AnalysisMode;
 use anasim::newton::solve_with_retry;
 use anasim::{Netlist, NewtonOptions};
-use drftest::campaign::PointTimer;
+use drftest::campaign::{run_grid, GridPoint};
 use drftest::experiments::table2;
 use drftest::Table2Options;
 
@@ -234,13 +234,18 @@ fn failed_point_trajectory_lands_in_the_summary() {
     nl.resistor("R2", mid, Netlist::GND, 1.0e3)
         .expect("valid resistance, unique name");
 
-    let timer = PointTimer::start("df16/cs1 @ tt, 0.30V, 25°C");
-    let err = solve_with_retry(&nl, &NewtonOptions::default(), None, AnalysisMode::Dc)
-        .expect_err("a NaN source fails every attempt");
-    assert!(matches!(err, anasim::Error::NoConvergence { .. }), "{err}");
-    timer.finish_failed("failed");
+    // The campaign runner settles the point: it fails recordably.
+    let settled = run_grid(
+        1,
+        &[nl],
+        |_, _| GridPoint::new("df16/cs1 @ tt, 0.30V, 25°C".to_string(), None, None, None),
+        |nl| solve_with_retry(nl, &NewtonOptions::default(), None, AnalysisMode::Dc),
+    )
+    .expect("a failed solve is recordable");
     obs::flight_disable();
     obs::flush();
+    assert_eq!(settled.coverage.completed, 0);
+    let err = &settled.failures[0].error;
 
     let snap = obs::snapshot();
     let trace = snap
@@ -256,6 +261,19 @@ fn failed_point_trajectory_lands_in_the_summary() {
         anasim::newton::SOLVE_ATTEMPTS,
         "every retry attempt sampled"
     );
+    // The failed solve reports, and charges the point, every iteration
+    // its attempts ran — as many as the flight recorder sampled.
+    let ran = trace.recorded;
+    assert!(
+        matches!(err, anasim::Error::NoConvergence { iterations, .. } if *iterations as u64 == ran),
+        "{err} vs {ran} recorded iterations"
+    );
+    let point = snap
+        .slowest
+        .iter()
+        .find(|p| p.key == trace.key)
+        .expect("the point's cost is recorded");
+    assert_eq!(point.iterations, ran);
 
     // The manifest renders it, round-trips it, and the summary digest
     // names it.

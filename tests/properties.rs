@@ -10,7 +10,7 @@ use std::fmt::Debug;
 
 use drill::{check, no_shrink, Config, Rng};
 use lp_sram_suite::anasim::dc::DcAnalysis;
-use lp_sram_suite::anasim::matrix::{solve_dense, DenseMatrix};
+use lp_sram_suite::anasim::matrix::{DenseMatrix, LuWorkspace};
 use lp_sram_suite::anasim::Netlist;
 use lp_sram_suite::march::{engine, AddressOrder, MarchElement, MarchTest, Op, SimpleMemory};
 
@@ -81,7 +81,10 @@ fn lu_roundtrips_random_systems() {
                 a.add(i, i, n as f64 + 1.0);
             }
             let b: Vec<f64> = (0..n).map(|_| next()).collect();
-            let x = solve_dense(a.clone(), &b).map_err(|e| e.to_string())?;
+            let mut lu = LuWorkspace::new();
+            lu.factor_from(&a).map_err(|e| e.to_string())?;
+            let mut x = vec![0.0; n];
+            lu.solve_into(&b, &mut x);
             let back = a.mul_vec(&x);
             for (lhs, rhs) in back.iter().zip(&b) {
                 ensure!((lhs - rhs).abs() < 1e-8, "A·x = {lhs} against b = {rhs}");
@@ -642,8 +645,8 @@ fn forced_active_promotion_is_electrically_inert() {
 
 // ---------------------------------------------------------------------
 // Netlist-level singular diagnostics through the scratch path. (The
-// kernel's bit-identity to dense elimination, and the workspace's to
-// the consuming path, are a drill property in `anasim::matrix`.)
+// kernel's bit-identity to dense elimination is a drill property in
+// `anasim::matrix`.)
 // ---------------------------------------------------------------------
 
 /// A floating node solved through the scratch path names the same
