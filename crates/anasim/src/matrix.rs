@@ -1,34 +1,45 @@
-//! Dense matrices and an LU factorization that skips exact zeros.
+//! Dense matrices and an LU factorization that follows the nonzeros.
 //!
 //! The MNA systems this crate assembles below
 //! [`SPARSE_THRESHOLD`](crate::sparse::SPARSE_THRESHOLD) have tens of
 //! unknowns but only a few stamped entries per row: the regulator
-//! Jacobians of the quick Table II run have 48 unknowns and about 155
-//! nonzeros (6.7 %), and 78 % of a dense elimination's products there
-//! multiply an exact zero of the pivot row. The matrices are stored
-//! densely (row-major `f64`, stamped by flat offset) and factored by
-//! Doolittle LU with partial pivoting that records, as it eliminates,
-//! where each factor row is nonzero:
+//! Jacobians of Table II have 41–49 unknowns and 130–155 nonzeros, and
+//! a dense elimination there mostly multiplies and compares exact
+//! zeros. The matrices are stored densely (row-major `f64`, stamped by
+//! flat offset) and factored by Doolittle LU with partial pivoting
+//! driven by an [`LuStructure`]: one bitset per row and per column of
+//! where the matrix may be nonzero, grown by fill-in as elimination
+//! proceeds.
 //!
-//! * the row-max scan of the pivot test also lists the pivot row's
-//!   nonzero columns right of the diagonal (row `k` of U), and each
-//!   lower row with a nonzero multiplier is updated at those columns
-//!   only;
-//! * each row lists the columns of its nonzero multipliers (its L
-//!   entries) as they are formed, and the list moves with its row on a
+//! * the pivot search and the multipliers visit only the rows in the
+//!   pivot column's bitset, and the pivot test's row-max scan only the
+//!   pivot row's columns, listing its nonzeros right of the diagonal
+//!   (row `k` of U) as it goes;
+//! * each lower row with a nonzero multiplier is updated at row `k` of
+//!   U only, and lists the columns of its nonzero multipliers (its L
+//!   entries) as they are formed; the list moves with its row on a
 //!   pivot swap;
 //! * both triangular solves walk only the listed entries, in the same
 //!   ascending order as a dense loop.
 //!
+//! The structure comes from the stamp plan on the Newton path
+//! ([`StampPlan::lu_structure`](crate::mna::StampPlan::lu_structure)),
+//! since a circuit matrix keeps its structure across iterations, and
+//! from one scan of the matrix for callers without a plan
+//! ([`LuWorkspace::factor_from`]).
+//!
 //! Pivot choice, the [`REL_PIVOT_TOL`] rejection and every operation
 //! that is kept are those of the dense algorithm, so what is skipped is
-//! `a − f·0` in elimination and `s − 0·x` in the solves. Both are exact
-//! no-ops unless the accumulator is −0 (`−0 − (−0)` is +0) or the other
-//! operand is not finite (`∞·0` is NaN); a row where either can happen
-//! takes the dense loop. Factors, permutation, solutions and the
-//! `SingularMatrix` pivot row are therefore bit-identical to dense
-//! elimination for every input (NaN payloads aside), while the work
-//! follows the nonzeros.
+//! `a − f·0` in elimination and `s − 0·x` in the solves, and the
+//! comparisons of ±0 entries in the pivot search and the row-max scan.
+//! The subtractions are exact no-ops unless the accumulator is −0
+//! (`−0 − (−0)` is +0) or the other operand is not finite (`∞·0` is
+//! NaN); a row where either can happen takes the dense loop, and when
+//! `1/pivot` is negative or not finite every lower multiplier is
+//! written, because `+0·(1/pivot)` is then −0 or NaN. Factors,
+//! permutation, solutions and the `SingularMatrix` pivot row are
+//! therefore bit-identical to dense elimination for every input (NaN
+//! payloads aside), while the work follows the nonzeros.
 
 use crate::error::Error;
 
@@ -186,13 +197,170 @@ impl DenseMatrix {
     }
 }
 
+/// Bits of the last word of an order-`n` bitset that name real indices.
+fn last_word_mask(n: usize) -> u64 {
+    match n % 64 {
+        0 => !0,
+        bits => (1u64 << bits) - 1,
+    }
+}
+
+/// The set bits at or above `from`, ascending, of the `words`-word
+/// bitset whose word `i` is `word(i)` (see [`ones`]).
+struct Ones<F> {
+    word: F,
+    index: usize,
+    words: usize,
+    bits: u64,
+}
+
+impl<F: Fn(usize) -> u64> Iterator for Ones<F> {
+    type Item = usize;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.index += 1;
+            if self.index >= self.words {
+                return None;
+            }
+            self.bits = (self.word)(self.index);
+        }
+        let bit = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(self.index * 64 + bit)
+    }
+}
+
+/// The set bits at or above `from`, ascending, of the `words`-word
+/// bitset whose word `i` is `word(i)`.
+#[inline(always)]
+fn ones<F: Fn(usize) -> u64>(words: usize, from: usize, word: F) -> Ones<F> {
+    let index = from / 64;
+    let bits = if index < words {
+        word(index) & (!0u64 << (from % 64))
+    } else {
+        0
+    };
+    Ones {
+        word,
+        index,
+        words,
+        bits,
+    }
+}
+
+/// Exchanges the `len`-long stripes starting at `i * stride` and
+/// `j * stride` of `v` (`i < j`).
+fn swap_stripes<T>(v: &mut [T], stride: usize, (i, j): (usize, usize), len: usize) {
+    let (upper, lower) = v.split_at_mut(j * stride);
+    upper[i * stride..i * stride + len].swap_with_slice(&mut lower[..len]);
+}
+
+/// Where an `n × n` matrix may hold nonzeros: one bitset per row (the
+/// columns it may be nonzero in) and one per column (its rows), each
+/// `⌈n/64⌉` words.
+///
+/// The LU kernel only needs a superset of the nonzeros — an entry that
+/// is in the structure but holds ±0 costs a visit, never a bit of the
+/// result. A stamp plan builds one from the slots its devices and gmin
+/// can write ([`StampPlan::lu_structure`](crate::mna::StampPlan::lu_structure)),
+/// once per netlist structure, because a circuit matrix keeps its
+/// structure across Newton iterations.
+#[derive(Debug, Clone, Default)]
+pub struct LuStructure {
+    n: usize,
+    words: usize,
+    /// Row `r`'s columns are `rows[r * words..(r + 1) * words]`.
+    rows: Vec<u64>,
+    /// Column `c`'s rows are `cols[c * words..(c + 1) * words]`.
+    cols: Vec<u64>,
+}
+
+impl LuStructure {
+    /// The structure holding exactly the flat (row-major) `offsets` of
+    /// an `n × n` matrix.
+    pub(crate) fn from_offsets(n: usize, offsets: &[usize]) -> Self {
+        let mut s = LuStructure::default();
+        s.reset(n);
+        for &offset in offsets {
+            s.insert(offset / n, offset % n);
+        }
+        s
+    }
+
+    /// The first nonzero entry of `a`, in row-major order, that the
+    /// structure leaves out of its row's or its column's bitset; `None`
+    /// when every nonzero is covered, which is what the LU kernel
+    /// requires of a structure it is handed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.order()` differs from the structure's order.
+    pub fn first_uncovered(&self, a: &DenseMatrix) -> Option<(usize, usize)> {
+        assert_eq!(a.order(), self.n, "structure and matrix orders differ");
+        let has = |set: &[u64], i: usize| set[i / 64] >> (i % 64) & 1 == 1;
+        let w = self.words;
+        (0..self.n)
+            .flat_map(|r| (0..self.n).map(move |c| (r, c)))
+            .find(|&(r, c)| {
+                a.get(r, c) != 0.0 && !(has(&self.rows[r * w..], c) && has(&self.cols[c * w..], r))
+            })
+    }
+
+    /// Empties the structure and sizes it for order `n`, reusing its
+    /// buffers.
+    fn reset(&mut self, n: usize) {
+        self.n = n;
+        self.words = n.div_ceil(64);
+        for set in [&mut self.rows, &mut self.cols] {
+            set.clear();
+            set.resize(n * self.words, 0);
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, r: usize, c: usize) {
+        let w = self.words;
+        self.rows[r * w + c / 64] |= 1 << (c % 64);
+        self.cols[c * w + r / 64] |= 1 << (r % 64);
+    }
+
+    /// Takes over `src`'s bitsets, reusing this structure's buffers.
+    fn copy_from(&mut self, src: &LuStructure) {
+        self.n = src.n;
+        self.words = src.words;
+        self.rows.clone_from(&src.rows);
+        self.cols.clone_from(&src.cols);
+    }
+
+    /// Rebuilds the structure as exactly the nonzeros of `a`, in one
+    /// scan.
+    fn scan(&mut self, a: &DenseMatrix) {
+        self.reset(a.n);
+        let w = self.words;
+        for (r, row) in a.data.chunks_exact(a.n.max(1)).enumerate() {
+            for (i, chunk) in row.chunks(64).enumerate() {
+                let word = chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |acc, (j, &v)| acc | u64::from(v != 0.0) << j);
+                self.rows[r * w + i] = word;
+                for j in ones(1, 0, |_| word) {
+                    self.cols[(i * 64 + j) * w + r / 64] |= 1 << (r % 64);
+                }
+            }
+        }
+    }
+}
+
 /// Where the nonzeros of packed LU factors sit: recorded by
-/// [`LuWorkspace::factor_from`] as it eliminates, walked by
+/// [`LuWorkspace`]'s elimination as it goes, walked by
 /// [`LuWorkspace::solve_into`].
 ///
-/// Each buffer is sized for the densest factors of its order (n² column
-/// slots per triangle), so refactoring at an order the workspace has
-/// reached allocates nothing.
+/// Each list buffer is sized for the densest factors of its order (n²
+/// column slots per triangle), so refactoring at an order the workspace
+/// has reached allocates nothing.
 #[derive(Debug, Clone, Default)]
 struct Pattern {
     /// Row `i`'s L columns, ascending, are
@@ -241,14 +409,17 @@ impl Pattern {
 /// A reusable in-place LU factorization buffer.
 ///
 /// A Newton loop factors the same-order Jacobian thousands of times, so
-/// `LuWorkspace` keeps one factor buffer, one permutation and one
-/// nonzero pattern alive and refactors into them with zero heap traffic
-/// once warmed to an order.
+/// `LuWorkspace` keeps one factor buffer, one permutation, one nonzero
+/// pattern and one working structure alive and refactors into them with
+/// zero heap traffic once warmed to an order.
 #[derive(Debug, Clone, Default)]
 pub struct LuWorkspace {
     lu: DenseMatrix,
     perm: Vec<usize>,
     pattern: Pattern,
+    /// The structure of the matrix being factored, grown by fill-in and
+    /// kept in current row order as elimination proceeds.
+    structure: LuStructure,
 }
 
 impl LuWorkspace {
@@ -257,7 +428,8 @@ impl LuWorkspace {
         Self::default()
     }
 
-    /// Copies `a` into the workspace and factors it in place.
+    /// Copies `a` into the workspace and factors it in place, finding
+    /// its nonzero structure in one scan of the copy.
     ///
     /// Allocation-free once the workspace has reached `a.order()`.
     ///
@@ -267,17 +439,75 @@ impl LuWorkspace {
     /// is negligible relative to its own row (see [`REL_PIVOT_TOL`]),
     /// which for MNA systems almost always means a floating node.
     pub fn factor_from(&mut self, a: &DenseMatrix) -> Result<(), Error> {
+        self.copy_matrix(a);
+        self.structure.scan(&self.lu);
+        self.factor()
+    }
+
+    /// As [`factor_from`](Self::factor_from), but taking the nonzero
+    /// structure from `structure`, which must cover every nonzero of `a`
+    /// ([`LuStructure::first_uncovered`]); entries it holds beyond them
+    /// cost visits, never bits of the result.
+    ///
+    /// # Errors
+    ///
+    /// As [`factor_from`](Self::factor_from).
+    pub(crate) fn factor_planned(
+        &mut self,
+        a: &DenseMatrix,
+        structure: &LuStructure,
+    ) -> Result<(), Error> {
+        debug_assert_eq!(structure.n, a.n, "structure of another order");
+        self.copy_matrix(a);
+        self.structure.copy_from(structure);
+        self.factor()
+    }
+
+    fn copy_matrix(&mut self, a: &DenseMatrix) {
         self.lu.n = a.n;
         self.lu.data.clear();
         self.lu.data.extend_from_slice(&a.data);
         self.lu.neg_zero = a.neg_zero;
-        self.factor()
     }
 
     /// Doolittle LU with partial pivoting of the matrix held in `lu`,
     /// overwriting it with the packed factors, `perm` with the row
     /// permutation and `pattern` with the factors' nonzero columns.
+    ///
+    /// The one elimination routine runs at a word count known to the
+    /// compiler for orders up to 64, where its bitset loops come down to
+    /// single words, and at the structure's own word count above.
     fn factor(&mut self) -> Result<(), Error> {
+        match self.structure.words {
+            1 => self.eliminate::<1>(),
+            _ => self.eliminate::<0>(),
+        }
+    }
+
+    /// The elimination behind [`factor`](Self::factor), for bitsets of
+    /// `W` words (`W = 0`: the structure's word count).
+    ///
+    /// Every pass reads `structure`'s bitsets, never a whole row or
+    /// column: the pivot search and the multipliers visit column k's
+    /// rows, the pivot test and row k of U the pivot row's columns. An
+    /// entry off the structure is ±0, which neither wins a pivot search
+    /// nor raises a row maximum, and `±0 · (1/p)` is itself when `1/p`
+    /// is positive and finite, so its row keeps a zero multiplier and
+    /// is not updated. Only the exceptions walk everything: a negative
+    /// or non-finite `1/p` writes every lower multiplier (`+0·(1/p)` is
+    /// −0 or NaN there), and a row holding −0 or with a non-finite
+    /// multiplier takes the dense update.
+    ///
+    /// The dense update needs no bookkeeping of its own. On a −0 row it
+    /// changes nothing off row k of U but −0 into +0. A NaN multiplier
+    /// fills its row with NaN, which never wins a pivot search, is
+    /// rejected as a diagonal and stays NaN through every later update,
+    /// so the row may drop out of the column bitsets. An infinite one
+    /// needs an infinite `1/p` (an infinite entry wins its pivot search
+    /// and is rejected there), after which every lower row is
+    /// non-finite and the next diagonal, NaN or ∞ against an infinite
+    /// row maximum, is rejected as singular.
+    fn eliminate<const W: usize>(&mut self) -> Result<(), Error> {
         let n = self.lu.n;
         self.perm.clear();
         self.perm.extend(0..n);
@@ -295,26 +525,31 @@ impl LuWorkspace {
             u_ptr,
             dense_rows,
         } = &mut self.pattern;
+        let LuStructure {
+            words, rows, cols, ..
+        } = &mut self.structure;
+        let w = if W == 0 { *words } else { W };
+        debug_assert_eq!(w, *words);
+        let last_word = last_word_mask(n);
         // Elimination never creates a −0 (`x − y` is −0 only for
         // `−0 − (+0)`), so rows are checked once, and only when the
         // matrix may hold one at all.
         for (dense, row) in dense_rows.iter_mut().zip(a.chunks_exact(n)) {
             *dense = neg_zero && row.iter().any(|v| v.to_bits() == NEG_ZERO_BITS);
         }
-        // Partial pivoting: the first largest |entry| of column k at or
-        // below the diagonal becomes the pivot. Column 0 is searched
-        // here; step k's row loop searches column k + 1, because it
-        // leaves every row below the diagonal final for that column.
-        let mut pivot_row = 0;
-        let mut pivot_val = a[0].abs();
-        for r in 1..n {
-            let v = a[r * n].abs();
-            if v > pivot_val {
-                pivot_val = v;
-                pivot_row = r;
-            }
-        }
         for k in 0..n {
+            // Partial pivoting: the first largest |entry| of column k at
+            // or below the diagonal, in current row order, becomes the
+            // pivot.
+            let mut pivot_row = k;
+            let mut pivot_val = a[k * n + k].abs();
+            for r in ones(w, k + 1, |i| cols[k * w + i]) {
+                let v = a[r * n + k].abs();
+                if v > pivot_val {
+                    pivot_val = v;
+                    pivot_row = r;
+                }
+            }
             // Row-max-scaled rejection: the selected pivot must carry a
             // meaningful fraction of its own row's remaining mass. The
             // scan runs over the *pivot row's* active columns (k..n) in
@@ -324,12 +559,12 @@ impl LuWorkspace {
             // diagonal: row k of U.
             let prow = &a[pivot_row * n..(pivot_row + 1) * n];
             let mut row_max = 0.0f64;
-            let v = prow[k].abs();
-            if v > row_max {
-                row_max = v;
+            if pivot_val > row_max {
+                row_max = pivot_val;
             }
             let mut end = u_ptr[k];
-            for (c, &entry) in prow.iter().enumerate().skip(k + 1) {
+            for c in ones(w, k + 1, |i| rows[pivot_row * w + i]) {
+                let entry = prow[c];
                 u_cols[end] = c as u32;
                 end += usize::from(entry != 0.0);
                 let v = entry.abs();
@@ -349,45 +584,73 @@ impl LuWorkspace {
                 });
             }
             if pivot_row != k {
+                let pair = (k, pivot_row);
                 perm.swap(k, pivot_row);
-                let (upper, lower) = a.split_at_mut(pivot_row * n);
-                upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
+                swap_stripes(a, n, pair, n);
                 // Both rows have L entries only left of column k.
-                let m = l_len[k].max(l_len[pivot_row]);
-                let (upper, lower) = l_cols.split_at_mut(pivot_row * n);
-                upper[k * n..k * n + m].swap_with_slice(&mut lower[..m]);
+                swap_stripes(l_cols, n, pair, l_len[k].max(l_len[pivot_row]));
                 l_len.swap(k, pivot_row);
                 dense_rows.swap(k, pivot_row);
+                // Each column at or right of k that either row touches
+                // exchanges the two rows' bits.
+                let (wk, bk) = (k / 64, k % 64);
+                let (wp, bp) = (pivot_row / 64, pivot_row % 64);
+                let either = |i| rows[k * w + i] | rows[pivot_row * w + i];
+                for c in ones(w, k, either) {
+                    let col = &mut cols[c * w..(c + 1) * w];
+                    let differ = ((col[wk] >> bk) ^ (col[wp] >> bp)) & 1;
+                    col[wk] ^= differ << bk;
+                    col[wp] ^= differ << bp;
+                }
+                swap_stripes(rows, w, pair, w);
             }
             let inv_pivot = 1.0 / a[k * n + k];
             let (upper, lower) = a.split_at_mut((k + 1) * n);
             let pivot = &upper[k * n..];
             let u_row = &u_cols[u_ptr[k]..u_ptr[k + 1]];
-            for (r, row) in (k + 1..).zip(lower.chunks_exact_mut(n)) {
+            let (rows_upto, rows_below) = rows.split_at_mut((k + 1) * w);
+            let pivot_set = &rows_upto[k * w..];
+            // `±0 · (1/p)` is itself only for a positive, finite `1/p`;
+            // otherwise every lower row's multiplier is written.
+            let every_row = !(inv_pivot > 0.0 && inv_pivot.is_finite());
+            let visit = |i: usize| match every_row {
+                false => cols[k * w + i],
+                true if i + 1 == w => last_word,
+                true => !0,
+            };
+            for r in ones(w, k + 1, visit) {
+                let row = &mut lower[(r - k - 1) * n..(r - k) * n];
                 let factor = row[k] * inv_pivot;
                 row[k] = factor;
-                if factor != 0.0 {
-                    l_cols[r * n + l_len[r]] = k as u32;
-                    l_len[r] += 1;
-                    // Off row k of U, `row[c] − factor·(±0)` is an exact
-                    // no-op unless `row[c]` is −0 or `factor` is not
-                    // finite.
-                    if factor.is_finite() && !dense_rows[r] {
-                        for &c in u_row {
-                            let c = c as usize;
-                            row[c] -= factor * pivot[c];
-                        }
-                    } else {
-                        for (v, &p) in row[k + 1..].iter_mut().zip(&pivot[k + 1..]) {
-                            *v -= factor * p;
-                        }
+                if factor == 0.0 {
+                    continue;
+                }
+                l_cols[r * n + l_len[r]] = k as u32;
+                l_len[r] += 1;
+                // Off row k of U, `row[c] − factor·(±0)` is an exact
+                // no-op unless `row[c]` is −0 or `factor` is not finite.
+                if factor.is_finite() && !dense_rows[r] {
+                    for &c in u_row {
+                        let c = c as usize;
+                        row[c] -= factor * pivot[c];
+                    }
+                } else {
+                    for (v, &p) in row[k + 1..].iter_mut().zip(&pivot[k + 1..]) {
+                        *v -= factor * p;
                     }
                 }
-                let v = row[k + 1].abs();
-                if r == k + 1 || v > pivot_val {
-                    pivot_val = v;
-                    pivot_row = r;
-                }
+                let row_set = &mut rows_below[(r - k - 1) * w..(r - k) * w];
+                row_set.iter_mut().zip(pivot_set).for_each(|(s, p)| *s |= p);
+            }
+            // Fill-in: an updated row took the pivot row's bitset above
+            // and lies in column k's, so each U column takes that bitset
+            // over (the rows at or above k it adds are never read again).
+            let (cols_upto, cols_right) = cols.split_at_mut((k + 1) * w);
+            let col_k = &cols_upto[k * w..];
+            for &c in u_row {
+                let at = (c as usize - k - 1) * w;
+                let col = &mut cols_right[at..at + w];
+                col.iter_mut().zip(col_k).for_each(|(s, r)| *s |= r);
             }
         }
         Ok(())
@@ -751,13 +1014,25 @@ mod tests {
         }
     }
 
-    /// One linear system: row-major `a` of order `n` and a right-hand
-    /// side.
+    /// One linear system: row-major `a` of order `n`, a right-hand side,
+    /// and the flat offsets of slots a plan would list beyond the
+    /// nonzeros of `a`.
     #[derive(Debug, Clone)]
     struct System {
         n: usize,
         a: Vec<f64>,
         b: Vec<f64>,
+        extra: Vec<usize>,
+    }
+
+    impl System {
+        /// The structure a plan would hand the kernel: every nonzero of
+        /// `a` plus the extra slots.
+        fn planned_structure(&self) -> LuStructure {
+            let mut offsets: Vec<usize> = (0..self.a.len()).filter(|&i| self.a[i] != 0.0).collect();
+            offsets.extend_from_slice(&self.extra);
+            LuStructure::from_offsets(self.n, &offsets)
+        }
     }
 
     /// A random MNA-shaped system: conductance stamps from GΩ leakage
@@ -766,9 +1041,17 @@ mod tests {
     /// and ±1 couplings, exact +0 and −0 entries (also in `b`), now and
     /// then a copied or zeroed row (rank deficiency) or a non-finite
     /// entry in `a` or `b`, and rows in random order so pivoting must
-    /// find each diagonal.
+    /// find each diagonal. Orders run to 48 like the regulator
+    /// Jacobians, and one system in five runs to 130, past one and two
+    /// bitset words. The extra planned slots are random zero slots of
+    /// up to 30 % density, and half the time every diagonal, as
+    /// structural zeros and gmin diagonals put them in a stamp plan.
     fn mna_system(rng: &mut drill::Rng) -> System {
-        let n = rng.int_in(1, 48);
+        let n = if rng.chance(0.2) {
+            rng.int_in(49, 130)
+        } else {
+            rng.int_in(1, 48)
+        };
         let density = 0.05 + 0.45 * rng.next_f64();
         let stamp = |rng: &mut drill::Rng| {
             let g = 10f64.powf(15.0 * rng.next_f64() - 12.0);
@@ -831,7 +1114,14 @@ mod tests {
         if rng.chance(0.2) {
             b[rng.below(n as u64) as usize] = *rng.choose(&non_finite);
         }
-        System { n, a, b }
+        let extra_density = 0.3 * rng.next_f64();
+        let mut extra: Vec<usize> = (0..n * n)
+            .filter(|&i| a[i] == 0.0 && rng.chance(extra_density))
+            .collect();
+        if rng.coin() {
+            extra.extend((0..n).map(|i| i * n + i));
+        }
+        System { n, a, b, extra }
     }
 
     /// Bits of `v` for comparison; every NaN compares as one, since
@@ -842,19 +1132,24 @@ mod tests {
             .collect()
     }
 
-    /// Factors `a` and solves it for `b` through `ws`, and holds it to
-    /// the dense reference: the same `SingularMatrix` pivot row, or the
-    /// same bits in factors, permutation and solution.
+    /// Factors `a` and solves it for `b` through `ws`, with the given
+    /// structure or a scanned one, and holds it to the dense reference:
+    /// the same `SingularMatrix` pivot row, or the same bits in factors,
+    /// permutation and solution.
     fn matches_dense_reference(
         ws: &mut LuWorkspace,
         a: &DenseMatrix,
         b: &[f64],
+        structure: Option<&LuStructure>,
     ) -> Result<(), String> {
         let n = a.order();
         let mut ref_lu = a.clone();
         let mut ref_perm: Vec<usize> = (0..n).collect();
         let reference = dense_reference::factor(&mut ref_lu, &mut ref_perm);
-        let in_place = ws.factor_from(a);
+        let in_place = match structure {
+            Some(structure) => ws.factor_planned(a, structure),
+            None => ws.factor_from(a),
+        };
         if let Err(expected) = reference {
             let (expected, got) = (format!("{expected:?}"), format!("{:?}", in_place.err()));
             if got != format!("Some({expected})") {
@@ -896,15 +1191,16 @@ mod tests {
             let mut perm = vec![0, 1, 2];
             dense_reference::factor(&mut lu, &mut perm).expect("nonsingular");
             assert_eq!(lu.get(2, 1).to_bits(), 0, "the −0 ends as +0");
-            matches_dense_reference(&mut LuWorkspace::new(), &a, &[1.0, -0.0, 2.0])
+            matches_dense_reference(&mut LuWorkspace::new(), &a, &[1.0, -0.0, 2.0], None)
                 .expect("bit-identical");
         }
     }
 
     #[test]
     fn zero_skipping_kernel_is_bit_identical_to_dense_elimination() {
-        // Each case runs 1–4 systems through one workspace, so reuse
-        // across orders is covered too.
+        // Each case runs 1–4 systems through one workspace, each with a
+        // scanned structure and with a planned superset of it, so reuse
+        // across orders and structures is covered too.
         let config = drill::Config::new("zero-skipping LU = dense LU", 20_130_318).cases(512);
         drill::check(
             &config,
@@ -925,7 +1221,15 @@ mod tests {
             |systems| {
                 let mut ws = LuWorkspace::new();
                 systems.iter().try_for_each(|sys| {
-                    matches_dense_reference(&mut ws, &DenseMatrix::from_rows(sys.n, &sys.a), &sys.b)
+                    let a = DenseMatrix::from_rows(sys.n, &sys.a);
+                    let planned = sys.planned_structure();
+                    if let Some((r, c)) = planned.first_uncovered(&a) {
+                        return Err(format!("planned structure misses ({r}, {c})"));
+                    }
+                    matches_dense_reference(&mut ws, &a, &sys.b, None)
+                        .map_err(|e| format!("scanned structure: {e}"))?;
+                    matches_dense_reference(&mut ws, &a, &sys.b, Some(&planned))
+                        .map_err(|e| format!("planned structure: {e}"))
                 })
             },
         )
@@ -936,10 +1240,14 @@ mod tests {
     fn mna_generator_reaches_every_input_class() {
         // The bit-identity property is only as strong as its inputs:
         // the first 256 systems must include singular and pivoted
-        // factorizations, −0 entries and non-finite entries.
+        // factorizations, −0 entries, non-finite entries, orders past
+        // one bitset word and planned slots beyond the nonzeros.
         let (mut singular, mut pivoted, mut neg_zero, mut non_finite) = (0, 0, 0, 0);
+        let (mut multi_word, mut superset) = (0, 0);
         for index in 0..256 {
             let sys = mna_system(&mut drill::Rng::seeded(drill::case_seed(7, index)));
+            multi_word += usize::from(sys.n > 64);
+            superset += usize::from(sys.extra.iter().any(|&i| sys.a[i] == 0.0));
             let mut lu = DenseMatrix::from_rows(sys.n, &sys.a);
             let mut perm: Vec<usize> = (0..sys.n).collect();
             match dense_reference::factor(&mut lu, &mut perm) {
@@ -955,8 +1263,14 @@ mod tests {
             }
         }
         assert!(
-            singular > 0 && pivoted > 0 && neg_zero > 0 && non_finite > 0,
-            "singular {singular}, pivoted {pivoted}, -0 {neg_zero}, non-finite {non_finite}"
+            singular > 0
+                && pivoted > 0
+                && neg_zero > 0
+                && non_finite > 0
+                && multi_word > 0
+                && superset > 0,
+            "singular {singular}, pivoted {pivoted}, -0 {neg_zero}, non-finite {non_finite}, \
+             order > 64 {multi_word}, superset {superset}"
         );
     }
 }

@@ -7,7 +7,7 @@
 //! models).
 
 use crate::devices::ElementKind;
-use crate::matrix::DenseMatrix;
+use crate::matrix::{DenseMatrix, LuStructure};
 use crate::netlist::{Netlist, NodeId, ParamId, SourceId};
 
 /// Which analysis is currently being assembled.
@@ -243,6 +243,10 @@ impl<'a> StampContext<'a> {
 /// wrote instead of the whole n² matrix, and stamp gmin through
 /// precomputed offsets.
 ///
+/// The same set, as row and column bitsets, is the nonzero structure
+/// the dense LU kernel factors by ([`LuStructure`]): built here once,
+/// it saves every factorization a scan of the matrix.
+///
 /// Building the plan walks the device list once; validity against a
 /// netlist is re-checked cheaply (and allocation-free) through a
 /// structural fingerprint over device kinds, terminals, and branch
@@ -259,6 +263,9 @@ pub struct StampPlan {
     touched: Vec<usize>,
     /// Flat offsets of the node diagonals receiving gmin.
     gmin_diags: Vec<usize>,
+    /// `touched` as LU bitsets, for systems the dense kernel factors
+    /// (below [`SPARSE_THRESHOLD`](crate::sparse::SPARSE_THRESHOLD)).
+    structure: Option<LuStructure>,
 }
 
 /// FNV-1a fold step used by the structural fingerprint (and by the
@@ -362,6 +369,8 @@ impl StampPlan {
         touched.extend_from_slice(&gmin_diags);
         touched.sort_unstable();
         touched.dedup();
+        let structure =
+            (n < crate::sparse::SPARSE_THRESHOLD).then(|| LuStructure::from_offsets(n, &touched));
         StampPlan {
             num_nodes: netlist.num_nodes(),
             num_devices: netlist.num_devices(),
@@ -369,6 +378,7 @@ impl StampPlan {
             fingerprint: structural_fingerprint(netlist),
             touched,
             gmin_diags,
+            structure,
         }
     }
 
@@ -399,6 +409,14 @@ impl StampPlan {
     /// can write — the sparsity pattern of the assembled system.
     pub(crate) fn touched_offsets(&self) -> &[usize] {
         &self.touched
+    }
+
+    /// The touched set as the nonzero structure the dense LU kernel
+    /// factors planned systems by; `None` at or above
+    /// [`SPARSE_THRESHOLD`](crate::sparse::SPARSE_THRESHOLD) unknowns,
+    /// where the sparse backend factors instead.
+    pub fn lu_structure(&self) -> Option<&LuStructure> {
+        self.structure.as_ref()
     }
 }
 

@@ -323,7 +323,10 @@ fn newton_stage(
             let factored = if use_sparse {
                 sparse.factor(matrix, plan.structural_fp(), plan.touched_offsets())
             } else {
-                lu.factor_from(matrix)
+                let structure = plan
+                    .lu_structure()
+                    .expect("stamp plans below SPARSE_THRESHOLD carry the LU structure");
+                lu.factor_planned(matrix, structure)
             };
             if let Err(e) = factored {
                 return match e {

@@ -51,7 +51,7 @@ use crate::devices::diode::DiodeParams;
 use crate::devices::mosfet::MosParams;
 use crate::devices::ElementKind;
 use crate::error::Error;
-use crate::matrix::{DenseMatrix, LuWorkspace};
+use crate::matrix::{DenseMatrix, LuStructure, LuWorkspace};
 use crate::mna::{fnv, AnalysisMode};
 use crate::netlist::Netlist;
 use crate::newton::{NewtonOptions, Solution};
@@ -289,6 +289,9 @@ pub(crate) struct PartitionPlan {
     /// Sorted flat (row-major) offsets of every interface entry device
     /// stamps, macromodel contributions, or gmin can write.
     iface_touched: Vec<usize>,
+    /// `iface_touched` as the dense LU kernel's nonzero structure, for
+    /// interfaces below [`SPARSE_THRESHOLD`](crate::sparse::SPARSE_THRESHOLD).
+    iface_structure: Option<LuStructure>,
     /// Combined fingerprint over the netlist structure, its model
     /// values and the block layout; doubles as the interface sparse
     /// backend's structural fingerprint.
@@ -649,6 +652,8 @@ impl PartitionPlan {
             iface_touched.extend(row.iter().map(|&c| r * ni + c as usize));
         }
 
+        let iface_structure = (ni < crate::sparse::SPARSE_THRESHOLD)
+            .then(|| LuStructure::from_offsets(ni, &iface_touched));
         Ok(PartitionPlan {
             n,
             ni,
@@ -663,6 +668,7 @@ impl PartitionPlan {
             block_devices,
             schedule,
             iface_touched,
+            iface_structure,
             fingerprint: Self::combined_fp(netlist_fp, partition),
             max_block_len,
         })
@@ -1462,7 +1468,9 @@ impl SchurState {
             }
         }
         // Factor and solve the reduced interface system through the
-        // same dense/sparse backend selection as the monolithic path.
+        // same dense/sparse backend selection as the monolithic path:
+        // the plan carries the dense kernel's structure exactly below
+        // the sparse threshold.
         let map_singular = |e: Error| match e {
             Error::SingularMatrix { pivot_row, .. } => Error::SingularMatrix {
                 pivot_row: plan
@@ -1474,14 +1482,19 @@ impl SchurState {
             },
             other => other,
         };
-        if plan.ni >= crate::sparse::SPARSE_THRESHOLD {
-            iface_sparse
-                .factor(iface, plan.fingerprint, &plan.iface_touched)
-                .map_err(map_singular)?;
-            iface_sparse.solve_into(rhs_i, x_i);
-        } else {
-            iface_lu.factor_from(iface).map_err(map_singular)?;
-            iface_lu.solve_into(rhs_i, x_i);
+        match &plan.iface_structure {
+            Some(structure) => {
+                iface_lu
+                    .factor_planned(iface, structure)
+                    .map_err(map_singular)?;
+                iface_lu.solve_into(rhs_i, x_i);
+            }
+            None => {
+                iface_sparse
+                    .factor(iface, plan.fingerprint, &plan.iface_touched)
+                    .map_err(map_singular)?;
+                iface_sparse.solve_into(rhs_i, x_i);
+            }
         }
         // Scatter the interface solution, then back-substitute each
         // block: x_B = B⁻¹ (r_B − E·x_I).

@@ -329,6 +329,17 @@ impl<R> Settled<R> {
     }
 }
 
+/// Contiguous groups of a campaign's grid points — a Table I row, a
+/// Fig. 4 series — whose completion [`run_grid`] reports as it happens.
+pub struct Groups<'a> {
+    /// Points per group: group `g` is points `g * len..(g + 1) * len`.
+    pub len: usize,
+    /// Called with a group's index as soon as its last point and every
+    /// earlier point have settled, on the calling thread and in group
+    /// order, while later points may still be running.
+    pub done: &'a mut dyn FnMut(usize),
+}
+
 /// Runs every grid point of a campaign through
 /// [`parallel_map_isolated`], settling each the same way: `work(item)`
 /// runs under a point timer keyed by `point(index, item)`, which
@@ -336,7 +347,9 @@ impl<R> Settled<R> {
 /// `ok`, `failed` or `panicked`; a panic becomes
 /// [`anasim::Error::Panicked`]; and the outcomes fold in grid order
 /// ([`Settled::push`]), so the result is identical for every `jobs`
-/// value.
+/// value. `groups`, when given, hears of each group's completion from
+/// the executor's in-order hook, so a campaign's progress lines appear
+/// while it runs rather than after the fan-out.
 ///
 /// # Errors
 ///
@@ -347,6 +360,7 @@ pub fn run_grid<T, R>(
     items: &[T],
     point: impl Fn(usize, &T) -> GridPoint + Sync,
     work: impl Fn(&T) -> Result<R, anasim::Error> + Sync,
+    mut groups: Option<Groups<'_>>,
 ) -> Result<Settled<R>, anasim::Error>
 where
     T: Sync,
@@ -356,7 +370,13 @@ where
         jobs,
         items,
         |i, item| settle_point(&point(i, item).key, || work(item)),
-        |_, _| {},
+        |i, _| {
+            if let Some(Groups { len, done }) = groups.as_mut() {
+                if (i + 1) % *len == 0 {
+                    done(i / *len);
+                }
+            }
+        },
     );
     let mut settled = Settled::default();
     for (i, outcome) in outcomes.into_iter().enumerate() {
@@ -891,6 +911,44 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn runner_reports_each_group_before_the_next_one_starts() {
+        let log = std::sync::Mutex::new(Vec::<String>::new());
+        let items: Vec<usize> = (0..6).collect();
+        let settled = run_grid(
+            1,
+            &items,
+            |i, _| GridPoint::new(format!("group-test #{i}"), None, None, None),
+            |&i| {
+                log.lock().unwrap().push(format!("point {i}"));
+                Ok(i)
+            },
+            Some(Groups {
+                len: 2,
+                done: &mut |g| log.lock().unwrap().push(format!("group {g} done")),
+            }),
+        )
+        .expect("every point succeeds");
+        assert_eq!(
+            settled.results,
+            items.iter().map(|&i| Some(i)).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            *log.lock().unwrap(),
+            [
+                "point 0",
+                "point 1",
+                "group 0 done",
+                "point 2",
+                "point 3",
+                "group 1 done",
+                "point 4",
+                "point 5",
+                "group 2 done",
+            ]
+        );
+    }
+
+    #[test]
     fn runner_settles_every_kind_of_point_alike_at_any_job_count() {
         let _obs = obs_lock();
         // Items are (kind, tag): 0 succeeds, 1 fails recordably, 2
@@ -922,6 +980,7 @@ pub(crate) mod tests {
                         }),
                     }
                 },
+                None,
             )
         };
         obs::flight_enable(obs::DEFAULT_CAPACITY);

@@ -393,6 +393,7 @@ pub fn table2(options: &Table2Options) -> Result<Table2, anasim::Error> {
             };
             Ok((ctx, seed))
         },
+        None,
     )?;
     // A context whose construction failed is cached poisoned (`None`)
     // so the failure is charged once here and every grid point that

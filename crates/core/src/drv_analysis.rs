@@ -13,7 +13,7 @@ use sram::drv::{drv_ds, DrvOptions, StoredBit};
 use sram::{CellInstance, CellTransistor, MismatchPattern};
 
 use crate::campaign::{
-    preflight_netlist, publish_coverage, run_grid, Coverage, GridPoint, PointFailure,
+    preflight_netlist, publish_coverage, run_grid, Coverage, GridPoint, Groups, PointFailure,
 };
 
 /// Options for the Fig. 4 sweep.
@@ -190,6 +190,7 @@ pub fn fig4(options: &Fig4Options) -> Result<Fig4Data, anasim::Error> {
             }
         }
     }
+    let per_point = options.corners.len() * options.temperatures.len();
     let settled = run_grid(
         options.jobs,
         &grid,
@@ -210,9 +211,14 @@ pub fn fig4(options: &Fig4Options) -> Result<Fig4Data, anasim::Error> {
             let d1 = drv_ds(&inst, StoredBit::One, &options.drv)?.drv;
             Ok((d1, drv_ds(&inst, StoredBit::Zero, &options.drv)?.drv))
         },
+        Some(Groups {
+            len: options.sigmas.len() * per_point,
+            done: &mut |s| {
+                obs::progress(&format!("fig4 series {} done", CellTransistor::ALL[s]));
+            },
+        }),
     )?;
 
-    let per_point = options.corners.len() * options.temperatures.len();
     let mut series = Vec::with_capacity(6);
     let mut results = grid.iter().zip(&settled.results);
     for transistor in CellTransistor::ALL {
@@ -238,7 +244,6 @@ pub fn fig4(options: &Fig4Options) -> Result<Fig4Data, anasim::Error> {
                 worst_pvt_ds0: best0.1,
             });
         }
-        obs::progress(&format!("fig4 series {transistor} done"));
         series.push(Fig4Series { transistor, points });
     }
     let mut coverage = settled.coverage;

@@ -245,6 +245,7 @@ pub fn run(options: &ArrayRetentionOptions) -> Result<ArrayRetentionReport, anas
             scratch.flush_obs_counters();
             Ok(row)
         },
+        None,
     )?;
     let mut coverage = settled.coverage;
     coverage.elapsed_s = run_start.elapsed().as_secs_f64();

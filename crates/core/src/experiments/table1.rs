@@ -8,7 +8,7 @@ use sram::drv::{drv_ds, DrvOptions};
 use sram::{CellInstance, StoredBit};
 
 use crate::campaign::{
-    completeness_footer, publish_coverage, run_grid, Coverage, GridPoint, PointFailure,
+    completeness_footer, publish_coverage, run_grid, Coverage, GridPoint, Groups, PointFailure,
 };
 use crate::case_study::CaseStudy;
 use crate::report::{format_mv, TextTable};
@@ -166,6 +166,7 @@ pub fn run(options: &Table1Options) -> Result<Table1Report, anasim::Error> {
             }
         }
     }
+    let per_row = options.corners.len() * options.temperatures.len();
     let settled = run_grid(
         options.jobs,
         &points,
@@ -182,9 +183,14 @@ pub fn run(options: &Table1Options) -> Result<Table1Report, anasim::Error> {
             let d1 = drv_ds(&inst, StoredBit::One, &options.drv)?.drv;
             Ok((d1, drv_ds(&inst, StoredBit::Zero, &options.drv)?.drv))
         },
+        Some(Groups {
+            len: per_row,
+            done: &mut |row| {
+                obs::progress(&format!("table1 row CS{} done", cases[row].number));
+            },
+        }),
     )?;
 
-    let per_row = options.corners.len() * options.temperatures.len();
     let mut rows = Vec::new();
     let mut results = points.iter().zip(&settled.results);
     for &cs in &cases {
@@ -198,7 +204,6 @@ pub fn run(options: &Table1Options) -> Result<Table1Report, anasim::Error> {
                 best0 = best0.max(d0);
             }
         }
-        obs::progress(&format!("table1 row CS{} done", cs.number));
         rows.push(Table1Row {
             case_study: cs,
             drv_ds1: best1.0,

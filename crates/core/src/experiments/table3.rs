@@ -58,7 +58,11 @@ impl fmt::Display for Table3Report {
         for (d, defect) in self.matrix.defects.iter().enumerate() {
             let mut row = vec![defect.to_string()];
             for c in 0..self.matrix.combos.len() {
-                let mut cell = format_min_resistance(self.matrix.min_r[d][c]);
+                let mut cell = if self.matrix.unusable[c] {
+                    "n/a".to_string()
+                } else {
+                    format_min_resistance(self.matrix.min_r[d][c])
+                };
                 if self.matrix.maximized[d][c] {
                     cell.push('*');
                 }
@@ -68,6 +72,12 @@ impl fmt::Display for Table3Report {
         }
         writeln!(f, "{t}")?;
         writeln!(f, "(* = detection-maximizing combination for that defect)")?;
+        if self.matrix.unusable.contains(&true) {
+            writeln!(
+                f,
+                "(n/a = healthy Vreg below the cell's DRV: combination unusable, not searched)"
+            )?;
+        }
         if !self.matrix.coverage.is_complete() {
             writeln!(
                 f,

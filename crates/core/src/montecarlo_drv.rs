@@ -159,6 +159,7 @@ pub fn monte_carlo_drv(options: &MonteCarloOptions) -> Result<MonteCarloReport, 
             preflight_netlist(&build_retention_netlist(&inst, options.pvt.vdd)?.0)?;
             drv_ds_worst(&inst, &options.drv)
         },
+        None,
     )?;
     let mut drvs: Vec<f64> = settled.results.into_iter().flatten().collect();
     drvs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));

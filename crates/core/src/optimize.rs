@@ -93,8 +93,13 @@ pub struct CoverageMatrix {
     /// The defects considered.
     pub defects: Vec<Defect>,
     /// `min_r[d][c]`: minimum failing resistance of defect `d` at
-    /// combination `c` (`None` = not detectable there).
+    /// combination `c` (`None` = not detectable there, or not searched
+    /// because the combination is unusable).
     pub min_r: Vec<Vec<Option<f64>>>,
+    /// `unusable[c]`: combination `c`'s healthy Vreg sits below the
+    /// stressed cell's DRV, so it would fail fault-free parts and no
+    /// defect was searched there.
+    pub unusable: Vec<bool>,
     /// `maximized[d][c]`: whether combination `c` is within slack of
     /// defect `d`'s best combination.
     pub maximized: Vec<Vec<bool>>,
@@ -170,7 +175,21 @@ pub fn build_coverage(options: &CoverageOptions) -> Result<CoverageMatrix, anasi
                 .collect();
             Ok((ctx, seeds))
         },
+        None,
     )?;
+
+    // A combination whose healthy Vreg already sits below the stressed
+    // cell's DRV would fail fault-free parts: it is not usable for this
+    // criterion, whatever the defect.
+    let unusable: Vec<bool> = combos
+        .iter()
+        .enumerate()
+        .map(|(c, combo)| {
+            contexts.results[c / taps]
+                .as_ref()
+                .is_some_and(|(ctx, _)| combo.expected_vreg() < ctx.drv)
+        })
+        .collect();
 
     // One work item per (defect × combination) entry, in matrix order;
     // the entries of a poisoned supply are charged as failed without a
@@ -197,10 +216,7 @@ pub fn build_coverage(options: &CoverageOptions) -> Result<CoverageMatrix, anasi
         },
         |&(d, c, (ctx, seeds))| {
             let combo = &combos[c];
-            // A combination whose healthy Vreg already sits below the
-            // stressed cell's DRV would fail fault-free parts: it is
-            // not usable for this criterion.
-            if combo.expected_vreg() < ctx.drv {
+            if unusable[c] {
                 return Ok(None);
             }
             let criterion = DrfCriterion {
@@ -220,6 +236,7 @@ pub fn build_coverage(options: &CoverageOptions) -> Result<CoverageMatrix, anasi
             )?;
             Ok(found.ohms)
         },
+        None,
     )?;
 
     let mut min_r = vec![vec![None; combos.len()]; options.defects.len()];
@@ -253,6 +270,7 @@ pub fn build_coverage(options: &CoverageOptions) -> Result<CoverageMatrix, anasi
         combos,
         defects: options.defects.clone(),
         min_r,
+        unusable,
         maximized,
         failures,
         coverage,
@@ -463,6 +481,7 @@ mod tests {
             combos,
             defects: vec![Defect::new(16), Defect::new(3), Defect::new(4)],
             min_r,
+            unusable: vec![false; 4],
             maximized,
             failures: Vec::new(),
             coverage: Coverage {
@@ -530,6 +549,35 @@ mod tests {
         m2.min_r[2] = vec![None; 4];
         let report = escape_analysis(&m2, &all);
         assert!(report.per_defect[2].1.is_none());
+    }
+
+    #[test]
+    fn combinations_below_the_drv_are_marked_unusable() {
+        // One cheap defect is enough: usability depends only on the
+        // combination's column (its supply's DRV and its tap).
+        let opts = CoverageOptions {
+            defects: vec![Defect::new(16)],
+            ..CoverageOptions::quick()
+        };
+        let matrix = build_coverage(&opts).unwrap();
+        let unusable: Vec<String> = matrix
+            .combos
+            .iter()
+            .zip(&matrix.unusable)
+            .filter(|(_, &u)| u)
+            .map(|(c, _)| format!("{:.1}V/{}", c.vdd, c.tap))
+            .collect();
+        assert_eq!(
+            unusable,
+            ["1.0V/0.70*VDD", "1.0V/0.64*VDD", "1.1V/0.64*VDD"]
+        );
+        for (c, &u) in matrix.unusable.iter().enumerate() {
+            assert!(
+                !u || matrix.min_r[0][c].is_none(),
+                "an unusable combination is not searched"
+            );
+        }
+        assert!(matrix.coverage.is_complete(), "{}", matrix.coverage);
     }
 
     #[test]

@@ -917,4 +917,82 @@ mod tests {
             );
         }
     }
+
+    /// Assembles `nl` through its stamp plan at each iterate, in DC and
+    /// in a transient step, with and without gmin, and asserts that
+    /// every nonzero lands inside the plan's LU bitsets — the structure
+    /// the dense kernel factors by without looking at the matrix.
+    fn assert_plan_covers_assembly(what: &str, nl: &Netlist, iterates: &[Vec<f64>]) {
+        use anasim::matrix::DenseMatrix;
+        use anasim::mna::{assemble_planned, AnalysisMode, StampPlan};
+        let plan = StampPlan::build(nl);
+        let structure = plan
+            .lu_structure()
+            .expect("small systems carry the LU structure");
+        let n = nl.num_unknowns();
+        let mut matrix = DenseMatrix::zeros(n);
+        let mut rhs = vec![0.0; n];
+        for (i, x) in iterates.iter().enumerate() {
+            let transient = AnalysisMode::Transient {
+                dt: 1.0e-9,
+                time: 1.0e-9,
+                prev: &iterates[0],
+            };
+            for mode in [AnalysisMode::Dc, transient] {
+                for (gmin, scale) in [(0.0, 1.0), (1.0e-6, 0.5)] {
+                    assemble_planned(nl, &plan, x, gmin, scale, mode, &mut matrix, &mut rhs);
+                    assert_eq!(
+                        structure.first_uncovered(&matrix),
+                        None,
+                        "{what}: iterate {i}, {mode:?}, gmin {gmin}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Iterates to assemble at: the origin, a solved operating point,
+    /// and two spread patterns of node voltages and branch currents.
+    fn iterates(solved: Vec<f64>) -> Vec<Vec<f64>> {
+        let n = solved.len();
+        let spread = |phase: f64| {
+            (0..n)
+                .map(|i| 1.2 * (i as f64 * 0.73 + phase).sin())
+                .collect()
+        };
+        vec![vec![0.0; n], solved, spread(0.0), spread(1.9)]
+    }
+
+    #[test]
+    fn stamp_plan_structure_covers_every_assembled_nonzero() {
+        let pvt = PvtCondition::new(process::ProcessCorner::FastNSlowP, 1.0, 125.0);
+        let load = tiny_load(pvt);
+        for feed in [
+            FeedMode::Static,
+            FeedMode::BiasActivation,
+            FeedMode::VrefActivation,
+        ] {
+            let mut c = RegulatorCircuit::new(&RegulatorDesign::lp40nm(), pvt, VrefTap::V70, feed)
+                .expect("healthy build succeeds");
+            c.inject(Defect::new(16), 1.0e6);
+            c.solve(&load).expect("regulator solves");
+            let solved = c.warm_state().expect("a solve leaves its state").to_vec();
+            assert_plan_covers_assembly(
+                &format!("{feed:?} regulator"),
+                c.netlist(),
+                &iterates(solved),
+            );
+        }
+        let cell = CellInstance::symmetric(pvt);
+        let (nl, _) = sram::cell::build_retention_netlist(&cell, 0.5).expect("cell builds");
+        let solved = anasim::newton::solve(
+            &nl,
+            &anasim::NewtonOptions::default(),
+            None,
+            anasim::mna::AnalysisMode::Dc,
+        )
+        .expect("retention cell solves")
+        .into_raw();
+        assert_plan_covers_assembly("6T retention cell", &nl, &iterates(solved));
+    }
 }
