@@ -28,20 +28,11 @@ impl Capacitor {
     pub fn new(p: NodeId, n: NodeId, farads: f64) -> Self {
         Capacitor { p, n, farads }
     }
-
-    /// The capacitance in farads.
-    pub fn capacitance(&self) -> f64 {
-        self.farads
-    }
 }
 
 impl Device for Capacitor {
     fn nodes(&self) -> Vec<NodeId> {
         vec![self.p, self.n]
-    }
-
-    fn capacitance(&self) -> Option<(NodeId, NodeId, f64)> {
-        Some((self.p, self.n, self.farads))
     }
 
     fn kind(&self) -> ElementKind {

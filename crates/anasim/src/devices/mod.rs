@@ -149,12 +149,6 @@ pub trait Device: fmt::Debug + Send + Sync {
 
     /// Stamps the linearized model at the estimate carried by `ctx`.
     fn stamp(&self, ctx: &mut StampContext<'_>);
-
-    /// `(p, n, farads)` when the device contributes a capacitance to
-    /// AC analysis (only [`capacitor::Capacitor`] today).
-    fn capacitance(&self) -> Option<(NodeId, NodeId, f64)> {
-        None
-    }
 }
 
 /// Numerically safe softplus `ln(1 + e^x)`, used by the EKV MOSFET and

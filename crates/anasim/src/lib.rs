@@ -39,8 +39,6 @@
 //! # }
 //! ```
 
-pub mod ac;
-pub mod complex;
 pub mod dc;
 pub mod devices;
 pub mod error;
@@ -53,7 +51,6 @@ pub mod schur;
 pub mod scratch;
 pub mod sparse;
 pub mod transient;
-pub mod units;
 
 pub use error::Error;
 pub use netlist::{Netlist, NodeId, SourceId};

@@ -214,15 +214,6 @@ impl Netlist {
         }
     }
 
-    /// `(p, n, farads)` of every capacitor — the C-matrix stamps used
-    /// by AC analysis.
-    pub fn capacitor_stamps(&self) -> Vec<(NodeId, NodeId, f64)> {
-        self.devices
-            .iter()
-            .filter_map(|d| d.capacitance())
-            .collect()
-    }
-
     /// Absolute unknown index of the branch current of the named device
     /// (e.g. a voltage source), if it has one.
     pub fn branch_unknown(&self, device_name: &str) -> Option<usize> {

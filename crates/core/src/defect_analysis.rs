@@ -217,16 +217,18 @@ pub(crate) struct GridContext {
 /// condition starts Newton from.
 type SeededContext = (GridContext, Option<Vec<f64>>);
 
-/// The context-cache key: (cs number, corner, temp, vdd). The tap is
+/// The context-cache key: (cs number, corner, temp bits, vdd bits).
+/// Temperature and supply key on their exact values, so two conditions
+/// share a context only when they are the same condition. The tap is
 /// derived from vdd ([`tap_for_vdd`]), so it needs no key component.
-type CtxKey = (u8, &'static str, i64, i64);
+type CtxKey = (u8, &'static str, u64, u64);
 
 fn ctx_key(cs_number: u8, pvt: PvtCondition) -> CtxKey {
     (
         cs_number,
         pvt.corner.abbreviation(),
-        pvt.temp_c as i64,
-        (pvt.vdd * 100.0) as i64,
+        pvt.temp_c.to_bits(),
+        pvt.vdd.to_bits(),
     )
 }
 
@@ -737,6 +739,14 @@ mod tests {
             let vreg = tap_for_vdd(vdd).fraction() * vdd;
             assert!((0.73..0.78).contains(&vreg), "vreg {vreg} at vdd {vdd}");
         }
+    }
+
+    #[test]
+    fn close_conditions_get_distinct_context_keys() {
+        let key = |vdd, temp_c| ctx_key(1, PvtCondition::new(ProcessCorner::Typical, vdd, temp_c));
+        assert_ne!(key(1.0, 25.0), key(1.004, 25.0));
+        assert_ne!(key(1.1, -30.5), key(1.1, -30.0));
+        assert_eq!(key(1.1, -30.0), key(1.1, -30.0));
     }
 
     /// Pulls the cell for (defect, case study), failing with the grid

@@ -98,8 +98,9 @@ impl fmt::Display for Table3Report {
 /// Propagates solver failures.
 pub fn run(options: &CoverageOptions) -> Result<Table3Report, anasim::Error> {
     let matrix = build_coverage(options)?;
-    let optimized = greedy_cover(&matrix, options.ds_time);
-    let paper = TestFlow::paper_optimized(options.ds_time);
+    let ds_time = options.characterize.ds_time;
+    let optimized = greedy_cover(&matrix);
+    let paper = TestFlow::paper_optimized(ds_time);
     let paper_indices: Vec<usize> = paper
         .iterations()
         .iter()
@@ -111,7 +112,7 @@ pub fn run(options: &CoverageOptions) -> Result<Table3Report, anasim::Error> {
         })
         .collect();
     let paper_flow_covers = matrix.covers(&paper_indices);
-    let exhaustive = TestFlow::exhaustive(options.ds_time);
+    let exhaustive = TestFlow::exhaustive(ds_time);
     let time_reduction = optimized.time_reduction_vs(&exhaustive);
     let paper_flow_escape_decades = escape_analysis(&matrix, &paper).escape_decades();
     Ok(Table3Report {

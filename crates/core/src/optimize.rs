@@ -29,15 +29,14 @@ pub struct CoverageOptions {
     /// Case study defining the threatened cell (default CS1-1, the
     /// worst-case retention voltage).
     pub case_study: CaseStudy,
-    /// Deep-sleep dwell per iteration, seconds.
-    pub ds_time: f64,
     /// A combination "maximizes" detection of a defect when its minimum
     /// failing resistance is within this factor of the best combination
     /// for that defect.
     pub slack: f64,
     /// Regulator design.
     pub design: RegulatorDesign,
-    /// Characterization tuning.
+    /// Characterization tuning; its `ds_time` is the deep-sleep dwell
+    /// every combination is searched and labelled with.
     pub characterize: CharacterizeOptions,
     /// DRV tuning.
     pub drv: DrvOptions,
@@ -57,7 +56,6 @@ impl CoverageOptions {
             temp_c: 125.0,
             defects: Defect::table2_rows(),
             case_study: CaseStudy::new(1, StoredBit::One),
-            ds_time: 1.0e-3,
             slack: 2.0,
             design: RegulatorDesign::lp40nm(),
             characterize: CharacterizeOptions::default(),
@@ -145,7 +143,7 @@ pub fn build_coverage(options: &CoverageOptions) -> Result<CoverageMatrix, anasi
             combos.push(FlowIteration {
                 vdd: pvt.vdd,
                 tap,
-                ds_time: options.ds_time,
+                ds_time: options.characterize.ds_time,
             });
         }
     }
@@ -280,7 +278,8 @@ pub fn build_coverage(options: &CoverageOptions) -> Result<CoverageMatrix, anasi
 /// Greedy set cover over the maximized-detection matrix. Ties are
 /// broken toward combinations whose expected `Vreg` sits closest above
 /// the worst-case retention voltage (the paper's primary design rule).
-pub fn greedy_cover(matrix: &CoverageMatrix, ds_time: f64) -> TestFlow {
+/// Each chosen iteration keeps its combination's dwell.
+pub fn greedy_cover(matrix: &CoverageMatrix) -> TestFlow {
     let n_combos = matrix.combos.len();
     let detectable: Vec<usize> = (0..matrix.defects.len())
         .filter(|&d| matrix.min_r[d].iter().any(|r| r.is_some()))
@@ -331,13 +330,7 @@ pub fn greedy_cover(matrix: &CoverageMatrix, ds_time: f64) -> TestFlow {
     });
     TestFlow::new(
         "greedy-optimized flow",
-        chosen
-            .into_iter()
-            .map(|c| FlowIteration {
-                ds_time,
-                ..matrix.combos[c]
-            })
-            .collect(),
+        chosen.into_iter().map(|c| matrix.combos[c]).collect(),
     )
 }
 
@@ -413,7 +406,7 @@ pub fn escape_analysis(matrix: &CoverageMatrix, flow: &TestFlow) -> EscapeReport
 
 /// Exhaustive minimal cover (2¹² subsets; used to confirm greedy
 /// optimality on this instance).
-pub fn exhaustive_cover(matrix: &CoverageMatrix, ds_time: f64) -> TestFlow {
+pub fn exhaustive_cover(matrix: &CoverageMatrix) -> TestFlow {
     let n = matrix.combos.len();
     let mut best: Option<Vec<usize>> = None;
     for mask in 1u32..(1 << n) {
@@ -430,13 +423,7 @@ pub fn exhaustive_cover(matrix: &CoverageMatrix, ds_time: f64) -> TestFlow {
     let chosen = best.unwrap_or_default();
     TestFlow::new(
         "exhaustive-optimal flow",
-        chosen
-            .into_iter()
-            .map(|c| FlowIteration {
-                ds_time,
-                ..matrix.combos[c]
-            })
-            .collect(),
+        chosen.into_iter().map(|c| matrix.combos[c]).collect(),
     )
 }
 
@@ -495,7 +482,7 @@ mod tests {
     #[test]
     fn greedy_covers_synthetic_instance() {
         let m = synthetic_matrix();
-        let flow = greedy_cover(&m, 1e-3);
+        let flow = greedy_cover(&m);
         assert_eq!(flow.iterations().len(), 2);
         let indices: Vec<usize> = flow
             .iterations()
@@ -513,8 +500,8 @@ mod tests {
     #[test]
     fn exhaustive_matches_greedy_size_here() {
         let m = synthetic_matrix();
-        let greedy = greedy_cover(&m, 1e-3);
-        let exact = exhaustive_cover(&m, 1e-3);
+        let greedy = greedy_cover(&m);
+        let exact = exhaustive_cover(&m);
         assert_eq!(greedy.iterations().len(), exact.iterations().len());
     }
 
@@ -581,6 +568,21 @@ mod tests {
     }
 
     #[test]
+    fn combinations_and_flow_carry_the_searched_dwell() {
+        let mut opts = CoverageOptions {
+            defects: vec![Defect::new(16)],
+            ..CoverageOptions::quick()
+        };
+        opts.characterize.ds_time = 2.0e-3;
+        let matrix = build_coverage(&opts).unwrap();
+        let flow = greedy_cover(&matrix);
+        assert!(!flow.iterations().is_empty());
+        for it in matrix.combos.iter().chain(flow.iterations()) {
+            assert_eq!(it.ds_time, 2.0e-3, "{it}");
+        }
+    }
+
+    #[test]
     fn electrical_coverage_smoke() {
         // Tiny instance: 4 divider/output defects, coarse searches.
         let opts = CoverageOptions::quick();
@@ -598,7 +600,7 @@ mod tests {
             .position(|&d| d == Defect::new(16))
             .unwrap();
         assert!(matrix.min_r[d16].iter().any(|r| r.is_some()));
-        let flow = greedy_cover(&matrix, opts.ds_time);
+        let flow = greedy_cover(&matrix);
         assert!(
             (1..=4).contains(&flow.iterations().len()),
             "flow of {} iterations",

@@ -1,9 +1,8 @@
 //! The case-generation RNG.
 //!
-//! SplitMix64 again (the same generator `process::rng` uses for Monte
-//! Carlo sampling) — but embedded rather than imported, because `drill`
-//! is deliberately dependency-free so every crate in the workspace can
-//! take it as a dev-dependency without cycles.
+//! SplitMix64 (Steele, Lea, Flood), also the stream `process` draws its
+//! Monte Carlo samples from. `drill` is deliberately dependency-free, so
+//! every crate in the workspace can depend on it without cycles.
 
 /// A seeded deterministic generator with the drawing helpers property
 /// generators need. Equal seeds give equal streams on every platform.
@@ -95,8 +94,7 @@ mod tests {
 
     #[test]
     fn matches_reference_vector() {
-        // Vigna's SplitMix64 test vector, seed 0 — locks the stream to
-        // the same one process::rng produces.
+        // Vigna's SplitMix64 test vector, seed 0.
         let mut rng = Rng::seeded(0);
         assert_eq!(rng.next_u64(), 0xE220_A839_7B1D_CDAF);
     }
@@ -108,6 +106,15 @@ mod tests {
         for _ in 0..64 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+
+    #[test]
+    fn f64_stays_in_unit_interval_and_varies() {
+        let mut rng = Rng::seeded(7);
+        let xs: Vec<f64> = (0..1000).map(|_| rng.next_f64()).collect();
+        assert!(xs.iter().all(|&x| (0.0..1.0).contains(&x)));
+        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
+        assert!((mean - 0.5).abs() < 0.05, "mean {mean}");
     }
 
     #[test]

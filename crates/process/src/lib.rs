@@ -32,11 +32,9 @@
 pub mod corner;
 pub mod montecarlo;
 pub mod pvt;
-pub mod rng;
 pub mod sigma;
 
 pub use corner::ProcessCorner;
 pub use montecarlo::MonteCarlo;
 pub use pvt::{PvtCondition, PvtGrid};
-pub use rng::{RandomSource, SplitMix64};
 pub use sigma::{Sigma, VariationModel};

@@ -6,28 +6,25 @@
 //! contain a ±6σ fully-adversarial cell, which is exactly why the paper
 //! calls that case "a theoretical case study".
 
-use crate::rng::{RandomSource, SplitMix64};
+use drill::Rng;
+
 use crate::sigma::Sigma;
 
 /// A seeded Gaussian sampler producing σ-valued threshold deviations.
 #[derive(Debug, Clone)]
-pub struct MonteCarlo<R> {
-    rng: R,
+pub struct MonteCarlo {
+    rng: Rng,
     cache: Option<f64>,
 }
 
-impl MonteCarlo<SplitMix64> {
-    /// A sampler over the crate's built-in generator; equal seeds give
+impl MonteCarlo {
+    /// A sampler over SplitMix64 ([`drill::Rng`]); equal seeds give
     /// equal streams.
     pub fn seeded(seed: u64) -> Self {
-        MonteCarlo::new(SplitMix64::seed_from_u64(seed))
-    }
-}
-
-impl<R: RandomSource> MonteCarlo<R> {
-    /// Wraps a random-number generator.
-    pub fn new(rng: R) -> Self {
-        MonteCarlo { rng, cache: None }
+        MonteCarlo {
+            rng: Rng::seeded(seed),
+            cache: None,
+        }
     }
 
     /// Draws one standard-normal sample via the Box–Muller transform
@@ -61,7 +58,7 @@ impl<R: RandomSource> MonteCarlo<R> {
 mod tests {
     use super::*;
 
-    fn sampler(seed: u64) -> MonteCarlo<SplitMix64> {
+    fn sampler(seed: u64) -> MonteCarlo {
         MonteCarlo::seeded(seed)
     }
 

@@ -15,8 +15,6 @@
 //! characterization sweep only touches a parameter table — the
 //! amplifier is never re-stamped from scratch.
 
-use anasim::ac::AcAnalysis;
-use anasim::complex::Complex;
 use anasim::dc::DcAnalysis;
 use anasim::devices::mosfet::MosParams;
 use anasim::devices::vsource::Waveform;
@@ -655,32 +653,6 @@ impl RegulatorCircuit {
             v_guess = vddcc.max(0.01);
         }
         Ok(op.expect("at least one iteration ran"))
-    }
-}
-
-impl RegulatorCircuit {
-    /// Small-signal transfer from the main supply to the array rail
-    /// (line ripple transfer). The reference is ratiometric (the
-    /// divider tracks V_DD), so the DC value sits near the tap
-    /// fraction; the rail capacitance filters high-frequency ripple.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver failures.
-    pub fn supply_transfer(
-        &mut self,
-        load: &ArrayLoad,
-        frequencies: &[f64],
-    ) -> Result<Vec<(f64, Complex)>, anasim::Error> {
-        // Establish the loaded operating point (also sets the load
-        // linearization the AC run linearizes around).
-        let _ = self.solve(load)?;
-        let ac = AcAnalysis::new().run(&self.nl, "VDD", frequencies)?;
-        Ok(frequencies
-            .iter()
-            .copied()
-            .zip(ac.transfer(self.n_vddcc))
-            .collect())
     }
 }
 

@@ -211,26 +211,6 @@ fn df8_delay_mechanism() {
     assert!((slow.final_vddcc() - 0.74 * 1.1).abs() < 0.05);
 }
 
-/// The small-signal line transfer sits at the tap fraction at DC (the
-/// reference is ratiometric) and rolls off through the rail
-/// capacitance.
-#[test]
-fn supply_transfer_is_ratiometric_then_filtered() {
-    let pvt = pvt_hot();
-    let l = load(pvt);
-    let mut c = static_circuit(pvt, VrefTap::V70).unwrap();
-    let freqs = anasim::ac::log_grid(100.0, 1.0e9, 1);
-    let h = c.supply_transfer(&l, &freqs).unwrap();
-    let dc = h.first().unwrap().1.abs();
-    assert!((dc - 0.70).abs() < 0.03, "DC transfer {dc}");
-    let hf = h.last().unwrap().1.abs();
-    assert!(hf < dc / 10.0, "high-frequency ripple filtered: {hf}");
-    // Monotone non-increasing magnitude (single dominant pole).
-    for pair in h.windows(2) {
-        assert!(pair[1].1.abs() <= pair[0].1.abs() * 1.01);
-    }
-}
-
 /// Negligible sites stay negligible even combined with extreme values
 /// at two different taps.
 #[test]

@@ -7,7 +7,7 @@
 //! supply, so the zero crossing is unique.
 
 use crate::cell::CellInstance;
-use crate::snm::{snm_ds, ButterflySnm};
+use crate::snm::ButterflySnm;
 use crate::vtc::{CellInverter, InverterCircuit};
 
 /// Which logic value the cell is holding.
@@ -31,6 +31,11 @@ impl StoredBit {
     }
 }
 
+/// The retention verdict's threshold, volts: a butterfly lobe at or
+/// below 0.1 mV counts as collapsed. The small positive floor absorbs
+/// interpolation noise of the sampled VTCs near the bifurcation.
+pub const SNM_FLOOR: f64 = 1.0e-4;
+
 /// Tuning of the DRV bisection.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DrvOptions {
@@ -38,11 +43,6 @@ pub struct DrvOptions {
     pub tolerance: f64,
     /// VTC samples per sweep.
     pub vtc_points: usize,
-    /// Upper search bound, volts (defaults to the instance's PVT supply).
-    pub max_supply: Option<f64>,
-    /// SNM below this threshold counts as collapsed; a small positive
-    /// floor absorbs interpolation noise near the bifurcation.
-    pub snm_floor: f64,
 }
 
 impl Default for DrvOptions {
@@ -50,8 +50,6 @@ impl Default for DrvOptions {
         DrvOptions {
             tolerance: 1.0e-3,
             vtc_points: 61,
-            max_supply: None,
-            snm_floor: 1.0e-4,
         }
     }
 }
@@ -62,7 +60,6 @@ impl DrvOptions {
         DrvOptions {
             tolerance: 4.0e-3,
             vtc_points: 41,
-            ..Self::default()
         }
     }
 }
@@ -81,8 +78,9 @@ pub struct DrvResult {
 /// Finds the deep-sleep data-retention voltage for one stored value.
 ///
 /// Returns the lowest supply (within tolerance) at which the relevant
-/// butterfly lobe stays open. If the cell is unstable even at the upper
-/// bound, the upper bound itself is returned (DRV is *at least* that).
+/// butterfly lobe stays above [`SNM_FLOOR`]. The search runs up to the
+/// instance's PVT supply; if the cell is unstable even there, that
+/// bound itself is returned (DRV is *at least* that).
 ///
 /// ```no_run
 /// use process::PvtCondition;
@@ -105,7 +103,7 @@ pub fn drv_ds(
     opts: &DrvOptions,
 ) -> Result<DrvResult, anasim::Error> {
     let _span = obs::span("drv_ds");
-    let hi_bound = opts.max_supply.unwrap_or(instance.pvt.vdd);
+    let hi_bound = instance.pvt.vdd;
     let mut inv_s = InverterCircuit::new(instance, CellInverter::DrivesS)?;
     let mut inv_sb = InverterCircuit::new(instance, CellInverter::DrivesSb)?;
     let mut evaluations = 0usize;
@@ -117,7 +115,7 @@ pub fn drv_ds(
     };
 
     let snm_hi = snm_at(hi_bound, &mut evaluations)?;
-    if snm_hi <= opts.snm_floor {
+    if snm_hi <= SNM_FLOOR {
         obs::hist_record("sram.drv.evaluations", evaluations as f64);
         return Ok(DrvResult {
             drv: hi_bound,
@@ -129,7 +127,7 @@ pub fn drv_ds(
     let mut hi = hi_bound;
     while hi - lo > opts.tolerance {
         let mid = 0.5 * (lo + hi);
-        if snm_at(mid, &mut evaluations)? > opts.snm_floor {
+        if snm_at(mid, &mut evaluations)? > SNM_FLOOR {
             hi = mid;
         } else {
             lo = mid;
@@ -156,24 +154,11 @@ pub fn drv_ds_worst(instance: &CellInstance, opts: &DrvOptions) -> Result<f64, a
     Ok(one.drv.max(zero.drv))
 }
 
-/// Convenience: measures both lobes' SNM at a given supply (same
-/// machinery the bisection uses, exposed per C-INTERMEDIATE).
-///
-/// # Errors
-///
-/// Propagates solver failures.
-pub fn snm_at_supply(
-    instance: &CellInstance,
-    supply: f64,
-    opts: &DrvOptions,
-) -> Result<ButterflySnm, anasim::Error> {
-    snm_ds(instance, supply, opts.vtc_points)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cell::{CellTransistor, MismatchPattern};
+    use crate::snm::snm_ds;
     use process::{PvtCondition, Sigma};
 
     #[test]
@@ -187,6 +172,21 @@ mod tests {
         );
         assert!(r.snm_at_max > 0.1);
         assert!(r.evaluations > 2);
+    }
+
+    #[test]
+    fn reported_drv_brackets_the_collapse_floor() {
+        // The lobe is open above the floor at the reported DRV and
+        // collapsed one tolerance below it.
+        let pattern = MismatchPattern::symmetric()
+            .with(CellTransistor::MPcc1, Sigma(-3.0))
+            .with(CellTransistor::MNcc1, Sigma(-3.0));
+        let inst = CellInstance::with_pattern(pattern, PvtCondition::nominal());
+        let opts = DrvOptions::coarse();
+        let r = drv_ds(&inst, StoredBit::One, &opts).unwrap();
+        let lobe_at = |supply: f64| snm_ds(&inst, supply, opts.vtc_points).unwrap().snm1;
+        assert!(lobe_at(r.drv) > SNM_FLOOR, "lobe at DRV {}", r.drv);
+        assert!(lobe_at(r.drv - opts.tolerance) <= SNM_FLOOR);
     }
 
     #[test]

@@ -52,5 +52,5 @@ pub use memory::{
 };
 pub use power::{PmControl, PmInputs, PowerMode};
 pub use retention::{flip_time, retention_outcome, RetentionOutcome};
-pub use snm::{snm_ds, snm_read, ButterflySnm};
+pub use snm::{snm_ds, ButterflySnm};
 pub use static_power::{StaticPowerModel, StaticPowerReport};

@@ -13,7 +13,7 @@
 //! with `c > 0` the `S = 0` lobe.
 
 use crate::cell::CellInstance;
-use crate::vtc::{CellInverter, CellMode, InverterCircuit, Vtc};
+use crate::vtc::{CellInverter, InverterCircuit, Vtc};
 
 /// Both lobes of the butterfly, in volts. A collapsed lobe reports 0.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -109,33 +109,8 @@ pub fn snm_ds(
     points: usize,
 ) -> Result<ButterflySnm, anasim::Error> {
     let _span = obs::span("snm_ds");
-    snm_in_mode(instance, supply, points, CellMode::Retention)
-}
-
-/// Measures the *read* SNM (word line asserted, bit lines precharged
-/// high): the classic access-disturb stability metric. Always smaller
-/// than the hold/retention SNM because the pass transistor fights the
-/// pull-down at the low storage node.
-///
-/// # Errors
-///
-/// Propagates netlist or solver failures.
-pub fn snm_read(
-    instance: &CellInstance,
-    supply: f64,
-    points: usize,
-) -> Result<ButterflySnm, anasim::Error> {
-    snm_in_mode(instance, supply, points, CellMode::Read)
-}
-
-fn snm_in_mode(
-    instance: &CellInstance,
-    supply: f64,
-    points: usize,
-    mode: CellMode,
-) -> Result<ButterflySnm, anasim::Error> {
-    let mut inv_s = InverterCircuit::with_mode(instance, CellInverter::DrivesS, mode)?;
-    let mut inv_sb = InverterCircuit::with_mode(instance, CellInverter::DrivesSb, mode)?;
+    let mut inv_s = InverterCircuit::new(instance, CellInverter::DrivesS)?;
+    let mut inv_sb = InverterCircuit::new(instance, CellInverter::DrivesSb)?;
     let vtc_s = inv_s.vtc(supply, points)?;
     let vtc_sb = inv_sb.vtc(supply, points)?;
     Ok(snm_from_vtcs(&vtc_s, &vtc_sb))
@@ -241,22 +216,6 @@ mod tests {
         let b = snm_ds(&mirrored, 0.5, 61).unwrap();
         assert!((a.snm1 - b.snm0).abs() < 0.01, "{a:?} vs {b:?}");
         assert!((a.snm0 - b.snm1).abs() < 0.01);
-    }
-
-    #[test]
-    fn read_snm_is_smaller_than_hold_snm() {
-        // The textbook relation: asserting the word line degrades the
-        // low node through the pass transistor, shrinking the eye.
-        let inst = CellInstance::symmetric(PvtCondition::nominal());
-        let hold = snm_ds(&inst, 1.1, 61).unwrap();
-        let read = snm_read(&inst, 1.1, 61).unwrap();
-        assert!(read.is_bistable(), "cell must still be readable: {read:?}");
-        assert!(
-            read.min() < 0.8 * hold.min(),
-            "read SNM {} should be well below hold SNM {}",
-            read.min(),
-            hold.min()
-        );
     }
 
     #[test]

@@ -12,17 +12,6 @@ use anasim::{Netlist, NodeId, SourceId};
 
 use crate::cell::{CellInstance, CellTransistor};
 
-/// Bias configuration of the broken-loop netlist.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CellMode {
-    /// Deep-sleep retention: WL and BLs grounded (the paper's SNM_DS).
-    Retention,
-    /// Read access: WL at the cell supply, BLs precharged to it — the
-    /// classic read-SNM configuration where the pass transistor fights
-    /// the pull-down.
-    Read,
-}
-
 /// Which half of the cell a broken-loop netlist represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellInverter {
@@ -133,19 +122,6 @@ impl InverterCircuit {
     ///
     /// Propagates netlist construction failures (invalid model cards).
     pub fn new(instance: &CellInstance, inverter: CellInverter) -> Result<Self, anasim::Error> {
-        Self::with_mode(instance, inverter, CellMode::Retention)
-    }
-
-    /// Builds the broken-loop netlist in an explicit bias mode.
-    ///
-    /// # Errors
-    ///
-    /// Propagates netlist construction failures (invalid model cards).
-    pub fn with_mode(
-        instance: &CellInstance,
-        inverter: CellInverter,
-        mode: CellMode,
-    ) -> Result<Self, anasim::Error> {
         let mut nl = Netlist::new();
         let vddc = nl.node("vddc");
         let input = nl.node("in");
@@ -154,17 +130,8 @@ impl InverterCircuit {
         let bl = nl.node("bl");
         let supply = nl.vsource("VDDC", vddc, Netlist::GND, 0.0);
         let vin = nl.vsource("VIN", input, Netlist::GND, 0.0);
-        match mode {
-            CellMode::Retention => {
-                nl.vsource("VWL", wl, Netlist::GND, 0.0);
-                nl.vsource("VBL", bl, Netlist::GND, 0.0);
-            }
-            CellMode::Read => {
-                // WL and BL track the cell supply (precharge-high read).
-                nl.resistor("Rwl_tie", vddc, wl, 1.0).map(|_| ())?;
-                nl.resistor("Rbl_tie", vddc, bl, 1.0).map(|_| ())?;
-            }
-        }
+        nl.vsource("VWL", wl, Netlist::GND, 0.0);
+        nl.vsource("VBL", bl, Netlist::GND, 0.0);
         let (pu, pd, pass) = match inverter {
             CellInverter::DrivesS => (
                 instance.card(CellTransistor::MPcc1),

@@ -407,31 +407,6 @@ fn array_location_roundtrip() {
 }
 
 #[test]
-fn complex_field_axioms() {
-    use lp_sram_suite::anasim::complex::Complex;
-    property(
-        "complex_field_axioms",
-        256,
-        |rng| std::array::from_fn::<f64, 4, _>(|_| uniform(rng, -10.0, 10.0)),
-        |&[ar, ai, br, bi]| {
-            let a = Complex::new(ar, ai);
-            let b = Complex::new(br, bi);
-            ensure!(((a * b) - (b * a)).abs() < 1e-12, "ab ≠ ba");
-            ensure!(((a + b) - (b + a)).abs() < 1e-12, "a+b ≠ b+a");
-            ensure!(
-                ((a * b).abs() - a.abs() * b.abs()).abs() < 1e-9,
-                "|ab| ≠ |a||b|"
-            );
-            // Division inverts multiplication (away from zero).
-            if b.abs() > 1e-6 {
-                ensure!(((a * b) / b - a).abs() < 1e-9, "(ab)/b ≠ a");
-            }
-            Ok(())
-        },
-    );
-}
-
-#[test]
 fn saturating_sigma_conversion_is_odd_and_bounded() {
     use lp_sram_suite::process::{Sigma, VariationModel};
     property(
