@@ -208,7 +208,7 @@ mod tests {
         let dc = DcAnalysis::new();
         let cold = dc.operating_point(&nl).unwrap();
         let warm = dc.operating_point_from(&nl, cold.raw()).unwrap();
-        assert!(warm.iterations <= cold.iterations);
+        assert!(warm.stats.iterations <= cold.stats.iterations);
         assert!((warm.voltage(out) - cold.voltage(out)).abs() < 1e-6);
     }
 }

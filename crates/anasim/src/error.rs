@@ -17,8 +17,9 @@ pub enum Error {
     DuplicateDevice(String),
     /// A lookup referred to a device name that does not exist.
     UnknownDevice(String),
-    /// The MNA matrix is singular (typically a floating node or a loop of
-    /// ideal voltage sources).
+    /// The MNA matrix is singular on every rung of the rescue ladder
+    /// (typically a loop of ideal voltage sources, which no gmin shunt
+    /// regularizes).
     SingularMatrix {
         /// Row index at which elimination found no usable pivot.
         pivot_row: usize,
@@ -116,7 +117,8 @@ impl fmt::Display for Error {
                 Some(name) => write!(
                     f,
                     "singular MNA matrix (no pivot at row {pivot_row}); \
-                     almost always a floating node; check {name}"
+                     typically a loop of voltage sources, else a floating \
+                     node; check {name}"
                 ),
                 None => write!(f, "singular MNA matrix (no pivot at row {pivot_row})"),
             },
@@ -223,7 +225,7 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("row 4"));
         assert!(s.contains("vreg"));
-        assert!(s.contains("floating node"));
+        assert!(s.contains("loop of voltage sources"));
         let bare = Error::SingularMatrix {
             pivot_row: 4,
             unknown: None,

@@ -28,7 +28,7 @@
 //! from one scan of the matrix for callers without a plan
 //! ([`LuWorkspace::factor_from`]).
 //!
-//! Pivot choice, the [`REL_PIVOT_TOL`] rejection and every operation
+//! Pivot choice, the `REL_PIVOT_TOL` rejection and every operation
 //! that is kept are those of the dense algorithm, so what is skipped is
 //! `a − f·0` in elimination and `s − 0·x` in the solves, and the
 //! comparisons of ±0 entries in the pivot search and the row-max scan.
@@ -436,7 +436,7 @@ impl LuWorkspace {
     /// # Errors
     ///
     /// Returns [`Error::SingularMatrix`] when some column's best pivot
-    /// is negligible relative to its own row (see [`REL_PIVOT_TOL`]),
+    /// is negligible relative to its own row (see `REL_PIVOT_TOL`),
     /// which for MNA systems almost always means a floating node.
     pub fn factor_from(&mut self, a: &DenseMatrix) -> Result<(), Error> {
         self.copy_matrix(a);

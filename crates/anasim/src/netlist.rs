@@ -263,7 +263,7 @@ impl Netlist {
     }
 
     /// Human-readable label of MNA unknown `i`: the node name for a
-    /// voltage unknown, or `branch current of \`<device>\`` for an
+    /// voltage unknown, or ``branch current of `<device>` `` for an
     /// auxiliary branch. Falls back to `unknown #<i>` when `i` is out of
     /// range (e.g. a label requested for a foreign system).
     pub fn unknown_label(&self, i: usize) -> String {

@@ -19,10 +19,6 @@ pub struct NewtonOptions {
     /// iteration (volts). Large steps out of the EKV exponential region
     /// are what this guards against.
     pub max_step: f64,
-    /// Enable the gmin-stepping fallback ladder.
-    pub gmin_stepping: bool,
-    /// Enable the source-stepping fallback ladder.
-    pub source_stepping: bool,
 }
 
 impl Default for NewtonOptions {
@@ -32,20 +28,6 @@ impl Default for NewtonOptions {
             vntol: 1.0e-9,
             reltol: 2.0e-4,
             max_step: 0.3,
-            gmin_stepping: true,
-            source_stepping: true,
-        }
-    }
-}
-
-impl NewtonOptions {
-    /// Options with both continuation fallbacks disabled, to quantify
-    /// what continuation buys (DESIGN §5).
-    pub fn plain() -> Self {
-        NewtonOptions {
-            gmin_stepping: false,
-            source_stepping: false,
-            ..Self::default()
         }
     }
 }
@@ -54,10 +36,9 @@ impl NewtonOptions {
 ///
 /// Ordered from cheapest to most desperate: comparing two stages with
 /// `<`/`max` answers "which run needed the heavier rescue".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RescueStage {
     /// Plain Newton from the provided starting point.
-    #[default]
     Plain,
     /// The gmin-stepping continuation ladder.
     GminStepping,
@@ -105,47 +86,18 @@ impl std::fmt::Display for RescueStage {
     }
 }
 
-/// Telemetry for one solve (or one retry ladder of solves).
-///
-/// Campaign executors aggregate these to report how hard the solver had
-/// to work — and which rescue tier, if any, saved each operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// Telemetry for one solve: how hard the solver had to work, and which
+/// rescue tier, if any, saved the operating point.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverStats {
     /// Newton iterations run across all continuation stages and retry
     /// attempts, including those of stages and attempts that failed.
     pub iterations: usize,
-    /// Continuation stages attempted before convergence (1 = plain
-    /// Newton sufficed).
-    pub stages: usize,
     /// Whole-solve retries taken by the [`solve_with_retry`]
     /// escalation (0 = the first attempt converged).
     pub retries: usize,
     /// The continuation stage that produced the accepted solution.
     pub rescued_by: RescueStage,
-    /// Largest iteration count any single absorbed solve needed. For a
-    /// lone solve this equals [`iterations`](SolverStats::iterations);
-    /// after a transient run it is the cost of the worst time step,
-    /// which the summed `iterations` can no longer show.
-    pub max_iterations: usize,
-    /// Deepest rescue ladder (continuation stage count) any single
-    /// absorbed solve reached. 1 = plain Newton sufficed everywhere.
-    pub rescue_depth: usize,
-}
-
-impl SolverStats {
-    /// Folds another solve's telemetry into this one (used by
-    /// transient analyses, which run one solve per time step).
-    /// Sums iterations/stages/retries; takes the worst-case
-    /// `max_iterations`, `rescue_depth` and `rescued_by`. The default
-    /// (empty) stats value is the identity of this fold.
-    pub fn absorb(&mut self, other: &SolverStats) {
-        self.iterations += other.iterations;
-        self.stages += other.stages;
-        self.retries += other.retries;
-        self.rescued_by = self.rescued_by.max(other.rescued_by);
-        self.max_iterations = self.max_iterations.max(other.max_iterations);
-        self.rescue_depth = self.rescue_depth.max(other.rescue_depth);
-    }
 }
 
 /// A converged solution of one analysis point.
@@ -153,40 +105,12 @@ impl SolverStats {
 pub struct Solution {
     x: Vec<f64>,
     node_unknowns: usize,
-    /// Newton iterations run across all continuation stages, failed
-    /// ones included (equal to `stats.iterations`).
-    pub iterations: usize,
-    /// How the solver got here: iterations, stages, retries, and the
-    /// rescue tier that produced the accepted answer.
+    /// How the solver got here: iterations, retries, and the rescue
+    /// tier that produced the accepted answer.
     pub stats: SolverStats,
 }
 
 impl Solution {
-    pub(crate) fn new(x: Vec<f64>, node_unknowns: usize, iterations: usize) -> Self {
-        Solution {
-            x,
-            node_unknowns,
-            iterations,
-            stats: SolverStats {
-                iterations,
-                stages: 1,
-                retries: 0,
-                rescued_by: RescueStage::Plain,
-                max_iterations: iterations,
-                rescue_depth: 1,
-            },
-        }
-    }
-
-    /// Tags the solution with which continuation stage rescued it and
-    /// how many stages were attempted along the way.
-    pub(crate) fn rescued(mut self, stage: RescueStage, stages: usize) -> Self {
-        self.stats.rescued_by = stage;
-        self.stats.stages = stages;
-        self.stats.rescue_depth = stages;
-        self
-    }
-
     /// Voltage at `node` (0 for ground).
     ///
     /// # Panics
@@ -235,14 +159,11 @@ impl Solution {
     }
 }
 
-/// Outcome of a single Newton ladder stage. `Converged` leaves the
-/// accepted iterate in the scratch's `x` buffer. `Singular` carries
-/// the pivot row at which elimination failed so the final error can
-/// name the offending unknown. Every variant has added the iterations
-/// the stage ran to the scratch's count.
-enum StageOutcome {
-    Converged,
-    Failed { residual: f64 },
+/// Why a Newton ladder stage gave up. `Singular` carries the pivot row
+/// at which elimination failed so the final error can name the
+/// offending unknown.
+enum StageFailure {
+    NoConvergence { residual: f64 },
     Singular(usize),
 }
 
@@ -261,7 +182,7 @@ fn newton_stage(
     source_scale: f64,
     mode: AnalysisMode<'_>,
     partitioned: bool,
-) -> StageOutcome {
+) -> Result<(), StageFailure> {
     // Field-level destructuring gives the loop disjoint borrows of
     // every buffer without moving anything out of the scratch.
     let SolveScratch {
@@ -307,10 +228,10 @@ fn newton_stage(
             // lookup, reduced interface solve, back-substitution. The
             // surrounding damping/convergence logic is shared.
             if let Err(e) = schur.step(netlist, x, gmin, source_scale, x_new, counters) {
-                return match e {
-                    Error::SingularMatrix { pivot_row, .. } => StageOutcome::Singular(pivot_row),
-                    _ => StageOutcome::Singular(0),
-                };
+                return Err(match e {
+                    Error::SingularMatrix { pivot_row, .. } => StageFailure::Singular(pivot_row),
+                    _ => StageFailure::Singular(0),
+                });
             }
         } else {
             // Only the monolithic path reads the stamp plan; the
@@ -329,10 +250,10 @@ fn newton_stage(
                 lu.factor_planned(matrix, structure)
             };
             if let Err(e) = factored {
-                return match e {
-                    Error::SingularMatrix { pivot_row, .. } => StageOutcome::Singular(pivot_row),
-                    _ => StageOutcome::Singular(0),
-                };
+                return Err(match e {
+                    Error::SingularMatrix { pivot_row, .. } => StageFailure::Singular(pivot_row),
+                    _ => StageFailure::Singular(0),
+                });
             }
             if use_sparse {
                 sparse.solve_into(rhs, x_new);
@@ -363,15 +284,15 @@ fn newton_stage(
         // would otherwise be accepted as converged. It fails the stage
         // instead, and the rescue ladder takes over.
         if !finite {
-            return StageOutcome::Failed {
+            return Err(StageFailure::NoConvergence {
                 residual: f64::INFINITY,
-            };
+            });
         }
         if converged {
             // The accepted answer is the undamped proposal; swap it
             // into the iterate slot for the caller.
             std::mem::swap(x, x_new);
-            return StageOutcome::Converged;
+            return Ok(());
         }
         if damp {
             // Oscillation detection: cosine of the angle between the
@@ -404,20 +325,45 @@ fn newton_stage(
         }
         last_delta = max_delta;
     }
-    StageOutcome::Failed {
+    Err(StageFailure::NoConvergence {
         residual: last_delta,
+    })
+}
+
+/// A gmin-stepping ladder from a zero iterate: converge under a shunt
+/// of 10 mS on every node, then under each tenfold smaller shunt down
+/// to 1 pS, each rung starting from the previous rung's answer, and
+/// finally with no shunt. True when every rung converged, leaving the
+/// gmin-free answer in `scratch.x`.
+fn gmin_ladder(
+    netlist: &Netlist,
+    opts: &NewtonOptions,
+    scratch: &mut SolveScratch,
+    mode: AnalysisMode<'_>,
+    partitioned: bool,
+) -> bool {
+    scratch.x.iter_mut().for_each(|v| *v = 0.0);
+    let mut gmin = 1.0e-2;
+    while gmin > 1.0e-13 {
+        if newton_stage(netlist, opts, scratch, gmin, 1.0, mode, partitioned).is_err() {
+            return false;
+        }
+        gmin /= 10.0;
     }
+    newton_stage(netlist, opts, scratch, 0.0, 1.0, mode, partitioned).is_ok()
 }
 
 /// Solves the netlist at the given analysis mode, starting from `x0`
-/// (zeros when `None`), escalating through gmin and source stepping if
-/// plain Newton fails.
+/// (zeros when `None`), escalating through the continuation stages
+/// (gmin stepping, source stepping, damped restarts, a gmin-regularized
+/// accept) if plain Newton fails.
 ///
 /// # Errors
 ///
-/// [`Error::NoConvergence`] when every strategy fails;
-/// [`Error::SingularMatrix`] when the topology itself is unsolvable
-/// (floating nodes).
+/// When no stage converges, the plain stage's failure:
+/// [`Error::NoConvergence`], or [`Error::SingularMatrix`] when the
+/// topology itself is unsolvable (a loop of voltage sources, which no
+/// node shunt regularizes).
 pub fn solve(
     netlist: &Netlist,
     opts: &NewtonOptions,
@@ -499,187 +445,117 @@ fn solve_impl(
     }
     scratch.iterations = 0;
     // The converged iterate, charged every iteration this solve ran.
-    let accept = |scratch: &SolveScratch, stage: RescueStage, stages: usize| {
-        Solution::new(scratch.x.clone(), node_unknowns, scratch.iterations).rescued(stage, stages)
+    let accept = |scratch: &SolveScratch, stage: RescueStage| Solution {
+        x: scratch.x.clone(),
+        node_unknowns,
+        stats: SolverStats {
+            iterations: scratch.iterations,
+            retries: 0,
+            rescued_by: stage,
+        },
     };
 
-    let mut stages_tried = 1usize;
-
-    // Stage 1: plain Newton from the provided start.
+    // Stage 1: plain Newton from the provided start. A singular
+    // Jacobian here may come from fully-off device stacks, which the
+    // gmin rungs regularize, so every failure goes on to the rescue
+    // stages; if none converges, this failure is the one reported.
     obs::flight_set_stage(RescueStage::Plain.label());
     scratch.load_start();
-    match newton_stage(netlist, opts, scratch, 0.0, 1.0, mode, partitioned) {
-        StageOutcome::Converged => return Ok(accept(scratch, RescueStage::Plain, stages_tried)),
-        StageOutcome::Failed { .. } => {}
-        StageOutcome::Singular(_) => {
-            // Give continuation a chance: gmin regularizes singular
-            // Jacobians caused by fully-off device stacks.
-        }
+    let Err(plain) = newton_stage(netlist, opts, scratch, 0.0, 1.0, mode, partitioned) else {
+        return Ok(accept(scratch, RescueStage::Plain));
+    };
+
+    // Stage 2: gmin stepping.
+    obs::flight_set_stage(RescueStage::GminStepping.label());
+    if gmin_ladder(netlist, opts, scratch, mode, partitioned) {
+        return Ok(accept(scratch, RescueStage::GminStepping));
     }
 
-    // Stage 2: gmin stepping. Each rung continues from the previous
-    // rung's converged iterate, already sitting in the scratch.
-    if opts.gmin_stepping {
-        stages_tried += 1;
-        obs::flight_set_stage(RescueStage::GminStepping.label());
-        scratch.x.iter_mut().for_each(|v| *v = 0.0);
-        let mut ok = true;
-        let mut gmin = 1.0e-2;
-        while gmin > 1.0e-13 {
-            if !matches!(
-                newton_stage(netlist, opts, scratch, gmin, 1.0, mode, partitioned),
-                StageOutcome::Converged
-            ) {
-                ok = false;
-                break;
-            }
-            gmin /= 10.0;
-        }
-        if ok {
-            if let StageOutcome::Converged =
-                newton_stage(netlist, opts, scratch, 0.0, 1.0, mode, partitioned)
-            {
-                return Ok(accept(scratch, RescueStage::GminStepping, stages_tried));
-            }
-        }
-    }
-
-    // Stage 3: source stepping.
-    if opts.source_stepping {
-        stages_tried += 1;
-        obs::flight_set_stage(RescueStage::SourceStepping.label());
-        scratch.x.iter_mut().for_each(|v| *v = 0.0);
-        let mut ok = true;
-        for step in 1..=20 {
-            let scale = step as f64 / 20.0;
-            if !matches!(
-                newton_stage(netlist, opts, scratch, 0.0, scale, mode, partitioned),
-                StageOutcome::Converged
-            ) {
-                ok = false;
-                break;
-            }
-        }
-        if ok {
-            return Ok(accept(scratch, RescueStage::SourceStepping, stages_tried));
-        }
+    // Stage 3: source stepping, each step starting from the last.
+    obs::flight_set_stage(RescueStage::SourceStepping.label());
+    scratch.x.iter_mut().for_each(|v| *v = 0.0);
+    let stepped = (1..=20).all(|step| {
+        let scale = step as f64 / 20.0;
+        newton_stage(netlist, opts, scratch, 0.0, scale, mode, partitioned).is_ok()
+    });
+    if stepped {
+        return Ok(accept(scratch, RescueStage::SourceStepping));
     }
 
     // Stage 3.5: heavily damped iteration from the caller's warm start
     // (when one was provided, it is near the solution; tiny steps keep
     // the iterate inside the basin).
-    if x0.is_some() && opts.gmin_stepping {
-        stages_tried += 1;
+    let damped = NewtonOptions {
+        max_step: 0.01,
+        max_iterations: 2000,
+        ..*opts
+    };
+    if x0.is_some() {
         obs::flight_set_stage(RescueStage::DampedWarmStart.label());
-        let damped = NewtonOptions {
-            max_step: 0.01,
-            max_iterations: 2000,
-            ..*opts
-        };
         scratch.load_start();
-        if let StageOutcome::Converged =
-            newton_stage(netlist, &damped, scratch, 0.0, 1.0, mode, partitioned)
-        {
-            return Ok(accept(scratch, RescueStage::DampedWarmStart, stages_tried));
+        if newton_stage(netlist, &damped, scratch, 0.0, 1.0, mode, partitioned).is_ok() {
+            return Ok(accept(scratch, RescueStage::DampedWarmStart));
         }
     }
 
     // Stage 4: heavily damped gmin ladder — slow, but settles the
     // two-branch oscillations that starved-amplifier operating points
     // can provoke in the plain iteration.
-    if opts.gmin_stepping {
-        stages_tried += 1;
-        obs::flight_set_stage(RescueStage::DampedGmin.label());
-        let damped = NewtonOptions {
-            max_step: 0.01,
-            max_iterations: 2000,
-            ..*opts
-        };
-        scratch.x.iter_mut().for_each(|v| *v = 0.0);
-        let mut ok = true;
-        let mut gmin = 1.0e-2;
-        while gmin > 1.0e-13 {
-            if !matches!(
-                newton_stage(netlist, &damped, scratch, gmin, 1.0, mode, partitioned),
-                StageOutcome::Converged
-            ) {
-                ok = false;
-                break;
-            }
-            gmin /= 10.0;
-        }
-        if ok {
-            if let StageOutcome::Converged =
-                newton_stage(netlist, &damped, scratch, 0.0, 1.0, mode, partitioned)
-            {
-                return Ok(accept(scratch, RescueStage::DampedGmin, stages_tried));
-            }
-        }
+    obs::flight_set_stage(RescueStage::DampedGmin.label());
+    if gmin_ladder(netlist, &damped, scratch, mode, partitioned) {
+        return Ok(accept(scratch, RescueStage::DampedGmin));
     }
 
     // Stage 5: accept a gmin-regularized solution. A permanent 1 nS
     // shunt per node perturbs microamp-scale circuits by ~0.1 % — far
     // below the tolerances of any analysis in this suite — and gives
     // pathological off-state operating points a well-defined answer.
-    if opts.gmin_stepping {
-        stages_tried += 1;
-        obs::flight_set_stage(RescueStage::GminRegularized.label());
-        let damped = NewtonOptions {
-            max_step: 0.05,
-            max_iterations: 1000,
-            ..*opts
-        };
-        scratch.best.iter_mut().for_each(|v| *v = 0.0);
-        let mut gmin = 1.0e-2;
-        while gmin > 1.5e-9 {
-            // A failed rung is not fatal: keep the best iterate so far
-            // and let the next rung (or the final accept) retry.
-            scratch.x.copy_from_slice(&scratch.best);
-            if let StageOutcome::Converged =
-                newton_stage(netlist, &damped, scratch, gmin, 1.0, mode, partitioned)
-            {
-                scratch.best.copy_from_slice(&scratch.x);
-            }
-            gmin /= 10.0;
-        }
-        let final_damped = NewtonOptions {
-            max_step: 0.005,
-            max_iterations: 4000,
-            ..*opts
-        };
+    obs::flight_set_stage(RescueStage::GminRegularized.label());
+    let rung = NewtonOptions {
+        max_step: 0.05,
+        max_iterations: 1000,
+        ..*opts
+    };
+    scratch.best.iter_mut().for_each(|v| *v = 0.0);
+    let mut gmin = 1.0e-2;
+    while gmin > 1.5e-9 {
+        // A failed rung is not fatal: keep the best iterate so far
+        // and let the next rung (or the final accept) retry.
         scratch.x.copy_from_slice(&scratch.best);
-        if let StageOutcome::Converged = newton_stage(
-            netlist,
-            &final_damped,
-            scratch,
-            1.0e-9,
-            1.0,
-            mode,
-            partitioned,
-        ) {
-            return Ok(accept(scratch, RescueStage::GminRegularized, stages_tried));
+        if newton_stage(netlist, &rung, scratch, gmin, 1.0, mode, partitioned).is_ok() {
+            scratch.best.copy_from_slice(&scratch.x);
         }
+        gmin /= 10.0;
+    }
+    // The accepted answer keeps the 1 nS shunt, settled under the
+    // tightest damping.
+    let settle = NewtonOptions {
+        max_step: 0.005,
+        max_iterations: 4000,
+        ..*opts
+    };
+    scratch.x.copy_from_slice(&scratch.best);
+    if newton_stage(netlist, &settle, scratch, 1.0e-9, 1.0, mode, partitioned).is_ok() {
+        return Ok(accept(scratch, RescueStage::GminRegularized));
     }
 
-    // Report failure with diagnostics from a final plain attempt.
-    obs::flight_set_stage(RescueStage::Plain.label());
-    scratch.load_start();
-    match newton_stage(netlist, opts, scratch, 0.0, 1.0, mode, partitioned) {
-        StageOutcome::Singular(row) => Err(Error::SingularMatrix {
+    // No stage converged: the attempt fails with its plain stage's
+    // outcome, charged every iteration the attempt ran.
+    Err(match plain {
+        StageFailure::Singular(row) => Error::SingularMatrix {
             pivot_row: row,
             unknown: Some(netlist.unknown_label(row)),
-        }),
-        StageOutcome::Failed { residual, .. } => Err(Error::NoConvergence {
+        },
+        StageFailure::NoConvergence { residual } => Error::NoConvergence {
             iterations: scratch.iterations,
             residual,
-        }),
-        StageOutcome::Converged => Ok(accept(scratch, RescueStage::Plain, stages_tried)),
-    }
+        },
+    })
 }
 
 /// Whole-solve attempts [`solve_with_retry`] makes on a
 /// [retryable](Error::is_retryable) failure before surfacing it.
-pub const SOLVE_ATTEMPTS: usize = 5;
+pub const SOLVE_ATTEMPTS: usize = 4;
 
 /// The options of retry attempt `attempt` (0-based), derived from the
 /// caller's `base` options by the schedule [`solve_with_retry`]
@@ -695,10 +571,6 @@ fn options_for_attempt(base: &NewtonOptions, attempt: usize) -> NewtonOptions {
     if attempt >= 3 {
         opts.reltol *= 10.0;
     }
-    if attempt >= 4 {
-        opts.gmin_stepping = true;
-        opts.source_stepping = true;
-    }
     opts
 }
 
@@ -709,11 +581,10 @@ fn options_for_attempt(base: &NewtonOptions, attempt: usize) -> NewtonOptions {
 /// 2. twice the iteration cap;
 /// 3. additionally half the `max_step` clamp (tighter damping tames
 ///    oscillating iterates);
-/// 4. additionally ten times the relative tolerance;
-/// 5. additionally both continuation ladders forced on.
+/// 4. additionally ten times the relative tolerance.
 ///
 /// Retries only on [retryable](Error::is_retryable) errors; structural
-/// failures (floating nodes, invalid devices) surface immediately. The
+/// failures (invalid devices, bad time axes) surface immediately. The
 /// schedule trades accuracy for completion *only* on points that would
 /// otherwise produce no answer at all: a point that converges on the
 /// first attempt is bit-identical to a plain [`solve`]. The returned
@@ -764,7 +635,6 @@ pub fn solve_with_retry_in(
     scratch: &mut SolveScratch,
 ) -> Result<Solution, Error> {
     let mut iters_burned = 0usize;
-    let mut stages_burned = 0usize;
     for attempt in 0..SOLVE_ATTEMPTS {
         obs::flight_set_attempt(attempt as u16);
         let attempt_opts = options_for_attempt(opts, attempt);
@@ -774,9 +644,6 @@ pub fn solve_with_retry_in(
             Ok(mut sol) => {
                 sol.stats.retries = attempt;
                 sol.stats.iterations += iters_burned;
-                sol.stats.stages += stages_burned;
-                sol.iterations = sol.stats.iterations;
-                sol.stats.max_iterations = sol.stats.iterations;
                 obs::counter_add("anasim.solve.count", 1);
                 obs::counter_add(sol.stats.rescued_by.counter_key(), 1);
                 obs::hist_record("anasim.solve.iterations", sol.stats.iterations as f64);
@@ -787,7 +654,6 @@ pub fn solve_with_retry_in(
             Err(e) if e.is_retryable() && attempt + 1 < SOLVE_ATTEMPTS => {
                 // Failed attempts ran the whole continuation ladder.
                 iters_burned += scratch.iterations;
-                stages_burned += 1;
             }
             Err(mut e) => {
                 // A failed solve still charges every iteration its
@@ -824,7 +690,7 @@ mod tests {
             .expect("valid resistance, unique name");
         let sol = solve(&nl, &NewtonOptions::default(), None, AnalysisMode::Dc)
             .expect("linear divider always solves");
-        assert!(sol.iterations <= 2, "iterations = {}", sol.iterations);
+        assert!(sol.stats.iterations <= 2, "{:?}", sol.stats);
         assert!((sol.voltage(a) - 1.0).abs() < 1e-12);
     }
 
@@ -850,43 +716,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn floating_node_reports_singular() {
-        let mut nl = Netlist::new();
-        let a = nl.node("a");
-        let b = nl.node("b");
-        nl.vsource("V", a, Netlist::GND, 1.0);
-        nl.resistor("R", a, Netlist::GND, 1.0e3)
-            .expect("valid resistance, unique name");
-        // b touches only one resistor terminal pair to itself: make it
-        // genuinely floating by never connecting it.
-        let _ = b;
-        // A node with no devices at all does not enter the system unless
-        // declared; manufacture a true singular case with two series
-        // current sources instead.
-        let mut nl2 = Netlist::new();
-        let c = nl2.node("c");
-        nl2.isource("I1", Netlist::GND, c, 1e-3);
-        // Node c has no DC path to ground.
-        let r = solve(&nl2, &NewtonOptions::plain(), None, AnalysisMode::Dc);
-        assert!(r.is_err());
-    }
-
-    /// A resistor chain from a 1 V source to ground with one device-free
-    /// node, `floating`, halfway along: `chain` chain nodes, the
-    /// floating node and the source branch make `chain + 2` unknowns.
-    fn chain_with_floating_node(chain: usize) -> Netlist {
+    /// A resistor chain from a 1 V source to ground with two parallel
+    /// voltage sources, `Vloop` and `Vloop2`, from its midpoint to
+    /// ground: `chain` chain nodes and three source branches make
+    /// `chain + 3` unknowns. The two loop branches are linearly
+    /// dependent on every rung of the rescue ladder (gmin shunts only
+    /// node diagonals, source stepping scales both sources alike), so
+    /// every stage meets a singular matrix.
+    fn chain_with_source_loop(chain: usize) -> Netlist {
         let mut nl = Netlist::new();
         let top = nl.node("c0");
         nl.vsource("V", top, Netlist::GND, 1.0);
         let mut prev = top;
         for i in 1..chain {
-            if i == chain / 2 {
-                nl.node("floating");
-            }
             let node = nl.node(&format!("c{i}"));
             nl.resistor(&format!("R{i}"), prev, node, 1.0e3)
                 .expect("valid resistance, unique name");
+            if i == chain / 2 {
+                nl.vsource("Vloop", node, Netlist::GND, 0.5);
+                nl.vsource("Vloop2", node, Netlist::GND, 0.5);
+            }
             prev = node;
         }
         nl.resistor("Rend", prev, Netlist::GND, 1.0e3)
@@ -895,32 +744,33 @@ mod tests {
     }
 
     #[test]
-    fn singular_solve_names_the_floating_node_on_both_backends() {
-        // 23 unknowns factor densely, 203 through the sparse backend,
-        // whose RCM order puts the floating column last; both must name
-        // the floating node, not whatever unknown shares its position.
-        for (chain, sparse) in [(21, false), (201, true)] {
-            let nl = chain_with_floating_node(chain);
-            assert_eq!(nl.num_unknowns(), chain + 2);
-            let floating = nl.find_node("floating").expect("declared").index() - 1;
+    fn singular_solve_names_the_dependent_branch_on_both_backends() {
+        // 24 unknowns factor densely, 204 through the sparse backend,
+        // whose RCM order permutes the columns; both must report the
+        // global index of the branch that lost its pivot, and name it.
+        for (chain, sparse, source) in [(21, false, "Vloop2"), (201, true, "Vloop")] {
+            let nl = chain_with_source_loop(chain);
+            assert_eq!(nl.num_unknowns(), chain + 3);
+            let branch = nl.branch_unknown(source).expect("sources carry a branch");
             let mut scratch = SolveScratch::new();
             let err = solve_with_scratch(
                 &nl,
-                &NewtonOptions::plain(),
+                &NewtonOptions::default(),
                 None,
                 AnalysisMode::Dc,
                 &mut scratch,
             )
-            .expect_err("a device-free node is singular");
+            .expect_err("a voltage-source loop is singular");
             assert_eq!(scratch.sparse_lu_nnz().is_some(), sparse, "{err}");
+            let label = format!("branch current of `{source}`");
             match &err {
                 Error::SingularMatrix { pivot_row, unknown } => {
-                    assert_eq!(*pivot_row, floating, "{err}");
-                    assert_eq!(unknown.as_deref(), Some("node `floating`"), "{err}");
+                    assert_eq!(*pivot_row, branch, "{err}");
+                    assert_eq!(unknown.as_deref(), Some(label.as_str()), "{err}");
                 }
                 other => panic!("expected SingularMatrix, got {other}"),
             }
-            assert!(err.to_string().contains("check node `floating`"), "{err}");
+            assert!(err.to_string().contains(&format!("check {label}")), "{err}");
         }
     }
 
@@ -962,7 +812,7 @@ mod tests {
 
     /// A CMOS inverter biased at its switching threshold: the
     /// high-gain transition region makes undamped iterates overshoot,
-    /// so a tightly budgeted plain Newton (no continuation) fails.
+    /// so plain Newton on a tight iteration budget fails.
     fn threshold_inverter() -> (Netlist, crate::netlist::NodeId) {
         let mut nl = Netlist::new();
         let vdd = nl.node("vdd");
@@ -984,87 +834,48 @@ mod tests {
     }
 
     #[test]
-    fn retry_ladder_rescues_plain_newton_failure() {
-        let (nl, out) = threshold_inverter();
-        // Starved iteration budget and no continuation: plain Newton
-        // cannot settle the transition region.
-        let opts = NewtonOptions {
-            max_iterations: 3,
-            ..NewtonOptions::plain()
-        };
-        let plain = solve(&nl, &opts, None, AnalysisMode::Dc);
-        assert!(
-            plain.is_err(),
-            "expected the starved plain solve to fail, got {plain:?}"
-        );
-        assert!(plain.expect_err("checked is_err above").is_retryable());
-
-        // The escalation ladder rescues the same point from the same
-        // options: more iterations, then tighter damping, then forced
-        // continuation.
-        let sol = solve_with_retry(&nl, &opts, None, AnalysisMode::Dc)
-            .expect("escalation ladder must rescue the point");
-        assert!(sol.stats.retries > 0, "stats: {:?}", sol.stats);
-        let v = sol.voltage(out);
-        assert!((0.0..=1.1).contains(&v), "inverter output {v}");
-    }
-
-    #[test]
-    fn iterations_count_failed_stages_and_attempts() {
+    fn iterations_count_failed_stages() {
         // The flight recorder samples every iteration that reaches the
         // convergence check, apart from the solver's own accounting.
-        // Neither solve below meets a singular matrix, so the two
-        // counts must agree, failed stages and attempts included.
+        // The solve below meets no singular matrix, so the two counts
+        // must agree, the failed plain stage included.
         let (nl, _) = threshold_inverter();
-        let sampled = |run: &dyn Fn() -> Result<Solution, Error>| {
-            obs::flight_enable(obs::DEFAULT_CAPACITY);
-            obs::flight_begin();
-            let sol = run().expect("the point is rescued");
-            let trajectory = obs::flight_take().expect("the recorder saw the solve");
-            obs::flight_disable();
-            (sol, trajectory.recorded)
-        };
-
+        obs::flight_enable(obs::DEFAULT_CAPACITY);
+        obs::flight_begin();
         // Plain Newton runs out of iterations; gmin stepping rescues.
         let starved = NewtonOptions {
             max_iterations: 6,
             ..NewtonOptions::default()
         };
-        let (sol, recorded) = sampled(&|| solve(&nl, &starved, None, AnalysisMode::Dc));
+        let sol = solve(&nl, &starved, None, AnalysisMode::Dc).expect("the point is rescued");
+        let trajectory = obs::flight_take().expect("the recorder saw the solve");
+        obs::flight_disable();
         assert_eq!(sol.stats.rescued_by, RescueStage::GminStepping);
-        assert_eq!(sol.stats.iterations as u64, recorded, "{:?}", sol.stats);
-
-        // Without continuation, four attempts fail before the last
-        // one, which forces the ladders on, rescues the point.
-        let plain = NewtonOptions {
-            max_iterations: 3,
-            ..NewtonOptions::plain()
-        };
-        let (sol, recorded) = sampled(&|| solve_with_retry(&nl, &plain, None, AnalysisMode::Dc));
-        assert_eq!(sol.stats.retries, 4);
-        assert_eq!(sol.stats.iterations as u64, recorded, "{:?}", sol.stats);
-        assert_eq!(sol.iterations, sol.stats.iterations);
+        assert_eq!(
+            sol.stats.iterations as u64, trajectory.recorded,
+            "{:?}",
+            sol.stats
+        );
     }
 
     #[test]
-    fn forced_continuation_rung_regularizes_singular_circuits() {
+    fn regularized_rung_pins_a_floating_node() {
         // A node with no DC path to ground is singular under plain
-        // Newton at every budget; only the final rung — which forces
-        // the continuation ladders on — reaches the gmin-regularized
-        // accept and yields a (shunt-defined) answer.
+        // Newton and at the gmin-free end of every ladder; the final
+        // rung keeps its 1 nS shunt and yields a (shunt-defined)
+        // answer on the first attempt.
         let mut nl = Netlist::new();
         let c = nl.node("c");
         nl.isource("I1", Netlist::GND, c, 1e-3);
-        assert!(solve(&nl, &NewtonOptions::plain(), None, AnalysisMode::Dc).is_err());
-        let sol = solve_with_retry(&nl, &NewtonOptions::plain(), None, AnalysisMode::Dc)
-            .expect("forced gmin rung must regularize");
-        assert_eq!(sol.stats.retries, 4, "stats: {:?}", sol.stats);
+        let sol = solve_with_retry(&nl, &NewtonOptions::default(), None, AnalysisMode::Dc)
+            .expect("the gmin-regularized rung pins the node");
+        assert_eq!(sol.stats.retries, 0, "stats: {:?}", sol.stats);
         assert_eq!(sol.stats.rescued_by, RescueStage::GminRegularized);
     }
 
     #[test]
     fn escalation_schedule_is_cumulative() {
-        let base = NewtonOptions::plain();
+        let base = NewtonOptions::default();
         let a0 = options_for_attempt(&base, 0);
         assert_eq!(a0, base);
         let a1 = options_for_attempt(&base, 1);
@@ -1074,12 +885,13 @@ mod tests {
         assert_eq!(a2.max_iterations, base.max_iterations * 2);
         assert!((a2.max_step - base.max_step * 0.5).abs() < 1e-12);
         assert_eq!(a2.reltol, base.reltol);
-        let a3 = options_for_attempt(&base, 3);
+        // The last attempt carries every escalation.
+        assert_eq!(SOLVE_ATTEMPTS, 4);
+        let a3 = options_for_attempt(&base, SOLVE_ATTEMPTS - 1);
+        assert_eq!(a3.max_iterations, base.max_iterations * 2);
+        assert!((a3.max_step - base.max_step * 0.5).abs() < 1e-12);
         assert!((a3.reltol - base.reltol * 10.0).abs() < 1e-12);
-        assert!(!a3.gmin_stepping);
-        let a4 = options_for_attempt(&base, 4);
-        assert!(a4.gmin_stepping && a4.source_stepping);
-        assert!((a4.max_step - base.max_step * 0.5).abs() < 1e-12);
+        assert_eq!(a3.vntol, base.vntol);
     }
 
     #[test]
@@ -1093,8 +905,6 @@ mod tests {
             .expect("linear divider solves on the first attempt");
         assert_eq!(sol.stats.retries, 0);
         assert_eq!(sol.stats.rescued_by, RescueStage::Plain);
-        assert_eq!(sol.stats.stages, 1);
-        assert_eq!(sol.stats.iterations, sol.iterations);
     }
 
     #[test]
@@ -1114,54 +924,6 @@ mod tests {
         let _ = big.node("y");
         let foreign = big.node("z");
         assert_eq!(sol.try_voltage(foreign), None);
-    }
-
-    #[test]
-    fn solver_stats_absorb_aggregates() {
-        let mut a = SolverStats {
-            iterations: 10,
-            stages: 1,
-            retries: 0,
-            rescued_by: RescueStage::Plain,
-            max_iterations: 10,
-            rescue_depth: 1,
-        };
-        let b = SolverStats {
-            iterations: 50,
-            stages: 3,
-            retries: 2,
-            rescued_by: RescueStage::GminStepping,
-            max_iterations: 30,
-            rescue_depth: 3,
-        };
-        a.absorb(&b);
-        assert_eq!(a.iterations, 60);
-        assert_eq!(a.stages, 4);
-        assert_eq!(a.retries, 2);
-        assert_eq!(a.rescued_by, RescueStage::GminStepping);
-        // Worst-case fields take the max, not the sum.
-        assert_eq!(a.max_iterations, 30);
-        assert_eq!(a.rescue_depth, 3);
-    }
-
-    #[test]
-    fn solver_stats_default_is_absorb_identity() {
-        let stats = SolverStats {
-            iterations: 42,
-            stages: 2,
-            retries: 1,
-            rescued_by: RescueStage::SourceStepping,
-            max_iterations: 25,
-            rescue_depth: 2,
-        };
-        // Absorbing the empty stats changes nothing…
-        let mut a = stats;
-        a.absorb(&SolverStats::default());
-        assert_eq!(a, stats);
-        // …and absorbing into the empty stats reproduces the operand.
-        let mut b = SolverStats::default();
-        b.absorb(&stats);
-        assert_eq!(b, stats);
     }
 
     #[test]
@@ -1267,7 +1029,10 @@ mod tests {
                 RescueStage::Plain,
                 "reference covers only the plain stage"
             );
-            assert_eq!(sol.iterations, ref_iters, "iteration counts must match");
+            assert_eq!(
+                sol.stats.iterations, ref_iters,
+                "iteration counts must match"
+            );
             let got: Vec<u64> = sol.raw().iter().map(|v| v.to_bits()).collect();
             let want: Vec<u64> = ref_x.iter().map(|v| v.to_bits()).collect();
             assert_eq!(got, want, "iterate sequence diverged from the seed solver");
@@ -1339,7 +1104,11 @@ mod tests {
         )
         .expect("sparse ladder solves");
         assert_eq!(
-            (nl.num_unknowns(), sol.iterations, scratch.sparse_lu_nnz()),
+            (
+                nl.num_unknowns(),
+                sol.stats.iterations,
+                scratch.sparse_lu_nnz()
+            ),
             (152, 2, Some(453)),
             "(unknowns, Newton iterations, L+U nonzeros)"
         );
@@ -1365,7 +1134,7 @@ mod tests {
                     .expect("fresh-scratch solve converges");
                 let reused_sol = solve_with_scratch(nl, &opts, None, AnalysisMode::Dc, &mut reused)
                     .expect("reused-scratch solve converges");
-                assert_eq!(fresh.iterations, reused_sol.iterations);
+                assert_eq!(fresh.stats.iterations, reused_sol.stats.iterations);
                 let f: Vec<u64> = fresh.raw().iter().map(|v| v.to_bits()).collect();
                 let r: Vec<u64> = reused_sol.raw().iter().map(|v| v.to_bits()).collect();
                 assert_eq!(f, r, "scratch reuse must not change results");

@@ -41,7 +41,7 @@
 //! The reduction is exact block Gaussian elimination: the accepted
 //! answer satisfies the same per-component Newton convergence criterion
 //! as the monolithic path and agrees with it to solver tolerance. All
-//! reduction buffers live in [`SolveScratch`] (via [`SchurState`]), so
+//! reduction buffers live in [`SolveScratch`] (via `SchurState`), so
 //! steady-state re-solves with a warm macromodel cache run with zero
 //! per-iteration heap allocations.
 
@@ -1706,12 +1706,12 @@ mod tests {
         // so at most one rebuild per iteration — and every block is
         // accounted for, shared or rebuilt.
         assert!(
-            c.schur_blocks_rebuilt <= steady.iterations as u64,
+            c.schur_blocks_rebuilt <= steady.stats.iterations as u64,
             "more rebuilds than value-classes: {c:?}"
         );
         assert_eq!(
             c.schur_blocks_shared + c.schur_blocks_rebuilt,
-            (steady.iterations * partition.num_blocks()) as u64,
+            (steady.stats.iterations * partition.num_blocks()) as u64,
             "{c:?}"
         );
         assert!(c.schur_blocks_shared > 0, "{c:?}");
@@ -1865,7 +1865,7 @@ mod tests {
         let c = scratch.counters;
         assert_eq!(
             c.schur_blocks_shared + c.schur_blocks_rebuilt,
-            (red.iterations * partition.num_blocks()) as u64,
+            (red.stats.iterations * partition.num_blocks()) as u64,
             "{c:?}"
         );
     }
@@ -2012,37 +2012,48 @@ mod tests {
     }
 
     #[test]
-    fn singular_interface_names_the_floating_node_on_the_sparse_backend() {
-        // A device-free node in the interface makes the reduced system
-        // singular. RCM factors its empty column last, at the position
-        // of the source branch; the error must still name the node.
-        // 64 active latches put 128 cell nodes in the interface, so
-        // with the rails, the floating node and the source branch the
-        // reduced system is past SPARSE_THRESHOLD.
+    fn singular_interface_names_the_source_loop_on_the_sparse_backend() {
+        // Two parallel voltage sources put two dependent branches in
+        // the interface, so the reduced system is singular on every
+        // rung of the rescue ladder. RCM permutes the interface
+        // columns; the error must still report the global index of the
+        // branch that lost its pivot, and name it. 64 active latches
+        // put 128 cell nodes in the interface, so with the rails, the
+        // loop node and the source branches the reduced system is past
+        // SPARSE_THRESHOLD.
         const ACTIVE: usize = 64;
         let (mut nl, nodes, _) = latch_chain(ACTIVE + 2, ACTIVE);
-        let floating = nl.node("floating");
+        let looped = nl.node("loop");
+        nl.vsource("Vloop", looped, Netlist::GND, 0.5);
+        nl.vsource("Vloop2", looped, Netlist::GND, 0.5);
         let blocks = nodes[ACTIVE..]
             .iter()
             .map(|&(a, _)| (a.index() - 1, 2))
             .collect();
         let partition = Partition::new(nl.num_unknowns(), blocks).expect("valid");
-        let opts = ArraySolveOptions {
-            newton: NewtonOptions::plain(),
-            ..ArraySolveOptions::default()
-        };
         let mut scratch = SolveScratch::new();
         let guess = latch_guess(&nl, &nodes);
-        let err = solve_array(&nl, &partition, &opts, Some(&guess), &mut scratch)
-            .expect_err("floating interface node is singular");
+        let err = solve_array(
+            &nl,
+            &partition,
+            &ArraySolveOptions::default(),
+            Some(&guess),
+            &mut scratch,
+        )
+        .expect_err("a voltage-source loop is singular");
         assert!(
             scratch.schur.iface_sparse.lu_nnz() > 0,
             "sparse backend ran"
         );
+        let branches = ["Vloop", "Vloop2"].map(|v| nl.branch_unknown(v).expect("source branch"));
         match &err {
             Error::SingularMatrix { pivot_row, unknown } => {
-                assert_eq!(*pivot_row, floating.index() - 1, "{err}");
-                assert_eq!(unknown.as_deref(), Some("node `floating`"), "{err}");
+                assert!(branches.contains(pivot_row), "{err}");
+                assert_eq!(
+                    unknown.as_deref(),
+                    Some(nl.unknown_label(*pivot_row).as_str()),
+                    "{err}"
+                );
             }
             other => panic!("expected SingularMatrix, got {other}"),
         }
@@ -2052,27 +2063,23 @@ mod tests {
     fn singular_block_reports_the_global_unknown() {
         // One floating two-node block: no device at all, so its B block
         // is all-zero and the first factor must die at the block start.
+        // A solve's gmin rungs would shunt it, so this drives one
+        // reduction step without gmin.
         let mut nl = Netlist::new();
         let a = nl.node("a");
         nl.vsource("V", a, Netlist::GND, 1.0);
         nl.resistor("R", a, Netlist::GND, 1.0e3).expect("valid");
         let f1 = nl.node("f1");
-        let f2 = nl.node("f2");
-        let _ = (f1, f2);
+        let _f2 = nl.node("f2");
         let partition =
             Partition::new(nl.num_unknowns(), vec![(f1.index() - 1, 2)]).expect("valid");
-        let mut scratch = SolveScratch::new();
-        let err = solve_array(
-            &nl,
-            &partition,
-            &ArraySolveOptions {
-                newton: NewtonOptions::plain(),
-                ..ArraySolveOptions::default()
-            },
-            None,
-            &mut scratch,
-        )
-        .expect_err("floating block is singular");
+        let mut state = SchurState::default();
+        state.ensure(&nl, &partition).expect("valid partition");
+        let x = nl.zero_state();
+        let mut x_new = nl.zero_state();
+        let err = state
+            .step(&nl, &x, 0.0, 1.0, &mut x_new, &mut SolveCounters::default())
+            .expect_err("floating block is singular");
         match err {
             Error::SingularMatrix { pivot_row, .. } => {
                 assert_eq!(pivot_row, f1.index() - 1, "{err}")

@@ -8,7 +8,7 @@
 use crate::error::Error;
 use crate::mna::AnalysisMode;
 use crate::netlist::{Netlist, NodeId};
-use crate::newton::{solve_with_retry_in, NewtonOptions, Solution, SolverStats};
+use crate::newton::{solve_with_retry_in, NewtonOptions, Solution};
 use crate::scratch::SolveScratch;
 
 /// Transient analysis driver with a fixed step.
@@ -26,7 +26,6 @@ pub struct TransientResult {
     times: Vec<f64>,
     states: Vec<Vec<f64>>,
     node_unknowns: usize,
-    stats: SolverStats,
 }
 
 impl TransientResult {
@@ -82,13 +81,6 @@ impl TransientResult {
     pub fn node_unknowns(&self) -> usize {
         self.node_unknowns
     }
-
-    /// Aggregated solver telemetry over every time step (iterations and
-    /// retries are summed; `rescued_by` is the heaviest rescue tier any
-    /// step needed).
-    pub fn stats(&self) -> &SolverStats {
-        &self.stats
-    }
 }
 
 impl TransientAnalysis {
@@ -139,10 +131,7 @@ impl TransientAnalysis {
         // One scratch covers the operating point and every time step.
         let mut scratch = SolveScratch::new();
         let op = solve_with_retry_in(netlist, &self.options, None, AnalysisMode::Dc, &mut scratch)?;
-        let op_stats = op.stats;
-        let mut result = self.integrate(netlist, op.into_raw(), &mut scratch)?;
-        result.stats.absorb(&op_stats);
-        Ok(result)
+        self.integrate(netlist, op.into_raw(), &mut scratch)
     }
 
     /// Runs the analysis from an explicit initial unknown vector. This
@@ -177,7 +166,6 @@ impl TransientAnalysis {
         let node_unknowns = netlist.num_nodes() - 1;
         let mut times = vec![0.0];
         let mut states = vec![x0];
-        let mut stats = SolverStats::default();
         let steps = (self.t_stop / self.dt).ceil() as usize;
         for k in 1..=steps {
             let time = (k as f64 * self.dt).min(self.t_stop);
@@ -192,7 +180,6 @@ impl TransientAnalysis {
                 let mode = AnalysisMode::Transient { dt, time, prev };
                 solve_with_retry_in(netlist, &self.options, Some(prev), mode, scratch)?
             };
-            stats.absorb(&sol.stats);
             times.push(time);
             states.push(sol.into_raw());
         }
@@ -201,7 +188,6 @@ impl TransientAnalysis {
             times,
             states,
             node_unknowns,
-            stats,
         })
     }
 }

@@ -107,16 +107,16 @@ fn plain_newton_path_allocates_nothing_per_iteration() {
     let warm_allocs = allocations() - before_warm;
 
     assert!(
-        warm.iterations < cold.iterations,
+        warm.stats.iterations < cold.stats.iterations,
         "warm ({}) must need fewer iterations than cold ({})",
-        warm.iterations,
-        cold.iterations
+        warm.stats.iterations,
+        cold.stats.iterations
     );
     assert_eq!(
         cold_allocs, warm_allocs,
         "allocations must not scale with iteration count \
          (cold: {} iters / {} allocs, warm: {} iters / {} allocs)",
-        cold.iterations, cold_allocs, warm.iterations, warm_allocs
+        cold.stats.iterations, cold_allocs, warm.stats.iterations, warm_allocs
     );
     // The absolute budget: the returned Solution's state vector. Leave
     // headroom of one more for the Solution box itself if the layout
@@ -222,7 +222,10 @@ fn warm_partitioned_array_resolve_allocates_nothing_per_iteration() {
         .expect("latch chain re-solves warm");
     let warm_allocs = allocations() - before;
 
-    assert!(warm.iterations >= 1, "a solve runs at least one iteration");
+    assert!(
+        warm.stats.iterations >= 1,
+        "a solve runs at least one iteration"
+    );
     let counters = scratch.counters();
     assert_eq!(
         counters.schur_blocks_rebuilt, 0,
@@ -269,24 +272,24 @@ fn flight_recorder_adds_no_allocations_per_iteration() {
     obs::flight_disable();
 
     assert!(
-        trajectory.recorded >= (cold.iterations + warm.iterations) as u64,
+        trajectory.recorded >= (cold.stats.iterations + warm.stats.iterations) as u64,
         "every iteration of both solves must be sampled \
          (recorded {}, cold {} + warm {})",
         trajectory.recorded,
-        cold.iterations,
-        warm.iterations
+        cold.stats.iterations,
+        warm.stats.iterations
     );
     assert!(
-        warm.iterations < cold.iterations,
+        warm.stats.iterations < cold.stats.iterations,
         "warm ({}) must need fewer iterations than cold ({})",
-        warm.iterations,
-        cold.iterations
+        warm.stats.iterations,
+        cold.stats.iterations
     );
     assert_eq!(
         cold_allocs, warm_allocs,
         "the flight recorder must not allocate per iteration \
          (cold: {} iters / {} allocs, warm: {} iters / {} allocs)",
-        cold.iterations, cold_allocs, warm.iterations, warm_allocs
+        cold.stats.iterations, cold_allocs, warm.stats.iterations, warm_allocs
     );
 }
 

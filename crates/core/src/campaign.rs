@@ -467,12 +467,11 @@ impl Drop for PointTimer {
 ///
 /// An executor creates one heartbeat per campaign and calls
 /// [`tick`](Heartbeat::tick) from its single-writer `on_ready` hook;
-/// at most one `heartbeat` event is emitted per `interval_s`, carrying
-/// completed/total, throughput, and the ETA a streaming consumer (or
-/// the future campaign daemon) needs. When no point completes for
-/// `stall_after_s`, the next tick flags the snapshot as stalled,
-/// counts it in `campaign.heartbeat.stalls`, and warns via
-/// [`obs::progress`].
+/// at most one `heartbeat` event is emitted every 5 s, carrying
+/// completed/total, throughput, and the ETA a streaming consumer
+/// needs. When no point completes for 30 s, the next tick flags the
+/// snapshot as stalled, counts it in `campaign.heartbeat.stalls`, and
+/// warns via [`obs::progress`].
 #[derive(Debug)]
 pub struct Heartbeat {
     artifact: String,
@@ -481,9 +480,14 @@ pub struct Heartbeat {
     last_emit: Option<std::time::Instant>,
     last_change: (usize, std::time::Instant),
     stall_reported: bool,
-    interval_s: f64,
-    stall_after_s: f64,
 }
+
+/// Seconds a [`Heartbeat`] waits between two emitted events.
+const HEARTBEAT_INTERVAL_S: f64 = 5.0;
+
+/// Seconds without a completed point after which a [`Heartbeat`]
+/// flags the campaign as stalled.
+const STALL_AFTER_S: f64 = 30.0;
 
 /// One emitted heartbeat.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -504,8 +508,7 @@ pub struct HeartbeatSnapshot {
 }
 
 impl Heartbeat {
-    /// A heartbeat for a campaign of `total` points, emitting at most
-    /// every 5 s and flagging stalls after 30 s without progress.
+    /// A heartbeat for a campaign of `total` points.
     pub fn new(artifact: impl Into<String>, total: usize) -> Self {
         let now = std::time::Instant::now();
         Heartbeat {
@@ -515,23 +518,7 @@ impl Heartbeat {
             last_emit: None,
             last_change: (0, now),
             stall_reported: false,
-            interval_s: 5.0,
-            stall_after_s: 30.0,
         }
-    }
-
-    /// Overrides the emission interval.
-    #[must_use]
-    pub fn with_interval(mut self, seconds: f64) -> Self {
-        self.interval_s = seconds;
-        self
-    }
-
-    /// Overrides the stall-detection window.
-    #[must_use]
-    pub fn with_stall_after(mut self, seconds: f64) -> Self {
-        self.stall_after_s = seconds;
-        self
     }
 
     /// Reports progress; emits a `heartbeat` event (and returns the
@@ -551,10 +538,10 @@ impl Heartbeat {
             self.last_change = (completed, now);
             self.stall_reported = false;
         }
-        let stalled = now.duration_since(self.last_change.1).as_secs_f64() >= self.stall_after_s;
+        let stalled = now.duration_since(self.last_change.1).as_secs_f64() >= STALL_AFTER_S;
         let due = match self.last_emit {
             None => true,
-            Some(t) => now.duration_since(t).as_secs_f64() >= self.interval_s,
+            Some(t) => now.duration_since(t).as_secs_f64() >= HEARTBEAT_INTERVAL_S,
         };
         // A fresh stall jumps the schedule so the warning is prompt.
         let fresh_stall = stalled && !self.stall_reported;
@@ -626,7 +613,7 @@ impl Heartbeat {
             obs::counter_add("campaign.heartbeat.stalls", 1);
             obs::progress(&format!(
                 "{}: no progress for {:.0} s ({}/{} points)",
-                self.artifact, self.stall_after_s, snap.completed, snap.total
+                self.artifact, STALL_AFTER_S, snap.completed, snap.total
             ));
         }
     }
@@ -1049,9 +1036,7 @@ pub(crate) mod tests {
     fn heartbeat_paces_emits_and_computes_eta() {
         use std::time::{Duration, Instant};
         let t0 = Instant::now();
-        let mut hb = Heartbeat::new("test-hb", 100)
-            .with_interval(5.0)
-            .with_stall_after(30.0);
+        let mut hb = Heartbeat::new("test-hb", 100);
         hb.started = t0;
         hb.last_change = (0, t0);
         // First tick always emits (a baseline snapshot).
@@ -1121,9 +1106,7 @@ pub(crate) mod tests {
     fn heartbeat_flags_a_stall_once_and_recovers() {
         use std::time::{Duration, Instant};
         let t0 = Instant::now();
-        let mut hb = Heartbeat::new("test-hb-stall", 10)
-            .with_interval(5.0)
-            .with_stall_after(30.0);
+        let mut hb = Heartbeat::new("test-hb-stall", 10);
         hb.started = t0;
         hb.last_change = (0, t0);
         let s = hb
@@ -1157,7 +1140,7 @@ pub(crate) mod tests {
         let s = f.to_string();
         assert!(s.contains("Df16"), "{s}");
         assert!(s.contains("CS1"), "{s}");
-        assert!(s.contains("after 5 attempts"), "{s}");
+        assert!(s.contains("after 4 attempts"), "{s}");
         assert!(!f.panicked && !s.contains("[panicked]"), "{s}");
         let ctx = PointFailure { defect: None, ..f };
         assert!(ctx.to_string().starts_with("(context)"));

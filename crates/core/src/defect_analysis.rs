@@ -438,22 +438,20 @@ pub fn table2(options: &Table2Options) -> Result<Table2, anasim::Error> {
         &cell_items,
         |_, &(defect, ci)| evaluate_cell(defect, &options.case_studies[ci], options, &contexts),
         |i, outcome| {
-            heartbeat.tick(running.completed);
             let (defect, ci) = cell_items[i];
             let key = cell_key(defect, options.case_studies[ci].number);
             match outcome {
                 WorkOutcome::Done(Ok(cell)) => {
                     running.merge(cell.coverage);
-                    if halted || ckpt_err.is_some() {
-                        return;
-                    }
-                    if let Some(cp) = &checkpoint {
-                        if let Err(e) = cp.append(&checkpoint_fields(&key, &cell.cell)) {
-                            ckpt_err = Some(e);
-                            return;
+                    if !halted && ckpt_err.is_none() {
+                        let logged = checkpoint
+                            .as_ref()
+                            .map_or(Ok(()), |cp| cp.append(&checkpoint_fields(&key, &cell.cell)));
+                        match logged {
+                            Ok(()) => obs::progress(&format!("table2 cell {key} done ({running})")),
+                            Err(e) => ckpt_err = Some(e),
                         }
                     }
-                    obs::progress(&format!("table2 cell {key} done ({running})"));
                 }
                 // A panicked cell is a recorded casualty, *not* a halt:
                 // it is deliberately left out of the checkpoint so a
@@ -484,6 +482,9 @@ pub fn table2(options: &Table2Options) -> Result<Table2, anasim::Error> {
                 // logged before the abort.
                 WorkOutcome::Done(Err(_)) => halted = true,
             }
+            // Ticked after the merge, so the heartbeat counts the cell
+            // that just finished.
+            heartbeat.tick(running.completed);
         },
     );
     if let Some(e) = ckpt_err {

@@ -43,7 +43,7 @@ fn gen_capacitance(rng: &mut Rng) -> f64 {
 ///
 /// Topology: `n` internal nodes (2–8), a resistor spanning tree rooted
 /// at ground, exactly one supply to ground, then up to
-/// [`MAX_EXTRA_DEVICES`] extra resistors, capacitors, diodes, current
+/// `MAX_EXTRA_DEVICES` extra resistors, capacitors, diodes, current
 /// sources, MOSFETs, and switches between random distinct nodes.
 /// Finally every node whose conduction-terminal count is still 1 gets
 /// a capacitor to ground so no dead-end (ERC004) remains.

@@ -3,7 +3,7 @@
 //! This crate provides the instrumentation layer the experiment
 //! executors and solvers record into:
 //!
-//! - **Spans** ([`span`]) — hierarchical wall-clock scopes keyed by a
+//! - **Spans** ([`span()`]) — hierarchical wall-clock scopes keyed by a
 //!   `/`-joined path, aggregated per path in the global registry.
 //! - **Metrics** ([`counter_add`], [`gauge_set`], [`gauge_add`],
 //!   [`hist_record`], [`record_point`]) — named counters, gauges, log-scale

@@ -3,7 +3,7 @@
 //!
 //! The hot producers (one record per Newton solve) write into a
 //! thread-local buffer that is folded into the global registry every
-//! [`FLUSH_THRESHOLD`] operations, when [`flush`] is called, and when
+//! `FLUSH_THRESHOLD` operations, when [`flush`] is called, and when
 //! the thread exits — so instrumentation costs an uncontended
 //! `RefCell` touch on the fast path instead of a global mutex.
 //! [`snapshot`] flushes the calling thread first, which is exact for
@@ -201,8 +201,8 @@ impl Registry {
     }
 
     /// Retains a point's convergence trajectory: every failed point
-    /// (up to [`MAX_FAILED_TRACES`]) and the slowest
-    /// [`MAX_SLOW_TRACES`] successes.
+    /// (up to `MAX_FAILED_TRACES`) and the slowest `MAX_SLOW_TRACES`
+    /// successes.
     pub fn record_trace(&self, key: &str, outcome: &str, seconds: f64, traj: PointTrajectory) {
         let record = TraceRecord {
             key: key.to_string(),
@@ -252,7 +252,7 @@ impl Registry {
         *self.lock() = Inner::default();
     }
 
-    fn absorb(&self, buf: &mut LocalBuf) {
+    fn fold_local(&self, buf: &mut LocalBuf) {
         if buf.pending == 0 {
             return;
         }
@@ -281,7 +281,7 @@ struct LocalBuf {
 
 impl Drop for LocalBuf {
     fn drop(&mut self) {
-        global().absorb(self);
+        global().fold_local(self);
     }
 }
 
@@ -298,7 +298,7 @@ fn with_local(f: impl FnOnce(&mut LocalBuf)) -> bool {
             f(&mut buf);
             buf.pending += 1;
             if buf.pending >= FLUSH_THRESHOLD {
-                global().absorb(&mut buf);
+                global().fold_local(&mut buf);
             }
         })
         .is_ok()
@@ -407,7 +407,7 @@ pub fn tally() -> SolverTally {
 
 /// Folds this thread's buffered metrics into the global registry.
 pub fn flush() {
-    let _ = LOCAL.try_with(|buf| global().absorb(&mut buf.borrow_mut()));
+    let _ = LOCAL.try_with(|buf| global().fold_local(&mut buf.borrow_mut()));
 }
 
 /// Flushes the calling thread, then snapshots the global registry.

@@ -110,13 +110,13 @@ fn assert_paths_agree(rows: usize, cols: usize, defects: usize) -> Reduction {
     let unknowns = built.netlist.num_unknowns();
     let interface = built.partition.interface_unknowns();
     let factorized_schur =
-        interface * reduced.iterations + 2 * counters.schur_blocks_rebuilt as usize;
+        interface * reduced.stats.iterations + 2 * counters.schur_blocks_rebuilt as usize;
     Reduction {
         unknowns,
         interface,
-        iterations: reduced.iterations,
+        iterations: reduced.stats.iterations,
         blocks_rebuilt: counters.schur_blocks_rebuilt,
-        factorized_ratio: (unknowns * mono.iterations) as f64 / factorized_schur as f64,
+        factorized_ratio: (unknowns * mono.stats.iterations) as f64 / factorized_schur as f64,
     }
 }
 

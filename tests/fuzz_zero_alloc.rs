@@ -69,7 +69,7 @@ fn fuzzed_netlists_keep_the_scratch_solve_allocation_free() {
             "netlist with {} unknowns allocated {allocs} times in a sized solve \
              ({} iterations)",
             nl.num_unknowns(),
-            again.iterations
+            again.stats.iterations
         );
         solved += 1;
     }

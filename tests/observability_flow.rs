@@ -59,6 +59,20 @@ fn profile_reproduces_campaign_wall_clock_from_the_trace() {
     let profile = obs::Profile::from_jsonl(&text);
     assert_eq!(profile.unclosed, 0, "every span closed");
 
+    // The first tick always emits, and it follows the first cell's
+    // coverage merge, so it counts that cell.
+    let heartbeat = text
+        .lines()
+        .filter_map(|line| obs::json::parse(line).ok())
+        .find(|event| event.get("kind").and_then(obs::Json::as_str) == Some("heartbeat"))
+        .expect("the campaign emitted a heartbeat");
+    assert_eq!(
+        heartbeat.get("completed").and_then(obs::Json::as_u64),
+        Some(1),
+        "first heartbeat: {}",
+        heartbeat.to_compact()
+    );
+
     // The `table2` root span brackets exactly the campaign the
     // coverage footer timed; folding the span stream back must land
     // within 1% of the recorded wall-clock.
@@ -261,6 +275,15 @@ fn failed_point_trajectory_lands_in_the_summary() {
         attempts.len(),
         anasim::newton::SOLVE_ATTEMPTS,
         "every retry attempt sampled"
+    );
+    // Each attempt runs its plain stage once (it fails on its first,
+    // non-finite proposal), and reports that stage's failure without
+    // running it again.
+    let plain = trace.samples.iter().filter(|s| s.stage == "plain").count();
+    assert_eq!(
+        plain,
+        anasim::newton::SOLVE_ATTEMPTS,
+        "one plain iteration per attempt"
     );
     // The failed solve reports, and charges the point, every iteration
     // its attempts ran — as many as the flight recorder sampled.

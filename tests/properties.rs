@@ -561,6 +561,44 @@ fn retention_netlists_pass_erc() {
 }
 
 // ---------------------------------------------------------------------
+// Shape claim: array leakage rises with temperature, which is why
+// Table II's minimum defect resistances are smallest at 125 °C.
+// ---------------------------------------------------------------------
+
+/// At any corner and retention supply, the symmetric 256K-cell array
+/// load (as Table II samples it, 9 points up to 1.3 V) draws more
+/// current at the hotter of two temperatures at least 1 °C apart.
+#[test]
+fn array_leakage_rises_with_temperature() {
+    use lp_sram_suite::process::{ProcessCorner, PvtCondition};
+    use lp_sram_suite::sram::{ArrayLoad, CellInstance};
+    property(
+        "array_leakage_rises_with_temperature",
+        64,
+        |rng| {
+            let corner = *rng.choose(&ProcessCorner::ALL);
+            let supply = uniform(rng, 0.05, 1.3);
+            let t1 = uniform(rng, -30.0, 124.0);
+            (corner, supply, t1, uniform(rng, t1 + 1.0, 125.0))
+        },
+        |&(corner, supply, t1, t2)| {
+            let current = |temp_c| {
+                let cell = CellInstance::symmetric(PvtCondition::new(corner, 1.1, temp_c));
+                ArrayLoad::build(&cell, &[], 256 * 1024, 1.3, 9)
+                    .map(|load| load.current(supply))
+                    .map_err(|e| format!("load at {temp_c} °C: {e}"))
+            };
+            let (cold, hot) = (current(t1)?, current(t2)?);
+            ensure!(
+                hot > cold,
+                "{corner:?} at {supply} V: {cold:e} A at {t1} °C, {hot:e} A at {t2} °C"
+            );
+            Ok(())
+        },
+    );
+}
+
+// ---------------------------------------------------------------------
 // Hierarchical array reduction: promoting background cells out of the
 // Schur blocks is electrically inert.
 // ---------------------------------------------------------------------
@@ -624,9 +662,9 @@ fn forced_active_promotion_is_electrically_inert() {
 // `anasim::matrix`.)
 // ---------------------------------------------------------------------
 
-/// A floating node solved through the scratch path names the same
-/// unknown as a fresh cold solve (the retry/rescue machinery reports
-/// through the identical in-place factorization).
+/// A singular netlist solved through the scratch path names the same
+/// unknown as a fresh cold solve (the rescue ladder reports the plain
+/// stage's failure through the identical in-place factorization).
 #[test]
 fn singular_netlist_names_same_node_through_scratch() {
     use lp_sram_suite::anasim::mna::AnalysisMode;
@@ -637,16 +675,22 @@ fn singular_netlist_names_same_node_through_scratch() {
         64,
         |rng| uniform(rng, 0.1, 10.0),
         |&i_ma| {
+            // The current source alone would leave the node floating,
+            // which the gmin-regularized rung pins; the two parallel
+            // voltage sources make two dependent branch rows, singular
+            // on every rung.
             let mut nl = Netlist::new();
             let c = nl.node("floating");
             nl.isource("I1", Netlist::GND, c, i_ma * 1.0e-3);
-            let opts = NewtonOptions::plain();
+            nl.vsource("V1", c, Netlist::GND, 1.0);
+            nl.vsource("V2", c, Netlist::GND, 1.0);
+            let opts = NewtonOptions::default();
             let mut scratch = SolveScratch::new();
             let (Err(fresh), Err(scratched)) = (
                 solve(&nl, &opts, None, AnalysisMode::Dc),
                 solve_with_scratch(&nl, &opts, None, AnalysisMode::Dc, &mut scratch),
             ) else {
-                return Err("a floating node solved".into());
+                return Err("a voltage-source loop solved".into());
             };
             match (&fresh, &scratched) {
                 (
@@ -663,7 +707,7 @@ fn singular_netlist_names_same_node_through_scratch() {
                         pa == pb && ua == ub,
                         "fresh {fresh:?}, scratch {scratched:?}"
                     );
-                    ensure!(ua.is_some(), "diagnostic must name the node");
+                    ensure!(ua.is_some(), "diagnostic must name the unknown");
                     Ok(())
                 }
                 other => Err(format!("unexpected error pair: {other:?}")),
