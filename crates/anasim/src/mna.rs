@@ -180,12 +180,6 @@ impl<'a> StampContext<'a> {
         }
     }
 
-    /// Adds `value` at (row of branch `k`, column of branch `j`).
-    pub fn mat_branch_branch(&mut self, k: usize, j: usize, value: f64) {
-        self.sink
-            .add(self.branch_offset + k, self.branch_offset + j, value);
-    }
-
     /// Adds `value` to the right-hand side at the row of `node`.
     pub fn rhs_node(&mut self, node: NodeId, value: f64) {
         if let Some(i) = node.unknown_index() {

@@ -99,11 +99,6 @@ impl Verdict {
         matches!(self, Verdict::Escaped { .. })
     }
 
-    /// Whether this is Unknown.
-    pub fn is_unknown(&self) -> bool {
-        matches!(self, Verdict::Unknown { .. })
-    }
-
     /// Whether the verdict holds independent of initial cell values.
     pub fn state_independent(&self) -> Option<bool> {
         match self {

@@ -8,8 +8,8 @@
 //! * **Supply voltage**: 1.0 V, 1.1 V (nominal), 1.2 V;
 //! * **Temperature**: −30 °C, 25 °C, 125 °C.
 //!
-//! This crate provides those axes ([`ProcessCorner`], [`PvtCondition`],
-//! [`PvtGrid`]), the translation of a corner onto an
+//! This crate provides those axes ([`ProcessCorner`], [`PvtCondition`]),
+//! the translation of a corner onto an
 //! [`anasim`] MOSFET model card, and the within-die mismatch machinery
 //! (σ-valued threshold shifts, [`Sigma`]; Gaussian Monte Carlo sampling,
 //! [`montecarlo::MonteCarlo`]) that drives the paper's Fig. 4 and
@@ -18,11 +18,7 @@
 //! # Example
 //!
 //! ```
-//! use process::{ProcessCorner, PvtCondition, PvtGrid};
-//!
-//! // The paper's full 45-point grid.
-//! let grid: Vec<PvtCondition> = PvtGrid::paper().collect();
-//! assert_eq!(grid.len(), 45);
+//! use process::{ProcessCorner, PvtCondition};
 //!
 //! // Conditions render in the paper's notation.
 //! let worst = PvtCondition::new(ProcessCorner::FastNSlowP, 1.0, 125.0);
@@ -36,5 +32,5 @@ pub mod sigma;
 
 pub use corner::ProcessCorner;
 pub use montecarlo::MonteCarlo;
-pub use pvt::{PvtCondition, PvtGrid};
+pub use pvt::PvtCondition;
 pub use sigma::{Sigma, VariationModel};

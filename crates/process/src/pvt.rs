@@ -1,17 +1,11 @@
-//! PVT conditions and the paper's exhaustive simulation grid.
+//! PVT operating conditions.
 
 use std::fmt;
 
 use crate::corner::ProcessCorner;
 
-/// Supply voltages the SRAM is specified for, volts (1.1 V nominal).
-pub const SUPPLY_VOLTAGES: [f64; 3] = [1.0, 1.1, 1.2];
-
 /// Nominal supply voltage, volts.
 pub const NOMINAL_VDD: f64 = 1.1;
-
-/// Temperatures the SRAM is specified for, degrees Celsius.
-pub const TEMPERATURES: [f64; 3] = [-30.0, 25.0, 125.0];
 
 /// One (corner, supply, temperature) operating condition.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,105 +46,9 @@ impl fmt::Display for PvtCondition {
     }
 }
 
-/// Iterator over a PVT grid (corner-major, then supply, then
-/// temperature), matching the paper's experimental setup in §IV.A.
-#[derive(Debug, Clone)]
-pub struct PvtGrid {
-    corners: Vec<ProcessCorner>,
-    supplies: Vec<f64>,
-    temperatures: Vec<f64>,
-    index: usize,
-}
-
-impl PvtGrid {
-    /// The paper's full grid: 5 corners × 3 supplies × 3 temperatures.
-    pub fn paper() -> Self {
-        Self::custom(
-            ProcessCorner::ALL.to_vec(),
-            SUPPLY_VOLTAGES.to_vec(),
-            TEMPERATURES.to_vec(),
-        )
-    }
-
-    /// A reduced grid for quick tests: typical corner, nominal supply,
-    /// all three temperatures.
-    pub fn reduced() -> Self {
-        Self::custom(
-            vec![ProcessCorner::Typical],
-            vec![NOMINAL_VDD],
-            TEMPERATURES.to_vec(),
-        )
-    }
-
-    /// A fully custom grid.
-    pub fn custom(corners: Vec<ProcessCorner>, supplies: Vec<f64>, temperatures: Vec<f64>) -> Self {
-        PvtGrid {
-            corners,
-            supplies,
-            temperatures,
-            index: 0,
-        }
-    }
-
-    /// Number of grid points.
-    pub fn point_count(&self) -> usize {
-        self.corners.len() * self.supplies.len() * self.temperatures.len()
-    }
-}
-
-impl Iterator for PvtGrid {
-    type Item = PvtCondition;
-
-    fn next(&mut self) -> Option<PvtCondition> {
-        let per_corner = self.supplies.len() * self.temperatures.len();
-        if self.index >= self.point_count() {
-            return None;
-        }
-        let c = self.index / per_corner;
-        let rem = self.index % per_corner;
-        let v = rem / self.temperatures.len();
-        let t = rem % self.temperatures.len();
-        self.index += 1;
-        Some(PvtCondition::new(
-            self.corners[c],
-            self.supplies[v],
-            self.temperatures[t],
-        ))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.point_count().saturating_sub(self.index);
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for PvtGrid {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_grid_is_45_points() {
-        let grid = PvtGrid::paper();
-        assert_eq!(grid.point_count(), 45);
-        let points: Vec<_> = grid.collect();
-        assert_eq!(points.len(), 45);
-    }
-
-    #[test]
-    fn grid_covers_every_combination_once() {
-        let mut seen = std::collections::HashSet::new();
-        for p in PvtGrid::paper() {
-            let key = (
-                p.corner.abbreviation(),
-                (p.vdd * 10.0) as i64,
-                p.temp_c as i64,
-            );
-            assert!(seen.insert(key), "duplicate point {p}");
-        }
-        assert_eq!(seen.len(), 45);
-    }
 
     #[test]
     fn display_matches_paper_table_notation() {
@@ -167,18 +65,5 @@ mod tests {
         assert_eq!(n.temp_c, 25.0);
         assert_eq!(n.corner, ProcessCorner::Typical);
         assert_eq!(PvtCondition::default(), n);
-    }
-
-    #[test]
-    fn size_hint_tracks_progress() {
-        let mut grid = PvtGrid::paper();
-        assert_eq!(grid.len(), 45);
-        grid.next();
-        assert_eq!(grid.len(), 44);
-    }
-
-    #[test]
-    fn reduced_grid_shape() {
-        assert_eq!(PvtGrid::reduced().point_count(), 3);
     }
 }

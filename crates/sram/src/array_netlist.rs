@@ -387,12 +387,6 @@ impl ArrayNetlist {
         self.cols
     }
 
-    /// `(S, SB)` nodes of cell `(row, col)`.
-    pub fn cell_nodes(&self, row: usize, col: usize) -> (NodeId, NodeId) {
-        let site = &self.cells[row * self.cols + col];
-        (site.s, site.sb)
-    }
-
     /// Warm-start vector: rails at the supply, every cell biased into
     /// its intended state. Without it the bistable cells would settle
     /// by solver accident rather than by stored data.

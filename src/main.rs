@@ -13,8 +13,14 @@
 //! lp-sram-suite fuzz-functional [--cases <n>] [--fuzz-seed <u64>]
 //! lp-sram-suite fuzz-netlist   [--cases <n>] [--fuzz-seed <u64>]
 //!   artifacts: fig4, fig5, table1, table2, table3, array, march,
-//!              power, power-defects, ds-time, monte-carlo, all
+//!              power-defects, ds-time, monte-carlo, all
 //! ```
+//!
+//! Each artifact prints its report followed by the paper claims it
+//! checks, and its stdout is byte for byte its committed `results/`
+//! file: `table1`, `fig4`, `table2` and `table3` with `--paper`, the
+//! other artifacts as they run by default (`array` also has a
+//! `--paper` file).
 //!
 //! The `fuzz-*` subcommands drive the adversarial harnesses in
 //! [`drftest::fuzz`]. Runs are deterministic per seed; a failing
@@ -87,10 +93,12 @@ use drftest::case_study::CaseStudy;
 use drftest::drv_analysis::Fig4Options;
 use drftest::experiments::table1::Table1Options;
 use drftest::experiments::{array, fig4, table1, table2, table3};
+use drftest::montecarlo_drv::pattern_norm_sigma;
 use drftest::{
-    ds_time_sweep, monte_carlo_drv, power_defect_table, taxonomy, CoverageOptions, DsTimeOptions,
-    MonteCarloOptions, PowerDefectOptions, Table2Options, TaxonomyOptions,
+    ds_time_sweep, monte_carlo_drv, power_defect_table, taxonomy, CoverageOptions, DrfDs,
+    DsTimeOptions, MonteCarloOptions, PowerDefectOptions, Table2Options, TaxonomyOptions,
 };
+use march::coverage::{grade, standard_fault_list};
 use march::library;
 use regulator::Defect;
 
@@ -174,10 +182,28 @@ fn run(
                 Fig4Options::quick()
             };
             opts.jobs = jobs;
-            println!("{}", fig4::run(&opts)?);
+            let report = fig4::run(&opts)?;
+            println!("{report}");
+            println!(
+                "observation 1 (negative variation on MPcc1/MNcc1 raises DRV_DS1): {}",
+                report.data.observation1_holds()
+            );
+            println!(
+                "observation 2 (mirror for DRV_DS0): {}",
+                report.data.observation2_holds()
+            );
+            println!(
+                "pass transistors matter less than inverter devices: {}",
+                report.data.pass_transistors_matter_less()
+            );
         }
         "fig5" => {
-            println!("{}", taxonomy(&TaxonomyOptions::default())?);
+            let report = taxonomy(&TaxonomyOptions::default())?;
+            println!("{report}");
+            println!(
+                "{} of 32 classifications match the paper's Fig. 5 categories",
+                report.matching()
+            );
         }
         "table1" => {
             let mut opts = if paper {
@@ -186,7 +212,12 @@ fn run(
                 Table1Options::quick()
             };
             opts.jobs = jobs;
-            println!("{}", table1::run(&opts)?);
+            let report = table1::run(&opts)?;
+            println!("{report}");
+            println!(
+                "ordering CS1 > CS2 > CS3 > CS4 holds: {}",
+                report.ordering_holds()
+            );
         }
         "array" => {
             let mut opts = if paper {
@@ -207,7 +238,15 @@ fn run(
             };
             opts.jobs = jobs;
             opts.checkpoint = checkpoint.map(std::path::PathBuf::from);
-            println!("{}", table2::run(&opts)?);
+            let report = table2::run(&opts)?;
+            println!("{report}");
+            let shape = report.shape_holds();
+            println!("CS ordering (CS1 <= CS2 <= CS3): {}", shape.cs_ordering);
+            println!("CS5 <= CS2 (regulator loading):  {}", shape.cs5_below_cs2);
+            println!(
+                "of {{Df16, Df19, Df29}} among the 3 most critical amplifier defects: {}",
+                shape.critical_defects_in_top3
+            );
         }
         "table3" => {
             let mut opts = CoverageOptions::paper();
@@ -218,14 +257,11 @@ fn run(
                     .filter(|d| !d.is_transient_mechanism())
                     .collect();
             }
-            println!("{}", table3::run(&opts)?);
+            let report = table3::run(&opts)?;
+            println!("{report}");
+            println!("paper's flow for reference:\n{}", report.paper);
         }
-        "march" => {
-            for test in library::all(1.0e-3) {
-                let (a, b) = test.length_formula();
-                println!("{test}  (length {a}N+{b})");
-            }
-        }
+        "march" => march_study(),
         "fuzz-functional" | "fuzz-netlist" => {
             let cases = fuzz_cases.unwrap_or_else(|| default_fuzz_cases(artifact));
             let summary = if artifact == "fuzz-netlist" {
@@ -245,20 +281,42 @@ fn run(
         }
         "power-defects" => {
             println!("{}", power_defect_table(&PowerDefectOptions::default())?);
+            println!(
+                "note: these defects escape the retention flow by design (they never\n\
+                 lower Vreg); catching them needs an IDDQ-style static power screen,\n\
+                 which is exactly why the paper defers them to future work."
+            );
         }
         "ds-time" => {
-            println!("{}", ds_time_sweep(&DsTimeOptions::marginal_df16())?);
+            let report = ds_time_sweep(&DsTimeOptions::marginal_df16())?;
+            println!("{report}");
+            match report.minimum_detecting_dwell() {
+                Some(d) => println!(
+                    "minimum detecting dwell: {d:.1e} s — Table III's 1 ms dwell holds {}x margin",
+                    (1.0e-3 / d).round()
+                ),
+                None => println!("this defect escapes every swept dwell"),
+            }
         }
         "monte-carlo" => {
             let opts = MonteCarloOptions {
                 jobs,
                 ..MonteCarloOptions::default()
             };
-            println!("{}", monte_carlo_drv(&opts)?);
+            let report = monte_carlo_drv(&opts)?;
+            println!("{report}");
             for n in [1u8, 2, 4] {
                 let cs = CaseStudy::new(n, sram::StoredBit::One);
-                println!("{cs}: paper DRV {:.0} mV", cs.paper_drv_mv());
+                println!(
+                    "{cs}: pattern is {:.1}σ from nominal (RSS) — exceeded by {:.1}% of samples",
+                    pattern_norm_sigma(&cs.pattern()),
+                    report.exceedance(cs.paper_drv_mv() / 1e3) * 100.0
+                );
             }
+            println!(
+                "\nthe worst-case flow design point (730 mV) is a deep-tail construction:\n\
+                 testing against it covers every manufacturable die."
+            );
         }
         "all" => {
             for artifact in [
@@ -281,6 +339,48 @@ fn run(
         _ => return Err(format!("unknown artifact `{artifact}`").into()),
     }
     Ok(())
+}
+
+/// March algorithm study: the paper's March m-LZ against the classic
+/// baselines, graded on a fault list that includes deep-sleep
+/// retention faults.
+fn march_study() {
+    let (words, bits) = (256, 16);
+    let (retention, classic): (Vec<_>, Vec<_>) = standard_fault_list(words, bits)
+        .into_iter()
+        .partition(|f| f.kind.needs_deep_sleep());
+    println!(
+        "fault list: {} classic (SAF/TF/CF) + {} deep-sleep retention faults\n",
+        classic.len(),
+        retention.len()
+    );
+    println!(
+        "{:<12} {:>8} {:>10} {:>10} {:>12}",
+        "algorithm", "length", "classic", "retention", "DRF_DS-able"
+    );
+    for test in library::all(1.0e-3) {
+        let (a, b) = test.length_formula();
+        println!(
+            "{:<12} {:>5}N+{:<2} {:>9.0}% {:>9.0}% {:>12}",
+            test.name(),
+            a,
+            b,
+            grade(&test, words, bits, &classic).percent(),
+            grade(&test, words, bits, &retention).percent(),
+            if DrfDs::detected_by(&test) {
+                "yes"
+            } else {
+                "no"
+            }
+        );
+    }
+    let mlz = library::march_mlz(1.0e-3);
+    println!();
+    println!("March m-LZ notation: {mlz}");
+    println!(
+        "complexity on the paper's 4Kx64 block: {} operations",
+        mlz.complexity(4096)
+    );
 }
 
 /// Runs the static ERC lint sweep; returns the process exit code.
