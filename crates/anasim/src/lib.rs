@@ -11,7 +11,9 @@
 //! * a damped Newton–Raphson nonlinear solver with gmin stepping and
 //!   source stepping continuation ([`newton`]),
 //! * DC operating-point and sweep analyses ([`dc`]) and a fixed-step
-//!   backward-Euler / trapezoidal transient analysis ([`transient`]).
+//!   backward-Euler transient analysis ([`transient`]); backward Euler
+//!   is the only integration method (see
+//!   [`devices::capacitor::Capacitor`]).
 //!
 //! The circuits it is used on (an SRAM 6T cell, a voltage regulator with a
 //! five-transistor error amplifier) have at most a few tens of nodes, where

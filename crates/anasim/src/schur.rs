@@ -147,23 +147,19 @@ impl Partition {
     }
 }
 
-/// Options for [`solve_array`].
+/// Options for [`solve_array`]. Both paths run Newton with
+/// [`NewtonOptions::default`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArraySolveOptions {
     /// Route the solve through the block-Schur reduction (the default).
     /// `false` runs the monolithic dense/sparse Newton path instead —
     /// the reference the equivalence suite compares against.
     pub schur: bool,
-    /// Newton options shared by both paths.
-    pub newton: NewtonOptions,
 }
 
 impl Default for ArraySolveOptions {
     fn default() -> Self {
-        ArraySolveOptions {
-            schur: true,
-            newton: NewtonOptions::default(),
-        }
+        ArraySolveOptions { schur: true }
     }
 }
 
@@ -183,17 +179,18 @@ pub fn solve_array(
     x0: Option<&[f64]>,
     scratch: &mut SolveScratch,
 ) -> Result<Solution, Error> {
+    let newton = NewtonOptions::default();
     if opts.schur {
         crate::newton::solve_partitioned_with_scratch(
             netlist,
-            &opts.newton,
+            &newton,
             x0,
             AnalysisMode::Dc,
             scratch,
             partition,
         )
     } else {
-        crate::newton::solve_with_scratch(netlist, &opts.newton, x0, AnalysisMode::Dc, scratch)
+        crate::newton::solve_with_scratch(netlist, &newton, x0, AnalysisMode::Dc, scratch)
     }
 }
 
@@ -1576,7 +1573,10 @@ mod tests {
 
     /// Asserts two solutions agree per unknown within the Newton
     /// acceptance bound `vntol + reltol·|x|`.
-    fn assert_within_tolerance(opts: &NewtonOptions, want: &[f64], got: &[f64]) {
+    /// Per-unknown agreement to the Newton acceptance tolerance that
+    /// [`solve_array`] solves to.
+    fn assert_within_tolerance(want: &[f64], got: &[f64]) {
+        let opts = NewtonOptions::default();
         for (i, (&m, &s)) in want.iter().zip(got).enumerate() {
             let tol = opts.vntol + opts.reltol * m.abs().max(s.abs());
             assert!((m - s).abs() <= tol, "unknown {i}: {m} vs {s}");
@@ -1642,7 +1642,7 @@ mod tests {
         let mut mono_scratch = SolveScratch::new();
         let mono = solve_with_scratch(
             &nl,
-            &opts.newton,
+            &NewtonOptions::default(),
             Some(&guess),
             AnalysisMode::Dc,
             &mut mono_scratch,
@@ -1651,7 +1651,7 @@ mod tests {
         let mut schur_scratch = SolveScratch::new();
         let red = solve_array(&nl, &partition, &opts, Some(&guess), &mut schur_scratch)
             .expect("schur solve converges");
-        assert_within_tolerance(&opts.newton, mono.raw(), red.raw());
+        assert_within_tolerance(mono.raw(), red.raw());
         // 10 inactive latches all share one linearization per iterate:
         // almost every block must come from the cache.
         let c = schur_scratch.counters;
@@ -1737,7 +1737,7 @@ mod tests {
         let opts = ArraySolveOptions::default();
         let mono = solve_with_scratch(
             &nl,
-            &opts.newton,
+            &NewtonOptions::default(),
             Some(&guess),
             AnalysisMode::Dc,
             &mut SolveScratch::new(),
@@ -1751,7 +1751,7 @@ mod tests {
             &mut SolveScratch::new(),
         )
         .expect("schur solve converges");
-        assert_within_tolerance(&opts.newton, mono.raw(), red.raw());
+        assert_within_tolerance(mono.raw(), red.raw());
     }
 
     /// A latch chain with a resistor across every inactive cell, and
@@ -1851,7 +1851,7 @@ mod tests {
         let opts = ArraySolveOptions::default();
         let mono = solve_with_scratch(
             &nl,
-            &opts.newton,
+            &NewtonOptions::default(),
             Some(&guess),
             AnalysisMode::Dc,
             &mut SolveScratch::new(),
@@ -1860,7 +1860,7 @@ mod tests {
         let mut scratch = SolveScratch::new();
         let red = solve_array(&nl, &partition, &opts, Some(&guess), &mut scratch)
             .expect("schur solve converges");
-        assert_within_tolerance(&opts.newton, mono.raw(), red.raw());
+        assert_within_tolerance(mono.raw(), red.raw());
         assert!(scratch.schur.cache.spill.len() >= cells - 1 - MACRO_CACHE_SLOTS);
         let c = scratch.counters;
         assert_eq!(
@@ -1892,7 +1892,7 @@ mod tests {
         let opts = ArraySolveOptions::default();
         let mono = solve_with_scratch(
             &nl,
-            &opts.newton,
+            &NewtonOptions::default(),
             Some(&guess),
             AnalysisMode::Dc,
             &mut SolveScratch::new(),
@@ -1906,7 +1906,7 @@ mod tests {
             &mut SolveScratch::new(),
         )
         .expect("schur solve converges");
-        assert_within_tolerance(&opts.newton, mono.raw(), red.raw());
+        assert_within_tolerance(mono.raw(), red.raw());
     }
 
     /// The partition plan of the old sort-based construction: every

@@ -32,7 +32,8 @@ pub fn tap_for_vdd(vdd: f64) -> VrefTap {
     }
 }
 
-/// Options of the Table II campaign.
+/// Options of the Table II campaign, which characterizes the
+/// [`RegulatorDesign::lp40nm`] regulator.
 #[derive(Debug, Clone)]
 pub struct Table2Options {
     /// Corners in the PVT grid.
@@ -46,8 +47,6 @@ pub struct Table2Options {
     /// Case studies characterized (default: the five `-1` variants;
     /// the `-0` rows are mirrors).
     pub case_studies: Vec<CaseStudy>,
-    /// Regulator design.
-    pub design: RegulatorDesign,
     /// Min-resistance search tuning.
     pub characterize: CharacterizeOptions,
     /// DRV search tuning.
@@ -98,7 +97,6 @@ impl Table2Options {
             supplies: vec![1.0, 1.1, 1.2],
             defects: Defect::table2_rows(),
             case_studies: CaseStudy::ones(),
-            design: RegulatorDesign::lp40nm(),
             characterize: CharacterizeOptions::default(),
             drv: DrvOptions::default(),
             load_points: 9,
@@ -108,20 +106,6 @@ impl Table2Options {
             checkpoint: None,
             jobs: 0,
             warm_start: true,
-        }
-    }
-
-    /// A reduced grid hitting the conditions the paper reports as worst
-    /// cases (`fs`/`sf`/`fast` corners, hot and cold).
-    pub fn reduced() -> Self {
-        Table2Options {
-            corners: vec![
-                ProcessCorner::FastNSlowP,
-                ProcessCorner::SlowNFastP,
-                ProcessCorner::Fast,
-            ],
-            temperatures: vec![-30.0, 125.0],
-            ..Self::paper()
         }
     }
 
@@ -307,6 +291,7 @@ fn checkpoint_cell(fields: &[String]) -> Option<Table2Cell> {
 pub fn table2(options: &Table2Options) -> Result<Table2, anasim::Error> {
     let _span = obs::span("table2");
     let campaign_start = std::time::Instant::now();
+    let design = RegulatorDesign::lp40nm();
     let grid_size = options.corners.len() * options.temperatures.len() * options.supplies.len();
     let checkpoint = options.checkpoint.as_ref().map(Checkpoint::new);
     let io_err = |e: std::io::Error| anasim::Error::InvalidValue {
@@ -389,7 +374,7 @@ pub fn table2(options: &Table2Options) -> Result<Table2, anasim::Error> {
             // A failed healthy solve only costs the warm start: the
             // searches at this condition run cold.
             let seed = if options.warm_start {
-                healthy_seed(&options.design, pvt, tap_for_vdd(pvt.vdd), &ctx.load).ok()
+                healthy_seed(&design, pvt, tap_for_vdd(pvt.vdd), &ctx.load).ok()
             } else {
                 None
             };
@@ -436,7 +421,15 @@ pub fn table2(options: &Table2Options) -> Result<Table2, anasim::Error> {
     let done = parallel_map_isolated(
         options.jobs,
         &cell_items,
-        |_, &(defect, ci)| evaluate_cell(defect, &options.case_studies[ci], options, &contexts),
+        |_, &(defect, ci)| {
+            evaluate_cell(
+                defect,
+                &options.case_studies[ci],
+                options,
+                &design,
+                &contexts,
+            )
+        },
         |i, outcome| {
             let (defect, ci) = cell_items[i];
             let key = cell_key(defect, options.case_studies[ci].number);
@@ -594,6 +587,7 @@ fn evaluate_cell(
     defect: Defect,
     cs: &CaseStudy,
     options: &Table2Options,
+    design: &RegulatorDesign,
     contexts: &HashMap<CtxKey, Option<SeededContext>>,
 ) -> Result<CellDone, anasim::Error> {
     let key = cell_key(defect, cs.number);
@@ -646,7 +640,7 @@ fn evaluate_cell(
                         // sever a node, and let the pre-flight gate
                         // reject it — no solve is ever attempted.
                         let mut circuit = regulator::RegulatorCircuit::new(
-                            &options.design,
+                            design,
                             pvt,
                             tap,
                             regulator::FeedMode::Static,
@@ -666,7 +660,7 @@ fn evaluate_cell(
                         drv: ctx.drv,
                     };
                     min_resistance_seeded(
-                        &options.design,
+                        design,
                         pvt,
                         tap,
                         defect,

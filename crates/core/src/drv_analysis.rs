@@ -16,6 +16,11 @@ use crate::campaign::{
     preflight_netlist, publish_coverage, run_grid, Coverage, GridPoint, Groups, PointFailure,
 };
 
+/// Supply bound of the Fig. 4 and Table I DRV searches, volts: the
+/// nominal 1.1 V the cells run from, above which no retention voltage
+/// is of interest. A cell unstable even there reports the bound itself.
+pub(crate) const DRV_SEARCH_VDD: f64 = 1.1;
+
 /// Options for the Fig. 4 sweep.
 #[derive(Debug, Clone)]
 pub struct Fig4Options {
@@ -25,8 +30,6 @@ pub struct Fig4Options {
     pub corners: Vec<ProcessCorner>,
     /// Temperatures included in the max, °C.
     pub temperatures: Vec<f64>,
-    /// Supply bound for the DRV search, volts.
-    pub vdd: f64,
     /// DRV search tuning.
     pub drv: DrvOptions,
     /// Worker threads the (transistor × σ × corner × temp) grid fans
@@ -43,7 +46,6 @@ impl Fig4Options {
             sigmas: vec![-6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0],
             corners: ProcessCorner::ALL.to_vec(),
             temperatures: vec![-30.0, 25.0, 125.0],
-            vdd: 1.1,
             drv: DrvOptions::default(),
             jobs: 0,
         }
@@ -56,7 +58,6 @@ impl Fig4Options {
             sigmas: vec![-6.0, 0.0, 6.0],
             corners: vec![ProcessCorner::Typical],
             temperatures: vec![25.0, 125.0],
-            vdd: 1.1,
             drv: DrvOptions::coarse(),
             jobs: 0,
         }
@@ -184,7 +185,7 @@ pub fn fig4(options: &Fig4Options) -> Result<Fig4Data, anasim::Error> {
                     grid.push((
                         transistor,
                         sigma,
-                        PvtCondition::new(corner, options.vdd, temp),
+                        PvtCondition::new(corner, DRV_SEARCH_VDD, temp),
                     ));
                 }
             }
@@ -207,7 +208,7 @@ pub fn fig4(options: &Fig4Options) -> Result<Fig4Data, anasim::Error> {
             let inst = CellInstance::with_pattern(pattern, pvt);
             // ERC pre-flight on the cell netlist this point would
             // solve, then the two DRV searches.
-            preflight_netlist(&build_retention_netlist(&inst, options.vdd)?.0)?;
+            preflight_netlist(&build_retention_netlist(&inst, DRV_SEARCH_VDD)?.0)?;
             let d1 = drv_ds(&inst, StoredBit::One, &options.drv)?.drv;
             Ok((d1, drv_ds(&inst, StoredBit::Zero, &options.drv)?.drv))
         },

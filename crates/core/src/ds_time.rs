@@ -7,7 +7,7 @@
 //! defect, the shortest DS time at which March m-LZ catches it — the
 //! quantitative basis for Table III's "DS time ≥ 1 ms" column.
 
-use process::PvtCondition;
+use process::{ProcessCorner, PvtCondition};
 use regulator::{Defect, FeedMode, RegulatorCircuit, RegulatorDesign};
 use sram::drv::{drv_ds, DrvOptions};
 use sram::retention::{flip_time, retention_outcome};
@@ -16,41 +16,24 @@ use sram::{ArrayLoad, CellInstance, CellPopulation, StoredBit};
 use crate::case_study::CaseStudy;
 use crate::defect_analysis::tap_for_vdd;
 
-/// Options for the dwell-time sweep.
-#[derive(Debug, Clone)]
-pub struct DsTimeOptions {
-    /// Die condition.
-    pub pvt: PvtCondition,
-    /// Case study providing the threatened cell.
-    pub case_study: CaseStudy,
-    /// The marginal defect and its resistance.
-    pub defect: Defect,
-    /// Injected resistance, ohms.
-    pub ohms: f64,
-    /// Dwell times to evaluate, seconds.
-    pub dwells: Vec<f64>,
-    /// Regulator design.
-    pub design: RegulatorDesign,
-    /// DRV search tuning.
-    pub drv: DrvOptions,
-}
+/// The swept die: typical corner, nominal 1.1 V, room temperature.
+/// Cold is where the dwell binds: the slow leakage there makes the flip
+/// take long enough for the DS time to gate detection, while at 125 °C
+/// flips complete in nanoseconds.
+const PVT: PvtCondition = PvtCondition::new(ProcessCorner::Typical, 1.1, 25.0);
 
-impl DsTimeOptions {
-    /// A marginal Df16 at room temperature, where the slow leakage
-    /// makes the dwell time genuinely gate detection (at 125 °C flips
-    /// complete in nanoseconds; the dwell constraint binds cold).
-    pub fn marginal_df16() -> Self {
-        DsTimeOptions {
-            pvt: PvtCondition::new(process::ProcessCorner::Typical, 1.1, 25.0),
-            case_study: CaseStudy::new(1, StoredBit::One),
-            defect: Defect::new(16),
-            ohms: 5.0e6,
-            dwells: vec![1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1],
-            design: RegulatorDesign::lp40nm(),
-            drv: DrvOptions::coarse(),
-        }
-    }
-}
+/// The swept defect: Df16, the open in MPreg1's supply, the most
+/// critical of Table II's amplifier defects (under 1 kΩ for CS1).
+const DEFECT: u8 = 16;
+
+/// Df16's resistance, ohms: 5 MΩ pulls the rail below the stressed
+/// cell's retention voltage but leaves it far above ground, so the cell
+/// flips in microseconds rather than at once.
+const OHMS: f64 = 5.0e6;
+
+/// Swept dwell times, seconds: one per decade from 1 µs to 100 ms,
+/// bracketing Table III's 1 ms DS time.
+const DWELLS: [f64; 6] = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1];
 
 /// One dwell-time point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,17 +89,20 @@ impl std::fmt::Display for DsTimeReport {
     }
 }
 
-/// Runs the dwell sweep: solves the defective regulator once, then
-/// evaluates the retention outcome at each dwell.
+/// Runs the dwell sweep for a marginal Df16 threatening the CS1-1
+/// cell, the worst-case retention voltage of Table I: solves the
+/// defective regulator once, then evaluates the retention outcome at
+/// each dwell. The DRV search is coarse (≈4 mV): the verdict compares
+/// the rail with the DRV, and the rail sits well clear of it.
 ///
 /// # Errors
 ///
 /// Propagates solver failures.
-pub fn ds_time_sweep(options: &DsTimeOptions) -> Result<DsTimeReport, anasim::Error> {
-    let pvt = options.pvt;
-    let cs = &options.case_study;
+pub fn ds_time_sweep() -> Result<DsTimeReport, anasim::Error> {
+    let pvt = PVT;
+    let cs = CaseStudy::new(1, StoredBit::One);
     let stressed = CellInstance::with_pattern(cs.pattern(), pvt);
-    let drv = drv_ds(&stressed, cs.weak_bit, &options.drv)?.drv;
+    let drv = drv_ds(&stressed, cs.weak_bit, &DrvOptions::coarse())?.drv;
     let base = CellInstance::symmetric(pvt);
     let load = ArrayLoad::build(
         &base,
@@ -129,9 +115,13 @@ pub fn ds_time_sweep(options: &DsTimeOptions) -> Result<DsTimeReport, anasim::Er
         1.3,
         7,
     )?;
-    let mut circuit =
-        RegulatorCircuit::new(&options.design, pvt, tap_for_vdd(pvt.vdd), FeedMode::Static)?;
-    circuit.inject(options.defect, options.ohms);
+    let mut circuit = RegulatorCircuit::new(
+        &RegulatorDesign::lp40nm(),
+        pvt,
+        tap_for_vdd(pvt.vdd),
+        FeedMode::Static,
+    )?;
+    circuit.inject(Defect::new(DEFECT), OHMS);
     let vddcc = circuit.solve(&load)?.vddcc;
 
     let t_flip = if vddcc < drv {
@@ -139,8 +129,7 @@ pub fn ds_time_sweep(options: &DsTimeOptions) -> Result<DsTimeReport, anasim::Er
     } else {
         None
     };
-    let points = options
-        .dwells
+    let points = DWELLS
         .iter()
         .map(|&dwell| DsTimePoint {
             dwell,
@@ -161,7 +150,7 @@ mod tests {
 
     #[test]
     fn dwell_gates_detection_for_a_marginal_defect() {
-        let report = ds_time_sweep(&DsTimeOptions::marginal_df16()).unwrap();
+        let report = ds_time_sweep().unwrap();
         assert!(
             report.vddcc < report.drv,
             "defect must be marginal: {report}"
@@ -185,7 +174,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let report = ds_time_sweep(&DsTimeOptions::marginal_df16()).unwrap();
+        let report = ds_time_sweep().unwrap();
         let text = report.to_string();
         assert!(text.contains("flip time"));
         assert!(text.contains("DETECTED") || text.contains("escapes"));

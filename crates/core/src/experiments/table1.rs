@@ -11,6 +11,7 @@ use crate::campaign::{
     completeness_footer, publish_coverage, run_grid, Coverage, GridPoint, Groups, PointFailure,
 };
 use crate::case_study::CaseStudy;
+use crate::drv_analysis::DRV_SEARCH_VDD;
 use crate::report::{format_mv, TextTable};
 
 /// Options for the Table I experiment.
@@ -20,8 +21,6 @@ pub struct Table1Options {
     pub corners: Vec<ProcessCorner>,
     /// Temperatures in the max, °C.
     pub temperatures: Vec<f64>,
-    /// Supply bound, volts.
-    pub vdd: f64,
     /// DRV search tuning.
     pub drv: DrvOptions,
     /// Worker threads the (case-study × corner × temp) grid fans
@@ -36,7 +35,6 @@ impl Table1Options {
         Table1Options {
             corners: ProcessCorner::ALL.to_vec(),
             temperatures: vec![-30.0, 25.0, 125.0],
-            vdd: 1.1,
             drv: DrvOptions::default(),
             jobs: 0,
         }
@@ -162,7 +160,7 @@ pub fn run(options: &Table1Options) -> Result<Table1Report, anasim::Error> {
     for &cs in &cases {
         for &corner in &options.corners {
             for &temp in &options.temperatures {
-                points.push((cs, PvtCondition::new(corner, options.vdd, temp)));
+                points.push((cs, PvtCondition::new(corner, DRV_SEARCH_VDD, temp)));
             }
         }
     }

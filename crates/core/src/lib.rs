@@ -28,17 +28,14 @@
 //!
 //! ```no_run
 //! use drftest::case_study::CaseStudy;
-//! use drftest::test_flow::{run_flow_against_defect, FlowEnvironment, TestFlow};
-//! use regulator::{Defect, RegulatorDesign};
+//! use drftest::test_flow::{run_flow_against_defect, TestFlow};
+//! use regulator::Defect;
 //! use sram::StoredBit;
 //!
 //! # fn main() -> Result<(), anasim::Error> {
 //! let flow = TestFlow::paper_optimized(1.0e-3);
 //! let cs = CaseStudy::new(1, StoredBit::One);
-//! let run = run_flow_against_defect(
-//!     &flow, Defect::new(16), 50.0e3, &cs,
-//!     &FlowEnvironment::hot_small(), &RegulatorDesign::lp40nm(),
-//! )?;
+//! let run = run_flow_against_defect(&flow, Defect::new(16), 50.0e3, &cs)?;
 //! println!("detected: {}", run.detected());
 //! # Ok(())
 //! # }
@@ -71,7 +68,7 @@ pub use case_study::{CaseStudy, WORST_CASE_DRV};
 pub use defect_analysis::{table2, tap_for_vdd, Table2, Table2Options};
 pub use diagnosis::{diagnose_mlz, diagnose_mlz_with_prepass, FailureSignature, LostValue};
 pub use drv_analysis::{fig4, Fig4Data, Fig4Options};
-pub use ds_time::{ds_time_sweep, DsTimeOptions, DsTimeReport};
+pub use ds_time::{ds_time_sweep, DsTimeReport};
 pub use executor::{available_jobs, effective_jobs, parallel_map_isolated, WorkOutcome};
 pub use experiments::array::{ArrayRetentionOptions, ArrayRetentionReport, ArrayScenario};
 pub use fault_model::DrfDs;
@@ -81,7 +78,7 @@ pub use montecarlo_drv::{monte_carlo_drv, MonteCarloOptions, MonteCarloReport};
 pub use optimize::{
     build_coverage, escape_analysis, greedy_cover, CoverageMatrix, CoverageOptions, EscapeReport,
 };
-pub use power_defect_analysis::{power_defect_table, PowerDefectOptions, PowerDefectReport};
+pub use power_defect_analysis::{power_defect_table, PowerDefectReport};
 pub use sram_target::SramTarget;
-pub use taxonomy::{taxonomy, TaxonomyOptions, TaxonomyReport};
-pub use test_flow::{run_flow_against_defect, FlowEnvironment, FlowIteration, FlowRun, TestFlow};
+pub use taxonomy::{taxonomy, TaxonomyReport};
+pub use test_flow::{run_flow_against_defect, FlowIteration, FlowRun, TestFlow};

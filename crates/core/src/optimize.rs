@@ -2,7 +2,7 @@
 //! combinations that keep every defect's detection condition covered —
 //! the reasoning behind the paper's Table III.
 
-use process::{ProcessCorner, PvtCondition};
+use process::PvtCondition;
 use regulator::characterize::{
     healthy_seed, min_resistance_seeded, CharacterizeOptions, DrfCriterion,
 };
@@ -13,28 +13,24 @@ use sram::StoredBit;
 use crate::campaign::{publish_coverage, run_grid, Coverage, GridPoint, PointFailure};
 use crate::case_study::{CaseStudy, WORST_CASE_DRV};
 use crate::defect_analysis::build_context;
-use crate::test_flow::{FlowIteration, TestFlow};
+use crate::test_flow::{FlowIteration, TestFlow, TEST_CORNER, TEST_TEMP_C};
 
-/// Options for building the coverage matrix.
+/// A combination "maximizes" detection of a defect when its minimum
+/// failing resistance is within this factor of the best combination
+/// for that defect. The paper names more than one maximizing `Vref`
+/// for some defects (Df3: 0.70·VDD and 0.64·VDD), so the criterion
+/// needs a tolerance; a factor of two admits near-ties and rejects
+/// combinations a decade worse.
+const SLACK: f64 = 2.0;
+
+/// Options for building the coverage matrix. The matrix is evaluated
+/// for the stressed CS1-1 cell, the worst-case retention voltage of
+/// Table I, on the test insertion's die (`fs` at 125 °C) with the
+/// [`RegulatorDesign::lp40nm`] regulator.
 #[derive(Debug, Clone)]
 pub struct CoverageOptions {
-    /// Die corner and temperature at which coverage is evaluated (the
-    /// paper recommends testing hot; `fs`/125 °C is the dominant worst
-    /// case of Table II).
-    pub corner: ProcessCorner,
-    /// Temperature, °C.
-    pub temp_c: f64,
     /// Defects to cover (default: the 17 Table II rows).
     pub defects: Vec<Defect>,
-    /// Case study defining the threatened cell (default CS1-1, the
-    /// worst-case retention voltage).
-    pub case_study: CaseStudy,
-    /// A combination "maximizes" detection of a defect when its minimum
-    /// failing resistance is within this factor of the best combination
-    /// for that defect.
-    pub slack: f64,
-    /// Regulator design.
-    pub design: RegulatorDesign,
     /// Characterization tuning; its `ds_time` is the deep-sleep dwell
     /// every combination is searched and labelled with.
     pub characterize: CharacterizeOptions,
@@ -52,12 +48,7 @@ impl CoverageOptions {
     /// Default configuration used for Table III regeneration.
     pub fn paper() -> Self {
         CoverageOptions {
-            corner: ProcessCorner::FastNSlowP,
-            temp_c: 125.0,
             defects: Defect::table2_rows(),
-            case_study: CaseStudy::new(1, StoredBit::One),
-            slack: 2.0,
-            design: RegulatorDesign::lp40nm(),
             characterize: CharacterizeOptions::default(),
             drv: DrvOptions::default(),
             load_points: 7,
@@ -134,8 +125,8 @@ impl CoverageMatrix {
 /// Propagates non-retryable failures (invalid setups).
 pub fn build_coverage(options: &CoverageOptions) -> Result<CoverageMatrix, anasim::Error> {
     let run_start = std::time::Instant::now();
-    let supplies =
-        [1.0, 1.1, 1.2].map(|vdd| PvtCondition::new(options.corner, vdd, options.temp_c));
+    let design = RegulatorDesign::lp40nm();
+    let supplies = [1.0, 1.1, 1.2].map(|vdd| PvtCondition::new(TEST_CORNER, vdd, TEST_TEMP_C));
     let taps = VrefTap::ALL.len();
     let mut combos = Vec::with_capacity(supplies.len() * taps);
     for pvt in &supplies {
@@ -147,7 +138,7 @@ pub fn build_coverage(options: &CoverageOptions) -> Result<CoverageMatrix, anasi
             });
         }
     }
-    let cs = &options.case_study;
+    let cs = &CaseStudy::new(1, StoredBit::One);
     // Per-supply context (corner/temp fixed, vdd varies) with the
     // healthy operating point at each of its taps, the warm-start seed
     // of every defect search in that column; a failed build poisons
@@ -169,7 +160,7 @@ pub fn build_coverage(options: &CoverageOptions) -> Result<CoverageMatrix, anasi
             // degrades its column to a cold start.
             let seeds: Vec<Option<Vec<f64>>> = VrefTap::ALL
                 .iter()
-                .map(|&tap| healthy_seed(&options.design, pvt, tap, &ctx.load).ok())
+                .map(|&tap| healthy_seed(&design, pvt, tap, &ctx.load).ok())
                 .collect();
             Ok((ctx, seeds))
         },
@@ -223,7 +214,7 @@ pub fn build_coverage(options: &CoverageOptions) -> Result<CoverageMatrix, anasi
                 drv: ctx.drv,
             };
             let found = min_resistance_seeded(
-                &options.design,
+                &design,
                 supplies[c / taps],
                 combo.tap,
                 options.defects[d],
@@ -258,7 +249,7 @@ pub fn build_coverage(options: &CoverageOptions) -> Result<CoverageMatrix, anasi
         if best.is_finite() {
             for c in 0..combos.len() {
                 if let Some(r) = min_r[d][c] {
-                    maximized[d][c] = r <= best * options.slack;
+                    maximized[d][c] = r <= best * SLACK;
                 }
             }
         }

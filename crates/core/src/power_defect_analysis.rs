@@ -8,54 +8,25 @@
 //! deep-sleep static power exceeds a budget factor over the fault-free
 //! value — the power-side analogue of Table II.
 
-use process::PvtCondition;
-use regulator::{Defect, DefectCategory, FeedMode, RegulatorCircuit, RegulatorDesign};
+use process::{ProcessCorner, PvtCondition};
+use regulator::characterize::SEARCH_MIN_OHMS;
+use regulator::{Defect, FeedMode, RegulatorCircuit, RegulatorDesign, OPEN_THRESHOLD_OHMS};
 use sram::{ArrayLoad, CellInstance, StaticPowerModel};
 
 use crate::defect_analysis::tap_for_vdd;
 
-/// Options for the power-defect campaign.
-#[derive(Debug, Clone)]
-pub struct PowerDefectOptions {
-    /// Operating condition (power defects are characterized hot, where
-    /// static power matters).
-    pub pvt: PvtCondition,
-    /// A defect is "power-faulty" when DS static power exceeds the
-    /// fault-free value by this factor.
-    pub budget_factor: f64,
-    /// Defects to characterize (default: the 9 category-1 sites).
-    pub defects: Vec<Defect>,
-    /// Regulator design.
-    pub design: RegulatorDesign,
-    /// Static power model.
-    pub power: StaticPowerModel,
-    /// Search bounds, ohms.
-    pub r_min: f64,
-    /// Upper bound, ohms.
-    pub r_max: f64,
-    /// Bisection refinements.
-    pub refine_iters: usize,
-    /// Array-load samples.
-    pub load_points: usize,
-}
+/// The characterized die: typical corner at the nominal 1.1 V and
+/// 125 °C. Power defects are characterized hot, where static power
+/// matters.
+const PVT: PvtCondition = PvtCondition::new(ProcessCorner::Typical, 1.1, 125.0);
 
-impl Default for PowerDefectOptions {
-    fn default() -> Self {
-        PowerDefectOptions {
-            pvt: PvtCondition::new(process::ProcessCorner::Typical, 1.1, 125.0),
-            budget_factor: 1.5,
-            defects: Defect::all()
-                .filter(|d| d.expected_category() == DefectCategory::IncreasedPower)
-                .collect(),
-            design: RegulatorDesign::lp40nm(),
-            power: StaticPowerModel::lp40nm(),
-            r_min: 100.0,
-            r_max: regulator::OPEN_THRESHOLD_OHMS,
-            refine_iters: 8,
-            load_points: 7,
-        }
-    }
-}
+/// A defect is power-faulty when DS static power exceeds the fault-free
+/// value by this factor: halfway to the ≈2× a full open costs, where
+/// `Vreg` regulates to about `VDD`.
+const BUDGET_FACTOR: f64 = 1.5;
+
+/// Bisection refinements of the minimum over-budget resistance.
+const REFINE_ITERS: usize = 8;
 
 /// One row of the power-defect table.
 #[derive(Debug, Clone, Copy)]
@@ -113,29 +84,26 @@ impl std::fmt::Display for PowerDefectReport {
     }
 }
 
-/// Runs the campaign.
+/// Runs the campaign over `defects` (the CLI passes the nine
+/// category-1 sites): for each, the minimum resistance between
+/// [`SEARCH_MIN_OHMS`] and [`OPEN_THRESHOLD_OHMS`] at which DS static
+/// power exceeds the budget.
 ///
 /// # Errors
 ///
 /// Propagates solver failures.
-pub fn power_defect_table(
-    options: &PowerDefectOptions,
-) -> Result<PowerDefectReport, anasim::Error> {
-    let pvt = options.pvt;
+pub fn power_defect_table(defects: &[Defect]) -> Result<PowerDefectReport, anasim::Error> {
+    let pvt = PVT;
     let tap = tap_for_vdd(pvt.vdd);
     let base = CellInstance::symmetric(pvt);
-    let load = ArrayLoad::build(
-        &base,
-        &[],
-        options.power.total_cells,
-        1.3,
-        options.load_points,
-    )?;
+    let power = StaticPowerModel::lp40nm();
+    let load = ArrayLoad::build(&base, &[], power.total_cells, 1.3, 7)?;
 
-    let mut circuit = RegulatorCircuit::new(&options.design, pvt, tap, FeedMode::Static)?;
+    let mut circuit =
+        RegulatorCircuit::new(&RegulatorDesign::lp40nm(), pvt, tap, FeedMode::Static)?;
     let healthy_vddcc = circuit.solve(&load)?.vddcc;
-    let healthy_power = options.power.deep_sleep_power(&base, healthy_vddcc)?;
-    let budget = healthy_power * options.budget_factor;
+    let healthy_power = power.deep_sleep_power(&base, healthy_vddcc)?;
+    let budget = healthy_power * BUDGET_FACTOR;
 
     let power_at = |circuit: &mut RegulatorCircuit,
                     defect: Defect,
@@ -143,20 +111,20 @@ pub fn power_defect_table(
      -> Result<(f64, f64), anasim::Error> {
         circuit.inject(defect, ohms);
         let vddcc = circuit.solve(&load)?.vddcc;
-        Ok((options.power.deep_sleep_power(&base, vddcc)?, vddcc))
+        Ok((power.deep_sleep_power(&base, vddcc)?, vddcc))
     };
 
     let mut rows = Vec::new();
-    for &defect in &options.defects {
+    for &defect in defects {
         circuit.clear_defects();
-        let (p_open, v_open) = power_at(&mut circuit, defect, options.r_max)?;
+        let (p_open, v_open) = power_at(&mut circuit, defect, OPEN_THRESHOLD_OHMS)?;
         let min_ohms = if p_open <= budget {
             None
         } else {
-            // Log bisection between r_min (healthy-ish) and r_max.
-            let mut lo = options.r_min;
-            let mut hi = options.r_max;
-            for _ in 0..options.refine_iters {
+            // Log bisection between a healthy-ish resistance and a full open.
+            let mut lo = SEARCH_MIN_OHMS;
+            let mut hi = OPEN_THRESHOLD_OHMS;
+            for _ in 0..REFINE_ITERS {
                 let mid = (lo.ln() + hi.ln()).mul_add(0.5, 0.0).exp();
                 circuit.clear_defects();
                 let (p, _) = power_at(&mut circuit, defect, mid)?;
@@ -179,7 +147,7 @@ pub fn power_defect_table(
     Ok(PowerDefectReport {
         rows,
         pvt,
-        budget_factor: options.budget_factor,
+        budget_factor: BUDGET_FACTOR,
     })
 }
 
@@ -189,11 +157,8 @@ mod tests {
 
     #[test]
     fn category1_defects_raise_power_at_full_open() {
-        let opts = PowerDefectOptions {
-            defects: vec![Defect::new(13), Defect::new(20), Defect::new(6)],
-            ..PowerDefectOptions::default()
-        };
-        let report = power_defect_table(&opts).unwrap();
+        let report =
+            power_defect_table(&[Defect::new(13), Defect::new(20), Defect::new(6)]).unwrap();
         assert_eq!(report.rows.len(), 3);
         for row in &report.rows {
             assert!(
@@ -212,20 +177,16 @@ mod tests {
 
     #[test]
     fn bisection_brackets_the_budget_crossing() {
-        let opts = PowerDefectOptions {
-            defects: vec![Defect::new(20)],
-            ..PowerDefectOptions::default()
-        };
-        let report = power_defect_table(&opts).unwrap();
+        let report = power_defect_table(&[Defect::new(20)]).unwrap();
         let row = &report.rows[0];
         if let Some(r) = row.min_ohms {
             assert!(
-                (opts.r_min..=opts.r_max).contains(&r),
+                (SEARCH_MIN_OHMS..=OPEN_THRESHOLD_OHMS).contains(&r),
                 "min resistance {r} out of bounds"
             );
         } else {
             // Acceptable only if even the full open stayed in budget.
-            assert!(row.power_at_open <= row.healthy_power * opts.budget_factor);
+            assert!(row.power_at_open <= row.healthy_power * BUDGET_FACTOR);
         }
     }
 }

@@ -12,40 +12,16 @@ use regulator::characterize::CharacterizeOptions;
 use regulator::{classify_at_tap, Defect, DefectCategory, RegulatorDesign, VrefTap};
 use sram::{ArrayLoad, CellInstance};
 
-/// Options for the taxonomy sweep.
-#[derive(Debug, Clone)]
-pub struct TaxonomyOptions {
-    /// Operating condition (hot, where the load is significant).
-    pub pvt: PvtCondition,
-    /// Taps to classify at (all four by default — mixed sites reveal
-    /// themselves across taps).
-    pub taps: Vec<VrefTap>,
-    /// Regulator design.
-    pub design: RegulatorDesign,
-    /// Characterization tuning (transient settings for Df8/Df11).
-    pub characterize: CharacterizeOptions,
-    /// Array-load samples.
-    pub load_points: usize,
-}
-
-impl Default for TaxonomyOptions {
-    fn default() -> Self {
-        TaxonomyOptions {
-            pvt: PvtCondition::new(process::ProcessCorner::FastNSlowP, 1.1, 125.0),
-            taps: VrefTap::ALL.to_vec(),
-            design: RegulatorDesign::lp40nm(),
-            characterize: CharacterizeOptions::coarse(),
-            load_points: 7,
-        }
-    }
-}
+/// The classified die: `fs` at the nominal 1.1 V and 125 °C, the hot
+/// worst case of Table II, where the array load is significant.
+const PVT: PvtCondition = PvtCondition::new(process::ProcessCorner::FastNSlowP, 1.1, 125.0);
 
 /// Measured classification of one defect.
 #[derive(Debug, Clone)]
 pub struct TaxonomyRow {
     /// The defect.
     pub defect: Defect,
-    /// Per-tap classes, in `options.taps` order.
+    /// Per-tap classes, in the order of the report's `taps`.
     pub per_tap: Vec<DefectCategory>,
     /// The combined class (mixed when taps disagree between power and
     /// retention).
@@ -116,12 +92,17 @@ fn combine(per_tap: &[DefectCategory]) -> DefectCategory {
     }
 }
 
-/// Runs the classification sweep over all 32 defects.
+/// Runs the classification sweep over all 32 defects at each of
+/// `taps` (the CLI passes all four: the mixed sites reveal themselves
+/// only across taps). The Df8/Df11 transients use the coarse
+/// characterization settings, which classify every site as the paper
+/// does.
 ///
 /// ```no_run
-/// use drftest::{taxonomy, TaxonomyOptions};
+/// use drftest::taxonomy;
+/// use regulator::VrefTap;
 /// # fn main() -> Result<(), anasim::Error> {
-/// let report = taxonomy(&TaxonomyOptions::default())?;
+/// let report = taxonomy(&VrefTap::ALL)?;
 /// assert_eq!(report.matching(), 32); // all categories match the paper
 /// # Ok(())
 /// # }
@@ -130,20 +111,22 @@ fn combine(per_tap: &[DefectCategory]) -> DefectCategory {
 /// # Errors
 ///
 /// Propagates solver failures.
-pub fn taxonomy(options: &TaxonomyOptions) -> Result<TaxonomyReport, anasim::Error> {
-    let base = CellInstance::symmetric(options.pvt);
-    let load = ArrayLoad::build(&base, &[], 256 * 1024, 1.3, options.load_points)?;
+pub fn taxonomy(taps: &[VrefTap]) -> Result<TaxonomyReport, anasim::Error> {
+    let design = RegulatorDesign::lp40nm();
+    let characterize = CharacterizeOptions::coarse();
+    let base = CellInstance::symmetric(PVT);
+    let load = ArrayLoad::build(&base, &[], 256 * 1024, 1.3, 7)?;
     let mut rows = Vec::with_capacity(32);
     for defect in Defect::all() {
-        let mut per_tap = Vec::with_capacity(options.taps.len());
-        for &tap in &options.taps {
+        let mut per_tap = Vec::with_capacity(taps.len());
+        for &tap in taps {
             per_tap.push(classify_at_tap(
-                &options.design,
-                options.pvt,
+                &design,
+                PVT,
                 tap,
                 defect,
                 &load,
-                &options.characterize,
+                &characterize,
             )?);
         }
         let measured = combine(&per_tap);
@@ -156,7 +139,7 @@ pub fn taxonomy(options: &TaxonomyOptions) -> Result<TaxonomyReport, anasim::Err
     }
     Ok(TaxonomyReport {
         rows,
-        taps: options.taps.clone(),
+        taps: taps.to_vec(),
     })
 }
 
@@ -180,11 +163,7 @@ mod tests {
     fn single_tap_subset_classifies_clear_cases() {
         // One tap keeps the test fast; the clear-cut defects classify
         // correctly even without the cross-tap view.
-        let opts = TaxonomyOptions {
-            taps: vec![VrefTap::V74],
-            ..Default::default()
-        };
-        let report = taxonomy(&opts).unwrap();
+        let report = taxonomy(&[VrefTap::V74]).unwrap();
         assert_eq!(report.rows.len(), 32);
         let class_of = |n: u8| {
             report

@@ -145,35 +145,12 @@ impl fmt::Display for TestFlow {
     }
 }
 
-/// Environment for an end-to-end flow run: the die's corner and
-/// temperature (supply varies per iteration).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FlowEnvironment {
-    /// Process corner of the device under test.
-    pub corner: ProcessCorner,
-    /// Test temperature, °C (the paper recommends testing hot).
-    pub temp_c: f64,
-    /// Geometry of the simulated memory (defaults small for speed; the
-    /// real part is [`ArrayGeometry::paper`]).
-    pub geometry: ArrayGeometry,
-    /// DRV search tuning.
-    pub drv: DrvOptions,
-    /// Array-load samples.
-    pub load_points: usize,
-}
+/// Process corner of the test insertion, for the flow runs and Table
+/// III's coverage matrix: `fs`, the dominant worst case of Table II.
+pub(crate) const TEST_CORNER: ProcessCorner = ProcessCorner::FastNSlowP;
 
-impl FlowEnvironment {
-    /// Hot test insertion on an `fs` die with a small array (fast).
-    pub fn hot_small() -> Self {
-        FlowEnvironment {
-            corner: ProcessCorner::FastNSlowP,
-            temp_c: 125.0,
-            geometry: ArrayGeometry::small(),
-            drv: DrvOptions::coarse(),
-            load_points: 5,
-        }
-    }
-}
+/// Test temperature, °C: the paper recommends testing hot.
+pub(crate) const TEST_TEMP_C: f64 = 125.0;
 
 /// Result of one flow iteration against a defective device.
 #[derive(Debug, Clone)]
@@ -212,6 +189,13 @@ impl FlowRun {
 /// configured with the measured retention voltages, and March m-LZ is
 /// applied.
 ///
+/// The die is `fs` at 125 °C (the supply varies per iteration) and the
+/// regulator is [`RegulatorDesign::lp40nm`]. The behavioural memory is
+/// [`ArrayGeometry::small`] rather than the paper's 4K×64 block, which
+/// keeps each March m-LZ run fast; the regulator still carries the full
+/// array's load, sampled at five points. The retention voltages come
+/// from coarse (≈4 mV) DRV searches.
+///
 /// # Errors
 ///
 /// Propagates electrical solver failures.
@@ -220,17 +204,18 @@ pub fn run_flow_against_defect(
     defect: Defect,
     ohms: f64,
     cs: &CaseStudy,
-    env: &FlowEnvironment,
-    design: &RegulatorDesign,
 ) -> Result<FlowRun, anasim::Error> {
+    let design = RegulatorDesign::lp40nm();
+    let geometry = ArrayGeometry::small();
+    let drv = DrvOptions::coarse();
     let mut results = Vec::with_capacity(flow.iterations().len());
     for &iteration in flow.iterations() {
-        let pvt = PvtCondition::new(env.corner, iteration.vdd, env.temp_c);
+        let pvt = PvtCondition::new(TEST_CORNER, iteration.vdd, TEST_TEMP_C);
         // Retention voltages at this condition.
         let stressed = CellInstance::with_pattern(cs.pattern(), pvt);
-        let special_drv = drv_ds(&stressed, cs.weak_bit, &env.drv)?.drv;
+        let special_drv = drv_ds(&stressed, cs.weak_bit, &drv)?.drv;
         let symmetric = CellInstance::symmetric(pvt);
-        let symmetric_drv = drv_ds(&symmetric, StoredBit::One, &env.drv)?.drv;
+        let symmetric_drv = drv_ds(&symmetric, StoredBit::One, &drv)?.drv;
         // Defective regulator under the full array load.
         let load = ArrayLoad::build(
             &symmetric,
@@ -241,11 +226,11 @@ pub fn run_flow_against_defect(
             }],
             256 * 1024,
             1.3,
-            env.load_points,
+            5,
         )?;
         let vddcc = if defect.is_transient_mechanism() {
             regulator::activation_transient(
-                design,
+                &design,
                 pvt,
                 iteration.tap,
                 defect,
@@ -256,20 +241,20 @@ pub fn run_flow_against_defect(
             )?
             .min_vddcc()
         } else {
-            let mut circuit = RegulatorCircuit::new(design, pvt, iteration.tap, FeedMode::Static)?;
+            let mut circuit = RegulatorCircuit::new(&design, pvt, iteration.tap, FeedMode::Static)?;
             circuit.inject(defect, ohms);
             circuit.solve(&load)?.vddcc
         };
         // Behavioural device with the measured retention thresholds.
         let mut device = SramDevice::new(
-            env.geometry,
+            geometry,
             DsConditions { vreg: vddcc },
             Box::new(TableRetention {
                 symmetric_drv,
                 special_drv,
             }),
         );
-        let count = cs.cell_count().min(env.geometry.cells());
+        let count = cs.cell_count().min(geometry.cells());
         device
             .array_mut()
             .place_pattern_strided(cs.pattern(), count, 8);
@@ -361,8 +346,6 @@ mod tests {
             Defect::new(16),
             200.0e3, // hefty open in the output stage
             &cs,
-            &FlowEnvironment::hot_small(),
-            &RegulatorDesign::lp40nm(),
         )
         .unwrap();
         assert!(run.detected(), "Df16 @ 200k must be caught");
@@ -379,8 +362,6 @@ mod tests {
             Defect::new(18), // negligible sense-line defect
             100.0e6,
             &cs,
-            &FlowEnvironment::hot_small(),
-            &RegulatorDesign::lp40nm(),
         )
         .unwrap();
         assert!(!run.detected(), "negligible defect must pass");

@@ -20,7 +20,7 @@ pub struct PvtCondition {
 
 impl PvtCondition {
     /// Creates a condition.
-    pub fn new(corner: ProcessCorner, vdd: f64, temp_c: f64) -> Self {
+    pub const fn new(corner: ProcessCorner, vdd: f64, temp_c: f64) -> Self {
         PvtCondition {
             corner,
             vdd,

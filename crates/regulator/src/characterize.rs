@@ -11,14 +11,15 @@ use crate::defect::{Defect, DefectCategory};
 use crate::solve::activation_transient;
 use crate::topology::{FeedMode, RegulatorCircuit, RegulatorDesign, VrefTap, OPEN_THRESHOLD_OHMS};
 
+/// Smallest resistance a minimum-resistance search injects, ohms: a
+/// decade below the smallest value in the paper's Table II (Df16 on
+/// CS1, 976.56 Ω), so every scan starts from a passing point. The scan
+/// runs up to [`OPEN_THRESHOLD_OHMS`], the paper's `> 500M`.
+pub const SEARCH_MIN_OHMS: f64 = 100.0;
+
 /// Tuning of the characterization sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CharacterizeOptions {
-    /// Smallest injected resistance, ohms.
-    pub r_min: f64,
-    /// Largest injected resistance before the site counts as a full
-    /// open, ohms.
-    pub r_max: f64,
     /// Coarse scan density (points per decade of resistance).
     pub points_per_decade: usize,
     /// Bisection refinements after the coarse scan.
@@ -34,8 +35,6 @@ pub struct CharacterizeOptions {
 impl Default for CharacterizeOptions {
     fn default() -> Self {
         CharacterizeOptions {
-            r_min: 100.0,
-            r_max: OPEN_THRESHOLD_OHMS,
             points_per_decade: 2,
             refine_iters: 8,
             ds_time: 1.0e-3,
@@ -315,20 +314,20 @@ fn search_min_resistance(
             healthy_faulty: true,
         });
     }
-    let decades = (opts.r_max / opts.r_min).log10();
+    let decades = (OPEN_THRESHOLD_OHMS / SEARCH_MIN_OHMS).log10();
     let steps = (decades * opts.points_per_decade as f64).ceil() as usize;
-    let mut last_good = opts.r_min / 10.0;
+    let mut last_good = SEARCH_MIN_OHMS / 10.0;
     let mut first_bad: Option<(f64, f64)> = None;
     for k in 0..=steps {
-        let r = opts.r_min * 10f64.powf(k as f64 / opts.points_per_decade as f64);
-        let r = r.min(opts.r_max);
+        let r = SEARCH_MIN_OHMS * 10f64.powf(k as f64 / opts.points_per_decade as f64);
+        let r = r.min(OPEN_THRESHOLD_OHMS);
         let (faulty, v) = eval(r)?;
         if faulty {
             first_bad = Some((r, v));
             break;
         }
         last_good = r;
-        if r >= opts.r_max {
+        if r >= OPEN_THRESHOLD_OHMS {
             break;
         }
     }
@@ -402,7 +401,7 @@ pub fn classify_at_tap(
     };
     let mut raises = false;
     let mut lowers = false;
-    for ohms in [1.0e4, 1.0e5, 1.0e6, 1.0e7, opts.r_max] {
+    for ohms in [1.0e4, 1.0e5, 1.0e6, 1.0e7, OPEN_THRESHOLD_OHMS] {
         let v = probe(ohms)?;
         raises |= v > healthy + MARGIN;
         lowers |= v < healthy - MARGIN;

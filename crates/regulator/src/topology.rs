@@ -208,6 +208,7 @@ pub struct RegulatorCircuit {
     n_vddcc: NodeId,
     n_out: NodeId,
     n_mn1_gate: NodeId,
+    n_mn1_src: NodeId,
     n_mn2_gate: NodeId,
     warm: Option<Vec<f64>>,
     scratch: SolveScratch,
@@ -471,6 +472,7 @@ impl RegulatorCircuit {
             n_vddcc: vddcc,
             n_out: out,
             n_mn1_gate: mn1_gate,
+            n_mn1_src: mn1_src,
             n_mn2_gate: mn2_gate,
             warm: None,
             scratch: SolveScratch::new(),
@@ -585,8 +587,8 @@ impl RegulatorCircuit {
         // Initial load guess at the expected output.
         let mut v_guess = self.expected_vreg().max(0.05);
         let dc = DcAnalysis::new();
-        let mut op = None;
-        for _ in 0..8 {
+        let mut rounds = 0;
+        let sol = loop {
             let i_load = load.current(v_guess).max(1.0e-12);
             let r = (v_guess / i_load).clamp(1.0, 1.0e13);
             self.nl.set_param(self.load_res, r);
@@ -606,42 +608,32 @@ impl RegulatorCircuit {
                 None => dc.operating_point_in(&self.nl, None, &mut self.scratch),
             }?;
             let vddcc = sol.voltage(self.n_vddcc);
-            let converged = (vddcc - v_guess).abs() < 1.0e-4;
             match &mut self.warm {
                 Some(w) if w.len() == sol.raw().len() => w.copy_from_slice(sol.raw()),
                 w => *w = Some(sol.raw().to_vec()),
             }
-            let vreg = sol.voltage(self.n_vreg);
-            let taps = self.n_taps.map(|n| sol.voltage(n));
-            let bias_current = {
-                // Tail current read through the Df9 branch voltage: the
-                // source resistor carries the full tail current. Probed
-                // with try_voltage so a topology variant without the
-                // node reads 0 A instead of panicking mid-campaign.
-                let v_src = self
-                    .nl
-                    .find_node("mn1_src")
-                    .and_then(|n| sol.try_voltage(n))
-                    .unwrap_or(0.0);
-                v_src / self.nl.param(self.defects[Defect::new(9).index()])
-            };
-            let load_current = vddcc / self.nl.param(self.load_res);
-            let round = RegulatorOp {
-                vreg,
-                vddcc,
-                taps,
-                bias_current,
-                load_current,
-                amp_out: sol.voltage(self.n_out),
-            };
-            if converged {
-                return Ok(round);
+            rounds += 1;
+            if (vddcc - v_guess).abs() < 1.0e-4 {
+                break sol;
             }
-            op = Some(round);
+            if rounds == 8 {
+                obs::counter_add("regulator.load_loop.capped", 1);
+                break sol;
+            }
             v_guess = vddcc.max(0.01);
-        }
-        obs::counter_add("regulator.load_loop.capped", 1);
-        Ok(op.expect("at least one iteration ran"))
+        };
+        let vddcc = sol.voltage(self.n_vddcc);
+        Ok(RegulatorOp {
+            vreg: sol.voltage(self.n_vreg),
+            vddcc,
+            taps: self.n_taps.map(|n| sol.voltage(n)),
+            // Tail current read through the Df9 branch voltage: the
+            // source resistor carries the full tail current.
+            bias_current: sol.voltage(self.n_mn1_src)
+                / self.nl.param(self.defects[Defect::new(9).index()]),
+            load_current: vddcc / self.nl.param(self.load_res),
+            amp_out: sol.voltage(self.n_out),
+        })
     }
 }
 

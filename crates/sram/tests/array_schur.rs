@@ -7,7 +7,7 @@
 //! admissible disagreement is the Newton stopping criterion: each path
 //! halts within `vntol + reltol·|x|` of the common fixed point.
 
-use anasim::{solve_array, ArraySolveOptions, SolveScratch};
+use anasim::{solve_array, ArraySolveOptions, NewtonOptions, SolveScratch};
 use process::PvtCondition;
 use sram::{ActiveCell, ArraySpec, CellInstance, StoredBit};
 
@@ -60,10 +60,7 @@ fn assert_paths_agree(rows: usize, cols: usize, defects: usize) -> Reduction {
     )
     .expect("schur path converges");
 
-    let mono_opts = ArraySolveOptions {
-        schur: false,
-        ..ArraySolveOptions::default()
-    };
+    let mono_opts = ArraySolveOptions { schur: false };
     let mut mono_scratch = SolveScratch::new();
     let mono = solve_array(
         &built.netlist,
@@ -75,8 +72,9 @@ fn assert_paths_agree(rows: usize, cols: usize, defects: usize) -> Reduction {
     .expect("monolithic path converges");
 
     // Per-unknown agreement to the Newton acceptance tolerance.
+    let newton = NewtonOptions::default();
     for (k, (a, b)) in reduced.raw().iter().zip(mono.raw().iter()).enumerate() {
-        let tol = opts.newton.vntol + opts.newton.reltol * a.abs().max(b.abs());
+        let tol = newton.vntol + newton.reltol * a.abs().max(b.abs());
         assert!(
             (a - b).abs() <= tol,
             "unknown {k}: schur {a:.9e} vs monolithic {b:.9e}"

@@ -5,9 +5,9 @@
 //! Run with `cargo run --release --example quickstart`.
 
 use lp_sram_suite::drftest::case_study::CaseStudy;
-use lp_sram_suite::drftest::test_flow::{run_flow_against_defect, FlowEnvironment, TestFlow};
+use lp_sram_suite::drftest::test_flow::{run_flow_against_defect, TestFlow};
 use lp_sram_suite::process::PvtCondition;
-use lp_sram_suite::regulator::{static_circuit, Defect, RegulatorDesign, VrefTap};
+use lp_sram_suite::regulator::{static_circuit, Defect, VrefTap};
 use lp_sram_suite::sram::{drv_ds, ArrayLoad, CellInstance, DrvOptions, StoredBit};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -63,8 +63,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Defect::new(16),
         500.0e3, // at the hot test insertion this is far beyond the minimum
         &cs1,
-        &FlowEnvironment::hot_small(),
-        &RegulatorDesign::lp40nm(),
     )?;
     match run.first_detection() {
         Some(i) => println!(

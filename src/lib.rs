@@ -26,10 +26,8 @@
 //!
 //! ```no_run
 //! use lp_sram_suite::drftest::case_study::CaseStudy;
-//! use lp_sram_suite::drftest::test_flow::{
-//!     run_flow_against_defect, FlowEnvironment, TestFlow,
-//! };
-//! use lp_sram_suite::regulator::{Defect, RegulatorDesign};
+//! use lp_sram_suite::drftest::test_flow::{run_flow_against_defect, TestFlow};
+//! use lp_sram_suite::regulator::Defect;
 //! use lp_sram_suite::sram::StoredBit;
 //!
 //! # fn main() -> Result<(), lp_sram_suite::anasim::Error> {
@@ -39,8 +37,6 @@
 //!     Defect::new(19),
 //!     50.0e3,
 //!     &CaseStudy::new(1, StoredBit::One),
-//!     &FlowEnvironment::hot_small(),
-//!     &RegulatorDesign::lp40nm(),
 //! )?;
 //! assert!(run.detected());
 //! # Ok(())

@@ -2,7 +2,7 @@
 //! artifacts by name.
 //!
 //! ```text
-//! lp-sram-suite <artifact> [--paper|--reduced] [--jobs <n>] [--checkpoint <file>]
+//! lp-sram-suite <artifact> [--paper] [--jobs <n>] [--checkpoint <file>]
 //!               [--trace <file.jsonl>] [--metrics <file.json>] [--progress]
 //! lp-sram-suite summary <manifest.json> [--top <k>] [--json] [--traces]
 //! lp-sram-suite profile <trace.jsonl> [--top <k>] [--collapsed <out.txt>] [--json]
@@ -56,6 +56,13 @@
 //! the given tab-separated file; rerunning with the same path resumes,
 //! skipping cells already logged.
 //!
+//! Each subcommand takes only its own flags: `--paper` the five
+//! campaigns with a paper grid (`table1`, `fig4`, `table2`, `table3`,
+//! `array`), `--jobs` those five plus `monte-carlo` and `all`, and
+//! `--cases`/`--fuzz-seed` the `fuzz-*` subcommands. Any other argument,
+//! a stray positional included, is a usage error (exit 2) that names
+//! it.
+//!
 //! The observability flags are all opt-in — a flag-less run writes no
 //! extra files and produces no extra output:
 //!
@@ -96,15 +103,19 @@ use drftest::experiments::{array, fig4, table1, table2, table3};
 use drftest::montecarlo_drv::pattern_norm_sigma;
 use drftest::{
     ds_time_sweep, monte_carlo_drv, power_defect_table, taxonomy, CoverageOptions, DrfDs,
-    DsTimeOptions, MonteCarloOptions, PowerDefectOptions, Table2Options, TaxonomyOptions,
+    MonteCarloOptions, Table2Options,
 };
 use march::coverage::{grade, standard_fault_list};
 use march::library;
-use regulator::Defect;
+use regulator::{Defect, DefectCategory, VrefTap};
+
+/// Exit code of a usage error: an argument the subcommand does not
+/// take, or a flag without its value.
+const USAGE_ERROR: u8 = 2;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: lp-sram-suite <artifact> [--paper|--reduced] [--jobs <n>] [--checkpoint <file>]\n\
+        "usage: lp-sram-suite <artifact> [--paper] [--jobs <n>] [--checkpoint <file>]\n\
          \x20                            [--trace <file.jsonl>] [--metrics <file.json>] [--progress]\n\
          \x20      lp-sram-suite summary <manifest.json> [--top <k>] [--json] [--traces]\n\
          \x20      lp-sram-suite profile <trace.jsonl> [--top <k>] [--collapsed <out.txt>] [--json]\n\
@@ -122,8 +133,10 @@ fn usage() -> ExitCode {
            ds-time       deep-sleep dwell-time sweep\n\
            monte-carlo   random-mismatch DRV distribution\n\
            all           everything above with fast settings\n\
-         --jobs <n>: worker threads (0/omitted = all cores, 1 = sequential);\n\
-         \x20    output is byte-identical for any value\n\
+         --paper (table1, fig4, table2, table3, array): the paper's grid\n\
+         --jobs <n> (those five, monte-carlo, all): worker threads\n\
+         \x20    (0/omitted = all cores, 1 = sequential); output is\n\
+         \x20    byte-identical for any value\n\
          --checkpoint <file> (table2): log completed cells and resume\n\
          --trace <file.jsonl>:  stream span/point/progress events\n\
          --metrics <file.json>: write the run manifest at exit\n\
@@ -168,7 +181,6 @@ fn default_fuzz_cases(artifact: &str) -> u64 {
 fn run(
     artifact: &str,
     paper: bool,
-    reduced: bool,
     jobs: usize,
     checkpoint: Option<&str>,
     fuzz: (u64, Option<u64>),
@@ -198,7 +210,7 @@ fn run(
             );
         }
         "fig5" => {
-            let report = taxonomy(&TaxonomyOptions::default())?;
+            let report = taxonomy(&VrefTap::ALL)?;
             println!("{report}");
             println!(
                 "{} of 32 classifications match the paper's Fig. 5 categories",
@@ -231,8 +243,6 @@ fn run(
         "table2" => {
             let mut opts = if paper {
                 Table2Options::paper()
-            } else if reduced {
-                Table2Options::reduced()
             } else {
                 Table2Options::quick()
             };
@@ -280,7 +290,10 @@ fn run(
             }
         }
         "power-defects" => {
-            println!("{}", power_defect_table(&PowerDefectOptions::default())?);
+            let category1: Vec<Defect> = Defect::all()
+                .filter(|d| d.expected_category() == DefectCategory::IncreasedPower)
+                .collect();
+            println!("{}", power_defect_table(&category1)?);
             println!(
                 "note: these defects escape the retention flow by design (they never\n\
                  lower Vreg); catching them needs an IDDQ-style static power screen,\n\
@@ -288,7 +301,7 @@ fn run(
             );
         }
         "ds-time" => {
-            let report = ds_time_sweep(&DsTimeOptions::marginal_df16())?;
+            let report = ds_time_sweep()?;
             println!("{report}");
             match report.minimum_detecting_dwell() {
                 Some(d) => println!(
@@ -332,7 +345,7 @@ fn run(
                 "monte-carlo",
             ] {
                 println!("==== {artifact} ====");
-                run(artifact, false, false, jobs, None, fuzz)?;
+                run(artifact, false, jobs, None, fuzz)?;
                 println!();
             }
         }
@@ -383,9 +396,105 @@ fn march_study() {
     );
 }
 
+/// One subcommand's arguments, checked against the flags it takes.
+struct Args<'a> {
+    /// `(flag, value)` in command-line order; a switch has no value.
+    flags: Vec<(&'a str, Option<&'a str>)>,
+    /// Arguments that are not flags, in order.
+    positionals: Vec<&'a str>,
+}
+
+impl<'a> Args<'a> {
+    /// Parses `command`'s arguments: each of `switches` stands alone,
+    /// each of `options` takes the argument after it as its value, and
+    /// up to `max_positionals` other arguments may appear. Anything
+    /// else is a usage error, printed with the argument's name.
+    fn parse(
+        command: &str,
+        args: &'a [String],
+        switches: &[&str],
+        options: &[&str],
+        max_positionals: usize,
+    ) -> Option<Self> {
+        let mut parsed = Args {
+            flags: Vec::new(),
+            positionals: Vec::new(),
+        };
+        let mut rest = args.iter().map(String::as_str);
+        while let Some(arg) = rest.next() {
+            if switches.contains(&arg) {
+                parsed.flags.push((arg, None));
+            } else if options.contains(&arg) {
+                let Some(value) = rest.next() else {
+                    eprintln!("error: `{arg}` needs a value");
+                    return None;
+                };
+                parsed.flags.push((arg, Some(value)));
+            } else if !arg.starts_with('-') && parsed.positionals.len() < max_positionals {
+                parsed.positionals.push(arg);
+            } else {
+                eprintln!("error: `{command}` does not take the argument `{arg}`");
+                return None;
+            }
+        }
+        Some(parsed)
+    }
+
+    /// Whether `switch` was given.
+    fn has(&self, switch: &str) -> bool {
+        self.flags.iter().any(|&(flag, _)| flag == switch)
+    }
+
+    /// Every value given to `option`, in order.
+    fn values(&self, option: &'a str) -> impl Iterator<Item = &'a str> + '_ {
+        self.flags
+            .iter()
+            .filter(move |&&(flag, _)| flag == option)
+            .filter_map(|&(_, value)| value)
+    }
+
+    /// The first value given to `option`.
+    fn value(&self, option: &'a str) -> Option<&'a str> {
+        self.values(option).next()
+    }
+}
+
+/// Prints a usage error and returns its exit code.
+fn usage_error(message: &str) -> ExitCode {
+    eprintln!("error: {message}");
+    ExitCode::from(USAGE_ERROR)
+}
+
+/// The switches and value-taking options `artifact` accepts, or `None`
+/// for an unknown artifact. Every artifact takes the observability
+/// flags.
+fn artifact_flags(artifact: &str) -> Option<(Vec<&'static str>, Vec<&'static str>)> {
+    let mut switches = vec!["--progress"];
+    let mut options = vec!["--trace", "--metrics"];
+    match artifact {
+        "table1" | "fig4" | "table3" | "array" => {
+            switches.push("--paper");
+            options.push("--jobs");
+        }
+        "table2" => {
+            switches.push("--paper");
+            options.extend(["--jobs", "--checkpoint"]);
+        }
+        "monte-carlo" | "all" => options.push("--jobs"),
+        "fuzz-functional" | "fuzz-netlist" => options.extend(["--cases", "--fuzz-seed"]),
+        "fig5" | "march" | "power-defects" | "ds-time" => {}
+        _ => return None,
+    }
+    Some((switches, options))
+}
+
 /// Runs the static ERC lint sweep; returns the process exit code.
-fn lint(deny_warnings: bool, json: bool, rules: bool) -> ExitCode {
-    if rules {
+fn lint(args: &[String]) -> ExitCode {
+    let switches = ["--deny-warnings", "--json", "--rules"];
+    let Some(args) = Args::parse("lint", args, &switches, &[], 0) else {
+        return ExitCode::from(USAGE_ERROR);
+    };
+    if args.has("--rules") {
         for (code, name, summary) in drftest::rule_catalogue() {
             println!("{code}  {name:<28} {summary}");
         }
@@ -393,13 +502,13 @@ fn lint(deny_warnings: bool, json: bool, rules: bool) -> ExitCode {
     }
     match drftest::lint_all(process::PvtCondition::nominal()) {
         Ok(run) => {
-            if json {
+            if args.has("--json") {
                 println!("{}", run.render_json());
             } else {
                 print!("{}", run.render_text());
             }
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            ExitCode::from(run.exit_code(deny_warnings) as u8)
+            ExitCode::from(run.exit_code(args.has("--deny-warnings")) as u8)
         }
         Err(e) => {
             eprintln!("error: {e}");
@@ -457,45 +566,22 @@ fn profile(
 /// Exit codes: 0 = within thresholds, 1 = regression, 2 = usage or
 /// parse error — the contract CI gates build on.
 fn compare(args: &[String]) -> ExitCode {
-    const USAGE_ERROR: u8 = 2;
-    let json = args.iter().any(|a| a == "--json");
-    let all = args.iter().any(|a| a == "--all");
-    let mut paths: Vec<&str> = Vec::new();
+    let Some(args) = Args::parse("compare", args, &["--json", "--all"], &["--fail-over"], 2) else {
+        return ExitCode::from(USAGE_ERROR);
+    };
     let mut thresholds: Vec<obs::Threshold> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--fail-over" => {
-                let Some(spec) = args.get(i + 1) else {
-                    eprintln!("error: --fail-over needs <metric>=<pct>%");
-                    return ExitCode::from(USAGE_ERROR);
-                };
-                match obs::Threshold::parse(spec) {
-                    Ok(t) => thresholds.push(t),
-                    Err(e) => {
-                        eprintln!("error: bad --fail-over `{spec}`: {e}");
-                        return ExitCode::from(USAGE_ERROR);
-                    }
-                }
-                i += 2;
-            }
-            "--json" | "--all" => i += 1,
-            flag if flag.starts_with("--") => {
-                eprintln!("error: unknown compare flag `{flag}`");
-                return ExitCode::from(USAGE_ERROR);
-            }
-            path => {
-                paths.push(path);
-                i += 1;
-            }
+    for spec in args.values("--fail-over") {
+        match obs::Threshold::parse(spec) {
+            Ok(t) => thresholds.push(t),
+            Err(e) => return usage_error(&format!("bad --fail-over `{spec}`: {e}")),
         }
     }
+    let paths = &args.positionals;
     if paths.len() != 2 {
-        eprintln!(
-            "error: compare needs exactly two files (old, new), got {}",
+        return usage_error(&format!(
+            "compare needs exactly two files (old, new), got {}",
             paths.len()
-        );
-        return ExitCode::from(USAGE_ERROR);
+        ));
     }
     let load = |p: &str| -> Result<obs::MetricSet, String> {
         let text = std::fs::read_to_string(p).map_err(|e| format!("cannot read `{p}`: {e}"))?;
@@ -503,22 +589,16 @@ fn compare(args: &[String]) -> ExitCode {
     };
     let (old, new) = match (load(paths[0]), load(paths[1])) {
         (Ok(o), Ok(n)) => (o, n),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(USAGE_ERROR);
-        }
+        (Err(e), _) | (_, Err(e)) => return usage_error(&e),
     };
     let report = match obs::Report::build(&old, &new, &thresholds) {
         Ok(report) => report,
-        Err(e) => {
-            eprintln!("error: --fail-over gate: {e}");
-            return ExitCode::from(USAGE_ERROR);
-        }
+        Err(e) => return usage_error(&format!("--fail-over gate: {e}")),
     };
-    if json {
+    if args.has("--json") {
         println!("{}", report.to_json().to_pretty());
     } else {
-        print!("{}", report.render_text(all));
+        print!("{}", report.render_text(args.has("--all")));
     }
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     ExitCode::from(report.exit_code() as u8)
@@ -532,22 +612,12 @@ fn compare(args: &[String]) -> ExitCode {
 /// claimed-but-unproven result, disagreement, or (with
 /// `--deny-unknown`) Unknown verdict, 2 = usage error.
 fn prove(args: &[String]) -> ExitCode {
-    const USAGE_ERROR: u8 = 2;
-    let json = args.iter().any(|a| a == "--json");
-    let deny_unknown = args.iter().any(|a| a == "--deny-unknown");
-    let differential = args.iter().any(|a| a == "--differential");
-    let metrics = flag_value(args, "--metrics");
-    for flag in args {
-        if flag.starts_with("--")
-            && !matches!(
-                flag.as_str(),
-                "--json" | "--deny-unknown" | "--differential" | "--metrics"
-            )
-        {
-            eprintln!("error: unknown prove flag `{flag}`");
-            return ExitCode::from(USAGE_ERROR);
-        }
-    }
+    let switches = ["--json", "--deny-unknown", "--differential"];
+    let Some(args) = Args::parse("prove", args, &switches, &["--metrics"], 0) else {
+        return ExitCode::from(USAGE_ERROR);
+    };
+    let deny_unknown = args.has("--deny-unknown");
+    let differential = args.has("--differential");
     let started = Instant::now();
     let dwell = 1.0e-3;
     let matrix = mprove::prove_library(dwell);
@@ -562,7 +632,7 @@ fn prove(args: &[String]) -> ExitCode {
             }
         }
     }
-    if json {
+    if args.has("--json") {
         println!("{}", matrix.to_json().to_pretty());
     } else {
         print!("{matrix}");
@@ -578,7 +648,7 @@ fn prove(args: &[String]) -> ExitCode {
             counts.unknown
         );
     }
-    if let Some(path) = metrics {
+    if let Some(path) = args.value("--metrics") {
         obs::flush();
         let mut config = BTreeMap::new();
         config.insert("artifact".to_string(), "prove".to_string());
@@ -602,19 +672,10 @@ fn prove(args: &[String]) -> ExitCode {
     }
 }
 
-/// The option value following `flag`, if present.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
 /// Echo of the effective configuration into the manifest.
 fn config_echo(
     artifact: &str,
     paper: bool,
-    reduced: bool,
     jobs: usize,
     checkpoint: Option<&str>,
     fuzz: (u64, Option<u64>),
@@ -631,13 +692,7 @@ fn config_echo(
                 .to_string(),
         );
     }
-    let mode = if paper {
-        "paper"
-    } else if reduced {
-        "reduced"
-    } else {
-        "quick"
-    };
+    let mode = if paper { "paper" } else { "quick" };
     config.insert("mode".to_string(), mode.to_string());
     config.insert(
         "jobs".to_string(),
@@ -654,24 +709,41 @@ fn main() -> ExitCode {
     let Some(artifact) = args.first().map(String::as_str) else {
         return usage();
     };
-    if artifact == "lint" {
-        return lint(
-            args.iter().any(|a| a == "--deny-warnings"),
-            args.iter().any(|a| a == "--json"),
-            args.iter().any(|a| a == "--rules"),
-        );
+    let rest = &args[1..];
+    match artifact {
+        "lint" => return lint(rest),
+        "compare" => return compare(rest),
+        "prove" => return prove(rest),
+        _ => {}
     }
-    if artifact == "summary" {
-        let Some(path) = args.get(1).filter(|a| !a.starts_with("--")) else {
-            eprintln!("error: summary needs a manifest path");
+    if artifact == "summary" || artifact == "profile" {
+        let (switches, options, input) = if artifact == "summary" {
+            (&["--json", "--traces"][..], &["--top"][..], "manifest")
+        } else {
+            (
+                &["--json"][..],
+                &["--top", "--collapsed"][..],
+                "trace (JSONL)",
+            )
+        };
+        let Some(args) = Args::parse(artifact, rest, switches, options, 1) else {
+            return ExitCode::from(USAGE_ERROR);
+        };
+        let Some(&path) = args.positionals.first() else {
+            eprintln!("error: {artifact} needs a {input} path");
             return usage();
         };
-        let top_k = flag_value(&args, "--top")
+        let top_k = args
+            .value("--top")
             .and_then(|v| v.parse().ok())
             .unwrap_or(10);
-        let json = args.iter().any(|a| a == "--json");
-        let traces = args.iter().any(|a| a == "--traces");
-        return match summarize(path, top_k, json, traces) {
+        let json = args.has("--json");
+        let outcome = if artifact == "summary" {
+            summarize(path, top_k, json, args.has("--traces"))
+        } else {
+            profile(path, top_k, args.value("--collapsed"), json)
+        };
+        return match outcome {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -679,33 +751,15 @@ fn main() -> ExitCode {
             }
         };
     }
-    if artifact == "profile" {
-        let Some(path) = args.get(1).filter(|a| !a.starts_with("--")) else {
-            eprintln!("error: profile needs a trace (JSONL) path");
-            return usage();
-        };
-        let top_k = flag_value(&args, "--top")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(10);
-        let collapsed = flag_value(&args, "--collapsed");
-        let json = args.iter().any(|a| a == "--json");
-        return match profile(path, top_k, collapsed, json) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if artifact == "compare" {
-        return compare(&args[1..]);
-    }
-    if artifact == "prove" {
-        return prove(&args[1..]);
-    }
-    let paper = args.iter().any(|a| a == "--paper");
-    let reduced = args.iter().any(|a| a == "--reduced");
-    let jobs = match flag_value(&args, "--jobs") {
+    let Some((switches, options)) = artifact_flags(artifact) else {
+        eprintln!("error: unknown artifact `{artifact}`");
+        return usage();
+    };
+    let Some(args) = Args::parse(artifact, rest, &switches, &options, 0) else {
+        return ExitCode::from(USAGE_ERROR);
+    };
+    let paper = args.has("--paper");
+    let jobs = match args.value("--jobs") {
         Some(v) => match v.parse::<usize>() {
             Ok(n) => n,
             Err(_) => {
@@ -715,8 +769,8 @@ fn main() -> ExitCode {
         },
         None => 0,
     };
-    let checkpoint = flag_value(&args, "--checkpoint");
-    let fuzz_seed = match flag_value(&args, "--fuzz-seed") {
+    let checkpoint = args.value("--checkpoint");
+    let fuzz_seed = match args.value("--fuzz-seed") {
         Some(v) => match v.parse::<u64>() {
             Ok(s) => s,
             Err(_) => {
@@ -726,7 +780,7 @@ fn main() -> ExitCode {
         },
         None => drftest::fuzz::DEFAULT_SEED,
     };
-    let fuzz_cases = match flag_value(&args, "--cases") {
+    let fuzz_cases = match args.value("--cases") {
         Some(v) => match v.parse::<u64>() {
             Ok(n) if n > 0 => Some(n),
             _ => {
@@ -737,9 +791,9 @@ fn main() -> ExitCode {
         None => None,
     };
     let fuzz = (fuzz_seed, fuzz_cases);
-    let trace = flag_value(&args, "--trace");
-    let metrics = flag_value(&args, "--metrics");
-    if args.iter().any(|a| a == "--progress") {
+    let trace = args.value("--trace");
+    let metrics = args.value("--metrics");
+    if args.has("--progress") {
         obs::set_progress(true);
     }
     if let Some(path) = trace {
@@ -755,12 +809,12 @@ fn main() -> ExitCode {
         obs::flight_enable(obs::DEFAULT_CAPACITY);
     }
     let started = Instant::now();
-    let outcome = run(artifact, paper, reduced, jobs, checkpoint, fuzz);
+    let outcome = run(artifact, paper, jobs, checkpoint, fuzz);
     if let Some(path) = metrics {
         obs::flush();
         let manifest = obs::RunManifest::from_snapshot(
             artifact,
-            config_echo(artifact, paper, reduced, jobs, checkpoint, fuzz),
+            config_echo(artifact, paper, jobs, checkpoint, fuzz),
             &obs::snapshot(),
             started.elapsed().as_secs_f64(),
         );

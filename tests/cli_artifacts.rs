@@ -1,13 +1,17 @@
 //! The CLI is the one regenerator of the committed results: each
 //! artifact's stdout must equal its `results/` file byte for byte.
-//! These three run in well under a second even in a debug build; CI
+//! These four take a few seconds at most even in a debug build; CI
 //! diffs the rest, `--paper` grids included.
 
-fn assert_reproduces(artifact: &str, committed: &str) {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_lp-sram-suite"))
-        .arg(artifact)
+fn cli(args: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_lp-sram-suite"))
+        .args(args)
         .output()
-        .expect("CLI runs");
+        .expect("CLI runs")
+}
+
+fn assert_reproduces(artifact: &str, committed: &str) {
+    let out = cli(&[artifact]);
     assert!(out.status.success(), "{artifact}: {out:?}");
     let stdout = String::from_utf8(out.stdout).expect("UTF-8 output");
     assert!(
@@ -33,4 +37,22 @@ fn power_defects_reproduces_its_results_file() {
         "power-defects",
         include_str!("../results/power_defects.txt"),
     );
+}
+
+#[test]
+fn fig5_reproduces_its_results_file() {
+    assert_reproduces("fig5", include_str!("../results/fig5_taxonomy.txt"));
+}
+
+/// A misspelt flag must not quietly print the default artifact: it is a
+/// usage error (exit 2) that names the argument.
+#[test]
+fn subcommands_reject_arguments_they_do_not_take() {
+    for args in [["ds-time", "--papr"], ["lint", "--rulez"]] {
+        let out = cli(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed an artifact");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("`{}`", args[1])), "{stderr}");
+    }
 }

@@ -4,13 +4,9 @@
 //! crate of the workspace.
 
 use lp_sram_suite::drftest::case_study::CaseStudy;
-use lp_sram_suite::drftest::test_flow::{run_flow_against_defect, FlowEnvironment, TestFlow};
-use lp_sram_suite::regulator::{Defect, RegulatorDesign};
+use lp_sram_suite::drftest::test_flow::{run_flow_against_defect, TestFlow};
+use lp_sram_suite::regulator::Defect;
 use lp_sram_suite::sram::StoredBit;
-
-fn env() -> FlowEnvironment {
-    FlowEnvironment::hot_small()
-}
 
 #[test]
 fn severe_output_stage_defect_is_detected() {
@@ -19,8 +15,6 @@ fn severe_output_stage_defect_is_detected() {
         Defect::new(19),
         100.0e3,
         &CaseStudy::new(1, StoredBit::One),
-        &env(),
-        &RegulatorDesign::lp40nm(),
     )
     .unwrap();
     assert!(run.detected());
@@ -31,13 +25,10 @@ fn tiny_defect_escapes_and_larger_is_caught() {
     // Around the minimum resistance there is a pass/fail boundary: a
     // far smaller defect must pass, a far bigger one must fail.
     let cs = CaseStudy::new(1, StoredBit::One);
-    let design = RegulatorDesign::lp40nm();
     let flow = TestFlow::paper_optimized(1e-3);
-    let small =
-        run_flow_against_defect(&flow, Defect::new(16), 20.0, &cs, &env(), &design).unwrap();
+    let small = run_flow_against_defect(&flow, Defect::new(16), 20.0, &cs).unwrap();
     assert!(!small.detected(), "a 20 Ω imperfection must pass");
-    let large =
-        run_flow_against_defect(&flow, Defect::new(16), 1.0e6, &cs, &env(), &design).unwrap();
+    let large = run_flow_against_defect(&flow, Defect::new(16), 1.0e6, &cs).unwrap();
     assert!(large.detected(), "a 1 MΩ open must fail");
 }
 
@@ -49,8 +40,6 @@ fn divider_defect_detected_through_reference_shift() {
         Defect::new(1),
         2.0e6,
         &CaseStudy::new(2, StoredBit::One),
-        &env(),
-        &RegulatorDesign::lp40nm(),
     )
     .unwrap();
     assert!(run.detected());
@@ -69,8 +58,6 @@ fn mirror_case_study_is_caught_by_the_second_retention_pass() {
         Defect::new(16),
         30.0e3,
         &CaseStudy::new(2, StoredBit::Zero),
-        &env(),
-        &RegulatorDesign::lp40nm(),
     )
     .unwrap();
     assert!(run.detected());
@@ -94,8 +81,6 @@ fn transient_defect_df8_detected_at_large_resistance() {
         Defect::new(8),
         400.0e6,
         &CaseStudy::new(1, StoredBit::One),
-        &env(),
-        &RegulatorDesign::lp40nm(),
     )
     .unwrap();
     assert!(run.detected(), "Df8 at 400 MΩ must be caught");
@@ -104,11 +89,9 @@ fn transient_defect_df8_detected_at_large_resistance() {
 #[test]
 fn negligible_defects_never_fail_the_flow() {
     let cs = CaseStudy::new(1, StoredBit::One);
-    let design = RegulatorDesign::lp40nm();
     let flow = TestFlow::paper_optimized(1e-3);
     for n in [14u8, 17, 18, 21, 24, 25] {
-        let run =
-            run_flow_against_defect(&flow, Defect::new(n), 450.0e6, &cs, &env(), &design).unwrap();
+        let run = run_flow_against_defect(&flow, Defect::new(n), 450.0e6, &cs).unwrap();
         assert!(!run.detected(), "negligible Df{n} flagged");
     }
 }
@@ -118,11 +101,9 @@ fn power_category_defects_pass_the_retention_flow() {
     // Category-1 defects raise Vreg: retention is safe (they cost
     // power instead), so the DRF flow must not flag them.
     let cs = CaseStudy::new(1, StoredBit::One);
-    let design = RegulatorDesign::lp40nm();
     let flow = TestFlow::paper_optimized(1e-3);
     for n in [13u8, 15, 20, 28, 30] {
-        let run =
-            run_flow_against_defect(&flow, Defect::new(n), 450.0e6, &cs, &env(), &design).unwrap();
+        let run = run_flow_against_defect(&flow, Defect::new(n), 450.0e6, &cs).unwrap();
         assert!(!run.detected(), "category-1 Df{n} flagged as DRF");
     }
 }
@@ -130,26 +111,10 @@ fn power_category_defects_pass_the_retention_flow() {
 #[test]
 fn exhaustive_flow_detects_whatever_optimized_detects() {
     let cs = CaseStudy::new(1, StoredBit::One);
-    let design = RegulatorDesign::lp40nm();
     for (defect, ohms) in [(Defect::new(16), 50.0e3), (Defect::new(23), 1.0e6)] {
-        let opt = run_flow_against_defect(
-            &TestFlow::paper_optimized(1e-3),
-            defect,
-            ohms,
-            &cs,
-            &env(),
-            &design,
-        )
-        .unwrap();
-        let exh = run_flow_against_defect(
-            &TestFlow::exhaustive(1e-3),
-            defect,
-            ohms,
-            &cs,
-            &env(),
-            &design,
-        )
-        .unwrap();
+        let opt =
+            run_flow_against_defect(&TestFlow::paper_optimized(1e-3), defect, ohms, &cs).unwrap();
+        let exh = run_flow_against_defect(&TestFlow::exhaustive(1e-3), defect, ohms, &cs).unwrap();
         assert_eq!(
             opt.detected(),
             exh.detected(),
