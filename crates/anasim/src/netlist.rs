@@ -41,7 +41,7 @@ impl NodeId {
 
     /// Index of this node's voltage in a solution vector, or `None` for
     /// ground (whose voltage is fixed at zero).
-    pub(crate) fn unknown_index(self) -> Option<usize> {
+    pub fn unknown_index(self) -> Option<usize> {
         if self.0 == 0 {
             None
         } else {

@@ -4,12 +4,24 @@
 //! delayed regulator activation and Df11's undershoot on the error
 //! amplifier input, plus the slow V_DD_CC droop during deep-sleep
 //! retention.
+//!
+//! Every step has the same length, except a last one shortened to land
+//! on the stop time. A run covers its whole window unless the caller
+//! ends it early: [`TransientAnalysis::run_from_until`] stops after the
+//! first accepted step its predicate marks done, which is how the
+//! regulator's activation transients end once the rest of the window
+//! can no longer change their verdict.
 
 use crate::error::Error;
 use crate::mna::AnalysisMode;
 use crate::netlist::{Netlist, NodeId};
 use crate::newton::{solve_with_retry_in, NewtonOptions, Solution};
 use crate::scratch::SolveScratch;
+
+/// A stop predicate over `(time, previous, accepted)`; see
+/// [`TransientAnalysis::run_from_until`]. The loop takes it as a trait
+/// object, so it is compiled once for every caller's predicate.
+type StepDone<'a> = dyn Fn(f64, &[f64], &[f64]) -> bool + 'a;
 
 /// Transient analysis driver with a fixed step.
 #[derive(Debug, Clone)]
@@ -131,7 +143,7 @@ impl TransientAnalysis {
         // One scratch covers the operating point and every time step.
         let mut scratch = SolveScratch::new();
         let op = solve_with_retry_in(netlist, &self.options, None, AnalysisMode::Dc, &mut scratch)?;
-        self.integrate(netlist, op.into_raw(), &mut scratch)
+        self.integrate(netlist, op.into_raw(), &mut scratch, &|_, _, _| false)
     }
 
     /// Runs the analysis from an explicit initial unknown vector. This
@@ -147,6 +159,29 @@ impl TransientAnalysis {
     ///
     /// Panics if `x0.len()` does not match the netlist unknown count.
     pub fn run_from(&self, netlist: &Netlist, x0: Vec<f64>) -> Result<TransientResult, Error> {
+        self.run_from_until(netlist, x0, |_, _, _| false)
+    }
+
+    /// As [`TransientAnalysis::run_from`], but the run ends after the
+    /// first accepted step for which `done(time, previous, accepted)`
+    /// holds: `time` is the step's time point, `previous` and
+    /// `accepted` the unknown vectors before and after it. The result
+    /// then stops at that step.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidTimeAxis`] for a bad time axis; solver errors are
+    /// propagated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x0.len()` does not match the netlist unknown count.
+    pub fn run_from_until(
+        &self,
+        netlist: &Netlist,
+        x0: Vec<f64>,
+        done: impl Fn(f64, &[f64], &[f64]) -> bool,
+    ) -> Result<TransientResult, Error> {
         self.validate()?;
         assert_eq!(
             x0.len(),
@@ -154,7 +189,7 @@ impl TransientAnalysis {
             "initial state has wrong dimension"
         );
         let mut scratch = SolveScratch::new();
-        self.integrate(netlist, x0, &mut scratch)
+        self.integrate(netlist, x0, &mut scratch, &done)
     }
 
     fn integrate(
@@ -162,6 +197,7 @@ impl TransientAnalysis {
         netlist: &Netlist,
         x0: Vec<f64>,
         scratch: &mut SolveScratch,
+        done: &StepDone<'_>,
     ) -> Result<TransientResult, Error> {
         let node_unknowns = netlist.num_nodes() - 1;
         let mut times = vec![0.0];
@@ -182,6 +218,11 @@ impl TransientAnalysis {
             };
             times.push(time);
             states.push(sol.into_raw());
+            if let [.., previous, accepted] = states.as_slice() {
+                if done(time, previous, accepted) {
+                    break;
+                }
+            }
         }
         obs::counter_add("anasim.transient.steps", (times.len() - 1) as u64);
         Ok(TransientResult {
@@ -260,6 +301,27 @@ mod tests {
         );
         assert!(tr.first_crossing_below(a, -1.0).is_none());
         assert!(tr.min_voltage(a) < 0.01);
+    }
+
+    #[test]
+    fn run_ends_after_the_first_step_marked_done() {
+        let mut nl = Netlist::new();
+        let a = nl.node("a");
+        nl.resistor("R", a, Netlist::GND, 1.0e3).unwrap();
+        nl.capacitor("C", a, Netlist::GND, 1.0e-6).unwrap();
+        let analysis = TransientAnalysis::new(1.0e-5, 5.0e-3);
+        let full = analysis.run_from(&nl, vec![1.0]).unwrap();
+        let cut = analysis
+            .run_from_until(&nl, vec![1.0], |_, _, accepted| accepted[0] < 0.5)
+            .unwrap();
+        // The cut run is the full run's prefix up to and including the
+        // first sample below 0.5.
+        let first_below = (0..full.len())
+            .find(|&i| full.voltage(a, i) < 0.5)
+            .expect("crosses");
+        assert_eq!(cut.len(), first_below + 1);
+        assert_eq!(cut.times(), &full.times()[..cut.len()]);
+        assert_eq!(cut.voltage_series(a), full.voltage_series(a)[..cut.len()]);
     }
 
     #[test]

@@ -1129,7 +1129,7 @@ mod tests {
         let (warm_t, warm_iterations) = newton_iterations(&warm);
         assert_eq!(
             (cold_iterations, warm_iterations),
-            (43_880, 43_246),
+            (38_947, 38_313),
             "Newton iterations from cold and warm starts"
         );
         assert!(cold_t.coverage.is_complete(), "{}", cold_t.coverage);

@@ -8,7 +8,7 @@ use sram::retention::retention_outcome;
 use sram::{ArrayLoad, CellInstance};
 
 use crate::defect::{Defect, DefectCategory};
-use crate::solve::activation_transient;
+use crate::solve::{activation_transient, simulate_activation};
 use crate::topology::{FeedMode, RegulatorCircuit, RegulatorDesign, VrefTap, OPEN_THRESHOLD_OHMS};
 
 /// Smallest resistance a minimum-resistance search injects, ohms: a
@@ -97,7 +97,16 @@ pub struct MinResistance {
 /// the activation transient and applies the dwell-time criterion to the
 /// time spent below DRV.
 ///
-/// Returns `(faulty, observed_vddcc)`.
+/// The activation transient ends once the rest of its window can no
+/// longer take the rail below DRV (DESIGN §16). The verdict reads only
+/// the rail's minimum when it is below DRV and the time spent below
+/// DRV, so it equals the full window's.
+///
+/// Returns `(faulty, observed_vddcc)`. The observed rail is the DC
+/// operating point's, or the activation transient's minimum over the
+/// simulated part of its window. Below DRV, as at every failing
+/// transient probe, that is the full window's minimum bit for bit; at
+/// or above DRV it may lie above the full window's minimum.
 ///
 /// # Errors
 ///
@@ -152,7 +161,7 @@ fn drf_at_transient(
     criterion: &DrfCriterion<'_>,
     opts: &CharacterizeOptions,
 ) -> Result<(bool, f64), anasim::Error> {
-    let wave = activation_transient(
+    let wave = simulate_activation(
         design,
         pvt,
         tap,
@@ -161,6 +170,7 @@ fn drf_at_transient(
         load,
         opts.transient_window,
         opts.transient_dt,
+        Some(criterion.drv),
     )?;
     let v_min = wave.min_vddcc();
     if v_min >= criterion.drv {

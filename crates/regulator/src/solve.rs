@@ -13,14 +13,31 @@
 //!   (the selector breaks before it makes): with the reference input
 //!   low the amplifier drives `MPreg1`'s gate high and the rail sags
 //!   until the input line recovers.
+//!
+//! [`activation_transient`] integrates the whole window. The Table II
+//! verdict ([`crate::characterize::drf_at`]) runs the same transient
+//! with the criterion's DRV as a floor, and ends it after the first
+//! step from which the rail can no longer cross that floor (DESIGN
+//! §16): the verdict reads only the samples below DRV, and after that
+//! step there are none.
 
 use anasim::newton::NewtonOptions;
 use anasim::transient::TransientAnalysis;
+use anasim::NodeId;
 use process::PvtCondition;
 use sram::ArrayLoad;
 
 use crate::defect::Defect;
-use crate::topology::{FeedMode, RegulatorCircuit, RegulatorDesign, VrefTap};
+use crate::topology::{
+    FeedMode, RegulatorCircuit, RegulatorDesign, VrefTap, ACTIVATION_EDGE_SECONDS,
+};
+
+/// A gate line that moves by at most this much in one step counts as
+/// settled, volts. The early end needs both gate lines constant; each
+/// charges through its defect toward a fixed source, so a line moving
+/// 1 µV per step has a remaining swing far below the 0.1 mV to which
+/// the transient solves the rail.
+const GATE_SETTLED_VOLTS: f64 = 1.0e-6;
 
 /// Waveform summary of one activation transient.
 #[derive(Debug, Clone)]
@@ -35,7 +52,7 @@ impl ActivationResult {
         self.times.iter().copied().zip(self.vddcc.iter().copied())
     }
 
-    /// Minimum rail voltage over the window.
+    /// Minimum rail voltage over the simulated window.
     pub fn min_vddcc(&self) -> f64 {
         self.vddcc.iter().copied().fold(f64::INFINITY, f64::min)
     }
@@ -82,6 +99,35 @@ pub fn activation_transient(
     load: &ArrayLoad,
     t_stop: f64,
     dt: f64,
+) -> Result<ActivationResult, anasim::Error> {
+    simulate_activation(design, pvt, tap, defect, ohms, load, t_stop, dt, None)
+}
+
+/// The activation transient of [`activation_transient`]. Given a
+/// retention `floor` (the criterion's DRV), it ends after the first
+/// step past the activation edge at which
+///
+/// 1. neither gate line, `mn1_gate` nor `mn2_gate`, moved by more than
+///    `GATE_SETTLED_VOLTS`;
+/// 2. the rail is at or above the floor;
+/// 3. the rail's linear bound, its value less the step's fall times the
+///    steps left, clears the floor by the rail's Newton tolerance.
+///
+/// From there on the rail obeys one scalar equation whose per-step
+/// fall cannot grow, so no later sample lies below the floor (DESIGN
+/// §16). Each run that ends before its window counts once in
+/// `regulator.activation.ended_early`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn simulate_activation(
+    design: &RegulatorDesign,
+    pvt: PvtCondition,
+    tap: VrefTap,
+    defect: Defect,
+    ohms: f64,
+    load: &ArrayLoad,
+    t_stop: f64,
+    dt: f64,
+    floor: Option<f64>,
 ) -> Result<ActivationResult, anasim::Error> {
     assert!(
         defect.is_transient_mechanism(),
@@ -135,10 +181,32 @@ pub fn activation_transient(
         reltol: 1.0e-4,
         ..NewtonOptions::default()
     };
+    let unknown = |node: NodeId| node.unknown_index().expect("no regulator line is ground");
+    let rail = unknown(nodes.vddcc);
+    let gates = [unknown(nodes.mn1_gate), unknown(nodes.mn2_gate)];
+    let rail_stays_above = |time: f64, previous: &[f64], accepted: &[f64]| {
+        let Some(floor) = floor else {
+            return false;
+        };
+        let v = accepted[rail];
+        let fall = (previous[rail] - v).max(0.0);
+        // Rounding can only overcount the steps left.
+        let steps_left = ((t_stop - time) / dt).ceil();
+        let tolerance = options.vntol + options.reltol * v.abs();
+        time > ACTIVATION_EDGE_SECONDS
+            && gates
+                .iter()
+                .all(|&g| (accepted[g] - previous[g]).abs() <= GATE_SETTLED_VOLTS)
+            && v >= floor
+            && v - fall * steps_left - tolerance >= floor
+    };
     let tr = TransientAnalysis::new(dt, t_stop)
         .with_options(options)
-        .run_from(nl, x0)?;
+        .run_from_until(nl, x0, rail_stays_above)?;
     let times = tr.times().to_vec();
+    if times.last().is_some_and(|&end| end < t_stop) {
+        obs::counter_add("regulator.activation.ended_early", 1);
+    }
     let vddcc = tr.voltage_series(nodes.vddcc);
     Ok(ActivationResult { times, vddcc })
 }

@@ -93,6 +93,13 @@ impl std::fmt::Display for VrefTap {
 /// Fraction of VDD at the bias tap.
 pub const BIAS_FRACTION: f64 = 0.52;
 
+/// Edge time of the stepped gate feed in an activation transient,
+/// seconds: the `Vbias` or `Vref` line ramps from 0 to its tap value in
+/// 10 ns after the ACT→DS switch (and would fall as fast, long after
+/// any simulated window). Past this edge every source in the netlist
+/// is constant, which the activation transient's early end relies on.
+pub(crate) const ACTIVATION_EDGE_SECONDS: f64 = 10.0e-9;
+
 /// Device sizing and passive values of the regulator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RegulatorDesign {
@@ -302,8 +309,8 @@ impl RegulatorCircuit {
                         v0: 0.0,
                         v1: BIAS_FRACTION * pvt.vdd,
                         delay: 0.0,
-                        rise: 10.0e-9,
-                        fall: 10.0e-9,
+                        rise: ACTIVATION_EDGE_SECONDS,
+                        fall: ACTIVATION_EDGE_SECONDS,
                         width: 1.0e3, // effectively forever
                     },
                 )?;
@@ -318,8 +325,8 @@ impl RegulatorCircuit {
                         v0: 0.0,
                         v1: tap.fraction() * pvt.vdd,
                         delay: 0.0,
-                        rise: 10.0e-9,
-                        fall: 10.0e-9,
+                        rise: ACTIVATION_EDGE_SECONDS,
+                        fall: ACTIVATION_EDGE_SECONDS,
                         width: 1.0e3,
                     },
                 )?;

@@ -61,7 +61,8 @@
 //! `array`), `--jobs` those five plus `monte-carlo` and `all`, and
 //! `--cases`/`--fuzz-seed` the `fuzz-*` subcommands. Any other argument,
 //! a stray positional included, is a usage error (exit 2) that names
-//! it.
+//! it, and so is a missing or unknown artifact or a value that does not
+//! parse. A run that fails exits 1.
 //!
 //! The observability flags are all opt-in — a flag-less run writes no
 //! extra files and produces no extra output:
@@ -109,11 +110,13 @@ use march::coverage::{grade, standard_fault_list};
 use march::library;
 use regulator::{Defect, DefectCategory, VrefTap};
 
-/// Exit code of a usage error: an argument the subcommand does not
-/// take, or a flag without its value.
+/// Exit code of a usage error: a missing or unknown subcommand, an
+/// argument the subcommand does not take, a flag without its value, or
+/// a value it cannot parse. A run that fails exits 1.
 const USAGE_ERROR: u8 = 2;
 
-fn usage() -> ExitCode {
+/// Prints the usage text.
+fn print_usage() {
     eprintln!(
         "usage: lp-sram-suite <artifact> [--paper] [--jobs <n>] [--checkpoint <file>]\n\
          \x20                            [--trace <file.jsonl>] [--metrics <file.json>] [--progress]\n\
@@ -164,7 +167,6 @@ fn usage() -> ExitCode {
          \x20    ERC-clean netlist fuzzer against the analog solver;\n\
          \x20    failures print a one-command replay seed"
     );
-    ExitCode::FAILURE
 }
 
 /// Default `--cases` per fuzz subcommand: ≥ 1000 functional sequences
@@ -707,7 +709,8 @@ fn config_echo(
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(artifact) = args.first().map(String::as_str) else {
-        return usage();
+        print_usage();
+        return ExitCode::from(USAGE_ERROR);
     };
     let rest = &args[1..];
     match artifact {
@@ -730,13 +733,17 @@ fn main() -> ExitCode {
             return ExitCode::from(USAGE_ERROR);
         };
         let Some(&path) = args.positionals.first() else {
-            eprintln!("error: {artifact} needs a {input} path");
-            return usage();
+            return usage_error(&format!("{artifact} needs a {input} path"));
         };
-        let top_k = args
-            .value("--top")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(10);
+        let top_k = match args.value("--top") {
+            Some(v) => match v.parse::<usize>() {
+                Ok(k) => k,
+                Err(_) => {
+                    return usage_error(&format!("--top expects a non-negative integer, got `{v}`"))
+                }
+            },
+            None => 10,
+        };
         let json = args.has("--json");
         let outcome = if artifact == "summary" {
             summarize(path, top_k, json, args.has("--traces"))
@@ -752,8 +759,8 @@ fn main() -> ExitCode {
         };
     }
     let Some((switches, options)) = artifact_flags(artifact) else {
-        eprintln!("error: unknown artifact `{artifact}`");
-        return usage();
+        print_usage();
+        return usage_error(&format!("unknown artifact `{artifact}`"));
     };
     let Some(args) = Args::parse(artifact, rest, &switches, &options, 0) else {
         return ExitCode::from(USAGE_ERROR);
@@ -763,8 +770,7 @@ fn main() -> ExitCode {
         Some(v) => match v.parse::<usize>() {
             Ok(n) => n,
             Err(_) => {
-                eprintln!("error: --jobs expects a non-negative integer, got `{v}`");
-                return usage();
+                return usage_error(&format!("--jobs expects a non-negative integer, got `{v}`"))
             }
         },
         None => 0,
@@ -773,20 +779,14 @@ fn main() -> ExitCode {
     let fuzz_seed = match args.value("--fuzz-seed") {
         Some(v) => match v.parse::<u64>() {
             Ok(s) => s,
-            Err(_) => {
-                eprintln!("error: --fuzz-seed expects a u64, got `{v}`");
-                return usage();
-            }
+            Err(_) => return usage_error(&format!("--fuzz-seed expects a u64, got `{v}`")),
         },
         None => drftest::fuzz::DEFAULT_SEED,
     };
     let fuzz_cases = match args.value("--cases") {
         Some(v) => match v.parse::<u64>() {
             Ok(n) if n > 0 => Some(n),
-            _ => {
-                eprintln!("error: --cases expects a positive integer, got `{v}`");
-                return usage();
-            }
+            _ => return usage_error(&format!("--cases expects a positive integer, got `{v}`")),
         },
         None => None,
     };
@@ -827,7 +827,7 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            usage()
+            ExitCode::FAILURE
         }
     }
 }

@@ -44,15 +44,26 @@ fn fig5_reproduces_its_results_file() {
     assert_reproduces("fig5", include_str!("../results/fig5_taxonomy.txt"));
 }
 
-/// A misspelt flag must not quietly print the default artifact: it is a
-/// usage error (exit 2) that names the argument.
+/// A misspelt flag, artifact or value must not quietly print the
+/// default artifact: it is a usage error (exit 2, where a failed run
+/// exits 1) that names the offending argument.
 #[test]
 fn subcommands_reject_arguments_they_do_not_take() {
-    for args in [["ds-time", "--papr"], ["lint", "--rulez"]] {
-        let out = cli(&args);
+    let cases: [(&[&str], Option<&str>); 6] = [
+        (&["ds-time", "--papr"], Some("--papr")),
+        (&["lint", "--rulez"], Some("--rulez")),
+        (&["tabel2"], Some("tabel2")),
+        (&["table2", "--jobs", "abc"], Some("abc")),
+        (&["summary"], None),
+        (&["summary", "m.json", "--top", "abc"], Some("abc")),
+    ];
+    for (args, named) in cases {
+        let out = cli(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
         assert!(out.stdout.is_empty(), "{args:?} printed an artifact");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(&format!("`{}`", args[1])), "{stderr}");
+        if let Some(arg) = named {
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains(&format!("`{arg}`")), "{stderr}");
+        }
     }
 }

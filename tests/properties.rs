@@ -715,3 +715,91 @@ fn singular_netlist_names_same_node_through_scratch() {
         },
     );
 }
+
+// ---------------------------------------------------------------------
+// Df8/Df11 verdicts: an activation transient that ends early judges
+// exactly as its full window does.
+// ---------------------------------------------------------------------
+
+/// `drf_at` ends a Df8/Df11 activation transient once its rail can no
+/// longer cross the criterion's DRV. Against a reference built from the
+/// full-window `activation_transient`, its verdict agrees for any DRV
+/// floor, and whenever the full window dips below the floor, the rail
+/// `drf_at` observes is that window's minimum bit for bit. The floor
+/// lies between 50 mV below the waveform's minimum and its maximum, so
+/// it often sits where the rail is still falling from VDD toward its set
+/// point after both gate lines have settled.
+#[test]
+fn early_ended_activation_transients_keep_their_verdicts() {
+    use lp_sram_suite::drftest::tap_for_vdd;
+    use lp_sram_suite::process::{ProcessCorner, PvtCondition};
+    use lp_sram_suite::regulator::{
+        activation_transient, drf_at, CharacterizeOptions, Defect, DrfCriterion, RegulatorDesign,
+        OPEN_THRESHOLD_OHMS,
+    };
+    use lp_sram_suite::sram::{ArrayLoad, CellInstance, StoredBit};
+    property(
+        "early_ended_activation_transients_keep_their_verdicts",
+        12,
+        |rng| {
+            (
+                *rng.choose(&[8u8, 11]),
+                // 100 Ω … 500 MΩ, log-uniform.
+                10f64.powf(uniform(rng, 2.0, OPEN_THRESHOLD_OHMS.log10())),
+                *rng.choose(&ProcessCorner::ALL),
+                uniform(rng, -30.0, 125.0),
+                *rng.choose(&[1.0, 1.1, 1.2]),
+                // Where the floor sits between its two ends.
+                rng.next_f64(),
+            )
+        },
+        |&(number, ohms, corner, temp_c, vdd, floor_at)| {
+            let pvt = PvtCondition::new(corner, vdd, temp_c);
+            let (design, tap, defect) = (
+                RegulatorDesign::lp40nm(),
+                tap_for_vdd(vdd),
+                Defect::new(number),
+            );
+            let opts = CharacterizeOptions::default();
+            let cell = CellInstance::symmetric(pvt);
+            let load =
+                ArrayLoad::build(&cell, &[], 256 * 1024, 1.3, 9).map_err(|e| e.to_string())?;
+            let full = activation_transient(
+                &design,
+                pvt,
+                tap,
+                defect,
+                ohms,
+                &load,
+                opts.transient_window,
+                opts.transient_dt,
+            )
+            .map_err(|e| format!("full window: {e}"))?;
+            let v_min = full.min_vddcc();
+            let v_max = full
+                .samples()
+                .map(|(_, v)| v)
+                .fold(f64::NEG_INFINITY, f64::max);
+            let floor = (v_min - 0.05) + (v_max - v_min + 0.05) * floor_at;
+            let criterion = DrfCriterion {
+                stressed: &cell,
+                stored: StoredBit::One,
+                drv: floor,
+            };
+            let (faulty, observed) =
+                drf_at(&design, pvt, tap, defect, ohms, &load, &criterion, &opts)
+                    .map_err(|e| format!("drf_at: {e}"))?;
+            let want = v_min < floor && criterion.fails_at(v_min, full.time_below(floor));
+            ensure!(
+                faulty == want,
+                "floor {floor} V: drf_at says faulty = {faulty}, the full window {want} \
+                 (its minimum {v_min} V, observed {observed} V)"
+            );
+            ensure!(
+                v_min >= floor || observed.to_bits() == v_min.to_bits(),
+                "floor {floor} V: observed {observed} V, the full window's minimum {v_min} V"
+            );
+            Ok(())
+        },
+    );
+}
