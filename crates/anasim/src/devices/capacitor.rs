@@ -1,6 +1,14 @@
 //! Capacitor with a backward-Euler transient companion model.
+//!
+//! At DC a capacitor contributes only a 1 pS leakage conductance; in
+//! transient analysis it stamps the backward-Euler companion model
+//! `G = C/dt`, `Ieq = -(C/dt) · V_prev`.
+//!
+//! Backward Euler was chosen over trapezoidal integration deliberately:
+//! the retention waveforms this crate simulates are monotone decays and
+//! slow ramps where BE's L-stability (no trapezoidal ringing) matters
+//! more than its first-order accuracy.
 
-use crate::devices::{Device, ElementKind};
 use crate::mna::{AnalysisMode, StampContext};
 use crate::netlist::NodeId;
 
@@ -8,53 +16,18 @@ use crate::netlist::NodeId;
 /// only through capacitors remain solvable.
 const DC_LEAK_CONDUCTANCE: f64 = 1.0e-12;
 
-/// An ideal capacitor. At DC it contributes only a 1 pS leakage
-/// conductance; in transient analysis it stamps the
-/// backward-Euler companion model `G = C/dt`, `Ieq = -(C/dt) · V_prev`.
-///
-/// Backward Euler was chosen over trapezoidal integration deliberately:
-/// the retention waveforms this crate simulates are monotone decays and
-/// slow ramps where BE's L-stability (no trapezoidal ringing) matters
-/// more than its first-order accuracy.
-#[derive(Debug)]
-pub struct Capacitor {
-    p: NodeId,
-    n: NodeId,
-    farads: f64,
-}
-
-impl Capacitor {
-    /// Creates a capacitor of `farads` between `p` and `n`.
-    pub fn new(p: NodeId, n: NodeId, farads: f64) -> Self {
-        Capacitor { p, n, farads }
-    }
-}
-
-impl Device for Capacitor {
-    fn nodes(&self) -> Vec<NodeId> {
-        vec![self.p, self.n]
-    }
-
-    fn kind(&self) -> ElementKind {
-        ElementKind::Capacitor {
-            p: self.p,
-            n: self.n,
-            farads: self.farads,
+/// Stamps an ideal capacitor of `farads` between `p` and `n`.
+pub(crate) fn stamp(p: NodeId, n: NodeId, farads: f64, ctx: &mut StampContext<'_>) {
+    match ctx.mode() {
+        AnalysisMode::Dc => {
+            ctx.stamp_conductance(p, n, DC_LEAK_CONDUCTANCE);
         }
-    }
-
-    fn stamp(&self, ctx: &mut StampContext<'_>) {
-        match ctx.mode() {
-            AnalysisMode::Dc => {
-                ctx.stamp_conductance(self.p, self.n, DC_LEAK_CONDUCTANCE);
-            }
-            AnalysisMode::Transient { dt, .. } => {
-                let g = self.farads / dt;
-                let v_prev = ctx.prev_voltage(self.p) - ctx.prev_voltage(self.n);
-                ctx.stamp_conductance(self.p, self.n, g);
-                // Companion current source reproducing the history term.
-                ctx.stamp_current(self.p, self.n, -g * v_prev);
-            }
+        AnalysisMode::Transient { dt, .. } => {
+            let g = farads / dt;
+            let v_prev = ctx.prev_voltage(p) - ctx.prev_voltage(n);
+            ctx.stamp_conductance(p, n, g);
+            // Companion current source reproducing the history term.
+            ctx.stamp_current(p, n, -g * v_prev);
         }
     }
 }

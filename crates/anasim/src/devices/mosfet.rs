@@ -16,7 +16,7 @@
 //! everywhere — exactly what the damped Newton solver needs near the
 //! metastable points of a 6T cell at a few tens of millivolts of supply.
 
-use crate::devices::{sigmoid, softplus, Device, ElementKind};
+use crate::devices::{sigmoid, softplus};
 use crate::error::Error;
 use crate::mna::StampContext;
 use crate::netlist::NodeId;
@@ -188,82 +188,51 @@ impl MosParams {
     }
 }
 
-/// A three-terminal MOSFET (bulk tied to source rail implicitly).
-#[derive(Debug)]
-pub struct Mosfet {
+/// Stamps a three-terminal MOSFET (bulk tied to the source rail
+/// implicitly) with terminals drain `d`, gate `g`, source `s`,
+/// linearized at the estimate carried by `ctx`.
+pub(crate) fn stamp(
     d: NodeId,
     g: NodeId,
     s: NodeId,
-    params: MosParams,
-}
+    params: &MosParams,
+    ctx: &mut StampContext<'_>,
+) {
+    let sign = match params.polarity {
+        MosPolarity::Nmos => 1.0,
+        MosPolarity::Pmos => -1.0,
+    };
+    // Work in the "primed" frame where the device always looks like
+    // an NMOS: voltages are negated for PMOS; the terminal at higher
+    // primed potential acts as the drain.
+    let vd_p = sign * ctx.voltage(d);
+    let vg_p = sign * ctx.voltage(g);
+    let vs_p = sign * ctx.voltage(s);
+    let (drn, src, v_drn, v_src) = if vd_p >= vs_p {
+        (d, s, vd_p, vs_p)
+    } else {
+        (s, d, vs_p, vd_p)
+    };
+    let vgs = vg_p - v_src;
+    let vds = v_drn - v_src;
+    let (i0, gm, gds) = params.ids(vgs, vds);
 
-impl Mosfet {
-    /// Creates a MOSFET with terminals drain, gate, source.
-    pub fn new(d: NodeId, g: NodeId, s: NodeId, params: MosParams) -> Self {
-        Mosfet { d, g, s, params }
-    }
+    // Conductances are invariant under the frame change; only the
+    // constant (companion) current picks up the sign.
+    let ieq = sign * (i0 - gm * vgs - gds * vds);
 
-    /// The model card.
-    pub fn params(&self) -> &MosParams {
-        &self.params
-    }
-}
+    ctx.mat_node_node(drn, g, gm);
+    ctx.mat_node_node(drn, drn, gds);
+    ctx.mat_node_node(drn, src, -(gm + gds));
+    ctx.rhs_node(drn, -ieq);
 
-impl Device for Mosfet {
-    fn nodes(&self) -> Vec<NodeId> {
-        vec![self.d, self.g, self.s]
-    }
+    ctx.mat_node_node(src, g, -gm);
+    ctx.mat_node_node(src, drn, -gds);
+    ctx.mat_node_node(src, src, gm + gds);
+    ctx.rhs_node(src, ieq);
 
-    fn kind(&self) -> ElementKind {
-        ElementKind::Mosfet {
-            d: self.d,
-            g: self.g,
-            s: self.s,
-            params: self.params,
-        }
-    }
-
-    fn is_nonlinear(&self) -> bool {
-        true
-    }
-
-    fn stamp(&self, ctx: &mut StampContext<'_>) {
-        let sign = match self.params.polarity {
-            MosPolarity::Nmos => 1.0,
-            MosPolarity::Pmos => -1.0,
-        };
-        // Work in the "primed" frame where the device always looks like
-        // an NMOS: voltages are negated for PMOS; the terminal at higher
-        // primed potential acts as the drain.
-        let vd_p = sign * ctx.voltage(self.d);
-        let vg_p = sign * ctx.voltage(self.g);
-        let vs_p = sign * ctx.voltage(self.s);
-        let (drn, src, v_drn, v_src) = if vd_p >= vs_p {
-            (self.d, self.s, vd_p, vs_p)
-        } else {
-            (self.s, self.d, vs_p, vd_p)
-        };
-        let vgs = vg_p - v_src;
-        let vds = v_drn - v_src;
-        let (i0, gm, gds) = self.params.ids(vgs, vds);
-
-        // Conductances are invariant under the frame change; only the
-        // constant (companion) current picks up the sign.
-        let ieq = sign * (i0 - gm * vgs - gds * vds);
-
-        ctx.mat_node_node(drn, self.g, gm);
-        ctx.mat_node_node(drn, drn, gds);
-        ctx.mat_node_node(drn, src, -(gm + gds));
-        ctx.rhs_node(drn, -ieq);
-
-        ctx.mat_node_node(src, self.g, -gm);
-        ctx.mat_node_node(src, drn, -gds);
-        ctx.mat_node_node(src, src, gm + gds);
-        ctx.rhs_node(src, ieq);
-
-        // Keep stacked off devices numerically grounded.
-        ctx.stamp_conductance(self.d, self.s, CHANNEL_GMIN);
-    }
+    // Keep stacked off devices numerically grounded.
+    ctx.stamp_conductance(d, s, CHANNEL_GMIN);
 }
 
 #[cfg(test)]

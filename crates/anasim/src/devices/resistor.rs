@@ -1,45 +1,17 @@
 //! Linear resistor.
+//!
+//! The resistance lives in the netlist's parameter table so sweeps
+//! (e.g. the injected defect resistance in the regulator
+//! characterization) can move it without rebuilding the circuit.
 
-use crate::devices::{Device, ElementKind};
 use crate::mna::StampContext;
 use crate::netlist::{NodeId, ParamId};
 
-/// An ideal linear resistor. Its resistance lives in the netlist's
-/// parameter table so sweeps (e.g. the injected defect resistance in the
-/// regulator characterization) can move it without rebuilding the
-/// circuit.
-#[derive(Debug)]
-pub struct Resistor {
-    p: NodeId,
-    n: NodeId,
-    resistance: ParamId,
-}
-
-impl Resistor {
-    /// Creates a resistor between `p` and `n` reading its resistance
-    /// from `resistance`.
-    pub fn new(p: NodeId, n: NodeId, resistance: ParamId) -> Self {
-        Resistor { p, n, resistance }
-    }
-}
-
-impl Device for Resistor {
-    fn nodes(&self) -> Vec<NodeId> {
-        vec![self.p, self.n]
-    }
-
-    fn kind(&self) -> ElementKind {
-        ElementKind::Resistor {
-            p: self.p,
-            n: self.n,
-            resistance: self.resistance,
-        }
-    }
-
-    fn stamp(&self, ctx: &mut StampContext<'_>) {
-        let g = 1.0 / ctx.param_value(self.resistance);
-        ctx.stamp_conductance(self.p, self.n, g);
-    }
+/// Stamps an ideal linear resistor between `p` and `n` reading its
+/// resistance from `resistance`.
+pub(crate) fn stamp(p: NodeId, n: NodeId, resistance: ParamId, ctx: &mut StampContext<'_>) {
+    let g = 1.0 / ctx.param_value(resistance);
+    ctx.stamp_conductance(p, n, g);
 }
 
 #[cfg(test)]

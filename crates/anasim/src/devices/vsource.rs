@@ -1,11 +1,11 @@
 //! Ideal voltage source with optional time-domain waveform.
 
-use crate::devices::{Device, ElementKind};
 use crate::mna::{AnalysisMode, StampContext};
 use crate::netlist::{NodeId, SourceId};
 
-/// Time-domain shape of a [`VoltageSource`].
-#[derive(Debug, Clone, PartialEq)]
+/// Time-domain shape of a voltage source
+/// ([`ElementKind::VoltageSource`](crate::devices::ElementKind::VoltageSource)).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Waveform {
     /// Constant value read from the netlist source table (sweepable).
     Dc,
@@ -24,9 +24,6 @@ pub enum Waveform {
         /// Time spent at `v1`, seconds.
         width: f64,
     },
-    /// Piecewise-linear `(time, volts)` points; held constant outside
-    /// the covered range.
-    Pwl(Vec<(f64, f64)>),
 }
 
 impl Waveform {
@@ -36,8 +33,7 @@ impl Waveform {
     pub fn dc_override(&self) -> Option<f64> {
         match self {
             Waveform::Dc => None,
-            Waveform::Pwl(points) if points.is_empty() => None,
-            _ => Some(self.value_at(0.0, 0.0)),
+            Waveform::Pulse { .. } => Some(self.value_at(0.0, 0.0)),
         }
     }
 
@@ -67,86 +63,34 @@ impl Waveform {
                     *v0
                 }
             }
-            Waveform::Pwl(points) => {
-                if points.is_empty() {
-                    return dc_value;
-                }
-                if t <= points[0].0 {
-                    return points[0].1;
-                }
-                for pair in points.windows(2) {
-                    let (t0, v0) = pair[0];
-                    let (t1, v1) = pair[1];
-                    if t <= t1 {
-                        if t1 == t0 {
-                            return v1;
-                        }
-                        return v0 + (v1 - v0) * (t - t0) / (t1 - t0);
-                    }
-                }
-                points.last().expect("non-empty").1
-            }
         }
     }
 }
 
-/// An ideal voltage source between `p` (positive) and `n`, contributing
-/// one branch-current unknown to the MNA system.
-#[derive(Debug)]
-pub struct VoltageSource {
+/// Stamps an ideal voltage source between `p` (positive) and `n`,
+/// whose branch-current unknown is the context's branch 0; `source`
+/// indexes the netlist source table [`Waveform::Dc`] reads.
+pub(crate) fn stamp(
     p: NodeId,
     n: NodeId,
     source: SourceId,
-    waveform: Waveform,
-}
-
-impl VoltageSource {
-    /// Creates a voltage source; `source` indexes the netlist source
-    /// table used for DC values.
-    pub fn new(p: NodeId, n: NodeId, source: SourceId, waveform: Waveform) -> Self {
-        VoltageSource {
-            p,
-            n,
-            source,
-            waveform,
+    waveform: &Waveform,
+    ctx: &mut StampContext<'_>,
+) {
+    let value = match ctx.mode() {
+        AnalysisMode::Dc => waveform.value_at(0.0, ctx.source_value(source)),
+        AnalysisMode::Transient { time, .. } => {
+            // Transient keeps full source amplitude (continuation is a
+            // DC-only device).
+            waveform.value_at(time, ctx.source_value(source))
         }
-    }
-}
-
-impl Device for VoltageSource {
-    fn nodes(&self) -> Vec<NodeId> {
-        vec![self.p, self.n]
-    }
-
-    fn num_branches(&self) -> usize {
-        1
-    }
-
-    fn kind(&self) -> ElementKind {
-        ElementKind::VoltageSource {
-            p: self.p,
-            n: self.n,
-            source: self.source,
-            dc_override: self.waveform.dc_override(),
-        }
-    }
-
-    fn stamp(&self, ctx: &mut StampContext<'_>) {
-        let value = match ctx.mode() {
-            AnalysisMode::Dc => self.waveform.value_at(0.0, ctx.source_value(self.source)),
-            AnalysisMode::Transient { time, .. } => {
-                // Transient keeps full source amplitude (continuation is a
-                // DC-only device).
-                self.waveform.value_at(time, ctx.source_value(self.source))
-            }
-        };
-        // Branch current flows from p through the source to n.
-        ctx.mat_node_branch(self.p, 0, 1.0);
-        ctx.mat_node_branch(self.n, 0, -1.0);
-        ctx.mat_branch_node(0, self.p, 1.0);
-        ctx.mat_branch_node(0, self.n, -1.0);
-        ctx.rhs_branch(0, value);
-    }
+    };
+    // Branch current flows from p through the source to n.
+    ctx.mat_node_branch(p, 0, 1.0);
+    ctx.mat_node_branch(n, 0, -1.0);
+    ctx.mat_branch_node(0, p, 1.0);
+    ctx.mat_branch_node(0, n, -1.0);
+    ctx.rhs_branch(0, value);
 }
 
 #[cfg(test)]
@@ -208,15 +152,6 @@ mod tests {
         assert_eq!(w.value_at(3.0, 9.9), 1.0);
         assert_eq!(w.value_at(4.5, 9.9), 0.5);
         assert_eq!(w.value_at(10.0, 9.9), 0.0);
-    }
-
-    #[test]
-    fn pwl_waveform_interpolates_and_clamps() {
-        let w = Waveform::Pwl(vec![(0.0, 0.0), (1.0, 2.0), (3.0, 2.0)]);
-        assert_eq!(w.value_at(-1.0, 9.9), 0.0);
-        assert_eq!(w.value_at(0.5, 9.9), 1.0);
-        assert_eq!(w.value_at(2.0, 9.9), 2.0);
-        assert_eq!(w.value_at(5.0, 9.9), 2.0);
     }
 
     #[test]

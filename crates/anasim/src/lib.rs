@@ -3,8 +3,9 @@
 //! This crate is the electrical substrate of the DATE 2013 low-power-SRAM
 //! reproduction. It provides exactly what the paper's SPICE flow needed:
 //!
-//! * a [`Netlist`] of lumped devices (resistors, sources, capacitors,
-//!   diodes, switches and a continuous EKV-style MOSFET),
+//! * a [`Netlist`] of lumped devices, each one
+//!   [`ElementKind`](devices::ElementKind) value: resistors, voltage
+//!   sources, capacitors and a continuous EKV-style MOSFET,
 //! * modified nodal analysis (MNA) stamping with auxiliary branch
 //!   currents for voltage sources,
 //! * a dense LU linear solver ([`matrix`]),
@@ -12,8 +13,7 @@
 //!   source stepping continuation ([`newton`]),
 //! * DC operating-point and sweep analyses ([`dc`]) and a fixed-step
 //!   backward-Euler transient analysis ([`transient`]); backward Euler
-//!   is the only integration method (see
-//!   [`devices::capacitor::Capacitor`]).
+//!   is the only integration method (see [`devices::capacitor`]).
 //!
 //! The circuits it is used on (an SRAM 6T cell, a voltage regulator with a
 //! five-transistor error amplifier) have at most a few tens of nodes, where
@@ -62,17 +62,5 @@ pub use scratch::SolveScratch;
 
 /// Boltzmann constant over elementary charge, in volts per kelvin.
 ///
-/// `V_T = K_OVER_Q * T` is the thermal voltage used by every junction
-/// device in this crate.
+/// `V_T = K_OVER_Q * T` is the thermal voltage of the MOSFET model.
 pub const K_OVER_Q: f64 = 8.617_333_262e-5;
-
-/// Converts a temperature in degrees Celsius to the thermal voltage in
-/// volts.
-///
-/// ```
-/// let vt = anasim::thermal_voltage(25.0);
-/// assert!((vt - 0.02569).abs() < 1e-4);
-/// ```
-pub fn thermal_voltage(temp_c: f64) -> f64 {
-    K_OVER_Q * (temp_c + 273.15)
-}

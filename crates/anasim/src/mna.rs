@@ -1,7 +1,7 @@
 //! Modified nodal analysis assembly.
 //!
 //! Devices do not see the matrix directly; they stamp through a
-//! [`StampContext`], which hides the ground-elimination bookkeeping and
+//! `StampContext`, which hides the ground-elimination bookkeeping and
 //! exposes the linearization state (current Newton estimate, source
 //! scaling for continuation, previous time point for transient companion
 //! models).
@@ -98,13 +98,12 @@ impl MatrixSink<'_> {
 /// Mutable view through which a device stamps its linearized companion
 /// model into the MNA system.
 #[derive(Debug)]
-pub struct StampContext<'a> {
+pub(crate) struct StampContext<'a> {
     sink: MatrixSink<'a>,
     x: &'a [f64],
     sources: &'a [f64],
     params: &'a [f64],
     source_scale: f64,
-    gmin: f64,
     branch_offset: usize,
     mode: AnalysisMode<'a>,
 }
@@ -140,21 +139,9 @@ impl<'a> StampContext<'a> {
         self.sources[id.0] * self.source_scale
     }
 
-    /// Raw continuation scale (1.0 outside source stepping).
-    pub fn source_scale(&self) -> f64 {
-        self.source_scale
-    }
-
     /// Value of a device parameter.
     pub fn param_value(&self, id: ParamId) -> f64 {
         self.params[id.0]
-    }
-
-    /// The gmin conductance the solver currently adds from every node to
-    /// ground (0 outside gmin stepping). Exposed so tests can observe
-    /// continuation behaviour.
-    pub fn gmin(&self) -> f64 {
-        self.gmin
     }
 
     // -- raw stamps ----------------------------------------------------
@@ -192,12 +179,6 @@ impl<'a> StampContext<'a> {
         self.sink.add_rhs(self.branch_offset + k, value);
     }
 
-    /// Branch current of this device's branch `k` in the current
-    /// estimate.
-    pub fn branch_current(&self, k: usize) -> f64 {
-        self.x[self.branch_offset + k]
-    }
-
     // -- composite stamps ----------------------------------------------
 
     /// Stamps a two-terminal conductance `g` between `p` and `n`.
@@ -213,15 +194,6 @@ impl<'a> StampContext<'a> {
     pub fn stamp_current(&mut self, from: NodeId, to: NodeId, amps: f64) {
         self.rhs_node(from, -amps);
         self.rhs_node(to, amps);
-    }
-
-    /// Stamps a linearized two-terminal element carrying current
-    /// `i0 + g * (V(p) - V(n) - v0)` from `p` to `n`. This is the
-    /// companion-model form used by diodes and the switch.
-    pub fn stamp_linearized(&mut self, p: NodeId, n: NodeId, i0: f64, g: f64, v0: f64) {
-        self.stamp_conductance(p, n, g);
-        let ieq = i0 - g * v0;
-        self.stamp_current(p, n, ieq);
     }
 }
 
@@ -269,57 +241,20 @@ pub(crate) fn fnv(h: u64, v: u64) -> u64 {
     (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
 }
 
-/// The terminal nodes of an element, by value (no allocation).
-pub(crate) fn kind_terminals(kind: &ElementKind) -> ([NodeId; 4], usize) {
-    match *kind {
-        ElementKind::Resistor { p, n, .. }
-        | ElementKind::VoltageSource { p, n, .. }
-        | ElementKind::Capacitor { p, n, .. }
-        | ElementKind::Diode { p, n, .. } => ([p, n, Netlist::GND, Netlist::GND], 2),
-        ElementKind::CurrentSource { from, to, .. } => ([from, to, Netlist::GND, Netlist::GND], 2),
-        ElementKind::Mosfet { d, g, s, .. } => ([d, g, s, Netlist::GND], 3),
-        ElementKind::Switch {
-            p,
-            n,
-            ctrl_p,
-            ctrl_n,
-            ..
-        } => ([p, n, ctrl_p, ctrl_n], 4),
-    }
-}
-
-/// A small discriminant code per element kind for the fingerprint.
-pub(crate) fn kind_code(kind: &ElementKind) -> u64 {
-    match kind {
-        ElementKind::Resistor { .. } => 1,
-        ElementKind::VoltageSource { .. } => 2,
-        ElementKind::CurrentSource { .. } => 3,
-        ElementKind::Capacitor { .. } => 4,
-        ElementKind::Diode { .. } => 5,
-        ElementKind::Mosfet { .. } => 6,
-        ElementKind::Switch { .. } => 7,
-    }
-}
-
 /// Seed of [`structural_fingerprint`].
 pub(crate) const STRUCTURAL_FP_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Folds one device (kind, terminals, branch layout) into a running
 /// [`structural_fingerprint`].
 #[inline]
-pub(crate) fn fold_structure(
-    h: u64,
-    kind: &ElementKind,
-    branch_offset: usize,
-    branches: usize,
-) -> u64 {
-    let (terminals, count) = kind_terminals(kind);
-    let mut h = fnv(h, kind_code(kind));
-    for t in terminals.iter().take(count) {
+pub(crate) fn fold_structure(h: u64, kind: &ElementKind, branch_offset: usize) -> u64 {
+    let (terminals, count) = kind.terminals();
+    let mut h = fnv(h, kind.code());
+    for t in &terminals[..count] {
         h = fnv(h, t.index() as u64 + 1);
     }
     h = fnv(h, branch_offset as u64);
-    fnv(h, branches as u64)
+    fnv(h, kind.num_branches() as u64)
 }
 
 /// FNV fingerprint of a netlist's structure: device kinds, terminals
@@ -329,7 +264,7 @@ pub(crate) fn structural_fingerprint(netlist: &Netlist) -> u64 {
     netlist
         .devices_with_offsets()
         .fold(STRUCTURAL_FP_SEED, |h, (device, branch_offset)| {
-            fold_structure(h, &device.kind(), branch_offset, device.num_branches())
+            fold_structure(h, device, branch_offset)
         })
 }
 
@@ -342,8 +277,8 @@ impl StampPlan {
         let mut slots: Vec<usize> = Vec::with_capacity(8);
         for (device, branch_offset) in netlist.devices_with_offsets() {
             slots.clear();
-            let (terminals, count) = kind_terminals(&device.kind());
-            for t in terminals.iter().take(count) {
+            let (terminals, count) = device.terminals();
+            for t in &terminals[..count] {
                 if let Some(i) = t.unknown_index() {
                     slots.push(i);
                 }
@@ -438,7 +373,6 @@ pub fn assemble(
             sources: netlist.sources_slice(),
             params: netlist.params_slice(),
             source_scale,
-            gmin,
             branch_offset,
             mode,
         };
@@ -486,7 +420,6 @@ pub fn assemble_planned(
             sources: netlist.sources_slice(),
             params: netlist.params_slice(),
             source_scale,
-            gmin,
             branch_offset,
             mode,
         };
@@ -508,13 +441,11 @@ pub fn assemble_planned(
 ///
 /// Requires `pplan` to have been built against this netlist's current
 /// structure (it embeds the validated no-cross-block-device guarantee).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn assemble_partitioned(
     netlist: &Netlist,
     pplan: &crate::schur::PartitionPlan,
     devices: &[u32],
     x: &[f64],
-    gmin: f64,
     source_scale: f64,
     matrix: &mut DenseMatrix,
     rhs: &mut [f64],
@@ -531,7 +462,6 @@ pub(crate) fn assemble_partitioned(
             sources: netlist.sources_slice(),
             params: netlist.params_slice(),
             source_scale,
-            gmin,
             branch_offset,
             mode: AnalysisMode::Dc,
         };
@@ -577,7 +507,6 @@ pub(crate) fn assemble_block(
             sources: netlist.sources_slice(),
             params: netlist.params_slice(),
             source_scale,
-            gmin,
             branch_offset,
             mode: AnalysisMode::Dc,
         };
@@ -643,7 +572,7 @@ mod tests {
     fn planned_assembly_matches_full_assembly_bitwise() {
         use crate::devices::mosfet::MosParams;
         // A netlist exercising every stamp shape: sources (branch
-        // rows), resistors, MOSFETs, a capacitor, a diode.
+        // rows), resistors, MOSFETs, a capacitor.
         let mut nl = Netlist::new();
         let vdd = nl.node("vdd");
         let input = nl.node("in");
@@ -663,13 +592,6 @@ mod tests {
         .unwrap();
         nl.resistor("R", out, mid, 10.0e3).unwrap();
         nl.capacitor("C", mid, Netlist::GND, 1.0e-12).unwrap();
-        nl.diode(
-            "D",
-            mid,
-            Netlist::GND,
-            crate::devices::diode::DiodeParams::default(),
-        )
-        .unwrap();
 
         let n = nl.num_unknowns();
         let plan = StampPlan::build(&nl);

@@ -12,14 +12,9 @@
 
 use std::fmt;
 
-use crate::devices::capacitor::Capacitor;
-use crate::devices::diode::{Diode, DiodeParams};
-use crate::devices::isource::CurrentSource;
-use crate::devices::mosfet::{MosParams, Mosfet};
-use crate::devices::resistor::Resistor;
-use crate::devices::switch::Switch;
-use crate::devices::vsource::{VoltageSource, Waveform};
-use crate::devices::{Device, ElementKind};
+use crate::devices::mosfet::MosParams;
+use crate::devices::vsource::Waveform;
+use crate::devices::ElementKind;
 use crate::error::Error;
 use crate::names::NameTable;
 
@@ -80,15 +75,16 @@ impl ParamId {
 
 /// A complete circuit: nodes, devices, and their adjustable values.
 ///
-/// Node and device names live in one interned table per namespace
-/// (indexed by [`NodeId::index`] and by device insertion order), not in
-/// the devices themselves, so building a million-device array netlist
-/// costs one allocation per device (its boxed model) and dropping it
-/// frees no per-name strings.
+/// Each device is one [`ElementKind`] value in a single vector, and
+/// node and device names live in one interned table per namespace
+/// (indexed by [`NodeId::index`] and by device insertion order), so
+/// building a million-device array netlist makes no allocation per
+/// device, only amortized growth of a few buffers, and dropping it
+/// frees no per-device memory.
 #[derive(Debug, Default)]
 pub struct Netlist {
     node_names: NameTable,
-    devices: Vec<Box<dyn Device>>,
+    devices: Vec<ElementKind>,
     device_names: NameTable,
     /// First branch-unknown index (counted from 0 among branches) per
     /// device, parallel to `devices`.
@@ -160,7 +156,7 @@ impl Netlist {
         self.devices.iter().any(|d| d.is_nonlinear())
     }
 
-    fn register(&mut self, name: &str, device: Box<dyn Device>) -> Result<(), Error> {
+    fn register(&mut self, name: &str, device: ElementKind) -> Result<(), Error> {
         if self.device_names.insert(name).is_err() {
             return Err(Error::DuplicateDevice(name.to_string()));
         }
@@ -173,19 +169,19 @@ impl Netlist {
     /// Iterates over `(device, absolute_branch_offset)` pairs. The offset
     /// is the index of the device's first branch unknown within the full
     /// unknown vector.
-    pub(crate) fn devices_with_offsets(&self) -> impl Iterator<Item = (&dyn Device, usize)> + '_ {
+    pub(crate) fn devices_with_offsets(&self) -> impl Iterator<Item = (&ElementKind, usize)> + '_ {
         let node_unknowns = self.num_nodes() - 1;
         self.devices
             .iter()
             .zip(&self.branch_starts)
-            .map(move |(d, &s)| (d.as_ref(), node_unknowns + s))
+            .map(move |(d, &s)| (d, node_unknowns + s))
     }
 
     /// Device `index` (insertion order) with its absolute branch offset,
     /// as one item of [`Netlist::devices_with_offsets`].
-    pub(crate) fn device_with_offset(&self, index: usize) -> (&dyn Device, usize) {
+    pub(crate) fn device_with_offset(&self, index: usize) -> (&ElementKind, usize) {
         (
-            self.devices[index].as_ref(),
+            &self.devices[index],
             self.num_nodes() - 1 + self.branch_starts[index],
         )
     }
@@ -245,11 +241,8 @@ impl Netlist {
     }
 
     /// Iterates over `(name, kind)` of every device in insertion order.
-    pub fn elements(&self) -> impl Iterator<Item = (&str, ElementKind)> + '_ {
-        self.device_names
-            .iter()
-            .zip(&self.devices)
-            .map(|(name, d)| (name, d.kind()))
+    pub fn elements(&self) -> impl Iterator<Item = (&str, &ElementKind)> + '_ {
+        self.device_names.iter().zip(&self.devices)
     }
 
     /// Number of entries in the source-value table.
@@ -295,12 +288,12 @@ impl Netlist {
         ParamId(self.params.len() - 1)
     }
 
-    /// Updates the value of a voltage or current source.
+    /// Updates the value of a voltage source.
     pub fn set_source(&mut self, id: SourceId, value: f64) {
         self.sources[id.0] = value;
     }
 
-    /// Reads the value of a voltage or current source.
+    /// Reads the value of a voltage source.
     pub fn source(&self, id: SourceId) -> f64 {
         self.sources[id.0]
     }
@@ -357,18 +350,25 @@ impl Netlist {
                 what: format!("resistance must be finite and positive, got {ohms}"),
             });
         }
-        let param = self.alloc_param(ohms);
-        self.register(name, Box::new(Resistor::new(p, n, param)))?;
-        Ok(param)
+        let resistance = self.alloc_param(ohms);
+        self.register(name, ElementKind::Resistor { p, n, resistance })?;
+        Ok(resistance)
     }
 
     /// Adds an ideal DC voltage source (positive terminal `p`). Returns
     /// the handle used to change its value with [`Netlist::set_source`].
     pub fn vsource(&mut self, name: &str, p: NodeId, n: NodeId, volts: f64) -> SourceId {
         let source = self.alloc_source(volts);
-        let dev = VoltageSource::new(p, n, source, Waveform::Dc);
-        self.register(name, Box::new(dev))
-            .expect("duplicate voltage source name");
+        self.register(
+            name,
+            ElementKind::VoltageSource {
+                p,
+                n,
+                source,
+                waveform: Waveform::Dc,
+            },
+        )
+        .expect("duplicate voltage source name");
         source
     }
 
@@ -386,18 +386,16 @@ impl Netlist {
         waveform: Waveform,
     ) -> Result<SourceId, Error> {
         let source = self.alloc_source(waveform.value_at(0.0, 0.0));
-        let dev = VoltageSource::new(p, n, source, waveform);
-        self.register(name, Box::new(dev))?;
+        self.register(
+            name,
+            ElementKind::VoltageSource {
+                p,
+                n,
+                source,
+                waveform,
+            },
+        )?;
         Ok(source)
-    }
-
-    /// Adds an ideal current source driving `amps` from `from` through
-    /// the source into `to`.
-    pub fn isource(&mut self, name: &str, from: NodeId, to: NodeId, amps: f64) -> SourceId {
-        let source = self.alloc_source(amps);
-        self.register(name, Box::new(CurrentSource::new(from, to, source)))
-            .expect("duplicate current source name");
-        source
     }
 
     /// Adds a capacitor. In DC analyses it contributes only a tiny
@@ -420,24 +418,7 @@ impl Netlist {
                 what: format!("capacitance must be finite and positive, got {farads}"),
             });
         }
-        self.register(name, Box::new(Capacitor::new(p, n, farads)))
-    }
-
-    /// Adds a junction diode (anode `p`, cathode `n`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidValue`] if the parameters are out of
-    /// range.
-    pub fn diode(
-        &mut self,
-        name: &str,
-        p: NodeId,
-        n: NodeId,
-        params: DiodeParams,
-    ) -> Result<(), Error> {
-        params.validate(name)?;
-        self.register(name, Box::new(Diode::new(p, n, params)))
+        self.register(name, ElementKind::Capacitor { p, n, farads })
     }
 
     /// Adds a MOSFET with terminals drain/gate/source.
@@ -455,38 +436,14 @@ impl Netlist {
         params: MosParams,
     ) -> Result<(), Error> {
         params.validate(name)?;
-        self.register(name, Box::new(Mosfet::new(drain, gate, source, params)))
-    }
-
-    /// Adds a smooth voltage-controlled switch: conductance interpolates
-    /// between `1/r_off` and `1/r_on` as the control voltage
-    /// `V(ctrl_p) - V(ctrl_n)` crosses `threshold`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidValue`] if either resistance is
-    /// non-positive.
-    #[allow(clippy::too_many_arguments)]
-    pub fn switch(
-        &mut self,
-        name: &str,
-        p: NodeId,
-        n: NodeId,
-        ctrl_p: NodeId,
-        ctrl_n: NodeId,
-        threshold: f64,
-        r_on: f64,
-        r_off: f64,
-    ) -> Result<(), Error> {
-        if !(r_on.is_finite() && r_on > 0.0 && r_off.is_finite() && r_off > 0.0) {
-            return Err(Error::InvalidValue {
-                device: name.to_string(),
-                what: format!("switch resistances must be positive, got {r_on}/{r_off}"),
-            });
-        }
         self.register(
             name,
-            Box::new(Switch::new(p, n, ctrl_p, ctrl_n, threshold, r_on, r_off)),
+            ElementKind::Mosfet {
+                d: drain,
+                g: gate,
+                s: source,
+                params,
+            },
         )
     }
 }
@@ -638,8 +595,8 @@ mod tests {
         let a = nl.node("a");
         nl.resistor("R1", a, Netlist::GND, 100.0).unwrap();
         assert!(!nl.is_nonlinear());
-        nl.diode("D1", a, Netlist::GND, DiodeParams::default())
-            .unwrap();
+        let card = MosParams::nmos(2.0e-4, 0.55);
+        nl.mosfet("M1", a, a, Netlist::GND, card).unwrap();
         assert!(nl.is_nonlinear());
     }
 }

@@ -858,13 +858,17 @@ mod tests {
 
     #[test]
     fn regularized_rung_pins_a_floating_node() {
-        // A node with no DC path to ground is singular under plain
-        // Newton and at the gmin-free end of every ladder; the final
-        // rung keeps its 1 nS shunt and yields a (shunt-defined)
-        // answer on the first attempt.
+        // A node that only a MOSFET gate reaches has no DC path to
+        // ground: it is singular under plain Newton and at the
+        // gmin-free end of every ladder; the final rung keeps its 1 nS
+        // shunt and yields a (shunt-defined) answer on the first
+        // attempt.
         let mut nl = Netlist::new();
+        let vdd = nl.node("vdd");
         let c = nl.node("c");
-        nl.isource("I1", Netlist::GND, c, 1e-3);
+        nl.vsource("V", vdd, Netlist::GND, 1.0);
+        nl.mosfet("M", vdd, c, Netlist::GND, MosParams::nmos(4.0e-4, 0.45))
+            .expect("library NMOS card validates");
         let sol = solve_with_retry(&nl, &NewtonOptions::default(), None, AnalysisMode::Dc)
             .expect("the gmin-regularized rung pins the node");
         assert_eq!(sol.stats.retries, 0, "stats: {:?}", sol.stats);

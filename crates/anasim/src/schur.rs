@@ -47,7 +47,6 @@
 
 use std::collections::HashMap;
 
-use crate::devices::diode::DiodeParams;
 use crate::devices::mosfet::MosParams;
 use crate::devices::ElementKind;
 use crate::error::Error;
@@ -319,20 +318,21 @@ where
     (starts, values)
 }
 
-/// Emits what `kind` carries beyond its terminals, bit for bit: the
-/// model values, or the handle of the table entry it reads. Destructures
-/// every parameter struct in full, so a new model field cannot be left
-/// out of the template signature or the plan fingerprint.
+/// Emits what a DC stamp of `kind` reads beyond its terminals, bit for
+/// bit: the model values, the handle of the table entry it reads, and
+/// for a voltage source the value its waveform fixes at `t = 0` (the
+/// rest of the waveform is transient-only, and the partitioned path is
+/// DC-only). Destructures every parameter struct in full, so a new
+/// model field cannot be left out of the template signature or the plan
+/// fingerprint.
 fn model_words(kind: &ElementKind, mut emit: impl FnMut(u64)) {
     match *kind {
         ElementKind::Resistor { resistance, .. } => emit(resistance.index() as u64),
         ElementKind::VoltageSource {
-            source,
-            dc_override,
-            ..
+            source, waveform, ..
         } => {
             emit(source.index() as u64);
-            match dc_override {
+            match waveform.dc_override() {
                 None => emit(0),
                 Some(v) => {
                     emit(1);
@@ -340,19 +340,7 @@ fn model_words(kind: &ElementKind, mut emit: impl FnMut(u64)) {
                 }
             }
         }
-        ElementKind::CurrentSource { source, .. } => emit(source.index() as u64),
         ElementKind::Capacitor { farads, .. } => emit(farads.to_bits()),
-        ElementKind::Diode {
-            params:
-                DiodeParams {
-                    i_sat,
-                    ideality,
-                    temp_c,
-                },
-            ..
-        } => [i_sat, ideality, temp_c]
-            .into_iter()
-            .for_each(|v| emit(v.to_bits())),
         ElementKind::Mosfet {
             params:
                 MosParams {
@@ -382,14 +370,6 @@ fn model_words(kind: &ElementKind, mut emit: impl FnMut(u64)) {
             .into_iter()
             .for_each(|v| emit(v.to_bits()));
         }
-        ElementKind::Switch {
-            threshold,
-            g_on,
-            g_off,
-            ..
-        } => [threshold, g_on, g_off]
-            .into_iter()
-            .for_each(|v| emit(v.to_bits())),
     }
 }
 
@@ -397,8 +377,8 @@ fn model_words(kind: &ElementKind, mut emit: impl FnMut(u64)) {
 /// [`crate::mna::fold_structure`], then its model words, which the
 /// templates compare.
 #[inline]
-fn fold_device(h: u64, kind: &ElementKind, branch_offset: usize, branches: usize) -> u64 {
-    let mut h = crate::mna::fold_structure(h, kind, branch_offset, branches);
+fn fold_device(h: u64, kind: &ElementKind, branch_offset: usize) -> u64 {
+    let mut h = crate::mna::fold_structure(h, kind, branch_offset);
     model_words(kind, |w| h = fnv(h, w));
     h
 }
@@ -412,7 +392,7 @@ fn plan_fingerprint(netlist: &Netlist) -> u64 {
     netlist
         .devices_with_offsets()
         .fold(crate::mna::STRUCTURAL_FP_SEED, |h, (device, offset)| {
-            fold_device(h, &device.kind(), offset, device.num_branches())
+            fold_device(h, device, offset)
         })
 }
 
@@ -472,12 +452,11 @@ impl PartitionPlan {
         let mut slots: Vec<usize> = Vec::with_capacity(8);
         let mut iface: Vec<u32> = Vec::with_capacity(8);
         for (index, (device, branch_offset)) in netlist.devices_with_offsets().enumerate() {
-            let kind = device.kind();
             let branches = device.num_branches();
-            netlist_fp = fold_device(netlist_fp, &kind, branch_offset, branches);
+            netlist_fp = fold_device(netlist_fp, device, branch_offset);
             slots.clear();
-            let (terminals, count) = crate::mna::kind_terminals(&kind);
-            for t in terminals.iter().take(count) {
+            let (terminals, count) = device.terminals();
+            for t in &terminals[..count] {
                 if let Some(i) = t.unknown_index() {
                     slots.push(i);
                 }
@@ -798,8 +777,7 @@ impl PartitionPlan {
 /// positions (0 for ground, `1 << 32 | k` for local unknown `k`,
 /// `2 << 32 | q` for boundary position `q`), then the model words.
 /// Equal signatures stamp bit-identical local systems at bit-identical
-/// inputs (the [`Device::kind`](crate::devices::Device::kind)
-/// contract). Signatures are interned through an FNV-keyed map whose
+/// inputs (see [`ElementKind`]). Signatures are interned through an FNV-keyed map whose
 /// candidates are confirmed word by word, so the pass is linear.
 fn intern_templates(
     netlist: &Netlist,
@@ -831,9 +809,8 @@ fn intern_templates(
         sig.push(node_unknowns.saturating_sub(bp.start).min(bp.len) as u64);
         for &d in &block_devices[bp.dev_off as usize..][..bp.ndev as usize] {
             let (device, branch_offset) = netlist.device_with_offset(d as usize);
-            let kind = device.kind();
-            sig.push(crate::mna::kind_code(&kind));
-            let (terminals, count) = crate::mna::kind_terminals(&kind);
+            sig.push(device.code());
+            let (terminals, count) = device.terminals();
             sig.extend(
                 terminals[..count]
                     .iter()
@@ -842,7 +819,7 @@ fn intern_templates(
             let branches = device.num_branches();
             sig.push(branches as u64);
             sig.extend((branch_offset..branch_offset + branches).map(position));
-            model_words(&kind, |w| sig.push(w));
+            model_words(device, |w| sig.push(w));
         }
         let signature = |t: u32| &sigs[sig_start[t as usize]..sig_start[t as usize + 1]];
         // Neighbouring blocks usually share a template: try the last
@@ -1420,7 +1397,6 @@ impl SchurState {
                     plan,
                     &plan.iface_devices[from as usize..to as usize],
                     x,
-                    gmin,
                     source_scale,
                     iface,
                     rhs_i,
@@ -1918,7 +1894,7 @@ mod tests {
         let mut boundaries = vec![Vec::new(); plan.blocks.len()];
         let mut touched = Vec::new();
         for (device, branch_offset) in nl.devices_with_offsets() {
-            let (terminals, count) = crate::mna::kind_terminals(&device.kind());
+            let (terminals, count) = device.terminals();
             let slots: Vec<usize> = terminals[..count]
                 .iter()
                 .filter_map(|t| t.unknown_index())

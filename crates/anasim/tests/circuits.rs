@@ -46,10 +46,12 @@ fn pmos_current_mirror_copies_current() {
 }
 
 /// An NMOS differential pair splits the tail current evenly at zero
-/// differential input and steers it with input sign.
+/// differential input and steers it with input sign. The tail is a
+/// resistor; its current is read back from the solved tail voltage.
 #[test]
 fn differential_pair_steers_current() {
-    let run = |v_diff: f64| -> (f64, f64) {
+    const R_TAIL: f64 = 10.0e3;
+    let run = |v_diff: f64| -> (f64, f64, f64) {
         let mut nl = Netlist::new();
         let vdd = nl.node("vdd");
         let ga = nl.node("ga");
@@ -64,21 +66,25 @@ fn differential_pair_steers_current() {
         nl.resistor("RB", vdd, db, 20.0e3).unwrap();
         nl.mosfet("MA", da, ga, tail, nmos()).unwrap();
         nl.mosfet("MB", db, gb, tail, nmos()).unwrap();
-        nl.isource("Itail", tail, Netlist::GND, 20.0e-6);
+        nl.resistor("Rtail", tail, Netlist::GND, R_TAIL).unwrap();
         let sol = DcAnalysis::new().operating_point(&nl).unwrap();
         let ia = (1.1 - sol.voltage(da)) / 20.0e3;
         let ib = (1.1 - sol.voltage(db)) / 20.0e3;
-        (ia, ib)
+        (ia, ib, sol.voltage(tail) / R_TAIL)
     };
-    let (ia, ib) = run(0.0);
+    let (ia, ib, i_tail) = run(0.0);
     assert!(
         ((ia - ib) / (ia + ib)).abs() < 0.01,
         "balanced split: {ia} vs {ib}"
     );
-    assert!(((ia + ib) - 20.0e-6).abs() < 1.0e-6, "tail current sums");
-    let (ia, ib) = run(0.2);
+    assert!(i_tail > 1.0e-6, "tail current {i_tail}");
+    assert!(
+        ((ia + ib) - i_tail).abs() < 1.0e-3 * i_tail,
+        "branch currents {ia} + {ib} sum to the tail's {i_tail}"
+    );
+    let (ia, ib, _) = run(0.2);
     assert!(ia > 4.0 * ib, "steering toward the high gate: {ia} vs {ib}");
-    let (ia2, ib2) = run(-0.2);
+    let (ia2, ib2, _) = run(-0.2);
     assert!(
         (ia2 - ib).abs() < 1e-7 && (ib2 - ia).abs() < 1e-7,
         "antisymmetry"
@@ -108,9 +114,12 @@ fn source_follower_tracks_input() {
 }
 
 /// A five-transistor OTA drives its output toward the rail indicated
-/// by the differential input — the regulator's gain element.
+/// by the differential input — the regulator's gain element. The tail
+/// is a resistor; its current is read back from the solved tail
+/// voltage.
 #[test]
 fn five_transistor_ota_polarity() {
+    const R_TAIL: f64 = 75.0e3;
     let out_at = |vp: f64, vn: f64| {
         let mut nl = Netlist::new();
         let vdd = nl.node("vdd");
@@ -137,10 +146,13 @@ fn five_transistor_ota_polarity() {
         nl.mosfet("MP4", out, d3, vdd, long_p).unwrap();
         nl.mosfet("MN_minus", d3, gn, tail, long_n).unwrap();
         nl.mosfet("MN_plus", out, gp, tail, long_n).unwrap();
-        nl.isource("Itail", tail, Netlist::GND, 4.0e-6);
+        nl.resistor("Rtail", tail, Netlist::GND, R_TAIL).unwrap();
         // Light resistive load keeps the output defined.
         nl.resistor("RL", out, Netlist::GND, 10.0e6).unwrap();
-        DcAnalysis::new().operating_point(&nl).unwrap().voltage(out)
+        let sol = DcAnalysis::new().operating_point(&nl).unwrap();
+        let i_tail = sol.voltage(tail) / R_TAIL;
+        assert!((1.0e-6..20.0e-6).contains(&i_tail), "tail current {i_tail}");
+        sol.voltage(out)
     };
     // In this 5T topology the output follows the *inverting* input's
     // current: raising V− (gn) pulls the mirror up and the output high;

@@ -43,16 +43,16 @@ fn gen_capacitance(rng: &mut Rng) -> f64 {
 ///
 /// Topology: `n` internal nodes (2–8), a resistor spanning tree rooted
 /// at ground, exactly one supply to ground, then up to
-/// `MAX_EXTRA_DEVICES` extra resistors, capacitors, diodes, current
-/// sources, MOSFETs, and switches between random distinct nodes.
+/// `MAX_EXTRA_DEVICES` extra resistors, capacitors and MOSFETs between
+/// random distinct nodes.
 /// Finally every node whose conduction-terminal count is still 1 gets
 /// a capacitor to ground so no dead-end (ERC004) remains.
 pub fn random_netlist(rng: &mut Rng) -> Netlist {
     let mut nl = Netlist::new();
     let n = rng.int_in(2, 8);
     let nodes: Vec<NodeId> = (0..n).map(|i| nl.node(&format!("n{i}"))).collect();
-    // Conduction terminals per internal node (sense terminals — MOSFET
-    // gates, switch controls — intentionally not counted).
+    // Conduction terminals per internal node (MOSFET gates, which only
+    // sense, intentionally not counted).
     let mut degree = vec![0usize; n];
 
     // Resistive spanning tree rooted at ground: node i hangs off
@@ -111,49 +111,16 @@ pub fn random_netlist(rng: &mut Rng) -> Netlist {
     for d in 0..extras {
         let (a, b) = pick_pair(rng);
         let (pa, pb) = (node_of(&nodes, a), node_of(&nodes, b));
-        let bump = |i: usize, degree: &mut Vec<usize>| {
-            if i < n {
-                degree[i] += 1;
-            }
-        };
-        match rng.below(6) {
+        match rng.below(3) {
             0 => {
                 nl.resistor(&format!("rx{d}"), pa, pb, gen_resistance(rng))
                     .expect("positive resistance");
-                bump(a, &mut degree);
-                bump(b, &mut degree);
             }
             1 => {
                 nl.capacitor(&format!("cx{d}"), pa, pb, gen_capacitance(rng))
                     .expect("positive capacitance");
-                bump(a, &mut degree);
-                bump(b, &mut degree);
             }
-            2 => {
-                nl.diode(
-                    &format!("dx{d}"),
-                    pa,
-                    pb,
-                    anasim::devices::diode::DiodeParams::default(),
-                )
-                .expect("valid diode");
-                bump(a, &mut degree);
-                bump(b, &mut degree);
-            }
-            3 => {
-                // Small currents keep diode junctions out of the
-                // hard-exponential region most of the time; when they
-                // do not, a structured NoConvergence is acceptable.
-                nl.isource(
-                    &format!("ix{d}"),
-                    pa,
-                    pb,
-                    1.0e-9 * 10.0_f64.powf(4.0 * rng.next_f64()),
-                );
-                bump(a, &mut degree);
-                bump(b, &mut degree);
-            }
-            4 => {
+            _ => {
                 let gate = node_of(&nodes, rng.int_in(0, n));
                 let params = if rng.coin() {
                     anasim::devices::mosfet::MosParams::nmos(4.0e-4, 0.45)
@@ -162,24 +129,11 @@ pub fn random_netlist(rng: &mut Rng) -> Netlist {
                 };
                 nl.mosfet(&format!("mx{d}"), pa, gate, pb, params)
                     .expect("valid mosfet");
-                bump(a, &mut degree);
-                bump(b, &mut degree);
             }
-            _ => {
-                let (ca, cb) = pick_pair(rng);
-                nl.switch(
-                    &format!("sx{d}"),
-                    pa,
-                    pb,
-                    node_of(&nodes, ca),
-                    node_of(&nodes, cb),
-                    0.2 + 0.8 * rng.next_f64(),
-                    gen_resistance(rng).min(1.0e3),
-                    1.0e6,
-                )
-                .expect("positive switch resistances");
-                bump(a, &mut degree);
-                bump(b, &mut degree);
+        }
+        for i in [a, b] {
+            if i < n {
+                degree[i] += 1;
             }
         }
     }

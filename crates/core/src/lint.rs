@@ -1,18 +1,22 @@
 //! Lint driver: static ERC over the suite's canonical netlists.
 //!
 //! The `lint` CLI subcommand and the CI `erc` job both call
-//! [`lint_all`], which builds every netlist the experiment campaigns
-//! solve — the regulator at each tap × feed mode, and the retention
-//! cell for the symmetric baseline and each Table I case study — and
-//! runs the full rule set over each. A healthy tree lints clean; any
-//! finding here would silently cost campaign grid points later.
+//! [`lint_all`], which builds every netlist family the experiment
+//! campaigns solve — the regulator at each tap × feed mode, the
+//! retention cell for the symmetric baseline and each Table I case
+//! study, and the quick `array` map's retention array, clean and with
+//! its three bridges — and runs the full rule set over each. A healthy
+//! tree lints clean; any finding here would silently cost campaign grid
+//! points later.
 
+use obs::Json;
 use process::PvtCondition;
 use regulator::{FeedMode, RegulatorCircuit, RegulatorDesign, VrefTap};
 use sram::cell::build_retention_netlist;
-use sram::CellInstance;
+use sram::{ArraySpec, CellInstance};
 
 use crate::case_study::CaseStudy;
+use crate::experiments::array::{ArrayRetentionOptions, ArrayScenario};
 
 /// One linted netlist: its display name and the rule findings.
 #[derive(Debug)]
@@ -76,26 +80,49 @@ impl LintRun {
         out
     }
 
-    /// Renders the run as a JSON object keyed by target name.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"targets\":[");
-        for (i, t) in self.targets.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":{},\"report\":{}}}",
-                erc::diag::json_str(&t.name),
-                t.report.render_json()
-            ));
-        }
-        out.push_str(&format!(
-            "],\"checked\":{},\"findings\":{}}}",
-            self.targets.len(),
-            self.total_findings()
-        ));
-        out
+    /// The run as a JSON document: `{"targets": [{"name", "report"}],
+    /// "checked": N, "findings": N}`, each report `{"errors", "warnings",
+    /// "infos", "diagnostics": [...]}`.
+    pub fn to_json(&self) -> Json {
+        let count = |n: usize| Json::Num(n as f64);
+        let targets = self.targets.iter().map(|t| {
+            Json::obj([
+                ("name".to_string(), Json::Str(t.name.clone())),
+                ("report".to_string(), report_json(&t.report)),
+            ])
+        });
+        Json::obj([
+            ("targets".to_string(), Json::Arr(targets.collect())),
+            ("checked".to_string(), count(self.targets.len())),
+            ("findings".to_string(), count(self.total_findings())),
+        ])
     }
+}
+
+/// One report as JSON: its severity counts and every diagnostic, whose
+/// `hint` key is present only when the rule offers one.
+fn report_json(report: &erc::Report) -> Json {
+    let count = |severity| Json::Num(report.count(severity) as f64);
+    let names = |names: &[String]| Json::Arr(names.iter().cloned().map(Json::Str).collect());
+    let diagnostics = report.diagnostics().iter().map(|d| {
+        let mut pairs = vec![
+            ("code".to_string(), Json::Str(d.code.to_string())),
+            ("severity".to_string(), Json::Str(d.severity.to_string())),
+            ("message".to_string(), Json::Str(d.message.clone())),
+            ("nodes".to_string(), names(&d.nodes)),
+            ("devices".to_string(), names(&d.devices)),
+        ];
+        if let Some(hint) = &d.hint {
+            pairs.push(("hint".to_string(), Json::Str(hint.clone())));
+        }
+        Json::Obj(pairs)
+    });
+    Json::obj([
+        ("errors".to_string(), count(erc::Severity::Error)),
+        ("warnings".to_string(), count(erc::Severity::Warning)),
+        ("infos".to_string(), count(erc::Severity::Info)),
+        ("diagnostics".to_string(), Json::Arr(diagnostics.collect())),
+    ])
 }
 
 /// Lints every canonical netlist of the suite at the given condition.
@@ -134,6 +161,16 @@ pub fn lint_all(pvt: PvtCondition) -> Result<LintRun, anasim::Error> {
             report: erc::check_netlist(&nl),
         });
     }
+    let quick = ArrayRetentionOptions::quick();
+    for scenario in [ArrayScenario::clean(), ArrayScenario::bridges(3)] {
+        let mut spec = ArraySpec::retention(quick.rows, quick.cols, pvt.vdd, symmetric);
+        spec.active = scenario.active;
+        let built = spec.build()?;
+        targets.push(LintTarget {
+            name: format!("sram array {}x{} {}", quick.rows, quick.cols, scenario.name),
+            report: erc::check_netlist(&built.netlist),
+        });
+    }
     Ok(LintRun { targets })
 }
 
@@ -153,7 +190,11 @@ mod tests {
     #[test]
     fn canonical_netlists_lint_clean() {
         let run = lint_all(PvtCondition::nominal()).expect("netlists build");
-        assert_eq!(run.targets.len(), 18, "12 regulator + 6 cell targets");
+        assert_eq!(
+            run.targets.len(),
+            20,
+            "12 regulator + 6 cell + 2 array targets"
+        );
         for t in &run.targets {
             assert!(
                 t.report.is_empty(),
@@ -163,13 +204,13 @@ mod tests {
             );
         }
         assert_eq!(run.exit_code(true), 0);
-        assert!(run.render_text().contains("18 netlist(s) checked"));
+        assert!(run.render_text().contains("20 netlist(s) checked"));
     }
 
     #[test]
     fn catalogue_lists_both_rule_families() {
         let rules = rule_catalogue();
-        assert!(rules.len() >= 14, "got {}", rules.len());
+        assert_eq!(rules.len(), 13, "10 generic + 3 regulator rules");
         let codes: Vec<&str> = rules.iter().map(|(c, _, _)| *c).collect();
         for code in ["ERC001", "ERC008", "ERC011", "ERC100", "ERC102"] {
             assert!(codes.contains(&code), "missing {code}");
@@ -200,7 +241,36 @@ mod tests {
             hint: None,
         });
         assert_eq!(run.exit_code(false), 1);
-        let json = run.render_json();
-        assert!(json.contains("\"checked\":18"), "{json}");
+        let json = run.to_json();
+        assert_eq!(json.get("checked").and_then(Json::as_u64), Some(20));
+        assert_eq!(json.get("findings").and_then(Json::as_u64), Some(2));
+    }
+
+    #[test]
+    fn json_escapes_text_and_omits_a_missing_hint() {
+        let mut report = erc::Report::new();
+        report.push(erc::Diagnostic {
+            code: "ERC001",
+            severity: erc::Severity::Error,
+            message: "quote \" and backslash \\".into(),
+            nodes: vec![],
+            devices: vec![],
+            hint: None,
+        });
+        let run = LintRun {
+            targets: vec![LintTarget {
+                name: "t".into(),
+                report,
+            }],
+        };
+        let json = run.to_json().to_compact();
+        assert!(json.starts_with("{\"targets\":[{\"name\":\"t\",\"report\":{\"errors\":1,"));
+        assert!(
+            json.contains(r#""message":"quote \" and backslash \\""#),
+            "{json}"
+        );
+        assert!(json.ends_with("],\"checked\":1,\"findings\":1}"), "{json}");
+        assert!(!json.contains("\"hint\""), "{json}");
+        assert_eq!(obs::json::parse(&json).as_ref(), Ok(&run.to_json()));
     }
 }

@@ -158,46 +158,6 @@ impl Report {
         out
     }
 
-    /// Renders the findings as a JSON object (hand-rolled — the suite
-    /// carries no serde): `{"errors": N, "warnings": N, "infos": N,
-    /// "diagnostics": [...]}`.
-    pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"errors\":{},\"warnings\":{},\"infos\":{},\"diagnostics\":[",
-            self.count(Severity::Error),
-            self.count(Severity::Warning),
-            self.count(Severity::Info),
-        ));
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"code\":{},\"severity\":{},\"message\":{},\"nodes\":[{}],\"devices\":[{}]",
-                json_str(d.code),
-                json_str(&d.severity.to_string()),
-                json_str(&d.message),
-                d.nodes
-                    .iter()
-                    .map(|n| json_str(n))
-                    .collect::<Vec<_>>()
-                    .join(","),
-                d.devices
-                    .iter()
-                    .map(|n| json_str(n))
-                    .collect::<Vec<_>>()
-                    .join(","),
-            ));
-            match &d.hint {
-                Some(h) => out.push_str(&format!(",\"hint\":{}}}", json_str(h))),
-                None => out.push('}'),
-            }
-        }
-        out.push_str("]}");
-        out
-    }
-
     /// Distinct rule codes present in the report, in first-seen order.
     pub fn codes(&self) -> Vec<&'static str> {
         let mut seen = Vec::new();
@@ -208,27 +168,6 @@ impl Report {
         }
         seen
     }
-}
-
-/// Minimal JSON string encoder (quotes, backslashes, control chars),
-/// shared with downstream renderers that wrap reports in larger JSON
-/// documents.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -298,25 +237,5 @@ mod tests {
         assert!(text.contains("hint: do the thing"), "{text}");
         assert!(text.contains("1 error(s)"), "{text}");
         assert!(Report::new().render_text().contains("clean"));
-    }
-
-    #[test]
-    fn json_rendering_is_well_formed() {
-        let mut r = Report::new();
-        r.push(Diagnostic {
-            code: "ERC001",
-            severity: Severity::Error,
-            message: "quote \" and backslash \\".into(),
-            nodes: vec![],
-            devices: vec![],
-            hint: None,
-        });
-        let json = r.render_json();
-        assert!(json.starts_with("{\"errors\":1"), "{json}");
-        assert!(json.contains("\\\""), "{json}");
-        assert!(json.contains("\\\\"), "{json}");
-        assert!(json.ends_with("]}"), "{json}");
-        // No dangling hint key when absent.
-        assert!(!json.contains("\"hint\""), "{json}");
     }
 }

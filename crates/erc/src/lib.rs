@@ -2,13 +2,14 @@
 //!
 //! This crate walks an [`anasim::Netlist`] *without solving it* and
 //! reports structural problems — floating nodes, voltage-source loops,
-//! current-source islands, dead-end terminals, degenerate values — as
+//! dead-end terminals, degenerate values — as
 //! structured [`Diagnostic`]s with stable codes (`ERC001`…), severity,
 //! the node/device names involved, and a fix hint.
 //!
 //! Three consumers share the engine:
 //!
-//! * the `lint` CLI subcommand renders reports as text or JSON;
+//! * the `lint` CLI subcommand renders reports as text or JSON
+//!   (from [`Report::diagnostics`]);
 //! * campaign executors run [`check_netlist`] as a pre-flight gate, so
 //!   a broken grid point is rejected with a named-node
 //!   [`anasim::Error::PreflightRejected`] before any Newton iteration
@@ -22,15 +23,20 @@
 //! `--deny-warnings`.
 //!
 //! ```
+//! use anasim::devices::mosfet::MosParams;
 //! use anasim::Netlist;
 //!
 //! let mut nl = Netlist::new();
-//! let a = nl.node("a");
-//! nl.isource("I1", Netlist::GND, a, 1.0e-3); // no DC return path!
+//! let vdd = nl.node("vdd");
+//! let gate = nl.node("gate");
+//! nl.vsource("V1", vdd, Netlist::GND, 1.0);
+//! let card = MosParams::nmos(2.0e-4, 0.45);
+//! nl.mosfet("M1", vdd, gate, Netlist::GND, card)?; // nothing drives the gate!
 //! let report = erc::check_netlist(&nl);
 //! assert!(report.has_errors());
 //! assert_eq!(report.first_error().unwrap().code, "ERC001");
 //! assert!(report.reject_on_error().is_err());
+//! # Ok::<(), anasim::Error>(())
 //! ```
 
 pub mod connect;

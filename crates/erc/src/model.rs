@@ -2,11 +2,10 @@
 //!
 //! Rules do not walk [`anasim::Netlist`] directly: the builder API
 //! validates its inputs, so netlists cannot express most of the broken
-//! circuits the rules exist to catch, and the trait-object device list
-//! hides terminal roles. Instead rules operate on a [`CircuitModel`] —
-//! a plain-data snapshot that [`CircuitModel::from_netlist`] derives
-//! from a real netlist and that tests can also construct by hand to
-//! exercise the known-bad cases.
+//! circuits the rules exist to catch. Instead rules operate on a
+//! [`CircuitModel`] — a plain-data snapshot that
+//! [`CircuitModel::from_netlist`] derives from a real netlist and that
+//! tests can also construct by hand to exercise the known-bad cases.
 
 use anasim::devices::ElementKind;
 use anasim::Netlist;
@@ -18,8 +17,8 @@ pub enum EdgeStrength {
     /// make the matrix non-singular, not enough to define a meaningful
     /// operating point.
     Weak,
-    /// A real DC conduction path: resistor, voltage source, diode,
-    /// switch channel, MOSFET channel (which always stamps its gmin).
+    /// A real DC conduction path: resistor, voltage source, MOSFET
+    /// channel (which always stamps its gmin).
     Strong,
 }
 
@@ -30,16 +29,10 @@ pub enum ElementClass {
     Resistor,
     /// Ideal voltage source.
     VoltageSource,
-    /// Ideal current source.
-    CurrentSource,
     /// Capacitor.
     Capacitor,
-    /// Junction diode.
-    Diode,
     /// Three-terminal MOSFET (drain, gate, source).
     Mosfet,
-    /// Voltage-controlled switch (p, n, ctrl_p, ctrl_n).
-    Switch,
 }
 
 impl ElementClass {
@@ -48,19 +41,15 @@ impl ElementClass {
         match self {
             ElementClass::Resistor => "resistor",
             ElementClass::VoltageSource => "voltage source",
-            ElementClass::CurrentSource => "current source",
             ElementClass::Capacitor => "capacitor",
-            ElementClass::Diode => "diode",
             ElementClass::Mosfet => "mosfet",
-            ElementClass::Switch => "switch",
         }
     }
 }
 
 /// One device of a [`CircuitModel`]. `nodes` holds terminal indices in
-/// the class's canonical order: resistor/vsource/capacitor/diode
-/// `[p, n]`, current source `[from, to]`, mosfet `[d, g, s]`, switch
-/// `[p, n, ctrl_p, ctrl_n]`.
+/// the class's canonical order: resistor/vsource/capacitor `[p, n]`,
+/// mosfet `[d, g, s]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Element {
     /// Device name, unique within the model.
@@ -70,7 +59,7 @@ pub struct Element {
     /// Terminal node indices (into [`CircuitModel::nodes`]).
     pub nodes: Vec<usize>,
     /// The scalar value when one exists: resistance in ohms, source
-    /// value in volts/amps, capacitance in farads.
+    /// value in volts, capacitance in farads.
     pub value: Option<f64>,
     /// Description of a dangling table reference (parameter or source
     /// index outside its table). `None` for well-formed elements.
@@ -78,43 +67,28 @@ pub struct Element {
 }
 
 impl Element {
-    /// DC conduction edges this element contributes, with their
-    /// strength. Current sources contribute none (an ideal current
-    /// source has infinite output impedance); MOSFET gates and switch
-    /// control pairs only sense.
+    /// The DC conduction edge this element contributes, with its
+    /// strength. A MOSFET gate only senses.
     pub fn conduction_edges(&self) -> Vec<(usize, usize, EdgeStrength)> {
         match self.class {
-            ElementClass::Resistor | ElementClass::VoltageSource | ElementClass::Diode => {
+            ElementClass::Resistor | ElementClass::VoltageSource => {
                 vec![(self.nodes[0], self.nodes[1], EdgeStrength::Strong)]
             }
-            ElementClass::Switch => vec![(self.nodes[0], self.nodes[1], EdgeStrength::Strong)],
             // Channel gmin is always stamped, so drain–source is a real
             // (if tiny) DC path even for an off device.
             ElementClass::Mosfet => vec![(self.nodes[0], self.nodes[2], EdgeStrength::Strong)],
             ElementClass::Capacitor => {
                 vec![(self.nodes[0], self.nodes[1], EdgeStrength::Weak)]
             }
-            ElementClass::CurrentSource => vec![],
         }
     }
 
-    /// Terminal indices that carry DC current (everything except MOSFET
-    /// gates and switch control pairs). Current-source terminals count:
-    /// they inject current even though they provide no path.
+    /// Terminal indices that carry DC current (everything except a
+    /// MOSFET's gate).
     pub fn current_terminals(&self) -> Vec<usize> {
         match self.class {
             ElementClass::Mosfet => vec![self.nodes[0], self.nodes[2]],
-            ElementClass::Switch => vec![self.nodes[0], self.nodes[1]],
             _ => self.nodes.clone(),
-        }
-    }
-
-    /// Sense-only terminals: a MOSFET's gate, a switch's control pair.
-    pub fn sense_terminals(&self) -> Vec<usize> {
-        match self.class {
-            ElementClass::Mosfet => vec![self.nodes[1]],
-            ElementClass::Switch => vec![self.nodes[2], self.nodes[3]],
-            _ => vec![],
         }
     }
 }
@@ -139,7 +113,7 @@ impl CircuitModel {
         let elements = nl
             .elements()
             .map(|(name, kind)| {
-                let (class, node_ids, value, bad_ref) = match kind {
+                let (class, node_ids, value, bad_ref) = match *kind {
                     ElementKind::Resistor { p, n, resistance } => {
                         let (value, bad_ref) = if resistance.index() < nl.num_params() {
                             (Some(nl.param(resistance)), None)
@@ -169,39 +143,15 @@ impl CircuitModel {
                             bad_ref,
                         )
                     }
-                    ElementKind::CurrentSource { from, to, source } => {
-                        let (value, bad_ref) = resolve_source(nl, source);
-                        (
-                            ElementClass::CurrentSource,
-                            vec![from.index(), to.index()],
-                            value,
-                            bad_ref,
-                        )
-                    }
                     ElementKind::Capacitor { p, n, farads } => (
                         ElementClass::Capacitor,
                         vec![p.index(), n.index()],
                         Some(farads),
                         None,
                     ),
-                    ElementKind::Diode { p, n, .. } => {
-                        (ElementClass::Diode, vec![p.index(), n.index()], None, None)
-                    }
                     ElementKind::Mosfet { d, g, s, .. } => (
                         ElementClass::Mosfet,
                         vec![d.index(), g.index(), s.index()],
-                        None,
-                        None,
-                    ),
-                    ElementKind::Switch {
-                        p,
-                        n,
-                        ctrl_p,
-                        ctrl_n,
-                        ..
-                    } => (
-                        ElementClass::Switch,
-                        vec![p.index(), n.index(), ctrl_p.index(), ctrl_n.index()],
                         None,
                         None,
                     ),
@@ -282,17 +232,16 @@ mod tests {
         nl.resistor("R", a, b, 2.0e3).expect("valid resistor");
         nl.capacitor("C", b, Netlist::GND, 1.0e-12)
             .expect("valid capacitor");
-        nl.isource("I", Netlist::GND, b, 1.0e-6);
         let m = CircuitModel::from_netlist(&nl);
         assert_eq!(m.num_nodes(), 3);
         assert_eq!(m.nodes[0], "0");
-        assert_eq!(m.elements.len(), 4);
+        assert_eq!(m.elements.len(), 3);
         let r = m.element("R").expect("resistor snapshotted");
         assert_eq!(r.class, ElementClass::Resistor);
         assert_eq!(r.value, Some(2.0e3));
         assert_eq!(r.nodes, vec![a.index(), b.index()]);
-        let i = m.element("I").expect("isource snapshotted");
-        assert_eq!(i.value, Some(1.0e-6));
+        let v = m.element("V").expect("vsource snapshotted");
+        assert_eq!(v.value, Some(1.8));
         assert!(m.element("nope").is_none());
     }
 
@@ -303,17 +252,15 @@ mod tests {
         let g = nl.node("g");
         nl.mosfet("M", d, g, Netlist::GND, MosParams::nmos(1e-4, 0.4))
             .expect("valid card");
-        nl.isource("I", Netlist::GND, d, 1e-6);
         let m = CircuitModel::from_netlist(&nl);
         let mos = m.element("M").expect("snapshotted");
-        // Channel only: drain-source, strong.
+        // Channel only: drain-source, strong; the gate carries no
+        // current.
         assert_eq!(
             mos.conduction_edges(),
             vec![(d.index(), 0, EdgeStrength::Strong)]
         );
-        assert_eq!(mos.sense_terminals(), vec![g.index()]);
-        let i = m.element("I").expect("snapshotted");
-        assert!(i.conduction_edges().is_empty(), "isource is no DC path");
+        assert_eq!(mos.current_terminals(), vec![d.index(), 0]);
     }
 
     #[test]

@@ -64,8 +64,7 @@ impl Rule for FloatingNode {
                     devices: devices_touching(model, i),
                     hint: Some(
                         "connect the node to ground through a resistor, source, or \
-                         device channel; current sources and gate terminals provide \
-                         no DC path"
+                         device channel; a gate terminal provides no DC path"
                             .into(),
                     ),
                 });
@@ -126,53 +125,6 @@ impl Rule for VsourceLoop {
     }
 }
 
-/// ERC003: a current source drives a node group with no DC return
-/// path. Kirchhoff's current law cannot be satisfied there.
-pub struct IsourceCutset;
-
-impl Rule for IsourceCutset {
-    fn code(&self) -> &'static str {
-        "ERC003"
-    }
-    fn name(&self) -> &'static str {
-        "isource-cutset"
-    }
-    fn summary(&self) -> &'static str {
-        "current source drives an island with no DC return path"
-    }
-    fn check(&self, model: &CircuitModel, report: &mut Report) {
-        let reach = ground_reachable(model, EdgeStrength::Weak, None);
-        for e in &model.elements {
-            if e.class != ElementClass::CurrentSource {
-                continue;
-            }
-            let islanded: Vec<usize> = e
-                .nodes
-                .iter()
-                .copied()
-                .filter(|&t| t < model.num_nodes() && !reach[t])
-                .collect();
-            if !islanded.is_empty() {
-                report.push(Diagnostic {
-                    code: self.code(),
-                    severity: Severity::Error,
-                    message: format!(
-                        "current source `{}` has no DC return path for its current",
-                        e.name
-                    ),
-                    nodes: islanded.iter().map(|&t| model.node_name(t)).collect(),
-                    devices: vec![e.name.clone()],
-                    hint: Some(
-                        "give the driven island a resistive path back to ground \
-                         (an ideal current source has infinite output impedance)"
-                            .into(),
-                    ),
-                });
-            }
-        }
-    }
-}
-
 /// ERC004: a dead-end node — exactly one device terminal attaches, so
 /// no current can flow through that device. Solvable, but almost
 /// always a netlist-entry mistake.
@@ -229,11 +181,7 @@ impl Rule for ShortedDevice {
     fn check(&self, model: &CircuitModel, report: &mut Report) {
         for e in &model.elements {
             let pair = match e.class {
-                ElementClass::Resistor
-                | ElementClass::Capacitor
-                | ElementClass::Diode
-                | ElementClass::CurrentSource => (e.nodes[0], e.nodes[1]),
-                ElementClass::Switch => (e.nodes[0], e.nodes[1]),
+                ElementClass::Resistor | ElementClass::Capacitor => (e.nodes[0], e.nodes[1]),
                 ElementClass::Mosfet => (e.nodes[0], e.nodes[2]),
                 // A self-shorted voltage source with nonzero value is
                 // contradictory, not just useless: ERC008 owns it. At
@@ -284,8 +232,8 @@ impl Rule for InvalidValue {
             let Some(v) = e.value else { continue };
             let bad = match e.class {
                 ElementClass::Resistor | ElementClass::Capacitor => !v.is_finite() || v <= 0.0,
-                ElementClass::VoltageSource | ElementClass::CurrentSource => !v.is_finite(),
-                _ => false,
+                ElementClass::VoltageSource => !v.is_finite(),
+                ElementClass::Mosfet => false,
             };
             if bad {
                 report.push(Diagnostic {
@@ -520,7 +468,6 @@ pub fn default_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(FloatingNode),
         Box::new(VsourceLoop),
-        Box::new(IsourceCutset),
         Box::new(DanglingTerminal),
         Box::new(ShortedDevice),
         Box::new(InvalidValue),
@@ -592,18 +539,20 @@ mod tests {
     }
 
     #[test]
-    fn erc001_fires_on_isource_island() {
+    fn erc001_fires_on_gate_only_node() {
         // The same topology the Newton solver reports as singular:
-        // a node fed only by a current source.
+        // a node that only a MOSFET gate reaches.
         let mut nl = Netlist::new();
+        let d = nl.node("d");
         let c = nl.node("c");
-        nl.isource("I1", Netlist::GND, c, 1e-3);
+        nl.vsource("V", d, Netlist::GND, 1.0);
+        nl.mosfet("M1", d, c, Netlist::GND, MosParams::nmos(1e-4, 0.4))
+            .expect("valid card");
         let report = check_netlist(&nl);
-        assert!(codes_of(&report).contains(&"ERC001"), "{:?}", report);
-        let d = report.first_error().expect("island is an error");
-        assert_eq!(d.code, "ERC001");
+        assert_eq!(codes_of(&report), vec!["ERC001"]);
+        let d = report.first_error().expect("a floating node is an error");
         assert!(d.message.contains("`c`"), "{}", d.message);
-        assert!(d.devices.contains(&"I1".to_string()));
+        assert_eq!(d.devices, vec!["M1".to_string()]);
     }
 
     #[test]
@@ -657,27 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn erc003_names_the_cut_isource() {
-        let mut nl = Netlist::new();
-        let c = nl.node("c");
-        let d = nl.node("d");
-        nl.isource("Ibad", c, d, 1e-6);
-        nl.resistor("R", c, d, 1.0e3).expect("valid");
-        let report = check_netlist(&nl);
-        let codes = codes_of(&report);
-        // The c–d island floats (ERC001 per node) and the isource that
-        // drives it has no return path (ERC003).
-        assert!(codes.contains(&"ERC001"), "{codes:?}");
-        assert!(codes.contains(&"ERC003"), "{codes:?}");
-        let cutset = report
-            .diagnostics()
-            .iter()
-            .find(|x| x.code == "ERC003")
-            .expect("present");
-        assert!(cutset.devices.contains(&"Ibad".to_string()));
-    }
-
-    #[test]
     fn erc004_fires_on_dead_end_resistor() {
         let mut nl = Netlist::new();
         let a = nl.node("a");
@@ -721,15 +649,15 @@ mod tests {
     #[test]
     fn erc006_fires_on_hand_built_bad_values() {
         let m = model(
-            &["0", "a"],
+            &["0", "a", "b"],
             vec![
                 el("V", ElementClass::VoltageSource, &[1, 0], Some(1.0)),
                 el("Rneg", ElementClass::Resistor, &[1, 0], Some(-5.0)),
                 el("Cnan", ElementClass::Capacitor, &[1, 0], Some(f64::NAN)),
                 el(
-                    "Iinf",
-                    ElementClass::CurrentSource,
-                    &[0, 1],
+                    "Vinf",
+                    ElementClass::VoltageSource,
+                    &[2, 0],
                     Some(f64::INFINITY),
                 ),
             ],
@@ -829,11 +757,11 @@ mod tests {
     #[test]
     fn rule_catalogue_is_complete_and_distinct() {
         let rules = default_rules();
-        assert_eq!(rules.len(), 11);
+        assert_eq!(rules.len(), 10);
         let mut codes: Vec<&str> = rules.iter().map(|r| r.code()).collect();
         assert!(codes.iter().all(|c| c.starts_with("ERC")));
         codes.dedup();
-        assert_eq!(codes.len(), 11, "codes must be unique");
+        assert_eq!(codes.len(), 10, "codes must be unique");
         for r in &rules {
             assert!(!r.name().is_empty());
             assert!(!r.summary().is_empty());

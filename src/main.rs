@@ -505,7 +505,7 @@ fn lint(args: &[String]) -> ExitCode {
     match drftest::lint_all(process::PvtCondition::nominal()) {
         Ok(run) => {
             if args.has("--json") {
-                println!("{}", run.render_json());
+                println!("{}", run.to_json().to_compact());
             } else {
                 print!("{}", run.render_text());
             }

@@ -1,6 +1,6 @@
 //! The CLI is the one regenerator of the committed results: each
 //! artifact's stdout must equal its `results/` file byte for byte.
-//! These four take a few seconds at most even in a debug build; CI
+//! These five take a few seconds at most even in a debug build; CI
 //! diffs the rest, `--paper` grids included.
 
 fn cli(args: &[&str]) -> std::process::Output {
@@ -42,6 +42,14 @@ fn power_defects_reproduces_its_results_file() {
 #[test]
 fn fig5_reproduces_its_results_file() {
     assert_reproduces("fig5", include_str!("../results/fig5_taxonomy.txt"));
+}
+
+/// The `interface` and `macromodels hit/built` columns pin the Schur
+/// partition and the macromodel cache, which the block templates
+/// decide.
+#[test]
+fn array_reproduces_its_results_file() {
+    assert_reproduces("array", include_str!("../results/array.txt"));
 }
 
 /// A misspelt flag, artifact or value must not quietly print the

@@ -137,13 +137,17 @@ fn parallel_conductances_add() {
                 .collect::<Vec<f64>>()
         },
         |rs| {
+            // A Thévenin source, 1 V behind 1 kΩ, is a 1 mA Norton
+            // source in parallel with 1 mS.
             let mut nl = Netlist::new();
+            let s = nl.node("s");
             let a = nl.node("a");
-            nl.isource("I", Netlist::GND, a, 1.0e-3);
+            nl.vsource("V", s, Netlist::GND, 1.0);
+            nl.resistor("Rs", s, a, 1.0e3).unwrap();
             for (k, r) in rs.iter().enumerate() {
                 nl.resistor(&format!("R{k}"), a, Netlist::GND, *r).unwrap();
             }
-            let g: f64 = rs.iter().map(|r| 1.0 / r).sum();
+            let g: f64 = 1.0e-3 + rs.iter().map(|r| 1.0 / r).sum::<f64>();
             let sol = DcAnalysis::new().operating_point(&nl).unwrap();
             let expected = 1.0e-3 / g;
             let got = sol.voltage(a);
@@ -307,44 +311,6 @@ fn parse_errors_locate_the_offending_token() {
             ensure!(err.token == *junk, "token `{}`, junk `{junk}`", err.token);
             let located = &notation[err.offset..err.offset + err.token.len()];
             ensure!(located == junk, "offset {} slices `{located}`", err.offset);
-            Ok(())
-        },
-    );
-}
-
-// ---------------------------------------------------------------------
-// Waveform invariants.
-// ---------------------------------------------------------------------
-
-#[test]
-fn pwl_is_bounded_by_its_points() {
-    use lp_sram_suite::anasim::devices::vsource::Waveform;
-    property(
-        "pwl_is_bounded_by_its_points",
-        64,
-        |rng| {
-            let len = rng.int_in(2, 7);
-            let points: Vec<(f64, f64)> = (0..len)
-                .map(|_| (uniform(rng, 0.0, 1.0), uniform(rng, -2.0, 2.0)))
-                .collect();
-            (points, uniform(rng, -0.5, 1.5))
-        },
-        |(points, t)| {
-            let mut pts = points.clone();
-            pts.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-            pts.dedup_by(|a, b| a.0 == b.0);
-            // A waveform needs two distinct times; a draw that repeats
-            // a time until fewer remain holds vacuously.
-            if pts.len() < 2 {
-                return Ok(());
-            }
-            let lo = pts.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
-            let hi = pts.iter().map(|p| p.1).fold(f64::NEG_INFINITY, f64::max);
-            let v = Waveform::Pwl(pts).value_at(*t, 0.0);
-            ensure!(
-                v >= lo - 1e-12 && v <= hi + 1e-12,
-                "value {v} outside [{lo}, {hi}]"
-            );
             Ok(())
         },
     );
@@ -667,23 +633,26 @@ fn forced_active_promotion_is_electrically_inert() {
 /// stage's failure through the identical in-place factorization).
 #[test]
 fn singular_netlist_names_same_node_through_scratch() {
+    use lp_sram_suite::anasim::devices::mosfet::MosParams;
     use lp_sram_suite::anasim::mna::AnalysisMode;
     use lp_sram_suite::anasim::newton::{solve, solve_with_scratch};
     use lp_sram_suite::anasim::{Error, NewtonOptions, SolveScratch};
     property(
         "singular_netlist_names_same_node_through_scratch",
         64,
-        |rng| uniform(rng, 0.1, 10.0),
-        |&i_ma| {
-            // The current source alone would leave the node floating,
-            // which the gmin-regularized rung pins; the two parallel
-            // voltage sources make two dependent branch rows, singular
-            // on every rung.
+        |rng| uniform(rng, 0.1, 1.5),
+        |&volts| {
+            // A MOSFET gate alone would leave the node floating, which
+            // the gmin-regularized rung pins; the two parallel voltage
+            // sources make two dependent branch rows, singular on every
+            // rung.
             let mut nl = Netlist::new();
             let c = nl.node("floating");
-            nl.isource("I1", Netlist::GND, c, i_ma * 1.0e-3);
-            nl.vsource("V1", c, Netlist::GND, 1.0);
-            nl.vsource("V2", c, Netlist::GND, 1.0);
+            let card = MosParams::nmos(4.0e-4, 0.45);
+            nl.mosfet("M1", Netlist::GND, c, Netlist::GND, card)
+                .unwrap();
+            nl.vsource("V1", c, Netlist::GND, volts);
+            nl.vsource("V2", c, Netlist::GND, volts);
             let opts = NewtonOptions::default();
             let mut scratch = SolveScratch::new();
             let (Err(fresh), Err(scratched)) = (
