@@ -174,13 +174,6 @@ impl DenseMatrix {
         self.data[offset] += value;
     }
 
-    /// Reads the entry at a precomputed flat (row-major) offset.
-    #[inline]
-    pub(crate) fn get_at_offset(&self, offset: usize) -> f64 {
-        debug_assert!(offset < self.data.len());
-        self.data[offset]
-    }
-
     /// Computes `self * x`.
     ///
     /// # Panics

@@ -5,10 +5,45 @@
 //! exposes the linearization state (current Newton estimate, source
 //! scaling for continuation, previous time point for transient companion
 //! models).
+//!
+//! A system below [`SPARSE_THRESHOLD`](crate::sparse::SPARSE_THRESHOLD)
+//! unknowns is assembled into a [`DenseMatrix`]. A larger one is never
+//! staged densely: its [`StampPlan`] numbers, for every entry a device
+//! or gmin can write, the slot of the sparse LU's CSC (compressed sparse
+//! column) values that entry lands in, and each stamp adds straight
+//! into its slot, in the order the dense assembly would add into the
+//! entry, so both hold the same bits.
 
 use crate::devices::ElementKind;
 use crate::matrix::{DenseMatrix, LuStructure};
 use crate::netlist::{Netlist, NodeId, ParamId, SourceId};
+use crate::sparse::CscPattern;
+
+/// Most unknowns one device stamps at: three terminals, or two and a
+/// branch row.
+const MAX_DEVICE_UNKNOWNS: usize = 4;
+
+/// The unknowns a device stamps at, in the order its slot tables list
+/// them: its non-ground terminals, then its branch rows. Every stamp of
+/// the device lands on their cross product.
+#[inline]
+pub(crate) fn device_unknowns(
+    kind: &ElementKind,
+    branch_offset: usize,
+) -> ([usize; MAX_DEVICE_UNKNOWNS], usize) {
+    let mut unknowns = [0; MAX_DEVICE_UNKNOWNS];
+    let mut count = 0;
+    let (terminals, terminal_count) = kind.terminals();
+    for i in terminals[..terminal_count]
+        .iter()
+        .filter_map(|t| t.unknown_index())
+        .chain(branch_offset..branch_offset + kind.num_branches())
+    {
+        unknowns[count] = i;
+        count += 1;
+    }
+    (unknowns, count)
+}
 
 /// Which analysis is currently being assembled.
 #[derive(Debug, Clone, Copy)]
@@ -59,6 +94,78 @@ pub(crate) enum MatrixSink<'a> {
         rhs: &'a mut [f64],
         tape: &'a mut Vec<crate::schur::TapeEntry>,
     },
+    /// One device of a system at or above
+    /// [`SPARSE_THRESHOLD`](crate::sparse::SPARSE_THRESHOLD), monolithic
+    /// or a reduced interface: its stamps add into CSC value slots.
+    Slots(&'a mut SlotStamps<'a>),
+}
+
+/// One device's stamps into the CSC value slots of a sparse system: the
+/// device's unknowns as [`device_unknowns`] lists them, the
+/// right-hand-side row of each, and, row-major over the unknowns, the
+/// value slot of each entry.
+#[derive(Debug)]
+pub(crate) struct SlotStamps<'a> {
+    values: &'a mut [f64],
+    rhs: &'a mut [f64],
+    unknowns: [usize; MAX_DEVICE_UNKNOWNS],
+    rhs_rows: [usize; MAX_DEVICE_UNKNOWNS],
+    count: usize,
+    slots: &'a [u32],
+}
+
+impl<'a> SlotStamps<'a> {
+    /// The stamps of a device with `unknowns` (of which the first
+    /// `count` count) and entry slots `slots`, whose right-hand side
+    /// rows are `rhs_row` of each unknown.
+    pub(crate) fn new(
+        values: &'a mut [f64],
+        rhs: &'a mut [f64],
+        (unknowns, count): ([usize; MAX_DEVICE_UNKNOWNS], usize),
+        rhs_row: impl Fn(usize) -> usize,
+        slots: &'a [u32],
+    ) -> Self {
+        debug_assert_eq!(slots.len(), count * count);
+        let mut rhs_rows = [0; MAX_DEVICE_UNKNOWNS];
+        for (row, &g) in rhs_rows.iter_mut().zip(&unknowns[..count]) {
+            *row = rhs_row(g);
+        }
+        SlotStamps {
+            values,
+            rhs,
+            unknowns,
+            rhs_rows,
+            count,
+            slots,
+        }
+    }
+
+    /// Position of global unknown `g` among the device's unknowns.
+    #[inline]
+    fn position(&self, g: usize) -> usize {
+        self.unknowns[..self.count]
+            .iter()
+            .position(|&u| u == g)
+            .expect("a device stamps only at its own unknowns")
+    }
+
+    /// Adds a matrix stamp at global `(row, col)` into its slot. Kept
+    /// out of line, as `PartitionPlan::stamp_block_entry` is: the dense
+    /// arm of the shared sink carries every small-system stamp, and
+    /// inlining this next to it would bloat every device's stamping
+    /// code.
+    #[cold]
+    fn add(&mut self, row: usize, col: usize, value: f64) {
+        let slot = self.slots[self.position(row) * self.count + self.position(col)];
+        self.values[slot as usize] += value;
+    }
+
+    /// As [`SlotStamps::add`], for a right-hand-side stamp at global
+    /// `row`.
+    #[cold]
+    fn add_rhs(&mut self, row: usize, value: f64) {
+        self.rhs[self.rhs_rows[self.position(row)]] += value;
+    }
 }
 
 impl MatrixSink<'_> {
@@ -76,6 +183,7 @@ impl MatrixSink<'_> {
                 tape,
                 ..
             } => plan.stamp_block_entry(*block, row, col, value, matrix, tape),
+            MatrixSink::Slots(stamps) => stamps.add(row, col, value),
         }
     }
 
@@ -91,6 +199,7 @@ impl MatrixSink<'_> {
                 tape,
                 ..
             } => plan.stamp_block_rhs(*block, row, value, rhs, tape),
+            MatrixSink::Slots(stamps) => stamps.add_rhs(row, value),
         }
     }
 }
@@ -203,15 +312,20 @@ impl<'a> StampContext<'a> {
 /// (terminal nodes plus branch rows), and the gmin regularization only
 /// at node diagonals — so for a fixed netlist structure the set of
 /// matrix entries an assembly can touch is known before the first
-/// Newton iteration. The plan records that touched set as sorted flat
-/// (row-major) offsets plus the node-diagonal offsets, letting
-/// [`assemble_planned`] clear only the entries the previous iteration
-/// wrote instead of the whole n² matrix, and stamp gmin through
-/// precomputed offsets.
+/// Newton iteration. Below
+/// [`SPARSE_THRESHOLD`](crate::sparse::SPARSE_THRESHOLD) unknowns the
+/// plan records that touched set as sorted flat (row-major) offsets
+/// plus the node-diagonal offsets, letting [`assemble_planned`] clear
+/// only the entries the previous iteration wrote instead of the whole
+/// n² matrix, and stamp gmin through precomputed offsets. The same set,
+/// as row and column bitsets, is the nonzero structure the dense LU
+/// kernel factors by ([`LuStructure`]): built here once, it saves every
+/// factorization a scan of the matrix.
 ///
-/// The same set, as row and column bitsets, is the nonzero structure
-/// the dense LU kernel factors by ([`LuStructure`]): built here once,
-/// it saves every factorization a scan of the matrix.
+/// At or above the threshold the plan records the set as the sparse
+/// LU's CSC pattern instead, and numbers the value slot of every entry
+/// each device stamps and of every node's gmin diagonal, so the system
+/// is assembled straight into the slots and no dense matrix exists.
 ///
 /// Building the plan walks the device list once; validity against a
 /// netlist is re-checked cheaply (and allocation-free) through a
@@ -224,14 +338,67 @@ pub struct StampPlan {
     num_devices: usize,
     num_branches: usize,
     fingerprint: u64,
-    /// Sorted, deduplicated flat offsets of every matrix entry any
-    /// device stamp or the gmin regularization can write.
-    touched: Vec<usize>,
-    /// Flat offsets of the node diagonals receiving gmin.
-    gmin_diags: Vec<usize>,
-    /// `touched` as LU bitsets, for systems the dense kernel factors
-    /// (below [`SPARSE_THRESHOLD`](crate::sparse::SPARSE_THRESHOLD)).
-    structure: Option<LuStructure>,
+    pub(crate) layout: PlanLayout,
+}
+
+/// How a planned system is stored, by its order.
+#[derive(Debug, Clone)]
+pub(crate) enum PlanLayout {
+    /// Below [`SPARSE_THRESHOLD`](crate::sparse::SPARSE_THRESHOLD): a
+    /// dense matrix.
+    Dense {
+        /// Sorted, deduplicated flat offsets of every matrix entry any
+        /// device stamp or the gmin regularization can write.
+        touched: Vec<usize>,
+        /// Flat offsets of the node diagonals receiving gmin.
+        gmin_diags: Vec<usize>,
+        /// `touched` as LU bitsets.
+        structure: LuStructure,
+    },
+    /// At or above it: the sparse LU's value slots.
+    Sparse(CscSlots),
+}
+
+/// Where the stamps of a system at or above
+/// [`SPARSE_THRESHOLD`](crate::sparse::SPARSE_THRESHOLD) land: its CSC
+/// pattern, then the value slot of every entry its devices stamp — for
+/// each device in stamping order, row-major over its
+/// [`device_unknowns`] — and of each node's gmin diagonal. Slots are
+/// `u32`: a system's entries number far below 2³².
+#[derive(Debug, Clone)]
+pub(crate) struct CscSlots {
+    pub(crate) pattern: CscPattern,
+    pub(crate) devices: Vec<u32>,
+    pub(crate) gmin: Vec<u32>,
+}
+
+impl CscSlots {
+    /// The pattern of `entries` (each device's cross product, devices
+    /// back to back), the `implicit` entries and the diagonals of the
+    /// first `nodes` unknowns, with the slot of every entry of `entries`
+    /// and of every such diagonal numbered. `visit` sees each column of
+    /// the pattern as [`CscPattern::number_slots`] describes, for
+    /// callers numbering the implicit entries.
+    pub(crate) fn build<I>(
+        n: usize,
+        entries: &[(u32, u32)],
+        implicit: I,
+        nodes: usize,
+        visit: impl FnMut(usize, &[u32]),
+    ) -> Self
+    where
+        I: Iterator<Item = (u32, u32)> + Clone,
+    {
+        let diagonals = (0..nodes as u32).map(|i| (i, i));
+        let pattern =
+            CscPattern::from_entries(n, entries.iter().copied().chain(implicit).chain(diagonals));
+        let (devices, gmin) = pattern.number_slots(entries, nodes, visit);
+        CscSlots {
+            pattern,
+            devices,
+            gmin,
+        }
+    }
 }
 
 /// FNV-1a fold step used by the structural fingerprint (and by the
@@ -273,41 +440,43 @@ impl StampPlan {
     pub fn build(netlist: &Netlist) -> Self {
         let n = netlist.num_unknowns();
         let node_unknowns = netlist.num_nodes() - 1;
-        let mut touched: Vec<usize> = Vec::new();
-        let mut slots: Vec<usize> = Vec::with_capacity(8);
-        for (device, branch_offset) in netlist.devices_with_offsets() {
-            slots.clear();
-            let (terminals, count) = device.terminals();
-            for t in &terminals[..count] {
-                if let Some(i) = t.unknown_index() {
-                    slots.push(i);
-                }
+        let entries = netlist
+            .devices_with_offsets()
+            .flat_map(|(device, branch_offset)| {
+                let (unknowns, count) = device_unknowns(device, branch_offset);
+                (0..count * count).map(move |k| (unknowns[k / count], unknowns[k % count]))
+            });
+        let layout = if n < crate::sparse::SPARSE_THRESHOLD {
+            // gmin regularization writes every node diagonal, including
+            // device-free (orphan) nodes.
+            let gmin_diags: Vec<usize> = (0..node_unknowns).map(|i| i * n + i).collect();
+            let mut touched: Vec<usize> = entries
+                .map(|(r, c)| r * n + c)
+                .chain(gmin_diags.iter().copied())
+                .collect();
+            touched.sort_unstable();
+            touched.dedup();
+            PlanLayout::Dense {
+                structure: LuStructure::from_offsets(n, &touched),
+                touched,
+                gmin_diags,
             }
-            for k in 0..device.num_branches() {
-                slots.push(branch_offset + k);
-            }
-            for &r in &slots {
-                for &c in &slots {
-                    touched.push(r * n + c);
-                }
-            }
-        }
-        // gmin regularization writes every node diagonal, including
-        // device-free (orphan) nodes.
-        let gmin_diags: Vec<usize> = (0..node_unknowns).map(|i| i * n + i).collect();
-        touched.extend_from_slice(&gmin_diags);
-        touched.sort_unstable();
-        touched.dedup();
-        let structure =
-            (n < crate::sparse::SPARSE_THRESHOLD).then(|| LuStructure::from_offsets(n, &touched));
+        } else {
+            let entries: Vec<(u32, u32)> = entries.map(|(r, c)| (r as u32, c as u32)).collect();
+            PlanLayout::Sparse(CscSlots::build(
+                n,
+                &entries,
+                std::iter::empty(),
+                node_unknowns,
+                |_, _| {},
+            ))
+        };
         StampPlan {
             num_nodes: netlist.num_nodes(),
             num_devices: netlist.num_devices(),
             num_branches: netlist.num_branches(),
             fingerprint: structural_fingerprint(netlist),
-            touched,
-            gmin_diags,
-            structure,
+            layout,
         }
     }
 
@@ -322,9 +491,12 @@ impl StampPlan {
 
     /// Number of matrix entries assembly can touch (diagnostic: the
     /// planned clear is `touched_entries()` stores vs n² for the full
-    /// clear).
+    /// clear, and a sparse system holds one value slot per entry).
     pub fn touched_entries(&self) -> usize {
-        self.touched.len()
+        match &self.layout {
+            PlanLayout::Dense { touched, .. } => touched.len(),
+            PlanLayout::Sparse(slots) => slots.pattern.nnz(),
+        }
     }
 
     /// The structural FNV fingerprint (kinds, terminals, branch
@@ -334,18 +506,15 @@ impl StampPlan {
         self.fingerprint
     }
 
-    /// Sorted flat (row-major) offsets of every matrix entry assembly
-    /// can write — the sparsity pattern of the assembled system.
-    pub(crate) fn touched_offsets(&self) -> &[usize] {
-        &self.touched
-    }
-
     /// The touched set as the nonzero structure the dense LU kernel
     /// factors planned systems by; `None` at or above
     /// [`SPARSE_THRESHOLD`](crate::sparse::SPARSE_THRESHOLD) unknowns,
     /// where the sparse backend factors instead.
     pub fn lu_structure(&self) -> Option<&LuStructure> {
-        self.structure.as_ref()
+        match &self.layout {
+            PlanLayout::Dense { structure, .. } => Some(structure),
+            PlanLayout::Sparse(_) => None,
+        }
     }
 }
 
@@ -395,6 +564,12 @@ pub fn assemble(
 /// already be zero (a freshly zeroed matrix satisfies this, and the
 /// planned assembly preserves it), and `plan` to describe `netlist`'s
 /// current structure. Produces a system bit-identical to [`assemble`].
+///
+/// # Panics
+///
+/// Panics if the plan is for a system of
+/// [`SPARSE_THRESHOLD`](crate::sparse::SPARSE_THRESHOLD) unknowns or
+/// more, which is assembled into sparse value slots instead.
 #[allow(clippy::too_many_arguments)]
 pub fn assemble_planned(
     netlist: &Netlist,
@@ -408,7 +583,15 @@ pub fn assemble_planned(
 ) {
     debug_assert!(plan.matches(netlist), "stamp plan is stale");
     debug_assert_eq!(matrix.order(), netlist.num_unknowns());
-    matrix.clear_offsets(&plan.touched);
+    let PlanLayout::Dense {
+        touched,
+        gmin_diags,
+        ..
+    } = &plan.layout
+    else {
+        panic!("a plan at or above SPARSE_THRESHOLD assembles into sparse slots");
+    };
+    matrix.clear_offsets(touched);
     rhs.iter_mut().for_each(|v| *v = 0.0);
     for (device, branch_offset) in netlist.devices_with_offsets() {
         let mut ctx = StampContext {
@@ -426,16 +609,64 @@ pub fn assemble_planned(
         device.stamp(&mut ctx);
     }
     if gmin > 0.0 {
-        for &k in &plan.gmin_diags {
+        for &k in gmin_diags {
             matrix.add_at_offset(k, gmin);
         }
     }
 }
 
-/// Stamps interface-only `devices` of a block-Schur partition into the
-/// reduced interface system (`matrix` and `rhs` in interface numbering)
-/// at the DC estimate `x`, accumulating onto what is already there.
-/// Each block's devices stamp separately, into the block's own system
+/// As [`assemble_planned`], for a system at or above
+/// [`SPARSE_THRESHOLD`](crate::sparse::SPARSE_THRESHOLD): every stamp
+/// adds into its value slot of `values` (zeroed by the caller), gmin
+/// last, in the order the dense assembly adds into the slot's entry, so
+/// each slot ends holding that entry's bits.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn assemble_slots(
+    netlist: &Netlist,
+    slots: &CscSlots,
+    x: &[f64],
+    gmin: f64,
+    source_scale: f64,
+    mode: AnalysisMode<'_>,
+    values: &mut [f64],
+    rhs: &mut [f64],
+) {
+    rhs.iter_mut().for_each(|v| *v = 0.0);
+    let mut next = 0;
+    for (device, branch_offset) in netlist.devices_with_offsets() {
+        let unknowns = device_unknowns(device, branch_offset);
+        let entries = unknowns.1 * unknowns.1;
+        let mut stamps = SlotStamps::new(
+            values,
+            rhs,
+            unknowns,
+            |g| g,
+            &slots.devices[next..next + entries],
+        );
+        next += entries;
+        let mut ctx = StampContext {
+            sink: MatrixSink::Slots(&mut stamps),
+            x,
+            sources: netlist.sources_slice(),
+            params: netlist.params_slice(),
+            source_scale,
+            branch_offset,
+            mode,
+        };
+        device.stamp(&mut ctx);
+    }
+    if gmin > 0.0 {
+        for &k in &slots.gmin {
+            values[k as usize] += gmin;
+        }
+    }
+}
+
+/// Stamps the interface-only devices at positions `run` of the
+/// partition plan's interface device list into the reduced interface
+/// system (`matrix` and `rhs`, in interface numbering) at the DC
+/// estimate `x`, accumulating onto what is already there. Each block's
+/// devices stamp separately, into the block's own system
 /// ([`assemble_block`]), and only when the block's macromodel is not
 /// cached.
 ///
@@ -444,20 +675,34 @@ pub fn assemble_planned(
 pub(crate) fn assemble_partitioned(
     netlist: &Netlist,
     pplan: &crate::schur::PartitionPlan,
-    devices: &[u32],
+    run: std::ops::Range<usize>,
     x: &[f64],
     source_scale: f64,
-    matrix: &mut DenseMatrix,
+    matrix: &mut crate::schur::IfaceMatrix<'_>,
     rhs: &mut [f64],
 ) {
-    for &index in devices {
-        let (device, branch_offset) = netlist.device_with_offset(index as usize);
-        let mut ctx = StampContext {
-            sink: MatrixSink::Interface {
+    for pos in run {
+        let (device, branch_offset) = netlist.device_with_offset(pplan.iface_device(pos));
+        let mut stamps;
+        let sink = match matrix {
+            crate::schur::IfaceMatrix::Dense(matrix) => MatrixSink::Interface {
                 plan: pplan,
-                matrix: &mut *matrix,
+                matrix,
                 rhs: &mut *rhs,
             },
+            crate::schur::IfaceMatrix::Slots(values) => {
+                stamps = SlotStamps::new(
+                    values,
+                    &mut *rhs,
+                    device_unknowns(device, branch_offset),
+                    |g| pplan.iface_index(g),
+                    pplan.iface_device_slots(pos),
+                );
+                MatrixSink::Slots(&mut stamps)
+            }
+        };
+        let mut ctx = StampContext {
+            sink,
             x,
             sources: netlist.sources_slice(),
             params: netlist.params_slice(),
@@ -629,6 +874,83 @@ mod tests {
                 assert_eq!(planned, full, "matrix diverged at gmin={gmin}");
                 assert_eq!(planned_rhs, full_rhs, "rhs diverged at gmin={gmin}");
             }
+        }
+    }
+
+    #[test]
+    fn sparse_slots_hold_the_full_assembly_bitwise() {
+        use crate::devices::mosfet::MosParams;
+        // An inverter chain past SPARSE_THRESHOLD: MOSFETs, two source
+        // branches, and an RC tail whose capacitor stamps its transient
+        // companion model.
+        const STAGES: usize = 130;
+        let mut nl = Netlist::new();
+        let vdd = nl.node("vdd");
+        let mut input = nl.node("in");
+        nl.vsource("VDD", vdd, Netlist::GND, 1.1);
+        nl.vsource("VIN", input, Netlist::GND, 0.55);
+        for i in 0..STAGES {
+            let out = nl.node(&format!("out{i}"));
+            nl.mosfet(
+                &format!("MP{i}"),
+                out,
+                input,
+                vdd,
+                MosParams::pmos(4.0e-4, 0.45),
+            )
+            .unwrap();
+            nl.mosfet(
+                &format!("MN{i}"),
+                out,
+                input,
+                Netlist::GND,
+                MosParams::nmos(4.0e-4, 0.45),
+            )
+            .unwrap();
+            input = out;
+        }
+        let tail = nl.node("tail");
+        nl.resistor("R", input, tail, 10.0e3).unwrap();
+        nl.capacitor("C", tail, Netlist::GND, 1.0e-12).unwrap();
+
+        let n = nl.num_unknowns();
+        assert!(n >= crate::sparse::SPARSE_THRESHOLD);
+        let plan = StampPlan::build(&nl);
+        let PlanLayout::Sparse(slots) = &plan.layout else {
+            panic!("{n} unknowns planned densely");
+        };
+        assert!(plan.lu_structure().is_none());
+        assert_eq!(plan.touched_entries(), slots.pattern.nnz());
+        let offsets = slots.pattern.offsets();
+        let held: std::collections::HashSet<usize> = offsets.iter().copied().collect();
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+        let prev: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
+        let mode = AnalysisMode::Transient {
+            dt: 1.0e-9,
+            time: 2.0e-9,
+            prev: &prev,
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut values = vec![0.0; slots.pattern.nnz()];
+        let mut rhs = vec![0.0; n];
+        let mut full = DenseMatrix::zeros(n);
+        let mut full_rhs = vec![0.0; n];
+        for gmin in [0.0, 1.0e-3] {
+            values.iter_mut().for_each(|v| *v = 0.0);
+            assemble_slots(&nl, slots, &x, gmin, 0.8, mode, &mut values, &mut rhs);
+            assemble(&nl, &x, gmin, 0.8, mode, &mut full, &mut full_rhs);
+            for (k, &offset) in offsets.iter().enumerate() {
+                let want = full.get(offset / n, offset % n);
+                assert_eq!(values[k].to_bits(), want.to_bits(), "slot {k}, gmin={gmin}");
+            }
+            for offset in 0..n * n {
+                let v = full.get(offset / n, offset % n);
+                assert!(
+                    v == 0.0 || held.contains(&offset),
+                    "{v} outside the pattern"
+                );
+            }
+            assert_eq!(bits(&rhs), bits(&full_rhs), "rhs diverged at gmin={gmin}");
         }
     }
 

@@ -51,6 +51,22 @@ pub(crate) struct NameTable {
 }
 
 impl NameTable {
+    /// An empty table with room for `names` names: its index is sized
+    /// so that holding them keeps it at most half full, and so never
+    /// grows on the way.
+    pub(crate) fn with_capacity(names: usize) -> Self {
+        let slots = if names == 0 {
+            0
+        } else {
+            (2 * names).next_power_of_two().max(MIN_SLOTS)
+        };
+        NameTable {
+            arena: String::new(),
+            ends: Vec::with_capacity(names),
+            slots: vec![EMPTY; slots],
+        }
+    }
+
     /// Number of names.
     pub(crate) fn len(&self) -> usize {
         self.ends.len()
@@ -156,6 +172,20 @@ mod tests {
         assert_eq!(t.get(2), "");
         assert_eq!(t.find(""), Some(2));
         assert_eq!(t.iter().collect::<Vec<_>>(), ["a", "bb", ""]);
+    }
+
+    #[test]
+    fn presized_index_never_grows() {
+        let names: Vec<String> = (0..1000).map(|i| format!("n{i}")).collect();
+        let mut t = NameTable::with_capacity(names.len());
+        let size = t.slots.len();
+        assert_eq!(size, 2048);
+        for (i, n) in names.iter().enumerate() {
+            assert_eq!(t.insert(n), Ok(i));
+        }
+        assert_eq!(t.slots.len(), size, "the index grew");
+        assert_eq!(t.find("n999"), Some(999));
+        assert!(NameTable::with_capacity(0).slots.is_empty());
     }
 
     #[test]

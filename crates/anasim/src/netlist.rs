@@ -100,11 +100,23 @@ impl Netlist {
 
     /// Creates an empty netlist containing only the ground node.
     pub fn new() -> Self {
-        let mut node_names = NameTable::default();
+        Self::with_capacity(0, 0)
+    }
+
+    /// As [`Netlist::new`], with room for `nodes` nodes besides ground
+    /// and `devices` devices: both name indexes and the device tables
+    /// are sized up front, so a builder that knows its counts never
+    /// re-places a name on the way. A capacity hint only: ids, names and
+    /// lookups are those of a netlist grown from [`Netlist::new`].
+    pub fn with_capacity(nodes: usize, devices: usize) -> Self {
+        let mut node_names = NameTable::with_capacity(nodes + 1);
         let ground = node_names.insert("0");
         debug_assert_eq!(ground, Ok(Self::GND.0));
         Netlist {
             node_names,
+            devices: Vec::with_capacity(devices),
+            device_names: NameTable::with_capacity(devices),
+            branch_starts: Vec::with_capacity(devices),
             ..Netlist::default()
         }
     }
@@ -484,10 +496,20 @@ mod tests {
     #[test]
     fn name_tables_round_trip_through_many_index_growths() {
         // 100k names per namespace force the interned indexes through a
-        // dozen doublings; every lookup must still return what was
-        // inserted, in both directions.
+        // dozen doublings, or fill a presized netlist's indexes to
+        // their half-full limit; every lookup must still return what
+        // was inserted, in both directions.
         const N: usize = 100_000;
-        let mut nl = Netlist::new();
+        let grown = round_trip::<N>(Netlist::new());
+        let presized = round_trip::<N>(Netlist::with_capacity(N, N + 1));
+        assert!(grown.node_names().eq(presized.node_names()));
+        assert!(grown.elements().eq(presized.elements()));
+        assert_eq!(grown.num_unknowns(), presized.num_unknowns());
+    }
+
+    /// Fills `nl` with `N` named nodes and `N + 1` named devices and
+    /// checks every lookup.
+    fn round_trip<const N: usize>(mut nl: Netlist) -> Netlist {
         let nodes: Vec<NodeId> = (0..N).map(|i| nl.node(&format!("n{i}"))).collect();
         for (i, &node) in nodes.iter().enumerate() {
             nl.resistor(&format!("R{i}"), node, Netlist::GND, 1.0e3)
@@ -529,6 +551,7 @@ mod tests {
         assert_eq!(nl.branch_unknown("R7"), None);
         assert_eq!(nl.unknown_label(N), "branch current of `V`");
         assert_eq!(nl.unknown_label(41), "node `n41`");
+        nl
     }
 
     #[test]

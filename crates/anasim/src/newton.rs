@@ -1,10 +1,9 @@
 //! Damped Newton–Raphson with gmin and source stepping continuation.
 
 use crate::error::Error;
-use crate::mna::{assemble_planned, AnalysisMode};
+use crate::mna::{assemble_planned, assemble_slots, AnalysisMode, PlanLayout};
 use crate::netlist::{Netlist, NodeId};
 use crate::scratch::SolveScratch;
-use crate::sparse::SPARSE_THRESHOLD;
 
 /// Tuning knobs for the nonlinear solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -197,14 +196,6 @@ fn newton_stage(
         iterations,
         ..
     } = scratch;
-    // The partitioned path never sizes the dense matrix (a 512×8 array
-    // would need a ~10k-order monolith), so the system order must come
-    // from the iterate, which both paths size.
-    let n = x.len();
-    // The sparse backend takes over on large systems. The partitioned
-    // path does its own backend selection on the reduced interface
-    // system.
-    let use_sparse = !partitioned && n >= SPARSE_THRESHOLD;
     let mut last_delta = f64::INFINITY;
     // Damping exists to tame the exponential regions of nonlinear
     // devices; a linear system solves exactly in one step, so clamping
@@ -234,18 +225,22 @@ fn newton_stage(
         } else {
             // Only the monolithic path reads the stamp plan; the
             // partitioned path never builds one (its partition plan
-            // lives in `schur`).
+            // lives in `schur`). The plan's layout picks the backend:
+            // a large system assembles straight into the sparse LU's
+            // value slots.
             let plan = plan
                 .as_ref()
                 .expect("stamp plan ensured on the monolithic path");
-            assemble_planned(netlist, plan, x, gmin, source_scale, mode, matrix, rhs);
-            let factored = if use_sparse {
-                sparse.factor(matrix, plan.structural_fp(), plan.touched_offsets())
-            } else {
-                let structure = plan
-                    .lu_structure()
-                    .expect("stamp plans below SPARSE_THRESHOLD carry the LU structure");
-                lu.factor_planned(matrix, structure)
+            let factored = match &plan.layout {
+                PlanLayout::Dense { structure, .. } => {
+                    assemble_planned(netlist, plan, x, gmin, source_scale, mode, matrix, rhs);
+                    lu.factor_planned(matrix, structure)
+                }
+                PlanLayout::Sparse(slots) => {
+                    let values = sparse.clear_values(slots.pattern.nnz());
+                    assemble_slots(netlist, slots, x, gmin, source_scale, mode, values, rhs);
+                    sparse.factor(&slots.pattern, plan.structural_fp())
+                }
             };
             if let Err(e) = factored {
                 return Err(match e {
@@ -253,10 +248,9 @@ fn newton_stage(
                     _ => StageFailure::Singular(0),
                 });
             }
-            if use_sparse {
-                sparse.solve_into(rhs, x_new);
-            } else {
-                lu.solve_into(rhs, x_new);
+            match plan.layout {
+                PlanLayout::Dense { .. } => lu.solve_into(rhs, x_new),
+                PlanLayout::Sparse(_) => sparse.solve_into(rhs, x_new),
             }
         }
         // Per-component convergence: each unknown must settle within
@@ -604,7 +598,9 @@ pub fn solve_with_retry(
 
 /// Publishes the scratch's accumulated fast-path counters to `obs`
 /// and resets them. One flush per retry-ladder solve keeps the
-/// per-iteration hot path free of atomic traffic.
+/// per-iteration hot path free of atomic traffic. The interface order
+/// is a size, not a count: each partitioned solve flushed records it as
+/// one sample of the `schur.interface_unknowns` histogram.
 pub(crate) fn flush_fast_path_counters(scratch: &mut SolveScratch) {
     let c = scratch.counters.take();
     if c.schur_blocks_shared > 0 {
@@ -614,7 +610,10 @@ pub(crate) fn flush_fast_path_counters(scratch: &mut SolveScratch) {
         obs::counter_add("schur.blocks_rebuilt", c.schur_blocks_rebuilt);
     }
     if c.schur_interface_unknowns > 0 {
-        obs::counter_add("schur.interface_unknowns", c.schur_interface_unknowns);
+        obs::hist_record(
+            "schur.interface_unknowns",
+            c.schur_interface_unknowns as f64,
+        );
     }
 }
 

@@ -37,6 +37,13 @@
 //!   entries accumulate device stamps in device order and macromodel
 //!   terms in block order, as a device-by-device assembly would, so a
 //!   solution never depends on what the cache held.
+//! * An interface below [`SPARSE_THRESHOLD`] accumulates in a dense
+//!   matrix. A larger one never exists densely: the plan numbers the
+//!   sparse LU's CSC value slot of every entry an interface-only device
+//!   stamps, of every entry of each block's boundary clique (where its
+//!   tape replays and its `−F·B⁻¹E` folds), and of every interface
+//!   node's gmin diagonal, and each of those sums adds straight into
+//!   its slot.
 //!
 //! The reduction is exact block Gaussian elimination: the accepted
 //! answer satisfies the same per-component Newton convergence criterion
@@ -51,11 +58,11 @@ use crate::devices::mosfet::MosParams;
 use crate::devices::ElementKind;
 use crate::error::Error;
 use crate::matrix::{DenseMatrix, LuStructure, LuWorkspace};
-use crate::mna::{fnv, AnalysisMode};
+use crate::mna::{device_unknowns, fnv, AnalysisMode, CscSlots};
 use crate::netlist::Netlist;
 use crate::newton::{NewtonOptions, Solution};
 use crate::scratch::{SolveCounters, SolveScratch};
-use crate::sparse::SparseLu;
+use crate::sparse::{bucket_by_key, CscPattern, SparseLu, SPARSE_THRESHOLD};
 
 /// Macromodel cache capacity. An array presents one input per distinct
 /// cell state and boundary — in practice a handful per iteration — so
@@ -221,6 +228,10 @@ struct BlockPlan {
     /// Blocks sharing a template stamp bit-identical local systems at
     /// bit-identical inputs.
     template: u32,
+    /// A sparse interface's value slots of the block's `nb×nb` boundary
+    /// clique are `cliques[clique_off..clique_off + nb * nb]` of its
+    /// [`SparseIface`], row-major.
+    clique_off: u32,
 }
 
 impl BlockPlan {
@@ -282,12 +293,8 @@ pub(crate) struct PartitionPlan {
     block_devices: Vec<u32>,
     /// Every device exactly once, as runs in device order.
     schedule: Vec<Run>,
-    /// Sorted flat (row-major) offsets of every interface entry device
-    /// stamps, macromodel contributions, or gmin can write.
-    iface_touched: Vec<usize>,
-    /// `iface_touched` as the dense LU kernel's nonzero structure, for
-    /// interfaces below [`SPARSE_THRESHOLD`](crate::sparse::SPARSE_THRESHOLD).
-    iface_structure: Option<LuStructure>,
+    /// Where the reduced interface system accumulates.
+    layout: IfaceLayout,
     /// Combined fingerprint over the netlist structure, its model
     /// values and the block layout; doubles as the interface sparse
     /// backend's structural fingerprint.
@@ -295,27 +302,35 @@ pub(crate) struct PartitionPlan {
     max_block_len: usize,
 }
 
-/// Stable counting sort of `(key, value)` pairs by key (`key < keys`):
-/// returns each key's start offset into the returned values, `keys + 1`
-/// offsets in all. Walks `pairs` twice, to count and to place, with
-/// internal iteration (`for_each`) so chained and nested pair sources
-/// compile to plain loops.
-fn bucket_by_key<I>(keys: usize, pairs: I) -> (Vec<usize>, Vec<u32>)
-where
-    I: Iterator<Item = (u32, u32)> + Clone,
-{
-    let mut starts = vec![0usize; keys + 1];
-    pairs.clone().for_each(|(k, _)| starts[k as usize + 1] += 1);
-    for k in 1..=keys {
-        starts[k] += starts[k - 1];
-    }
-    let mut values = vec![0u32; starts[keys]];
-    let mut cursor = starts.clone();
-    pairs.for_each(|(k, v)| {
-        values[cursor[k as usize]] = v;
-        cursor[k as usize] += 1;
-    });
-    (starts, values)
+/// The reduced interface system's storage, picked by its order. Its
+/// pattern holds every entry an interface-only device stamps, each
+/// block's dense `nb×nb` macromodel clique over its boundary, and the
+/// gmin diagonal of every interface *node* (branch rows never receive
+/// gmin, matching the monolithic path).
+#[derive(Debug, Clone)]
+enum IfaceLayout {
+    /// Below [`SPARSE_THRESHOLD`]: a dense staging matrix, cleared
+    /// through the flat offsets of the pattern and factored by their LU
+    /// structure.
+    Dense {
+        touched: Vec<usize>,
+        structure: LuStructure,
+    },
+    /// At or above it: the interface sparse LU's value slots.
+    Sparse(SparseIface),
+}
+
+/// The value slots of a sparse interface system.
+#[derive(Debug, Clone)]
+struct SparseIface {
+    /// The pattern, the interface-only devices' entry slots (device
+    /// `iface_devices[i]` from `device_starts[i]`) and the interface
+    /// nodes' gmin slots.
+    slots: CscSlots,
+    device_starts: Vec<u32>,
+    /// Every block's boundary clique slots, back to back (see
+    /// [`BlockPlan::clique_off`]).
+    cliques: Vec<u32>,
 }
 
 /// Emits what a DC stamp of `kind` reads beyond its terminals, bit for
@@ -403,9 +418,10 @@ impl PartitionPlan {
 
     /// Builds the partition plan, validating that no device couples two
     /// distinct blocks. Runs in time linear in the device count plus
-    /// the interface entries written: boundaries, device lists and the
-    /// interface pattern are bucketed, never comparison-sorted as a
-    /// whole, and templates are interned through a hash map.
+    /// the interface entries written: boundaries, device lists, the
+    /// interface pattern and its slot numbering are bucketed, never
+    /// comparison-sorted or searched as a whole, and templates are
+    /// interned through a hash map.
     pub(crate) fn build(netlist: &Netlist, partition: &Partition) -> Result<Self, Error> {
         let n = netlist.num_unknowns();
         let node_unknowns = netlist.num_nodes() - 1;
@@ -449,22 +465,14 @@ impl PartitionPlan {
         let mut block_dev_count = vec![0u32; partition.blocks.len()];
         let mut schedule: Vec<Run> = Vec::new();
         let mut device_entries: Vec<(u32, u32)> = Vec::new();
-        let mut slots: Vec<usize> = Vec::with_capacity(8);
+        let mut device_starts: Vec<u32> = Vec::new();
         let mut iface: Vec<u32> = Vec::with_capacity(8);
         for (index, (device, branch_offset)) in netlist.devices_with_offsets().enumerate() {
-            let branches = device.num_branches();
             netlist_fp = fold_device(netlist_fp, device, branch_offset);
-            slots.clear();
-            let (terminals, count) = device.terminals();
-            for t in &terminals[..count] {
-                if let Some(i) = t.unknown_index() {
-                    slots.push(i);
-                }
-            }
-            slots.extend(branch_offset..branch_offset + branches);
+            let (unknowns, count) = device_unknowns(device, branch_offset);
             let mut touched_block: Option<u32> = None;
             iface.clear();
-            for &s in &slots {
+            for &s in &unknowns[..count] {
                 match remap[s] {
                     Slot::Iface(i) => iface.push(i),
                     Slot::Block { block, .. } => match touched_block {
@@ -505,6 +513,7 @@ impl PartitionPlan {
                             to: pos + 1,
                         }),
                     }
+                    device_starts.push(device_entries.len() as u32);
                     for &r in &iface {
                         device_entries.extend(iface.iter().map(|&c| (r, c)));
                     }
@@ -521,6 +530,7 @@ impl PartitionPlan {
                 }),
         );
         drop(block_dev_count);
+        device_starts.push(device_entries.len() as u32);
 
         // Block boundaries: bucket the (block, interface) pairs by
         // block, then sort and deduplicate each block's handful. Device
@@ -535,6 +545,7 @@ impl PartitionPlan {
         let mut boundaries: Vec<u32> = Vec::with_capacity(raw.len());
         let mut blocks: Vec<BlockPlan> = Vec::with_capacity(partition.blocks.len());
         let mut max_block_len = 0usize;
+        let mut clique_slots = 0usize;
         for (bi, &(start, len)) in partition.blocks.iter().enumerate() {
             let seg = &mut raw[bnd_start[bi]..bnd_start[bi + 1]];
             seg.sort_unstable();
@@ -553,7 +564,9 @@ impl PartitionPlan {
                 dev_off: dev_start[bi] as u32,
                 ndev: (dev_start[bi + 1] - dev_start[bi]) as u32,
                 template: u32::MAX,
+                clique_off: u32::try_from(clique_slots).expect("clique slots fit u32"),
             });
+            clique_slots += nb * nb;
             max_block_len = max_block_len.max(len);
         }
         drop(raw);
@@ -568,68 +581,68 @@ impl PartitionPlan {
         );
 
         // Interface pattern: interface-only device entries, each
-        // block's dense nb×nb macromodel clique over its boundary, and
-        // the gmin diagonal of every interface *node* (branch rows never
-        // receive gmin, matching the dense path), bucketed by row with
-        // duplicates included…
+        // block's boundary clique and the interface node diagonals,
+        // merged into the CSC pattern in linear time.
         let cliques = blocks.iter().flat_map(|bp| {
             let bnd = &boundaries[bp.bnd_off as usize..][..bp.nb()];
             bnd.iter()
                 .flat_map(move |&p| bnd.iter().map(move |&q| (p, q)))
         });
-        let diagonals = (0..iface_nodes as u32).map(|i| (i, i));
-        let entries = device_entries
-            .iter()
-            .copied()
-            .chain(cliques)
-            .chain(diagonals);
-        let (mut row_start, mut cols) = bucket_by_key(ni, entries);
-        drop(device_entries);
-        // …then deduplicated row by row in place with generation marks
-        // (`mark[c] == r` once row `r` has kept column `c`)…
-        let mut mark = vec![u32::MAX; ni];
-        let mut kept = 0usize;
-        for r in 0..ni {
-            let (lo, hi) = (row_start[r], row_start[r + 1]);
-            row_start[r] = kept;
-            for k in lo..hi {
-                let c = cols[k];
-                if mark[c as usize] != r as u32 {
-                    mark[c as usize] = r as u32;
-                    cols[kept] = c;
-                    kept += 1;
-                }
+        let layout = if ni < SPARSE_THRESHOLD {
+            let diagonals = (0..iface_nodes as u32).map(|i| (i, i));
+            let pattern = CscPattern::from_entries(
+                ni,
+                device_entries
+                    .iter()
+                    .copied()
+                    .chain(cliques)
+                    .chain(diagonals),
+            );
+            let touched = pattern.offsets();
+            IfaceLayout::Dense {
+                structure: LuStructure::from_offsets(ni, &touched),
+                touched,
             }
-        }
-        row_start[ni] = kept;
-        cols.truncate(kept);
-        // …and ordered row-major by a two-pass radix sort: bucket by
-        // column (rows arrive ascending), then stably back by row, so
-        // each row's columns come out ascending.
-        let (col_start, rows_by_col) = bucket_by_key(
-            ni,
-            (0..ni).flat_map(|r| {
-                cols[row_start[r]..row_start[r + 1]]
-                    .iter()
-                    .map(move |&c| (c, r as u32))
-            }),
-        );
-        let (row_start, sorted_cols) = bucket_by_key(
-            ni,
-            (0..ni).flat_map(|c| {
-                rows_by_col[col_start[c]..col_start[c + 1]]
-                    .iter()
-                    .map(move |&r| (r, c as u32))
-            }),
-        );
-        let mut iface_touched = Vec::with_capacity(kept);
-        for r in 0..ni {
-            let row = &sorted_cols[row_start[r]..row_start[r + 1]];
-            iface_touched.extend(row.iter().map(|&c| r * ni + c as usize));
-        }
+        } else {
+            // The clique slots are numbered column by column along with
+            // the pattern: each block on whose boundary column `c` lies
+            // (bucketed by that column) reads the slots of its clique's
+            // column `c` off the column's row→slot map.
+            let (member_start, members) = bucket_by_key(
+                ni,
+                blocks.iter().enumerate().flat_map(|(b, bp)| {
+                    boundaries[bp.bnd_off as usize..][..bp.nb()]
+                        .iter()
+                        .map(move |&i| (i, b as u32))
+                }),
+            );
+            let mut clique_table = vec![0u32; clique_slots];
+            let slots = CscSlots::build(
+                ni,
+                &device_entries,
+                cliques,
+                iface_nodes,
+                |c, slot_of_row| {
+                    for &b in &members[member_start[c]..member_start[c + 1]] {
+                        let bp = &blocks[b as usize];
+                        let bnd = &boundaries[bp.bnd_off as usize..][..bp.nb()];
+                        let q = boundary_pos(bnd, c as u32);
+                        let clique =
+                            &mut clique_table[bp.clique_off as usize..][..bnd.len() * bnd.len()];
+                        for (slot, &r) in clique[q..].iter_mut().step_by(bnd.len()).zip(bnd) {
+                            *slot = slot_of_row[r as usize];
+                        }
+                    }
+                },
+            );
+            IfaceLayout::Sparse(SparseIface {
+                slots,
+                device_starts,
+                cliques: clique_table,
+            })
+        };
+        drop(device_entries);
 
-        let iface_structure = (ni < crate::sparse::SPARSE_THRESHOLD)
-            .then(|| LuStructure::from_offsets(ni, &iface_touched));
         Ok(PartitionPlan {
             n,
             ni,
@@ -643,8 +656,7 @@ impl PartitionPlan {
             iface_devices,
             block_devices,
             schedule,
-            iface_touched,
-            iface_structure,
+            layout,
             fingerprint: Self::combined_fp(netlist_fp, partition),
             max_block_len,
         })
@@ -695,6 +707,29 @@ impl PartitionPlan {
             Slot::Iface(i) => i as usize,
             Slot::Block { .. } => unreachable!("interface-only device stamped a block unknown"),
         }
+    }
+
+    /// Global index of the device at position `pos` of the
+    /// interface-only device list.
+    #[inline]
+    pub(crate) fn iface_device(&self, pos: usize) -> usize {
+        self.iface_devices[pos] as usize
+    }
+
+    /// Value slots of the entries of the device at position `pos` of the
+    /// interface-only device list, row-major over its unknowns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the interface is below
+    /// [`SPARSE_THRESHOLD`](crate::sparse::SPARSE_THRESHOLD), where it
+    /// has no slots.
+    pub(crate) fn iface_device_slots(&self, pos: usize) -> &[u32] {
+        let IfaceLayout::Sparse(sparse) = &self.layout else {
+            unreachable!("a dense interface has no value slots");
+        };
+        let starts = &sparse.device_starts;
+        &sparse.slots.devices[starts[pos] as usize..starts[pos + 1] as usize]
     }
 
     /// Routes one matrix stamp of a block device at global `(row, col)`:
@@ -1276,12 +1311,25 @@ impl MacroCache {
     }
 }
 
+/// The reduced interface matrix a reduction step accumulates into.
+#[derive(Debug)]
+pub(crate) enum IfaceMatrix<'a> {
+    /// Below [`SPARSE_THRESHOLD`]: a dense matrix in interface
+    /// numbering.
+    Dense(&'a mut DenseMatrix),
+    /// At or above it: the interface sparse LU's CSC value slots, as the
+    /// plan numbers them.
+    Slots(&'a mut [f64]),
+}
+
 /// Every buffer the block-Schur path needs, owned by the
 /// [`SolveScratch`] so warmed re-solves stay allocation-free.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SchurState {
     pub(crate) plan: Option<PartitionPlan>,
-    /// The reduced interface matrix; entries outside the plan's
+    /// The reduced interface matrix of an interface below
+    /// [`SPARSE_THRESHOLD`] (empty otherwise: a larger one accumulates
+    /// in `iface_sparse`'s value slots); entries outside the plan's
     /// interface pattern stay zero.
     iface: DenseMatrix,
     cache: MacroCache,
@@ -1316,8 +1364,12 @@ impl SchurState {
             self.served.clear();
             self.served.resize(p.blocks.len(), Served::Slot(0));
             // Full zeroing establishes the zeros-outside-the-pattern
-            // invariant for the new pattern.
-            self.iface.resize_clear(p.ni);
+            // invariant for the new pattern; a sparse interface stages
+            // nothing densely.
+            self.iface.resize_clear(match p.layout {
+                IfaceLayout::Dense { .. } => p.ni,
+                IfaceLayout::Sparse(_) => 0,
+            });
             self.rhs_i.clear();
             self.rhs_i.resize(p.ni, 0.0);
             self.x_i.clear();
@@ -1344,6 +1396,23 @@ impl SchurState {
         Ok(())
     }
 
+    /// Order of the largest dense matrix the state holds.
+    #[cfg(test)]
+    pub(crate) fn largest_dense_order(&self) -> usize {
+        let cache = &self.cache;
+        let slot_lus = cache.slots.iter().chain(&cache.spill).map(|s| s.lu.order());
+        [
+            self.iface.order(),
+            self.iface_lu.order(),
+            cache.scratch.local.order(),
+            cache.scratch.b.order(),
+        ]
+        .into_iter()
+        .chain(slot_lus)
+        .max()
+        .unwrap_or(0)
+    }
+
     /// Order of the reduced interface system, once a plan is built.
     pub(crate) fn interface_unknowns(&self) -> Option<usize> {
         self.plan.as_ref().map(|p| p.interface_unknowns())
@@ -1363,7 +1432,8 @@ impl SchurState {
     /// 4. Each block back-substitutes `x_B = B⁻¹(r_B − E·x_I)`.
     ///
     /// Every sum runs in the order the device-by-device assembly used,
-    /// so the result does not depend on what the cache held.
+    /// so the result does not depend on what the cache held, nor on
+    /// whether the interface accumulates densely or in sparse slots.
     pub(crate) fn step(
         &mut self,
         netlist: &Netlist,
@@ -1387,63 +1457,9 @@ impl SchurState {
         } = self;
         let plan = plan.as_ref().expect("partition plan ensured before stage");
         counters.schur_interface_unknowns = plan.ni as u64;
-        iface.clear_offsets(&plan.iface_touched);
-        rhs_i.iter_mut().for_each(|v| *v = 0.0);
-        cache.begin_step();
-        for &run in &plan.schedule {
-            match run {
-                Run::Iface { from, to } => crate::mna::assemble_partitioned(
-                    netlist,
-                    plan,
-                    &plan.iface_devices[from as usize..to as usize],
-                    x,
-                    source_scale,
-                    iface,
-                    rhs_i,
-                ),
-                Run::Block { block, from, to } => {
-                    let bi = block as usize;
-                    if from == 0 {
-                        served[bi] =
-                            cache.serve(netlist, plan, bi, x, gmin, source_scale, counters)?;
-                    }
-                    let slot = cache.slot(served[bi]);
-                    let boundary = plan.boundary(&plan.blocks[bi]);
-                    let tape = &slot.tape[slot.tape_dev[from as usize] as usize
-                        ..slot.tape_dev[to as usize] as usize];
-                    for e in tape {
-                        let row = boundary[e.p as usize] as usize;
-                        if e.q == TapeEntry::RHS {
-                            rhs_i[row] += e.value;
-                        } else {
-                            iface.add(row, boundary[e.q as usize] as usize, e.value);
-                        }
-                    }
-                }
-            }
-        }
-        if gmin > 0.0 {
-            for i in 0..plan.iface_nodes {
-                iface.add(i, i, gmin);
-            }
-        }
-        for (bp, &how) in plan.blocks.iter().zip(served.iter()) {
-            let slot = cache.slot(how);
-            let boundary = plan.boundary(bp);
-            let nb = boundary.len();
-            for (p, &row) in boundary.iter().enumerate() {
-                for (q, &col) in boundary.iter().enumerate() {
-                    iface.add(row as usize, col as usize, slot.neg_fbe[p * nb + q]);
-                }
-            }
-            for (&row, &v) in boundary.iter().zip(&slot.fbr) {
-                rhs_i[row as usize] -= v;
-            }
-        }
+        let inputs = (x, gmin, source_scale);
         // Factor and solve the reduced interface system through the
-        // same dense/sparse backend selection as the monolithic path:
-        // the plan carries the dense kernel's structure exactly below
-        // the sparse threshold.
+        // same dense/sparse backend selection as the monolithic path.
         let map_singular = |e: Error| match e {
             Error::SingularMatrix { pivot_row, .. } => Error::SingularMatrix {
                 pivot_row: plan
@@ -1455,16 +1471,40 @@ impl SchurState {
             },
             other => other,
         };
-        match &plan.iface_structure {
-            Some(structure) => {
+        match &plan.layout {
+            IfaceLayout::Dense { touched, structure } => {
+                iface.clear_offsets(touched);
+                let mut matrix = IfaceMatrix::Dense(iface);
+                accumulate_interface(
+                    netlist,
+                    plan,
+                    cache,
+                    served,
+                    inputs,
+                    &mut matrix,
+                    rhs_i,
+                    counters,
+                )?;
                 iface_lu
                     .factor_planned(iface, structure)
                     .map_err(map_singular)?;
                 iface_lu.solve_into(rhs_i, x_i);
             }
-            None => {
+            IfaceLayout::Sparse(sparse) => {
+                let pattern = &sparse.slots.pattern;
+                let mut matrix = IfaceMatrix::Slots(iface_sparse.clear_values(pattern.nnz()));
+                accumulate_interface(
+                    netlist,
+                    plan,
+                    cache,
+                    served,
+                    inputs,
+                    &mut matrix,
+                    rhs_i,
+                    counters,
+                )?;
                 iface_sparse
-                    .factor(iface, plan.fingerprint, &plan.iface_touched)
+                    .factor(pattern, plan.fingerprint)
                     .map_err(map_singular)?;
                 iface_sparse.solve_into(rhs_i, x_i);
             }
@@ -1490,6 +1530,113 @@ impl SchurState {
         }
         Ok(())
     }
+}
+
+/// Steps 1 and 2 of [`SchurState::step`] at the DC estimate `x`, gmin
+/// and source scale of `inputs`: accumulates the reduced interface
+/// system into `matrix` (cleared by the caller) and `rhs_i`, serving
+/// each block from `cache` and noting in `served` where its macromodel
+/// lives. A slot target receives, slot by slot, the additions its dense
+/// entry would.
+///
+/// # Errors
+///
+/// [`Error::SingularMatrix`] when a freshly stamped block has no usable
+/// pivot.
+#[allow(clippy::too_many_arguments)]
+fn accumulate_interface(
+    netlist: &Netlist,
+    plan: &PartitionPlan,
+    cache: &mut MacroCache,
+    served: &mut [Served],
+    (x, gmin, source_scale): (&[f64], f64, f64),
+    matrix: &mut IfaceMatrix<'_>,
+    rhs_i: &mut [f64],
+    counters: &mut SolveCounters,
+) -> Result<(), Error> {
+    let (gmin_slots, cliques): (&[u32], &[u32]) = match &plan.layout {
+        IfaceLayout::Sparse(sparse) => (&sparse.slots.gmin, &sparse.cliques),
+        IfaceLayout::Dense { .. } => (&[], &[]),
+    };
+    let clique = |bp: &BlockPlan| &cliques[bp.clique_off as usize..][..bp.nb() * bp.nb()];
+    rhs_i.iter_mut().for_each(|v| *v = 0.0);
+    cache.begin_step();
+    for &run in &plan.schedule {
+        match run {
+            Run::Iface { from, to } => crate::mna::assemble_partitioned(
+                netlist,
+                plan,
+                from as usize..to as usize,
+                x,
+                source_scale,
+                matrix,
+                rhs_i,
+            ),
+            Run::Block { block, from, to } => {
+                let bi = block as usize;
+                if from == 0 {
+                    served[bi] = cache.serve(netlist, plan, bi, x, gmin, source_scale, counters)?;
+                }
+                let slot = cache.slot(served[bi]);
+                let bp = &plan.blocks[bi];
+                let boundary = plan.boundary(bp);
+                let tape = &slot.tape
+                    [slot.tape_dev[from as usize] as usize..slot.tape_dev[to as usize] as usize];
+                for e in tape {
+                    let (p, q) = (e.p as usize, e.q as usize);
+                    if e.q == TapeEntry::RHS {
+                        rhs_i[boundary[p] as usize] += e.value;
+                        continue;
+                    }
+                    match matrix {
+                        IfaceMatrix::Dense(m) => {
+                            m.add(boundary[p] as usize, boundary[q] as usize, e.value)
+                        }
+                        IfaceMatrix::Slots(values) => {
+                            values[clique(bp)[p * bp.nb() + q] as usize] += e.value
+                        }
+                    }
+                }
+            }
+        }
+    }
+    if gmin > 0.0 {
+        match matrix {
+            IfaceMatrix::Dense(m) => {
+                for i in 0..plan.iface_nodes {
+                    m.add(i, i, gmin);
+                }
+            }
+            IfaceMatrix::Slots(values) => {
+                for &k in gmin_slots {
+                    values[k as usize] += gmin;
+                }
+            }
+        }
+    }
+    for (bp, &how) in plan.blocks.iter().zip(served.iter()) {
+        let slot = cache.slot(how);
+        let boundary = plan.boundary(bp);
+        match matrix {
+            IfaceMatrix::Dense(m) => {
+                let nb = boundary.len();
+                for (p, &row) in boundary.iter().enumerate() {
+                    for (q, &col) in boundary.iter().enumerate() {
+                        m.add(row as usize, col as usize, slot.neg_fbe[p * nb + q]);
+                    }
+                }
+            }
+            IfaceMatrix::Slots(values) => {
+                for (&k, &v) in clique(bp).iter().zip(&slot.neg_fbe) {
+                    values[k as usize] += v;
+                }
+            }
+        }
+        for (&row, &v) in boundary.iter().zip(&slot.fbr) {
+            rhs_i[row as usize] -= v;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1935,24 +2082,74 @@ mod tests {
         (boundaries, touched)
     }
 
+    /// The flat (row-major) offset of each entry of the plan's interface
+    /// pattern, in slot order for a sparse interface.
+    fn interface_offsets(plan: &PartitionPlan) -> Vec<usize> {
+        match &plan.layout {
+            IfaceLayout::Dense { touched, .. } => touched.clone(),
+            IfaceLayout::Sparse(sparse) => sparse.slots.pattern.offsets(),
+        }
+    }
+
     #[test]
     fn bucketed_plan_matches_the_sorted_reference() {
         // Active cells, an interface-only resistor and a source branch
-        // exercise every entry source the bucketed build merges.
-        let (mut nl, nodes, _) = latch_chain(12, 3);
-        nl.resistor("Rtie", nodes[0].0, nodes[2].1, 1.0e5)
-            .expect("valid");
-        let blocks = nodes[3..]
-            .iter()
-            .map(|&(a, _)| (a.index() - 1, 2))
-            .collect();
-        let partition = Partition::new(nl.num_unknowns(), blocks).expect("valid");
-        let plan = PartitionPlan::build(&nl, &partition).expect("valid plan");
-        let (boundaries, touched) = reference_pattern(&nl, &plan);
-        for (bp, want) in plan.blocks.iter().zip(&boundaries) {
-            assert_eq!(plan.boundary(bp), want.as_slice());
+        // exercise every entry source the bucketed build merges. Three
+        // active cells keep the interface dense; 64 take it past
+        // SPARSE_THRESHOLD, where every slot must also name its entry.
+        for active in [3, 64] {
+            let (mut nl, nodes, _) = latch_chain(active + 9, active);
+            nl.resistor("Rtie", nodes[0].0, nodes[2].1, 1.0e5)
+                .expect("valid");
+            let blocks = nodes[active..]
+                .iter()
+                .map(|&(a, _)| (a.index() - 1, 2))
+                .collect();
+            let partition = Partition::new(nl.num_unknowns(), blocks).expect("valid");
+            let plan = PartitionPlan::build(&nl, &partition).expect("valid plan");
+            let (boundaries, touched) = reference_pattern(&nl, &plan);
+            for (bp, want) in plan.blocks.iter().zip(&boundaries) {
+                assert_eq!(plan.boundary(bp), want.as_slice());
+            }
+            let offsets = interface_offsets(&plan);
+            let mut sorted = offsets.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, touched);
+            let ni = plan.ni;
+            let IfaceLayout::Sparse(sparse) = &plan.layout else {
+                assert!(ni < SPARSE_THRESHOLD, "{ni} unknowns staged densely");
+                continue;
+            };
+            assert!(ni >= SPARSE_THRESHOLD);
+            let at = |slots: &[u32]| {
+                slots
+                    .iter()
+                    .map(|&k| offsets[k as usize])
+                    .collect::<Vec<_>>()
+            };
+            let clique = |ifaces: &[usize]| {
+                ifaces
+                    .iter()
+                    .flat_map(|&r| ifaces.iter().map(move |&c| r * ni + c))
+                    .collect::<Vec<_>>()
+            };
+            for bp in &plan.blocks {
+                let bnd: Vec<usize> = plan.boundary(bp).iter().map(|&i| i as usize).collect();
+                let slots = &sparse.cliques[bp.clique_off as usize..][..bnd.len() * bnd.len()];
+                assert_eq!(at(slots), clique(&bnd));
+            }
+            for (pos, &d) in plan.iface_devices.iter().enumerate() {
+                let (device, branch_offset) = nl.device_with_offset(d as usize);
+                let (unknowns, count) = device_unknowns(device, branch_offset);
+                let ifaces: Vec<usize> = unknowns[..count]
+                    .iter()
+                    .map(|&g| plan.iface_index(g))
+                    .collect();
+                assert_eq!(at(plan.iface_device_slots(pos)), clique(&ifaces));
+            }
+            let diagonals: Vec<usize> = (0..plan.iface_nodes).map(|i| i * ni + i).collect();
+            assert_eq!(at(&sparse.slots.gmin), diagonals);
         }
-        assert_eq!(plan.iface_touched, touched);
     }
 
     #[test]
@@ -1962,29 +2159,153 @@ mod tests {
         let opts = ArraySolveOptions::default();
         let mut scratch = SolveScratch::new();
         // A rebuilt plan is constructed while its predecessor is still
-        // held, so reuse shows as an unchanged pattern buffer.
-        let pattern_buffer = |scratch: &SolveScratch| {
+        // held, so reuse shows as an unchanged remap buffer.
+        let plan_buffer = |scratch: &SolveScratch| {
             let plan = scratch.schur.plan.as_ref().expect("partition plan built");
-            plan.iface_touched.as_ptr()
+            plan.remap.as_ptr()
         };
         solve_array(&nl, &partition, &opts, Some(&guess), &mut scratch).expect("solves");
         assert!(
             scratch.plan().is_none(),
             "the Schur path built a stamp plan"
         );
-        let first = pattern_buffer(&scratch);
+        let first = plan_buffer(&scratch);
         solve_array(&nl, &partition, &opts, Some(&guess), &mut scratch).expect("re-solves");
         assert!(
             scratch.plan().is_none(),
             "the Schur path built a stamp plan"
         );
-        assert_eq!(pattern_buffer(&scratch), first, "same pair, same plan");
+        assert_eq!(plan_buffer(&scratch), first, "same pair, same plan");
         // A different partition of the same netlist is a new plan.
         let fewer = Partition::new(nl.num_unknowns(), partition.blocks[1..].to_vec())
             .expect("valid partition");
         solve_array(&nl, &fewer, &opts, Some(&guess), &mut scratch).expect("solves");
-        assert_ne!(pattern_buffer(&scratch), first, "stale plan reused");
+        assert_ne!(plan_buffer(&scratch), first, "stale plan reused");
         assert_eq!(scratch.schur_interface_unknowns(), Some(7));
+    }
+
+    #[test]
+    fn sparse_interface_slots_hold_the_dense_route_bit_for_bit() {
+        // 64 active latches take the interface past SPARSE_THRESHOLD.
+        // An interface-only tie, the source branch, and pull-ups that
+        // split every block's devices into two runs (the second
+        // replaying a boundary stamp) reach every kind of interface sum.
+        const ACTIVE: usize = 64;
+        let (mut nl, nodes, _) = latch_chain(ACTIVE + 8, ACTIVE);
+        nl.resistor("Rtie", nodes[0].0, nodes[2].1, 1.0e5)
+            .expect("valid");
+        let rail = nl.find_node("vdd_rail").expect("rail");
+        for (i, &(a, _)) in nodes.iter().enumerate().skip(ACTIVE) {
+            nl.resistor(&format!("Rpu{i}"), rail, a, 1.0e7)
+                .expect("valid");
+        }
+        let blocks = nodes[ACTIVE..]
+            .iter()
+            .map(|&(a, _)| (a.index() - 1, 2))
+            .collect();
+        let partition = Partition::new(nl.num_unknowns(), blocks).expect("valid");
+        let mut state = SchurState::default();
+        state.ensure(&nl, &partition).expect("valid partition");
+        let SchurState {
+            plan,
+            cache,
+            served,
+            ..
+        } = &mut state;
+        let plan = plan.as_ref().expect("plan built");
+        let IfaceLayout::Sparse(sparse) = &plan.layout else {
+            panic!("{} interface unknowns staged densely", plan.ni);
+        };
+        let ni = plan.ni;
+        let mut x = latch_guess(&nl, &nodes);
+        for (i, v) in x.iter_mut().enumerate() {
+            *v += 1.0e-3 * (i as f64 * 0.37).sin();
+        }
+        let mut counters = SolveCounters::default();
+        let inputs = (x.as_slice(), 1.0e-6, 0.9);
+        // Sparse first: its blocks miss and build their macromodels,
+        // which the dense route then reads from the cache.
+        let mut values = vec![0.0; sparse.slots.pattern.nnz()];
+        let mut rhs_slots = vec![0.0; ni];
+        accumulate_interface(
+            &nl,
+            plan,
+            cache,
+            served,
+            inputs,
+            &mut IfaceMatrix::Slots(&mut values),
+            &mut rhs_slots,
+            &mut counters,
+        )
+        .expect("blocks factor");
+        let mut dense = DenseMatrix::zeros(ni);
+        let mut rhs_dense = vec![0.0; ni];
+        accumulate_interface(
+            &nl,
+            plan,
+            cache,
+            served,
+            inputs,
+            &mut IfaceMatrix::Dense(&mut dense),
+            &mut rhs_dense,
+            &mut counters,
+        )
+        .expect("blocks factor");
+        assert!(counters.schur_blocks_rebuilt > 0 && counters.schur_blocks_shared > 0);
+        let offsets = sparse.slots.pattern.offsets();
+        for (k, &offset) in offsets.iter().enumerate() {
+            let want = dense.get(offset / ni, offset % ni);
+            assert_eq!(values[k].to_bits(), want.to_bits(), "slot {k}");
+        }
+        let held: std::collections::HashSet<usize> = offsets.into_iter().collect();
+        for offset in 0..ni * ni {
+            let v = dense.get(offset / ni, offset % ni);
+            assert!(
+                v == 0.0 || held.contains(&offset),
+                "{v} outside the pattern"
+            );
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&rhs_slots), bits(&rhs_dense));
+    }
+
+    #[test]
+    fn sparse_paths_stage_no_dense_matrix() {
+        // 64 active latches: the monolith and the reduced interface are
+        // both past SPARSE_THRESHOLD, so neither may leave a dense matrix
+        // of that order behind in the scratch they share.
+        const ACTIVE: usize = 64;
+        let (nl, nodes, partition) = latch_chain(ACTIVE + 8, ACTIVE);
+        assert!(partition.interface_unknowns() >= SPARSE_THRESHOLD);
+        let guess = latch_guess(&nl, &nodes);
+        let mut scratch = SolveScratch::new();
+        let mono = solve_with_scratch(
+            &nl,
+            &NewtonOptions::default(),
+            Some(&guess),
+            AnalysisMode::Dc,
+            &mut scratch,
+        )
+        .expect("monolithic solve converges");
+        let red = solve_array(
+            &nl,
+            &partition,
+            &ArraySolveOptions::default(),
+            Some(&guess),
+            &mut scratch,
+        )
+        .expect("schur solve converges");
+        assert_within_tolerance(mono.raw(), red.raw());
+        assert!(
+            scratch.sparse_lu_nnz().is_some(),
+            "monolithic sparse LU ran"
+        );
+        assert!(
+            scratch.schur.iface_sparse.lu_nnz() > 0,
+            "interface sparse LU ran"
+        );
+        let largest = scratch.largest_dense_order();
+        assert!(largest < SPARSE_THRESHOLD, "a {largest}-order dense matrix");
     }
 
     #[test]

@@ -2,6 +2,12 @@
 //! allocated once and recycled across iterations, continuation stages,
 //! rescue rungs, retry attempts — and, when the caller threads one
 //! through, across whole campaigns of solves.
+//!
+//! Only a system below
+//! [`SPARSE_THRESHOLD`](crate::sparse::SPARSE_THRESHOLD) unknowns, or a
+//! block-Schur interface below it, is held in a dense matrix; a larger
+//! one lives in its sparse LU's CSC value slots, which assembly writes
+//! directly.
 
 use crate::error::Error;
 use crate::matrix::{DenseMatrix, LuWorkspace};
@@ -36,8 +42,11 @@ impl SolveCounters {
 
 /// Scratch buffers for [`solve_with_scratch`](crate::newton::solve_with_scratch).
 ///
-/// Holds the MNA matrix, right-hand side, iterate vectors, LU
-/// workspace, and the netlist's [`StampPlan`]. A fresh scratch is
+/// Holds the MNA system (a dense matrix below
+/// [`SPARSE_THRESHOLD`](crate::sparse::SPARSE_THRESHOLD) unknowns, the
+/// sparse backend's value slots at or above it), right-hand side,
+/// iterate vectors, LU workspaces, and the netlist's [`StampPlan`]. A
+/// fresh scratch is
 /// cheap (`new` allocates nothing); the first solve sizes it to the
 /// netlist and every later solve against the same structure runs with
 /// zero per-iteration heap allocations. Reusing one scratch across
@@ -45,8 +54,11 @@ impl SolveCounters {
 /// fingerprint triggers a resize-and-rebuild when the shape changes.
 #[derive(Debug, Clone, Default)]
 pub struct SolveScratch {
-    /// MNA system matrix; entries outside the stamp plan's touched set
-    /// are kept zero so the planned clear stays sound.
+    /// MNA system matrix of a system below
+    /// [`SPARSE_THRESHOLD`](crate::sparse::SPARSE_THRESHOLD) unknowns;
+    /// entries outside the stamp plan's touched set are kept zero so the
+    /// planned clear stays sound. A larger system assembles into the
+    /// sparse backend's value slots and leaves this empty.
     pub(crate) matrix: DenseMatrix,
     pub(crate) rhs: Vec<f64>,
     /// Current iterate.
@@ -62,8 +74,9 @@ pub struct SolveScratch {
     pub(crate) best: Vec<f64>,
     pub(crate) lu: LuWorkspace,
     pub(crate) plan: Option<StampPlan>,
-    /// Sparse backend, engaged above
-    /// [`SPARSE_THRESHOLD`](crate::sparse::SPARSE_THRESHOLD) unknowns.
+    /// Sparse backend, engaged at
+    /// [`SPARSE_THRESHOLD`](crate::sparse::SPARSE_THRESHOLD) unknowns
+    /// and above; it holds the system's value slots.
     pub(crate) sparse: SparseLu,
     /// Block-Schur reduction state (partition plan, macromodel cache,
     /// reduced-system buffers). Empty until the first partitioned solve.
@@ -98,13 +111,16 @@ impl SolveScratch {
     pub fn ensure(&mut self, netlist: &Netlist) {
         let n = netlist.num_unknowns();
         let plan_ok = self.plan.as_ref().is_some_and(|p| p.matches(netlist));
-        if plan_ok && self.matrix.order() == n && self.x.len() == n {
+        if plan_ok && self.x.len() == n {
             return;
         }
-        self.plan = Some(StampPlan::build(netlist));
+        let plan = StampPlan::build(netlist);
         // Full zeroing re-establishes the planned-clear invariant that
-        // untouched entries are zero.
-        self.matrix.resize_clear(n);
+        // untouched entries are zero; a sparse plan stages nothing
+        // densely.
+        self.matrix
+            .resize_clear(if plan.lu_structure().is_some() { n } else { 0 });
+        self.plan = Some(plan);
         for buf in [
             &mut self.rhs,
             &mut self.x,
@@ -121,10 +137,10 @@ impl SolveScratch {
     /// Sizes every buffer for a *partitioned* solve of `netlist`. The
     /// dense MNA matrix and the monolithic stamp plan are left alone:
     /// the partitioned path assembles into the Schur state's interface
-    /// matrix and per-block local systems, whose partition plan keys its own
-    /// staleness on the netlist's structural fingerprint. A 4096×64
-    /// array therefore never sorts the monolith's stamp offsets nor
-    /// allocates its dense matrix. The stamp plan and sparse pattern of
+    /// system and per-block local systems, whose partition plan keys its
+    /// own staleness on the netlist's structural fingerprint. A 4096×64
+    /// array therefore never plans the monolith, and its 4,233-unknown
+    /// interface accumulates in sparse value slots. The stamp plan and sparse pattern of
     /// earlier monolithic solves stay valid: each re-checks the
     /// structure it was built for before use.
     ///
@@ -183,6 +199,15 @@ impl SolveScratch {
     /// monolithic solve; block-Schur solves never build one.
     pub fn plan(&self) -> Option<&StampPlan> {
         self.plan.as_ref()
+    }
+
+    /// Order of the largest dense matrix the scratch holds.
+    #[cfg(test)]
+    pub(crate) fn largest_dense_order(&self) -> usize {
+        self.matrix
+            .order()
+            .max(self.lu.order())
+            .max(self.schur.largest_dense_order())
     }
 }
 

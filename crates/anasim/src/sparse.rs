@@ -3,25 +3,29 @@
 //! The dense core is unbeatable at the suite's regulator sizes (~40
 //! unknowns), but full-array electrical simulation needs thousands of
 //! unknowns where O(n³) dense elimination is hopeless. This module
-//! provides the scale path: the assembled [`DenseMatrix`] is gathered
-//! through the [`StampPlan`](crate::mna::StampPlan) touched offsets
-//! into compressed-sparse-column form (O(nnz), no dense scan), columns
-//! are pre-ordered with reverse Cuthill–McKee to contain fill, and a
-//! left-looking Gilbert–Peierls LU with row partial pivoting factors
-//! it in time proportional to the flops of the sparse factors.
+//! provides the scale path. A system at or above [`SPARSE_THRESHOLD`]
+//! is never staged densely: its plan (the monolithic
+//! [`StampPlan`](crate::mna::StampPlan), or the block-Schur partition
+//! plan for a reduced interface) fixes the system's CSC (compressed
+//! sparse column) pattern and, for every place a stamp can land, the
+//! value slot it accumulates into, so assembly writes straight into
+//! the factorization's input. Columns are pre-ordered with reverse
+//! Cuthill–McKee to contain fill, and a left-looking Gilbert–Peierls LU
+//! with row partial pivoting factors the slots in time proportional to
+//! the flops of the sparse factors.
 //!
 //! The backend is selected automatically by the Newton core once the
 //! system order reaches [`SPARSE_THRESHOLD`]; below that the dense
 //! path runs unchanged.
-//! [`SparseLu`] owns every buffer it needs and reuses them across
+//! The LU workspace owns every buffer it needs and reuses them across
 //! factorizations, honouring the same steady-state zero-allocation
-//! contract as [`LuWorkspace`](crate::matrix::LuWorkspace): pattern
-//! analysis and symbolic structures are rebuilt only when the netlist
+//! contract as [`LuWorkspace`](crate::matrix::LuWorkspace): the
+//! ordering and the scratch sizes are rebuilt only when the system
 //! structure (order + structural fingerprint) changes, and numeric
 //! refactorization reuses the factor arrays' capacity.
 
 use crate::error::Error;
-use crate::matrix::{DenseMatrix, REL_PIVOT_TOL};
+use crate::matrix::REL_PIVOT_TOL;
 
 /// System order at and above which the Newton core factors through the
 /// sparse backend instead of dense LU. Chosen where dense O(n³) work
@@ -30,26 +34,160 @@ use crate::matrix::{DenseMatrix, REL_PIVOT_TOL};
 /// (~40 unknowns) stay dense and bit-identical to previous releases.
 pub const SPARSE_THRESHOLD: usize = 128;
 
+/// Stable counting sort of `(key, value)` pairs by key (`key < keys`):
+/// returns each key's start offset into the returned values, `keys + 1`
+/// offsets in all. Walks `pairs` twice, to count and to place, with
+/// internal iteration (`for_each`) so chained and nested pair sources
+/// compile to plain loops.
+pub(crate) fn bucket_by_key<I>(keys: usize, pairs: I) -> (Vec<usize>, Vec<u32>)
+where
+    I: Iterator<Item = (u32, u32)> + Clone,
+{
+    let mut starts = vec![0usize; keys + 1];
+    pairs.clone().for_each(|(k, _)| starts[k as usize + 1] += 1);
+    for k in 1..=keys {
+        starts[k] += starts[k - 1];
+    }
+    let mut values = vec![0u32; starts[keys]];
+    let mut cursor = starts.clone();
+    pairs.for_each(|(k, v)| {
+        values[cursor[k as usize]] = v;
+        cursor[k as usize] += 1;
+    });
+    (starts, values)
+}
+
+/// The nonzero pattern of a system assembled straight into sparse
+/// storage, in CSC form: column `c` holds the rows
+/// `rows[colptr[c]..colptr[c + 1]]`, ascending, and position `k` of
+/// `rows` is the value slot of that entry.
+#[derive(Debug, Clone)]
+pub(crate) struct CscPattern {
+    colptr: Vec<usize>,
+    rows: Vec<u32>,
+}
+
+impl CscPattern {
+    /// The pattern of an `n × n` system holding every `(row, col)` of
+    /// `entries`, duplicates allowed. Linear in `n` plus the entries:
+    /// they are bucketed by row, deduplicated row by row with generation
+    /// marks (`mark[c] == r` once row `r` has kept column `c`), then
+    /// counted into columns, which leaves each column's rows ascending.
+    pub(crate) fn from_entries<I>(n: usize, entries: I) -> Self
+    where
+        I: Iterator<Item = (u32, u32)> + Clone,
+    {
+        let (mut row_start, mut cols) = bucket_by_key(n, entries);
+        let mut mark = vec![u32::MAX; n];
+        let mut kept = 0usize;
+        for r in 0..n {
+            let (lo, hi) = (row_start[r], row_start[r + 1]);
+            row_start[r] = kept;
+            for k in lo..hi {
+                let c = cols[k];
+                if mark[c as usize] != r as u32 {
+                    mark[c as usize] = r as u32;
+                    cols[kept] = c;
+                    kept += 1;
+                }
+            }
+        }
+        row_start[n] = kept;
+        cols.truncate(kept);
+        let (colptr, rows) = bucket_by_key(
+            n,
+            (0..n).flat_map(|r| {
+                cols[row_start[r]..row_start[r + 1]]
+                    .iter()
+                    .map(move |&c| (c, r as u32))
+            }),
+        );
+        CscPattern { colptr, rows }
+    }
+
+    /// System order.
+    pub(crate) fn order(&self) -> usize {
+        self.colptr.len() - 1
+    }
+
+    /// Number of entries (value slots).
+    pub(crate) fn nnz(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Rows of column `c`, ascending; their slots start at
+    /// `self.colptr[c]`.
+    fn column(&self, c: usize) -> &[u32] {
+        &self.rows[self.colptr[c]..self.colptr[c + 1]]
+    }
+
+    /// Flat row-major offsets of every entry, column by column, for a
+    /// dense matrix staging a system below [`SPARSE_THRESHOLD`].
+    pub(crate) fn offsets(&self) -> Vec<usize> {
+        let n = self.order();
+        (0..n)
+            .flat_map(|c| self.column(c).iter().map(move |&r| r as usize * n + c))
+            .collect()
+    }
+
+    /// Numbers the value slots of the explicit `entries`, in order, and
+    /// of the diagonals `(i, i)` for `i < diagonals`, all of which the
+    /// pattern must hold, in one pass over the columns with no search:
+    /// each column's rows are mapped to their slots (`slot_of_row`),
+    /// then the entries bucketed on that column read their slot off the
+    /// map. `visit(c, slot_of_row)` runs in the same pass, after column
+    /// `c`'s map is set, for callers with implicit entries of their own;
+    /// it may read `slot_of_row[r]` for every row `r` of column `c`.
+    pub(crate) fn number_slots(
+        &self,
+        entries: &[(u32, u32)],
+        diagonals: usize,
+        mut visit: impl FnMut(usize, &[u32]),
+    ) -> (Vec<u32>, Vec<u32>) {
+        let n = self.order();
+        assert!(
+            u32::try_from(self.nnz()).is_ok(),
+            "more CSC slots than u32 indexes"
+        );
+        let (start, ids) = bucket_by_key(
+            n,
+            entries.iter().enumerate().map(|(e, &(_, c))| (c, e as u32)),
+        );
+        let mut slots = vec![0u32; entries.len()];
+        let mut diag = vec![0u32; diagonals];
+        let mut slot_of_row = vec![0u32; n];
+        for c in 0..n {
+            let first = self.colptr[c];
+            for (k, &r) in self.column(c).iter().enumerate() {
+                slot_of_row[r as usize] = (first + k) as u32;
+            }
+            for &e in &ids[start[c]..start[c + 1]] {
+                slots[e as usize] = slot_of_row[entries[e as usize].0 as usize];
+            }
+            if c < diagonals {
+                diag[c] = slot_of_row[c];
+            }
+            visit(c, &slot_of_row);
+        }
+        (slots, diag)
+    }
+}
+
 const EMPTY: usize = usize::MAX;
 
-/// Reusable sparse LU workspace: cached pattern + ordering, factors,
-/// and all numeric scratch.
+/// Reusable sparse LU workspace: the value slots of the system being
+/// assembled, the cached ordering, factors, and all numeric scratch.
 #[derive(Debug, Clone, Default)]
-pub struct SparseLu {
+pub(crate) struct SparseLu {
     // -- cached symbolic state (keyed on order + structural fp) -------
     n: usize,
     struct_fp: u64,
-    /// CSC pattern of the assembled system: column pointers…
-    a_colptr: Vec<usize>,
-    /// …row indices…
-    a_rows: Vec<usize>,
-    /// …and for each touched flat offset (in plan order) the CSC value
-    /// slot it lands in, so a numeric refill is one gather pass.
-    scatter: Vec<usize>,
     /// RCM column preorder: `q[j]` = original column factored at
     /// position `j`.
     q: Vec<usize>,
     // -- numeric values of the current matrix -------------------------
+    /// One value per slot of the system's [`CscPattern`], written by
+    /// assembly.
     a_vals: Vec<f64>,
     // -- factors ------------------------------------------------------
     l_colptr: Vec<usize>,
@@ -82,53 +220,34 @@ pub struct SparseLu {
 }
 
 impl SparseLu {
-    /// Creates an empty workspace; all buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether the cached pattern still describes `(n, struct_fp)`.
-    fn pattern_valid(&self, n: usize, struct_fp: u64) -> bool {
-        self.n == n && self.struct_fp == struct_fp && !self.a_colptr.is_empty()
+    /// Whether the cached ordering still describes `(n, struct_fp)`.
+    fn ordering_valid(&self, n: usize, struct_fp: u64) -> bool {
+        self.n == n && self.struct_fp == struct_fp && self.q.len() == n
     }
 
     /// Number of stored nonzeros in the L and U factors of the last
     /// factorization (diagnostic / fill-in fingerprint).
-    pub fn lu_nnz(&self) -> usize {
+    pub(crate) fn lu_nnz(&self) -> usize {
         self.l_rows.len() + self.u_rows.len() + self.u_diag.len()
     }
 
-    /// Builds the CSC pattern and the RCM column preorder from the
-    /// plan's touched offsets. Called automatically by
-    /// [`SparseLu::factor`] when the cached pattern is stale.
-    fn build_pattern(&mut self, n: usize, struct_fp: u64, touched: &[usize]) {
-        self.n = n;
-        self.struct_fp = struct_fp;
-        // Counting sort of the row-major touched offsets into CSC.
-        self.a_colptr.clear();
-        self.a_colptr.resize(n + 1, 0);
-        for &k in touched {
-            self.a_colptr[k % n + 1] += 1;
-        }
-        for c in 0..n {
-            self.a_colptr[c + 1] += self.a_colptr[c];
-        }
-        let nnz = touched.len();
-        self.a_rows.clear();
-        self.a_rows.resize(nnz, 0);
-        self.scatter.clear();
-        self.scatter.resize(nnz, 0);
-        let mut cursor: Vec<usize> = self.a_colptr[..n].to_vec();
-        for (t, &k) in touched.iter().enumerate() {
-            let col = k % n;
-            let pos = cursor[col];
-            cursor[col] += 1;
-            self.a_rows[pos] = k / n;
-            self.scatter[t] = pos;
-        }
+    /// Zeroes the value slots for a fresh assembly over a pattern of
+    /// `nnz` entries and returns them for stamping. Allocation-free once
+    /// the slots have grown to `nnz`.
+    pub(crate) fn clear_values(&mut self, nnz: usize) -> &mut [f64] {
         self.a_vals.clear();
         self.a_vals.resize(nnz, 0.0);
-        self.build_rcm();
+        &mut self.a_vals
+    }
+
+    /// Computes the RCM column preorder of `pattern` and sizes the
+    /// numeric scratch. Called automatically by [`SparseLu::factor`]
+    /// when the cached ordering is stale.
+    fn analyze(&mut self, pattern: &CscPattern, struct_fp: u64) {
+        let n = pattern.order();
+        self.n = n;
+        self.struct_fp = struct_fp;
+        self.build_rcm(pattern);
         // Size the numeric scratch once per pattern.
         self.w.clear();
         self.w.resize(n, 0.0);
@@ -147,15 +266,13 @@ impl SparseLu {
     /// component, neighbors visited in increasing degree, the whole
     /// order reversed. Bandwidth containment is what keeps
     /// Gilbert–Peierls fill low on ladder/array topologies.
-    fn build_rcm(&mut self) {
+    fn build_rcm(&mut self, pattern: &CscPattern) {
         let n = self.n;
         self.degree.clear();
         self.degree.resize(n, 0);
         for c in 0..n {
-            let deg = (self.a_colptr[c + 1] - self.a_colptr[c]).saturating_sub(usize::from(
-                self.a_rows[self.a_colptr[c]..self.a_colptr[c + 1]].contains(&c),
-            ));
-            self.degree[c] = deg;
+            let rows = pattern.column(c);
+            self.degree[c] = rows.len() - usize::from(rows.contains(&(c as u32)));
         }
         self.visited.clear();
         self.visited.resize(n, false);
@@ -175,8 +292,8 @@ impl SparseLu {
                 head += 1;
                 self.order.push(u);
                 self.neighbors.clear();
-                for idx in self.a_colptr[u]..self.a_colptr[u + 1] {
-                    let v = self.a_rows[idx];
+                for &v in pattern.column(u) {
+                    let v = v as usize;
                     if v != u && !self.visited[v] {
                         self.visited[v] = true;
                         self.neighbors.push(v);
@@ -230,10 +347,10 @@ impl SparseLu {
         }
     }
 
-    /// Numerically factors the assembled system. The matrix values are
-    /// gathered through `touched` (the plan's sorted flat offsets);
-    /// the pattern/ordering is rebuilt only when `(n, struct_fp)`
-    /// changed since the last call.
+    /// Numerically factors the system whose values assembly left in
+    /// the slots of `pattern` ([`SparseLu::clear_values`]); the ordering
+    /// is rebuilt only when `(n, struct_fp)` changed since the last
+    /// call.
     ///
     /// # Errors
     ///
@@ -242,19 +359,15 @@ impl SparseLu {
     /// core). Its `pivot_row` is that column's own index — the unknown
     /// it solves for, as the dense core reports — not its position in
     /// the RCM order.
-    pub fn factor(
-        &mut self,
-        matrix: &DenseMatrix,
-        struct_fp: u64,
-        touched: &[usize],
-    ) -> Result<(), Error> {
-        let n = matrix.order();
-        if !self.pattern_valid(n, struct_fp) {
-            self.build_pattern(n, struct_fp, touched);
-        }
-        // Gather numeric values into the cached CSC slots.
-        for (t, &k) in touched.iter().enumerate() {
-            self.a_vals[self.scatter[t]] = matrix.get_at_offset(k);
+    pub(crate) fn factor(&mut self, pattern: &CscPattern, struct_fp: u64) -> Result<(), Error> {
+        let n = pattern.order();
+        debug_assert_eq!(
+            self.a_vals.len(),
+            pattern.nnz(),
+            "values of another pattern"
+        );
+        if !self.ordering_valid(n, struct_fp) {
+            self.analyze(pattern, struct_fp);
         }
         // Reset factor state (capacity retained).
         self.l_colptr.clear();
@@ -274,15 +387,16 @@ impl SparseLu {
             // Symbolic: reach of A(:,col) through existing L columns.
             self.pattern.clear();
             self.generation += 1;
-            for idx in self.a_colptr[col]..self.a_colptr[col + 1] {
-                self.dfs_reach(self.a_rows[idx]);
+            for &r in pattern.column(col) {
+                self.dfs_reach(r as usize);
             }
             // Numeric: sparse lower-triangular solve into w.
             for pi in 0..self.pattern.len() {
                 self.w[self.pattern[pi]] = 0.0;
             }
-            for idx in self.a_colptr[col]..self.a_colptr[col + 1] {
-                self.w[self.a_rows[idx]] = self.a_vals[idx];
+            let first = pattern.colptr[col];
+            for (k, &r) in pattern.column(col).iter().enumerate() {
+                self.w[r as usize] = self.a_vals[first + k];
             }
             for pi in (0..self.pattern.len()).rev() {
                 let i = self.pattern[pi];
@@ -359,7 +473,7 @@ impl SparseLu {
     /// # Panics
     ///
     /// Panics if no factorization is held or the lengths mismatch.
-    pub fn solve_into(&mut self, b: &[f64], out: &mut [f64]) {
+    pub(crate) fn solve_into(&mut self, b: &[f64], out: &mut [f64]) {
         assert!(self.factored, "solve_into before a successful factor");
         let n = self.n;
         assert_eq!(b.len(), n);
@@ -397,26 +511,39 @@ impl SparseLu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::LuWorkspace;
+    use crate::matrix::{DenseMatrix, LuWorkspace};
 
-    /// Dense reference + sparse factorization of the same system,
-    /// built from an explicit touched-offset list.
+    /// Assembles `(row, col, value)` entries into `sp`'s value slots over
+    /// their own pattern, as a plan-driven assembly would, and returns
+    /// the pattern.
+    fn assemble(sp: &mut SparseLu, n: usize, entries: &[(usize, usize, f64)]) -> CscPattern {
+        let pairs: Vec<(u32, u32)> = entries
+            .iter()
+            .map(|&(r, c, _)| (r as u32, c as u32))
+            .collect();
+        let pattern = CscPattern::from_entries(n, pairs.iter().copied());
+        let (slots, _) = pattern.number_slots(&pairs, 0, |_, _| {});
+        let vals = sp.clear_values(pattern.nnz());
+        for (&slot, &(_, _, v)) in slots.iter().zip(entries) {
+            vals[slot as usize] += v;
+        }
+        pattern
+    }
+
+    /// Dense reference + sparse factorization of the same system.
     fn check_roundtrip(n: usize, entries: &[(usize, usize, f64)], b: &[f64]) {
         let mut dense = DenseMatrix::zeros(n);
-        let mut touched: Vec<usize> = Vec::new();
         for &(r, c, v) in entries {
             dense.add(r, c, v);
-            touched.push(r * n + c);
         }
-        touched.sort_unstable();
-        touched.dedup();
         let mut ws = LuWorkspace::new();
         ws.factor_from(&dense).expect("dense reference factors");
         let mut x_ref = vec![0.0; n];
         ws.solve_into(b, &mut x_ref);
 
-        let mut sp = SparseLu::new();
-        sp.factor(&dense, 0xfeed, &touched).expect("sparse factors");
+        let mut sp = SparseLu::default();
+        let pattern = assemble(&mut sp, n, entries);
+        sp.factor(&pattern, 0xfeed).expect("sparse factors");
         let mut x = vec![0.0; n];
         sp.solve_into(b, &mut x);
         for i in 0..n {
@@ -427,6 +554,25 @@ mod tests {
                 x_ref[i]
             );
         }
+    }
+
+    #[test]
+    fn pattern_dedups_entries_and_numbers_their_slots() {
+        // Entries out of order and repeated: each column lists its rows
+        // once and ascending, and every entry, repeat or not, gets the
+        // slot of its position.
+        let entries = [(2, 0), (0, 0), (1, 2), (2, 0), (0, 2), (1, 1), (0, 0)];
+        let pattern = CscPattern::from_entries(3, entries.iter().copied());
+        assert_eq!(pattern.colptr, [0, 2, 3, 5]);
+        assert_eq!(pattern.rows, [0, 2, 1, 0, 1]);
+        assert_eq!(pattern.offsets(), [0, 6, 4, 2, 5]);
+        let mut visited = Vec::new();
+        let (slots, diag) = pattern.number_slots(&entries, 2, |c, slot_of_row| {
+            visited.extend(pattern.column(c).iter().map(|&r| slot_of_row[r as usize]));
+        });
+        assert_eq!(slots, [1, 0, 4, 1, 3, 2, 0]);
+        assert_eq!(diag, [0, 2]);
+        assert_eq!(visited, [0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -485,35 +631,39 @@ mod tests {
         check_roundtrip(n, &entries, &b);
     }
 
+    /// A tridiagonal system with diagonal `diag(i)`.
+    fn tridiagonal(n: usize, diag: impl Fn(usize) -> f64) -> Vec<(usize, usize, f64)> {
+        let mut entries = Vec::new();
+        for i in 0..n {
+            entries.push((i, i, diag(i)));
+            if i + 1 < n {
+                entries.push((i, i + 1, -1.0));
+                entries.push((i + 1, i, -1.0));
+            }
+        }
+        entries
+    }
+
     #[test]
     fn refactorization_reuses_pattern_and_stays_correct() {
         let n = 50;
-        let mut dense = DenseMatrix::zeros(n);
-        let mut touched: Vec<usize> = Vec::new();
-        for i in 0..n {
-            dense.add(i, i, 3.0);
-            touched.push(i * n + i);
-            if i + 1 < n {
-                dense.add(i, i + 1, -1.0);
-                dense.add(i + 1, i, -1.0);
-                touched.push(i * n + i + 1);
-                touched.push((i + 1) * n + i);
-            }
-        }
-        touched.sort_unstable();
         let b: Vec<f64> = (0..n).map(|i| (i % 5) as f64).collect();
-        let mut sp = SparseLu::new();
-        sp.factor(&dense, 0xabc, &touched).unwrap();
+        let mut sp = SparseLu::default();
+        let pattern = assemble(&mut sp, n, &tridiagonal(n, |_| 3.0));
+        sp.factor(&pattern, 0xabc).unwrap();
         let mut x1 = vec![0.0; n];
         sp.solve_into(&b, &mut x1);
         let nnz1 = sp.lu_nnz();
         // Change values only; the second factor must reuse the cached
-        // pattern (same struct_fp) and still agree with dense.
-        for i in 0..n {
-            dense.set(i, i, 4.0 + (i as f64) * 0.01);
-        }
-        sp.factor(&dense, 0xabc, &touched).unwrap();
+        // ordering (same struct_fp) and still agree with dense.
+        let entries = tridiagonal(n, |i| 4.0 + (i as f64) * 0.01);
+        assemble(&mut sp, n, &entries);
+        sp.factor(&pattern, 0xabc).unwrap();
         assert_eq!(sp.lu_nnz(), nnz1, "same pattern, same fill");
+        let mut dense = DenseMatrix::zeros(n);
+        for &(r, c, v) in &entries {
+            dense.add(r, c, v);
+        }
         let mut ws = LuWorkspace::new();
         ws.factor_from(&dense).unwrap();
         let mut x_ref = vec![0.0; n];
@@ -527,14 +677,10 @@ mod tests {
 
     #[test]
     fn singular_system_is_rejected() {
-        let n = 3;
-        let mut dense = DenseMatrix::zeros(n);
-        // Column 2 is all-zero.
-        dense.add(0, 0, 1.0);
-        dense.add(1, 1, 1.0);
-        let touched = vec![0, n + 1, 2 * n + 2];
-        let mut sp = SparseLu::new();
-        match sp.factor(&dense, 1, &touched) {
+        // Column 2 holds only a structural zero.
+        let mut sp = SparseLu::default();
+        let pattern = assemble(&mut sp, 3, &[(0, 0, 1.0), (1, 1, 1.0), (2, 2, 0.0)]);
+        match sp.factor(&pattern, 1) {
             Err(Error::SingularMatrix { .. }) => {}
             other => panic!("expected singular, got {other:?}"),
         }
@@ -547,20 +693,16 @@ mod tests {
         // last, at position 5 — the index of a healthy column. The
         // report must name column 4 itself.
         let n = 6;
-        let mut dense = DenseMatrix::zeros(n);
-        let mut touched: Vec<usize> = Vec::new();
-        for i in [0, 1, 2, 3, 5] {
-            dense.add(i, i, 2.0);
-        }
+        let mut entries: Vec<(usize, usize, f64)> = (0..n)
+            .map(|i| (i, i, if i == 4 { 0.0 } else { 2.0 }))
+            .collect();
         for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 5)] {
-            dense.add(a, b, -1.0);
-            dense.add(b, a, -1.0);
-            touched.extend([a * n + b, b * n + a]);
+            entries.push((a, b, -1.0));
+            entries.push((b, a, -1.0));
         }
-        touched.extend((0..n).map(|i| i * n + i));
-        touched.sort_unstable();
-        let mut sp = SparseLu::new();
-        match sp.factor(&dense, 3, &touched) {
+        let mut sp = SparseLu::default();
+        let pattern = assemble(&mut sp, n, &entries);
+        match sp.factor(&pattern, 3) {
             Err(Error::SingularMatrix { pivot_row, .. }) => {
                 assert_eq!(sp.q[5], 4, "the empty column is factored last");
                 assert_eq!(pivot_row, 4);
@@ -574,21 +716,9 @@ mod tests {
         // On a pure path the RCM order must be one of the two
         // end-to-end traversals (bandwidth 1).
         let n = 9;
-        let mut dense = DenseMatrix::zeros(n);
-        let mut touched: Vec<usize> = Vec::new();
-        for i in 0..n {
-            dense.add(i, i, 2.0);
-            touched.push(i * n + i);
-            if i + 1 < n {
-                dense.add(i, i + 1, -1.0);
-                dense.add(i + 1, i, -1.0);
-                touched.push(i * n + i + 1);
-                touched.push((i + 1) * n + i);
-            }
-        }
-        touched.sort_unstable();
-        let mut sp = SparseLu::new();
-        sp.factor(&dense, 2, &touched).unwrap();
+        let mut sp = SparseLu::default();
+        let pattern = assemble(&mut sp, n, &tridiagonal(n, |_| 2.0));
+        sp.factor(&pattern, 2).unwrap();
         let q = sp.q.clone();
         let forward: Vec<usize> = (0..n).collect();
         let backward: Vec<usize> = (0..n).rev().collect();

@@ -83,27 +83,45 @@ fn threshold_inverter() -> Netlist {
     nl
 }
 
-#[test]
-fn plain_newton_path_allocates_nothing_per_iteration() {
-    let nl = threshold_inverter();
+/// The threshold inverter driving a 130-segment resistor ladder: past
+/// `SPARSE_THRESHOLD` unknowns, so every Newton iteration assembles
+/// into the sparse backend's value slots and factors there.
+fn laddered_threshold_inverter() -> Netlist {
+    let mut nl = threshold_inverter();
+    let mut node = nl.find_node("out").expect("node");
+    for i in 0..130 {
+        let next = nl.node(&format!("l{i}"));
+        nl.resistor(&format!("R{i}"), node, next, 1.0e6)
+            .expect("valid");
+        node = next;
+    }
+    nl.resistor("Rend", node, Netlist::GND, 1.0e6)
+        .expect("valid");
+    nl
+}
+
+/// Solves `nl` cold and warm in one sized scratch: the two runs take
+/// different iteration counts, so equal allocation counts mean nothing
+/// is allocated per iteration.
+fn assert_iterations_allocate_nothing(nl: &Netlist) {
     let opts = NewtonOptions::default();
     let mut scratch = SolveScratch::new();
 
     // First solve sizes the scratch (and the allocator's own warmup).
-    let first = solve_with_scratch(&nl, &opts, None, AnalysisMode::Dc, &mut scratch)
-        .expect("inverter solves");
+    let first = solve_with_scratch(nl, &opts, None, AnalysisMode::Dc, &mut scratch)
+        .expect("circuit solves");
 
     // Cold solve: many damped iterations through the transition region.
     let before_cold = allocations();
-    let cold = solve_with_scratch(&nl, &opts, None, AnalysisMode::Dc, &mut scratch)
-        .expect("inverter solves");
+    let cold = solve_with_scratch(nl, &opts, None, AnalysisMode::Dc, &mut scratch)
+        .expect("circuit solves");
     let cold_allocs = allocations() - before_cold;
 
     // Warm solve from the converged state: almost no iterations.
     let x0 = first.raw().to_vec();
     let before_warm = allocations();
-    let warm = solve_with_scratch(&nl, &opts, Some(&x0), AnalysisMode::Dc, &mut scratch)
-        .expect("inverter solves warm");
+    let warm = solve_with_scratch(nl, &opts, Some(&x0), AnalysisMode::Dc, &mut scratch)
+        .expect("circuit solves warm");
     let warm_allocs = allocations() - before_warm;
 
     assert!(
@@ -125,6 +143,18 @@ fn plain_newton_path_allocates_nothing_per_iteration() {
         cold_allocs <= 2,
         "a scratch solve may only allocate its result, got {cold_allocs}"
     );
+}
+
+#[test]
+fn plain_newton_path_allocates_nothing_per_iteration() {
+    assert_iterations_allocate_nothing(&threshold_inverter());
+}
+
+#[test]
+fn sparse_newton_path_allocates_nothing_per_iteration() {
+    let nl = laddered_threshold_inverter();
+    assert!(nl.num_unknowns() >= anasim::sparse::SPARSE_THRESHOLD);
+    assert_iterations_allocate_nothing(&nl);
 }
 
 /// A chain of cross-coupled latches sharing one supply rail — the
@@ -182,14 +212,15 @@ fn latch_chain(cells: usize, active: usize) -> (Netlist, Vec<NodeId>, Partition)
     (nl, highs, partition)
 }
 
-#[test]
-fn warm_partitioned_array_resolve_allocates_nothing_per_iteration() {
-    // Steady-state contract of the block-Schur path: once the scratch
-    // is sized and the macromodel cache holds every value class of the
-    // converged operating point, a re-solve allocates only its returned
-    // Solution — assembly, cache lookups, interface factorization and
-    // block back-substitution all run in held buffers.
-    let (nl, highs, partition) = latch_chain(8, 1);
+/// Steady-state contract of the block-Schur path on `latch_chain(cells,
+/// active)`: once the scratch is sized and the macromodel cache holds
+/// every value class of the converged operating point, a re-solve
+/// allocates only its returned Solution — assembly, cache lookups,
+/// interface factorization and block back-substitution all run in held
+/// buffers.
+/// Returns the interface order.
+fn assert_warm_partitioned_resolve_allocates_nothing(cells: usize, active: usize) -> usize {
+    let (nl, highs, partition) = latch_chain(cells, active);
     let opts = ArraySolveOptions::default();
     let mut scratch = SolveScratch::new();
 
@@ -226,6 +257,10 @@ fn warm_partitioned_array_resolve_allocates_nothing_per_iteration() {
         warm.stats.iterations >= 1,
         "a solve runs at least one iteration"
     );
+    assert_eq!(
+        scratch.schur_interface_unknowns(),
+        Some(partition.interface_unknowns())
+    );
     let counters = scratch.counters();
     assert_eq!(
         counters.schur_blocks_rebuilt, 0,
@@ -236,6 +271,22 @@ fn warm_partitioned_array_resolve_allocates_nothing_per_iteration() {
         warm_allocs <= 2,
         "a warm partitioned re-solve may only allocate its result, got {warm_allocs}"
     );
+    partition.interface_unknowns()
+}
+
+#[test]
+fn warm_partitioned_array_resolve_allocates_nothing_per_iteration() {
+    // A 5-unknown interface: factored densely.
+    assert_eq!(assert_warm_partitioned_resolve_allocates_nothing(8, 1), 5);
+}
+
+#[test]
+fn warm_sparse_interface_resolve_allocates_nothing_per_iteration() {
+    // 64 active latches put 131 unknowns in the interface, which
+    // accumulates in the sparse backend's value slots.
+    let interface = assert_warm_partitioned_resolve_allocates_nothing(72, 64);
+    assert_eq!(interface, 131);
+    assert!(interface >= anasim::sparse::SPARSE_THRESHOLD);
 }
 
 #[test]

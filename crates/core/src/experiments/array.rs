@@ -209,17 +209,23 @@ pub fn run(options: &ArrayRetentionOptions) -> Result<ArrayRetentionReport, anas
         |(scenario, supply)| {
             let mut spec = ArraySpec::retention(options.rows, options.cols, *supply, base);
             spec.active = scenario.active.clone();
-            let built = spec.build()?;
+            let built = {
+                let _span = obs::span("array_build");
+                spec.build()?
+            };
             // A fresh scratch per point: the counters below are this
             // solve's alone, and workers share no mutable state.
             let mut scratch = SolveScratch::new();
-            let sol = solve_array(
-                &built.netlist,
-                &built.partition,
-                &options.solve,
-                Some(&built.guess()),
-                &mut scratch,
-            )?;
+            let sol = {
+                let _span = obs::span("array_solve");
+                solve_array(
+                    &built.netlist,
+                    &built.partition,
+                    &options.solve,
+                    Some(&built.guess()),
+                    &mut scratch,
+                )?
+            };
             let grid = built.retained(&sol);
             let flipped: Vec<(usize, usize)> = grid
                 .iter()
@@ -280,7 +286,50 @@ mod tests {
     }
 
     #[test]
+    fn each_point_records_its_build_and_solve() {
+        // One `array_build` and one `array_solve` span per point, on
+        // whichever thread ran it, and one interface-size sample per
+        // partitioned solve: the size is not summed over the points.
+        let _obs = crate::campaign::tests::obs_lock();
+        let span_count = |snapshot: &obs::Snapshot, leaf: &str| -> u64 {
+            snapshot
+                .spans
+                .iter()
+                .filter(|(path, _)| path.rsplit('/').next() == Some(leaf))
+                .map(|(_, stat)| stat.count)
+                .sum()
+        };
+        const SIZES: &str = "schur.interface_unknowns";
+        let samples =
+            |snapshot: &obs::Snapshot| snapshot.histograms.get(SIZES).map_or(0, |h| h.count());
+        for jobs in [1, 2] {
+            let before = obs::snapshot();
+            let report = run(&ArrayRetentionOptions { jobs, ..tiny() }).expect("tiny map solves");
+            let after = obs::snapshot();
+            let points = report.points.len() as u64;
+            for leaf in ["array_build", "array_solve"] {
+                assert_eq!(
+                    span_count(&after, leaf) - span_count(&before, leaf),
+                    points,
+                    "{leaf} at --jobs {jobs}"
+                );
+            }
+            assert_eq!(samples(&after) - samples(&before), points);
+            let largest = report.points.iter().map(|p| p.interface_unknowns).max();
+            assert_eq!(
+                after.histograms[SIZES].max(),
+                largest.expect("points") as f64
+            );
+            assert!(!after.counters.contains_key(SIZES), "sizes are not counted");
+        }
+    }
+
+    #[test]
     fn retention_map_counts_exactly_the_injected_defects() {
+        // Every test running a map holds the lock, for
+        // `each_point_records_its_build_and_solve`, which counts what
+        // array runs publish.
+        let _obs = crate::campaign::tests::obs_lock();
         let report = run(&tiny()).expect("tiny map solves");
         assert_eq!(report.points.len(), 3);
         for (point, expected) in report.points.iter().zip([0usize, 1, 3]) {
@@ -312,6 +361,7 @@ mod tests {
 
     #[test]
     fn report_is_byte_identical_across_job_counts() {
+        let _obs = crate::campaign::tests::obs_lock();
         let sequential = run(&tiny()).expect("jobs=1 solves");
         let parallel = run(&ArrayRetentionOptions { jobs: 2, ..tiny() }).expect("jobs=2 solves");
         assert_eq!(

@@ -191,7 +191,15 @@ impl ArraySpec {
     ///
     /// Panics when an active or forced cell lies outside the array.
     pub fn build(&self) -> Result<ArrayNetlist, anasim::Error> {
-        let mut nl = Netlist::new();
+        // Supply, rail, word lines, bit-line pairs and two storage nodes
+        // per cell; two supply devices, one tie per shared net, six
+        // transistors per cell and at most one bridge per active cell.
+        let cells = self.rows * self.cols;
+        let bridges = self.active.iter().filter(|a| a.bridge_ohms.is_some());
+        let mut nl = Netlist::with_capacity(
+            2 + self.rows + 2 * self.cols + 2 * cells,
+            2 + self.rows + 2 * self.cols + 6 * cells + bridges.count(),
+        );
         // One buffer serves every formatted name: the netlist interns
         // its own copy, so naming the cells allocates nothing per name.
         let mut buf = String::new();

@@ -11,17 +11,26 @@ use anasim::{solve_array, ArraySolveOptions, NewtonOptions, SolveScratch};
 use process::PvtCondition;
 use sram::{ActiveCell, ArraySpec, CellInstance, StoredBit};
 
-/// Distinct injection sites, all inside even the 16-row arrays. A
-/// 1 kΩ S–SB bridge at 0.5 V supply collapses the cell's state, so
-/// every injected defect must show up in the verdict grid.
+/// Distinct injection sites, all inside even the 16-row arrays (an
+/// array narrower than 8 columns takes each site's column modulo its
+/// width). A 1 kΩ S–SB bridge at 0.5 V supply collapses the cell's
+/// state, so every injected defect must show up in the verdict grid.
 const DEFECT_SITES: [(usize, usize); 3] = [(1, 2), (7, 5), (12, 0)];
 const BRIDGE_OHMS: f64 = 1.0e3;
 const SUPPLY: f64 = 0.5;
 
+/// The first `defects` injection sites of a `cols`-wide array.
+fn defect_sites(cols: usize, defects: usize) -> impl Iterator<Item = (usize, usize)> {
+    DEFECT_SITES
+        .into_iter()
+        .take(defects)
+        .map(move |(r, c)| (r, c % cols))
+}
+
 fn build_spec(rows: usize, cols: usize, defects: usize) -> ArraySpec {
     let base = CellInstance::symmetric(PvtCondition::nominal());
     let mut spec = ArraySpec::retention(rows, cols, SUPPLY, base);
-    for &(r, c) in DEFECT_SITES.iter().take(defects) {
+    for (r, c) in defect_sites(cols, defects) {
         spec.active
             .push(ActiveCell::bridged(r, c, StoredBit::One, BRIDGE_OHMS));
     }
@@ -84,7 +93,7 @@ fn assert_paths_agree(rows: usize, cols: usize, defects: usize) -> Reduction {
     // Identical retention verdicts, and every injected bridge flipped.
     let grid = built.retained(&reduced);
     assert_eq!(grid, built.retained(&mono), "verdict grids diverged");
-    for &(r, c) in DEFECT_SITES.iter().take(defects) {
+    for (r, c) in defect_sites(cols, defects) {
         assert!(!grid[r * cols + c], "bridged cell ({r},{c}) must flip");
     }
     assert_eq!(
@@ -148,16 +157,28 @@ fn equivalence_64x8_three_defects() {
     assert_paths_agree(64, 8, 3);
 }
 
-/// Full paper-scale column stripe. The monolithic reference assembles
-/// an 8 723² dense matrix (~0.6 GB) before gathering into sparse, so
-/// this stays out of tier-1; CI runs it in release with
-/// `cargo test --release -p sram --test array_schur -- --ignored`.
+/// A tall, narrow stripe: 128 word lines put the interface past
+/// `SPARSE_THRESHOLD`, so the Schur side factors its interface from
+/// sparse value slots, while the 647-unknown monolith stays cheap
+/// enough for a debug build.
+#[test]
+fn equivalence_128x2_three_defects_sparse_interface() {
+    let r = assert_paths_agree(128, 2, 3);
+    assert_eq!((r.unknowns, r.interface), (647, 141));
+    assert!(r.interface >= anasim::sparse::SPARSE_THRESHOLD);
+}
+
+/// Full paper-scale column stripe. Its monolithic reference factors
+/// 8,723 unknowns whose RCM-ordered sparse LU fills in to a large
+/// fraction of n² (917 s and 367 MB peak RSS in release on a 2-vCPU
+/// Xeon guest), so this stays out of tier-1; CI runs it in release
+/// with `cargo test --release -p sram --test array_schur -- --ignored`.
 ///
 /// The Schur side is deterministic and pinned exactly: a changed
 /// partition moves the interface, and a macromodel cache that shares
 /// less rebuilds more blocks.
 #[test]
-#[ignore = "512x8 monolithic reference needs ~0.6 GB and minutes of runtime"]
+#[ignore = "512x8 monolithic reference: about 15 minutes of RCM-ordered sparse LU in release"]
 fn equivalence_512x8_three_defects() {
     let r = assert_paths_agree(512, 8, 3);
     assert_eq!(
