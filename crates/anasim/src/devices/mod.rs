@@ -1,20 +1,19 @@
 //! Lumped device models.
 //!
 //! A netlist stores each device as one [`ElementKind`] value: its
-//! terminals with their roles, its model values and the handles of the
-//! netlist table entries it reads. Static analysis (the `erc` crate)
-//! reads the same value, and the block-Schur reduction compares kinds
-//! to decide which blocks stamp identically. One `match` sends each
-//! kind to its stamp routine in [`resistor`], [`capacitor`],
+//! terminals with their roles, its own model value (a capacitance) and
+//! the handles of the netlist table entries it reads (a resistance, a
+//! source's value and waveform, a MOSFET model card). Static analysis
+//! (the `erc` crate) reads the same value, and the block-Schur reduction
+//! compares kinds to decide which blocks stamp identically. One `match`
+//! sends each kind to its stamp routine in [`resistor`], [`capacitor`],
 //! [`vsource`] or [`mosfet`], which contributes the linearized
 //! companion model to the MNA system. Linear devices stamp the same
 //! values every iteration; the MOSFET linearizes around the current
 //! Newton estimate.
 
-use crate::devices::mosfet::MosParams;
-use crate::devices::vsource::Waveform;
 use crate::mna::StampContext;
-use crate::netlist::{NodeId, ParamId, SourceId};
+use crate::netlist::{CardId, NodeId, ParamId, SourceId};
 
 pub mod capacitor;
 pub mod mosfet;
@@ -27,10 +26,11 @@ pub mod vsource;
 /// compared bit for bit) stamp bit-identical values at equal terminal
 /// voltages, gmin, source scale and table entries; after renaming
 /// terminals the same holds position by position. Kinds that read a
-/// netlist table (resistance, source value) carry the table handle
-/// instead of the value. Terminal roles are explicit because
-/// connectivity rules treat them differently: a MOSFET gate carries no
-/// DC current while its channel does.
+/// netlist table (resistance, source value and waveform, model card)
+/// carry the table handle instead of the value, which keeps every kind
+/// at 32 bytes. Terminal roles are explicit because connectivity rules
+/// treat them differently: a MOSFET gate carries no DC current while
+/// its channel does.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ElementKind {
     /// Linear resistor between `p` and `n`; resistance read from the
@@ -44,16 +44,14 @@ pub enum ElementKind {
         resistance: ParamId,
     },
     /// Ideal voltage source (`p` positive); value read from the source
-    /// table unless its waveform fixes it.
+    /// table unless its waveform, which sits beside the value, fixes it.
     VoltageSource {
         /// Positive terminal.
         p: NodeId,
         /// Negative terminal.
         n: NodeId,
-        /// Handle of the programmed voltage.
+        /// Handle of the programmed voltage and its waveform.
         source: SourceId,
-        /// Time-domain shape; [`Waveform::Dc`] reads the table.
-        waveform: Waveform,
     },
     /// Capacitor (a tiny leak at DC, `C/dt` companion in transient).
     Capacitor {
@@ -73,8 +71,8 @@ pub enum ElementKind {
         g: NodeId,
         /// Source.
         s: NodeId,
-        /// Model card.
-        params: MosParams,
+        /// Handle of the model card.
+        card: CardId,
     },
 }
 
@@ -120,14 +118,9 @@ impl ElementKind {
     pub(crate) fn stamp(&self, ctx: &mut StampContext<'_>) {
         match self {
             ElementKind::Resistor { p, n, resistance } => resistor::stamp(*p, *n, *resistance, ctx),
-            ElementKind::VoltageSource {
-                p,
-                n,
-                source,
-                waveform,
-            } => vsource::stamp(*p, *n, *source, waveform, ctx),
+            ElementKind::VoltageSource { p, n, source } => vsource::stamp(*p, *n, *source, ctx),
             ElementKind::Capacitor { p, n, farads } => capacitor::stamp(*p, *n, *farads, ctx),
-            ElementKind::Mosfet { d, g, s, params } => mosfet::stamp(*d, *g, *s, params, ctx),
+            ElementKind::Mosfet { d, g, s, card } => mosfet::stamp(*d, *g, *s, *card, ctx),
         }
     }
 }
@@ -242,27 +235,21 @@ mod tests {
                 n: map(n),
                 resistance,
             },
-            ElementKind::VoltageSource {
-                p,
-                n,
-                source,
-                waveform,
-            } => ElementKind::VoltageSource {
+            ElementKind::VoltageSource { p, n, source } => ElementKind::VoltageSource {
                 p: map(p),
                 n: map(n),
                 source,
-                waveform,
             },
             ElementKind::Capacitor { p, n, farads } => ElementKind::Capacitor {
                 p: map(p),
                 n: map(n),
                 farads,
             },
-            ElementKind::Mosfet { d, g, s, params } => ElementKind::Mosfet {
+            ElementKind::Mosfet { d, g, s, card } => ElementKind::Mosfet {
                 d: map(d),
                 g: map(g),
                 s: map(s),
-                params,
+                card,
             },
         }
     }
@@ -306,6 +293,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_device_is_32_bytes() {
+        assert_eq!(
+            std::mem::size_of::<ElementKind>(),
+            32,
+            "a full array holds one ElementKind per device, 1.58 M of them at \
+             4096x64: model cards and waveforms belong in netlist tables, and \
+             a kind carries only terminals, handles and a capacitance"
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use crate::devices::{sigmoid, softplus};
 use crate::error::Error;
 use crate::mna::StampContext;
-use crate::netlist::NodeId;
+use crate::netlist::{CardId, NodeId};
 use crate::K_OVER_Q;
 
 /// Reference temperature for parameter values, degrees Celsius.
@@ -120,6 +120,35 @@ impl MosParams {
         self.beta * (298.15 / t_k).powf(self.mobility_exp)
     }
 
+    /// The card as nine words, bit for bit: the polarity, then every
+    /// value. Netlist cards are equal exactly when their words are.
+    /// Destructures the card in full, so a new model field cannot be
+    /// left out of card interning or the partition plan's fingerprint.
+    pub(crate) fn words(&self) -> [u64; 9] {
+        let MosParams {
+            polarity,
+            vth0,
+            beta,
+            n_slope,
+            lambda,
+            dibl,
+            vth_tc,
+            mobility_exp,
+            temp_c,
+        } = *self;
+        [
+            polarity as u64,
+            vth0.to_bits(),
+            beta.to_bits(),
+            n_slope.to_bits(),
+            lambda.to_bits(),
+            dibl.to_bits(),
+            vth_tc.to_bits(),
+            mobility_exp.to_bits(),
+            temp_c.to_bits(),
+        ]
+    }
+
     pub(crate) fn validate(&self, name: &str) -> Result<(), Error> {
         let bad = |what: String| Error::InvalidValue {
             device: name.to_string(),
@@ -189,15 +218,11 @@ impl MosParams {
 }
 
 /// Stamps a three-terminal MOSFET (bulk tied to the source rail
-/// implicitly) with terminals drain `d`, gate `g`, source `s`,
-/// linearized at the estimate carried by `ctx`.
-pub(crate) fn stamp(
-    d: NodeId,
-    g: NodeId,
-    s: NodeId,
-    params: &MosParams,
-    ctx: &mut StampContext<'_>,
-) {
+/// implicitly) with terminals drain `d`, gate `g`, source `s` and the
+/// netlist's model card `card`, linearized at the estimate carried by
+/// `ctx`.
+pub(crate) fn stamp(d: NodeId, g: NodeId, s: NodeId, card: CardId, ctx: &mut StampContext<'_>) {
+    let params = ctx.card(card);
     let sign = match params.polarity {
         MosPolarity::Nmos => 1.0,
         MosPolarity::Pmos => -1.0,

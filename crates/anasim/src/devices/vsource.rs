@@ -4,7 +4,8 @@ use crate::mna::{AnalysisMode, StampContext};
 use crate::netlist::{NodeId, SourceId};
 
 /// Time-domain shape of a voltage source
-/// ([`ElementKind::VoltageSource`](crate::devices::ElementKind::VoltageSource)).
+/// ([`ElementKind::VoltageSource`](crate::devices::ElementKind::VoltageSource)),
+/// held in the netlist beside the source's value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Waveform {
     /// Constant value read from the netlist source table (sweepable).
@@ -69,14 +70,10 @@ impl Waveform {
 
 /// Stamps an ideal voltage source between `p` (positive) and `n`,
 /// whose branch-current unknown is the context's branch 0; `source`
-/// indexes the netlist source table [`Waveform::Dc`] reads.
-pub(crate) fn stamp(
-    p: NodeId,
-    n: NodeId,
-    source: SourceId,
-    waveform: &Waveform,
-    ctx: &mut StampContext<'_>,
-) {
+/// indexes the netlist's source values (which [`Waveform::Dc`] reads)
+/// and waveforms.
+pub(crate) fn stamp(p: NodeId, n: NodeId, source: SourceId, ctx: &mut StampContext<'_>) {
+    let waveform = ctx.waveform(source);
     let value = match ctx.mode() {
         AnalysisMode::Dc => waveform.value_at(0.0, ctx.source_value(source)),
         AnalysisMode::Transient { time, .. } => {

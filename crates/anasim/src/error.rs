@@ -13,10 +13,6 @@ pub enum Error {
         /// Human-readable description of the offending parameter.
         what: String,
     },
-    /// Two devices were registered under the same name.
-    DuplicateDevice(String),
-    /// A lookup referred to a device name that does not exist.
-    UnknownDevice(String),
     /// The MNA matrix is singular on every rung of the rescue ladder
     /// (typically a loop of ideal voltage sources, which no gmin shunt
     /// regularizes).
@@ -71,9 +67,9 @@ impl Error {
     /// Convergence failures and singular matrices are retryable: both
     /// can be artifacts of the iteration (a bad starting point, a
     /// Jacobian momentarily singular along the Newton path) rather
-    /// than of the circuit. Structural errors — invalid values,
-    /// duplicate or unknown devices, bad time axes, empty sweeps —
-    /// are deterministic and retrying cannot change them.
+    /// than of the circuit. Structural errors — invalid values, bad
+    /// time axes, empty sweeps — are deterministic and retrying cannot
+    /// change them.
     pub fn is_retryable(&self) -> bool {
         matches!(
             self,
@@ -109,10 +105,6 @@ impl fmt::Display for Error {
             Error::InvalidValue { device, what } => {
                 write!(f, "invalid value for device `{device}`: {what}")
             }
-            Error::DuplicateDevice(name) => {
-                write!(f, "device name `{name}` is already in use")
-            }
-            Error::UnknownDevice(name) => write!(f, "no device named `{name}`"),
             Error::SingularMatrix { pivot_row, unknown } => match unknown {
                 Some(name) => write!(
                     f,
@@ -149,7 +141,10 @@ mod tests {
 
     #[test]
     fn display_is_lowercase_and_informative() {
-        let e = Error::DuplicateDevice("R1".into());
+        let e = Error::InvalidValue {
+            device: "R1".into(),
+            what: "resistance must be finite and positive, got -1".into(),
+        };
         let s = e.to_string();
         assert!(s.contains("R1"));
         assert!(s.starts_with(char::is_lowercase));
@@ -178,8 +173,6 @@ mod tests {
                 device: "R1".into(),
                 what: "negative".into(),
             },
-            Error::DuplicateDevice("X".into()),
-            Error::UnknownDevice("Y".into()),
             Error::InvalidTimeAxis("dt".into()),
             Error::EmptySweep,
             Error::PreflightRejected {

@@ -14,9 +14,11 @@
 //! into its slot, in the order the dense assembly would add into the
 //! entry, so both hold the same bits.
 
+use crate::devices::mosfet::MosParams;
+use crate::devices::vsource::Waveform;
 use crate::devices::ElementKind;
 use crate::matrix::{DenseMatrix, LuStructure};
-use crate::netlist::{Netlist, NodeId, ParamId, SourceId};
+use crate::netlist::{CardId, Netlist, NodeId, ParamId, SourceId};
 use crate::sparse::CscPattern;
 
 /// Most unknowns one device stamps at: three terminals, or two and a
@@ -205,19 +207,45 @@ impl MatrixSink<'_> {
 }
 
 /// Mutable view through which a device stamps its linearized companion
-/// model into the MNA system.
+/// model into the MNA system, reading the netlist's tables.
 #[derive(Debug)]
 pub(crate) struct StampContext<'a> {
     sink: MatrixSink<'a>,
     x: &'a [f64],
     sources: &'a [f64],
+    waveforms: &'a [Waveform],
     params: &'a [f64],
+    cards: &'a [MosParams],
     source_scale: f64,
     branch_offset: usize,
     mode: AnalysisMode<'a>,
 }
 
 impl<'a> StampContext<'a> {
+    /// The context of one device of `netlist` whose first branch
+    /// unknown is `branch_offset`, stamping into `sink` at the estimate
+    /// `x`.
+    fn new(
+        netlist: &'a Netlist,
+        sink: MatrixSink<'a>,
+        x: &'a [f64],
+        source_scale: f64,
+        branch_offset: usize,
+        mode: AnalysisMode<'a>,
+    ) -> Self {
+        StampContext {
+            sink,
+            x,
+            sources: netlist.sources_slice(),
+            waveforms: netlist.waveforms_slice(),
+            params: netlist.params_slice(),
+            cards: netlist.cards_slice(),
+            source_scale,
+            branch_offset,
+            mode,
+        }
+    }
+
     /// Voltage of `node` in the current Newton estimate (0 for ground).
     pub fn voltage(&self, node: NodeId) -> f64 {
         match node.unknown_index() {
@@ -248,9 +276,19 @@ impl<'a> StampContext<'a> {
         self.sources[id.0] * self.source_scale
     }
 
+    /// Waveform of a source.
+    pub fn waveform(&self, id: SourceId) -> &'a Waveform {
+        &self.waveforms[id.0]
+    }
+
     /// Value of a device parameter.
     pub fn param_value(&self, id: ParamId) -> f64 {
         self.params[id.0]
+    }
+
+    /// A MOSFET model card.
+    pub fn card(&self, id: CardId) -> &'a MosParams {
+        &self.cards[id.index()]
     }
 
     // -- raw stamps ----------------------------------------------------
@@ -533,18 +571,17 @@ pub fn assemble(
     matrix.clear();
     rhs.iter_mut().for_each(|v| *v = 0.0);
     for (device, branch_offset) in netlist.devices_with_offsets() {
-        let mut ctx = StampContext {
-            sink: MatrixSink::Dense {
+        let mut ctx = StampContext::new(
+            netlist,
+            MatrixSink::Dense {
                 matrix,
                 rhs: &mut *rhs,
             },
             x,
-            sources: netlist.sources_slice(),
-            params: netlist.params_slice(),
             source_scale,
             branch_offset,
             mode,
-        };
+        );
         device.stamp(&mut ctx);
     }
     // gmin stepping: small conductance from every node to ground keeps
@@ -594,18 +631,17 @@ pub fn assemble_planned(
     matrix.clear_offsets(touched);
     rhs.iter_mut().for_each(|v| *v = 0.0);
     for (device, branch_offset) in netlist.devices_with_offsets() {
-        let mut ctx = StampContext {
-            sink: MatrixSink::Dense {
+        let mut ctx = StampContext::new(
+            netlist,
+            MatrixSink::Dense {
                 matrix,
                 rhs: &mut *rhs,
             },
             x,
-            sources: netlist.sources_slice(),
-            params: netlist.params_slice(),
             source_scale,
             branch_offset,
             mode,
-        };
+        );
         device.stamp(&mut ctx);
     }
     if gmin > 0.0 {
@@ -644,15 +680,14 @@ pub(crate) fn assemble_slots(
             &slots.devices[next..next + entries],
         );
         next += entries;
-        let mut ctx = StampContext {
-            sink: MatrixSink::Slots(&mut stamps),
+        let mut ctx = StampContext::new(
+            netlist,
+            MatrixSink::Slots(&mut stamps),
             x,
-            sources: netlist.sources_slice(),
-            params: netlist.params_slice(),
             source_scale,
             branch_offset,
             mode,
-        };
+        );
         device.stamp(&mut ctx);
     }
     if gmin > 0.0 {
@@ -701,15 +736,14 @@ pub(crate) fn assemble_partitioned(
                 MatrixSink::Slots(&mut stamps)
             }
         };
-        let mut ctx = StampContext {
+        let mut ctx = StampContext::new(
+            netlist,
             sink,
             x,
-            sources: netlist.sources_slice(),
-            params: netlist.params_slice(),
             source_scale,
             branch_offset,
-            mode: AnalysisMode::Dc,
-        };
+            AnalysisMode::Dc,
+        );
         device.stamp(&mut ctx);
     }
 }
@@ -740,8 +774,9 @@ pub(crate) fn assemble_block(
     tape_dev.push(0);
     for &index in pplan.block_devices(block) {
         let (device, branch_offset) = netlist.device_with_offset(index as usize);
-        let mut ctx = StampContext {
-            sink: MatrixSink::Block {
+        let mut ctx = StampContext::new(
+            netlist,
+            MatrixSink::Block {
                 plan: pplan,
                 block,
                 matrix: &mut *matrix,
@@ -749,12 +784,10 @@ pub(crate) fn assemble_block(
                 tape: &mut *tape,
             },
             x,
-            sources: netlist.sources_slice(),
-            params: netlist.params_slice(),
             source_scale,
             branch_offset,
-            mode: AnalysisMode::Dc,
-        };
+            AnalysisMode::Dc,
+        );
         device.stamp(&mut ctx);
         tape_dev.push(tape.len() as u32);
     }

@@ -1,14 +1,17 @@
-//! Interned name tables for netlist nodes and devices.
+//! Name stores for netlist nodes and devices.
 //!
 //! A full-array netlist names half a million nodes and one and a half
-//! million devices. Storing each name as its own heap `String` — twice,
-//! once in the owner and once as a hash-map key — costs millions of
-//! allocations to build and as many frees to drop. A [`NameTable`]
-//! instead packs every name of one namespace into a single byte arena
-//! with `u32` end offsets, and indexes it with an FNV-1a open-addressing
-//! table whose slots cache each name's hash, so growing the index never
-//! re-reads name bytes. Adding a name allocates nothing beyond the
-//! amortized growth of those three buffers.
+//! million devices. Storing each name as its own heap `String` costs
+//! millions of allocations to build and as many frees to drop. A
+//! [`Labels`] store instead packs every name of one namespace into a
+//! single byte arena with `u32` end offsets, so adding a name allocates
+//! nothing beyond the amortized growth of those two buffers. Device
+//! names are such labels and nothing more: no lookup by device name is
+//! on a hot path, so they carry no index, and a reused name is ERC012's
+//! to report. Node names are looked up on every connection a builder
+//! makes, so a [`NameTable`] adds an FNV-1a open-addressing index whose
+//! slots cache each name's hash, and growing the index never re-reads
+//! name bytes.
 
 /// FNV-1a offset basis (shared with the structural fingerprints).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -37,33 +40,23 @@ struct Slot {
 
 const EMPTY: Slot = Slot { hash: 0, id: FREE };
 
-/// Names of one namespace, densely numbered from 0 in insertion order.
+/// Names of one namespace, densely numbered from 0 in insertion order,
+/// without an index: a name may repeat.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct NameTable {
+pub(crate) struct Labels {
     /// Every name's bytes, back to back.
     arena: String,
     /// End offset of each name in `arena`; name `i` spans
     /// `ends[i - 1]..ends[i]` (from 0 for the first).
     ends: Vec<u32>,
-    /// Linear-probing index, a power of two in size and at most half
-    /// full; empty until the first insertion.
-    slots: Vec<Slot>,
 }
 
-impl NameTable {
-    /// An empty table with room for `names` names: its index is sized
-    /// so that holding them keeps it at most half full, and so never
-    /// grows on the way.
+impl Labels {
+    /// An empty store with room for `names` end offsets.
     pub(crate) fn with_capacity(names: usize) -> Self {
-        let slots = if names == 0 {
-            0
-        } else {
-            (2 * names).next_power_of_two().max(MIN_SLOTS)
-        };
-        NameTable {
+        Labels {
             arena: String::new(),
             ends: Vec::with_capacity(names),
-            slots: vec![EMPTY; slots],
         }
     }
 
@@ -87,6 +80,65 @@ impl NameTable {
         (0..self.len()).map(|id| self.get(id))
     }
 
+    /// Appends `name`, which may repeat an earlier one, and returns its
+    /// id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arena outgrows `u32` offsets.
+    pub(crate) fn push(&mut self, name: &str) -> usize {
+        let id = self.len();
+        self.arena.push_str(name);
+        let end = u32::try_from(self.arena.len()).expect("name arena exceeds 4 GiB");
+        self.ends.push(end);
+        id
+    }
+}
+
+/// [`Labels`] with unique names and an index to find them by name.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NameTable {
+    labels: Labels,
+    /// Linear-probing index, a power of two in size and at most half
+    /// full; empty until the first insertion.
+    slots: Vec<Slot>,
+}
+
+impl NameTable {
+    /// An empty table with room for `names` names: its index is sized
+    /// so that holding them keeps it at most half full, and so never
+    /// grows on the way.
+    pub(crate) fn with_capacity(names: usize) -> Self {
+        let slots = if names == 0 {
+            0
+        } else {
+            (2 * names).next_power_of_two().max(MIN_SLOTS)
+        };
+        NameTable {
+            labels: Labels::with_capacity(names),
+            slots: vec![EMPTY; slots],
+        }
+    }
+
+    /// Number of names.
+    pub(crate) fn len(&self) -> usize {
+        self.labels.len()
+    }
+
+    /// The name with id `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub(crate) fn get(&self, id: usize) -> &str {
+        self.labels.get(id)
+    }
+
+    /// Iterates over every name in id order.
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        self.labels.iter()
+    }
+
     /// The id of `name`, if present.
     pub(crate) fn find(&self, name: &str) -> Option<usize> {
         self.probe(name, name_hash(name)).ok()
@@ -107,16 +159,12 @@ impl NameTable {
             Ok(existing) => return Err(existing),
             Err(free) => free,
         };
-        let id = self.len();
-        self.arena.push_str(name);
-        let end = u32::try_from(self.arena.len()).expect("name arena exceeds 4 GiB");
-        let id32 = u32::try_from(id)
+        let id = u32::try_from(self.len())
             .ok()
             .filter(|&i| i != FREE)
             .expect("more than u32::MAX - 1 names");
-        self.ends.push(end);
-        self.slots[pos] = Slot { hash, id: id32 };
-        Ok(id)
+        self.slots[pos] = Slot { hash, id };
+        Ok(self.labels.push(name))
     }
 
     /// Linear probe for `name`: `Ok(id)` when present, otherwise
@@ -202,5 +250,17 @@ mod tests {
             assert_eq!(t.find(n), Some(i));
         }
         assert_eq!(t.find("n8"), None);
+    }
+
+    #[test]
+    fn labels_keep_repeated_names_apart() {
+        let mut l = Labels::with_capacity(2);
+        assert_eq!(l.push("R1"), 0);
+        assert_eq!(l.push(""), 1);
+        assert_eq!(l.push("R1"), 2);
+        assert_eq!(l.len(), 3);
+        assert_eq!(l.get(0), "R1");
+        assert_eq!(l.get(2), "R1");
+        assert_eq!(l.iter().collect::<Vec<_>>(), ["R1", "", "R1"]);
     }
 }

@@ -1,14 +1,22 @@
-//! Circuit description: nodes, devices, and mutable parameter tables.
+//! Circuit description: nodes, devices, and the tables they read.
 //!
-//! A [`Netlist`] owns a set of named nodes and a list of devices. Two
-//! small indirection tables make repeated analyses cheap:
+//! A [`Netlist`] owns a set of named nodes and a list of devices. A
+//! device holds its terminals and handles into small tables, which keep
+//! it a few words long and make repeated analyses cheap:
 //!
 //! * source values live in a table indexed by [`SourceId`], so a DC sweep
-//!   can move a supply without rebuilding the circuit;
+//!   can move a supply without rebuilding the circuit; each source's
+//!   [`Waveform`] sits beside its value;
 //! * scalar device parameters (today: resistances) live in a table
 //!   indexed by [`ParamId`], which is how the regulator defect
 //!   characterization sweeps a single injected open resistance over nine
-//!   decades without reconstructing the amplifier.
+//!   decades without reconstructing the amplifier;
+//! * MOSFET model cards live in a table indexed by [`CardId`] that holds
+//!   each distinct card once, so the million transistors of a full array
+//!   share the handful of cards they use.
+//!
+//! Device names are labels: the netlist neither indexes nor checks
+//! them, and the ERC rule ERC012 reports a name two devices share.
 
 use std::fmt;
 
@@ -16,7 +24,8 @@ use crate::devices::mosfet::MosParams;
 use crate::devices::vsource::Waveform;
 use crate::devices::ElementKind;
 use crate::error::Error;
-use crate::names::NameTable;
+use crate::mna::{fnv, STRUCTURAL_FP_SEED};
+use crate::names::{Labels, NameTable};
 
 /// Identifies a circuit node. Node 0 is always ground.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -73,25 +82,114 @@ impl ParamId {
     }
 }
 
+/// Handle to an entry in the netlist's MOSFET model-card table. Within
+/// one netlist, two devices hold the same handle exactly when their
+/// cards are equal bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CardId(pub(crate) u32);
+
+impl CardId {
+    /// Dense index into the card table.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// A complete circuit: nodes, devices, and their adjustable values.
 ///
-/// Each device is one [`ElementKind`] value in a single vector, and
-/// node and device names live in one interned table per namespace
-/// (indexed by [`NodeId::index`] and by device insertion order), so
-/// building a million-device array netlist makes no allocation per
+/// Each device is one [`ElementKind`] value in a single vector, node
+/// names live in one interned table (indexed by [`NodeId::index`]) and
+/// device names in one label store (indexed by device insertion order),
+/// so building a million-device array netlist makes no allocation per
 /// device, only amortized growth of a few buffers, and dropping it
 /// frees no per-device memory.
 #[derive(Debug, Default)]
 pub struct Netlist {
     node_names: NameTable,
     devices: Vec<ElementKind>,
-    device_names: NameTable,
+    device_names: Labels,
     /// First branch-unknown index (counted from 0 among branches) per
     /// device, parallel to `devices`.
     branch_starts: Vec<usize>,
     num_branches: usize,
     sources: Vec<f64>,
+    /// Each source's waveform, parallel to `sources`.
+    waveforms: Vec<Waveform>,
     params: Vec<f64>,
+    cards: CardTable,
+}
+
+/// Marks a free slot of the card index.
+const FREE_CARD: u32 = u32::MAX;
+
+/// Index size of the first card.
+const MIN_CARD_SLOTS: usize = 16;
+
+/// FNV-1a over a card's words, folded so the high half of the product
+/// reaches the probe position.
+fn card_hash(words: &[u64; 9]) -> usize {
+    let h = words.iter().fold(STRUCTURAL_FP_SEED, |h, &w| fnv(h, w));
+    (h ^ (h >> 32)) as usize
+}
+
+/// The netlist's MOSFET model cards, each distinct card once, found
+/// through an open-addressing index on their hash: interning a device's
+/// card costs the same whatever the table holds, and allocates only
+/// when the table grows.
+#[derive(Debug, Default)]
+struct CardTable {
+    cards: Vec<MosParams>,
+    /// Card ids by hash, linear probing; a power of two in size, at most
+    /// half full, and empty until the first card.
+    slots: Vec<u32>,
+}
+
+impl CardTable {
+    /// The handle of the card equal to `card` bit for bit, adding `card`
+    /// first if there is none. A card is validated once, when added, so
+    /// an invalid card is rejected at every device that uses it.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidValue`] naming `device` for an invalid new card.
+    fn intern(&mut self, device: &str, card: &MosParams) -> Result<CardId, Error> {
+        if 2 * (self.cards.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let words = card.words();
+        let mask = self.slots.len() - 1;
+        let mut pos = card_hash(&words) & mask;
+        loop {
+            match self.slots[pos] {
+                FREE_CARD => break,
+                id if self.cards[id as usize].words() == words => return Ok(CardId(id)),
+                _ => pos = (pos + 1) & mask,
+            }
+        }
+        card.validate(device)?;
+        let id = u32::try_from(self.cards.len())
+            .ok()
+            .filter(|&i| i != FREE_CARD)
+            .expect("more than u32::MAX - 1 model cards");
+        self.cards.push(*card);
+        self.slots[pos] = id;
+        Ok(CardId(id))
+    }
+
+    /// Doubles the index and re-places every card.
+    fn grow(&mut self) {
+        let size = (2 * self.slots.len()).max(MIN_CARD_SLOTS);
+        let mask = size - 1;
+        let mut slots = vec![FREE_CARD; size];
+        for (id, card) in self.cards.iter().enumerate() {
+            let mut pos = card_hash(&card.words()) & mask;
+            while slots[pos] != FREE_CARD {
+                pos = (pos + 1) & mask;
+            }
+            slots[pos] = id as u32;
+        }
+        self.slots = slots;
+    }
 }
 
 impl Netlist {
@@ -104,10 +202,11 @@ impl Netlist {
     }
 
     /// As [`Netlist::new`], with room for `nodes` nodes besides ground
-    /// and `devices` devices: both name indexes and the device tables
-    /// are sized up front, so a builder that knows its counts never
-    /// re-places a name on the way. A capacity hint only: ids, names and
-    /// lookups are those of a netlist grown from [`Netlist::new`].
+    /// and `devices` devices: the node-name index, the device labels'
+    /// offsets and the device tables are sized up front, so a builder
+    /// that knows its counts never re-places a node name on the way. A
+    /// capacity hint only: ids, names and lookups are those of a netlist
+    /// grown from [`Netlist::new`].
     pub fn with_capacity(nodes: usize, devices: usize) -> Self {
         let mut node_names = NameTable::with_capacity(nodes + 1);
         let ground = node_names.insert("0");
@@ -115,7 +214,7 @@ impl Netlist {
         Netlist {
             node_names,
             devices: Vec::with_capacity(devices),
-            device_names: NameTable::with_capacity(devices),
+            device_names: Labels::with_capacity(devices),
             branch_starts: Vec::with_capacity(devices),
             ..Netlist::default()
         }
@@ -168,14 +267,13 @@ impl Netlist {
         self.devices.iter().any(|d| d.is_nonlinear())
     }
 
-    fn register(&mut self, name: &str, device: ElementKind) -> Result<(), Error> {
-        if self.device_names.insert(name).is_err() {
-            return Err(Error::DuplicateDevice(name.to_string()));
-        }
+    /// Appends `device` under the label `name`, which is not checked
+    /// against the names already in use.
+    fn register(&mut self, name: &str, device: ElementKind) {
+        self.device_names.push(name);
         self.branch_starts.push(self.num_branches);
         self.num_branches += device.num_branches();
         self.devices.push(device);
-        Ok(())
     }
 
     /// Iterates over `(device, absolute_branch_offset)` pairs. The offset
@@ -223,9 +321,11 @@ impl Netlist {
     }
 
     /// Absolute unknown index of the branch current of the named device
-    /// (e.g. a voltage source), if it has one.
+    /// (e.g. a voltage source), if it has one. Device names carry no
+    /// index, so the lookup scans them, in time linear in the device
+    /// count; of several devices sharing the name, the first counts.
     pub fn branch_unknown(&self, device_name: &str) -> Option<usize> {
-        let idx = self.device_names.find(device_name)?;
+        let idx = self.device_names.iter().position(|n| n == device_name)?;
         if self.devices[idx].num_branches() == 0 {
             return None;
         }
@@ -267,6 +367,11 @@ impl Netlist {
         self.params.len()
     }
 
+    /// Number of distinct MOSFET model cards.
+    pub fn num_cards(&self) -> usize {
+        self.cards.cards.len()
+    }
+
     /// Human-readable label of MNA unknown `i`: the node name for a
     /// voltage unknown, or ``branch current of `<device>` `` for an
     /// auxiliary branch. Falls back to `unknown #<i>` when `i` is out of
@@ -290,12 +395,13 @@ impl Netlist {
     // Source / parameter tables
     // ------------------------------------------------------------------
 
-    pub(crate) fn alloc_source(&mut self, value: f64) -> SourceId {
+    fn alloc_source(&mut self, value: f64, waveform: Waveform) -> SourceId {
         self.sources.push(value);
+        self.waveforms.push(waveform);
         SourceId(self.sources.len() - 1)
     }
 
-    pub(crate) fn alloc_param(&mut self, value: f64) -> ParamId {
+    fn alloc_param(&mut self, value: f64) -> ParamId {
         self.params.push(value);
         ParamId(self.params.len() - 1)
     }
@@ -308,6 +414,11 @@ impl Netlist {
     /// Reads the value of a voltage source.
     pub fn source(&self, id: SourceId) -> f64 {
         self.sources[id.0]
+    }
+
+    /// The waveform of a voltage source.
+    pub(crate) fn waveform(&self, id: SourceId) -> &Waveform {
+        &self.waveforms[id.0]
     }
 
     /// Updates a scalar device parameter (for a resistor: its resistance
@@ -338,6 +449,14 @@ impl Netlist {
         &self.params
     }
 
+    pub(crate) fn waveforms_slice(&self) -> &[Waveform] {
+        &self.waveforms
+    }
+
+    pub(crate) fn cards_slice(&self) -> &[MosParams] {
+        &self.cards.cards
+    }
+
     // ------------------------------------------------------------------
     // Device constructors
     // ------------------------------------------------------------------
@@ -348,7 +467,7 @@ impl Netlist {
     /// # Errors
     ///
     /// Returns [`Error::InvalidValue`] for a non-finite or non-positive
-    /// resistance and [`Error::DuplicateDevice`] for a reused name.
+    /// resistance.
     pub fn resistor(
         &mut self,
         name: &str,
@@ -363,51 +482,30 @@ impl Netlist {
             });
         }
         let resistance = self.alloc_param(ohms);
-        self.register(name, ElementKind::Resistor { p, n, resistance })?;
+        self.register(name, ElementKind::Resistor { p, n, resistance });
         Ok(resistance)
     }
 
     /// Adds an ideal DC voltage source (positive terminal `p`). Returns
     /// the handle used to change its value with [`Netlist::set_source`].
     pub fn vsource(&mut self, name: &str, p: NodeId, n: NodeId, volts: f64) -> SourceId {
-        let source = self.alloc_source(volts);
-        self.register(
-            name,
-            ElementKind::VoltageSource {
-                p,
-                n,
-                source,
-                waveform: Waveform::Dc,
-            },
-        )
-        .expect("duplicate voltage source name");
+        let source = self.alloc_source(volts, Waveform::Dc);
+        self.register(name, ElementKind::VoltageSource { p, n, source });
         source
     }
 
     /// Adds a voltage source with an explicit time-domain waveform for
     /// transient analysis. At DC the waveform's value at `t = 0` is used.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DuplicateDevice`] for a reused name.
     pub fn vsource_waveform(
         &mut self,
         name: &str,
         p: NodeId,
         n: NodeId,
         waveform: Waveform,
-    ) -> Result<SourceId, Error> {
-        let source = self.alloc_source(waveform.value_at(0.0, 0.0));
-        self.register(
-            name,
-            ElementKind::VoltageSource {
-                p,
-                n,
-                source,
-                waveform,
-            },
-        )?;
-        Ok(source)
+    ) -> SourceId {
+        let source = self.alloc_source(waveform.value_at(0.0, 0.0), waveform);
+        self.register(name, ElementKind::VoltageSource { p, n, source });
+        source
     }
 
     /// Adds a capacitor. In DC analyses it contributes only a tiny
@@ -430,10 +528,12 @@ impl Netlist {
                 what: format!("capacitance must be finite and positive, got {farads}"),
             });
         }
-        self.register(name, ElementKind::Capacitor { p, n, farads })
+        self.register(name, ElementKind::Capacitor { p, n, farads });
+        Ok(())
     }
 
-    /// Adds a MOSFET with terminals drain/gate/source.
+    /// Adds a MOSFET with terminals drain/gate/source. Its card joins
+    /// the card table unless an equal one is there already.
     ///
     /// # Errors
     ///
@@ -447,16 +547,17 @@ impl Netlist {
         source: NodeId,
         params: MosParams,
     ) -> Result<(), Error> {
-        params.validate(name)?;
+        let card = self.cards.intern(name, &params)?;
         self.register(
             name,
             ElementKind::Mosfet {
                 d: drain,
                 g: gate,
                 s: source,
-                params,
+                card,
             },
-        )
+        );
+        Ok(())
     }
 }
 
@@ -483,22 +584,91 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_device_rejected() {
+    fn reused_device_label_is_kept_for_both_devices() {
+        // Device names are labels: the builder accepts a reused one
+        // (ERC012 reports it), each device keeps its own copy, and a
+        // lookup by name finds the first.
         let mut nl = Netlist::new();
         let a = nl.node("a");
+        nl.vsource("V1", a, Netlist::GND, 1.0);
         nl.resistor("R1", a, Netlist::GND, 100.0).unwrap();
-        assert!(matches!(
-            nl.resistor("R1", a, Netlist::GND, 100.0),
-            Err(Error::DuplicateDevice(_))
-        ));
+        nl.resistor("R1", a, Netlist::GND, 200.0).unwrap();
+        nl.vsource("V1", a, Netlist::GND, 2.0);
+        assert_eq!(nl.num_devices(), 4);
+        assert_eq!(nl.device_name(1), "R1");
+        assert_eq!(nl.device_name(2), "R1");
+        assert_eq!(nl.device_name(3), "V1");
+        assert_eq!(nl.branch_unknown("V1"), Some(1));
+        assert_eq!(nl.unknown_label(2), "branch current of `V1`");
+    }
+
+    #[test]
+    fn equal_cards_share_one_id_and_invalid_cards_never_join() {
+        let mut nl = Netlist::new();
+        let a = nl.node("a");
+        let card = MosParams::nmos(2.0e-4, 0.55);
+        let mut nudged = card;
+        nudged.vth0 = f64::from_bits(card.vth0.to_bits() + 1);
+        for (name, c) in [("M1", card), ("M2", nudged), ("M3", card), ("M4", nudged)] {
+            nl.mosfet(name, a, a, Netlist::GND, c).unwrap();
+        }
+        let ids: Vec<CardId> = nl
+            .elements()
+            .map(|(_, kind)| match *kind {
+                ElementKind::Mosfet { card, .. } => card,
+                _ => unreachable!("only MOSFETs were added"),
+            })
+            .collect();
+        assert_eq!(ids[0], ids[2], "equal cards share one id");
+        assert_eq!(ids[1], ids[3]);
+        assert_ne!(ids[0], ids[1], "a card one bit apart gets its own id");
+        assert_eq!(nl.num_cards(), 2);
+        assert_eq!(nl.cards_slice()[ids[1].index()].words(), nudged.words());
+        // An invalid card is not added, so each device that uses it is
+        // rejected under its own name.
+        let bad = MosParams::nmos(-1.0, 0.55);
+        for name in ["Mbad", "Mbad2"] {
+            match nl.mosfet(name, a, a, Netlist::GND, bad) {
+                Err(Error::InvalidValue { device, .. }) => assert_eq!(device, name),
+                other => panic!("expected InvalidValue for {name}, got {other:?}"),
+            }
+        }
+        assert_eq!((nl.num_devices(), nl.num_cards()), (4, 2));
+    }
+
+    #[test]
+    fn card_ids_survive_index_growth() {
+        // 1,000 distinct cards grow the card index six times; adding
+        // each again finds the id it got first.
+        let mut nl = Netlist::new();
+        let a = nl.node("a");
+        let card = |i: usize| MosParams::nmos(2.0e-4, 0.3 + i as f64 * 1.0e-4);
+        for round in 0..2 {
+            for i in 0..1000 {
+                nl.mosfet(&format!("M{round}_{i}"), a, a, Netlist::GND, card(i))
+                    .unwrap();
+            }
+        }
+        assert_eq!(nl.num_cards(), 1000);
+        let ids: Vec<usize> = nl
+            .elements()
+            .map(|(_, kind)| match *kind {
+                ElementKind::Mosfet { card, .. } => card.index(),
+                _ => unreachable!("only MOSFETs were added"),
+            })
+            .collect();
+        assert_eq!(ids[..1000], ids[1000..]);
+        assert!(ids[..1000].iter().copied().eq(0..1000));
+        assert_eq!(nl.cards_slice()[999].words(), card(999).words());
     }
 
     #[test]
     fn name_tables_round_trip_through_many_index_growths() {
-        // 100k names per namespace force the interned indexes through a
-        // dozen doublings, or fill a presized netlist's indexes to
-        // their half-full limit; every lookup must still return what
-        // was inserted, in both directions.
+        // 100k node names force the node index through a dozen
+        // doublings, or fill a presized netlist's index to its
+        // half-full limit; every lookup must still return what was
+        // inserted, in both directions. Device names are unindexed
+        // labels, kept in order, repeats included.
         const N: usize = 100_000;
         let grown = round_trip::<N>(Netlist::new());
         let presized = round_trip::<N>(Netlist::with_capacity(N, N + 1));
@@ -507,13 +677,13 @@ mod tests {
         assert_eq!(grown.num_unknowns(), presized.num_unknowns());
     }
 
-    /// Fills `nl` with `N` named nodes and `N + 1` named devices and
-    /// checks every lookup.
+    /// Fills `nl` with `N` named nodes and `N + 1` named devices, then
+    /// three more devices under reused names, and checks every lookup.
     fn round_trip<const N: usize>(mut nl: Netlist) -> Netlist {
         let nodes: Vec<NodeId> = (0..N).map(|i| nl.node(&format!("n{i}"))).collect();
         for (i, &node) in nodes.iter().enumerate() {
             nl.resistor(&format!("R{i}"), node, Netlist::GND, 1.0e3)
-                .expect("unique name");
+                .expect("valid resistance");
         }
         nl.vsource("V", nodes[0], Netlist::GND, 1.0);
         assert_eq!(nl.num_nodes(), N + 1);
@@ -539,14 +709,14 @@ mod tests {
         assert_eq!(nl.find_node("0"), Some(Netlist::GND));
         assert_eq!(nl.node("0"), Netlist::GND);
         assert_eq!(nl.node_name(Netlist::GND), "0");
-        // A reused device name is rejected and adds no device.
-        for name in ["R0", "R54321", "V"] {
-            match nl.resistor(name, nodes[1], Netlist::GND, 1.0) {
-                Err(Error::DuplicateDevice(dup)) => assert_eq!(dup, name),
-                other => panic!("expected DuplicateDevice for {name}, got {other:?}"),
-            }
+        // A reused device name is accepted and labels the new device.
+        for (k, name) in ["R0", "R54321", "V"].into_iter().enumerate() {
+            nl.resistor(name, nodes[1], Netlist::GND, 1.0)
+                .expect("labels may repeat");
+            assert_eq!(nl.device_name(N + 1 + k), name);
         }
-        assert_eq!(nl.num_devices(), N + 1);
+        assert_eq!(nl.num_devices(), N + 4);
+        // The first device of a name is the one found.
         assert_eq!(nl.branch_unknown("V"), Some(N));
         assert_eq!(nl.branch_unknown("R7"), None);
         assert_eq!(nl.unknown_label(N), "branch current of `V`");

@@ -139,7 +139,9 @@ impl Solution {
 
     /// Branch current of the named device (only voltage sources carry
     /// branch unknowns). The convention is current flowing from the
-    /// positive terminal through the device.
+    /// positive terminal through the device. The name is found as
+    /// [`Netlist::branch_unknown`] finds it, by a scan of the device
+    /// names.
     pub fn branch_current(&self, netlist: &Netlist, device: &str) -> Option<f64> {
         netlist.branch_unknown(device).map(|i| self.x[i])
     }
@@ -617,6 +619,26 @@ pub(crate) fn flush_fast_path_counters(scratch: &mut SolveScratch) {
     }
 }
 
+/// Records a converged solve in the `anasim.solve.*` metrics (count,
+/// iterations and retries), the counter of the rescue stage that
+/// converged, and the calling thread's solver tally.
+pub(crate) fn record_solved(stats: &SolverStats) {
+    obs::counter_add("anasim.solve.count", 1);
+    obs::counter_add(stats.rescued_by.counter_key(), 1);
+    obs::hist_record("anasim.solve.iterations", stats.iterations as f64);
+    obs::hist_record("anasim.solve.retries", stats.retries as f64);
+    obs::tally_add(stats.iterations as u64, stats.retries as u64);
+}
+
+/// Records a failed solve that ran `iterations` Newton iterations over
+/// `retries` retries in `anasim.solve.failed`, the iterations histogram
+/// and the calling thread's solver tally.
+pub(crate) fn record_failed(iterations: usize, retries: usize) {
+    obs::counter_add("anasim.solve.failed", 1);
+    obs::hist_record("anasim.solve.iterations", iterations as f64);
+    obs::tally_add(iterations as u64, retries as u64);
+}
+
 /// As [`solve_with_retry`], but running every attempt in the
 /// caller-provided [`SolveScratch`]. Results are bit-identical to
 /// [`solve_with_retry`]; only the allocation profile differs.
@@ -641,11 +663,7 @@ pub fn solve_with_retry_in(
             Ok(mut sol) => {
                 sol.stats.retries = attempt;
                 sol.stats.iterations += iters_burned;
-                obs::counter_add("anasim.solve.count", 1);
-                obs::counter_add(sol.stats.rescued_by.counter_key(), 1);
-                obs::hist_record("anasim.solve.iterations", sol.stats.iterations as f64);
-                obs::hist_record("anasim.solve.retries", sol.stats.retries as f64);
-                obs::tally_add(sol.stats.iterations as u64, sol.stats.retries as u64);
+                record_solved(&sol.stats);
                 return Ok(sol);
             }
             Err(e) if e.is_retryable() && attempt + 1 < SOLVE_ATTEMPTS => {
@@ -662,9 +680,7 @@ pub fn solve_with_retry_in(
                 {
                     *ran = iterations;
                 }
-                obs::counter_add("anasim.solve.failed", 1);
-                obs::hist_record("anasim.solve.iterations", iterations as f64);
-                obs::tally_add(iterations as u64, attempt as u64);
+                record_failed(iterations, attempt);
                 return Err(e);
             }
         }
@@ -684,7 +700,7 @@ mod tests {
         let a = nl.node("a");
         nl.vsource("V", a, Netlist::GND, 1.0);
         nl.resistor("R", a, Netlist::GND, 1.0e3)
-            .expect("valid resistance, unique name");
+            .expect("valid resistance");
         let sol = solve(&nl, &NewtonOptions::default(), None, AnalysisMode::Dc)
             .expect("linear divider always solves");
         assert!(sol.stats.iterations <= 2, "{:?}", sol.stats);
@@ -701,10 +717,9 @@ mod tests {
             let a = nl.node("a");
             let mid = nl.node("mid");
             nl.vsource("V", a, Netlist::GND, volts);
-            nl.resistor("R1", a, mid, 1.0e3)
-                .expect("valid resistance, unique name");
+            nl.resistor("R1", a, mid, 1.0e3).expect("valid resistance");
             nl.resistor("R2", mid, Netlist::GND, 1.0e3)
-                .expect("valid resistance, unique name");
+                .expect("valid resistance");
             let r = solve(&nl, &NewtonOptions::default(), None, AnalysisMode::Dc);
             assert!(
                 matches!(r, Err(Error::NoConvergence { .. })),
@@ -728,7 +743,7 @@ mod tests {
         for i in 1..chain {
             let node = nl.node(&format!("c{i}"));
             nl.resistor(&format!("R{i}"), prev, node, 1.0e3)
-                .expect("valid resistance, unique name");
+                .expect("valid resistance");
             if i == chain / 2 {
                 nl.vsource("Vloop", node, Netlist::GND, 0.5);
                 nl.vsource("Vloop2", node, Netlist::GND, 0.5);
@@ -736,7 +751,7 @@ mod tests {
             prev = node;
         }
         nl.resistor("Rend", prev, Netlist::GND, 1.0e3)
-            .expect("valid resistance, unique name");
+            .expect("valid resistance");
         nl
     }
 
@@ -778,7 +793,7 @@ mod tests {
         let a = nl.node("a");
         nl.vsource("V", a, Netlist::GND, 1.0);
         nl.resistor("R", a, Netlist::GND, 1.0e3)
-            .expect("valid resistance, unique name");
+            .expect("valid resistance");
         let bad = vec![0.0; 1]; // needs 2 unknowns
         let _ = solve(&nl, &NewtonOptions::default(), Some(&bad), AnalysisMode::Dc);
     }
@@ -901,7 +916,7 @@ mod tests {
         let a = nl.node("a");
         nl.vsource("V", a, Netlist::GND, 1.0);
         nl.resistor("R", a, Netlist::GND, 1.0e3)
-            .expect("valid resistance, unique name");
+            .expect("valid resistance");
         let sol = solve_with_retry(&nl, &NewtonOptions::default(), None, AnalysisMode::Dc)
             .expect("linear divider solves on the first attempt");
         assert_eq!(sol.stats.retries, 0);
@@ -914,7 +929,7 @@ mod tests {
         let a = nl.node("a");
         nl.vsource("V", a, Netlist::GND, 2.0);
         nl.resistor("R", a, Netlist::GND, 1.0e3)
-            .expect("valid resistance, unique name");
+            .expect("valid resistance");
         let sol = solve(&nl, &NewtonOptions::default(), None, AnalysisMode::Dc)
             .expect("linear divider always solves");
         assert_eq!(sol.try_voltage(Netlist::GND), Some(0.0));
@@ -938,7 +953,7 @@ mod tests {
         let a = nl.node("a");
         nl.vsource("V", a, Netlist::GND, 2.0);
         nl.resistor("R", a, Netlist::GND, 1.0e3)
-            .expect("valid resistance, unique name");
+            .expect("valid resistance");
         let sol = solve(&nl, &NewtonOptions::default(), None, AnalysisMode::Dc)
             .expect("linear divider always solves");
         assert_eq!(sol.raw().len(), 2);
@@ -1016,7 +1031,7 @@ mod tests {
         divider.vsource("V", a, Netlist::GND, 1.5);
         divider
             .resistor("R", a, Netlist::GND, 2.0e3)
-            .expect("valid resistance, unique name");
+            .expect("valid resistance");
         for nl in [&inverter, &divider] {
             let opts = NewtonOptions::default();
             let (ref_x, ref_iters) =
@@ -1050,11 +1065,11 @@ mod tests {
         for i in 1..=segments {
             let node = nl.node(&format!("n{i}"));
             nl.resistor(&format!("R{i}"), prev, node, 1.0e3)
-                .expect("valid resistance, unique name");
+                .expect("valid resistance");
             prev = node;
         }
         nl.resistor("Rend", prev, Netlist::GND, 1.0e3)
-            .expect("valid resistance, unique name");
+            .expect("valid resistance");
         assert!(nl.num_unknowns() >= crate::sparse::SPARSE_THRESHOLD);
         let sol = solve(&nl, &NewtonOptions::default(), None, AnalysisMode::Dc)
             .expect("sparse ladder solves");
@@ -1079,11 +1094,11 @@ mod tests {
         for i in 1..=segments {
             let node = nl.node(&format!("n{i}"));
             nl.resistor(&format!("R{i}"), prev, node, 1.0e3)
-                .expect("valid resistance, unique name");
+                .expect("valid resistance");
             prev = node;
         }
         nl.resistor("Rend", prev, Netlist::GND, 1.0e3)
-            .expect("valid resistance, unique name");
+            .expect("valid resistance");
         nl
     }
 
@@ -1120,7 +1135,7 @@ mod tests {
         divider.vsource("V", a, Netlist::GND, 3.3);
         divider
             .resistor("R", a, Netlist::GND, 4.7e3)
-            .expect("valid resistance, unique name");
+            .expect("valid resistance");
         let opts = NewtonOptions::default();
         let mut reused = SolveScratch::new();
         // Alternate between two structurally different netlists so the

@@ -54,7 +54,6 @@
 
 use std::collections::HashMap;
 
-use crate::devices::mosfet::MosParams;
 use crate::devices::ElementKind;
 use crate::error::Error;
 use crate::matrix::{DenseMatrix, LuStructure, LuWorkspace};
@@ -171,7 +170,9 @@ impl Default for ArraySolveOptions {
 
 /// DC-solves a partitioned array netlist, through the block-Schur
 /// reduction or the monolithic fallback per
-/// [`ArraySolveOptions::schur`].
+/// [`ArraySolveOptions::schur`], in one attempt (no retry). The solve
+/// counts in the `anasim.solve.*` metrics and the thread's solver tally
+/// as one [`crate::newton::solve_with_retry_in`] attempt does.
 ///
 /// # Errors
 ///
@@ -186,7 +187,7 @@ pub fn solve_array(
     scratch: &mut SolveScratch,
 ) -> Result<Solution, Error> {
     let newton = NewtonOptions::default();
-    if opts.schur {
+    let outcome = if opts.schur {
         crate::newton::solve_partitioned_with_scratch(
             netlist,
             &newton,
@@ -197,7 +198,15 @@ pub fn solve_array(
         )
     } else {
         crate::newton::solve_with_scratch(netlist, &newton, x0, AnalysisMode::Dc, scratch)
+    };
+    match &outcome {
+        Ok(sol) => crate::newton::record_solved(&sol.stats),
+        // A partition that does not fit is rejected before any
+        // iteration runs: no solve took place.
+        Err(Error::InvalidPartition(_)) => {}
+        Err(_) => crate::newton::record_failed(scratch.iterations, 0),
     }
+    outcome
 }
 
 /// Where one global unknown lives in the partitioned layout.
@@ -333,21 +342,19 @@ struct SparseIface {
     cliques: Vec<u32>,
 }
 
-/// Emits what a DC stamp of `kind` reads beyond its terminals, bit for
-/// bit: the model values, the handle of the table entry it reads, and
-/// for a voltage source the value its waveform fixes at `t = 0` (the
-/// rest of the waveform is transient-only, and the partitioned path is
-/// DC-only). Destructures every parameter struct in full, so a new
-/// model field cannot be left out of the template signature or the plan
-/// fingerprint.
-fn model_words(kind: &ElementKind, mut emit: impl FnMut(u64)) {
+/// Emits what a DC stamp of `kind` reads beyond its terminals: the
+/// capacitance bit for bit, the handle of each table entry it reads,
+/// and for a voltage source the value its waveform fixes at `t = 0`
+/// (the rest of the waveform is transient-only, and the partitioned
+/// path is DC-only). Within one netlist, equal card handles mean cards
+/// equal bit for bit, so a template compares handles; the plan
+/// fingerprint folds the card values once ([`plan_fingerprint`]).
+fn model_words(netlist: &Netlist, kind: &ElementKind, mut emit: impl FnMut(u64)) {
     match *kind {
         ElementKind::Resistor { resistance, .. } => emit(resistance.index() as u64),
-        ElementKind::VoltageSource {
-            source, waveform, ..
-        } => {
+        ElementKind::VoltageSource { source, .. } => {
             emit(source.index() as u64);
-            match waveform.dc_override() {
+            match netlist.waveform(source).dc_override() {
                 None => emit(0),
                 Some(v) => {
                     emit(1);
@@ -356,35 +363,7 @@ fn model_words(kind: &ElementKind, mut emit: impl FnMut(u64)) {
             }
         }
         ElementKind::Capacitor { farads, .. } => emit(farads.to_bits()),
-        ElementKind::Mosfet {
-            params:
-                MosParams {
-                    polarity,
-                    vth0,
-                    beta,
-                    n_slope,
-                    lambda,
-                    dibl,
-                    vth_tc,
-                    mobility_exp,
-                    temp_c,
-                },
-            ..
-        } => {
-            emit(polarity as u64);
-            [
-                vth0,
-                beta,
-                n_slope,
-                lambda,
-                dibl,
-                vth_tc,
-                mobility_exp,
-                temp_c,
-            ]
-            .into_iter()
-            .for_each(|v| emit(v.to_bits()));
-        }
+        ElementKind::Mosfet { card, .. } => emit(card.index() as u64),
     }
 }
 
@@ -392,22 +371,33 @@ fn model_words(kind: &ElementKind, mut emit: impl FnMut(u64)) {
 /// [`crate::mna::fold_structure`], then its model words, which the
 /// templates compare.
 #[inline]
-fn fold_device(h: u64, kind: &ElementKind, branch_offset: usize) -> u64 {
+fn fold_device(netlist: &Netlist, h: u64, kind: &ElementKind, branch_offset: usize) -> u64 {
     let mut h = crate::mna::fold_structure(h, kind, branch_offset);
-    model_words(kind, |w| h = fnv(h, w));
+    model_words(netlist, kind, |w| h = fnv(h, w));
     h
 }
 
+/// Folds every model card of the netlist, in card order, bit for bit:
+/// the values behind the card handles [`fold_device`] folds.
+fn fold_cards(netlist: &Netlist) -> u64 {
+    netlist
+        .cards_slice()
+        .iter()
+        .flat_map(|card| card.words())
+        .fold(crate::mna::STRUCTURAL_FP_SEED, fnv)
+}
+
 /// FNV fingerprint of everything a partition plan reads from the
-/// netlist: structure and model values, in device order. A netlist
-/// with the same structure but other model cards gets other templates,
-/// so it must not reuse a plan (or the macromodels keyed on its
-/// template ids). Allocation-free; one walk over the devices.
+/// netlist: the model cards, then structure and model words in device
+/// order. A netlist with the same structure but other model cards gets
+/// other templates, so it must not reuse a plan (or the macromodels
+/// keyed on its template ids). Allocation-free; one walk over the cards
+/// and one over the devices.
 fn plan_fingerprint(netlist: &Netlist) -> u64 {
     netlist
         .devices_with_offsets()
-        .fold(crate::mna::STRUCTURAL_FP_SEED, |h, (device, offset)| {
-            fold_device(h, device, offset)
+        .fold(fold_cards(netlist), |h, (device, offset)| {
+            fold_device(netlist, h, device, offset)
         })
 }
 
@@ -457,8 +447,9 @@ impl PartitionPlan {
         // block's boundary; its interface entries are a subset of the
         // boundary clique added below. Every other device is
         // interface-only and contributes entries of its own. The same
-        // walk folds the plan fingerprint (structure and model values).
-        let mut netlist_fp = crate::mna::STRUCTURAL_FP_SEED;
+        // walk folds the plan fingerprint (after the cards: structure and
+        // model words).
+        let mut netlist_fp = fold_cards(netlist);
         let mut bound_pairs: Vec<(u32, u32)> = Vec::new();
         let mut device_pairs: Vec<(u32, u32)> = Vec::new();
         let mut iface_devices: Vec<u32> = Vec::new();
@@ -468,7 +459,7 @@ impl PartitionPlan {
         let mut device_starts: Vec<u32> = Vec::new();
         let mut iface: Vec<u32> = Vec::with_capacity(8);
         for (index, (device, branch_offset)) in netlist.devices_with_offsets().enumerate() {
-            netlist_fp = fold_device(netlist_fp, device, branch_offset);
+            netlist_fp = fold_device(netlist, netlist_fp, device, branch_offset);
             let (unknowns, count) = device_unknowns(device, branch_offset);
             let mut touched_block: Option<u32> = None;
             iface.clear();
@@ -664,7 +655,7 @@ impl PartitionPlan {
 
     /// Whether this plan still describes the (netlist, partition) pair.
     /// Allocation-free, used as the per-solve staleness guard; keyed on
-    /// [`plan_fingerprint`] (structure and model values) directly, so
+    /// [`plan_fingerprint`] (cards, structure and model words) directly, so
     /// no monolithic stamp plan is ever needed.
     pub(crate) fn matches(&self, netlist: &Netlist, partition: &Partition) -> bool {
         self.n == partition.n
@@ -854,7 +845,7 @@ fn intern_templates(
             let branches = device.num_branches();
             sig.push(branches as u64);
             sig.extend((branch_offset..branch_offset + branches).map(position));
-            model_words(device, |w| sig.push(w));
+            model_words(netlist, device, |w| sig.push(w));
         }
         let signature = |t: u32| &sigs[sig_start[t as usize]..sig_start[t as usize + 1]];
         // Neighbouring blocks usually share a template: try the last

@@ -268,8 +268,7 @@ mod tests {
                 fall: 1.0e-5,
                 width: 5.0e-4,
             },
-        )
-        .unwrap();
+        );
         nl.resistor("R", a, b, 1.0e3).unwrap();
         nl.capacitor("C", b, Netlist::GND, 1.0e-8).unwrap(); // tau = 10 µs
         let tr = TransientAnalysis::new(2.0e-6, 1.0e-3).run(&nl).unwrap();

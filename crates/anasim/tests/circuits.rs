@@ -186,8 +186,7 @@ fn rc_ladder_step_response() {
             fall: 1.0e-9,
             width: 1.0,
         },
-    )
-    .unwrap();
+    );
     for (name, from, to) in [("R1", a, n1), ("R2", n1, n2), ("R3", n2, n3)] {
         nl.resistor(name, from, to, 1.0e3).unwrap();
     }

@@ -346,11 +346,14 @@ fn flight_recorder_adds_no_allocations_per_iteration() {
 
 #[test]
 fn netlist_build_allocates_nothing_per_device() {
-    // Devices are values in one vector and names live in the netlist's
-    // interned tables: with the names formatted beforehand, adding N
-    // nodes and N MOSFETs costs only amortized growth of a fixed set of
-    // buffers (device list, branch offsets, and each namespace's arena,
-    // end offsets and index) — O(log N), nothing per device.
+    // Devices are values in one vector, node names live in an interned
+    // table, device names in an unindexed label store, and model cards
+    // in a card table that holds each distinct card once: with the
+    // names formatted beforehand, adding N nodes and N MOSFETs that
+    // share one card costs only amortized growth of a fixed set of
+    // buffers (device list, branch offsets, the node names' arena, end
+    // offsets and index, the device labels' arena and end offsets) —
+    // O(log N), nothing per device.
     const N: usize = 50_000;
     let node_names: Vec<String> = (0..N).map(|i| format!("s{i}")).collect();
     let device_names: Vec<String> = (0..N).map(|i| format!("MN{i}")).collect();

@@ -210,9 +210,9 @@ mod tests {
     #[test]
     fn catalogue_lists_both_rule_families() {
         let rules = rule_catalogue();
-        assert_eq!(rules.len(), 13, "10 generic + 3 regulator rules");
+        assert_eq!(rules.len(), 14, "11 generic + 3 regulator rules");
         let codes: Vec<&str> = rules.iter().map(|(c, _, _)| *c).collect();
-        for code in ["ERC001", "ERC008", "ERC011", "ERC100", "ERC102"] {
+        for code in ["ERC001", "ERC008", "ERC011", "ERC012", "ERC100", "ERC102"] {
             assert!(codes.contains(&code), "missing {code}");
         }
     }

@@ -52,7 +52,7 @@ impl ElementClass {
 /// mosfet `[d, g, s]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Element {
-    /// Device name, unique within the model.
+    /// Device name; ERC012 reports a name two elements share.
     pub name: String,
     /// Device category.
     pub class: ElementClass,
@@ -134,7 +134,7 @@ impl CircuitModel {
                             bad_ref,
                         )
                     }
-                    ElementKind::VoltageSource { p, n, source, .. } => {
+                    ElementKind::VoltageSource { p, n, source } => {
                         let (value, bad_ref) = resolve_source(nl, source);
                         (
                             ElementClass::VoltageSource,
@@ -182,7 +182,7 @@ impl CircuitModel {
             .unwrap_or_else(|| format!("node#{i}"))
     }
 
-    /// Looks up an element by name.
+    /// Looks up the first element with the given name.
     pub fn element(&self, name: &str) -> Option<&Element> {
         self.elements.iter().find(|e| e.name == name)
     }

@@ -6,6 +6,8 @@
 //! regulator's `ERC1xx` defect-site checks) implement [`Rule`] in
 //! their own crates and run through the same engine.
 
+use std::collections::HashMap;
+
 use crate::connect::{ground_reachable, UnionFind};
 use crate::diag::{Diagnostic, Report, Severity};
 use crate::model::{CircuitModel, EdgeStrength, Element, ElementClass};
@@ -463,6 +465,44 @@ impl Rule for WeakOnlyNode {
     }
 }
 
+/// ERC012: two or more devices share a name. The netlist stores device
+/// names as labels and does not check them, so a reused name builds and
+/// solves, but every report naming the device becomes ambiguous, and a
+/// lookup by name (a branch current) finds only the first.
+pub struct DuplicateName;
+
+impl Rule for DuplicateName {
+    fn code(&self) -> &'static str {
+        "ERC012"
+    }
+    fn name(&self) -> &'static str {
+        "duplicate-name"
+    }
+    fn summary(&self) -> &'static str {
+        "several devices share one name (reports and lookups by name are ambiguous)"
+    }
+    fn check(&self, model: &CircuitModel, report: &mut Report) {
+        let mut uses: HashMap<&str, usize> = HashMap::new();
+        for e in &model.elements {
+            *uses.entry(e.name.as_str()).or_default() += 1;
+        }
+        // One finding per reused name, in order of its first device.
+        for e in &model.elements {
+            let Some(count) = uses.remove(e.name.as_str()).filter(|&c| c > 1) else {
+                continue;
+            };
+            report.push(Diagnostic {
+                code: self.code(),
+                severity: Severity::Error,
+                message: format!("device name `{}` is used by {count} devices", e.name),
+                nodes: vec![],
+                devices: vec![e.name.clone()],
+                hint: Some("give every device its own name".into()),
+            });
+        }
+    }
+}
+
 /// The full generic rule set, in code order.
 pub fn default_rules() -> Vec<Box<dyn Rule>> {
     vec![
@@ -476,6 +516,7 @@ pub fn default_rules() -> Vec<Box<dyn Rule>> {
         Box::new(ExtremeResistance),
         Box::new(FloatingGate),
         Box::new(WeakOnlyNode),
+        Box::new(DuplicateName),
     ]
 }
 
@@ -755,13 +796,46 @@ mod tests {
     }
 
     #[test]
+    fn erc012_fires_once_per_reused_name() {
+        // A hand-built model: `R1` names two devices, the rest are
+        // distinct. Exactly one error, naming the reused name.
+        let m = model(
+            &["0", "a", "b"],
+            vec![
+                el("V1", ElementClass::VoltageSource, &[1, 0], Some(1.0)),
+                el("R1", ElementClass::Resistor, &[1, 2], Some(1.0e3)),
+                el("R1", ElementClass::Resistor, &[2, 0], Some(1.0e3)),
+                el("R2", ElementClass::Resistor, &[2, 0], Some(1.0e3)),
+            ],
+        );
+        let report = check_model(&m);
+        assert_eq!(codes_of(&report), vec!["ERC012"]);
+        let d = report.first_error().expect("a reused name is an error");
+        assert_eq!(d.devices, vec!["R1".to_string()]);
+        assert!(
+            d.message.contains("`R1` is used by 2 devices"),
+            "{}",
+            d.message
+        );
+        // A netlist built with a reused label is rejected in pre-flight.
+        let mut nl = Netlist::new();
+        let a = nl.node("a");
+        nl.vsource("V", a, Netlist::GND, 1.0);
+        nl.resistor("R", a, Netlist::GND, 1.0e3).expect("valid");
+        nl.resistor("R", a, Netlist::GND, 2.0e3).expect("valid");
+        let report = check_netlist(&nl);
+        assert_eq!(codes_of(&report), vec!["ERC012"]);
+        assert!(report.reject_on_error().is_err());
+    }
+
+    #[test]
     fn rule_catalogue_is_complete_and_distinct() {
         let rules = default_rules();
-        assert_eq!(rules.len(), 10);
+        assert_eq!(rules.len(), 11);
         let mut codes: Vec<&str> = rules.iter().map(|r| r.code()).collect();
         assert!(codes.iter().all(|c| c.starts_with("ERC")));
         codes.dedup();
-        assert_eq!(codes.len(), 10, "codes must be unique");
+        assert_eq!(codes.len(), 11, "codes must be unique");
         for r in &rules {
             assert!(!r.name().is_empty());
             assert!(!r.summary().is_empty());

@@ -319,12 +319,16 @@ pub fn counter_add(name: &str, delta: u64) {
 }
 
 /// Records one observation into the named global histogram (buffered).
+/// Allocates the key only on its first use since the last flush, and a
+/// bucket only on its first observation.
 pub fn hist_record(name: &str, value: f64) {
-    let done = with_local(|buf| {
-        buf.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+    let done = with_local(|buf| match buf.histograms.get_mut(name) {
+        Some(h) => h.record(value),
+        None => {
+            let mut h = Histogram::default();
+            h.record(value);
+            buf.histograms.insert(name.to_string(), h);
+        }
     });
     if !done {
         global().hist_record(name, value);

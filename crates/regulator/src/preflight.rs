@@ -427,9 +427,10 @@ mod tests {
     #[test]
     fn rule_catalogue_extends_cleanly() {
         let rules = regulator_rules();
-        assert_eq!(rules.len(), 13, "10 generic + 3 domain");
+        assert_eq!(rules.len(), 14, "11 generic + 3 domain");
         let codes: Vec<&str> = rules.iter().map(|r| r.code()).collect();
         assert!(codes.contains(&"ERC001"));
+        assert!(codes.contains(&"ERC012"));
         assert!(codes.contains(&"ERC100"));
         assert!(codes.contains(&"ERC102"));
     }

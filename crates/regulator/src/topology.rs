@@ -313,7 +313,7 @@ impl RegulatorCircuit {
                         fall: ACTIVATION_EDGE_SECONDS,
                         width: 1.0e3, // effectively forever
                     },
-                )?;
+                );
             }
             FeedMode::VrefActivation => {
                 nl.resistor("Rmux_bias", n52, vbias_line, design.mux_resistance)?;
@@ -329,7 +329,7 @@ impl RegulatorCircuit {
                         fall: ACTIVATION_EDGE_SECONDS,
                         width: 1.0e3,
                     },
-                )?;
+                );
             }
         }
 

@@ -200,9 +200,12 @@ impl ArraySpec {
             2 + self.rows + 2 * self.cols + 2 * cells,
             2 + self.rows + 2 * self.cols + 6 * cells + bridges.count(),
         );
-        // One buffer serves every formatted name: the netlist interns
+        // One buffer serves every formatted name: the netlist stores
         // its own copy, so naming the cells allocates nothing per name.
+        // Each cell's eight names share its `{r}_{c}` suffix, formatted
+        // once per cell.
         let mut buf = String::new();
+        let mut suffix = String::new();
         // Interface nets first: their unknown indices stay below every
         // cell's, and the VDDC branch row lands in the interface too.
         let vdd_supply = nl.node("vdd_supply");
@@ -270,8 +273,9 @@ impl ArraySpec {
         for (r, &wl_r) in wl.iter().enumerate() {
             for c in 0..self.cols {
                 let site = r * self.cols + c;
-                let s = nl.node(name(&mut buf, format_args!("s{r}_{c}")));
-                let sb = nl.node(name(&mut buf, format_args!("sb{r}_{c}")));
+                name(&mut suffix, format_args!("{r}_{c}"));
+                let s = nl.node(label(&mut buf, "s", &suffix));
+                let sb = nl.node(label(&mut buf, "sb", &suffix));
                 let over = overrides[site];
                 let inactive = over.is_none() && !forced[site];
                 if inactive {
@@ -288,49 +292,49 @@ impl ArraySpec {
                 };
                 let stored = over.map_or(self.background, |a| a.stored);
                 nl.mosfet(
-                    name(&mut buf, format_args!("MP1_{r}_{c}")),
+                    label(&mut buf, "MP1_", &suffix),
                     s,
                     sb,
                     vdd_rail,
                     inst.card(CellTransistor::MPcc1),
                 )?;
                 nl.mosfet(
-                    name(&mut buf, format_args!("MN1_{r}_{c}")),
+                    label(&mut buf, "MN1_", &suffix),
                     s,
                     sb,
                     Netlist::GND,
                     inst.card(CellTransistor::MNcc1),
                 )?;
                 nl.mosfet(
-                    name(&mut buf, format_args!("MP2_{r}_{c}")),
+                    label(&mut buf, "MP2_", &suffix),
                     sb,
                     s,
                     vdd_rail,
                     inst.card(CellTransistor::MPcc2),
                 )?;
                 nl.mosfet(
-                    name(&mut buf, format_args!("MN2_{r}_{c}")),
+                    label(&mut buf, "MN2_", &suffix),
                     sb,
                     s,
                     Netlist::GND,
                     inst.card(CellTransistor::MNcc2),
                 )?;
                 nl.mosfet(
-                    name(&mut buf, format_args!("MN3_{r}_{c}")),
+                    label(&mut buf, "MN3_", &suffix),
                     bl[c],
                     wl_r,
                     s,
                     inst.card(CellTransistor::MNcc3),
                 )?;
                 nl.mosfet(
-                    name(&mut buf, format_args!("MN4_{r}_{c}")),
+                    label(&mut buf, "MN4_", &suffix),
                     blb[c],
                     wl_r,
                     sb,
                     inst.card(CellTransistor::MNcc4),
                 )?;
                 if let Some(ohms) = over.and_then(|a| a.bridge_ohms) {
-                    nl.resistor(name(&mut buf, format_args!("Rbr{r}_{c}")), s, sb, ohms)?;
+                    nl.resistor(label(&mut buf, "Rbr", &suffix), s, sb, ohms)?;
                 }
                 cells.push(CellSite { s, sb, stored });
             }
@@ -354,6 +358,15 @@ fn name<'a>(buf: &'a mut String, args: fmt::Arguments<'_>) -> &'a str {
     buf.clear();
     buf.write_fmt(args)
         .expect("formatting into a String cannot fail");
+    buf
+}
+
+/// Writes `prefix` followed by `suffix` into `buf`, reusing its
+/// capacity.
+fn label<'a>(buf: &'a mut String, prefix: &str, suffix: &str) -> &'a str {
+    buf.clear();
+    buf.push_str(prefix);
+    buf.push_str(suffix);
     buf
 }
 
@@ -465,6 +478,39 @@ mod tests {
         assert_eq!(built.netlist.num_unknowns(), 291);
         assert_eq!(built.partition.num_blocks(), 128);
         assert_eq!(built.partition.interface_unknowns(), 35);
+    }
+
+    #[test]
+    fn names_carry_rows_and_columns_and_cells_share_three_cards() {
+        let mut spec = ArraySpec::retention(2, 3, 1.1, base());
+        spec.active
+            .push(ActiveCell::bridged(1, 2, StoredBit::One, 1.0e3));
+        let built = spec.build().expect("array builds");
+        let nl = &built.netlist;
+        let mut nodes = ["0", "vdd_supply", "vdd_rail", "wl0", "wl1"]
+            .map(String::from)
+            .to_vec();
+        let mut devices = ["VDDC", "Rsup", "Rwl0", "Rwl1"].map(String::from).to_vec();
+        for c in 0..3 {
+            nodes.extend([format!("bl{c}"), format!("blb{c}")]);
+            devices.extend([format!("Rbl{c}"), format!("Rblb{c}")]);
+        }
+        for r in 0..2 {
+            for c in 0..3 {
+                nodes.extend([format!("s{r}_{c}"), format!("sb{r}_{c}")]);
+                let transistors = ["MP1", "MN1", "MP2", "MN2", "MN3", "MN4"];
+                devices.extend(transistors.map(|t| format!("{t}_{r}_{c}")));
+            }
+        }
+        devices.push("Rbr1_2".into());
+        assert!(nl.node_names().eq(nodes.iter().map(String::as_str)));
+        assert!(nl
+            .elements()
+            .map(|(name, _)| name)
+            .eq(devices.iter().map(String::as_str)));
+        // Pull-ups, pull-downs and access transistors: the 36
+        // transistors of a symmetric array hold three cards between them.
+        assert_eq!(nl.num_cards(), 3);
     }
 
     #[test]

@@ -17,8 +17,8 @@ use anasim::mna::AnalysisMode;
 use anasim::newton::solve_with_retry;
 use anasim::{Netlist, NewtonOptions};
 use drftest::campaign::{run_grid, GridPoint};
-use drftest::experiments::table2;
-use drftest::Table2Options;
+use drftest::experiments::{array, table2};
+use drftest::{ArrayRetentionOptions, Table2Options};
 
 fn obs_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -117,6 +117,42 @@ fn profile_reproduces_campaign_wall_clock_from_the_trace() {
         .get("anasim.solve.retries")
         .map_or(f64::NAN, obs::Histogram::sum);
     assert_eq!(retries, 0.0, "whole-solve retries");
+}
+
+#[test]
+fn array_solves_reach_the_solver_metrics_and_the_profile() {
+    // Each point of the quick retention map is one solve: it counts in
+    // `anasim.solve.*` and charges its Newton iterations to the
+    // `array_solve` span that ran it.
+    let _guard = obs_lock();
+    obs::reset();
+    let trace = Arc::new(Mutex::new(Vec::new()));
+    obs::install_writer(Box::new(Shared(trace.clone())));
+    let opts = ArrayRetentionOptions {
+        jobs: 1,
+        ..ArrayRetentionOptions::quick()
+    };
+    let report = array::run(&opts).expect("quick map solves");
+    obs::flush();
+    obs::close_sink();
+
+    let snap = obs::snapshot();
+    assert_eq!(report.points.len(), 6);
+    assert_eq!(snap.counters.get("anasim.solve.count"), Some(&6));
+    assert_eq!(snap.counters.get("anasim.solve.failed"), None);
+    let iterations = &snap.histograms["anasim.solve.iterations"];
+    assert_eq!(iterations.count(), 6);
+    assert_eq!(iterations.sum(), 28.0, "the quick map's Newton iterations");
+
+    let text = String::from_utf8(trace.lock().unwrap().clone()).unwrap();
+    let profile = obs::Profile::from_jsonl(&text);
+    let in_solve_spans: u64 = profile
+        .nodes
+        .values()
+        .filter(|node| node.path.rsplit('/').next() == Some("array_solve"))
+        .map(|node| node.iterations)
+        .sum();
+    assert_eq!(in_solve_spans, 28, "profile:\n{}", profile.render(20));
 }
 
 /// Solver counters of the quick Table II campaign at one worker with
@@ -245,10 +281,9 @@ fn failed_point_trajectory_lands_in_the_summary() {
     let a = nl.node("a");
     let mid = nl.node("mid");
     nl.vsource("V", a, Netlist::GND, f64::NAN);
-    nl.resistor("R1", a, mid, 1.0e3)
-        .expect("valid resistance, unique name");
+    nl.resistor("R1", a, mid, 1.0e3).expect("valid resistance");
     nl.resistor("R2", mid, Netlist::GND, 1.0e3)
-        .expect("valid resistance, unique name");
+        .expect("valid resistance");
 
     // The campaign runner settles the point: it fails recordably.
     let settled = run_grid(
