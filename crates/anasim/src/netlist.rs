@@ -108,10 +108,9 @@ pub struct Netlist {
     node_names: NameTable,
     devices: Vec<ElementKind>,
     device_names: Labels,
-    /// First branch-unknown index (counted from 0 among branches) per
-    /// device, parallel to `devices`.
-    branch_starts: Vec<usize>,
-    num_branches: usize,
+    /// Each voltage source's value, in device order: every source
+    /// device allocates exactly one entry, and its branch-current
+    /// unknown is that entry's index counted after the node unknowns.
     sources: Vec<f64>,
     /// Each source's waveform, parallel to `sources`.
     waveforms: Vec<Waveform>,
@@ -215,7 +214,6 @@ impl Netlist {
             node_names,
             devices: Vec::with_capacity(devices),
             device_names: Labels::with_capacity(devices),
-            branch_starts: Vec::with_capacity(devices),
             ..Netlist::default()
         }
     }
@@ -247,14 +245,15 @@ impl Netlist {
         self.node_names.len()
     }
 
-    /// Number of auxiliary branch-current unknowns.
+    /// Number of auxiliary branch-current unknowns: one per voltage
+    /// source.
     pub fn num_branches(&self) -> usize {
-        self.num_branches
+        self.sources.len()
     }
 
     /// Total unknown count of the MNA system.
     pub fn num_unknowns(&self) -> usize {
-        self.num_nodes() - 1 + self.num_branches
+        self.num_nodes() - 1 + self.num_branches()
     }
 
     /// Number of devices.
@@ -271,29 +270,33 @@ impl Netlist {
     /// against the names already in use.
     fn register(&mut self, name: &str, device: ElementKind) {
         self.device_names.push(name);
-        self.branch_starts.push(self.num_branches);
-        self.num_branches += device.num_branches();
         self.devices.push(device);
+    }
+
+    /// The index of `device`'s first branch unknown within the full
+    /// unknown vector: a voltage source's one branch follows the node
+    /// unknowns at its source-table index, and any other device owns the
+    /// empty range at the start of the branch block.
+    fn branch_offset(&self, device: &ElementKind) -> usize {
+        let node_unknowns = self.num_nodes() - 1;
+        match device {
+            ElementKind::VoltageSource { source, .. } => node_unknowns + source.index(),
+            _ => node_unknowns,
+        }
     }
 
     /// Iterates over `(device, absolute_branch_offset)` pairs. The offset
     /// is the index of the device's first branch unknown within the full
     /// unknown vector.
     pub(crate) fn devices_with_offsets(&self) -> impl Iterator<Item = (&ElementKind, usize)> + '_ {
-        let node_unknowns = self.num_nodes() - 1;
-        self.devices
-            .iter()
-            .zip(&self.branch_starts)
-            .map(move |(d, &s)| (d, node_unknowns + s))
+        self.devices.iter().map(|d| (d, self.branch_offset(d)))
     }
 
     /// Device `index` (insertion order) with its absolute branch offset,
     /// as one item of [`Netlist::devices_with_offsets`].
     pub(crate) fn device_with_offset(&self, index: usize) -> (&ElementKind, usize) {
-        (
-            &self.devices[index],
-            self.num_nodes() - 1 + self.branch_starts[index],
-        )
+        let device = &self.devices[index];
+        (device, self.branch_offset(device))
     }
 
     /// Returns a zeroed warm-start vector of the right dimension for
@@ -326,10 +329,8 @@ impl Netlist {
     /// count; of several devices sharing the name, the first counts.
     pub fn branch_unknown(&self, device_name: &str) -> Option<usize> {
         let idx = self.device_names.iter().position(|n| n == device_name)?;
-        if self.devices[idx].num_branches() == 0 {
-            return None;
-        }
-        Some(self.num_nodes() - 1 + self.branch_starts[idx])
+        let device = &self.devices[idx];
+        (device.num_branches() > 0).then(|| self.branch_offset(device))
     }
 
     // ------------------------------------------------------------------
@@ -381,14 +382,13 @@ impl Netlist {
         if i < node_unknowns {
             return format!("node `{}`", self.node_names.get(i + 1));
         }
-        let branch = i - node_unknowns;
-        for (idx, (dev, &start)) in self.devices.iter().zip(&self.branch_starts).enumerate() {
-            let n = dev.num_branches();
-            if n > 0 && branch >= start && branch < start + n {
-                return format!("branch current of `{}`", self.device_name(idx));
-            }
+        let owner = self.devices.iter().position(|d| {
+            matches!(d, ElementKind::VoltageSource { source, .. } if source.index() == i - node_unknowns)
+        });
+        match owner {
+            Some(idx) => format!("branch current of `{}`", self.device_name(idx)),
+            None => format!("unknown #{i}"),
         }
-        format!("unknown #{i}")
     }
 
     // ------------------------------------------------------------------
@@ -741,9 +741,9 @@ mod tests {
         let mut nl = Netlist::new();
         let a = nl.node("a");
         let b = nl.node("b");
-        nl.vsource("V1", a, Netlist::GND, 1.0);
+        let v1 = nl.vsource("V1", a, Netlist::GND, 1.0);
         nl.resistor("R1", a, b, 10.0).unwrap();
-        nl.vsource("V2", b, Netlist::GND, 0.5);
+        let v2 = nl.vsource_waveform("V2", b, Netlist::GND, Waveform::Dc);
         assert_eq!(nl.num_branches(), 2);
         // Two non-ground nodes + two branch currents.
         assert_eq!(nl.num_unknowns(), 4);
@@ -751,6 +751,18 @@ mod tests {
         assert_eq!(nl.branch_unknown("V2"), Some(3));
         assert_eq!(nl.branch_unknown("R1"), None);
         assert_eq!(nl.branch_unknown("Vnope"), None);
+        // Only sources own branches: one per source-table entry, the
+        // entry's index counted after the node unknowns.
+        assert_eq!(nl.num_branches(), nl.num_sources());
+        for (name, id) in [("V1", v1), ("V2", v2)] {
+            let branch = nl.num_nodes() - 1 + id.index();
+            assert_eq!(nl.branch_unknown(name), Some(branch));
+            assert_eq!(
+                nl.unknown_label(branch),
+                format!("branch current of `{name}`")
+            );
+        }
+        assert_eq!(nl.unknown_label(4), "unknown #4");
     }
 
     #[test]

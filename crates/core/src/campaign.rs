@@ -8,36 +8,39 @@
 //!
 //! * [`run_grid`] — the one runner every campaign's grid points go
 //!   through: it times each point, keeps its solver trajectory under
-//!   the outcome's label, turns a panic into a recordable error and
+//!   the outcome's label, turns a panic into a recordable error, hands
+//!   each outcome to the campaign's in-order hook as it settles and
 //!   folds results, failures and coverage in grid order ([`Settled`]);
 //! * [`PointFailure`] — a structured record of one grid point that
 //!   stayed unsolved after the full
-//!   [`anasim::newton::solve_with_retry`] escalation;
+//!   [`anasim::newton::solve_with_retry`] escalation, was turned away
+//!   by the pre-flight gate, or panicked;
 //! * [`Coverage`] — attempted/completed accounting rendered as the
 //!   completeness percentage of a partial table;
 //! * [`Checkpoint`] — an append-only tab-separated log of completed
-//!   rows (plain `std`, no dependencies) that lets an interrupted
-//!   campaign resume without recomputing finished cells.
+//!   rows (plain `std`, no dependencies), headed by the settings that
+//!   computed them, that lets an interrupted campaign resume without
+//!   recomputing finished cells.
 //!
 //! Only *recordable* errors ([`anasim::Error::is_recordable`]) are
-//! downgraded to failures: the retryable solver outcomes, plus
-//! [`anasim::Error::PreflightRejected`] from the static ERC gate
-//! ([`preflight_netlist`]), which turns a structurally broken grid
+//! downgraded to failures: the retryable solver outcomes, a caught
+//! panic, plus [`anasim::Error::PreflightRejected`] from the static ERC
+//! gate ([`preflight_netlist`]), which turns a structurally broken grid
 //! point away with a named-node diagnostic *before* any Newton
 //! iteration is spent on it. Other structural errors (invalid
 //! netlists, bad time axes) still abort, because they mean the
 //! campaign itself is misconfigured.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use process::PvtCondition;
 use regulator::Defect;
 
-use crate::executor::parallel_map_isolated;
+use crate::executor::{parallel_map_isolated, WorkOutcome};
 
 /// Static ERC pre-flight over a netlist a campaign is about to solve.
 ///
@@ -85,8 +88,8 @@ pub struct PointFailure {
     pub error: anasim::Error,
     /// Solve attempts spent before giving up:
     /// [`anasim::newton::SOLVE_ATTEMPTS`] for a retryable solver
-    /// error, 0 for any other (a pre-flight ERC rejection or a
-    /// quarantine skip, which no solve was tried for, or a panic).
+    /// error, 0 for any other (a pre-flight ERC rejection, which no
+    /// solve was tried for, or a panic).
     pub attempts: usize,
     /// Whether this failure records a *panic* caught by the executor's
     /// per-point isolation ([`crate::executor::parallel_map_isolated`])
@@ -329,17 +332,6 @@ impl<R> Settled<R> {
     }
 }
 
-/// Contiguous groups of a campaign's grid points — a Table I row, a
-/// Fig. 4 series — whose completion [`run_grid`] reports as it happens.
-pub struct Groups<'a> {
-    /// Points per group: group `g` is points `g * len..(g + 1) * len`.
-    pub len: usize,
-    /// Called with a group's index as soon as its last point and every
-    /// earlier point have settled, on the calling thread and in group
-    /// order, while later points may still be running.
-    pub done: &'a mut dyn FnMut(usize),
-}
-
 /// Runs every grid point of a campaign through
 /// [`parallel_map_isolated`], settling each the same way: `work(item)`
 /// runs under a point timer keyed by `point(index, item)`, which
@@ -347,9 +339,13 @@ pub struct Groups<'a> {
 /// `ok`, `failed` or `panicked`; a panic becomes
 /// [`anasim::Error::Panicked`]; and the outcomes fold in grid order
 /// ([`Settled::push`]), so the result is identical for every `jobs`
-/// value. `groups`, when given, hears of each group's completion from
-/// the executor's in-order hook, so a campaign's progress lines appear
-/// while it runs rather than after the fan-out.
+/// value.
+///
+/// `settled(index, outcome)` hears of each point's outcome on the
+/// calling thread, in grid order, as soon as it and every earlier
+/// point have settled, while later points may still be running: the
+/// hook a campaign reports a finished row, series or cell from while
+/// it runs rather than after the fan-out.
 ///
 /// # Errors
 ///
@@ -360,44 +356,34 @@ pub fn run_grid<T, R>(
     items: &[T],
     point: impl Fn(usize, &T) -> GridPoint + Sync,
     work: impl Fn(&T) -> Result<R, anasim::Error> + Sync,
-    mut groups: Option<Groups<'_>>,
+    mut settled: impl FnMut(usize, &Result<R, anasim::Error>),
 ) -> Result<Settled<R>, anasim::Error>
 where
     T: Sync,
     R: Send,
 {
+    let panicked = |what: String| Err(anasim::Error::Panicked { what });
     let outcomes = parallel_map_isolated(
         jobs,
         items,
-        |i, item| settle_point(&point(i, item).key, || work(item)),
-        |i, _| {
-            if let Some(Groups { len, done }) = groups.as_mut() {
-                if (i + 1) % *len == 0 {
-                    done(i / *len);
-                }
-            }
+        |i, item| {
+            // Timed points must not nest: each timer opens the thread's
+            // flight-recorder bracket afresh.
+            let mut timer = PointTimer::start(&point(i, item).key);
+            let outcome = work(item);
+            timer.outcome = if outcome.is_ok() { "ok" } else { "failed" };
+            outcome
+        },
+        |i, outcome| match outcome {
+            WorkOutcome::Done(outcome) => settled(i, outcome),
+            WorkOutcome::Panicked { message } => settled(i, &panicked(message.clone())),
         },
     );
-    let mut settled = Settled::default();
+    let mut fold = Settled::default();
     for (i, outcome) in outcomes.into_iter().enumerate() {
-        let outcome = outcome.unwrap_or_else(|what| Err(anasim::Error::Panicked { what }));
-        settled.push(&point(i, &items[i]), outcome)?;
+        fold.push(&point(i, &items[i]), outcome.unwrap_or_else(panicked))?;
     }
-    Ok(settled)
-}
-
-/// Runs one grid point's `work` on the calling thread under a
-/// [`PointTimer`], labelling its trajectory `ok` or `failed` from the
-/// outcome (`panicked` when `work` unwinds). Timed points must not
-/// nest: each timer opens the thread's flight-recorder bracket afresh.
-pub(crate) fn settle_point<R>(
-    key: &str,
-    work: impl FnOnce() -> Result<R, anasim::Error>,
-) -> Result<R, anasim::Error> {
-    let mut timer = PointTimer::start(key);
-    let outcome = work();
-    timer.outcome = if outcome.is_ok() { "ok" } else { "failed" };
-    outcome
+    Ok(fold)
 }
 
 /// Scope timer for one campaign grid point: snapshots the wall clock
@@ -465,8 +451,8 @@ impl Drop for PointTimer {
 
 /// Periodic campaign progress snapshots with ETA and stall detection.
 ///
-/// An executor creates one heartbeat per campaign and calls
-/// [`tick`](Heartbeat::tick) from its single-writer `on_ready` hook;
+/// A campaign creates one heartbeat and calls
+/// [`tick`](Heartbeat::tick) from [`run_grid`]'s in-order hook;
 /// at most one `heartbeat` event is emitted every 5 s, carrying
 /// completed/total, throughput, and the ETA a streaming consumer
 /// needs. When no point completes for 30 s, the next tick flags the
@@ -624,35 +610,55 @@ impl Heartbeat {
 /// Each completed row of a campaign is appended as one line whose
 /// first field is a stable key (e.g. `df16/cs1`); a rerun pointed at
 /// the same file skips keys already present. Lines starting with `#`
-/// are comments. Plain `std` I/O — no serialization dependency.
+/// are comments; the first line of a log a campaign opens
+/// ([`Checkpoint::open`]) names the settings its rows were computed
+/// under. Plain `std` I/O — no serialization dependency.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     path: PathBuf,
 }
 
 impl Checkpoint {
-    /// A checkpoint backed by `path` (the file need not exist yet).
+    /// A checkpoint backed by `path` (the file need not exist yet),
+    /// read and appended as it stands.
     pub fn new(path: impl Into<PathBuf>) -> Self {
         Checkpoint { path: path.into() }
     }
 
-    /// The backing file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The keys (first field) of every row already logged. An absent
-    /// file reads as empty — a fresh campaign.
+    /// The checkpoint at `path` for a campaign whose settings render as
+    /// the one line `settings`. A missing or empty file is started with
+    /// `# <settings>`; a file holding anything else must begin with
+    /// that line, so no row is ever resumed under settings other than
+    /// those that computed it. A header torn by a crash mid-write counts
+    /// as empty.
     ///
     /// # Errors
     ///
-    /// I/O errors other than "file not found".
-    pub fn completed_keys(&self) -> io::Result<HashSet<String>> {
-        Ok(self
-            .rows()?
-            .into_iter()
-            .filter_map(|mut r| (!r.is_empty()).then(|| r.swap_remove(0)))
-            .collect())
+    /// [`io::ErrorKind::InvalidData`] naming the file when its first
+    /// line differs or is missing, and other I/O errors.
+    pub fn open(path: impl Into<PathBuf>, settings: &str) -> io::Result<Self> {
+        let checkpoint = Checkpoint::new(path);
+        let header = format!("# {settings}");
+        let text = match fs::read_to_string(&checkpoint.path) {
+            Ok(t) => t,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
+            Err(e) => return Err(e),
+        };
+        match text.split_once('\n') {
+            None => checkpoint.append(&[header])?,
+            Some((first, _)) if first == header => {}
+            Some(_) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "{} was written under other settings than this run's; \
+                         delete it to start afresh",
+                        checkpoint.path.display()
+                    ),
+                ))
+            }
+        }
+        Ok(checkpoint)
     }
 
     /// Every logged row, split into fields. Later rows win when a key
@@ -753,139 +759,6 @@ impl Checkpoint {
     }
 }
 
-/// Cross-run quarantine for grid cells that die the same way on every
-/// resume attempt.
-///
-/// A panicked cell is deliberately left out of the [`Checkpoint`] so a
-/// resumed run recomputes it — the right call for a transient crash,
-/// but a cell that panics *identically* on every resume (a
-/// deterministic bug on that one input) would burn the same work and
-/// the same crash on every attempt forever. The quarantine is the
-/// executor's memory of those deaths: each one appends
-/// `key \t fingerprint` to an append-only sidecar TSV next to the
-/// checkpoint, and once a key accumulates
-/// [`DEFAULT_THRESHOLD`](Quarantine::DEFAULT_THRESHOLD) *consecutive identical*
-/// fingerprints, later runs skip it with a recordable
-/// [`anasim::Error::PreflightRejected`] carrying the `QUARANTINED`
-/// code instead of re-dying.
-///
-/// A fingerprint change resets the count: a cell that fails
-/// *differently* is flaky, not deterministic, and keeps its retry
-/// rights. Deleting the sidecar file (or the fix shipping a different
-/// fingerprint) lifts the quarantine.
-#[derive(Debug, Clone)]
-pub struct Quarantine {
-    file: Checkpoint,
-    /// Per key: the last fingerprint seen and how many consecutive
-    /// times it repeated.
-    counts: HashMap<String, (String, u64)>,
-}
-
-impl Quarantine {
-    /// Consecutive identical failures after which a key is skipped.
-    pub const DEFAULT_THRESHOLD: u64 = 2;
-
-    /// The sidecar path for a checkpoint at `checkpoint`:
-    /// `<checkpoint>.quarantine`.
-    pub fn sidecar_path(checkpoint: &Path) -> PathBuf {
-        let mut os = checkpoint.as_os_str().to_os_string();
-        os.push(".quarantine");
-        PathBuf::from(os)
-    }
-
-    /// Loads (or starts) the quarantine backed by `path`. An absent
-    /// file reads as empty — no key is quarantined.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors other than "file not found".
-    pub fn load(path: impl Into<PathBuf>) -> io::Result<Self> {
-        let file = Checkpoint::new(path);
-        let mut counts: HashMap<String, (String, u64)> = HashMap::new();
-        for row in file.rows()? {
-            if row.len() < 2 {
-                continue;
-            }
-            let entry = counts.entry(row[0].clone()).or_default();
-            if entry.0 == row[1] {
-                entry.1 += 1;
-            } else {
-                *entry = (row[1].clone(), 1);
-            }
-        }
-        Ok(Quarantine { file, counts })
-    }
-
-    /// The backing sidecar file.
-    pub fn path(&self) -> &Path {
-        self.file.path()
-    }
-
-    /// Whether `key` has reached the quarantine threshold.
-    pub fn is_quarantined(&self, key: &str) -> bool {
-        self.counts
-            .get(key)
-            .is_some_and(|(_, n)| *n >= Self::DEFAULT_THRESHOLD)
-    }
-
-    /// Every quarantined key, in no particular order.
-    pub fn quarantined_keys(&self) -> Vec<&str> {
-        self.counts
-            .iter()
-            .filter(|(_, (_, n))| *n >= Self::DEFAULT_THRESHOLD)
-            .map(|(k, _)| k.as_str())
-            .collect()
-    }
-
-    /// The recordable error a campaign logs instead of re-evaluating a
-    /// quarantined `key`; `None` while the key keeps its retry rights.
-    pub fn reject(&self, key: &str) -> Option<anasim::Error> {
-        let (fingerprint, n) = self.counts.get(key)?;
-        if *n < Self::DEFAULT_THRESHOLD {
-            return None;
-        }
-        obs::counter_add("campaign.quarantine.skipped", 1);
-        Some(anasim::Error::PreflightRejected {
-            code: "QUARANTINED".into(),
-            what: format!(
-                "`{key}` failed identically on {n} runs ({fingerprint}); \
-                 delete {} to retry it",
-                self.file.path().display()
-            ),
-        })
-    }
-
-    /// Records one failure of `key` with the given `fingerprint`
-    /// (typically the panic message or error rendering), returning
-    /// whether the key just crossed the quarantine threshold. Tabs and
-    /// newlines in the fingerprint are flattened to keep the TSV
-    /// well-formed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sidecar I/O failures.
-    pub fn record(&mut self, key: &str, fingerprint: &str) -> io::Result<bool> {
-        let fingerprint: String = fingerprint
-            .chars()
-            .map(|c| {
-                if c == '\t' || c == '\n' || c == '\r' {
-                    ' '
-                } else {
-                    c
-                }
-            })
-            .collect();
-        self.file.append(&[key.to_string(), fingerprint.clone()])?;
-        let entry = self.counts.entry(key.to_string()).or_default();
-        if entry.0 == fingerprint {
-            entry.1 += 1;
-        } else {
-            *entry = (fingerprint, 1);
-        }
-        Ok(entry.1 >= Self::DEFAULT_THRESHOLD)
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -898,39 +771,47 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn runner_reports_each_group_before_the_next_one_starts() {
+    fn runner_hook_hears_each_outcome_before_the_next_point_runs() {
+        let _obs = obs_lock();
         let log = std::sync::Mutex::new(Vec::<String>::new());
-        let items: Vec<usize> = (0..6).collect();
+        let items: Vec<usize> = (0..4).collect();
         let settled = run_grid(
             1,
             &items,
-            |i, _| GridPoint::new(format!("group-test #{i}"), None, None, None),
+            |i, _| GridPoint::new(format!("hook-test #{i}"), None, None, None),
             |&i| {
                 log.lock().unwrap().push(format!("point {i}"));
-                Ok(i)
+                match i {
+                    1 => Err(anasim::Error::NoConvergence {
+                        iterations: 1,
+                        residual: 1.0,
+                    }),
+                    2 => panic!("poisoned point {i}"),
+                    _ => Ok(i),
+                }
             },
-            Some(Groups {
-                len: 2,
-                done: &mut |g| log.lock().unwrap().push(format!("group {g} done")),
-            }),
+            |i, outcome| {
+                let heard = match outcome {
+                    Ok(r) => format!("ok {r}"),
+                    Err(e) if e.is_panic() => "panicked".to_string(),
+                    Err(_) => "failed".to_string(),
+                };
+                log.lock().unwrap().push(format!("settled {i}: {heard}"));
+            },
         )
-        .expect("every point succeeds");
-        assert_eq!(
-            settled.results,
-            items.iter().map(|&i| Some(i)).collect::<Vec<_>>()
-        );
+        .expect("no point fails fatally");
+        assert_eq!(settled.results, vec![Some(0), None, None, Some(3)]);
         assert_eq!(
             *log.lock().unwrap(),
             [
                 "point 0",
+                "settled 0: ok 0",
                 "point 1",
-                "group 0 done",
+                "settled 1: failed",
                 "point 2",
+                "settled 2: panicked",
                 "point 3",
-                "group 1 done",
-                "point 4",
-                "point 5",
-                "group 2 done",
+                "settled 3: ok 3",
             ]
         );
     }
@@ -967,7 +848,7 @@ pub(crate) mod tests {
                         }),
                     }
                 },
-                None,
+                |_, _| {},
             )
         };
         obs::flight_enable(obs::DEFAULT_CAPACITY);
@@ -1269,7 +1150,7 @@ pub(crate) mod tests {
         let _ = fs::remove_file(&path);
         let cp = Checkpoint::new(&path);
         // Absent file: empty, not an error.
-        assert!(cp.completed_keys().unwrap().is_empty());
+        assert!(cp.rows_by_key().unwrap().is_empty());
         cp.append(&["df16/cs1".into(), "976.56".into(), "fs".into()])
             .unwrap();
         cp.append(&["df19/cs1".into(), "-".into(), "-".into()])
@@ -1277,10 +1158,8 @@ pub(crate) mod tests {
         // Re-log a key: the later row wins in the keyed view.
         cp.append(&["df16/cs1".into(), "980.00".into(), "sf".into()])
             .unwrap();
-        let keys = cp.completed_keys().unwrap();
-        assert_eq!(keys.len(), 2);
-        assert!(keys.contains("df16/cs1") && keys.contains("df19/cs1"));
         let by_key = cp.rows_by_key().unwrap();
+        assert_eq!(by_key.len(), 2);
         assert_eq!(by_key["df16/cs1"][0], "980.00");
         assert_eq!(by_key["df19/cs1"][0], "-");
         assert_eq!(cp.rows().unwrap().len(), 3);
@@ -1316,9 +1195,9 @@ pub(crate) mod tests {
         // The torn row is invisible to readers: df19/cs1 gets
         // recomputed on resume instead of resuming from a truncated
         // (and silently wrong) value.
-        let keys = cp.completed_keys().unwrap();
-        assert!(keys.contains("df16/cs1"));
-        assert!(!keys.contains("df19/cs1"), "torn row must not count");
+        let keys = cp.rows_by_key().unwrap();
+        assert!(keys.contains_key("df16/cs1"));
+        assert!(!keys.contains_key("df19/cs1"), "torn row must not count");
         assert_eq!(cp.rows().unwrap().len(), 1);
 
         // The resumed run re-appends the recomputed row; the torn
@@ -1338,68 +1217,33 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn quarantine_trips_on_consecutive_identical_failures() {
-        let dir = std::env::temp_dir().join("drftest-quarantine-test");
-        let path = dir.join("table2.tsv.quarantine");
+    fn checkpoint_opens_only_under_its_own_settings() {
+        let dir = std::env::temp_dir().join("drftest-campaign-settings-test");
+        let path = dir.join("table2.tsv");
         let _ = fs::remove_dir_all(&dir);
-        let mut q = Quarantine::load(&path).unwrap();
-        assert!(!q.is_quarantined("df19/cs1"));
-        assert!(q.reject("df19/cs1").is_none());
-
-        // First death: recorded, not yet quarantined.
-        assert!(!q.record("df19/cs1", "index out of bounds").unwrap());
-        assert!(!q.is_quarantined("df19/cs1"));
-
-        // Second identical death crosses the default threshold.
-        assert!(q.record("df19/cs1", "index out of bounds").unwrap());
-        assert!(q.is_quarantined("df19/cs1"));
-        assert_eq!(q.quarantined_keys(), vec!["df19/cs1"]);
-        let err = q.reject("df19/cs1").expect("must reject");
-        assert!(err.is_recordable() && !err.is_retryable());
-        let s = err.to_string();
-        assert!(s.contains("QUARANTINED") && s.contains("df19/cs1"), "{s}");
-
-        // The state survives a reload from the sidecar.
-        let reloaded = Quarantine::load(&path).unwrap();
-        assert!(reloaded.is_quarantined("df19/cs1"));
+        // A new log starts with its settings line, and reopens under it.
+        let cp = Checkpoint::open(&path, "grid=a").unwrap();
+        cp.append(&["df16/cs1".into(), "976.56".into()]).unwrap();
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            "# grid=a\ndf16/cs1\t976.56\n"
+        );
+        let reopened = Checkpoint::open(&path, "grid=a").unwrap();
+        assert_eq!(reopened.rows_by_key().unwrap()["df16/cs1"], ["976.56"]);
+        // Other settings, or no settings line at all, are refused by
+        // name, and the file is left as it was.
+        let refused = Checkpoint::open(&path, "grid=b").expect_err("other settings");
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidData);
+        assert!(refused.to_string().contains("table2.tsv"), "{refused}");
+        fs::write(&path, "df16/cs1\t976.56\n").unwrap();
+        assert!(Checkpoint::open(&path, "grid=a").is_err());
+        assert_eq!(fs::read_to_string(&path).unwrap(), "df16/cs1\t976.56\n");
+        // An empty file, or a settings line torn mid-write, starts afresh.
+        for start in ["", "# gri"] {
+            fs::write(&path, start).unwrap();
+            Checkpoint::open(&path, "grid=a").unwrap();
+            assert_eq!(fs::read_to_string(&path).unwrap(), "# grid=a\n");
+        }
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn quarantine_resets_when_the_failure_changes() {
-        let dir = std::env::temp_dir().join("drftest-quarantine-flaky-test");
-        let path = dir.join("q.tsv");
-        let _ = fs::remove_dir_all(&dir);
-        let mut q = Quarantine::load(&path).unwrap();
-        assert!(!q.record("k", "first way").unwrap());
-        // A different fingerprint is flakiness, not determinism: the
-        // consecutive count restarts.
-        assert!(!q.record("k", "second way").unwrap());
-        assert!(!q.is_quarantined("k"));
-        assert!(q.record("k", "second way").unwrap());
-        assert!(q.is_quarantined("k"));
-        // Reload sees the same consecutive-run arithmetic.
-        assert!(Quarantine::load(&path).unwrap().is_quarantined("k"));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn quarantine_flattens_tsv_hostile_fingerprints() {
-        let dir = std::env::temp_dir().join("drftest-quarantine-tsv-test");
-        let path = dir.join("q.tsv");
-        let _ = fs::remove_dir_all(&dir);
-        let mut q = Quarantine::load(&path).unwrap();
-        q.record("k", "line one\nline\ttwo").unwrap();
-        q.record("k", "line one\nline\ttwo").unwrap();
-        assert!(q.is_quarantined("k"));
-        // The flattened fingerprint still matches itself on reload.
-        assert!(Quarantine::load(&path).unwrap().is_quarantined("k"));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn quarantine_sidecar_path_is_derived_from_the_checkpoint() {
-        let p = Quarantine::sidecar_path(Path::new("/tmp/x/table2.tsv"));
-        assert_eq!(p, PathBuf::from("/tmp/x/table2.tsv.quarantine"));
     }
 }

@@ -1,23 +1,32 @@
 //! Table II campaign: minimum defect resistance causing a DRF_DS, per
 //! defect × case study, minimized over the PVT grid.
+//!
+//! The campaign runs in two [`run_grid`] passes. The first pre-solves
+//! one context per (case study, PVT) condition a computed cell needs:
+//! the stressed cell's retention voltage, the array load and, with
+//! warm starts on, the healthy regulator's operating point. The second
+//! runs one minimum-resistance search per (defect, case study, PVT)
+//! point, in grid order; each cell is the minimum over its points, and
+//! a point that fails, panics or lost its context counts in the cell's
+//! `failed_points` instead of aborting the campaign. As each cell's
+//! last point settles it is checkpointed, reported and ticked into the
+//! heartbeat, so an interrupted run resumes past every finished cell.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 
 use process::{ProcessCorner, PvtCondition};
 use regulator::characterize::{
-    healthy_seed, min_resistance_seeded, CharacterizeOptions, DrfCriterion,
+    healthy_seed, min_resistance_seeded, CharacterizeOptions, DrfCriterion, MinResistance,
 };
 use regulator::{Defect, RegulatorDesign, VrefTap};
 use sram::drv::{drv_ds, DrvOptions};
 use sram::{ArrayLoad, CellInstance, CellPopulation, StoredBit};
 
 use crate::campaign::{
-    publish_coverage, run_grid, settle_point, Checkpoint, Coverage, GridPoint, Heartbeat,
-    PointFailure, Quarantine, Settled,
+    publish_coverage, run_grid, Checkpoint, Coverage, GridPoint, Heartbeat, PointFailure,
 };
 use crate::case_study::CaseStudy;
-use crate::executor::{parallel_map_isolated, WorkOutcome};
 
 /// The regulator configuration rule of §IV.A: pick the tap that puts
 /// `Vreg` as close as possible to — but not below — the worst-case
@@ -53,33 +62,19 @@ pub struct Table2Options {
     pub drv: DrvOptions,
     /// Samples of the array-load I(V) curve.
     pub load_points: usize,
-    /// Fault-injection hook for resilience tests: `(defect number,
-    /// case-study number)` cells whose every grid point is forced to
-    /// report a synthetic non-convergence instead of being solved.
-    pub inject_failures: Vec<(u8, u8)>,
-    /// Fault-injection hook for the ERC pre-flight gate: `(defect
-    /// number, case-study number)` cells whose grid points get a
-    /// deliberately severed (orphan-node) regulator netlist, so the
-    /// static checks must reject them before any Newton iteration.
-    pub inject_disconnects: Vec<(u8, u8)>,
-    /// Fault-injection hook for the executor's panic isolation:
-    /// `(defect number, case-study number)` cells whose evaluation
-    /// deliberately panics on the worker. The campaign must record the
-    /// cell as a panicked [`PointFailure`] and keep going — surviving
-    /// cells, checkpoint rows and the coverage footer stay
-    /// byte-identical at any `--jobs` count.
-    pub inject_panics: Vec<(u8, u8)>,
     /// When set, completed `(defect, case study)` cells are appended to
     /// this tab-separated file and a rerun pointed at the same path
-    /// resumes, skipping cells already logged.
+    /// resumes, skipping cells already logged. The file's first line
+    /// names the options that decide a cell's value (the grid,
+    /// `characterize`, `drv`, `load_points` and `warm_start`); a file
+    /// written under other ones is refused before any solve.
     pub checkpoint: Option<PathBuf>,
-    /// Worker threads the campaign fans its (defect, case-study) cells
-    /// across. `0` means "available parallelism"; `1` runs the
-    /// sequential inline path. Output tables, checkpoint rows and
-    /// coverage footers are byte-identical for every value (see
-    /// [`crate::executor`]).
+    /// Worker threads the campaign fans its grid points across. `0`
+    /// means "available parallelism"; `1` runs the sequential inline
+    /// path. Output tables, checkpoint rows and coverage footers are
+    /// byte-identical for every value (see [`crate::executor`]).
     pub jobs: usize,
-    /// Seed each cell's resistance search from the healthy operating
+    /// Seed each point's resistance search from the healthy operating
     /// point pre-solved at its grid condition
     /// ([`regulator::characterize::healthy_seed`]) instead of the cold
     /// DC guess. Purely an accelerator: a missing or stale seed
@@ -100,9 +95,6 @@ impl Table2Options {
             characterize: CharacterizeOptions::default(),
             drv: DrvOptions::default(),
             load_points: 9,
-            inject_failures: Vec::new(),
-            inject_disconnects: Vec::new(),
-            inject_panics: Vec::new(),
             checkpoint: None,
             jobs: 0,
             warm_start: true,
@@ -121,6 +113,36 @@ impl Table2Options {
             ..Self::paper()
         }
     }
+
+    /// The grid conditions every cell is minimized over, corner-major,
+    /// then temperature, then supply.
+    fn grid(&self) -> Vec<PvtCondition> {
+        let mut grid = Vec::new();
+        for &corner in &self.corners {
+            for &temp in &self.temperatures {
+                for &vdd in &self.supplies {
+                    grid.push(PvtCondition::new(corner, vdd, temp));
+                }
+            }
+        }
+        grid
+    }
+
+    /// The checkpoint's settings line: every option that decides a
+    /// cell's value.
+    fn checkpoint_settings(&self) -> String {
+        format!(
+            "table2 corners={:?} temperatures={:?} supplies={:?} characterize={:?} \
+             drv={:?} load_points={} warm_start={}",
+            self.corners,
+            self.temperatures,
+            self.supplies,
+            self.characterize,
+            self.drv,
+            self.load_points,
+            self.warm_start
+        )
+    }
 }
 
 /// One (defect, case study) cell of Table II.
@@ -133,19 +155,27 @@ pub struct Table2Cell {
     pub pvt: Option<PvtCondition>,
     /// Rail voltage at the failing point (diagnostic).
     pub vddcc: Option<f64>,
-    /// Grid points of this cell left unsolved after the rescue ladder;
-    /// when non-zero the cell's minimum is over the points that *did*
-    /// complete.
+    /// Grid points of this cell left unsolved (failed, panicked, or
+    /// whose shared context could not be built); when non-zero the
+    /// cell's minimum is over the points that *did* complete.
     pub failed_points: usize,
 }
 
 impl Table2Cell {
-    fn empty() -> Self {
-        Table2Cell {
-            min_ohms: None,
-            pvt: None,
-            vddcc: None,
-            failed_points: 0,
+    const EMPTY: Table2Cell = Table2Cell {
+        min_ohms: None,
+        pvt: None,
+        vddcc: None,
+        failed_points: 0,
+    };
+
+    /// The cell's share of the campaign's coverage: its grid points, of
+    /// which all but the failed ones completed.
+    fn coverage(&self, grid_size: usize) -> Coverage {
+        Coverage {
+            attempted: grid_size,
+            completed: grid_size - self.failed_points.min(grid_size),
+            elapsed_s: 0.0,
         }
     }
 }
@@ -200,21 +230,6 @@ pub(crate) struct GridContext {
 /// circuit's converged state, the seed every resistance search at this
 /// condition starts Newton from.
 type SeededContext = (GridContext, Option<Vec<f64>>);
-
-/// The context-cache key: (cs number, corner, temp bits, vdd bits).
-/// Temperature and supply key on their exact values, so two conditions
-/// share a context only when they are the same condition. The tap is
-/// derived from vdd ([`tap_for_vdd`]), so it needs no key component.
-type CtxKey = (u8, &'static str, u64, u64);
-
-fn ctx_key(cs_number: u8, pvt: PvtCondition) -> CtxKey {
-    (
-        cs_number,
-        pvt.corner.abbreviation(),
-        pvt.temp_c.to_bits(),
-        pvt.vdd.to_bits(),
-    )
-}
 
 /// Stable checkpoint key of one (defect, case-study) cell.
 fn cell_key(defect: Defect, cs_number: u8) -> String {
@@ -273,30 +288,80 @@ fn checkpoint_cell(fields: &[String]) -> Option<Table2Cell> {
     })
 }
 
+/// One grid point of a computed cell, as the campaign hands it to its
+/// per-point evaluation: the cell's defect and case study, the
+/// condition, and the context pre-solved there.
+pub(crate) struct CellPoint<'a> {
+    pub(crate) defect: Defect,
+    pub(crate) case_study: u8,
+    pub(crate) pvt: PvtCondition,
+    context: &'a GridContext,
+    seed: Option<&'a [f64]>,
+}
+
+impl CellPoint<'_> {
+    /// The minimum-resistance search at this point, started from the
+    /// healthy seed when there is one: the evaluation [`table2`] runs.
+    pub(crate) fn search(
+        &self,
+        characterize: &CharacterizeOptions,
+    ) -> Result<MinResistance, anasim::Error> {
+        let criterion = DrfCriterion {
+            stressed: &self.context.stressed,
+            stored: StoredBit::One,
+            drv: self.context.drv,
+        };
+        min_resistance_seeded(
+            &RegulatorDesign::lp40nm(),
+            self.pvt,
+            tap_for_vdd(self.pvt.vdd),
+            self.defect,
+            &self.context.load,
+            &criterion,
+            characterize,
+            self.seed,
+        )
+    }
+}
+
 /// Runs the campaign with per-grid-point fault isolation.
 ///
 /// Each grid point runs independently: a point that the solver's
-/// escalation ladder cannot rescue is recorded in the returned table's
-/// `failures`/`coverage` (and in the owning cell's `failed_points`)
-/// rather than aborting the whole campaign. When
+/// escalation ladder cannot rescue, that the pre-flight gate turns
+/// away, or whose evaluation panics is recorded in the returned
+/// table's `failures`/`coverage` (and in the owning cell's
+/// `failed_points`) rather than aborting the whole campaign. When
 /// [`Table2Options::checkpoint`] is set, finished cells are appended
 /// there and a rerun resumes past them.
 ///
 /// # Errors
 ///
-/// Non-retryable failures — invalid netlists, bad sweep setups, and
-/// checkpoint I/O problems (surfaced as
-/// [`anasim::Error::InvalidValue`]) — still abort: they mean the
-/// campaign itself is misconfigured, not that one point is hard.
+/// Non-recordable failures — invalid netlists, bad sweep setups,
+/// checkpoint I/O problems and a checkpoint written under other
+/// options (both surfaced as [`anasim::Error::InvalidValue`]) — still
+/// abort: they mean the campaign itself is misconfigured, not that one
+/// point is hard.
 pub fn table2(options: &Table2Options) -> Result<Table2, anasim::Error> {
+    table2_with(options, |point| point.search(&options.characterize))
+}
+
+/// [`table2`] with `evaluate` in place of each grid point's search, so
+/// that tests can make chosen points fail, be turned away or panic.
+pub(crate) fn table2_with(
+    options: &Table2Options,
+    evaluate: impl Fn(&CellPoint<'_>) -> Result<MinResistance, anasim::Error> + Sync,
+) -> Result<Table2, anasim::Error> {
     let _span = obs::span("table2");
     let campaign_start = std::time::Instant::now();
-    let design = RegulatorDesign::lp40nm();
-    let grid_size = options.corners.len() * options.temperatures.len() * options.supplies.len();
-    let checkpoint = options.checkpoint.as_ref().map(Checkpoint::new);
+    let grid = options.grid();
+    let grid_size = grid.len();
     let io_err = |e: std::io::Error| anasim::Error::InvalidValue {
         device: "checkpoint".into(),
         what: e.to_string(),
+    };
+    let checkpoint = match &options.checkpoint {
+        Some(path) => Some(Checkpoint::open(path, &options.checkpoint_settings()).map_err(io_err)?),
+        None => None,
     };
     let resumed: HashMap<String, Table2Cell> = match &checkpoint {
         Some(cp) => cp
@@ -307,53 +372,26 @@ pub fn table2(options: &Table2Options) -> Result<Table2, anasim::Error> {
             .collect(),
         None => HashMap::new(),
     };
-    // The quarantine sidecar remembers cells that died identically on
-    // earlier resume attempts; those are turned away up front instead
-    // of re-dying on every resume forever.
-    let mut quarantine = match &checkpoint {
-        Some(cp) => Some(Quarantine::load(Quarantine::sidecar_path(cp.path())).map_err(io_err)?),
-        None => None,
-    };
-    // Snapshot at load time: a death recorded *during this run* must
-    // not retroactively rewrite this run's own failure record — the
-    // quarantine only gates future runs.
-    let quarantined_at_start: std::collections::HashSet<String> = quarantine
-        .as_ref()
-        .map(|q| q.quarantined_keys().iter().map(|s| s.to_string()).collect())
-        .unwrap_or_default();
-    let skipped = |defect: Defect, cs: &CaseStudy| {
-        resumed.contains_key(&cell_key(defect, cs.number))
-            || quarantined_at_start.contains(&cell_key(defect, cs.number))
-            || options
-                .inject_failures
-                .contains(&(defect.number(), cs.number))
-            || options
-                .inject_disconnects
-                .contains(&(defect.number(), cs.number))
-            || options
-                .inject_panics
-                .contains(&(defect.number(), cs.number))
-    };
+    // The cells this run computes, as (defect, case-study column), in
+    // grid order.
+    let computed: Vec<(Defect, usize)> = options
+        .defects
+        .iter()
+        .flat_map(|&d| (0..options.case_studies.len()).map(move |ci| (d, ci)))
+        .filter(|&(d, ci)| !resumed.contains_key(&cell_key(d, options.case_studies[ci].number)))
+        .collect();
 
-    // ---- Phase A: shared grid contexts, in deterministic grid order.
-    // Built for every (cs, pvt) some non-resumed, non-injected cell
-    // will touch. Pre-solving them up front (instead of the old lazy
-    // per-encounter build) keeps the warm-start cache population
-    // deterministic — a racy lazy insert under parallelism could vary
-    // which solve seeded the cache between runs.
-    let mut ctx_items: Vec<(usize, PvtCondition)> = Vec::new();
-    for (ci, cs) in options.case_studies.iter().enumerate() {
-        if !options.defects.iter().any(|&d| !skipped(d, cs)) {
-            continue;
-        }
-        for &corner in &options.corners {
-            for &temp in &options.temperatures {
-                for &vdd in &options.supplies {
-                    ctx_items.push((ci, PvtCondition::new(corner, vdd, temp)));
-                }
-            }
-        }
-    }
+    // ---- Contexts, for every condition of each case study a computed
+    // cell needs, pre-solved in grid order so the warm-start seeds do
+    // not depend on the worker count.
+    let needed: Vec<bool> = (0..options.case_studies.len())
+        .map(|ci| computed.iter().any(|&(_, c)| c == ci))
+        .collect();
+    let ctx_items: Vec<(usize, PvtCondition)> = (0..options.case_studies.len())
+        .filter(|&ci| needed[ci])
+        .flat_map(|ci| grid.iter().map(move |&pvt| (ci, pvt)))
+        .collect();
+    let design = RegulatorDesign::lp40nm();
     let built = run_grid(
         options.jobs,
         &ctx_items,
@@ -380,179 +418,98 @@ pub fn table2(options: &Table2Options) -> Result<Table2, anasim::Error> {
             };
             Ok((ctx, seed))
         },
-        None,
+        |_, _| {},
     )?;
-    // A context whose construction failed is cached poisoned (`None`)
-    // so the failure is charged once here and every grid point that
-    // needs it is tallied as failed without re-solving.
-    let mut failures = built.failures;
-    let contexts: HashMap<CtxKey, Option<SeededContext>> = ctx_items
+    // Per case-study column, its contexts in grid order (none for a
+    // column no computed cell needs). A context whose construction
+    // failed is `None`: the failure is charged once, above, and every
+    // point that needs it counts as failed without being evaluated.
+    let mut built_contexts = built.results.into_iter();
+    let contexts: Vec<Vec<Option<SeededContext>>> = needed
         .iter()
-        .zip(built.results)
-        .map(|(&(ci, pvt), ctx)| (ctx_key(options.case_studies[ci].number, pvt), ctx))
+        .map(|&n| {
+            let count = if n { grid_size } else { 0 };
+            built_contexts.by_ref().take(count).collect()
+        })
         .collect();
 
-    // ---- Phase B: the (defect × case-study) cells, fanned across
-    // workers. Each worker owns its cell completely (grid loop, solver
-    // tallies, local failure list); the single-threaded `on_ready`
-    // callback appends checkpoint rows in strict grid order, so an
-    // interrupted parallel run resumes exactly like a sequential one.
-    let mut cell_items: Vec<(Defect, usize)> = Vec::new();
-    for &d in &options.defects {
-        for (ci, cs) in options.case_studies.iter().enumerate() {
-            if !resumed.contains_key(&cell_key(d, cs.number))
-                && !quarantined_at_start.contains(&cell_key(d, cs.number))
-            {
-                cell_items.push((d, ci));
+    // ---- The computed cells' points with a context, one grid item
+    // each, in grid order.
+    let mut points = Vec::new();
+    let mut poisoned = Vec::with_capacity(computed.len() * grid_size);
+    for &(defect, ci) in &computed {
+        for (context, &pvt) in contexts[ci].iter().zip(&grid) {
+            poisoned.push(context.is_none());
+            if let Some((context, seed)) = context {
+                points.push(CellPoint {
+                    defect,
+                    case_study: options.case_studies[ci].number,
+                    pvt,
+                    context,
+                    seed: seed.as_deref(),
+                });
             }
         }
     }
-    let mut ckpt_err: Option<std::io::Error> = None;
-    let mut halted = false;
-    let mut running = Coverage::default();
-    for cell in resumed.values() {
-        running.merge(resumed_coverage(cell, grid_size));
-    }
-    // Periodic progress events with ETA and stall detection, paced by
-    // the single-writer callback (no extra thread, no lock).
-    // `running` already carries the resumed cells' coverage, so the
-    // target is the fresh cells' grid plus whatever was pre-counted.
-    let mut heartbeat = Heartbeat::new("table2", grid_size * cell_items.len() + running.attempted);
-    let done = parallel_map_isolated(
+    let keys = computed
+        .iter()
+        .map(|&(d, ci)| cell_key(d, options.case_studies[ci].number))
+        .collect();
+    let resumed_coverage = resumed.values().fold(Coverage::default(), |mut c, cell| {
+        c.merge(cell.coverage(grid_size));
+        c
+    });
+    let mut fold = CellFold::new(
+        grid_size,
+        keys,
+        poisoned,
+        checkpoint.as_ref(),
+        resumed_coverage,
+    );
+    let settled = run_grid(
         options.jobs,
-        &cell_items,
-        |_, &(defect, ci)| {
-            evaluate_cell(
-                defect,
-                &options.case_studies[ci],
-                options,
-                &design,
-                &contexts,
+        &points,
+        |_, p| {
+            GridPoint::new(
+                format!("{} @ {}", cell_key(p.defect, p.case_study), p.pvt),
+                Some(p.defect),
+                Some(p.case_study),
+                Some(p.pvt),
             )
         },
-        |i, outcome| {
-            let (defect, ci) = cell_items[i];
-            let key = cell_key(defect, options.case_studies[ci].number);
-            match outcome {
-                WorkOutcome::Done(Ok(cell)) => {
-                    running.merge(cell.coverage);
-                    if !halted && ckpt_err.is_none() {
-                        let logged = checkpoint
-                            .as_ref()
-                            .map_or(Ok(()), |cp| cp.append(&checkpoint_fields(&key, &cell.cell)));
-                        match logged {
-                            Ok(()) => obs::progress(&format!("table2 cell {key} done ({running})")),
-                            Err(e) => ckpt_err = Some(e),
-                        }
-                    }
-                }
-                // A panicked cell is a recorded casualty, *not* a halt:
-                // it is deliberately left out of the checkpoint so a
-                // resumed run recomputes it, and the surviving cells'
-                // checkpoint stream is exactly what a run without the
-                // panic would have written around it. The death *is*
-                // logged in the quarantine sidecar: a cell that dies
-                // the same way on consecutive resumes loses its retry
-                // rights.
-                WorkOutcome::Panicked { message } => {
-                    if let Some(q) = &mut quarantine {
-                        if ckpt_err.is_none() {
-                            if let Err(e) = q.record(&key, message) {
-                                ckpt_err = Some(e);
-                            }
-                        }
-                    }
-                    running.merge(Coverage {
-                        attempted: grid_size,
-                        completed: 0,
-                        elapsed_s: 0.0,
-                    });
-                    obs::progress(&format!("table2 cell {key} panicked ({running})"));
-                }
-                // A non-recordable error will abort the campaign once
-                // the scope joins; stop checkpointing cells past it so
-                // the file matches what a sequential run would have
-                // logged before the abort.
-                WorkOutcome::Done(Err(_)) => halted = true,
-            }
-            // Ticked after the merge, so the heartbeat counts the cell
-            // that just finished.
-            heartbeat.tick(running.completed);
-        },
+        &evaluate,
+        |j, outcome| fold.settle(points[j].pvt, outcome),
     );
-    if let Some(e) = ckpt_err {
-        return Err(io_err(e));
-    }
+    let mut computed_cells = fold.finish().map_err(io_err)?.into_iter();
+    let settled = settled?;
 
     // ---- Assembly, in (defect × case-study) grid order.
-    let mut done_iter = done.into_iter();
-    let mut rows = Vec::with_capacity(options.defects.len());
     let mut coverage = Coverage::default();
-    for &defect in &options.defects {
-        let mut cells = Vec::with_capacity(options.case_studies.len());
-        for cs in &options.case_studies {
-            if let Some(cell) = resumed.get(&cell_key(defect, cs.number)) {
-                coverage.merge(resumed_coverage(cell, grid_size));
-                cells.push(*cell);
-                continue;
-            }
-            if let Some(err) = quarantined_at_start
-                .contains(&cell_key(defect, cs.number))
-                .then(|| {
-                    quarantine
-                        .as_ref()
-                        .and_then(|q| q.reject(&cell_key(defect, cs.number)))
+    let rows = options
+        .defects
+        .iter()
+        .map(|&defect| {
+            let cells = options
+                .case_studies
+                .iter()
+                .map(|cs| {
+                    let cell = match resumed.get(&cell_key(defect, cs.number)) {
+                        Some(cell) => *cell,
+                        None => computed_cells
+                            .next()
+                            .expect("one computed cell per cell not resumed"),
+                    };
+                    coverage.merge(cell.coverage(grid_size));
+                    cell
                 })
-                .flatten()
-            {
-                // Turned away before any solve: the whole cell's grid
-                // is charged as lost, exactly like a pre-flight ERC
-                // rejection (attempts: 0).
-                coverage.merge(Coverage {
-                    attempted: grid_size,
-                    completed: 0,
-                    elapsed_s: 0.0,
-                });
-                failures.push(PointFailure::new(Some(defect), Some(cs.number), None, err));
-                cells.push(Table2Cell {
-                    failed_points: grid_size,
-                    ..Table2Cell::empty()
-                });
-                continue;
-            }
-            let outcome = done_iter
-                .next()
-                .expect("the executor returns one result per non-resumed cell");
-            let cell = match outcome {
-                WorkOutcome::Done(result) => result?,
-                // The worker evaluating this cell panicked: the whole
-                // cell's grid is lost, charged as one panicked failure.
-                WorkOutcome::Panicked { message } => CellDone {
-                    cell: Table2Cell {
-                        failed_points: grid_size,
-                        ..Table2Cell::empty()
-                    },
-                    failures: vec![PointFailure::new(
-                        Some(defect),
-                        Some(cs.number),
-                        None,
-                        anasim::Error::Panicked { what: message },
-                    )],
-                    coverage: Coverage {
-                        attempted: grid_size,
-                        completed: 0,
-                        elapsed_s: 0.0,
-                    },
-                },
-            };
-            coverage.merge(cell.coverage);
-            failures.extend(cell.failures);
-            cells.push(cell.cell);
-        }
-        rows.push(Table2Row { defect, cells });
-    }
+                .collect();
+            Table2Row { defect, cells }
+        })
+        .collect();
     coverage.elapsed_s = campaign_start.elapsed().as_secs_f64();
     publish_coverage(&coverage);
+    let mut failures = built.failures;
+    failures.extend(settled.failures);
     Ok(Table2 {
         case_studies: options.case_studies.clone(),
         rows,
@@ -561,134 +518,112 @@ pub fn table2(options: &Table2Options) -> Result<Table2, anasim::Error> {
     })
 }
 
-/// Coverage contribution of a checkpoint-resumed cell: its grid points
-/// count as attempted with the failure tally recorded at checkpoint
-/// time, and no wall-clock (nothing was computed this run).
-fn resumed_coverage(cell: &Table2Cell, grid_size: usize) -> Coverage {
-    Coverage {
-        attempted: grid_size,
-        completed: grid_size - cell.failed_points.min(grid_size),
-        elapsed_s: 0.0,
-    }
+/// Table II's computed cells, folded from their grid points in grid
+/// order as [`run_grid`] settles them: each cell is the minimum over
+/// its solved points (the first of equal minima wins), and a point that
+/// failed or lost its context counts in its `failed_points`. As a
+/// cell's last point folds in, the cell is appended to the checkpoint
+/// (until the first fatal error or checkpoint failure), reported as a
+/// progress line and ticked into the heartbeat.
+struct CellFold<'a> {
+    /// Grid points per cell.
+    grid_size: usize,
+    /// The computed cells' checkpoint keys.
+    keys: Vec<String>,
+    /// Per point of the computed cells: whether its context is
+    /// poisoned, so that no grid item evaluates it.
+    poisoned: Vec<bool>,
+    /// Points folded so far.
+    folded: usize,
+    cells: Vec<Table2Cell>,
+    checkpoint: Option<&'a Checkpoint>,
+    /// Coverage of the resumed and the finished cells.
+    running: Coverage,
+    heartbeat: Heartbeat,
+    /// Set by the first fatal error: no cell is logged past it.
+    halted: bool,
+    io_error: Option<std::io::Error>,
 }
 
-/// One fully evaluated (defect, case-study) cell with its local
-/// bookkeeping, produced on a worker thread and merged in grid order.
-struct CellDone {
-    cell: Table2Cell,
-    failures: Vec<PointFailure>,
-    coverage: Coverage,
-}
-
-/// Evaluates one cell's full PVT grid, settling each point through
-/// [`settle_point`]. Runs on a worker thread: all state is local,
-/// contexts are read-only shared.
-fn evaluate_cell(
-    defect: Defect,
-    cs: &CaseStudy,
-    options: &Table2Options,
-    design: &RegulatorDesign,
-    contexts: &HashMap<CtxKey, Option<SeededContext>>,
-) -> Result<CellDone, anasim::Error> {
-    let key = cell_key(defect, cs.number);
-    let injected = options
-        .inject_failures
-        .contains(&(defect.number(), cs.number));
-    let disconnected = options
-        .inject_disconnects
-        .contains(&(defect.number(), cs.number));
-    // Resilience-test hook: die on the worker exactly as an untrusted
-    // model evaluation would, and let the executor's per-point
-    // isolation turn it into a recorded failure.
-    assert!(
-        !options
-            .inject_panics
-            .contains(&(defect.number(), cs.number)),
-        "injected panic evaluating cell {key}"
-    );
-    let mut settled = Settled::<()>::default();
-    let mut best = Table2Cell::empty();
-    for &corner in &options.corners {
-        for &temp in &options.temperatures {
-            for &vdd in &options.supplies {
-                let pvt = PvtCondition::new(corner, vdd, temp);
-                let tap = tap_for_vdd(vdd);
-                let ctx = contexts
-                    .get(&ctx_key(cs.number, pvt))
-                    .and_then(Option::as_ref);
-                if !injected && !disconnected && ctx.is_none() {
-                    // Poisoned (or, impossibly, missing) context: the
-                    // build failure was charged once in phase A.
-                    settled.coverage.record_failure();
-                    continue;
-                }
-                let at = GridPoint::new(
-                    format!("{key} @ {pvt}"),
-                    Some(defect),
-                    Some(cs.number),
-                    Some(pvt),
-                );
-                let solved = settle_point(&at.key, || {
-                    if injected {
-                        return Err(anasim::Error::NoConvergence {
-                            iterations: 0,
-                            residual: f64::INFINITY,
-                        });
-                    }
-                    if disconnected {
-                        // Build the circuit this point would solve,
-                        // sever a node, and let the pre-flight gate
-                        // reject it — no solve is ever attempted.
-                        let mut circuit = regulator::RegulatorCircuit::new(
-                            design,
-                            pvt,
-                            tap,
-                            regulator::FeedMode::Static,
-                        )?;
-                        circuit.add_orphan_node("injected_disconnect");
-                        return Err(circuit.preflight().err().unwrap_or(
-                            anasim::Error::InvalidValue {
-                                device: "inject_disconnects".into(),
-                                what: "pre-flight accepted a severed netlist".into(),
-                            },
-                        ));
-                    }
-                    let (ctx, seed) = ctx.expect("only points with a built context are solved");
-                    let criterion = DrfCriterion {
-                        stressed: &ctx.stressed,
-                        stored: StoredBit::One,
-                        drv: ctx.drv,
-                    };
-                    min_resistance_seeded(
-                        design,
-                        pvt,
-                        tap,
-                        defect,
-                        &ctx.load,
-                        &criterion,
-                        &options.characterize,
-                        seed.as_deref(),
-                    )
-                });
-                let found = solved.map(|found| {
-                    if let Some(ohms) = found.ohms {
-                        if best.min_ohms.is_none_or(|b| ohms < b) {
-                            best.min_ohms = Some(ohms);
-                            best.pvt = Some(pvt);
-                            best.vddcc = found.vddcc_at_fault;
-                        }
-                    }
-                });
-                settled.push(&at, found)?;
-            }
+impl<'a> CellFold<'a> {
+    fn new(
+        grid_size: usize,
+        keys: Vec<String>,
+        poisoned: Vec<bool>,
+        checkpoint: Option<&'a Checkpoint>,
+        resumed: Coverage,
+    ) -> Self {
+        CellFold {
+            grid_size,
+            heartbeat: Heartbeat::new("table2", poisoned.len() + resumed.attempted),
+            cells: vec![Table2Cell::EMPTY; keys.len()],
+            keys,
+            poisoned,
+            folded: 0,
+            checkpoint,
+            running: resumed,
+            halted: false,
+            io_error: None,
         }
     }
-    best.failed_points = settled.coverage.attempted - settled.coverage.completed;
-    Ok(CellDone {
-        cell: best,
-        failures: settled.failures,
-        coverage: settled.coverage,
-    })
+
+    /// Folds the poisoned points before the next evaluated one, then
+    /// that point's outcome.
+    fn settle(&mut self, pvt: PvtCondition, outcome: &Result<MinResistance, anasim::Error>) {
+        self.halted |= outcome.as_ref().is_err_and(|e| !e.is_recordable());
+        while self.poisoned[self.folded] {
+            self.fold(None);
+        }
+        self.fold(outcome.as_ref().ok().map(|found| (pvt, found)));
+    }
+
+    /// Folds the poisoned points after the last evaluated one and
+    /// returns the cells, or the first checkpoint failure.
+    fn finish(mut self) -> std::io::Result<Vec<Table2Cell>> {
+        while self.folded < self.poisoned.len() {
+            self.fold(None);
+        }
+        match self.io_error {
+            Some(e) => Err(e),
+            None => Ok(self.cells),
+        }
+    }
+
+    /// Folds the next point: its condition and search result, or `None`
+    /// when it has none.
+    fn fold(&mut self, found: Option<(PvtCondition, &MinResistance)>) {
+        let c = self.folded / self.grid_size;
+        let cell = &mut self.cells[c];
+        match found {
+            Some((pvt, found)) => {
+                if let Some(ohms) = found.ohms {
+                    if cell.min_ohms.is_none_or(|b| ohms < b) {
+                        cell.min_ohms = Some(ohms);
+                        cell.pvt = Some(pvt);
+                        cell.vddcc = found.vddcc_at_fault;
+                    }
+                }
+            }
+            None => cell.failed_points += 1,
+        }
+        self.folded += 1;
+        if !self.folded.is_multiple_of(self.grid_size) {
+            return;
+        }
+        let cell = self.cells[c];
+        self.running.merge(cell.coverage(self.grid_size));
+        if !self.halted && self.io_error.is_none() {
+            let key = &self.keys[c];
+            let logged = self
+                .checkpoint
+                .map_or(Ok(()), |cp| cp.append(&checkpoint_fields(key, &cell)));
+            match logged {
+                Ok(()) => obs::progress(&format!("table2 cell {key} done ({})", self.running)),
+                Err(e) => self.io_error = Some(e),
+            }
+        }
+        self.heartbeat.tick(self.running.completed);
+    }
 }
 
 /// Builds the per-(case study, PVT) shared context, sampling the
@@ -736,14 +671,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn close_conditions_get_distinct_context_keys() {
-        let key = |vdd, temp_c| ctx_key(1, PvtCondition::new(ProcessCorner::Typical, vdd, temp_c));
-        assert_ne!(key(1.0, 25.0), key(1.004, 25.0));
-        assert_ne!(key(1.1, -30.5), key(1.1, -30.0));
-        assert_eq!(key(1.1, -30.0), key(1.1, -30.0));
-    }
-
     /// Pulls the cell for (defect, case study), failing with the grid
     /// coordinate in the message instead of a bare unwrap.
     fn cell_at(table: &Table2, df: u8, cs: u8) -> Table2Cell {
@@ -752,15 +679,44 @@ mod tests {
         })
     }
 
+    /// The quick grid over `defects` × `case_studies`.
+    fn quick_over(defects: &[u8], case_studies: &[u8]) -> Table2Options {
+        let mut opts = Table2Options::quick();
+        opts.defects = defects.iter().map(|&d| Defect::new(d)).collect();
+        opts.case_studies = case_studies
+            .iter()
+            .map(|&cs| CaseStudy::new(cs, StoredBit::One))
+            .collect();
+        opts
+    }
+
+    /// The search [`table2`] runs at every point, except at the points
+    /// of cell `(defect, case study)`, which run `inject` instead.
+    fn inject_at(
+        characterize: CharacterizeOptions,
+        cell: (u8, u8),
+        inject: impl Fn(&CellPoint<'_>) -> Result<MinResistance, anasim::Error> + Sync,
+    ) -> impl Fn(&CellPoint<'_>) -> Result<MinResistance, anasim::Error> + Sync {
+        move |p| {
+            if (p.defect.number(), p.case_study) == cell {
+                inject(p)
+            } else {
+                p.search(&characterize)
+            }
+        }
+    }
+
+    /// A non-convergence, as the rescue ladder reports it.
+    fn no_convergence(_: &CellPoint<'_>) -> Result<MinResistance, anasim::Error> {
+        Err(anasim::Error::NoConvergence {
+            iterations: 0,
+            residual: f64::INFINITY,
+        })
+    }
+
     #[test]
     fn quick_campaign_over_two_defects() {
-        let mut opts = Table2Options::quick();
-        opts.defects = vec![Defect::new(16), Defect::new(18)];
-        opts.case_studies = vec![
-            CaseStudy::new(1, StoredBit::One),
-            CaseStudy::new(2, StoredBit::One),
-        ];
-        let table = table2(&opts).unwrap();
+        let table = table2(&quick_over(&[16, 18], &[1, 2])).unwrap();
         assert_eq!(table.rows.len(), 2);
         assert!(
             table.coverage.is_complete() && table.failures.is_empty(),
@@ -791,15 +747,10 @@ mod tests {
 
     #[test]
     fn injected_failure_is_isolated_not_fatal() {
-        let mut opts = Table2Options::quick();
-        opts.defects = vec![Defect::new(16), Defect::new(19)];
-        opts.case_studies = vec![
-            CaseStudy::new(1, StoredBit::One),
-            CaseStudy::new(2, StoredBit::One),
-        ];
-        // Force every grid point of (Df19, CS1) to fail.
-        opts.inject_failures = vec![(19, 1)];
-        let table = table2(&opts).expect("campaign must survive an unsolvable point");
+        let opts = quick_over(&[16, 19], &[1, 2]);
+        // Every grid point of (Df19, CS1) fails to converge.
+        let table = table2_with(&opts, inject_at(opts.characterize, (19, 1), no_convergence))
+            .expect("campaign must survive an unsolvable point");
 
         // The poisoned cell carries the tally, not a result.
         let hurt = cell_at(&table, 19, 1);
@@ -815,7 +766,7 @@ mod tests {
         assert_eq!(f.defect, Some(Defect::new(19)));
         assert_eq!(f.case_study, Some(1));
         assert!(f.error.is_retryable());
-        assert!(f.attempts >= 1);
+        assert_eq!(f.attempts, anasim::newton::SOLVE_ATTEMPTS);
         assert_eq!(table.coverage.attempted, 4);
         assert_eq!(table.coverage.completed, 3);
         assert!(!table.coverage.is_complete());
@@ -824,26 +775,22 @@ mod tests {
     #[test]
     fn injected_panic_is_isolated_not_fatal() {
         let _obs = crate::campaign::tests::obs_lock();
-        let mut opts = Table2Options::quick();
-        opts.defects = vec![Defect::new(16), Defect::new(19)];
-        opts.case_studies = vec![
-            CaseStudy::new(1, StoredBit::One),
-            CaseStudy::new(2, StoredBit::One),
-        ];
+        let mut opts = quick_over(&[16, 19], &[1, 2]);
         // The worker evaluating (Df19, CS1) dies mid-campaign.
-        opts.inject_panics = vec![(19, 1)];
-
+        let evaluate = inject_at(opts.characterize, (19, 1), |p| {
+            panic!("injected panic evaluating Df{}", p.defect.number())
+        });
         opts.jobs = 1;
-        let sequential = table2(&opts).expect("campaign must survive a panicking cell");
+        let sequential = table2_with(&opts, &evaluate).expect("a panic costs one point");
         opts.jobs = 4;
-        let parallel = table2(&opts).expect("campaign must survive a panicking cell");
+        let parallel = table2_with(&opts, &evaluate).expect("a panic costs one point");
         assert_eq!(
             table_fingerprint(&sequential),
             table_fingerprint(&parallel),
             "surviving cells must be byte-identical at any --jobs count"
         );
 
-        // The lost cell carries the tally; survivors are untouched.
+        // The lost point's cell carries the tally; survivors are untouched.
         let hurt = cell_at(&sequential, 19, 1);
         assert_eq!(hurt.failed_points, 1);
         assert_eq!(hurt.min_ohms, None);
@@ -874,102 +821,92 @@ mod tests {
     }
 
     #[test]
-    fn panicked_cell_is_left_out_of_the_checkpoint() {
+    fn a_panic_costs_one_point_and_its_cell_is_checkpointed() {
         let _obs = crate::campaign::tests::obs_lock();
-        let dir = std::env::temp_dir().join("drftest-table2-panic-ckpt");
+        let dir = std::env::temp_dir().join("drftest-table2-panic-point");
         let path = dir.join("table2.tsv");
         let _ = std::fs::remove_dir_all(&dir);
-        let mut opts = Table2Options::quick();
-        opts.defects = vec![Defect::new(16), Defect::new(19)];
-        opts.case_studies = vec![CaseStudy::new(1, StoredBit::One)];
-        opts.inject_panics = vec![(19, 1)];
-        opts.checkpoint = Some(path.clone());
-        opts.jobs = 2;
-        let first = table2(&opts).expect("campaign must survive a panicking cell");
+        let mut opts = quick_over(&[16, 19], &[1]);
+        opts.temperatures = vec![-30.0, 125.0];
+        // (Df19, CS1) dies at 125 °C only; its −30 °C point still runs.
+        let evaluate = |p: &CellPoint<'_>| {
+            assert!(
+                (p.defect.number(), p.pvt.temp_c) != (19, 125.0),
+                "injected panic at {}",
+                p.pvt
+            );
+            p.search(&opts.characterize)
+        };
+        let run = |jobs: usize, checkpoint: Option<PathBuf>| {
+            let opts = Table2Options {
+                jobs,
+                checkpoint,
+                ..opts.clone()
+            };
+            table2_with(&opts, evaluate).expect("a panic costs one point")
+        };
+        let sequential = run(1, None);
+        let parallel = run(4, Some(path.clone()));
+        assert_eq!(table_fingerprint(&sequential), table_fingerprint(&parallel));
 
-        // The checkpoint stream stays valid: the surviving cell is
-        // logged, the panicked one is not — a resume recomputes it.
-        let logged = Checkpoint::new(&path).completed_keys().unwrap();
-        assert!(logged.contains("df16/cs1"), "surviving cell must be logged");
-        assert!(
-            !logged.contains("df19/cs1"),
-            "a panicked cell must never be checkpointed"
+        // Exactly one panicked failure, at the point that died.
+        let [f] = &sequential.failures[..] else {
+            panic!("one failure: {:?}", sequential.failures);
+        };
+        assert!(f.panicked && f.error.is_panic(), "{f}");
+        assert_eq!((f.defect, f.case_study), (Some(Defect::new(19)), Some(1)));
+        assert_eq!(f.pvt.map(|p| p.temp_c), Some(125.0));
+        assert_eq!(
+            (sequential.coverage.attempted, sequential.coverage.completed),
+            (4, 3)
         );
 
-        // Resume: the healed cell (hook removed) is recomputed and the
-        // table completes.
-        opts.inject_panics = Vec::new();
-        let healed = table2(&opts).unwrap();
-        assert!(healed.coverage.is_complete(), "{}", healed.coverage);
-        assert!(
-            cell_at(&healed, 19, 1).min_ohms.is_some() || {
-                // Df19 may legitimately not fault at the quick grid point;
-                // completeness is the contract under test.
-                cell_at(&healed, 19, 1).failed_points == 0
-            }
+        // The cell keeps the −30 °C point's minimum, exactly as a run
+        // over that condition alone finds it.
+        let mut cold = opts.clone();
+        cold.temperatures = vec![-30.0];
+        let alone = cell_at(&table2(&cold).unwrap(), 19, 1);
+        let hurt = cell_at(&sequential, 19, 1);
+        assert!(alone.min_ohms.is_some(), "{alone:?}");
+        assert_eq!(
+            Table2Cell {
+                failed_points: 1,
+                ..alone
+            },
+            hurt
         );
-        assert_eq!(first.coverage.attempted, healed.coverage.attempted);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
 
-    #[test]
-    fn repeat_identical_panics_quarantine_the_cell() {
-        let _obs = crate::campaign::tests::obs_lock();
-        let dir = std::env::temp_dir().join("drftest-table2-quarantine");
-        let path = dir.join("table2.tsv");
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut opts = Table2Options::quick();
-        opts.defects = vec![Defect::new(16), Defect::new(19)];
-        opts.case_studies = vec![CaseStudy::new(1, StoredBit::One)];
-        opts.inject_panics = vec![(19, 1)];
-        opts.checkpoint = Some(path.clone());
-
-        // Runs 1 and 2: the cell dies identically both times (run 2
-        // resumed df16/cs1 from the checkpoint and re-tried df19/cs1).
-        let first = table2(&opts).expect("run 1 survives the panic");
-        assert!(first.failures[0].panicked);
-        let second = table2(&opts).expect("run 2 survives the panic");
-        assert!(second.failures[0].panicked);
-
-        // Run 3: two consecutive identical deaths put the cell in
-        // quarantine — it is turned away without re-evaluating (the
-        // panic hook would still fire if it ran).
-        let third = table2(&opts).expect("run 3 skips the quarantined cell");
-        assert_eq!(third.failures.len(), 1);
-        let f = &third.failures[0];
-        assert!(!f.panicked, "quarantined cell must not re-run: {f}");
-        assert_eq!(f.attempts, 0);
-        let s = f.error.to_string();
-        assert!(s.contains("QUARANTINED") && s.contains("df19/cs1"), "{s}");
-        assert_eq!(cell_at(&third, 19, 1).failed_points, 1);
-        assert!(!third.coverage.is_complete());
-
-        // The sidecar documents the deaths and is the lever to undo
-        // the quarantine: delete it (after fixing the bug) and the
-        // cell computes again.
-        let sidecar = crate::campaign::Quarantine::sidecar_path(&path);
-        assert!(
-            sidecar.exists(),
-            "sidecar must be written next to the checkpoint"
-        );
-        std::fs::remove_file(&sidecar).unwrap();
-        opts.inject_panics = Vec::new();
-        let healed = table2(&opts).expect("healed run recomputes the cell");
-        assert!(healed.coverage.is_complete(), "{}", healed.coverage);
+        // The cell is checkpointed like one with a non-converged point,
+        // and a resumed run reproduces the table without re-running it.
+        let logged = Checkpoint::new(&path).rows_by_key().unwrap();
+        assert_eq!(logged["df19/cs1"][5], "1", "{:?}", logged["df19/cs1"]);
+        assert_eq!(logged.len(), 2);
+        let resumed = run(1, Some(path.clone()));
+        assert_eq!(cells_fingerprint(&resumed), cells_fingerprint(&sequential));
+        assert_eq!(resumed.coverage.completed, 3);
+        assert!(resumed.failures.is_empty(), "nothing ran again");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn injected_disconnect_is_rejected_by_preflight() {
-        let mut opts = Table2Options::quick();
-        opts.defects = vec![Defect::new(16)];
-        opts.case_studies = vec![
-            CaseStudy::new(1, StoredBit::One),
-            CaseStudy::new(2, StoredBit::One),
-        ];
-        // Every grid point of (Df16, CS2) gets a severed netlist.
-        opts.inject_disconnects = vec![(16, 2)];
-        let table = table2(&opts).expect("campaign must survive a rejected point");
+        let opts = quick_over(&[16], &[1, 2]);
+        // Every grid point of (Df16, CS2) builds the circuit it would
+        // solve with a severed node, which the pre-flight gate rejects
+        // before any solve.
+        let severed = |p: &CellPoint<'_>| {
+            let mut circuit = regulator::RegulatorCircuit::new(
+                &RegulatorDesign::lp40nm(),
+                p.pvt,
+                tap_for_vdd(p.pvt.vdd),
+                regulator::FeedMode::Static,
+            )?;
+            circuit.add_orphan_node("injected_disconnect");
+            circuit.preflight()?;
+            panic!("pre-flight accepted a severed netlist")
+        };
+        let table = table2_with(&opts, inject_at(opts.characterize, (16, 2), severed))
+            .expect("campaign must survive a rejected point");
 
         let hurt = cell_at(&table, 16, 2);
         assert_eq!(hurt.failed_points, 1);
@@ -981,6 +918,7 @@ mod tests {
         assert_eq!(table.failures.len(), 1);
         let f = &table.failures[0];
         assert_eq!(f.attempts, 0, "no Newton iteration may be spent");
+        assert!(!f.panicked);
         match &f.error {
             anasim::Error::PreflightRejected { code, what } => {
                 assert_eq!(code, "ERC001");
@@ -1000,13 +938,80 @@ mod tests {
     }
 
     #[test]
+    fn poisoned_context_is_charged_once_and_fails_its_points() {
+        let _obs = crate::campaign::tests::obs_lock();
+        let mut opts = quick_over(&[16, 19], &[1]);
+        // No context can be built at a NaN supply: the retention-voltage
+        // search refuses it with a panic, which the runner records.
+        opts.supplies = vec![1.0, f64::NAN];
+        let table = table2(&opts).expect("a poisoned context is recordable");
+
+        // One failure, the context's: no defect, at the NaN condition.
+        let [f] = &table.failures[..] else {
+            panic!("one failure: {:?}", table.failures);
+        };
+        assert_eq!((f.defect, f.case_study), (None, Some(1)));
+        assert!(f.pvt.is_some_and(|p| p.vdd.is_nan()), "{f}");
+        assert!(f.panicked && f.error.to_string().contains("supply"), "{f}");
+        // Each dependent point is attempted but not completed, in the
+        // coverage and in its cell, while the 1.0 V points still yield
+        // the quick grid's cells.
+        assert_eq!((table.coverage.attempted, table.coverage.completed), (4, 2));
+        let quick = table2(&quick_over(&[16, 19], &[1])).unwrap();
+        for df in [16, 19] {
+            assert_eq!(
+                cell_at(&table, df, 1),
+                Table2Cell {
+                    failed_points: 1,
+                    ..cell_at(&quick, df, 1)
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn cells_fold_poisoned_points_in_grid_order() {
+        // Three cells of two points; a poisoned context takes the first
+        // cell's first point and the whole last cell, which no grid item
+        // evaluates.
+        let found = |ohms: f64| MinResistance {
+            ohms: Some(ohms),
+            vddcc_at_fault: Some(0.5),
+            healthy_faulty: false,
+        };
+        let at = |temp_c| PvtCondition::new(ProcessCorner::Typical, 1.0, temp_c);
+        let keys = ["a", "b", "c"].map(String::from).to_vec();
+        let poisoned = vec![true, false, false, false, true, true];
+        let mut fold = CellFold::new(2, keys, poisoned, None, Coverage::default());
+        fold.settle(at(25.0), &Ok(found(2.0e3)));
+        fold.settle(at(-30.0), &Ok(found(1.0e3)));
+        // A tie keeps the first point's condition.
+        fold.settle(at(125.0), &Ok(found(1.0e3)));
+        let cells = fold.finish().unwrap();
+        assert_eq!(
+            cells.iter().map(|c| c.failed_points).collect::<Vec<_>>(),
+            [1, 0, 2]
+        );
+        assert_eq!(cells[0].min_ohms, Some(2.0e3));
+        assert_eq!(cells[1].min_ohms, Some(1.0e3));
+        assert_eq!(cells[1].pvt, Some(at(-30.0)));
+        assert_eq!(
+            cells[2],
+            Table2Cell {
+                failed_points: 2,
+                ..Table2Cell::EMPTY
+            }
+        );
+        let covered: Vec<_> = cells.iter().map(|c| c.coverage(2).completed).collect();
+        assert_eq!(covered, [1, 2, 0]);
+    }
+
+    #[test]
     fn checkpoint_resume_skips_logged_cells() {
         let dir = std::env::temp_dir().join("drftest-table2-ckpt");
         let path = dir.join("table2.tsv");
-        let _ = std::fs::remove_file(&path);
-        let mut opts = Table2Options::quick();
-        opts.defects = vec![Defect::new(16)];
-        opts.case_studies = vec![CaseStudy::new(1, StoredBit::One)];
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut opts = quick_over(&[16], &[1]);
         opts.checkpoint = Some(path.clone());
         let first = table2(&opts).unwrap();
         let logged = Checkpoint::new(&path).rows_by_key().unwrap();
@@ -1041,10 +1046,42 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Serializes a whole table through the full-precision checkpoint
-    /// field format: two tables rendering to identical strings are
+    #[test]
+    fn checkpoint_of_other_options_is_refused_before_any_solve() {
+        let dir = std::env::temp_dir().join("drftest-table2-ckpt-options");
+        let path = dir.join("table2.tsv");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut opts = quick_over(&[16], &[1]);
+        opts.checkpoint = Some(path.clone());
+        opts.jobs = 1;
+        table2(&opts).unwrap();
+        let written = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            written.starts_with("# table2 corners=[FastNSlowP]"),
+            "{written}"
+        );
+
+        // Another load sampling would compute other cells: the logged
+        // ones are refused, by file name, before anything is solved.
+        opts.load_points += 1;
+        let before = obs::tally();
+        let err = table2(&opts).expect_err("options differ");
+        assert_eq!(obs::tally().since(&before).iterations, 0, "nothing solved");
+        match &err {
+            anasim::Error::InvalidValue { device, what } => {
+                assert_eq!(device, "checkpoint");
+                assert!(what.contains(&path.display().to_string()), "{what}");
+            }
+            other => panic!("expected the checkpoint refusal, got {other}"),
+        }
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), written);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Serializes every cell through the full-precision checkpoint field
+    /// format: two tables rendering to identical strings are
     /// bit-identical in every cell value.
-    fn table_fingerprint(table: &Table2) -> String {
+    fn cells_fingerprint(table: &Table2) -> String {
         let mut out = String::new();
         for row in &table.rows {
             for (cs, cell) in table.case_studies.iter().zip(&row.cells) {
@@ -1053,13 +1090,18 @@ mod tests {
                 out.push('\n');
             }
         }
-        out.push_str(&format!(
-            "coverage {}/{} failures {}\n",
+        out
+    }
+
+    /// [`cells_fingerprint`] plus the coverage and failure counts.
+    fn table_fingerprint(table: &Table2) -> String {
+        format!(
+            "{}coverage {}/{} failures {}\n",
+            cells_fingerprint(table),
             table.coverage.completed,
             table.coverage.attempted,
             table.failures.len()
-        ));
-        out
+        )
     }
 
     #[test]
@@ -1067,19 +1109,14 @@ mod tests {
         let dir = std::env::temp_dir().join("drftest-table2-determinism");
         let path = dir.join("table2.tsv");
         let _ = std::fs::remove_dir_all(&dir);
-        let mut opts = Table2Options::quick();
-        opts.defects = vec![Defect::new(16), Defect::new(18), Defect::new(19)];
-        opts.case_studies = vec![
-            CaseStudy::new(1, StoredBit::One),
-            CaseStudy::new(2, StoredBit::One),
-        ];
+        let mut opts = quick_over(&[16, 18, 19], &[1, 2]);
         // Exercise the failure path under parallelism too.
-        opts.inject_failures = vec![(19, 2)];
+        let evaluate = inject_at(opts.characterize, (19, 2), no_convergence);
 
         opts.jobs = 1;
-        let sequential = table2(&opts).unwrap();
+        let sequential = table2_with(&opts, &evaluate).unwrap();
         opts.jobs = 4;
-        let parallel = table2(&opts).unwrap();
+        let parallel = table2_with(&opts, &evaluate).unwrap();
         assert_eq!(
             table_fingerprint(&sequential),
             table_fingerprint(&parallel),
@@ -1093,11 +1130,10 @@ mod tests {
         let mut partial = opts.clone();
         partial.defects = vec![Defect::new(16)];
         partial.checkpoint = Some(path.clone());
-        partial.inject_failures = Vec::new();
         let _ = table2(&partial).unwrap();
         let mut resumed_opts = opts.clone();
         resumed_opts.checkpoint = Some(path.clone());
-        let resumed = table2(&resumed_opts).unwrap();
+        let resumed = table2_with(&resumed_opts, &evaluate).unwrap();
         assert_eq!(
             table_fingerprint(&sequential),
             table_fingerprint(&resumed),

@@ -13,7 +13,7 @@ use sram::drv::{drv_ds, DrvOptions, StoredBit};
 use sram::{CellInstance, CellTransistor, MismatchPattern};
 
 use crate::campaign::{
-    preflight_netlist, publish_coverage, run_grid, Coverage, GridPoint, Groups, PointFailure,
+    preflight_netlist, publish_coverage, run_grid, Coverage, GridPoint, PointFailure,
 };
 
 /// Supply bound of the Fig. 4 and Table I DRV searches, volts: the
@@ -192,6 +192,7 @@ pub fn fig4(options: &Fig4Options) -> Result<Fig4Data, anasim::Error> {
         }
     }
     let per_point = options.corners.len() * options.temperatures.len();
+    let per_series = options.sigmas.len() * per_point;
     let settled = run_grid(
         options.jobs,
         &grid,
@@ -212,12 +213,14 @@ pub fn fig4(options: &Fig4Options) -> Result<Fig4Data, anasim::Error> {
             let d1 = drv_ds(&inst, StoredBit::One, &options.drv)?.drv;
             Ok((d1, drv_ds(&inst, StoredBit::Zero, &options.drv)?.drv))
         },
-        Some(Groups {
-            len: options.sigmas.len() * per_point,
-            done: &mut |s| {
-                obs::progress(&format!("fig4 series {} done", CellTransistor::ALL[s]));
-            },
-        }),
+        |i, _| {
+            if (i + 1).is_multiple_of(per_series) {
+                obs::progress(&format!(
+                    "fig4 series {} done",
+                    CellTransistor::ALL[i / per_series]
+                ));
+            }
+        },
     )?;
 
     let mut series = Vec::with_capacity(6);

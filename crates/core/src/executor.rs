@@ -3,7 +3,7 @@
 //! Every paper table is an embarrassingly-parallel grid — Table II
 //! alone is defects × case-studies, each hiding a resistance bisection
 //! of full Newton solves — so the campaign drivers fan their grid
-//! points across cores through [`parallel_map_isolated`], most of them
+//! points across cores through [`parallel_map_isolated`], all of them
 //! via the campaign runner [`crate::campaign::run_grid`]. The design
 //! constraints, in order of importance:
 //!

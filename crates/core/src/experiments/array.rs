@@ -251,7 +251,7 @@ pub fn run(options: &ArrayRetentionOptions) -> Result<ArrayRetentionReport, anas
             scratch.flush_obs_counters();
             Ok(row)
         },
-        None,
+        |_, _| {},
     )?;
     let mut coverage = settled.coverage;
     coverage.elapsed_s = run_start.elapsed().as_secs_f64();

@@ -8,7 +8,7 @@ use sram::drv::{drv_ds, DrvOptions};
 use sram::{CellInstance, StoredBit};
 
 use crate::campaign::{
-    completeness_footer, publish_coverage, run_grid, Coverage, GridPoint, Groups, PointFailure,
+    completeness_footer, publish_coverage, run_grid, Coverage, GridPoint, PointFailure,
 };
 use crate::case_study::CaseStudy;
 use crate::drv_analysis::DRV_SEARCH_VDD;
@@ -181,12 +181,11 @@ pub fn run(options: &Table1Options) -> Result<Table1Report, anasim::Error> {
             let d1 = drv_ds(&inst, StoredBit::One, &options.drv)?.drv;
             Ok((d1, drv_ds(&inst, StoredBit::Zero, &options.drv)?.drv))
         },
-        Some(Groups {
-            len: per_row,
-            done: &mut |row| {
-                obs::progress(&format!("table1 row CS{} done", cases[row].number));
-            },
-        }),
+        |i, _| {
+            if (i + 1).is_multiple_of(per_row) {
+                obs::progress(&format!("table1 row CS{} done", cases[i / per_row].number));
+            }
+        },
     )?;
 
     let mut rows = Vec::new();

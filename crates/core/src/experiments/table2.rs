@@ -290,8 +290,15 @@ mod tests {
         let mut opts = Table2Options::quick();
         opts.defects = vec![Defect::new(19)];
         opts.case_studies = vec![CaseStudy::new(1, StoredBit::One)];
-        opts.inject_failures = vec![(19, 1)];
-        let report = run(&opts).unwrap();
+        // Every point fails to converge.
+        let table = crate::defect_analysis::table2_with(&opts, |_| {
+            Err(anasim::Error::NoConvergence {
+                iterations: 0,
+                residual: f64::INFINITY,
+            })
+        })
+        .unwrap();
+        let report = Table2Report { table };
         let text = report.to_string();
         assert!(text.contains("coverage: 0/1"), "{text}");
         assert!(text.contains("unresolved: Df19 × CS1"), "{text}");

@@ -62,7 +62,7 @@ pub mod test_flow;
 
 pub use campaign::{
     completeness_footer, preflight_netlist, publish_coverage, run_grid, Checkpoint, Coverage,
-    GridPoint, Groups, PointFailure, Quarantine, Settled,
+    GridPoint, PointFailure, Settled,
 };
 pub use case_study::{CaseStudy, WORST_CASE_DRV};
 pub use defect_analysis::{table2, tap_for_vdd, Table2, Table2Options};

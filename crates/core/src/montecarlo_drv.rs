@@ -152,7 +152,7 @@ pub fn monte_carlo_drv(options: &MonteCarloOptions) -> Result<MonteCarloReport, 
             preflight_netlist(&build_retention_netlist(&inst, pvt.vdd)?.0)?;
             drv_ds_worst(&inst, &drv)
         },
-        None,
+        |_, _| {},
     )?;
     let mut drvs: Vec<f64> = settled.results.into_iter().flatten().collect();
     drvs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));

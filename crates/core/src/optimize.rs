@@ -164,7 +164,7 @@ pub fn build_coverage(options: &CoverageOptions) -> Result<CoverageMatrix, anasi
                 .collect();
             Ok((ctx, seeds))
         },
-        None,
+        |_, _| {},
     )?;
 
     // A combination whose healthy Vreg already sits below the stressed
@@ -225,7 +225,7 @@ pub fn build_coverage(options: &CoverageOptions) -> Result<CoverageMatrix, anasi
             )?;
             Ok(found.ohms)
         },
-        None,
+        |_, _| {},
     )?;
 
     let mut min_r = vec![vec![None; combos.len()]; options.defects.len()];

@@ -244,9 +244,14 @@ impl ArraySpec {
             bl.push(b);
             blb.push(bb);
         }
-        // Per-position override map (row-major), last writer wins.
-        let mut overrides: Vec<Option<ActiveCell>> = vec![None; self.rows * self.cols];
-        for a in &self.active {
+        // Per site (row-major): the index of the last `active` entry
+        // there (the last writer wins), `FORCED` for a promoted
+        // background cell, or `BACKGROUND`.
+        const BACKGROUND: u32 = u32::MAX;
+        const FORCED: u32 = u32::MAX - 1;
+        assert!(self.active.len() < FORCED as usize, "too many active cells");
+        let mut sites = vec![BACKGROUND; self.rows * self.cols];
+        for (i, a) in self.active.iter().enumerate() {
             assert!(
                 a.row < self.rows && a.col < self.cols,
                 "active cell ({}, {}) outside the {}x{} array",
@@ -255,9 +260,8 @@ impl ArraySpec {
                 self.rows,
                 self.cols
             );
-            overrides[a.row * self.cols + a.col] = Some(*a);
+            sites[a.row * self.cols + a.col] = i as u32;
         }
-        let mut forced = vec![false; self.rows * self.cols];
         for &(r, c) in &self.force_active {
             assert!(
                 r < self.rows && c < self.cols,
@@ -265,25 +269,28 @@ impl ArraySpec {
                 self.rows,
                 self.cols
             );
-            forced[r * self.cols + c] = true;
+            let site = &mut sites[r * self.cols + c];
+            if *site == BACKGROUND {
+                *site = FORCED;
+            }
         }
 
         let mut cells = Vec::with_capacity(self.rows * self.cols);
         let mut blocks = Vec::new();
         for (r, &wl_r) in wl.iter().enumerate() {
             for c in 0..self.cols {
-                let site = r * self.cols + c;
+                let site = sites[r * self.cols + c];
                 name(&mut suffix, format_args!("{r}_{c}"));
                 let s = nl.node(label(&mut buf, "s", &suffix));
                 let sb = nl.node(label(&mut buf, "sb", &suffix));
-                let over = overrides[site];
-                let inactive = over.is_none() && !forced[site];
-                if inactive {
+                // Neither sentinel indexes an `active` entry.
+                let over = self.active.get(site as usize);
+                if site == BACKGROUND {
                     // A cell's two unknowns are consecutive: the block
                     // starts at S's unknown index.
                     blocks.push((s.index() - 1, 2));
                 }
-                let inst = match &over {
+                let inst = match over {
                     Some(a) => CellInstance {
                         pattern: a.pattern,
                         ..self.base
@@ -521,6 +528,26 @@ mod tests {
         spec.force_active.push((3, 0));
         let built = spec.build().expect("array with actives builds");
         assert_eq!(built.partition.num_blocks(), 14);
+    }
+
+    #[test]
+    fn the_last_active_entry_at_a_site_wins() {
+        let mut spec = ArraySpec::retention(4, 4, 1.1, base());
+        spec.active
+            .push(ActiveCell::bridged(1, 2, StoredBit::One, 50.0e3));
+        spec.active.push(ActiveCell::stored(1, 2, StoredBit::Zero));
+        // Forcing an active site promotes nothing more.
+        spec.force_active.push((1, 2));
+        let built = spec.build().expect("array with actives builds");
+        assert_eq!(built.partition.num_blocks(), 15);
+        assert_eq!(built.cells[6].stored, StoredBit::Zero);
+        assert!(
+            built
+                .netlist
+                .elements()
+                .all(|(name, _)| !name.starts_with("Rbr")),
+            "the overwritten bridge is not built"
+        );
     }
 
     #[test]

@@ -54,7 +54,10 @@
 //!
 //! `--checkpoint` (table2 only) appends each completed table cell to
 //! the given tab-separated file; rerunning with the same path resumes,
-//! skipping cells already logged.
+//! skipping cells already logged. The file starts with a `#` line
+//! naming the options that decide a cell's value, and a file written
+//! under other options (the quick grid's, resumed under `--paper`) is
+//! refused before any solve: the run prints `error: …` and exits 1.
 //!
 //! Each subcommand takes only its own flags: `--paper` the five
 //! campaigns with a paper grid (`table1`, `fig4`, `table2`, `table3`,

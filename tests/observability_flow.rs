@@ -291,7 +291,7 @@ fn failed_point_trajectory_lands_in_the_summary() {
         &[nl],
         |_, _| GridPoint::new("df16/cs1 @ tt, 0.30V, 25°C".to_string(), None, None, None),
         |nl| solve_with_retry(nl, &NewtonOptions::default(), None, AnalysisMode::Dc),
-        None,
+        |_, _| {},
     )
     .expect("a failed solve is recordable");
     obs::flight_disable();
